@@ -247,23 +247,3 @@ def exp_g0(b):
 def exp_rotation(a, b):
     """exp(a L_i + b.R); the two factors commute so the product is exact."""
     return exp_g2(np.asarray(a)) @ exp_g0(b)
-
-
-def exp_group(elem: AlgebraElement, quad_n: int = 24):
-    """Exponential of a (possibly complex) algebra element, returned as the
-    (rotation, translation) pair.
-
-    Rotation part uses the closed form; the translation part is
-    ``phi1(eta) t`` with ``phi1(eta) = int_0^1 exp(s eta) ds`` evaluated by
-    Gauss-Legendre (exact to machine precision, the integrand being entire).
-    """
-    from .numerics import gauss_legendre_01
-
-    a, b1, b2, b3 = elem.coeffs()
-    b = np.array([b1, b2, b3])
-    rot = exp_rotation(np.asarray(a), b)
-    nodes, weights = gauss_legendre_01(quad_n)
-    acc = np.zeros(4, dtype=complex)
-    for s, w in zip(nodes, weights):
-        acc = acc + w * (exp_rotation(np.asarray(s * a), s * b) @ elem.translation)
-    return rot, acc

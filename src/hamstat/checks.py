@@ -10,15 +10,13 @@ independent of it.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import L_I, lagrangian_angle_raw, omega
 from .errors import AngleUnwrapFailure, DegenerateMetric
-from .numerics import (TWO_PI, fd_x, fd_x4, fd_xx, fd_xy, fd_y, fd_y4, fd_yy,
-                       thread_count)
+from .numerics import TWO_PI, fd_x, fd_x4, fd_xx, fd_xy, fd_y, fd_y4, fd_yy
 from .weierstrass import TorusSpec, spinor_u
 
 __all__ = [
@@ -47,18 +45,6 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-def grid_eval(f, zs):
-    """Evaluate an evaluator on a 2-d complex grid, splitting rows across
-    threads when HAMSTAT_THREADS requests more than one worker."""
-    workers = thread_count()
-    if workers <= 1 or zs.ndim < 2 or zs.shape[0] < 2 * workers:
-        return np.asarray(f(zs))
-    blocks = np.array_split(np.arange(zs.shape[0]), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda idx: np.asarray(f(zs[idx])), blocks))
-    return np.concatenate(parts, axis=0)
 
 
 def _default_step(lattice) -> float:

@@ -58,6 +58,12 @@ def _load_spec(path: str) -> weierstrass.TorusSpec:
         raise SystemExit_input(f"invalid spec {path}: {exc}")
 
 
+def _require_at_least(args, name: str, low: int):
+    value = getattr(args, name)
+    if value < low:
+        raise SystemExit_input(f"--{name} must be at least {low}, got {value}")
+
+
 def _spec_hash(spec: weierstrass.TorusSpec) -> str:
     return hashlib.sha256(spec.to_json(sort_keys=True).encode()).hexdigest()[:16]
 
@@ -122,7 +128,7 @@ def _write_ply(path: str, verts: np.ndarray, faces: list, header: str):
 
 def _mesh_from_evaluator(f, lattice, grid_n, project):
     zs = lattice.grid(grid_n)
-    pts = checks.grid_eval(f, zs).reshape(-1, 4)
+    pts = np.asarray(f(zs)).reshape(-1, 4)
     verts = _project(pts, project)
     return verts, _torus_faces(grid_n)
 
@@ -160,6 +166,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    _require_at_least(args, "grid", 3)
     spec = _load_spec(args.spec)
     scan = weierstrass.regularity_scan(spec, max(args.grid, 16))
     if scan.min_abs_u < 1e-6:
@@ -176,6 +183,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least(args, "grid", 3)
     spec = _load_spec(args.spec)
     thresholds = None
     if args.tol is not None:
@@ -193,8 +201,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
+    _require_at_least(args, "grid", 3)
     spec = _load_spec(args.spec)
-    lams = [parse_complex(t) for t in args.lams.split(",")]
+    lams = []
+    for text in args.lams.split(","):
+        try:
+            lams.append(parse_complex(text))
+        except ValueError:
+            raise SystemExit_input(f"invalid family parameter {text!r}")
     report = []
     code = EXIT_OK
     import warnings as _warnings
@@ -221,6 +235,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_lax(args) -> int:
+    _require_at_least(args, "grid", 1)
+    _require_at_least(args, "steps", 1)
     data = _load_json(args.seed)
     try:
         field = finitetype.KillingField.from_dict(data["field"])
@@ -281,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="sweep circle parameters")
     p.add_argument("spec")
     p.add_argument("--lambda", dest="lams", default="1",
-                   help="comma-separated unimodular values, e.g. '1,0.707+0.707i'")
+                   help="comma-separated unimodular values, e.g. '1,0.6+0.8i'")
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--project", default="drop:4")
     p.add_argument("--out", help="mesh filename stem (optional)")

@@ -17,9 +17,8 @@ import numpy as np
 
 from .algebra import EPS, L_I, R_I, R_J, R_K, tau_rotation, tau_vector
 from .errors import StepSizeUnderflow
-from .numerics import dot_r2
 from .tori import rhombic_torus, standard_torus
-from .weierstrass import TorusSpec, _u_modes
+from .weierstrass import TorusSpec, _mode_sum, _u_modes
 
 __all__ = [
     "KillingField", "r_op", "pi_g0", "b0_basis", "lax_project",
@@ -389,11 +388,7 @@ def _mode_scale(c, modes: dict) -> dict:
 
 
 def mode_eval(modes: dict, z):
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape + (4,), dtype=complex)
-    for delta, vec in modes.values():
-        out += np.exp(2j * np.pi * dot_r2(delta, z))[..., None] * vec
-    return out
+    return _mode_sum(modes.values(), z)
 
 
 def formal_killing(u_modes: dict, a: complex, n_coeffs: int = 24) -> list:

@@ -680,12 +680,6 @@ def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
     def diagnostics(z):
         return ab(z)[2]
 
-    def a_checked(z):
-        a, _, bad = ab(z)
-        if np.max(bad) > offband_tol:
-            raise NotInBigCell(f"off-band residual {np.max(bad):.2e} at z")
-        return a
-
     if taylor_radius is not None:
         ring = taylor_radius * np.exp(2j * np.pi * np.arange(taylor_n) / taylor_n)
         a_ring, b_ring, _ = ab(ring)
@@ -696,7 +690,6 @@ def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
                                     dh=getattr(lift, "dh"),
                                     a=a_fn, b=b_fn)
     data.diagnostics = diagnostics
-    data.a_checked = a_checked
     return data
 
 

@@ -8,8 +8,6 @@ indices read modulo M (index j >= M/2 means exponent j - M).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -42,15 +40,6 @@ def samples_from_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.fft.ifft(coeffs, axis=axis) * m
 
 
-def eval_loop(ks, coeffs, lams):
-    """Evaluate sum_k coeffs[k] lam**k at arbitrary points on C*."""
-    lams = np.asarray(lams, dtype=complex)
-    powers = lams[..., None] ** np.asarray(ks)          # (..., K)
-    extra = coeffs.shape[1:]
-    out = np.tensordot(powers, coeffs.reshape(len(ks), -1), axes=(-1, 0))
-    return out.reshape(lams.shape + extra)
-
-
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -60,14 +49,6 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(n)
         _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _GL_CACHE[n]
-
-
-def thread_count() -> int:
-    """Worker cap from HAMSTAT_THREADS (>=1); defaults to 1."""
-    try:
-        return max(1, int(os.environ.get("HAMSTAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # Finite-difference stencils.  `f` maps a complex array to an array whose

@@ -136,44 +136,70 @@ def holomorphic_angle(beta0: complex):
     return h
 
 
-def _basis_core(gamma: complex, beta0: complex, z, part: str, tol: float = 1e-12):
-    gamma = complex(gamma)
-    beta0 = complex(beta0)
+def _mode_sum(modes, z, out=None):
+    """Sum of vec * exp(2 pi i <delta, z>) over the (delta, vec) pairs.
+
+    Each mode is added into ``out`` in place (fresh zeros of shape
+    ``z.shape + (4,)`` when omitted).  ``delta`` may be an array that
+    broadcasts against ``z``; ``vec`` then carries the same axes before its
+    last one.  Every closed-form Fourier evaluator of the package runs
+    through this loop.
+    """
+    z = np.asarray(z, dtype=complex)
+    if out is None:
+        out = np.zeros(z.shape + (4,), dtype=complex)
+    # added one component at a time, each wave freed before the next: an
+    # output-sized temporary per mode raises the process's peak memory on
+    # large (z, lam) batches
+    for delta, vec in modes:
+        wave = np.exp(2j * np.pi * dot_r2(delta, z))
+        for k in range(out.shape[-1]):
+            out[..., k] += wave * vec[..., k]
+        del wave
+    return out
+
+
+def _basis_column(gamma: complex, beta0: complex):
     denom = beta0 ** 2 - 4.0 * gamma ** 2
-    if abs(denom) < max(tol, 1e-12 * abs(beta0) ** 2):
+    if abs(denom) < max(1e-12, 1e-12 * abs(beta0) ** 2):
         raise ResonantFrequency(
             f"gamma = {gamma} resonates with beta0 = {beta0}; the primitive "
             "is only pseudo-periodic")
+    return np.array([-1j * gamma, -beta0 / 2.0, gamma, -1j * beta0 / 2.0]) / denom
+
+
+def _basis_sum(pairs, beta0, z):
+    """sum over (gamma, a) of Re(a) A_gamma + Im(a) B_gamma.
+
+    With w_gamma = exp(-2 pi i <gamma, z>) column_gamma, A and B are the
+    rotated real and imaginary parts of (4/pi) w_gamma, and
+    Re(a) Re(w) + Im(a) Im(w) = Re(conj(a) w): one mode sum at the
+    frequencies -gamma, one real part and one rotation serve all terms.
+    """
+    beta0 = complex(beta0)
     z = np.asarray(z, dtype=complex)
-    column = np.array([-1j * gamma, -beta0 / 2.0, gamma, -1j * beta0 / 2.0]) / denom
-    wave = np.exp(-2j * np.pi * dot_r2(gamma, z))[..., None] * column
-    vec = wave.real if part == "re" else wave.imag
+    modes = [(-complex(g),
+              np.conj(a) * (4.0 / np.pi) * _basis_column(complex(g), beta0))
+             for g, a in pairs if a != 0]
+    vec = _mode_sum(modes, z).real
     phase = np.pi * dot_r2(beta0, z)
-    rotated = (np.cos(phase)[..., None] * vec
-               + np.sin(phase)[..., None] * (vec @ L_I.T))
-    return (4.0 / np.pi) * rotated
+    return (np.cos(phase)[..., None] * vec
+            + np.sin(phase)[..., None] * (vec @ L_I.T))
 
 
 def basis_A(gamma, beta0, z):
     """Closed-form basis immersion attached to a frequency (real part)."""
-    return _basis_core(gamma, beta0, z, "re")
+    return _basis_sum([(gamma, 1.0)], beta0, z)
 
 
 def basis_B(gamma, beta0, z):
     """Companion basis immersion (imaginary part)."""
-    return _basis_core(gamma, beta0, z, "im")
+    return _basis_sum([(gamma, 1j)], beta0, z)
 
 
 def immerse(spec: TorusSpec, z):
     """X = sum over frequencies of Re(a) A + Im(a) B, shape (..., 4)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape + (4,))
-    for gamma, a in spec.items():
-        if a.real != 0.0:
-            out += a.real * basis_A(gamma, spec.beta0, z)
-        if a.imag != 0.0:
-            out += a.imag * basis_B(gamma, spec.beta0, z)
-    return out
+    return _basis_sum(spec.items(), spec.beta0, z)
 
 
 def _u_modes(spec: TorusSpec) -> dict:
@@ -197,11 +223,7 @@ def _u_modes(spec: TorusSpec) -> dict:
 
 def spinor_u(spec: TorusSpec, z):
     """u = e^{-beta L_i / 2} dX/dz, from its exact Fourier modes."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape + (4,), dtype=complex)
-    for delta, vec in _u_modes(spec).values():
-        out += np.exp(2j * np.pi * dot_r2(delta, z))[..., None] * vec
-    return out
+    return _mode_sum(_u_modes(spec).values(), z)
 
 
 def spinor_ab(spec: TorusSpec, z):
@@ -239,6 +261,29 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
 _RES_TOL = 1e-12
 
 
+def _family_terms(spec: TorusSpec, lams):
+    """Terms (mu, c1, c2) of the deformed derivative at circle parameter(s)
+    lams: c1 exp(2 pi i <mu, z>) dz + c2 exp(2 pi i <mu, z>) dz_bar, one per
+    spinor mode and eigenspace sign.  mu has the shape of lams and c1, c2
+    the shape lams.shape + (4,)."""
+    lams = np.asarray(lams, dtype=complex)
+    shift = lams * lams * spec.beta0 / 2.0
+    modes = _u_modes(spec)
+    for delta, vec in modes.values():
+        entry = modes.get(_key(-delta))
+        minus = entry[1] if entry is not None else np.zeros(4, dtype=complex)
+        for sigma, proj in ((+1.0, PI_PLUS), (-1.0, PI_MINUS)):
+            yield (delta + sigma * shift, (proj @ vec) / lams[..., None],
+                   lams[..., None] * (proj @ np.conj(minus)))
+
+
+def _real_part(out, what: str):
+    imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
+    if imag > 1e-8 * (1.0 + float(np.max(np.abs(out.real)))):
+        raise ArithmeticError(f"{what} has imaginary residue {imag:.2e}")
+    return out.real
+
+
 class FamilyEvaluator:
     """Circle-parameter deformation of a spec's immersion, evaluated from a
     per-phase table of closed-form primitives.
@@ -265,27 +310,20 @@ class FamilyEvaluator:
                 MonodromyWarning, stacklevel=3)
 
     def _build_table(self):
-        spec, lam = self.spec, self.lam
-        shift = lam * lam * spec.beta0 / 2.0
-        modes = _u_modes(spec)
+        """Group the terms by phase; exponential primitives go to ``_waves``
+        as (mu, vec) modes, resonant (mu = 0) groups to ``_linear``."""
         groups: dict = {}
-        for delta, vec in modes.values():
-            entry = modes.get(_key(-delta))
-            minus = entry[1] if entry is not None else np.zeros(4, dtype=complex)
-            for sigma, proj in ((+1.0, PI_PLUS), (-1.0, PI_MINUS)):
-                mu = delta + sigma * shift
-                gk = _key(mu)
-                if gk in groups:
-                    _, c1, c2 = groups[gk]
-                else:
-                    c1 = np.zeros(4, dtype=complex)
-                    c2 = np.zeros(4, dtype=complex)
-                groups[gk] = (mu, c1 + proj @ vec / lam,
-                              c2 + lam * (proj @ np.conj(minus)))
-        table = []
+        for mu, c1, c2 in _family_terms(self.spec, self.lam):
+            mu = complex(mu)
+            gk = _key(mu)
+            if gk in groups:
+                mu, g1, g2 = groups[gk]
+                c1, c2 = g1 + c1, g2 + c2
+            groups[gk] = (mu, c1, c2)
+        self._waves, self._linear = [], []
         for mu, c1, c2 in groups.values():
             if abs(mu) <= _RES_TOL:
-                table.append(("linear", mu, c1, c2))
+                self._linear.append((c1, c2))
                 continue
             closed = np.linalg.norm(mu * c1 - np.conj(mu) * c2)
             scale = np.linalg.norm(c1) + np.linalg.norm(c2) + 1e-30
@@ -293,32 +331,24 @@ class FamilyEvaluator:
                 raise ArithmeticError(
                     f"phase {mu} fails closedness ({closed:.2e}); "
                     "family table is inconsistent")
-            table.append(("exp", mu, c1 / (1j * np.pi * np.conj(mu)), c2))
-        self._table = table
+            self._waves.append((mu, c1 / (1j * np.pi * np.conj(mu))))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (4,), dtype=complex)
-        for kind, mu, c1, c2 in self._table:
-            if kind == "exp":
-                out += np.exp(2j * np.pi * dot_r2(mu, z))[..., None] * c1
-            else:
-                out += z[..., None] * c1 + np.conj(z)[..., None] * c2
-        imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
-        if imag > 1e-8 * (1.0 + np.max(np.abs(out.real))):
-            raise ArithmeticError(f"family value has imaginary residue {imag:.2e}")
-        return out.real
+        out = _mode_sum(self._waves, z)
+        for c1, c2 in self._linear:
+            out += z[..., None] * c1 + np.conj(z)[..., None] * c2
+        return _real_part(out, "family value")
 
     def _monodromy(self, tol: float) -> dict:
         defects = {}
         for name, g in (("g1", self.spec.lattice.g1), ("g2", self.spec.lattice.g2)):
             total = 0.0
-            for kind, mu, c1, c2 in self._table:
-                if kind == "exp":
-                    total += abs(np.exp(2j * np.pi * dot_r2(mu, g)) - 1.0) \
-                        * np.linalg.norm(c1)
-                else:
-                    total += np.linalg.norm(g * c1 + np.conj(g) * c2)
+            for mu, vec in self._waves:
+                total += abs(np.exp(2j * np.pi * dot_r2(mu, g)) - 1.0) \
+                    * np.linalg.norm(vec)
+            for c1, c2 in self._linear:
+                total += np.linalg.norm(g * c1 + np.conj(g) * c2)
             defects[name] = float(total)
         return defects
 
@@ -339,38 +369,29 @@ def associated_family(spec: TorusSpec, lam: complex, z=None, tol: float = 1e-9,
 def family_samples(spec: TorusSpec, z, lams, basepoint_zero: bool = True):
     """Family values on a batch of circle parameters, vectorized over (z, lam).
 
-    Equivalent to stacking :class:`FamilyEvaluator` values, summing the
-    per-term primitives directly (term phases only collide additively, so
-    grouping is not needed away from the resonances, which get the linear
-    primitive).  With ``basepoint_zero`` the value at z = 0 is subtracted,
-    normalizing the family as an extended lift.
+    Agrees with stacking :class:`FamilyEvaluator` values.  The terms come
+    from the same builder but are not grouped by phase: each is one mode
+    whose phase mu is an array over lams, summed for all lams at once.
+    Phases that collide only add, and a term's columns where mu vanishes
+    (the resonances) take the linear primitive instead.  With
+    ``basepoint_zero`` the value at z = 0 is subtracted, normalizing the
+    family as an extended lift.
 
     Returns shape ``z.shape + lams.shape + (4,)``.
     """
     z = np.asarray(z, dtype=complex)
     lams = np.asarray(lams, dtype=complex)
-    modes = _u_modes(spec)
     out = np.zeros(z.shape + lams.shape + (4,), dtype=complex)
-    base = np.zeros(lams.shape + (4,), dtype=complex)
-    shift = lams * lams * spec.beta0 / 2.0
-    zc = z[..., None]
-    for delta, vec in modes.values():
-        entry = modes.get(_key(-delta))
-        minus = entry[1] if entry is not None else np.zeros(4, dtype=complex)
-        for sigma, proj in ((+1.0, PI_PLUS), (-1.0, PI_MINUS)):
-            mu = delta + sigma * shift                      # (L,)
-            c1 = (proj @ vec)[None, :] / lams[..., None]     # (L, 4)
-            c2 = lams[..., None] * (proj @ np.conj(minus))[None, :]
-            res = np.abs(mu) <= _RES_TOL
-            denom = np.where(res, 1.0, 1j * np.pi * np.conj(mu))
-            wave = np.exp(2j * np.pi * dot_r2(mu, zc))       # (..., L)
-            regular = wave[..., None] * (c1 / denom[..., None])
-            linear = zc[..., None] * c1 + np.conj(zc)[..., None] * c2
-            out += np.where(res[..., None], linear, regular)
-            base += np.where(res[..., None], 0.0, c1 / denom[..., None])
+    zc = z[..., None, None]
+    waves = []
+    for mu, c1, c2 in _family_terms(spec, lams):
+        res = np.abs(mu) <= _RES_TOL
+        vec = c1 / np.where(res, 1.0, 1j * np.pi * np.conj(mu))[..., None]
+        vec[res] = 0.0
+        waves.append((mu, vec))
+        if res.any():
+            out[..., res, :] += zc * c1[res] + np.conj(zc) * c2[res]
+    _mode_sum(waves, z.reshape(z.shape + (1,) * lams.ndim), out)
     if basepoint_zero:
-        out -= base
-    imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if imag > 1e-8 * (1.0 + float(np.max(np.abs(out.real)))):
-        raise ArithmeticError(f"family batch has imaginary residue {imag:.2e}")
-    return out.real
+        out -= sum(vec for _, vec in waves)
+    return _real_part(out, "family batch")

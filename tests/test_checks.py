@@ -3,7 +3,7 @@ import pytest
 
 from hamstat.checks import (SpinorFields, check_conformal, check_flatness,
                             check_harmonic_angle, check_lagrangian,
-                            check_mean_curvature, grid_eval, run_suite)
+                            check_mean_curvature, run_suite)
 from hamstat.errors import AngleUnwrapFailure
 from hamstat.lattices import Lattice
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
@@ -144,12 +144,3 @@ def test_report_json_shape(tori):
     data = rep.to_dict()
     for key in ("check", "grid_n", "residual", "threshold", "pass"):
         assert key in data
-
-
-def test_grid_eval_threaded(monkeypatch, tori):
-    spec = tori[0]
-    zs = spec.lattice.grid(32)
-    serial = grid_eval(lambda z: immerse(spec, z), zs)
-    monkeypatch.setenv("HAMSTAT_THREADS", "4")
-    threaded = grid_eval(lambda z: immerse(spec, z), zs)
-    assert np.array_equal(serial, threaded)

@@ -15,6 +15,29 @@ def spec_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def seed_file(tmp_path):
+    seed = standard_torus_killing_seed(1.0, 1.0)
+    lat = seed.spec.lattice
+    payload = {"field": seed.field.to_dict(),
+               "lattice": {"g1": [lat.g1.real, lat.g1.imag],
+                           "g2": [lat.g2.real, lat.g2.imag]}}
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def assert_input_error(argv, capsys):
+    """The command exits 2 with a one-line error and no traceback."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert captured.out == ""
+
+
 def test_parse_complex_forms():
     assert parse_complex("1+1i") == 1 + 1j
     assert parse_complex("2") == 2.0
@@ -155,16 +178,49 @@ def test_family_mesh_output(tmp_path, spec_file, capsys):
     assert np.max(np.abs(diff)) < 1e-12
 
 
-def test_lax_subcommand(tmp_path, capsys):
-    seed = standard_torus_killing_seed(1.0, 1.0)
-    lat = seed.spec.lattice
-    payload = {"field": seed.field.to_dict(),
-               "lattice": {"g1": [lat.g1.real, lat.g1.imag],
-                           "g2": [lat.g2.real, lat.g2.imag]}}
-    path = tmp_path / "seed.json"
-    path.write_text(json.dumps(payload))
-    rc = main(["lax", str(path), "--grid", "4", "--steps", "1024"])
+def test_lax_subcommand(seed_file, capsys):
+    rc = main(["lax", seed_file, "--grid", "4", "--steps", "1024"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["isospectral_drift"] <= 1e-8
     assert out["top_coefficient_drift"] <= 1e-10
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "2"])
+def test_verify_grid_too_small(spec_file, capsys, grid):
+    assert_input_error(["verify", spec_file, "--grid", grid], capsys)
+
+
+@pytest.mark.parametrize("grid", ["0", "2"])
+def test_mesh_grid_too_small(tmp_path, spec_file, capsys, grid):
+    out = tmp_path / "mesh.obj"
+    assert_input_error(["mesh", spec_file, "--grid", grid, "--out", str(out)],
+                       capsys)
+    assert not out.exists()
+
+
+def test_family_grid_too_small(tmp_path, spec_file, capsys):
+    assert_input_error(["family", spec_file, "--grid", "2",
+                        "--out", str(tmp_path / "fam")], capsys)
+
+
+def test_smallest_accepted_grid(tmp_path, spec_file, capsys):
+    assert main(["verify", spec_file, "--grid", "3"]) in (0, 1)
+    assert main(["mesh", spec_file, "--grid", "3",
+                 "--out", str(tmp_path / "m.obj")]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--steps"])
+def test_lax_counts_below_one(seed_file, capsys, flag):
+    assert_input_error(["lax", seed_file, flag, "0"], capsys)
+
+
+@pytest.mark.parametrize("lams", ["1,0.6+0.8x", "1,", "1,0.6+0.8i+"])
+def test_family_malformed_lambda(spec_file, capsys, lams):
+    assert_input_error(["family", spec_file, "--lambda", lams], capsys)
+
+
+def test_family_exact_unit_lambda(spec_file, capsys):
+    assert main(["family", spec_file, "--lambda", "1,0.6+0.8i"]) == 0
+    members = json.loads(capsys.readouterr().out)["members"]
+    assert [m["lambda"] for m in members] == [[1.0, 0.0], [0.6, 0.8]]

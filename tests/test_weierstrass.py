@@ -66,6 +66,106 @@ def test_basis_periodicity(rng, square_spec):
             assert np.max(np.abs(a0 - a1)) < 1e-12
 
 
+def reference_basis(gamma, beta0, z, part):
+    """The per-basis closed form evaluated term by term: its own
+    exponential, real/imaginary split and rotation for every basis surface."""
+    gamma, beta0 = complex(gamma), complex(beta0)
+    z = np.asarray(z, dtype=complex)
+    column = (np.array([-1j * gamma, -beta0 / 2.0, gamma, -1j * beta0 / 2.0])
+              / (beta0 ** 2 - 4.0 * gamma ** 2))
+    wave = np.exp(-2j * np.pi * dot_r2(gamma, z))[..., None] * column
+    vec = wave.real if part == "re" else wave.imag
+    phase = np.pi * dot_r2(beta0, z)
+    rotated = (np.cos(phase)[..., None] * vec
+               + np.sin(phase)[..., None] * (vec @ L_I.T))
+    return (4.0 / np.pi) * rotated
+
+
+def reference_immerse(spec, z):
+    out = np.zeros(np.shape(z) + (4,))
+    for gamma, a in spec.items():
+        if a.real != 0.0:
+            out += a.real * reference_basis(gamma, spec.beta0, z, "re")
+        if a.imag != 0.0:
+            out += a.imag * reference_basis(gamma, spec.beta0, z, "im")
+    return out
+
+
+# one shared mode sum reorders the float64 arithmetic of the term-by-term
+# form; 1e-12 of the value's scale is some 4500 ulps, far above the few
+# ulps such a reordering moves a sum of a dozen terms
+REFERENCE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["real", "imaginary", "complex"])
+def test_closed_forms_match_term_by_term_reference(rng, kind):
+    lat = Lattice.square()
+    points = [0.37 - 0.21j, lat.grid(7).ravel() + 0.013j, lat.grid(9) - 0.02]
+    for beta0 in (1 + 1j, 6 + 8j, 5 + 0j):
+        freq = list(enumerate_frequencies(lat, beta0))
+        x, y = rng.normal(size=len(freq)), rng.normal(size=len(freq))
+        coeffs = {"real": x + 0j, "imaginary": 1j * y,
+                  "complex": x + 1j * y}[kind]
+        spec = TorusSpec.build(lat, beta0, dict(zip(freq, coeffs)))
+        for z in points:
+            ref = reference_immerse(spec, z)
+            got = immerse(spec, z)
+            assert got.shape == ref.shape == np.shape(z) + (4,)
+            assert np.max(np.abs(got - ref)) <= REFERENCE_RTOL * np.max(np.abs(ref))
+            for gamma in freq:
+                for fn, part in ((basis_A, "re"), (basis_B, "im")):
+                    ref = reference_basis(gamma, beta0, z, part)
+                    err = np.max(np.abs(fn(gamma, beta0, z) - ref))
+                    assert err <= REFERENCE_RTOL * np.max(np.abs(ref))
+
+
+def test_closed_forms_of_empty_spec_vanish():
+    empty = TorusSpec.build(Lattice.square(), 6 + 8j, {}, validate=False)
+    for z in (0.3 + 0.1j, np.array([0.2, 1j]), Lattice.square().grid(3)):
+        got = immerse(empty, z)
+        assert got.shape == np.shape(z) + (4,)
+        assert np.array_equal(got, reference_immerse(empty, z))
+        assert not np.any(got)
+
+
+def mp_basis(gamma, beta0, z, part):
+    """The closed form of basis_A / basis_B in 50-digit arithmetic, at the
+    exact binary values of the float64 inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g, b, w = (mpmath.mpc(v.real, v.imag)
+                   for v in map(complex, (gamma, beta0, z)))
+
+        def dot(p, q):
+            return mpmath.re(mpmath.conj(p) * q)
+
+        denom = b ** 2 - 4 * g ** 2
+        column = [-1j * g / denom, -b / 2 / denom, g / denom,
+                  -1j * b / 2 / denom]
+        wave = mpmath.exp(-2j * mpmath.pi * dot(g, w))
+        split = mpmath.re if part == "re" else mpmath.im
+        vec = [split(wave * c) for c in column]
+        li_vec = [-vec[1], vec[0], -vec[3], vec[2]]          # L_I @ vec
+        phase = mpmath.pi * dot(b, w)
+        return np.array([
+            float(4 / mpmath.pi * (mpmath.cos(phase) * v + mpmath.sin(phase) * lv))
+            for v, lv in zip(vec, li_vec)])
+
+
+@pytest.mark.parametrize("gamma, beta0", [
+    ((1 - 1j) / 2, 1 + 1j), (5.0, 6 + 8j), (-3 + 4j, 6 + 8j), (4 - 3j, 6 + 8j),
+    (0.5 + 0.5j, 1 - 1j), (2.5j, 5.0)])
+def test_basis_pinned_to_high_precision(gamma, beta0):
+    # float64 loses about |phase| ulps in each exponent; every phase here is
+    # below 60, so 1e-13 of the term's scale (4/pi)|column| leaves a margin
+    scale = (4 / np.pi) * max(abs(gamma), abs(beta0) / 2) / abs(
+        beta0 ** 2 - 4 * gamma ** 2)
+    for z in (0.0, 0.37 - 0.21j, -0.81 + 0.66j, 1.25 + 0.5j):
+        for fn, part in ((basis_A, "re"), (basis_B, "im")):
+            exact = mp_basis(gamma, beta0, z, part)
+            assert np.max(np.abs(fn(gamma, beta0, z) - exact)) <= 1e-13 * scale
+
+
 def test_basis_resonant_frequency_rejected():
     with pytest.raises(ResonantFrequency):
         basis_A((1 + 1j) / 2, 1 + 1j, 0.0)
