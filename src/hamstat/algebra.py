@@ -156,6 +156,13 @@ class AlgebraElement:
                              + np.sum(np.abs(self.translation) ** 2)))
 
 
+def _li_rotate(phase, vec):
+    """exp(phase L_i) on vectors, cos(phase) v + sin(phase) L_i v, with the
+    (complex) phase broadcast over the leading axes of ``vec``."""
+    return (np.cos(phase)[..., None] * vec
+            + np.sin(phase)[..., None] * (vec @ L_I.T))
+
+
 def tau_rotation(m):
     """tau on a rotation-part matrix: conjugation by -L_j."""
     return -L_J @ np.asarray(m) @ L_J

@@ -264,6 +264,26 @@ class SpinorFields:
         return (rot_x, tr_x), (rot_y, tr_y)
 
 
+def _curvature_residual(connection, h: float) -> float:
+    """Max entry of d_x A_y - d_y A_x + [A_x, A_y] by central differences.
+
+    ``connection(dz)`` returns ((rot_x, tr_x), (rot_y, tr_y)), the connection
+    on d/dx and d/dy at the sample points shifted by dz; the bracket is that
+    of the motion-group algebra, acting on translations by the rotations.
+    """
+    (ax_r, ax_t), (ay_r, ay_t) = connection(0.0)
+    ayp_r, ayp_t = connection(h)[1]
+    aym_r, aym_t = connection(-h)[1]
+    axp_r, axp_t = connection(1j * h)[0]
+    axm_r, axm_t = connection(-1j * h)[0]
+    brack_r = ax_r @ ay_r - ay_r @ ax_r
+    brack_t = (np.einsum("...ij,...j->...i", ax_r, ay_t)
+               - np.einsum("...ij,...j->...i", ay_r, ax_t))
+    res_r = (ayp_r - aym_r) / (2 * h) - (axp_r - axm_r) / (2 * h) + brack_r
+    res_t = (ayp_t - aym_t) / (2 * h) - (axp_t - axm_t) / (2 * h) + brack_t
+    return float(max(np.max(np.abs(res_r)), np.max(np.abs(res_t))))
+
+
 def check_flatness(source, lam: complex, grid_n: int,
                    fd_step: float | None = None,
                    threshold: float = 1e-6) -> CheckReport:
@@ -277,22 +297,7 @@ def check_flatness(source, lam: complex, grid_n: int,
     lat = fields.lattice
     h = fd_step or 1e-5 * lat.diameter()
     zs = lat.grid(grid_n)
-
-    (ax_r, ax_t), (ay_r, ay_t) = fields.connection_xy(lam, zs)
-
-    ayp = fields.connection_xy(lam, zs + h)[1]
-    aym = fields.connection_xy(lam, zs - h)[1]
-    axp = fields.connection_xy(lam, zs + 1j * h)[0]
-    axm = fields.connection_xy(lam, zs - 1j * h)[0]
-    dx_of_ay = ((ayp[0] - aym[0]) / (2 * h), (ayp[1] - aym[1]) / (2 * h))
-    dy_of_ax = ((axp[0] - axm[0]) / (2 * h), (axp[1] - axm[1]) / (2 * h))
-
-    brack_r = ax_r @ ay_r - ay_r @ ax_r
-    brack_t = (np.einsum("...ij,...j->...i", ax_r, ay_t)
-               - np.einsum("...ij,...j->...i", ay_r, ax_t))
-    res_r = dx_of_ay[0] - dy_of_ax[0] + brack_r
-    res_t = dx_of_ay[1] - dy_of_ax[1] + brack_t
-    res = float(max(np.max(np.abs(res_r)), np.max(np.abs(res_t))))
+    res = _curvature_residual(lambda dz: fields.connection_xy(lam, zs + dz), h)
     return CheckReport("flatness", grid_n, res, threshold,
                        {"lambda": [lam.real, lam.imag], "fd_step": h})
 

@@ -10,13 +10,14 @@ and builds the polynomial frequency condition those recurrences close on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS, L_I, R_I, R_J, R_K, tau_rotation, tau_vector
+from .algebra import EPS, L_I, R_I, R_J, R_K
+from .checks import _curvature_residual
 from .errors import StepSizeUnderflow
+from .loops import TwistedLoop, _parse_record
 from .tori import rhombic_torus, standard_torus
 from .weierstrass import TorusSpec, _mode_sum, _u_modes
 
@@ -99,19 +100,15 @@ def r_op(zeta) -> np.ndarray:
 
 # --- Killing fields ---------------------------------------------------------
 
-@dataclass
-class KillingField:
-    """Real twisted polynomial loop of algebra values, exponents -d..d."""
+class KillingField(TwistedLoop):
+    """Real twisted polynomial loop of algebra values, exponents -d..d,
+    stored densely: ``rot[k + d]`` and ``trans[k + d]`` multiply lam**k."""
 
-    d: int
-    rot: np.ndarray          # (2d+1, 4, 4)
-    trans: np.ndarray        # (2d+1, 4)
-
-    def __post_init__(self):
-        self.rot = np.asarray(self.rot, dtype=complex)
-        self.trans = np.asarray(self.trans, dtype=complex)
-        if self.rot.shape[0] != 2 * self.d + 1:
+    def __init__(self, d: int, rot, trans):
+        if len(rot) != 2 * d + 1 or len(trans) != 2 * d + 1:
             raise ValueError("coefficient count must be 2d + 1")
+        self.d = d
+        super().__init__(np.arange(-d, d + 1), rot, trans)
 
     def copy(self) -> "KillingField":
         return KillingField(self.d, self.rot.copy(), self.trans.copy())
@@ -123,123 +120,69 @@ class KillingField:
         self.rot[k + self.d] = rot
         self.trans[k + self.d] = trans
 
-    def twist_residual(self) -> float:
-        worst = 0.0
-        for k in range(-self.d, self.d + 1):
-            r, t = self.coeff(k)
-            w = 1j ** (k % 4)
-            worst = max(worst, float(np.max(np.abs(tau_rotation(r) - w * r))),
-                        float(np.max(np.abs(tau_vector(t) - w * t))))
-        return worst
-
-    def reality_residual(self) -> float:
-        worst = 0.0
-        for k in range(0, self.d + 1):
-            rp, tp = self.coeff(k)
-            rm, tm = self.coeff(-k)
-            worst = max(worst, float(np.max(np.abs(np.conj(rp) - rm))),
-                        float(np.max(np.abs(np.conj(tp) - tm))))
-        return worst
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.rot)) + np.max(np.abs(self.trans)))
-
-    def value_at(self, lams):
-        lams = np.asarray(lams, dtype=complex)
-        ks = np.arange(-self.d, self.d + 1)
-        powers = lams[..., None] ** ks
-        rot = np.einsum("...k,kij->...ij", powers, self.rot)
-        trans = np.einsum("...k,kj->...j", powers, self.trans)
-        return rot, trans
-
-    def matrix5_at(self, lams):
-        rot, trans = self.value_at(lams)
-        m5 = np.zeros(rot.shape[:-2] + (5, 5), dtype=complex)
-        m5[..., :4, :4] = rot
-        m5[..., :4, 4] = trans
-        return m5
-
     def to_dict(self) -> dict:
-        def c2(z):
-            return [float(np.real(z)), float(np.imag(z))]
-
-        return {"degree": self.d, "coefficients": [
-            {"k": int(k - self.d),
-             "rotation": [[c2(v) for v in row] for row in self.rot[k]],
-             "translation": [c2(v) for v in self.trans[k]]}
-            for k in range(2 * self.d + 1)]}
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
+        return {"degree": self.d, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KillingField":
+        """Zero-filled dense field from sparse, unordered records."""
         d = int(data["degree"])
-        rot = np.zeros((2 * d + 1, 4, 4), dtype=complex)
-        trans = np.zeros((2 * d + 1, 4), dtype=complex)
-        for rec in data["coefficients"]:
-            j = int(rec["k"]) + d
-            rot[j] = [[complex(v[0], v[1]) for v in row]
-                      for row in rec["rotation"]]
-            trans[j] = [complex(v[0], v[1]) for v in rec["translation"]]
-        return cls(d, rot, trans)
+        field = cls(d, np.zeros((2 * d + 1, 4, 4)), np.zeros((2 * d + 1, 4)))
+        for k, rot, trans in map(_parse_record, data["coefficients"]):
+            if abs(k) > d:
+                raise ValueError(f"exponent {k} outside -{d}..{d}")
+            field.set_coeff(k, rot, trans)
+        return field
 
-    @classmethod
-    def from_json(cls, text: str) -> "KillingField":
-        return cls.from_dict(json.loads(text))
+
+def _project(rot, trans):
+    """``lax_project`` on dense field arrays; rows 0..2 hold exponents -d..-d+2."""
+    return {
+        -2: (rot[0], trans[0]),
+        -1: (rot[1], trans[1]),
+        0: (r_op(rot[2]), np.zeros(4, dtype=complex)),
+    }
 
 
 def lax_project(xi: KillingField):
     """Coefficients of the projected connection: the dz side is
     lam^-2 xi_{-d} + lam^-1 xi_{-d+1} + r(xi_{-d+2}); the dzbar side is the
     conjugate string at lam^0..lam^2."""
-    r_m2, t_m2 = xi.coeff(-xi.d)
-    r_m1, t_m1 = xi.coeff(-xi.d + 1)
-    r_0, _ = xi.coeff(-xi.d + 2)
-    r0 = r_op(r_0)
-    return {
-        -2: (r_m2, t_m2),
-        -1: (r_m1, t_m1),
-        0: (r0, np.zeros(4, dtype=complex)),
-    }
+    return _project(xi.rot, xi.trans)
 
 
-def _multiplier_arrays(xi: KillingField, zdot: complex):
+def _multiplier_arrays(rot, trans, zdot: complex):
     """Combined bracket multiplier zdot*M + conj(zdot)*Mbar, exponents -2..2."""
-    proj = lax_project(xi)
-    ks = np.arange(-2, 3)
-    rot = np.zeros((5, 4, 4), dtype=complex)
-    trans = np.zeros((5, 4), dtype=complex)
+    proj = _project(rot, trans)
+    mrot = np.zeros((5, 4, 4), dtype=complex)
+    mtrans = np.zeros((5, 4), dtype=complex)
     for k in (-2, -1, 0):
         r, t = proj[k]
-        rot[k + 2] += zdot * r
-        trans[k + 2] += zdot * t
-        rot[-k + 2] += np.conj(zdot) * np.conj(r)
-        trans[-k + 2] += np.conj(zdot) * np.conj(t)
-    return ks, rot, trans
+        mrot[k + 2] += zdot * r
+        mtrans[k + 2] += zdot * t
+        mrot[-k + 2] += np.conj(zdot) * np.conj(r)
+        mtrans[-k + 2] += np.conj(zdot) * np.conj(t)
+    return mrot, mtrans
 
 
-def _lax_derivative(xi: KillingField, zdot: complex, pad_report: list):
-    ks, mrot, mtrans = _multiplier_arrays(xi, zdot)
-    d = xi.d
-    out_rot = np.zeros((2 * d + 5, 4, 4), dtype=complex)
-    out_trans = np.zeros((2 * d + 5, 4), dtype=complex)
-    for j, k2 in enumerate(ks):
-        # bracket of every xi coefficient with multiplier mode k2
-        rr = xi.rot @ mrot[j] - mrot[j] @ xi.rot
-        tt = (np.einsum("kij,j->ki", xi.rot, mtrans[j])
-              - np.einsum("ij,kj->ki", mrot[j], xi.trans))
-        sl = slice(k2 + 2, k2 + 2 + 2 * d + 1)
-        out_rot[sl] += rr
-        out_trans[sl] += tt
+def _lax_derivative(rot, trans, zdot: complex, pad_report: list):
+    """Bracket of the dense field arrays with the multiplier, truncated back
+    to the field's exponents; the dropped spill is appended to pad_report."""
+    mrot, mtrans = _multiplier_arrays(rot, trans, zdot)
+    n = rot.shape[0]
+    out_rot = np.zeros((n + 4, 4, 4), dtype=complex)
+    out_trans = np.zeros((n + 4, 4), dtype=complex)
+    for j in range(5):
+        # bracket of every field coefficient with multiplier exponent j - 2
+        rr = rot @ mrot[j] - mrot[j] @ rot
+        tt = (np.einsum("kij,j->ki", rot, mtrans[j])
+              - np.einsum("ij,kj->ki", mrot[j], trans))
+        out_rot[j:j + n] += rr
+        out_trans[j:j + n] += tt
     spill = max(np.max(np.abs(out_rot[:2])), np.max(np.abs(out_rot[-2:])),
                 np.max(np.abs(out_trans[:2])), np.max(np.abs(out_trans[-2:])))
     pad_report.append(float(spill))
-    return KillingField(d, out_rot[2:-2], out_trans[2:-2])
-
-
-def _axpy(x: KillingField, c: float, y: KillingField) -> KillingField:
-    return KillingField(x.d, x.rot + c * y.rot, x.trans + c * y.trans)
+    return out_rot[2:-2], out_trans[2:-2]
 
 
 def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
@@ -255,35 +198,28 @@ def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
         raise StepSizeUnderflow(f"step {h:.3e} below representable resolution")
     direction = seg / length
     pad = diagnostics if diagnostics is not None else []
-    xi = xi0.copy()
+    rot, trans = xi0.rot, xi0.trans
     for _ in range(nsteps):
-        k1 = _lax_derivative(xi, direction, pad)
-        k2 = _lax_derivative(_axpy(xi, 0.5 * h, k1), direction, pad)
-        k3 = _lax_derivative(_axpy(xi, 0.5 * h, k2), direction, pad)
-        k4 = _lax_derivative(_axpy(xi, h, k3), direction, pad)
-        xi = KillingField(
-            xi.d,
-            xi.rot + (h / 6.0) * (k1.rot + 2 * k2.rot + 2 * k3.rot + k4.rot),
-            xi.trans + (h / 6.0) * (k1.trans + 2 * k2.trans + 2 * k3.trans + k4.trans))
-    return xi
+        r1, t1 = _lax_derivative(rot, trans, direction, pad)
+        r2, t2 = _lax_derivative(rot + 0.5 * h * r1, trans + 0.5 * h * t1,
+                                 direction, pad)
+        r3, t3 = _lax_derivative(rot + 0.5 * h * r2, trans + 0.5 * h * t2,
+                                 direction, pad)
+        r4, t4 = _lax_derivative(rot + h * r3, trans + h * t3, direction, pad)
+        rot = rot + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+        trans = trans + (h / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
+    return KillingField(xi0.d, rot, trans)
 
 
 def _alpha_xy(xi: KillingField, lam: complex):
-    """Connection values A(d/dx), A(d/dy) of the projected form at one point."""
+    """Connection values A(d/dx), A(d/dy) of the projected form at one point:
+    the dz side is A_z = sum_k lam^k xi_k and the dzbar side its conjugate, so
+    A_x = A_z + conj(A_z) and A_y = i (A_z - conj(A_z))."""
     proj = lax_project(xi)
-    rot_x = np.zeros((4, 4), dtype=complex)
-    tr_x = np.zeros(4, dtype=complex)
-    rot_y = np.zeros((4, 4), dtype=complex)
-    tr_y = np.zeros(4, dtype=complex)
-    for k in (-2, -1, 0):
-        r, t = proj[k]
-        lz = lam ** k
-        lzb = np.conj(lz)             # lam^{-k} on the circle
-        rot_x += lz * r + lzb * np.conj(r)
-        tr_x += lz * t + lzb * np.conj(t)
-        rot_y += 1j * (lz * r - lzb * np.conj(r))
-        tr_y += 1j * (lz * t - lzb * np.conj(t))
-    return (rot_x, tr_x), (rot_y, tr_y)
+    rot_z = sum(lam ** k * proj[k][0] for k in (-2, -1, 0))
+    tr_z = sum(lam ** k * proj[k][1] for k in (-2, -1, 0))
+    return ((rot_z + np.conj(rot_z), tr_z + np.conj(tr_z)),
+            (1j * (rot_z - np.conj(rot_z)), 1j * (tr_z - np.conj(tr_z))))
 
 
 def lax_flatness_residual(xi_at_z: KillingField, lam: complex,
@@ -291,22 +227,9 @@ def lax_flatness_residual(xi_at_z: KillingField, lam: complex,
                           flow_step: float = 1e-5) -> float:
     """Curvature residual of the projected connection at one point, with the
     stencil fields produced by short flows from the given one."""
-    def at(dz):
-        return flow_field(xi_at_z, 0.0, dz, flow_step)
-
-    h = fd_step
-    (ax_r, ax_t), (ay_r, ay_t) = _alpha_xy(xi_at_z, lam)
-    ayp_r, ayp_t = _alpha_xy(at(h), lam)[1]
-    aym_r, aym_t = _alpha_xy(at(-h), lam)[1]
-    axp_r, axp_t = _alpha_xy(at(1j * h), lam)[0]
-    axm_r, axm_t = _alpha_xy(at(-1j * h), lam)[0]
-    dx_ay_r = (ayp_r - aym_r) / (2 * h)
-    dx_ay_t = (ayp_t - aym_t) / (2 * h)
-    dy_ax_r = (axp_r - axm_r) / (2 * h)
-    dy_ax_t = (axp_t - axm_t) / (2 * h)
-    res_r = dx_ay_r - dy_ax_r + (ax_r @ ay_r - ay_r @ ax_r)
-    res_t = dx_ay_t - dy_ax_t + (ax_r @ ay_t - ay_r @ ax_t)
-    return float(max(np.max(np.abs(res_r)), np.max(np.abs(res_t))))
+    return _curvature_residual(
+        lambda dz: _alpha_xy(flow_field(xi_at_z, 0.0, dz, flow_step), lam),
+        fd_step)
 
 
 @dataclass

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import EPS, ID4, L_I, LI_EPS_BAR, R_I, R_J, R_K, tau_rotation, tau_vector
+from .algebra import (EPS, ID4, L_I, LI_EPS_BAR, R_I, R_J, R_K, _li_rotate,
+                      tau_rotation, tau_vector)
 from .errors import (BranchDetectionFailure, ConvergenceFailure, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
 from .numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
@@ -95,6 +96,14 @@ class TwistedLoop:
         trans = np.einsum("...k,kj->...j", powers, self.trans)
         return rot, trans
 
+    def matrix5_at(self, lams):
+        """Values as 5x5 affine matrices [[rot, trans], [0, 0]]."""
+        rot, trans = self.value_at(lams)
+        m5 = np.zeros(rot.shape[:-2] + (5, 5), dtype=complex)
+        m5[..., :4, :4] = rot
+        m5[..., :4, 4] = trans
+        return m5
+
     def compose(self, other: "TwistedLoop", m: int | None = None) -> "TwistedLoop":
         m = m or _pow2(2 * (self.degree + other.degree) + 4)
         r1, t1 = self.sample(m)
@@ -151,16 +160,22 @@ class TwistedLoop:
     @classmethod
     def from_dict(cls, data: dict) -> "TwistedLoop":
         ks, rots, trs = [], [], []
-        for rec in data["coefficients"]:
-            ks.append(rec["k"])
-            rots.append([[complex(v[0], v[1]) for v in row]
-                         for row in rec["rotation"]])
-            trs.append([complex(v[0], v[1]) for v in rec["translation"]])
+        for k, r, t in map(_parse_record, data["coefficients"]):
+            ks.append(k)
+            rots.append(r)
+            trs.append(t)
         return cls(np.array(ks), np.array(rots), np.array(trs))
 
     @classmethod
     def from_json(cls, text: str) -> "TwistedLoop":
         return cls.from_dict(json.loads(text))
+
+
+def _parse_record(rec: dict):
+    """(k, rotation, translation) of one serialized coefficient record."""
+    return (int(rec["k"]),
+            [[complex(v[0], v[1]) for v in row] for row in rec["rotation"]],
+            [complex(v[0], v[1]) for v in rec["translation"]])
 
 
 def _pow2(n: int) -> int:
@@ -611,18 +626,12 @@ def _lift_w_coeff(lift, z, m: int):
     """Loop Fourier coefficients of e^{-lam^-2 h L_i / 2} X_lam over z."""
     z = np.asarray(z, dtype=complex)
     _, x = lift.samples(z, m)
-    lams = unit_lambdas(m)
-    h = lift.h_fn(z)
-    w = -0.5 * h[..., None] / lams ** 2
-    rot = (np.cos(w)[..., None, None] * ID4 + np.sin(w)[..., None, None] * L_I)
-    v = np.einsum("...mij,...mj->...mi", rot, x.astype(complex))
-    vhat = np.fft.fft(v, axis=-2) / m
-    return vhat
+    w = -0.5 * lift.h_fn(z)[..., None] / unit_lambdas(m) ** 2
+    return np.fft.fft(_li_rotate(w, x), axis=-2) / m
 
 
 def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
-                      offband_tol: float = 1e-4, taylor_radius: float | None = None,
-                      taylor_n: int = 256):
+                      taylor_radius: float | None = None, taylor_n: int = 256):
     """Recover the meromorphic potential data of an extended lift.
 
     The negative Birkhoff factor of the lift is explicit: its rotation part
@@ -737,12 +746,8 @@ class ReconstructedLift:
         h = np.asarray(self.pot.h(v), dtype=complex)
         a = np.asarray(self.pot.a(v), dtype=complex)
         b = np.asarray(self.pot.b(v), dtype=complex)
-        w = 0.5 * h[..., None] / lams ** 2
         spin = a[..., None, None] * EPS + b[..., None, None] * LI_EPS_BAR
-        cosw = np.cos(w)[..., None]
-        sinw = np.sin(w)[..., None]
-        val = cosw * spin + sinw * (spin @ L_I.T)
-        return val / lams[..., None]
+        return _li_rotate(0.5 * h[..., None] / lams ** 2, spin) / lams[..., None]
 
     def _rule(self, z_from, shift, n):
         nodes, weights = gauss_legendre_01(n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import EPS, L_I, LI_EPS_BAR, PI_MINUS, PI_PLUS
+from .algebra import EPS, LI_EPS_BAR, PI_MINUS, PI_PLUS, _li_rotate
 from .errors import MonodromyWarning, ResonantFrequency
 from .lattices import Lattice, enumerate_frequencies, periodicity_class, PeriodicityClass
 from .numerics import TWO_PI, dot_r2
@@ -182,9 +182,7 @@ def _basis_sum(pairs, beta0, z):
               np.conj(a) * (4.0 / np.pi) * _basis_column(complex(g), beta0))
              for g, a in pairs if a != 0]
     vec = _mode_sum(modes, z).real
-    phase = np.pi * dot_r2(beta0, z)
-    return (np.cos(phase)[..., None] * vec
-            + np.sin(phase)[..., None] * (vec @ L_I.T))
+    return _li_rotate(np.pi * dot_r2(beta0, z), vec)
 
 
 def basis_A(gamma, beta0, z):

@@ -4,7 +4,7 @@ import pytest
 from hamstat.checks import (SpinorFields, check_conformal, check_flatness,
                             check_harmonic_angle, check_lagrangian,
                             check_mean_curvature, run_suite)
-from hamstat.errors import AngleUnwrapFailure
+from hamstat.errors import AngleUnwrapFailure, DegenerateMetric
 from hamstat.lattices import Lattice
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import immerse
@@ -43,6 +43,14 @@ def test_sheared_probe_fails_conformal():
     rep = check_conformal(sheared, Lattice.square(), 16)
     assert not rep.passed
     assert 0.01 < rep.residual < 1.0
+
+
+def test_constant_map_has_degenerate_metric():
+    def point(z):
+        return np.zeros(np.shape(z) + (4,))
+
+    with pytest.raises(DegenerateMetric):
+        check_conformal(point, Lattice.square(), 8)
 
 
 def test_non_gradient_graph_fails_lagrangian():

@@ -215,6 +215,16 @@ def test_lax_counts_below_one(seed_file, capsys, flag):
     assert_input_error(["lax", seed_file, flag, "0"], capsys)
 
 
+@pytest.mark.parametrize("k", [-3, 3])
+def test_lax_seed_exponent_out_of_range(seed_file, capsys, k):
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["field"]["coefficients"][0]["k"] = k      # degree-2 seed
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
 @pytest.mark.parametrize("lams", ["1,0.6+0.8x", "1,", "1,0.6+0.8i+"])
 def test_family_malformed_lambda(spec_file, capsys, lams):
     assert_input_error(["family", spec_file, "--lambda", lams], capsys)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hamstat.algebra import EPS, L_I, R_I, R_J, R_K
+from hamstat.algebra import EPS, L_I, R_I, R_J, R_K, tau_rotation, tau_vector
+from hamstat.errors import StepSizeUnderflow
 from hamstat.finitetype import (KillingField, b0_basis, flow_field,
                                 formal_killing, fourier_recurrence,
                                 lax_flatness_residual, lax_integrate,
@@ -74,6 +75,64 @@ def test_killing_field_serialization():
     assert back.d == seed.d
     assert np.max(np.abs(back.rot - seed.rot)) < 1e-15
     assert np.max(np.abs(back.trans - seed.trans)) < 1e-15
+
+
+def test_killing_field_from_dict_zero_fills_sparse_records():
+    rec = [{"k": 1, "rotation": [[[0.5, -1.0]] * 4] * 4,
+            "translation": [[2.0, 0.25]] * 4},
+           {"k": -2, "rotation": [[[1.0, 0.0]] * 4] * 4,
+            "translation": [[0.0, -3.0]] * 4}]
+    f = KillingField.from_dict({"degree": 2, "coefficients": rec})
+    assert f.d == 2 and list(f.ks) == [-2, -1, 0, 1, 2]
+    assert np.all(f.coeff(1)[0] == 0.5 - 1.0j)
+    assert np.all(f.coeff(1)[1] == 2.0 + 0.25j)
+    assert np.all(f.coeff(-2)[0] == 1.0) and np.all(f.coeff(-2)[1] == -3.0j)
+    for k in (-1, 0, 2):
+        rot, trans = f.coeff(k)
+        assert np.all(rot == 0) and np.all(trans == 0)
+
+
+def test_killing_field_rejects_wrong_coefficient_count():
+    with pytest.raises(ValueError):
+        KillingField(2, np.zeros((4, 4, 4)), np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        KillingField(2, np.zeros((5, 4, 4)), np.zeros((6, 4)))
+
+
+def test_killing_field_residuals_match_dense_formulas(rng):
+    d = 3
+    rot = rng.normal(size=(2 * d + 1, 4, 4)) + 1j * rng.normal(size=(2 * d + 1, 4, 4))
+    trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
+    f = KillingField(d, rot, trans)
+
+    # the dense-layout formulas: twist over -d..d, reality over 0..d
+    twist = 0.0
+    for k in range(-d, d + 1):
+        r, t = rot[k + d], trans[k + d]
+        w = 1j ** (k % 4)
+        twist = max(twist, float(np.max(np.abs(tau_rotation(r) - w * r))),
+                    float(np.max(np.abs(tau_vector(t) - w * t))))
+    reality = 0.0
+    for k in range(0, d + 1):
+        reality = max(reality,
+                      float(np.max(np.abs(np.conj(rot[k + d]) - rot[-k + d]))),
+                      float(np.max(np.abs(np.conj(trans[k + d]) - trans[-k + d]))))
+    assert f.twist_residual() == twist > 0
+    assert f.reality_residual() == reality > 0
+
+
+def test_flow_field_leaves_input_unchanged():
+    field = rhombic_killing_seed().field
+    rot, trans = field.rot.copy(), field.trans.copy()
+    moved = flow_field(field, 0.0, 0.05 + 0.02j, step=0.01)
+    assert np.array_equal(field.rot, rot) and np.array_equal(field.trans, trans)
+    assert not np.array_equal(moved.trans, trans)
+
+
+def test_flow_field_step_underflow():
+    field = standard_torus_killing_seed(1.0, 1.0).field
+    with pytest.raises(StepSizeUnderflow):
+        flow_field(field, 0, 1, step=1e-20)
 
 
 def test_seed_structure_standard():

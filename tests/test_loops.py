@@ -4,12 +4,15 @@ import pytest
 from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
                       random_twisted_group_loop)
 from hamstat.algebra import EPS, EPS_BAR, ID4, L_I, LI_EPS_BAR, R_I, exp_g0
-from hamstat.errors import OutsideBigCell, SingularInput
-from hamstat.loops import (HolomorphicPotentialData, SpecLift, TwistedLoop,
+from hamstat.errors import (BranchDetectionFailure, ConvergenceFailure,
+                            NotInBigCell, OutsideBigCell,
+                            PathIntegrationFailure, SingularInput)
+from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
+                           SpecLift, TwistedLoop,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus, q_plus,
                            rotation_factor_split, su2_iwasawa)
-from hamstat.loops import _2x2_to_g0, _quat_to_4x4
+from hamstat.loops import _2x2_to_g0, _quat_to_4x4, _taylor_interpolant
 from hamstat.numerics import coeff_exponents, loop_coeffs, unit_lambdas
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import immerse
@@ -387,3 +390,33 @@ def test_dpw_round_trip_small():
     got = rl.immersion(zs)
     want = immerse(spec, zs) - immerse(spec, 0.0)
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+# --- failure paths ----------------------------------------------------------------
+
+def test_split_half_angle_loop_does_not_close():
+    # cos(theta/2) Id + sin(theta/2) L_i changes sign once around the circle
+    theta = 2 * np.pi * np.arange(64) / 64
+    rot = (np.cos(theta / 2)[:, None, None] * ID4
+           + np.sin(theta / 2)[:, None, None] * L_I)
+    with pytest.raises(BranchDetectionFailure):
+        rotation_factor_split(rot)
+
+
+def test_iwasawa_unreachable_tolerance(rng):
+    with pytest.raises(ConvergenceFailure):
+        iwasawa(random_twisted_group_loop(3, rng), tol=1e-300)
+
+
+def test_taylor_interpolant_rejects_pole_inside_circle():
+    ring = np.exp(2j * np.pi * np.arange(256) / 256)
+    with pytest.raises(NotInBigCell):
+        _taylor_interpolant(1.0 / (ring - 0.5), 1.0)
+
+
+def test_reconstruction_quadrature_depth_exhausted():
+    pot = HolomorphicPotentialData.constant(1 + 0.5j, 0.7, -0.2j)
+    lift = ReconstructedLift(pot, nsamples=16, quad_n=2, quad_tol=1e-14,
+                             max_depth=1)
+    with pytest.raises(PathIntegrationFailure):
+        lift.immersion(np.array([3 + 2j]))
