@@ -241,7 +241,7 @@ def cmd_lax(args) -> int:
     try:
         field = finitetype.KillingField.from_dict(data["field"])
         lat = Lattice.from_config(data["lattice"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit_input(f"invalid seed file: {exc}")
     n = args.grid
     path = [i / n * lat.g1 for i in range(1, n + 1)]
@@ -255,6 +255,7 @@ def cmd_lax(args) -> int:
         "even_coefficient_drift": res.even_coefficient_drift(),
         "isospectral_drift": res.isospectral_drift(),
         "truncation_spill": res.max_spill,
+        "rk_steps": res.steps,
     }
     print(json.dumps(payload, indent=2))
     ok = (payload["top_coefficient_drift"] <= args.tol

@@ -56,7 +56,6 @@ def b0_basis() -> np.ndarray:
     """Real basis (3 x 4 x 4 complex) of the ray-stabilizer subalgebra,
     computed as the nullspace of the linear condition zeta.eps in R.eps."""
     if "basis" not in _B0_CACHE:
-        rows = []
         # real-linear map R^6 -> C^4 ~ R^8, then strike the R*eps direction
         cols = []
         for j in range(6):
@@ -78,6 +77,11 @@ def b0_basis() -> np.ndarray:
                            list(_G0_BASIS) + list(basis)], axis=1)
         _B0_CACHE["basis"] = basis
         _B0_CACHE["solve"] = np.linalg.inv(coords)
+        # r is complex-linear, so it is one matrix on the flattened 4 x 4
+        units = np.eye(16).reshape(16, 4, 4)
+        _B0_CACHE["r"] = np.stack(
+            [0.5 * (pi_g0(e) - 1j * pi_g0(1j * e)) for e in units],
+            axis=-1).reshape(16, 16)
     return _B0_CACHE["basis"]
 
 
@@ -93,9 +97,11 @@ def pi_g0(zeta) -> np.ndarray:
 
 
 def r_op(zeta) -> np.ndarray:
-    """(pi(zeta) - i pi(i zeta)) / 2: the dz-component of the projected form."""
+    """(pi(zeta) - i pi(i zeta)) / 2: the dz-component of the projected form,
+    applied as the cached 16 x 16 matrix on the row-major flattened zeta."""
+    b0_basis()
     zeta = np.asarray(zeta, dtype=complex)
-    return 0.5 * (pi_g0(zeta) - 1j * pi_g0(1j * zeta))
+    return (_B0_CACHE["r"] @ zeta.reshape(16)).reshape(4, 4)
 
 
 # --- Killing fields ---------------------------------------------------------
@@ -135,80 +141,75 @@ class KillingField(TwistedLoop):
         return field
 
 
-def _project(rot, trans):
-    """``lax_project`` on dense field arrays; rows 0..2 hold exponents -d..-d+2."""
-    return {
-        -2: (rot[0], trans[0]),
-        -1: (rot[1], trans[1]),
-        0: (r_op(rot[2]), np.zeros(4, dtype=complex)),
-    }
-
-
 def lax_project(xi: KillingField):
     """Coefficients of the projected connection: the dz side is
     lam^-2 xi_{-d} + lam^-1 xi_{-d+1} + r(xi_{-d+2}); the dzbar side is the
     conjugate string at lam^0..lam^2."""
-    return _project(xi.rot, xi.trans)
+    return {-2: xi.coeff(-xi.d), -1: xi.coeff(-xi.d + 1),
+            0: (r_op(xi.coeff(-xi.d + 2)[0]), np.zeros(4, dtype=complex))}
 
 
-def _multiplier_arrays(rot, trans, zdot: complex):
-    """Combined bracket multiplier zdot*M + conj(zdot)*Mbar, exponents -2..2."""
-    proj = _project(rot, trans)
-    mrot = np.zeros((5, 4, 4), dtype=complex)
-    mtrans = np.zeros((5, 4), dtype=complex)
-    for k in (-2, -1, 0):
-        r, t = proj[k]
-        mrot[k + 2] += zdot * r
-        mtrans[k + 2] += zdot * t
-        mrot[-k + 2] += np.conj(zdot) * np.conj(r)
-        mtrans[-k + 2] += np.conj(zdot) * np.conj(t)
-    return mrot, mtrans
+def _affine(xi: KillingField) -> np.ndarray:
+    """The (2d+1, 5, 5) affine state [[rot, trans], [0, 0]] of a field."""
+    state = np.zeros((2 * xi.d + 1, 5, 5), dtype=complex)
+    state[:, :4, :4] = xi.rot
+    state[:, :4, 4] = xi.trans
+    return state
 
 
-def _lax_derivative(rot, trans, zdot: complex, pad_report: list):
-    """Bracket of the dense field arrays with the multiplier, truncated back
-    to the field's exponents; the dropped spill is appended to pad_report."""
-    mrot, mtrans = _multiplier_arrays(rot, trans, zdot)
-    n = rot.shape[0]
-    out_rot = np.zeros((n + 4, 4, 4), dtype=complex)
-    out_trans = np.zeros((n + 4, 4), dtype=complex)
+def _lax_rhs(state, zdot: complex, pad_report: list) -> np.ndarray:
+    """Bracket of every state coefficient with the multiplier
+    zdot*M + conj(zdot)*Mbar (five 5 x 5 matrices, exponents -2..2),
+    truncated back to the field's exponents; the spill into the four
+    padding rows is appended to pad_report."""
+    n = state.shape[0]
+    zbar = np.conj(zdot)
+    mult = np.zeros((5, 5, 5), dtype=complex)
+    mult[:2] = zdot * state[:2]
+    mult[3:] = zbar * np.conj(state[1::-1])
+    r = r_op(state[2, :4, :4])
+    mult[2, :4, :4] = zdot * r + zbar * np.conj(r)
+    # xi_k M_j as [k, a, j, b] and M_j xi_k as [j, a, k, b]
+    left = (state.reshape(5 * n, 5)
+            @ mult.transpose(1, 0, 2).reshape(5, 25)).reshape(n, 5, 5, 5)
+    right = (mult.reshape(25, 5)
+             @ state.transpose(1, 0, 2).reshape(5, 5 * n)).reshape(5, 5, n, 5)
+    bracket = left.transpose(2, 0, 1, 3) - right.transpose(0, 2, 1, 3)
+    out = np.zeros((n + 4, 5, 5), dtype=complex)
     for j in range(5):
-        # bracket of every field coefficient with multiplier exponent j - 2
-        rr = rot @ mrot[j] - mrot[j] @ rot
-        tt = (np.einsum("kij,j->ki", rot, mtrans[j])
-              - np.einsum("ij,kj->ki", mrot[j], trans))
-        out_rot[j:j + n] += rr
-        out_trans[j:j + n] += tt
-    spill = max(np.max(np.abs(out_rot[:2])), np.max(np.abs(out_rot[-2:])),
-                np.max(np.abs(out_trans[:2])), np.max(np.abs(out_trans[-2:])))
-    pad_report.append(float(spill))
-    return out_rot[2:-2], out_trans[2:-2]
+        out[j:j + n] += bracket[j]
+    pad_report.append(float(np.max(np.abs(out[[0, 1, -2, -1]]))))
+    return out[2:-2]
 
 
-def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
-               step: float, diagnostics: list | None = None) -> KillingField:
-    """RK4 integration of the Lax flow along the straight segment."""
+def _flow_state(state, z_from: complex, z_to: complex, step: float,
+                pad: list):
+    """RK4 Lax flow of an affine state along the straight segment; returns
+    the moved state and the number of RK steps taken."""
     seg = complex(z_to) - complex(z_from)
     length = abs(seg)
     if length == 0:
-        return xi0.copy()
+        return state, 0
     nsteps = max(1, int(np.ceil(length / step)))
     h = length / nsteps
     if h < 1e-14 * max(1.0, abs(z_to)):
         raise StepSizeUnderflow(f"step {h:.3e} below representable resolution")
     direction = seg / length
-    pad = diagnostics if diagnostics is not None else []
-    rot, trans = xi0.rot, xi0.trans
     for _ in range(nsteps):
-        r1, t1 = _lax_derivative(rot, trans, direction, pad)
-        r2, t2 = _lax_derivative(rot + 0.5 * h * r1, trans + 0.5 * h * t1,
-                                 direction, pad)
-        r3, t3 = _lax_derivative(rot + 0.5 * h * r2, trans + 0.5 * h * t2,
-                                 direction, pad)
-        r4, t4 = _lax_derivative(rot + h * r3, trans + h * t3, direction, pad)
-        rot = rot + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
-        trans = trans + (h / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
-    return KillingField(xi0.d, rot, trans)
+        k1 = _lax_rhs(state, direction, pad)
+        k2 = _lax_rhs(state + 0.5 * h * k1, direction, pad)
+        k3 = _lax_rhs(state + 0.5 * h * k2, direction, pad)
+        k4 = _lax_rhs(state + h * k3, direction, pad)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state, nsteps
+
+
+def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
+               step: float, diagnostics: list | None = None) -> KillingField:
+    """RK4 integration of the Lax flow along the straight segment."""
+    pad = diagnostics if diagnostics is not None else []
+    state, _ = _flow_state(_affine(xi0), z_from, z_to, step, pad)
+    return KillingField(xi0.d, state[:, :4, :4], state[:, :4, 4])
 
 
 def _alpha_xy(xi: KillingField, lam: complex):
@@ -237,6 +238,7 @@ class LaxFlowResult:
     points: list
     fields: list
     max_spill: float
+    steps: int                 # RK steps over all segments
 
     def coefficient_drift(self, k: int) -> float:
         base_r, base_t = self.fields[0].coeff(k)
@@ -254,15 +256,9 @@ class LaxFlowResult:
 
     def isospectral_drift(self, n_lams: int = 8) -> float:
         lams = np.exp(2j * np.pi * (np.arange(n_lams) + 0.31) / n_lams)
-        base = None
-        worst = 0.0
-        for f in self.fields:
-            eigs = np.sort_complex(np.linalg.eigvals(f.matrix5_at(lams)))
-            if base is None:
-                base = eigs
-            else:
-                worst = max(worst, float(np.max(np.abs(eigs - base))))
-        return worst
+        spectra = [np.sort_complex(np.linalg.eigvals(f.matrix5_at(lams)))
+                   for f in self.fields]
+        return max(float(np.max(np.abs(e - spectra[0]))) for e in spectra)
 
 
 def lax_integrate(seed: KillingField, waypoints, step: float | None = None,
@@ -272,16 +268,15 @@ def lax_integrate(seed: KillingField, waypoints, step: float | None = None,
         scale = lattice.diameter() if lattice is not None else 1.0
         step = scale / 2048.0
     diag: list = []
-    points = [0.0 + 0.0j]
+    points = [0.0 + 0.0j] + [complex(z) for z in waypoints]
     fields = [seed.copy()]
-    current = seed
-    z_prev = 0.0 + 0.0j
-    for z in waypoints:
-        current = flow_field(current, z_prev, z, step, diag)
-        points.append(complex(z))
-        fields.append(current)
-        z_prev = complex(z)
-    return LaxFlowResult(points, fields, max(diag) if diag else 0.0)
+    state = _affine(seed)
+    steps = 0
+    for z_prev, z in zip(points, points[1:]):
+        state, n = _flow_state(state, z_prev, z, step, diag)
+        steps += n
+        fields.append(KillingField(seed.d, state[:, :4, :4], state[:, :4, 4]))
+    return LaxFlowResult(points, fields, max(diag) if diag else 0.0, steps)
 
 
 # --- formal Killing series --------------------------------------------------

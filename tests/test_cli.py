@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -184,6 +185,13 @@ def test_lax_subcommand(seed_file, capsys):
     assert rc == 0
     assert out["isospectral_drift"] <= 1e-8
     assert out["top_coefficient_drift"] <= 1e-10
+    # the CLI path: --grid steps along g1, then along g2, at step diam/--steps
+    lat = standard_torus_killing_seed(1.0, 1.0).spec.lattice
+    step = lat.diameter() / 1024
+    path = [0.0] + [i / 4 * lat.g1 for i in range(1, 5)]
+    path += [lat.g1 + i / 4 * lat.g2 for i in range(1, 5)]
+    assert out["rk_steps"] == sum(max(1, math.ceil(abs(b - a) / step))
+                                  for a, b in zip(path, path[1:]))
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "2"])
@@ -220,6 +228,15 @@ def test_lax_seed_exponent_out_of_range(seed_file, capsys, k):
     with open(seed_file) as fh:
         payload = json.load(fh)
     payload["field"]["coefficients"][0]["k"] = k      # degree-2 seed
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
+def test_lax_seed_non_numeric_entry(seed_file, capsys):
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["field"]["coefficients"][0]["translation"][0] = [None, 0.0]
     with open(seed_file, "w") as fh:
         json.dump(payload, fh)
     assert_input_error(["lax", seed_file], capsys)

@@ -3,8 +3,8 @@ import pytest
 
 from hamstat.algebra import EPS, L_I, R_I, R_J, R_K, tau_rotation, tau_vector
 from hamstat.errors import StepSizeUnderflow
-from hamstat.finitetype import (KillingField, b0_basis, flow_field,
-                                formal_killing, fourier_recurrence,
+from hamstat.finitetype import (KillingField, _affine, _lax_rhs, b0_basis,
+                                flow_field, formal_killing, fourier_recurrence,
                                 lax_flatness_residual, lax_integrate,
                                 lax_project, mode_eval, pi_g0,
                                 polynomial_condition, r_op,
@@ -133,6 +133,102 @@ def test_flow_field_step_underflow():
     field = standard_torus_killing_seed(1.0, 1.0).field
     with pytest.raises(StepSizeUnderflow):
         flow_field(field, 0, 1, step=1e-20)
+
+
+# --- reference per-exponent Lax flow -------------------------------------------
+
+def _reference_rhs(rot, trans, zdot, pad_report):
+    """Per-exponent form of the Lax derivative: the projected connection
+    (lam^-2, lam^-1 and r at lam^0) and its conjugate give the multiplier
+    at exponents -2..2; each exponent is bracketed with the whole field."""
+    def r_ref(zeta):
+        return 0.5 * (pi_g0(zeta) - 1j * pi_g0(1j * zeta))
+
+    proj = {-2: (rot[0], trans[0]), -1: (rot[1], trans[1]),
+            0: (r_ref(rot[2]), np.zeros(4, dtype=complex))}
+    mrot = np.zeros((5, 4, 4), dtype=complex)
+    mtrans = np.zeros((5, 4), dtype=complex)
+    for k in (-2, -1, 0):
+        r, t = proj[k]
+        mrot[k + 2] += zdot * r
+        mtrans[k + 2] += zdot * t
+        mrot[-k + 2] += np.conj(zdot) * np.conj(r)
+        mtrans[-k + 2] += np.conj(zdot) * np.conj(t)
+    n = rot.shape[0]
+    out_rot = np.zeros((n + 4, 4, 4), dtype=complex)
+    out_trans = np.zeros((n + 4, 4), dtype=complex)
+    for j in range(5):
+        out_rot[j:j + n] += rot @ mrot[j] - mrot[j] @ rot
+        out_trans[j:j + n] += (np.einsum("kij,j->ki", rot, mtrans[j])
+                               - np.einsum("ij,kj->ki", mrot[j], trans))
+    pad_report.append(max(np.max(np.abs(out_rot[:2])),
+                          np.max(np.abs(out_rot[-2:])),
+                          np.max(np.abs(out_trans[:2])),
+                          np.max(np.abs(out_trans[-2:]))))
+    return out_rot[2:-2], out_trans[2:-2]
+
+
+def _reference_flow(field, z_from, z_to, step):
+    """RK4 with the per-exponent derivative and the same step rule."""
+    seg = complex(z_to) - complex(z_from)
+    nsteps = max(1, int(np.ceil(abs(seg) / step)))
+    h = abs(seg) / nsteps
+    zdot = seg / abs(seg)
+    rot, trans, pad = field.rot, field.trans, []
+    for _ in range(nsteps):
+        r1, t1 = _reference_rhs(rot, trans, zdot, pad)
+        r2, t2 = _reference_rhs(rot + 0.5 * h * r1, trans + 0.5 * h * t1,
+                                zdot, pad)
+        r3, t3 = _reference_rhs(rot + 0.5 * h * r2, trans + 0.5 * h * t2,
+                                zdot, pad)
+        r4, t4 = _reference_rhs(rot + h * r3, trans + h * t3, zdot, pad)
+        rot = rot + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+        trans = trans + (h / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
+    return rot, trans, pad
+
+
+def test_affine_derivative_matches_per_exponent_loop(rng):
+    for _ in range(20):
+        zeta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        want = 0.5 * (pi_g0(zeta) - 1j * pi_g0(1j * zeta))
+        assert np.max(np.abs(r_op(zeta) - want)) < 1e-14
+    d = 6
+    rot = rng.normal(size=(2 * d + 1, 4, 4)) + 1j * rng.normal(size=(2 * d + 1, 4, 4))
+    trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
+    assert np.all(rot != 0) and np.all(trans != 0)
+    state = _affine(KillingField(d, rot, trans))
+    scale = max(np.max(np.abs(rot)), np.max(np.abs(trans)))
+    for zdot in (1.0, np.exp(0.7j)):
+        want_pad, got_pad = [], []
+        want_rot, want_trans = _reference_rhs(rot, trans, zdot, want_pad)
+        got = _lax_rhs(state, zdot, got_pad)
+        assert np.max(np.abs(got[:, :4, :4] - want_rot)) < 1e-13 * scale
+        assert np.max(np.abs(got[:, :4, 4] - want_trans)) < 1e-13 * scale
+        assert np.all(got[:, 4] == 0)
+        assert len(got_pad) == 1
+        assert abs(got_pad[0] - want_pad[0]) <= 1e-15 * want_pad[0]
+
+
+@pytest.mark.parametrize("make_seed", [
+    lambda: standard_torus_killing_seed(1.0, 1.0), rhombic_killing_seed],
+    ids=["standard", "rhombic"])
+def test_flow_field_matches_reference_rk4(make_seed):
+    seed = make_seed()
+    lat = seed.spec.lattice
+    z_to = 0.05 * lat.g1 + 0.03 * lat.g2
+    step = lat.diameter() / 2048.0
+    diag = []
+    got = flow_field(seed.field, 0.0, z_to, step, diag)
+    rot, trans, pad = _reference_flow(seed.field, 0.0, z_to, step)
+    assert np.max(np.abs(got.rot - rot)) < 1e-12
+    assert np.max(np.abs(got.trans - trans)) < 1e-12
+    assert len(diag) == len(pad) and max(diag) < 1e-12
+    res = lax_integrate(seed.field, [z_to], step=step)
+    d = seed.field.d
+    assert res.steps == int(np.ceil(abs(z_to) / step))
+    assert res.coefficient_drift(-d) <= 1e-15
+    assert res.even_coefficient_drift() <= 1e-15
+    assert res.isospectral_drift() <= 1e-15
 
 
 def test_seed_structure_standard():
