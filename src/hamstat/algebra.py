@@ -20,6 +20,8 @@ from .errors import FrameNotLagrangian
 __all__ = [
     "ID4", "L_I", "L_J", "L_K", "R_I", "R_J", "R_K",
     "EPS", "EPS_BAR", "LI_EPS", "LI_EPS_BAR",
+    "PHASE_BASIS", "G0_BASIS", "ROTATION_BASIS", "QUAT_BASIS",
+    "coords", "from_coords",
     "GroupElement", "AlgebraElement",
     "omega", "tau", "tau_rotation", "tau_vector",
     "eigen_project", "lagrangian_angle",
@@ -35,8 +37,13 @@ R_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype
 R_J = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
 R_K = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 
-LEFT_UNITS = {"1": ID4, "i": L_I, "j": L_J, "k": L_K}
-RIGHT_UNITS = {"1": ID4, "i": R_I, "j": R_J, "k": R_K}
+# Basis stacks (b, 4, 4) for `coords`/`from_coords`.  The 16 products
+# L_a R_b are orthonormal for the pairing trace(B^T m) / 4, so every stack of
+# such products (up to sign) is inverted by `from_coords` on its span.
+PHASE_BASIS = np.stack([ID4, L_I])                  # p1 + p2 L_i
+G0_BASIS = np.stack([R_I, R_J, R_K])                # compact-type algebra
+ROTATION_BASIS = np.stack([L_I, R_I, R_J, R_K])     # a L_i + b.R
+QUAT_BASIS = np.stack([ID4, -R_I, -R_J, -R_K])      # q0 + q1 i + q2 j + q3 k
 
 # Distinguished isotropic vectors spanning the odd tau-eigenspaces.
 EPS = 0.5 * np.array([1, 0, -1j, 0])
@@ -47,6 +54,20 @@ LI_EPS_BAR = 0.5 * np.array([0, 1, 0, 1j])
 # Projections onto the +-i eigenspaces of L_i (used for phase splitting).
 PI_PLUS = 0.5 * (ID4 - 1j * L_I)
 PI_MINUS = 0.5 * (ID4 + 1j * L_I)
+
+
+def coords(m, basis):
+    """Coordinates trace(B_b^T m) / 4 of matrices (..., 4, 4) against a basis
+    stack (b, 4, 4), as a (..., b) array."""
+    m = np.asarray(m)
+    return m.reshape(m.shape[:-2] + (16,)) @ (basis.reshape(-1, 16).T / 4.0)
+
+
+def from_coords(c, basis):
+    """sum_b c_b B_b for coordinates (..., b): the inverse of `coords` on the
+    span of an orthonormal basis stack."""
+    c = np.asarray(c)
+    return (c @ basis.reshape(-1, 16)).reshape(c.shape[:-1] + (4, 4))
 
 
 def omega(u, v):
@@ -120,15 +141,12 @@ class AlgebraElement:
 
     @classmethod
     def from_coeffs(cls, a=0.0, b=(0.0, 0.0, 0.0), t=None) -> "AlgebraElement":
-        rot = a * L_I + b[0] * R_I + b[1] * R_J + b[2] * R_K
+        rot = from_coords(np.array([a, *b]), ROTATION_BASIS)
         return cls(rot, np.zeros(4) if t is None else t)
 
     def coeffs(self):
         """(a, b1, b2, b3) coordinates of the rotation part."""
-        m = self.rotation
-        a = np.trace(L_I.T @ m) / 4.0
-        b = tuple(np.trace(r.T @ m) / 4.0 for r in (R_I, R_J, R_K))
-        return (a,) + b
+        return tuple(coords(self.rotation, ROTATION_BASIS))
 
     def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
         e, f = self.rotation, other.rotation
@@ -190,19 +208,15 @@ def eigen_project(x: AlgebraElement, k: int) -> AlgebraElement:
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("k must be one of -1, 0, 1, 2")
-    zrot = np.zeros((4, 4), dtype=complex)
-    zvec = np.zeros(4, dtype=complex)
-    if k == 2:
-        a, *_ = x.coeffs()
-        return AlgebraElement(a * L_I, zvec)
-    if k == 0:
-        a, b1, b2, b3 = x.coeffs()
-        return AlgebraElement(b1 * R_I + b2 * R_J + b3 * R_K, zvec)
+    if k in (0, 2):
+        basis = G0_BASIS if k == 0 else ROTATION_BASIS[:1]
+        return AlgebraElement(from_coords(coords(x.rotation, basis), basis),
+                              np.zeros(4))
     t = x.translation
     sign = -1.0 if k == -1 else 1.0
     # eigenprojection of A = -L_j with A^2 = -Id: P(+-i) = (Id -+ i A)/2
     proj = 0.5 * (t - sign * 1j * (-(L_J @ t)))
-    return AlgebraElement(zrot, proj)
+    return AlgebraElement(np.zeros((4, 4)), proj)
 
 
 def _wedge_value(e1, e3):

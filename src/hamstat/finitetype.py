@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS, L_I, R_I, R_J, R_K
+from .algebra import EPS, G0_BASIS, L_I, coords, from_coords
 from .checks import _curvature_residual
 from .errors import StepSizeUnderflow
 from .loops import TwistedLoop, _parse_record
@@ -32,21 +32,15 @@ __all__ = [
 
 # --- ray-stabilizer splitting of the compact complexified algebra ---------
 
-_G0_BASIS = (R_I, R_J, R_K)
-
-
 def _g0c_coords(zeta) -> np.ndarray:
-    """Real 6-vector (Re b1, Im b1, ...) of zeta = sum b_a R_a."""
-    zeta = np.asarray(zeta, dtype=complex)
-    b = [np.trace(r.T @ zeta) / 4.0 for r in _G0_BASIS]
-    return np.array([f(v) for v in b for f in (np.real, np.imag)])
+    """Real 6-vectors (Re b1, Im b1, ...) of zeta = sum b_a R_a, batched."""
+    b = coords(np.asarray(zeta, dtype=complex), G0_BASIS)
+    return np.stack([b.real, b.imag], axis=-1).reshape(b.shape[:-1] + (6,))
 
 
 def _g0c_from_coords(c) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    for a, r in enumerate(_G0_BASIS):
-        out = out + complex(c[2 * a], c[2 * a + 1]) * r
-    return out
+    c = np.asarray(c)
+    return from_coords(c[..., 0::2] + 1j * c[..., 1::2], G0_BASIS)
 
 
 _B0_CACHE: dict = {}
@@ -57,13 +51,8 @@ def b0_basis() -> np.ndarray:
     computed as the nullspace of the linear condition zeta.eps in R.eps."""
     if "basis" not in _B0_CACHE:
         # real-linear map R^6 -> C^4 ~ R^8, then strike the R*eps direction
-        cols = []
-        for j in range(6):
-            c = np.zeros(6)
-            c[j] = 1.0
-            v = _g0c_from_coords(c) @ EPS
-            cols.append(np.concatenate([v.real, v.imag]))
-        a_mat = np.stack(cols, axis=1)              # 8 x 6
+        v = _g0c_from_coords(np.eye(6)) @ EPS
+        a_mat = np.concatenate([v.real, v.imag], axis=1).T      # 8 x 6
         ray = np.concatenate([EPS.real, EPS.imag])
         ray = ray / np.linalg.norm(ray)
         proj = np.eye(8) - np.outer(ray, ray)
@@ -72,11 +61,10 @@ def b0_basis() -> np.ndarray:
         null = vt[np.sum(s > 1e-10):]
         if null.shape[0] != 3:
             raise RuntimeError("ray-stabilizer subalgebra has unexpected rank")
-        basis = np.stack([_g0c_from_coords(c) for c in null])
-        coords = np.stack([_g0c_coords(b) for b in
-                           list(_G0_BASIS) + list(basis)], axis=1)
+        basis = _g0c_from_coords(null)
         _B0_CACHE["basis"] = basis
-        _B0_CACHE["solve"] = np.linalg.inv(coords)
+        _B0_CACHE["solve"] = np.linalg.inv(
+            _g0c_coords(np.concatenate([G0_BASIS, basis])).T)
         # r is complex-linear, so it is one matrix on the flattened 4 x 4
         units = np.eye(16).reshape(16, 4, 4)
         _B0_CACHE["r"] = np.stack(
@@ -90,10 +78,7 @@ def pi_g0(zeta) -> np.ndarray:
     along the ray-stabilizer subalgebra."""
     b0_basis()
     c = _B0_CACHE["solve"] @ _g0c_coords(zeta)
-    out = np.zeros((4, 4), dtype=complex)
-    for a, r in enumerate(_G0_BASIS):
-        out = out + c[a] * r
-    return out
+    return from_coords(c[:3] + 0j, G0_BASIS)
 
 
 def r_op(zeta) -> np.ndarray:

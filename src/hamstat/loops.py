@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (EPS, ID4, L_I, LI_EPS_BAR, R_I, R_J, R_K, _li_rotate,
+from .algebra import (EPS, G0_BASIS, ID4, L_I, LI_EPS_BAR, PHASE_BASIS,
+                      QUAT_BASIS, R_I, _li_rotate, coords, from_coords,
                       tau_rotation, tau_vector)
 from .errors import (BranchDetectionFailure, ConvergenceFailure, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
@@ -212,17 +213,14 @@ def su2_iwasawa(g, tol: float = 1e-9):
 
 # --- commuting-phase split of the rotation part ---------------------------
 
-_SPLIT_BASIS = [ID4, R_I, R_J, R_K]
+# the products (1, L_i) x (1, R_i, R_j, R_k), row-major
+_SPLIT_BASIS = (PHASE_BASIS[:, None] @ np.concatenate([[ID4], G0_BASIS])
+                ).reshape(8, 4, 4)
 
 
 def _phase_coeffs(samples):
     """(p1, p2) with sample = (p1 Id + p2 L_i) . (G0-span factor)."""
-    out = np.empty(samples.shape[:-2] + (2, 4), dtype=complex)
-    for a, la in enumerate((ID4, L_I)):
-        for b, rb in enumerate(_SPLIT_BASIS):
-            e = la @ rb
-            out[..., a, b] = np.einsum("...ij,ij->...", samples, e) / 4.0
-    return out
+    return coords(samples, _SPLIT_BASIS).reshape(samples.shape[:-2] + (2, 4))
 
 
 @dataclass
@@ -252,18 +250,15 @@ def rotation_factor_split(rot_samples, tol: float = 1e-8) -> RotationSplit:
     for j in range(1, m_count):
         if np.linalg.norm(p[j] + p[j - 1]) < np.linalg.norm(p[j] - p[j - 1]):
             p[j] = -p[j]
-    k = p[:, 0, None, None] * ID4 + p[:, 1, None, None] * L_I
-    kinv = p[:, 0, None, None] * ID4 - p[:, 1, None, None] * L_I
-    m = kinv @ g
+    k = from_coords(p, PHASE_BASIS)
+    m = from_coords(p * [1, -1], PHASE_BASIS) @ g
     if np.linalg.norm(p[0] + p[-1]) < np.linalg.norm(p[0] - p[-1]):
         raise BranchDetectionFailure("phase factor does not close up over the circle")
     residual = float(np.max(np.abs(k @ m - g)))
 
     # branch from the coefficient pattern of the phase factor
-    khat = loop_coeffs(k)
+    p1, p2 = loop_coeffs(p).T
     ks = coeff_exponents(m_count)
-    p1 = np.einsum("mij,ij->m", khat, ID4) / 4.0
-    p2 = np.einsum("mij,ij->m", khat, L_I) / 4.0
     mod4 = np.mod(ks, 4)
     odd = np.abs(ks) % 2 == 1
     if np.max(np.abs(p1[odd])) + np.max(np.abs(p2[odd])) > tol * (1 + np.max(np.abs(p1))):
@@ -278,16 +273,21 @@ def rotation_factor_split(rot_samples, tol: float = 1e-8) -> RotationSplit:
     else:
         branch = "ii"
         k_tw = -np.einsum("ij,mjk->mik", L_I, k)     # strip the L_i prefactor
-        lams = unit_lambdas(m_count)
-        c = 0.5 * (lams ** 2 + lams ** -2)
-        s = (lams ** 2 - lams ** -2) / 2j
-        pi0_inv = c[:, None, None] * ID4 - s[:, None, None] * R_I
-        m_tw = pi0_inv @ m
+        m_tw = _branch_ii_compact(m_count, -1.0) @ m
         consistency = v_ii
     if consistency > tol ** 2 * max(total, 1.0):
         raise BranchDetectionFailure(
             f"no consistent twist branch (violations {v_i:.2e}/{v_ii:.2e})")
     return RotationSplit(branch, k, m, k_tw, m_tw, residual)
+
+
+def _branch_ii_compact(m: int, sign: float):
+    """cos 2t Id + sign sin 2t R_i at the samples lam = e^{it}; the branch-(ii)
+    phase of a twisted loop is L_i times this factor with sign +1."""
+    lams = unit_lambdas(m)
+    cs = np.stack([0.5 * (lams ** 2 + lams ** -2),
+                   sign * (lams ** 2 - lams ** -2) / 2j], axis=-1)
+    return from_coords(cs, np.stack([ID4, R_I]))
 
 
 # --- spectral factorizations ---------------------------------------------
@@ -348,45 +348,23 @@ def _wilson_factor(j_samples, tol: float = 1e-13, max_iter: int = 60):
     return b
 
 
-# quaternion-coordinate bridge between the 4x4 compact-type span and 2x2
-
-def _quat_coords(samples):
-    q = np.empty(samples.shape[:-2] + (4,), dtype=complex)
-    q[..., 0] = np.einsum("...ii->...", samples) / 4.0
-    for a, ra in enumerate((R_I, R_J, R_K), start=1):
-        q[..., a] = -np.einsum("...ij,ij->...", samples, ra) / 4.0
-    return q
-
-
-def _quat_to_2x2(q):
-    m = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = q[..., 0] + 1j * q[..., 1]
-    m[..., 1, 1] = q[..., 0] - 1j * q[..., 1]
-    m[..., 0, 1] = q[..., 2] + 1j * q[..., 3]
-    m[..., 1, 0] = -q[..., 2] + 1j * q[..., 3]
-    return m
-
-
-def _2x2_to_quat(m):
-    q = np.empty(m.shape[:-2] + (4,), dtype=complex)
-    q[..., 0] = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    q[..., 1] = -0.5j * (m[..., 0, 0] - m[..., 1, 1])
-    q[..., 2] = 0.5 * (m[..., 0, 1] - m[..., 1, 0])
-    q[..., 3] = -0.5j * (m[..., 0, 1] + m[..., 1, 0])
-    return q
-
-
-def _quat_to_4x4(q):
-    return (q[..., 0, None, None] * ID4 - q[..., 1, None, None] * R_I
-            - q[..., 2, None, None] * R_J - q[..., 3, None, None] * R_K)
+# Bridge between the 4x4 compact-type span and 2x2 matrices: the quaternion
+# units as 2x2 matrices E_b (orthogonal, <E_b, E_b> = 2) and the (4, 4, 2, 2)
+# intertwiners g -> sum_b q_b(g) E_b and m -> sum_b (<E_b, m> / 2) QUAT_BASIS_b.
+_QUAT_2X2 = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
+                      [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+_TO_2X2 = (coords(np.eye(16).reshape(16, 4, 4), QUAT_BASIS)
+           @ _QUAT_2X2.reshape(4, 4)).reshape(4, 4, 2, 2)
+_FROM_2X2 = from_coords(_QUAT_2X2.conj().reshape(4, 4).T / 2.0,
+                        QUAT_BASIS).transpose(1, 2, 0).reshape(4, 4, 2, 2)
 
 
 def _g0_to_2x2(samples):
-    return _quat_to_2x2(_quat_coords(samples))
+    return np.tensordot(samples, _TO_2X2, axes=2)
 
 
 def _2x2_to_g0(m):
-    return _quat_to_4x4(_2x2_to_quat(m))
+    return np.tensordot(m, _FROM_2X2, axes=([-2, -1], [2, 3]))
 
 
 # --- translation projections ---------------------------------------------
@@ -430,13 +408,13 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     """
     m = nsamples or _pow2(max(64, 8 * loop.degree))
     rot, trans = loop.sample(m)
-    lams = unit_lambdas(m)
 
     split = rotation_factor_split(rot)
     u_sc, b_sc = _szego_scalar(_phase_w(split.k_twisted))
-    psi = u_sc.real[:, None, None] * ID4 + u_sc.imag[:, None, None] * L_I
-    gamma = (0.5 * (b_sc + 1.0 / b_sc)[:, None, None] * ID4
-             + (b_sc - 1.0 / b_sc)[:, None, None] / 2j * L_I)
+    psi = from_coords(np.stack([u_sc.real, u_sc.imag], axis=-1), PHASE_BASIS)
+    gamma = from_coords(np.stack([0.5 * (b_sc + 1.0 / b_sc),
+                                  (b_sc - 1.0 / b_sc) / 2j], axis=-1),
+                        PHASE_BASIS)
 
     m2 = _g0_to_2x2(split.m_twisted)
     j2 = np.conj(np.swapaxes(m2, 1, 2)) @ m2
@@ -447,11 +425,7 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
 
     f_rot = psi @ phi
     if split.branch == "ii":
-        c = 0.5 * (lams ** 2 + lams ** -2)
-        s = (lams ** 2 - lams ** -2) / 2j
-        pi_lam = np.einsum("ij,mjk->mik", L_I,
-                           c[:, None, None] * ID4 + s[:, None, None] * R_I)
-        f_rot = pi_lam @ f_rot
+        f_rot = (L_I @ _branch_ii_compact(m, 1.0)) @ f_rot
     b_rot = gamma @ beta
 
     # pin B(0) into the ray stabilizer by a constant compact correction
@@ -486,9 +460,7 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
 
 def _phase_w(k_samples):
     """Scalar coordinate w = p1 + i p2 of a phase-factor sample batch."""
-    p1 = np.einsum("mij,ij->m", k_samples, ID4) / 4.0
-    p2 = np.einsum("mij,ij->m", k_samples, L_I) / 4.0
-    return p1 + 1j * p2
+    return coords(k_samples, PHASE_BASIS) @ np.array([1, 1j])
 
 
 # --- Birkhoff factorization -----------------------------------------------
@@ -509,20 +481,15 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     sinv = np.linalg.inv(rot)
     shat = loop_coeffs(sinv)
 
-    def s_at(k):
-        return shat[k % m]
-
-    rows = n + 8
-    big = np.zeros((4 * rows, 4 * n), dtype=complex)
-    rhs = np.zeros((4 * rows, 4), dtype=complex)
-    for i, k in enumerate(range(-1, -rows - 1, -1)):
-        rhs[4 * i:4 * i + 4] = -s_at(k)
-        for j, kn in enumerate(range(-1, -n - 1, -1)):
-            big[4 * i:4 * i + 4, 4 * j:4 * j + 4] = s_at(k - kn)
-    cond = np.linalg.cond(big.conj().T @ big) ** 0.5
+    # block row i holds exponent -1 - i, block column j exponent -1 - j
+    rows = np.arange(n + 8)
+    big = shat[(np.arange(n) - rows[:, None]) % m]
+    big = big.transpose(0, 2, 1, 3).reshape(4 * len(rows), 4 * n)
+    rhs = -shat[(-1 - rows) % m].reshape(4 * len(rows), 4)
+    sol, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > cond_threshold:
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
-    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
 
     ks_neg = np.arange(-1, -n - 1, -1)
     rot_neg_coeffs = np.concatenate(
@@ -561,19 +528,23 @@ class SpecLift:
                                     dtype=complex)
 
     def samples(self, z, m: int):
-        """(F, X) on the m-th roots of unity; shapes (..., m, 4, 4)/(..., m, 4).
+        """(phi, X) on the m-th roots of unity; shapes (..., m)/(..., m, 4).
 
-        Normalized as an extended lift: the value at the basepoint is the
-        identity, so the family is shifted to vanish at z = 0.
+        The frame is F = exp(phi L_i).  Normalized as an extended lift: the
+        value at the basepoint is the identity, so the family is shifted to
+        vanish at z = 0.
         """
         z = np.asarray(z, dtype=complex)
         lams = unit_lambdas(m)
-        h = self.h_fn(z)
-        phase = 0.5 * (h[..., None] / lams ** 2 + np.conj(h)[..., None] * lams ** 2)
-        f = (np.cos(phase)[..., None, None] * ID4
-             + np.sin(phase)[..., None, None] * L_I)
         x = family_samples(self.spec, z, lams, basepoint_zero=True)
-        return f, x
+        return _frame_phase(self.h_fn(z), lams), x
+
+
+def _frame_phase(h, lams):
+    """Phase phi of the lift frame exp(phi L_i) = exp((lam^-2 h + lam^2
+    conj(h)) L_i / 2) over the loop samples, shape (..., m)."""
+    h = np.asarray(h, dtype=complex)[..., None]
+    return 0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2)
 
 
 @dataclass
@@ -585,7 +556,6 @@ class HolomorphicPotentialData:
     dh: Callable
     a: Callable
     b: Callable
-    z0: complex = 0.0
 
     def c(self, z):
         return 0.5 * np.asarray(self.dh(z))
@@ -776,18 +746,13 @@ class ReconstructedLift:
                 + self._piece(mid, z_to, depth + 1))
 
     def samples(self, z, m: int | None = None):
-        """(F, X) samples of the reconstructed lift at z."""
+        """(phi, X) samples of the reconstructed lift at z, F = exp(phi L_i)."""
         if m is not None and m != self.m:
             raise ValueError("sample count fixed at construction")
         m = self.m
         z = np.asarray(z, dtype=complex)
-        lams = unit_lambdas(m)
-        h = np.asarray(self.pot.h(z), dtype=complex)
-        phase = 0.5 * (h[..., None] / lams ** 2 + np.conj(h)[..., None] * lams ** 2)
-        f = (np.cos(phase)[..., None, None] * ID4
-             + np.sin(phase)[..., None, None] * L_I)
-        eta = self.eta(z)
-        w = np.einsum("...mji,...mj->...mi", f, eta.astype(complex))
+        phi = _frame_phase(self.pot.h(z), unit_lambdas(m))
+        w = _li_rotate(-phi, self.eta(z))
         # project onto the real translation form along the holomorphic half
         what = np.fft.fft(w, axis=-2) / m
         exps = coeff_exponents(m)
@@ -796,8 +761,7 @@ class ReconstructedLift:
         x = neg + np.conj(neg)
         if np.max(np.abs(x.imag)) > 1e-9 * max(1.0, np.max(np.abs(x.real))):
             raise ArithmeticError("projected immersion has imaginary residue")
-        x = x.real
-        return f, np.einsum("...mij,...mj->...mi", f, x.astype(complex)).real
+        return phi, _li_rotate(phi, x.real).real
 
     def immersion(self, z):
         """The lam = 1 member of the reconstructed family."""
@@ -807,7 +771,7 @@ class ReconstructedLift:
 
 def dpw_reconstruct(pot: HolomorphicPotentialData, z=None, nsamples: int = 64,
                     quad_n: int = 32, quad_tol: float = 1e-10, lattice=None):
-    """Build the reconstructed lift; with ``z`` given returns (F, X) samples."""
+    """Build the reconstructed lift; with ``z`` given returns (phi, X) samples."""
     lift = ReconstructedLift(pot, nsamples=nsamples, quad_n=quad_n,
                              quad_tol=quad_tol, lattice=lattice)
     if z is None:

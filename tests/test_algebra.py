@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hamstat.algebra import (AlgebraElement, EPS, EPS_BAR, GroupElement, ID4,
-                             L_I, L_J, L_K, R_I, R_J, R_K, eigen_project,
-                             exp_g0, lagrangian_angle, omega, tau,
-                             tau_rotation, tau_vector)
+from hamstat.algebra import (AlgebraElement, EPS, EPS_BAR, G0_BASIS,
+                             GroupElement, ID4, L_I, L_J, L_K, PHASE_BASIS,
+                             QUAT_BASIS, R_I, R_J, R_K, ROTATION_BASIS, coords,
+                             eigen_project, exp_g0, from_coords,
+                             lagrangian_angle, omega, tau, tau_rotation,
+                             tau_vector)
 from hamstat.errors import FrameNotLagrangian
 
 LEFT = {"1": ID4, "i": L_I, "j": L_J, "k": L_K}
@@ -34,6 +36,28 @@ def test_quaternion_table_exhaustive():
             assert np.allclose(LEFT[a] @ RIGHT[b], RIGHT[b] @ LEFT[a])
     for m in (L_I, L_J, L_K, R_I, R_J, R_K):
         assert np.allclose(m @ m, -ID4)
+
+
+def test_coordinate_map_on_the_sixteen_products(rng):
+    # the 16 products L_a R_b are orthonormal for trace(B^T m) / 4, so the
+    # coordinate map inverts the combination on their span (all of M_4)
+    products = np.stack([LEFT[a] @ RIGHT[b] for a in "1ijk" for b in "1ijk"])
+    assert np.array_equal(coords(products, products), np.eye(16))
+    m = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+    c = coords(m, products)
+    assert c.shape == (3, 2, 16)
+    assert np.max(np.abs(from_coords(c, products) - m)) < 1e-14
+    c = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    assert np.max(np.abs(coords(from_coords(c, products), products) - c)) < 1e-14
+    # each named stack is a set of such products, up to sign
+    for basis in (PHASE_BASIS, G0_BASIS, ROTATION_BASIS, QUAT_BASIS):
+        assert np.array_equal(coords(basis, basis), np.eye(len(basis)))
+        assert np.array_equal(np.abs(coords(basis, products)).sum(axis=-1),
+                              np.ones(len(basis)))
+    el = AlgebraElement.from_coeffs(0.3 - 1j, (2.0, -0.5j, 1.5))
+    assert np.array_equal(el.rotation, (0.3 - 1j) * L_I + 2.0 * R_I
+                          - 0.5j * R_J + 1.5 * R_K)
+    assert np.allclose(el.coeffs(), (0.3 - 1j, 2.0, -0.5j, 1.5), atol=1e-15)
 
 
 def test_tau_examples_and_order():

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
                       random_twisted_group_loop)
-from hamstat.algebra import EPS, EPS_BAR, ID4, L_I, LI_EPS_BAR, R_I, exp_g0
+from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, LI_EPS_BAR, QUAT_BASIS,
+                             R_I, R_J, R_K, exp_g0, from_coords)
 from hamstat.errors import (BranchDetectionFailure, ConvergenceFailure,
-                            NotInBigCell, OutsideBigCell,
+                            HamstatError, NotInBigCell, OutsideBigCell,
                             PathIntegrationFailure, SingularInput)
 from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            SpecLift, TwistedLoop,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus, q_plus,
                            rotation_factor_split, su2_iwasawa)
-from hamstat.loops import _2x2_to_g0, _quat_to_4x4, _taylor_interpolant
+from hamstat.loops import _2x2_to_g0, _g0_to_2x2, _taylor_interpolant
 from hamstat.numerics import coeff_exponents, loop_coeffs, unit_lambdas
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import immerse
@@ -20,7 +23,51 @@ from hamstat.weierstrass import immerse
 
 def rand_g0c(rng):
     q = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return _quat_to_4x4(q / np.sqrt(np.sum(q * q)))
+    return from_coords(q / np.sqrt(np.sum(q * q)), QUAT_BASIS)
+
+
+# reference: the per-component quaternion bridge the intertwiners replace
+def _ref_g0_to_2x2(samples):
+    q = np.empty(samples.shape[:-2] + (4,), dtype=complex)
+    q[..., 0] = np.einsum("...ii->...", samples) / 4.0
+    for a, ra in enumerate((R_I, R_J, R_K), start=1):
+        q[..., a] = -np.einsum("...ij,ij->...", samples, ra) / 4.0
+    m = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0] = q[..., 0] + 1j * q[..., 1]
+    m[..., 1, 1] = q[..., 0] - 1j * q[..., 1]
+    m[..., 0, 1] = q[..., 2] + 1j * q[..., 3]
+    m[..., 1, 0] = -q[..., 2] + 1j * q[..., 3]
+    return m
+
+
+def _ref_2x2_to_g0(m):
+    q = np.stack([0.5 * (m[..., 0, 0] + m[..., 1, 1]),
+                  -0.5j * (m[..., 0, 0] - m[..., 1, 1]),
+                  0.5 * (m[..., 0, 1] - m[..., 1, 0]),
+                  -0.5j * (m[..., 0, 1] + m[..., 1, 0])], axis=-1)
+    return (q[..., 0, None, None] * ID4 - q[..., 1, None, None] * R_I
+            - q[..., 2, None, None] * R_J - q[..., 3, None, None] * R_K)
+
+
+def _ref_frame(phi):
+    """The dense lift frame cos(phi) Id + sin(phi) L_i."""
+    return (np.cos(phi)[..., None, None] * ID4
+            + np.sin(phi)[..., None, None] * L_I)
+
+
+def test_quaternion_bridge_matches_reference(rng):
+    g = np.stack([rand_g0c(rng) * (rng.normal() + 1j * rng.normal())
+                  for _ in range(12)]).reshape(3, 4, 4, 4)
+    m2 = _g0_to_2x2(g)
+    assert m2.shape == (3, 4, 2, 2)
+    assert np.max(np.abs(m2 - _ref_g0_to_2x2(g))) < 1e-13
+    assert np.max(np.abs(_2x2_to_g0(m2) - g)) < 1e-13
+    w = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+    assert np.max(np.abs(_2x2_to_g0(w) - _ref_2x2_to_g0(w))) < 1e-13
+    # both maps are algebra homomorphisms
+    assert np.max(np.abs(_g0_to_2x2(g @ g[::-1]) - m2 @ m2[::-1])) < 1e-13
+    assert np.max(np.abs(_2x2_to_g0(w @ w[::-1])
+                         - _2x2_to_g0(w) @ _2x2_to_g0(w[::-1]))) < 1e-12
 
 
 # --- container ----------------------------------------------------------------
@@ -264,7 +311,8 @@ def test_birkhoff_round_trip(rng):
 
 
 def test_birkhoff_outside_big_cell():
-    # an index-carrying compact-factor loop admits no splitting
+    # an index-carrying compact-factor loop admits no splitting; the Toeplitz
+    # system is singular, so the condition gate is what rejects it
     m = 128
     lams = unit_lambdas(m)
     diag = np.zeros((m, 2, 2), dtype=complex)
@@ -273,8 +321,27 @@ def test_birkhoff_outside_big_cell():
     rot = _2x2_to_g0(diag)
     loop = TwistedLoop.from_samples(rot, np.zeros((m, 4), dtype=complex))
     assert loop.twist_residual() < 1e-12
-    with pytest.raises(OutsideBigCell):
+    with pytest.raises(OutsideBigCell, match="condition"):
         birkhoff(loop, neg_degree=24, nsamples=m)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(degree=st.integers(1, 6), amp=st.floats(0.05, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_birkhoff_reproduces_loop_or_raises(degree, amp, seed):
+    loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
+                                     amp=amp)
+    try:
+        gm, gp = birkhoff(loop, neg_degree=40)
+    except HamstatError:
+        return
+    lams = unit_lambdas(256)
+    rm, tm = gm.value_at(lams)
+    rp, tp = gp.value_at(lams)
+    rot, trans = loop.value_at(lams)
+    err = max(float(np.max(np.abs(rm @ rp - rot))),
+              float(np.max(np.abs(np.einsum("mij,mj->mi", rm, tp) + tm - trans))))
+    assert err < 1e-8 * max(1.0, loop.norm())
 
 
 def test_q_projection_rules():
@@ -297,12 +364,37 @@ def test_q_projection_rules():
 def test_spec_lift_shape_and_base(rng):
     spec = standard_torus(1.0, 1.0).spec
     lift = SpecLift(spec)
-    f, x = lift.samples(np.array([0.0 + 0j, 0.3 + 0.2j]), 32)
-    assert f.shape == (2, 32, 4, 4) and x.shape == (2, 32, 4)
+    phi, x = lift.samples(np.array([0.0 + 0j, 0.3 + 0.2j]), 32)
+    assert phi.shape == (2, 32) and x.shape == (2, 32, 4)
     assert np.max(np.abs(x[0])) < 1e-12          # identity at the basepoint
-    assert np.max(np.abs(f[0] - ID4)) < 1e-12
-    # rotation part is the pure phase factor: orthogonal and L_i-commuting
-    assert np.max(np.abs(np.swapaxes(f, -1, -2) @ f - ID4)) < 1e-12
+    assert np.max(np.abs(phi[0])) < 1e-12
+    # a real phase: F = exp(phi L_i) is orthogonal and L_i-commuting
+    assert np.max(np.abs(phi.imag)) < 1e-12
+
+
+def test_lift_phase_gives_reference_frame():
+    # the phase reproduces the dense frame both lifts used to return, and
+    # the reconstruction's projection agrees with the dense rotation
+    spec = rhombic_torus().spec
+    zs = np.array([0.3 + 0.2j, -0.41 + 0.17j])
+    lams = unit_lambdas(32)
+    lift = SpecLift(spec)
+    h = lift.h_fn(zs)[:, None]
+    want = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
+    phi, _ = lift.samples(zs, 32)
+    assert np.max(np.abs(_ref_frame(phi) - want)) < 1e-13
+    pot = HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j)
+    rl = ReconstructedLift(pot, nsamples=32, quad_n=12)
+    h = pot.h(zs)[:, None]
+    f = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
+    phi, x = rl.samples(zs)
+    assert np.max(np.abs(_ref_frame(phi) - f)) < 1e-13
+    w = np.einsum("...mji,...mj->...mi", f, rl.eta(zs))
+    what = np.fft.fft(w, axis=-2) / 32
+    what[..., coeff_exponents(32) >= 0, :] = 0.0
+    neg = np.fft.ifft(what, axis=-2) * 32
+    x_ref = np.einsum("...mij,...mj->...mi", f, (neg + np.conj(neg)).real).real
+    assert np.max(np.abs(x - x_ref)) < 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
 
 def test_potential_extract_constants():
