@@ -53,6 +53,10 @@ class NotInBigCell(HamstatError):
     """Pointwise potential extraction hit a non-factorizable lift value."""
 
 
+class LoopAliasing(HamstatError):
+    """Loop sample count too small: the spectrum has not decayed at its top."""
+
+
 class PathIntegrationFailure(HamstatError):
     """Adaptive quadrature along the integration path did not converge."""
 

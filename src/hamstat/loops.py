@@ -18,10 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (EPS, G0_BASIS, ID4, L_I, LI_EPS_BAR, PHASE_BASIS,
-                      QUAT_BASIS, R_I, _li_rotate, coords, from_coords,
-                      tau_rotation, tau_vector)
-from .errors import (BranchDetectionFailure, ConvergenceFailure, NotInBigCell,
-                     OutsideBigCell, PathIntegrationFailure, SingularInput)
+                      PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, _li_rotate, coords,
+                      from_coords, tau_rotation, tau_vector)
+from .errors import (BranchDetectionFailure, ConvergenceFailure, LoopAliasing,
+                     NotInBigCell, OutsideBigCell, PathIntegrationFailure,
+                     SingularInput)
 from .numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                        samples_from_coeffs, unit_lambdas)
 from .weierstrass import TorusSpec, family_samples, holomorphic_angle
@@ -246,10 +247,7 @@ def rotation_factor_split(rot_samples, tol: float = 1e-8) -> RotationSplit:
     if np.min(np.abs(nu)) < 1e-14:
         raise SingularInput("rotation sample is singular (isotropic phase)")
     p = p / np.sqrt(nu)[:, None]
-    # sign continuity sweep
-    for j in range(1, m_count):
-        if np.linalg.norm(p[j] + p[j - 1]) < np.linalg.norm(p[j] - p[j - 1]):
-            p[j] = -p[j]
+    p = p * _continuity_signs(p)[:, None]
     k = from_coords(p, PHASE_BASIS)
     m = from_coords(p * [1, -1], PHASE_BASIS) @ g
     if np.linalg.norm(p[0] + p[-1]) < np.linalg.norm(p[0] - p[-1]):
@@ -279,6 +277,22 @@ def rotation_factor_split(rot_samples, tol: float = 1e-8) -> RotationSplit:
         raise BranchDetectionFailure(
             f"no consistent twist branch (violations {v_i:.2e}/{v_ii:.2e})")
     return RotationSplit(branch, k, m, k_tw, m_tw, residual)
+
+
+def _continuity_signs(p):
+    """Signs s_j making each s_j p_j the nearer of +-p_j to s_(j-1) p_(j-1),
+    s_0 = 1; a tie keeps +p_j.
+
+    |a + b|^2 - |a - b|^2 = 4 Re<a, b>, so s_j = -1 exactly when
+    s_(j-1) Re<p_j, p_(j-1)> < 0: the signs are a running product of
+    sign Re<p_j, p_(j-1)>, restarted at +1 after each tie.
+    """
+    r = np.zeros(len(p))
+    r[1:] = np.sum(p[1:] * np.conj(p[:-1]), axis=1).real
+    idx = np.arange(len(p))
+    start = np.maximum.accumulate(np.where(r == 0.0, idx, 0))
+    flips = np.cumsum(r < 0.0)
+    return 1 - 2 * ((flips - flips[start]) % 2)
 
 
 def _branch_ii_compact(m: int, sign: float):
@@ -541,10 +555,10 @@ class SpecLift:
 
 
 def _frame_phase(h, lams):
-    """Phase phi of the lift frame exp(phi L_i) = exp((lam^-2 h + lam^2
-    conj(h)) L_i / 2) over the loop samples, shape (..., m)."""
-    h = np.asarray(h, dtype=complex)[..., None]
-    return 0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2)
+    """Real phase phi of the lift frame exp(phi L_i) = exp((lam^-2 h + lam^2
+    conj(h)) L_i / 2) over the loop samples, shape (..., m): on |lam| = 1,
+    phi = Re(h / lam^2)."""
+    return (np.asarray(h, dtype=complex)[..., None] / lams ** 2).real
 
 
 @dataclass
@@ -592,12 +606,18 @@ class HolomorphicPotentialData:
         return cls.from_dict(json.loads(text))
 
 
-def _lift_w_coeff(lift, z, m: int):
-    """Loop Fourier coefficients of e^{-lam^-2 h L_i / 2} X_lam over z."""
+def _lift_w_minus1(lift, z, m: int):
+    """Exponent -1 loop coefficient of W = e^{theta L_i} X_lam over z, with
+    theta = -h / (2 lam^2): the lam^{+1} projection mean(lam W), taken
+    through e^{theta L_i} = e^{i theta} P+ + e^{-i theta} P- so that the
+    samples contract before they are rotated.  Shape (..., 4)."""
     z = np.asarray(z, dtype=complex)
     _, x = lift.samples(z, m)
-    w = -0.5 * lift.h_fn(z)[..., None] / unit_lambdas(m) ** 2
-    return np.fft.fft(_li_rotate(w, x), axis=-2) / m
+    lams = unit_lambdas(m)
+    rot = np.exp(-0.5j * lift.h_fn(z)[..., None] / lams ** 2)
+    plus = np.einsum("...j,...ji->...i", lams * rot, x)
+    minus = np.einsum("...j,...ji->...i", lams / rot, x)
+    return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / m
 
 
 def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
@@ -606,14 +626,20 @@ def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
 
     The negative Birkhoff factor of the lift is explicit: its rotation part
     is the exponential of the holomorphic half-angle, and its translation
-    part is the strictly negative frequency half of the conjugated family.
-    The potential's spinor components are read off the exponent -1
-    coefficient of the z-derivative of that half; off-band energy flags
-    points outside the big cell.
+    part is the strictly negative frequency half of
+    W = e^{-lam^-2 h L_i / 2} X.  The potential's spinor components are the
+    z-derivative of W's exponent -1 coefficient W_{-1} (the lam^-2-shifted
+    term of the potential lands on exponent +1 and drops out); off-band
+    energy of that derivative flags points outside the big cell.
 
-    With ``taylor_radius`` set, a and b are resampled once on a circle of
-    that radius and served from the Taylor interpolant (valid while the
-    coefficients decay, i.e. while no pole enters the circle).
+    With ``taylor_radius`` set, W_{-1} is holomorphic on the disk of that
+    radius: it is projected out of one ``lift.samples`` call on the ring of
+    ``taylor_n`` points by a single lam^{+1} dot product, its Taylor
+    coefficients D_n come from one FFT over the ring, and a, b are the
+    series with coefficients 2 (n + 1) D_{n+1} / radius of components 0 and
+    1 (valid while the coefficients decay, i.e. while no pole enters the
+    circle).  Without it, and for ``diagnostics``, a and b come from a
+    5-point stencil of step ``fd_step`` in z.
     """
     if not hasattr(lift, "h_fn"):
         raise TypeError("lift must expose the holomorphic half-angle h_fn")
@@ -626,7 +652,9 @@ def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
         z = np.asarray(z, dtype=complex)
         stencil = np.stack([z, z + h_step, z - h_step, z + 1j * h_step,
                             z - 1j * h_step], axis=0)
-        vhat = _lift_w_coeff(lift, stencil, m)
+        _, x = lift.samples(stencil, m)
+        w = -0.5 * lift.h_fn(stencil)[..., None] / unit_lambdas(m) ** 2
+        vhat = np.fft.fft(_li_rotate(w, x), axis=-2) / m
         neg = vhat.copy()
         neg[..., exps >= 0, :] = 0.0
         dx = 0.5 * (neg[1] - neg[2]) / h_step
@@ -660,10 +688,10 @@ def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
         return ab(z)[2]
 
     if taylor_radius is not None:
-        ring = taylor_radius * np.exp(2j * np.pi * np.arange(taylor_n) / taylor_n)
-        a_ring, b_ring, _ = ab(ring)
-        a_fn = _taylor_interpolant(a_ring, taylor_radius)
-        b_fn = _taylor_interpolant(b_ring, taylor_radius)
+        ring = taylor_radius * unit_lambdas(taylor_n)
+        w_m1 = _lift_w_minus1(lift, ring, m)                    # (taylor_n, 4)
+        a_fn = _taylor_interpolant(2.0 * w_m1[:, 0], taylor_radius).deriv()
+        b_fn = _taylor_interpolant(2.0 * w_m1[:, 1], taylor_radius).deriv()
 
     data = HolomorphicPotentialData(h=lift.h_fn,
                                     dh=getattr(lift, "dh"),
@@ -673,10 +701,13 @@ def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
 
 
 def _taylor_interpolant(ring_values, radius):
-    """Taylor series of a holomorphic function from samples on |z| = radius.
+    """Taylor series of a holomorphic function from samples on |z| = radius,
+    as a ``numpy.polynomial.Polynomial`` in z (so ``.deriv()`` is d/dz).
 
     Raises :class:`NotInBigCell` when the coefficients fail to decay, which
-    signals a pole inside the sampling circle.
+    signals a pole inside the sampling circle.  The series is cut after its
+    last coefficient above 1e-14 of the head: past it the coefficients are
+    rounding noise (about 1e-16 of the head for lift data).
     """
     coeffs = np.fft.fft(ring_values) / len(ring_values)   # c_n * radius**n
     n = len(coeffs)
@@ -685,19 +716,32 @@ def _taylor_interpolant(ring_values, radius):
     if tail > 1e-6 * head:
         raise NotInBigCell("potential data is not analytic on the sampling "
                            f"disk (coefficient tail ratio {tail / head:.2e})")
-
-    def evaluate(z):
-        w = np.asarray(z, dtype=complex) / radius
-        return np.polynomial.polynomial.polyval(w, coeffs)
-
-    return evaluate
+    keep = np.nonzero(np.abs(coeffs) > 1e-14 * head)[0]
+    coeffs = coeffs[:keep[-1] + 1] if len(keep) else coeffs[:1]
+    return np.polynomial.Polynomial(coeffs, domain=[-radius, radius])
 
 
 # --- reconstruction --------------------------------------------------------
 
+# P+- eps and P+- L_i eps_bar, in the row order (+a, +b, -a, -b) of the sums
+# that `ReconstructedLift._rule` contracts
+_SPLIT_SPIN = np.stack([PI_PLUS @ EPS, PI_PLUS @ LI_EPS_BAR,
+                        PI_MINUS @ EPS, PI_MINUS @ LI_EPS_BAR])
+_CHUNK = 1 << 16        # elements of one (nodes, points, phases) block
+
+
 class ReconstructedLift:
     """Lift rebuilt from potential data by integrating the holomorphic frame
-    and projecting onto the real form."""
+    and projecting onto the real form.
+
+    eta(z) integrates e^{theta L_i} lam^-1 (a eps + b L_i eps_bar), theta =
+    h / (2 lam^2), along 0 -> z.  Each Gauss rule calls h, a and b once on
+    all its nodes and uses the eigen-split e^{theta L_i} = e^{i theta} P+ +
+    e^{-i theta} P-: per (point, lam) the nodes contract against
+    w a e^{+-i theta} and w b e^{+-i theta}, and only the four sums expand
+    to vectors.  ``samples`` raises :class:`LoopAliasing` when ``nsamples``
+    is too small for the range of the angle.
+    """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
                  quad_n: int = 32, quad_tol: float = 1e-10,
@@ -711,21 +755,34 @@ class ReconstructedLift:
         self.h_fn = pot.h
         self.dh = pot.dh
 
-    def _integrand(self, v, lams):
-        """e^{lam^-2 h(v) L_i / 2} lam^-1 (a eps + b L_i eps_bar), batched."""
-        h = np.asarray(self.pot.h(v), dtype=complex)
-        a = np.asarray(self.pot.a(v), dtype=complex)
-        b = np.asarray(self.pot.b(v), dtype=complex)
-        spin = a[..., None, None] * EPS + b[..., None, None] * LI_EPS_BAR
-        return _li_rotate(0.5 * h[..., None] / lams ** 2, spin) / lams[..., None]
-
     def _rule(self, z_from, shift, n):
+        """Order-n Gauss rule for eta over [z_from, z_from + shift]."""
         nodes, weights = gauss_legendre_01(n)
-        lams = unit_lambdas(self.m)
-        acc = np.zeros(np.shape(z_from) + (self.m, 4), dtype=complex)
-        for t, w in zip(nodes, weights):
-            acc += w * self._integrand(z_from + shift * t, lams)
-        return acc * np.asarray(shift, dtype=complex)[..., None, None]
+        z_from, shift = np.broadcast_arrays(np.asarray(z_from, dtype=complex),
+                                            np.asarray(shift, dtype=complex))
+        shape = z_from.shape
+        v = z_from.ravel() + np.outer(nodes, shift.ravel())      # (n, points)
+        # the pot attributes are read per call: tracing may wrap them
+        h = np.asarray(self.pot.h(v), dtype=complex)
+        wab = weights[:, None] * np.stack([
+            np.broadcast_to(self.pot.a(v), v.shape),
+            np.broadcast_to(self.pot.b(v), v.shape)])            # (2, n, points)
+        # e^{+-i theta} depend on lam only through +-lam^-2, whose values are
+        # the roots e^{-i pi k / m} at the slots k; `pick` maps them back
+        m = self.m
+        j = np.arange(m)
+        slots, pick = np.unique(np.stack([4 * j, 4 * j + m], axis=1) % (2 * m),
+                                return_inverse=True)
+        half = 0.5j * np.exp(-1j * np.pi * slots / m)
+        sums = np.zeros((v.shape[1], len(slots), 2), dtype=complex)
+        step = max(1, _CHUNK // max(1, sums.size // 2))
+        for lo in range(0, n, step):
+            sums += np.einsum("kcp,cpq->pqk", wab[:, lo:lo + step],
+                              np.exp(h[lo:lo + step, :, None] * half))
+        # (point, lam, +-, a|b): the row order of _SPLIT_SPIN
+        acc = (sums[:, pick.ravel()].reshape(-1, m, 4) @ _SPLIT_SPIN
+               / unit_lambdas(m)[:, None])
+        return (acc * shift.ravel()[:, None, None]).reshape(shape + (m, 4))
 
     def eta(self, z):
         """Path integral of the potential's translation part along the
@@ -756,6 +813,15 @@ class ReconstructedLift:
         # project onto the real translation form along the holomorphic half
         what = np.fft.fft(w, axis=-2) / m
         exps = coeff_exponents(m)
+        # aliasing folds the spectrum beyond +-m/2 onto the kept negative
+        # half, so the top sixteenth of |exponent| must hold < 1e-6 of it
+        edge = np.max(np.abs(what[..., np.abs(exps) >= 15 * m // 32, :]),
+                      initial=0.0)
+        head = np.max(np.abs(what[..., exps < 0, :]), initial=0.0)
+        if edge > 1e-6 * head:
+            raise LoopAliasing(f"loop spectrum edge at {edge / head:.1e} of "
+                               f"its head: {m} samples cannot resolve the "
+                               "angle's range")
         what[..., exps >= 0, :] = 0.0
         neg = np.fft.ifft(what, axis=-2) * m
         x = neg + np.conj(neg)

@@ -6,19 +6,23 @@ from hypothesis import strategies as st
 from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
                       random_twisted_group_loop)
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, LI_EPS_BAR, QUAT_BASIS,
-                             R_I, R_J, R_K, exp_g0, from_coords)
+                             R_I, R_J, R_K, _li_rotate, exp_g0, from_coords)
 from hamstat.errors import (BranchDetectionFailure, ConvergenceFailure,
-                            HamstatError, NotInBigCell, OutsideBigCell,
-                            PathIntegrationFailure, SingularInput)
+                            HamstatError, LoopAliasing, NotInBigCell,
+                            OutsideBigCell, PathIntegrationFailure,
+                            SingularInput)
 from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            SpecLift, TwistedLoop,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus, q_plus,
                            rotation_factor_split, su2_iwasawa)
-from hamstat.loops import _2x2_to_g0, _g0_to_2x2, _taylor_interpolant
-from hamstat.numerics import coeff_exponents, loop_coeffs, unit_lambdas
-from hamstat.tori import rhombic_torus, standard_torus
-from hamstat.weierstrass import immerse
+from hamstat.lattices import Lattice, enumerate_frequencies
+from hamstat.loops import (_2x2_to_g0, _continuity_signs, _g0_to_2x2,
+                           _taylor_interpolant)
+from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
+                              unit_lambdas)
+from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
+from hamstat.weierstrass import TorusSpec, immerse
 
 
 def rand_g0c(rng):
@@ -169,6 +173,34 @@ def test_split_random_loop(rng):
     rot, _ = loop.sample(128)
     split = rotation_factor_split(rot)
     assert split.residual < 1e-10
+
+
+# reference: the per-sample sign sweep `_continuity_signs` replaces
+def _ref_sign_sweep(p):
+    p = p.copy()
+    for j in range(1, len(p)):
+        if np.linalg.norm(p[j] + p[j - 1]) < np.linalg.norm(p[j] - p[j - 1]):
+            p[j] = -p[j]
+    return p
+
+
+def test_continuity_signs_match_reference_sweep(rng):
+    # random sign flips along a slowly turning unit phase path
+    t = np.linspace(0.0, 2.0 * np.pi, 97)
+    p = np.stack([np.cos(t), np.sin(t)], axis=-1) * (1 + 0.3j)
+    p *= rng.choice([-1.0, 1.0], size=len(p))[:, None]
+    assert np.array_equal(p * _continuity_signs(p)[:, None], _ref_sign_sweep(p))
+    # exact ties (Re<p_j, p_(j-1)> = 0) keep +p_j, also after a flip
+    ties = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [-1, 0], [0, 1j],
+                     [0, -1]], dtype=complex)
+    want = _ref_sign_sweep(ties)
+    assert np.array_equal(ties * _continuity_signs(ties)[:, None], want)
+    assert np.array_equal(want[2], ties[2])
+    # the split's phase factor equals the one the reference sweep gives
+    rot, _ = random_twisted_group_loop(6, rng).sample(128)
+    split = rotation_factor_split(rot)
+    q = split.k[:, :2, 0]                    # (p1, p2) of p1 Id + p2 L_i
+    assert np.array_equal(_ref_sign_sweep(q), q)
 
 
 # --- translation projections -----------------------------------------------------
@@ -482,6 +514,106 @@ def test_dpw_round_trip_small():
     got = rl.immersion(zs)
     want = immerse(spec, zs) - immerse(spec, 0.0)
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def _translated(spec, z0):
+    """Spec of X(z + z0) up to a rotation: coefficient phases e(<gamma, z0>)."""
+    return TorusSpec.build(spec.lattice, spec.beta0, {
+        g: a * np.exp(2j * np.pi * (np.conj(g) * z0).real)
+        for g, a in spec.items()})
+
+
+def _square_spec(slope):
+    """Square-lattice spec with slope n g1* + m g2*: unit coefficients
+    e^{i pi/4} on the first frequency pair and a small fixed pattern on the
+    rest (the known-hard 3+4i round trip at slope (3, 4))."""
+    lat = Lattice(1.0, 1j)
+    dual = lat.dual()
+    beta0 = slope[0] * dual.g1 + slope[1] * dual.g2
+    freqs = list(enumerate_frequencies(lat, beta0))
+    pairs, others = {}, 0
+    for g in freqs:
+        if abs(g - freqs[0]) < 1e-9 or abs(g + freqs[0]) < 1e-9:
+            pairs[g] = np.exp(0.25j * np.pi)
+        else:
+            others += 1
+            pairs[g] = 0.15 * np.exp(2j * np.pi * 0.37 * others)
+    return TorusSpec.build(lat, beta0, pairs)
+
+
+def _round_trip_error(spec, grid, nsamples):
+    lat = spec.lattice
+    radius = 1.35 * max(1.0, abs(lat.g1) + abs(lat.g2))
+    pot = potential_extract(SpecLift(spec), nsamples=128, taylor_radius=radius)
+    rl = dpw_reconstruct(pot, nsamples=nsamples, quad_n=24, lattice=lat)
+    zs = lat.grid(grid)
+    return float(np.max(np.abs(rl.immersion(zs)
+                               - (immerse(spec, zs) - immerse(spec, 0.0)))))
+
+
+def test_castro_urbano_round_trip():
+    # the stencil-derived a, b used to miss this bound (7.4e-7)
+    cu = castro_urbano(3, 1, 1, 3)
+    gamma = np.exp(1j * cu.beta) / (2 * np.pi)
+    spec = cu.build_spec({gamma: 2.0 + 1.0j, np.conj(gamma): 1.5 - 0.5j})
+    assert _round_trip_error(spec, 8, 128) < 1e-7
+
+
+def test_reconstruction_rejects_aliased_loop_samples():
+    # |h| reaches 16.7 on the grid: e^{i h / 2 lam^2} needs exponents past
+    # the +-64 that 128 samples hold, so those samples would give a wrong
+    # surface; 256 resolve it
+    spec = _square_spec((3, 4))
+    with pytest.raises(LoopAliasing):
+        _round_trip_error(spec, 4, 128)
+    assert _round_trip_error(spec, 4, 256) < 1e-7
+
+
+# reference: the per-node rule with the cos/sin rotation that
+# `ReconstructedLift._rule` replaces
+def _ref_rule(pot, m, z_from, shift, n):
+    nodes, weights = gauss_legendre_01(n)
+    lams = unit_lambdas(m)
+    acc = np.zeros(np.shape(z_from) + (m, 4), dtype=complex)
+    for t, w in zip(nodes, weights):
+        v = z_from + shift * t
+        h = np.asarray(pot.h(v), dtype=complex)
+        a = np.asarray(pot.a(v), dtype=complex)
+        b = np.asarray(pot.b(v), dtype=complex)
+        spin = a[..., None, None] * EPS + b[..., None, None] * LI_EPS_BAR
+        acc += w * _li_rotate(0.5 * h[..., None] / lams ** 2, spin) / lams[..., None]
+    return acc * np.asarray(shift, dtype=complex)[..., None, None]
+
+
+@pytest.mark.parametrize("points, n, m",
+                         [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 30)])
+def test_rule_matches_per_node_reference(rng, points, n, m):
+    # at m = 128, 3 x 4 points take the 48 nodes in two phase blocks and
+    # 12 x 25 points take one node per block; at m = 30, -lam^-2 is not a
+    # sample value of lam^-2
+    spec = rhombic_torus().spec
+    pots = (HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j),
+            potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))
+    z_from = 0.3 * (rng.normal(size=points) + 1j * rng.normal(size=points))
+    shift = 0.4 * (rng.normal(size=points) + 1j * rng.normal(size=points))
+    for pot in pots:
+        want = _ref_rule(pot, m, z_from, shift, n)
+        got = ReconstructedLift(pot, nsamples=m)._rule(z_from, shift, n)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+def test_ring_extraction_matches_stencil_under_translation(s, t):
+    base = rhombic_torus().spec
+    spec = _translated(base, s * base.lattice.g1 + t * base.lattice.g2)
+    lift = SpecLift(spec)
+    direct = potential_extract(lift, nsamples=128)
+    ring = potential_extract(lift, nsamples=128, taylor_radius=1.8)
+    zs = np.array([0.1 + 0.2j, -0.4 + 0.5j, 0.9 - 0.1j])
+    assert np.max(np.abs(direct.a(zs) - ring.a(zs))) < 1e-7
+    assert np.max(np.abs(direct.b(zs) - ring.b(zs))) < 1e-7
 
 
 # --- failure paths ----------------------------------------------------------------
