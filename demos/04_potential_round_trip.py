@@ -19,8 +19,7 @@ for golden in (standard_torus(1.0, 1.0), rhombic_torus()):
     lift = SpecLift(spec)
 
     t0 = time.perf_counter()
-    radius = 1.35 * (abs(spec.lattice.g1) + abs(spec.lattice.g2))
-    pot = potential_extract(lift, nsamples=128, taylor_radius=radius)
+    pot = potential_extract(lift, nsamples=128)
     print(f"{golden.name}: angle constant c = {pot.c(0.0):.6f}")
     zs = np.array([0.1 + 0.05j, 0.4 + 0.3j])
     print(f"   spinor data a(z) = {np.round(pot.a(zs), 4)}")

@@ -55,7 +55,7 @@ def _load_spec(path: str) -> weierstrass.TorusSpec:
     data = _load_json(path)
     try:
         return weierstrass.TorusSpec.from_dict(data)
-    except (KeyError, ValueError, HamstatError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, HamstatError) as exc:
         raise SystemExit_input(f"invalid spec {path}: {exc}")
 
 

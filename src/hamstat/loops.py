@@ -620,84 +620,31 @@ def _lift_w_minus1(lift, z, m: int):
     return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / m
 
 
-def potential_extract(lift, fd_step: float | None = None, nsamples: int = 64,
-                      taylor_radius: float | None = None, taylor_n: int = 256):
-    """Recover the meromorphic potential data of an extended lift.
+_RING_N = 256           # ring points behind the Taylor series of W_{-1}
 
-    The negative Birkhoff factor of the lift is explicit: its rotation part
-    is the exponential of the holomorphic half-angle, and its translation
-    part is the strictly negative frequency half of
-    W = e^{-lam^-2 h L_i / 2} X.  The potential's spinor components are the
-    z-derivative of W's exponent -1 coefficient W_{-1} (the lam^-2-shifted
-    term of the potential lands on exponent +1 and drops out); off-band
-    energy of that derivative flags points outside the big cell.
 
-    With ``taylor_radius`` set, W_{-1} is holomorphic on the disk of that
-    radius: it is projected out of one ``lift.samples`` call on the ring of
-    ``taylor_n`` points by a single lam^{+1} dot product, its Taylor
-    coefficients D_n come from one FFT over the ring, and a, b are the
-    series with coefficients 2 (n + 1) D_{n+1} / radius of components 0 and
-    1 (valid while the coefficients decay, i.e. while no pole enters the
-    circle).  Without it, and for ``diagnostics``, a and b come from a
-    5-point stencil of step ``fd_step`` in z.
+def potential_extract(lift, nsamples: int = 64,
+                      taylor_radius: float | None = None):
+    """Potential data (h, dh, a, b) of an extended lift.
+
+    a and b are twice the z-derivative of the exponent -1 loop coefficient
+    W_{-1} of W = e^{-lam^-2 h L_i / 2} X, the translation half of the
+    lift's negative Birkhoff factor.  W_{-1} is taken from ``nsamples`` loop
+    samples on a 256-point ring of radius ``taylor_radius`` (by default
+    1.35 max(1, |g1| + |g2|) of ``lift.lattice``); one FFT over the ring
+    gives its Taylor series.  A pole inside the ring raises
+    :class:`NotInBigCell`.
     """
     if not hasattr(lift, "h_fn"):
         raise TypeError("lift must expose the holomorphic half-angle h_fn")
-    h_step = fd_step or 1e-5 * lift.lattice.diameter()
-    m = nsamples
-    exps = coeff_exponents(m)
-    slot_m1 = int(np.where(exps == -1)[0][0])
-
-    def ab(z):
-        z = np.asarray(z, dtype=complex)
-        stencil = np.stack([z, z + h_step, z - h_step, z + 1j * h_step,
-                            z - 1j * h_step], axis=0)
-        _, x = lift.samples(stencil, m)
-        w = -0.5 * lift.h_fn(stencil)[..., None] / unit_lambdas(m) ** 2
-        vhat = np.fft.fft(_li_rotate(w, x), axis=-2) / m
-        neg = vhat.copy()
-        neg[..., exps >= 0, :] = 0.0
-        dx = 0.5 * (neg[1] - neg[2]) / h_step
-        dy = 0.5 * (neg[3] - neg[4]) / h_step
-        dzw = 0.5 * (dx - 1j * dy)
-        dzbw = 0.5 * (dx + 1j * dy)
-        # translation part of the potential: (lam^-2 h'/2) L_i W + dz W has a
-        # single band at exponent -1 when the lift factorizes
-        hp = np.asarray(lift.dh(z), dtype=complex)
-        li_w = neg[0] @ L_I.T
-        shifted = np.roll(li_w, -2, axis=-2)        # multiply by lam^-2
-        d_full = 0.5 * hp[..., None, None] * shifted + dzw
-        coeff = d_full[..., slot_m1, :]
-        mask = exps < 0
-        mask[slot_m1] = False
-        off = np.max(np.abs(d_full[..., mask, :]), axis=(-2, -1))
-        offbar = np.max(np.abs(dzbw[..., exps < 0, :]), axis=(-2, -1))
-        scale = np.maximum(np.abs(coeff).max(axis=-1), 1e-30)
-        bad = (off + offbar) / scale
-        a = 2.0 * coeff[..., 0]
-        b = 2.0 * coeff[..., 1]
-        return a, b, bad
-
-    def a_fn(z):
-        return ab(z)[0]
-
-    def b_fn(z):
-        return ab(z)[1]
-
-    def diagnostics(z):
-        return ab(z)[2]
-
-    if taylor_radius is not None:
-        ring = taylor_radius * unit_lambdas(taylor_n)
-        w_m1 = _lift_w_minus1(lift, ring, m)                    # (taylor_n, 4)
-        a_fn = _taylor_interpolant(2.0 * w_m1[:, 0], taylor_radius).deriv()
-        b_fn = _taylor_interpolant(2.0 * w_m1[:, 1], taylor_radius).deriv()
-
-    data = HolomorphicPotentialData(h=lift.h_fn,
-                                    dh=getattr(lift, "dh"),
-                                    a=a_fn, b=b_fn)
-    data.diagnostics = diagnostics
-    return data
+    if taylor_radius is None:
+        lat = lift.lattice
+        taylor_radius = 1.35 * max(1.0, abs(lat.g1) + abs(lat.g2))
+    ring = taylor_radius * unit_lambdas(_RING_N)
+    w_m1 = _lift_w_minus1(lift, ring, nsamples)                 # (_RING_N, 4)
+    a, b = (_taylor_interpolant(2.0 * w_m1[:, k], taylor_radius).deriv()
+            for k in (0, 1))
+    return HolomorphicPotentialData(h=lift.h_fn, dh=lift.dh, a=a, b=b)
 
 
 def _taylor_interpolant(ring_values, radius):

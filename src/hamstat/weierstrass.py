@@ -70,7 +70,9 @@ class TorusSpec:
 
     def validate(self, tol: float = 1e-9):
         freq = enumerate_frequencies(self.lattice, self.beta0, tol)
-        for g, _ in self.items():
+        for g, a in self.items():
+            if not np.isfinite(a):
+                raise ValueError(f"coefficient {a} at frequency {g} is not finite")
             if not freq.contains_point(g, 10 * tol):
                 raise ValueError(f"coefficient frequency {g} is not in the "
                                  f"circle set for beta0 = {self.beta0}")

@@ -241,8 +241,7 @@ def test_criterion_7_dpw_round_trip():
     for golden in (standard_torus(1.0, 1.0), rhombic_torus()):
         spec = golden.spec
         lift = SpecLift(spec)
-        radius = 1.35 * max(1.0, abs(spec.lattice.g1) + abs(spec.lattice.g2))
-        pot = potential_extract(lift, nsamples=128, taylor_radius=radius)
+        pot = potential_extract(lift, nsamples=128)
         lift2 = dpw_reconstruct(pot, nsamples=128, quad_n=24,
                                 lattice=spec.lattice)
         zs = spec.lattice.grid(32)

@@ -251,3 +251,28 @@ def test_family_exact_unit_lambda(spec_file, capsys):
     assert main(["family", spec_file, "--lambda", "1,0.6+0.8i"]) == 0
     members = json.loads(capsys.readouterr().out)["members"]
     assert [m["lambda"] for m in members] == [[1.0, 0.0], [0.6, 0.8]]
+
+
+def _spec_with(edit):
+    data = standard_torus(1.0, 1.0).spec.to_dict()
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("payload", [
+    _spec_with(lambda d: d["coefficients"][0].update(re=None)),
+    _spec_with(lambda d: d.update(coefficients="x")),
+    _spec_with(lambda d: d.update(lattice=[1, 2])),
+    _spec_with(lambda d: d.update(beta0=[1])),
+    _spec_with(lambda d: d["coefficients"][0].update(gamma="ab")),
+    [1, 2],
+    _spec_with(lambda d: d["coefficients"][0].update(re=float("nan"))),
+    _spec_with(lambda d: d["coefficients"][0].update(im=float("inf"))),
+    _spec_with(lambda d: d["coefficients"][1].update(re=float("-inf"))),
+], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
+        "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf"])
+def test_malformed_spec_is_input_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for command in ("verify", "family"):
+        assert_input_error([command, str(path)], capsys)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamstat.errors import (DegenerateLattice, EmptySpectrum,
                             SlopeNotInDualLattice)
@@ -112,6 +114,20 @@ def test_frequency_set_invariants(rng):
             assert (round(-g.real, 9), round(-g.imag, 9)) in pts
             assert abs(abs(g) - abs(beta0) / 2) < 1e-9
             assert dl.contains(g - beta0 / 2)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(rhombic=st.booleans(), n=st.integers(-3, 3), m=st.integers(-3, 3))
+def test_enumeration_matches_disk_scan_property(rhombic, n, m):
+    lat = rhombic_torus().spec.lattice if rhombic else Lattice.square()
+    dl = lat.dual()
+    beta0 = n * dl.g1 + m * dl.g2
+    if (n, m) == (0, 0):
+        with pytest.raises(SlopeNotInDualLattice):
+            enumerate_frequencies(lat, beta0)
+        return
+    got = as_set(enumerate_frequencies(lat, beta0))
+    assert got == disk_scan_oracle(lat, beta0)
 
 
 def test_parity_relation_truly_periodic_square():

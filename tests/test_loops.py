@@ -442,17 +442,18 @@ def test_potential_extract_constants():
         dai = (pot.a(np.array([z0 + 1j * h]))[0]
                - pot.a(np.array([z0 - 1j * h]))[0]) / (2 * h)
         assert abs(0.5 * (da + 1j * dai)) < 1e-5
-        assert np.max(pot.diagnostics(np.array([z0]))) < 1e-6
 
 
 def test_potential_taylor_cache_matches_direct():
+    # the ring Taylor series against the 5-point stencil reference at the
+    # parent's default step, on the untranslated rhombic spec
     spec = rhombic_torus().spec
     lift = SpecLift(spec)
-    direct = potential_extract(lift, nsamples=128)
     cached = potential_extract(lift, nsamples=128, taylor_radius=1.8)
     zs = np.array([0.1 + 0.2j, -0.4 + 0.5j, 0.9 - 0.1j])
-    assert np.max(np.abs(direct.a(zs) - cached.a(zs))) < 1e-7
-    assert np.max(np.abs(direct.b(zs) - cached.b(zs))) < 1e-7
+    a, b = _stencil_ab(lift, zs, 128, 1e-5 * spec.lattice.diameter())
+    assert np.max(np.abs(a - cached.a(zs))) < 1e-7
+    assert np.max(np.abs(b - cached.b(zs))) < 1e-7
 
 
 def test_dpw_zero_potential():
@@ -543,8 +544,7 @@ def _square_spec(slope):
 
 def _round_trip_error(spec, grid, nsamples):
     lat = spec.lattice
-    radius = 1.35 * max(1.0, abs(lat.g1) + abs(lat.g2))
-    pot = potential_extract(SpecLift(spec), nsamples=128, taylor_radius=radius)
+    pot = potential_extract(SpecLift(spec), nsamples=128)
     rl = dpw_reconstruct(pot, nsamples=nsamples, quad_n=24, lattice=lat)
     zs = lat.grid(grid)
     return float(np.max(np.abs(rl.immersion(zs)
@@ -603,17 +603,30 @@ def test_rule_matches_per_node_reference(rng, points, n, m):
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+# reference: a, b from a 5-point stencil in z of W's exponent -1 coefficient,
+# the finite-difference path that the ring Taylor series replaced
+def _stencil_ab(lift, z, m, h):
+    z = np.asarray(z, dtype=complex)
+    stencil = np.stack([z + h, z - h, z + 1j * h, z - 1j * h], axis=0)
+    _, x = lift.samples(stencil, m)
+    w = -0.5 * lift.h_fn(stencil)[..., None] / unit_lambdas(m) ** 2
+    vhat = np.fft.fft(_li_rotate(w, x), axis=-2) / m
+    w_m1 = vhat[..., coeff_exponents(m) == -1, :][..., 0, :]
+    dzw = 0.25 * ((w_m1[0] - w_m1[1]) - 1j * (w_m1[2] - w_m1[3])) / h
+    return 2.0 * dzw[..., 0], 2.0 * dzw[..., 1]
+
+
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
 def test_ring_extraction_matches_stencil_under_translation(s, t):
     base = rhombic_torus().spec
     spec = _translated(base, s * base.lattice.g1 + t * base.lattice.g2)
     lift = SpecLift(spec)
-    direct = potential_extract(lift, nsamples=128)
     ring = potential_extract(lift, nsamples=128, taylor_radius=1.8)
     zs = np.array([0.1 + 0.2j, -0.4 + 0.5j, 0.9 - 0.1j])
-    assert np.max(np.abs(direct.a(zs) - ring.a(zs))) < 1e-7
-    assert np.max(np.abs(direct.b(zs) - ring.b(zs))) < 1e-7
+    a, b = _stencil_ab(lift, zs, 128, 1e-5 * spec.lattice.diameter())
+    assert np.max(np.abs(a - ring.a(zs))) < 1e-7
+    assert np.max(np.abs(b - ring.b(zs))) < 1e-7
 
 
 # --- failure paths ----------------------------------------------------------------

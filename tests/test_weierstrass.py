@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamstat.algebra import EPS, ID4, L_I, LI_EPS_BAR
+from hamstat.cli import _spec_hash
 from hamstat.errors import MonodromyWarning, ResonantFrequency
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.numerics import dot_r2, fd_x, fd_y, fd_z, fd_zbar
-from hamstat.tori import standard_torus
+from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, associated_family,
                                  basis_A, basis_B, beta_eval, family_samples,
                                  immerse, regularity_scan, spinor_ab, spinor_u)
@@ -382,6 +385,25 @@ def test_spec_json_round_trip(square_spec):
     assert abs(back.beta0 - square_spec.beta0) < 1e-15
     zs = square_spec.lattice.grid(4)
     assert np.max(np.abs(immerse(back, zs) - immerse(square_spec, zs))) < 1e-12
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(rhombic=st.booleans(), slope=st.tuples(st.integers(-3, 3),
+                                              st.integers(-3, 3))
+       .filter(lambda nm: nm != (0, 0)), data=st.data())
+def test_spec_json_round_trip_is_exact_property(rhombic, slope, data):
+    lat = rhombic_torus().spec.lattice if rhombic else Lattice.square()
+    dl = lat.dual()
+    beta0 = slope[0] * dl.g1 + slope[1] * dl.g2
+    freqs = list(enumerate_frequencies(lat, beta0))
+    coeffs = data.draw(st.lists(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                           allow_infinity=False),
+        min_size=len(freqs), max_size=len(freqs)))
+    spec = TorusSpec.build(lat, beta0, dict(zip(freqs, coeffs)))
+    back = TorusSpec.from_json(spec.to_json())
+    assert back.items() == spec.items()
+    assert _spec_hash(back) == _spec_hash(spec)
 
 
 def test_spec_validation_rejects_off_circle():
