@@ -12,6 +12,7 @@ reports ``"periodic"`` per member and exits 0 whenever the sweep ran.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -92,46 +93,55 @@ def _project(points: np.ndarray, how: str) -> np.ndarray:
     raise SystemExit_input(f"unknown projection {how!r}")
 
 
-def _torus_faces(n: int) -> list:
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a = i * n + j
-            b = ((i + 1) % n) * n + j
-            c = ((i + 1) % n) * n + (j + 1) % n
-            d = i * n + (j + 1) % n
-            faces.append((a, b, c, d))
-    return faces
+# rows per %-format call, so the text and argument tuple of a whole mesh are
+# never held at once
+_CHUNK_ROWS = 4096
 
 
-def _write_obj(path: str, verts: np.ndarray, faces: list, header: str):
+def _format_rows(line: str, rows: np.ndarray):
+    """``line`` %-formatted with each row of ``rows``, one string per chunk
+    of at most ``_CHUNK_ROWS`` rows."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=4)
+def _face_block(n: int, fmt: str) -> str:
+    """Face lines of the closed n x n quad mesh whose vertex i * n + j is
+    grid point (i, j): 1-based for OBJ, 0-based with a vertex count for PLY.
+    They depend on (n, fmt) alone, so each block is built once."""
+    i, j = np.divmod(np.arange(n * n), n)
+    below, right = (i + 1) % n * n, (j + 1) % n
+    quads = np.stack([i * n + j, below + j, below + right, i * n + right], axis=1)
+    if fmt == "obj":
+        return "".join(_format_rows("f %d %d %d %d\n", quads + 1))
+    return "".join(_format_rows("4 %d %d %d %d\n", quads))
+
+
+def _write_obj(path: str, verts: np.ndarray, n: int, header: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
-        for v in verts:
-            fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
-        for f in faces:
-            fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+        fh.writelines(_format_rows("v %.12g %.12g %.12g\n", verts))
+        fh.write(_face_block(n, "obj"))
 
 
-def _write_ply(path: str, verts: np.ndarray, faces: list, header: str):
+def _write_ply(path: str, verts: np.ndarray, n: int, header: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"comment {header}\n")
         fh.write(f"element vertex {len(verts)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {len(faces)}\n")
+        fh.write(f"element face {n * n}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for v in verts:
-            fh.write(f"{v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
-        for f in faces:
-            fh.write("4 " + " ".join(str(i) for i in f) + "\n")
+        fh.writelines(_format_rows("%.12g %.12g %.12g\n", verts))
+        fh.write(_face_block(n, "ply"))
 
 
 def _mesh_from_evaluator(f, lattice, grid_n, project):
     zs = lattice.grid(grid_n)
     pts = np.asarray(f(zs)).reshape(-1, 4)
-    verts = _project(pts, project)
-    return verts, _torus_faces(grid_n)
+    return _project(pts, project)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -174,12 +184,12 @@ def cmd_mesh(args) -> int:
         print(f"warning: grid may be degenerate (min |u| = {scan.min_abs_u:.2e})",
               file=sys.stderr)
     header = f"spec {_spec_hash(spec)} projection {args.project} grid {args.grid}"
-    verts, faces = _mesh_from_evaluator(
+    verts = _mesh_from_evaluator(
         lambda z: weierstrass.immerse(spec, z), spec.lattice, args.grid,
         args.project)
     writer = _write_ply if args.format == "ply" else _write_obj
-    writer(args.out, verts, faces, header)
-    print(f"wrote {args.out}: {len(verts)} vertices, {len(faces)} faces")
+    writer(args.out, verts, args.grid, header)
+    print(f"wrote {args.out}: {len(verts)} vertices, {args.grid ** 2} faces")
     return EXIT_OK
 
 
@@ -223,10 +233,10 @@ def cmd_family(args) -> int:
                  "periodic": max(ev.period_defects.values()) <= args.tol}
         if args.out:
             fname = f"{args.out}.lam{lam.real:+.3f}{lam.imag:+.3f}.{args.format}"
-            verts, faces = _mesh_from_evaluator(ev, spec.lattice, args.grid,
-                                                args.project)
+            verts = _mesh_from_evaluator(ev, spec.lattice, args.grid,
+                                         args.project)
             writer = _write_ply if args.format == "ply" else _write_obj
-            writer(fname, verts, faces,
+            writer(fname, verts, args.grid,
                    f"spec {_spec_hash(spec)} lambda {lam}")
             entry["mesh"] = fname
         report.append(entry)

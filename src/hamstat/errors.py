@@ -17,6 +17,10 @@ class SlopeNotInDualLattice(HamstatError):
     """Requested angle slope is not a dual-lattice point."""
 
 
+class FrequencyBoxTooLarge(HamstatError):
+    """Slope too large for the lattice: the frequency search box is over its cap."""
+
+
 class EmptySpectrum(HamstatError):
     """A torus spec carries no nonzero Fourier coefficient."""
 

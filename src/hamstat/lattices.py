@@ -10,13 +10,16 @@ lengths.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateLattice, EmptySpectrum, SlopeNotInDualLattice
+from .errors import (DegenerateLattice, EmptySpectrum, FrequencyBoxTooLarge,
+                     SlopeNotInDualLattice)
 
 __all__ = [
     "Lattice", "FrequencySet", "PeriodicityClass", "PeriodReport",
@@ -48,10 +51,19 @@ class Lattice:
     g2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "g1", complex(self.g1))
-        object.__setattr__(self, "g2", complex(self.g2))
-        if abs(self.cell_area()) < 1e-14 * max(abs(self.g1), abs(self.g2)) ** 2:
-            raise DegenerateLattice(f"generators {self.g1}, {self.g2} are collinear")
+        g1, g2 = complex(self.g1), complex(self.g2)
+        if not (cmath.isfinite(g1) and cmath.isfinite(g2)):
+            raise ValueError(f"lattice generators {g1}, {g2} must be finite")
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        # |area| < 1e-14 max(|g1|, |g2|)^2, tested on the generators scaled
+        # by their largest coordinate, where no square or product overflows
+        scale = max(abs(g1.real), abs(g1.imag), abs(g2.real), abs(g2.imag))
+        if scale == 0.0:
+            raise DegenerateLattice("both generators are zero")
+        a, b = g1 / scale, g2 / scale
+        if abs((a.conjugate() * b).imag) < 1e-14 * max(abs(a), abs(b)) ** 2:
+            raise DegenerateLattice(f"generators {g1}, {g2} are collinear")
 
     @classmethod
     def square(cls) -> "Lattice":
@@ -148,18 +160,31 @@ def sort_frequencies(points):
                         key=lambda g: (np.angle(g), abs(g))))
 
 
+# integer candidates enumerate_frequencies may scan (a 16 MB complex array at
+# the cap); the largest box any test, demo or benchmark pool needs is
+# 131 x 131 = 17,161
+MAX_SEARCH_BOX = 2 ** 20
+
+
 def enumerate_frequencies(lattice: Lattice, beta0, tol: float = 1e-9) -> FrequencySet:
     """All gamma in beta0/2 + dual with |gamma| = |beta0/2|, gamma != +-beta0/2.
 
     The coordinate of a coset offset v in the dual basis is <g_primal, v>,
-    so |coord| <= |g_primal| * 2R bounds the integer search box.
+    so |coord| <= |g_primal| * 2R bounds the integer search box.  A box of
+    more than ``MAX_SEARCH_BOX`` candidates raises `FrequencyBoxTooLarge`
+    before anything is allocated.
     """
     beta0 = complex(beta0)
     dl = _require_slope(lattice, beta0, tol)
     half = beta0 / 2.0
     radius = abs(half)
-    n_max = int(np.ceil(2.0 * radius * abs(lattice.g1))) + 1
-    m_max = int(np.ceil(2.0 * radius * abs(lattice.g2))) + 1
+    # sides clipped at the cap, so an overflowing slope never reaches ceil as inf
+    n_max = math.ceil(min(2.0 * radius * abs(lattice.g1), MAX_SEARCH_BOX)) + 1
+    m_max = math.ceil(min(2.0 * radius * abs(lattice.g2), MAX_SEARCH_BOX)) + 1
+    if (2 * n_max + 1) * (2 * m_max + 1) > MAX_SEARCH_BOX:
+        raise FrequencyBoxTooLarge(
+            f"beta0 = {beta0} needs a frequency search box of more than "
+            f"{MAX_SEARCH_BOX} candidates on this lattice")
     ns, ms = np.meshgrid(np.arange(-n_max, n_max + 1),
                          np.arange(-m_max, m_max + 1), indexing="ij")
     cand = half + ns * dl.g1 + ms * dl.g2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import EPS, LI_EPS_BAR, PI_MINUS, PI_PLUS, _li_rotate
+from .algebra import EPS, LI_EPS_BAR, PI_MINUS, PI_PLUS
 from .errors import MonodromyWarning, ResonantFrequency
 from .lattices import Lattice, enumerate_frequencies, periodicity_class, PeriodicityClass
 from .numerics import TWO_PI, dot_r2
@@ -138,17 +138,71 @@ def holomorphic_angle(beta0: complex):
     return h
 
 
+# a 2-D input within this many ulps (of its largest corner) of the affine grid
+# through its corners takes the separable path; lattice grids and their
+# finite-difference shifts sit within about 1.3
+_GRID_ULPS = 8
+
+
+def _affine_frame(z):
+    """``(z0, u, v)`` when the 2-D array ``z`` is the grid z0 + i u + j v,
+    else None.
+
+    The steps are read off the far ends of the first column and row, so
+    their error does not grow along the grid; one pass then checks every
+    point against its affine value.
+    """
+    n1, n2 = z.shape
+    if n1 < 2 or n2 < 2:
+        return None
+    z0 = z[0, 0]
+    u = (z[-1, 0] - z0) / (n1 - 1)
+    v = (z[0, -1] - z0) / (n2 - 1)
+    scale = max(abs(z0), abs(z[-1, 0]), abs(z[0, -1]), abs(z[-1, -1]))
+    dev = z - (np.arange(n1) * u)[:, None]
+    dev -= (np.arange(n2) * v + z0)[None, :]
+    tol = _GRID_ULPS * np.finfo(float).eps * scale
+    if not np.max(np.abs(dev.view(float))) <= tol:     # NaN falls back too
+        return None
+    return z0, u, v
+
+
+def _grid_sum(modes, frame, shape):
+    """The mode sum on the affine grid z0 + i u + j v of the given shape.
+
+    Each wave factors as e(z0) e(i u) e(j v), so the grid costs K (n1 + n2)
+    exponentials and one (n1, K) @ (K, 4 n2) product.
+    """
+    z0, u, v = frame
+    n1, n2 = shape
+    if n1 < n2:     # the (K, n2, 4) factor below stays on the shorter side
+        return _grid_sum(modes, (z0, v, u), (n2, n1)).swapaxes(0, 1)
+    deltas = np.array([complex(d) for d, _ in modes])
+    vecs = np.array([vec for _, vec in modes], dtype=complex)
+    rows = np.exp(2j * np.pi * np.outer(np.arange(n1), dot_r2(deltas, u)))
+    cols = np.exp(2j * np.pi * np.outer(dot_r2(deltas, v), np.arange(n2)))
+    weights = np.exp(2j * np.pi * dot_r2(deltas, z0))[:, None] * vecs
+    out = rows @ (cols[:, :, None] * weights[:, None, :]).reshape(len(modes), -1)
+    return out.reshape(n1, n2, vecs.shape[1])
+
+
 def _mode_sum(modes, z, out=None):
     """Sum of vec * exp(2 pi i <delta, z>) over the (delta, vec) pairs.
 
     Each mode is added into ``out`` in place (fresh zeros of shape
     ``z.shape + (4,)`` when omitted).  ``delta`` may be an array that
     broadcasts against ``z``; ``vec`` then carries the same axes before its
-    last one.  Every closed-form Fourier evaluator of the package runs
-    through this loop.
+    last one.  Without ``out``, a 2-D ``z`` that is an affine grid (a
+    lattice grid or a shift of one) is summed separably by `_grid_sum`;
+    every other input runs the loop.  Every closed-form Fourier evaluator of
+    the package runs through this function.
     """
     z = np.asarray(z, dtype=complex)
     if out is None:
+        modes = list(modes)
+        frame = _affine_frame(z) if z.ndim == 2 and modes else None
+        if frame is not None:
+            return _grid_sum(modes, frame, z.shape)
         out = np.zeros(z.shape + (4,), dtype=complex)
     # added one component at a time, each wave freed before the next: an
     # output-sized temporary per mode raises the process's peak memory on
@@ -175,16 +229,22 @@ def _basis_sum(pairs, beta0, z):
 
     With w_gamma = exp(-2 pi i <gamma, z>) column_gamma, A and B are the
     rotated real and imaginary parts of (4/pi) w_gamma, and
-    Re(a) Re(w) + Im(a) Im(w) = Re(conj(a) w): one mode sum at the
-    frequencies -gamma, one real part and one rotation serve all terms.
+    Re(a) Re(w) + Im(a) Im(w) = Re(conj(a) w).  The rotation
+    exp(theta L_i), theta = pi <beta0, z>, is real and equals
+    e^(i theta) P+ + e^(-i theta) P-, so it moves inside the real part as
+    the modes -gamma +- beta0/2: one mode sum and one real part serve all
+    terms.
     """
     beta0 = complex(beta0)
-    z = np.asarray(z, dtype=complex)
-    modes = [(-complex(g),
-              np.conj(a) * (4.0 / np.pi) * _basis_column(complex(g), beta0))
-             for g, a in pairs if a != 0]
-    vec = _mode_sum(modes, z).real
-    return _li_rotate(np.pi * dot_r2(beta0, z), vec)
+    half = beta0 / 2.0
+    modes = []
+    for g, a in pairs:
+        if a == 0:
+            continue
+        g = complex(g)
+        vec = np.conj(a) * (4.0 / np.pi) * _basis_column(g, beta0)
+        modes += [(half - g, PI_PLUS @ vec), (-half - g, PI_MINUS @ vec)]
+    return _mode_sum(modes, z).real
 
 
 def basis_A(gamma, beta0, z):

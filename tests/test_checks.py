@@ -7,7 +7,7 @@ from hamstat.checks import (SpinorFields, check_conformal, check_flatness,
 from hamstat.errors import AngleUnwrapFailure, DegenerateMetric
 from hamstat.lattices import Lattice
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
-from hamstat.weierstrass import immerse
+from hamstat.weierstrass import _affine_frame, immerse
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +152,26 @@ def test_report_json_shape(tori):
     data = rep.to_dict()
     for key in ("check", "grid_n", "residual", "threshold", "pass"):
         assert key in data
+
+
+@pytest.mark.parametrize("where", ["value", "argument"])
+def test_suite_rejects_sine_perturbation(tori, where):
+    # perturbing the value leaves immerse on its separable grid path;
+    # perturbing the argument feeds it off-grid points and the loop runs
+    spec = tori[1]
+    delta = 1e-5
+
+    def wave(z):
+        return delta * np.sin(2 * np.pi * np.asarray(z).real)
+
+    def perturbed(z):
+        if where == "value":
+            return immerse(spec, z) + wave(z)[..., None]
+        return immerse(spec, z + wave(z))
+
+    zs = spec.lattice.grid(32)
+    assert _affine_frame(zs) is not None and _affine_frame(zs + wave(zs)) is None
+    good = run_suite(lambda z: immerse(spec, z), spec.lattice, 32, spec=spec)
+    bad = run_suite(perturbed, spec.lattice, 32, spec=spec)
+    assert all(r.passed for r in good)
+    assert not bad[0].passed                    # conformal

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hamstat.cli import main, parse_complex
+from hamstat.cli import _face_block, _write_obj, _write_ply, main, parse_complex
 from hamstat.finitetype import standard_torus_killing_seed
 from hamstat.tori import standard_torus
 
@@ -29,10 +30,14 @@ def seed_file(tmp_path):
 
 
 def assert_input_error(argv, capsys):
-    """The command exits 2 with a one-line error and no traceback."""
-    with pytest.raises(SystemExit) as err:
-        main(argv)
+    """The command exits 2 with a one-line error, no traceback and no
+    warning (which the command line would print on stderr)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as err:
+            main(argv)
     assert err.value.code == 2
+    assert not caught, [str(w.message) for w in caught]
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -269,10 +274,75 @@ def _spec_with(edit):
     _spec_with(lambda d: d["coefficients"][0].update(re=float("nan"))),
     _spec_with(lambda d: d["coefficients"][0].update(im=float("inf"))),
     _spec_with(lambda d: d["coefficients"][1].update(re=float("-inf"))),
+    # a search box of 8e24 candidates: refused before anything is allocated
+    _spec_with(lambda d: d.update(beta0=[1e12, 1e12])),
+    _spec_with(lambda d: d["lattice"].update(g1=[1e300, 0.0])),
+    _spec_with(lambda d: d["lattice"].update(g1=[float("inf"), 0.0])),
 ], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
-        "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf"])
+        "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
+        "beta0-huge", "g1-huge", "g1-inf"])
 def test_malformed_spec_is_input_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    for command in ("verify", "family"):
-        assert_input_error([command, str(path)], capsys)
+    mesh = tmp_path / "bad.obj"
+    for argv in (["verify", str(path)], ["family", str(path)],
+                 ["mesh", str(path), "--out", str(mesh)]):
+        assert_input_error(argv, capsys)
+    assert not mesh.exists()
+
+
+# --- mesh writers --------------------------------------------------------------
+
+def _reference_faces(n):
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a = i * n + j
+            b = ((i + 1) % n) * n + j
+            c = ((i + 1) % n) * n + (j + 1) % n
+            d = i * n + (j + 1) % n
+            faces.append((a, b, c, d))
+    return faces
+
+
+def _reference_obj(path, verts, n, header):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {header}\n")
+        for v in verts:
+            fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
+        for f in _reference_faces(n):
+            fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+
+
+def _reference_ply(path, verts, n, header):
+    faces = _reference_faces(n)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"comment {header}\n")
+        fh.write(f"element vertex {len(verts)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write(f"element face {len(faces)}\n")
+        fh.write("property list uchar int vertex_indices\nend_header\n")
+        for v in verts:
+            fh.write(f"{v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
+        for f in faces:
+            fh.write("4 " + " ".join(str(i) for i in f) + "\n")
+
+
+@pytest.mark.parametrize("n", [3, 64, 256])
+def test_mesh_writers_match_per_line_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    verts = (rng.choice([-1.0, 1.0], size=(n * n, 3))
+             * 10.0 ** rng.uniform(-8, 8, size=(n * n, 3)))
+    verts[0] = [0.0, -0.0, 1e-8]
+    verts[-1] = [1e8, -1e8, 0.1]
+    writers = {"obj": (_write_obj, _reference_obj),
+               "ply": (_write_ply, _reference_ply)}
+    for order in (("ply", "obj"), ("obj", "ply")):
+        _face_block.cache_clear()            # each order starts cold
+        for fmt in order:
+            ours, ref = writers[fmt]
+            ours(tmp_path / f"ours.{fmt}", verts, n, f"test {n}")
+            ref(tmp_path / f"ref.{fmt}", verts, n, f"test {n}")
+            assert ((tmp_path / f"ours.{fmt}").read_bytes()
+                    == (tmp_path / f"ref.{fmt}").read_bytes()), (order, fmt)

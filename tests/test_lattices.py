@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamstat.errors import (DegenerateLattice, EmptySpectrum,
-                            SlopeNotInDualLattice)
-from hamstat.lattices import (Lattice, PeriodicityClass, enumerate_frequencies,
-                              integer_span_lattice, period_lattice,
-                              periodicity_class)
+                            FrequencyBoxTooLarge, SlopeNotInDualLattice)
+from hamstat.lattices import (MAX_SEARCH_BOX, Lattice, PeriodicityClass,
+                              enumerate_frequencies, integer_span_lattice,
+                              period_lattice, periodicity_class)
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec
 
@@ -64,6 +64,17 @@ def test_dual_hexagonal_gram():
 def test_degenerate_lattice_rejected():
     with pytest.raises(DegenerateLattice):
         Lattice(1.0, 2.0)
+    with pytest.raises(DegenerateLattice):
+        Lattice(0.0, 0.0)
+    with pytest.raises(DegenerateLattice):       # no overflow from squaring
+        Lattice(1e300, 1j)
+
+
+@pytest.mark.parametrize("g1", [complex("inf"), complex("nan"),
+                                complex(1.0, float("-inf"))])
+def test_non_finite_generator_rejected(g1):
+    with pytest.raises(ValueError, match="finite"):
+        Lattice(g1, 1j)
 
 
 def test_enumerate_square_basic():
@@ -94,6 +105,16 @@ def test_enumerate_hexagonal_dual():
     for g in (omega, omega ** 2, -omega, -omega ** 2):
         assert (round(g.real, 9), round(g.imag, 9)) in pts
     assert pts == disk_scan_oracle(lat, 2.0)
+
+
+def test_enumerate_caps_search_box():
+    # on the square lattice, slope s(1 + i) scans (2 ceil(2 sqrt2 s/2) + 3)^2
+    # candidates: 1023^2 at s = 360, 1025^2 at s = 361
+    assert 1023 ** 2 <= MAX_SEARCH_BOX < 1025 ** 2
+    assert len(enumerate_frequencies(Lattice.square(), 360 + 360j)) > 0
+    for slope in (361 + 361j, 1e12 + 1e12j, 1e300 + 1e300j):
+        with pytest.raises(FrequencyBoxTooLarge):
+            enumerate_frequencies(Lattice.square(), slope)
 
 
 def test_enumerate_rejects_bad_slope():

@@ -9,9 +9,10 @@ from hamstat.errors import MonodromyWarning, ResonantFrequency
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.numerics import dot_r2, fd_x, fd_y, fd_z, fd_zbar
 from hamstat.tori import rhombic_torus, standard_torus
-from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, associated_family,
-                                 basis_A, basis_B, beta_eval, family_samples,
-                                 immerse, regularity_scan, spinor_ab, spinor_u)
+from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, _affine_frame,
+                                 associated_family, basis_A, basis_B,
+                                 beta_eval, family_samples, immerse,
+                                 regularity_scan, spinor_ab, spinor_u)
 
 
 @pytest.fixture
@@ -409,3 +410,54 @@ def test_spec_json_round_trip_is_exact_property(rhombic, slope, data):
 def test_spec_validation_rejects_off_circle():
     with pytest.raises(ValueError):
         TorusSpec.build(Lattice.square(), 1 + 1j, {0.5 + 0.5j: 1.0})
+
+
+# --- separable evaluation on affine grids ---------------------------------
+
+def _grid_specs():
+    rng = np.random.default_rng(7)
+    return [standard_torus(1.0, 1.0).spec, rhombic_torus().spec,
+            random_spec(rng), random_spec(rng, beta0=3 + 4j, n_active=6)]
+
+
+GRID_SPECS = _grid_specs()
+
+
+def _evaluators(spec, lam):
+    return {"immerse": lambda z: immerse(spec, z),
+            "spinor_u": lambda z: spinor_u(spec, z),
+            "family": FamilyEvaluator(spec, lam, warn=False)}
+
+
+def _loop(f, z):
+    """The per-point loop: a 1-D input never takes the grid path."""
+    return f(z.ravel()).reshape(z.shape + (4,))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(which=st.integers(0, len(GRID_SPECS) - 1),
+       z0=st.complex_numbers(max_magnitude=2.0),
+       u=st.complex_numbers(min_magnitude=1e-3, max_magnitude=0.1),
+       v=st.complex_numbers(min_magnitude=1e-3, max_magnitude=0.1),
+       n1=st.integers(4, 40), n2=st.integers(4, 33),
+       angle=st.floats(0.0, 2 * np.pi))
+def test_grid_path_matches_loop_property(which, z0, u, v, n1, n2, angle):
+    z = z0 + np.arange(n1)[:, None] * u + np.arange(n2)[None, :] * v
+    assert _affine_frame(z) is not None
+    for name, f in _evaluators(GRID_SPECS[which], np.exp(1j * angle)).items():
+        got, want = f(z), _loop(f, z)
+        assert got.shape == want.shape == (n1, n2, 4)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+def test_off_grid_input_falls_back_to_loop():
+    spec = GRID_SPECS[3]
+    zs = spec.lattice.grid(24) + 0.01 + 0.02j
+    moved = zs.copy()
+    moved[5, 7] += 1e-9
+    warped = zs + 1e-3 * np.sin(2 * np.pi * zs.real)
+    assert _affine_frame(zs) is not None
+    assert _affine_frame(moved) is None and _affine_frame(warped) is None
+    for f in _evaluators(spec, 0.6 + 0.8j).values():
+        for z in (moved, warped):
+            assert np.array_equal(f(z), _loop(f, z))
