@@ -105,6 +105,13 @@ class Lattice:
     def dual(self) -> "Lattice":
         """Generators with <gi*, gj> = delta_ij (2x2 inverse transpose)."""
         inv_t = np.linalg.inv(self.basis_matrix()).T
+        # huge or tiny generators can push the inverse out of the normal
+        # float range, where the dual would be garbage (or collinear)
+        normal = (inv_t == 0) | (np.abs(inv_t) >= np.finfo(float).tiny)
+        if not np.all(normal & np.isfinite(inv_t)):
+            raise DegenerateLattice(
+                f"generators {self.g1}, {self.g2} have no dual basis in the "
+                f"normal float range")
         return Lattice(complex(inv_t[0, 0], inv_t[1, 0]),
                        complex(inv_t[0, 1], inv_t[1, 1]))
 
@@ -146,6 +153,8 @@ class FrequencySet:
 
 
 def _require_slope(lattice: Lattice, beta0: complex, tol: float) -> Lattice:
+    if not math.isfinite(math.hypot(beta0.real, beta0.imag)):
+        raise SlopeNotInDualLattice(f"beta0 = {beta0} has no finite modulus")
     dl = lattice.dual()
     if abs(beta0) < tol:
         raise SlopeNotInDualLattice("beta0 must be nonzero")

@@ -488,39 +488,54 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     factor's coefficients; a condition number beyond the threshold signals
     the complement of the big cell.  Translations use the +-frequency
     projections of the conjugated translation loop.
+
+    A twisted rotation loop carries only even powers of lambda, so block
+    (i, j) = shat[j - i] vanishes unless j - i is even, and the right-hand
+    side only has odd block rows.  The odd rows and odd unknowns (exponents
+    -2, -4, ...) form a closed system; the even class has the same matrix
+    (for even ``neg_degree``) and a zero right-hand side, so its unknowns
+    are 0 and its condition number is the half system's.  A rotation loop
+    with odd modes is rejected rather than decoupled.
     """
     n = neg_degree or max(16, 2 * loop.degree)
     m = nsamples or _pow2(max(64, 8 * loop.degree, 4 * n))
     rot, trans = loop.sample(m)
-    sinv = np.linalg.inv(rot)
-    shat = loop_coeffs(sinv)
+    shat = loop_coeffs(np.linalg.inv(rot))
+    exps = coeff_exponents(m)
+    gate = max(tol, 1e-7) * max(1.0, loop.norm())
+    odd = float(np.max(np.abs(shat[exps % 2 == 1]), initial=0.0))
+    if odd > gate:
+        raise SingularInput(f"rotation loop is not twisted: odd modes "
+                            f"of its inverse reach {odd:.2e}")
 
-    # block row i holds exponent -1 - i, block column j exponent -1 - j
-    rows = np.arange(n + 8)
-    big = shat[(np.arange(n) - rows[:, None]) % m]
-    big = big.transpose(0, 2, 1, 3).reshape(4 * len(rows), 4 * n)
+    # block row i holds exponent -1 - i, block column j exponent -1 - j;
+    # only the odd rows and columns can be nonzero
+    rows = np.arange(1, n + 8, 2)
+    cols = np.arange(1, n, 2)
+    big = shat[(cols - rows[:, None]) % m]
+    big = big.transpose(0, 2, 1, 3).reshape(4 * len(rows), 4 * len(cols))
     rhs = -shat[(-1 - rows) % m].reshape(4 * len(rows), 4)
-    sol, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
+    half, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > cond_threshold:
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
 
-    ks_neg = np.arange(-1, -n - 1, -1)
-    rot_neg_coeffs = np.concatenate(
-        [np.array([ID4], dtype=complex), sol.reshape(n, 4, 4)])
-    gm_rot_loop = TwistedLoop(np.concatenate([[0], ks_neg]),
-                              rot_neg_coeffs, np.zeros((n + 1, 4), dtype=complex))
+    rot_neg_coeffs = np.zeros((n + 1, 4, 4), dtype=complex)
+    rot_neg_coeffs[0] = ID4
+    rot_neg_coeffs[2::2] = half.reshape(len(cols), 4, 4)
+    gm_rot_loop = TwistedLoop(np.arange(0, -n - 1, -1), rot_neg_coeffs,
+                              np.zeros((n + 1, 4), dtype=complex))
     gm_rot, _ = gm_rot_loop.sample(m)
-    gp_rot = np.linalg.inv(gm_rot) @ rot
+    gm_inv = np.linalg.inv(gm_rot)
+    gp_rot = gm_inv @ rot
 
     # positive factor must be holomorphic: measure the negative leakage
     gp_hat = loop_coeffs(gp_rot)
-    negs = coeff_exponents(m) < 0
-    leak = float(np.max(np.abs(gp_hat[negs]))) if np.any(negs) else 0.0
-    if leak > max(tol, 1e-7) * max(1.0, loop.norm()):
+    leak = float(np.max(np.abs(gp_hat[exps < 0]), initial=0.0))
+    if leak > gate:
         raise OutsideBigCell(f"positive factor leaks negative modes ({leak:.2e})")
 
-    v = np.einsum("mij,mj->mi", np.linalg.inv(gm_rot), trans)
+    v = np.einsum("mij,mj->mi", gm_inv, trans)
     t_plus = q_plus(v)
     t_minus = np.einsum("mij,mj->mi", gm_rot, q_minus(v))
     g_minus = TwistedLoop.from_samples(gm_rot, t_minus)

@@ -278,9 +278,16 @@ def _spec_with(edit):
     _spec_with(lambda d: d.update(beta0=[1e12, 1e12])),
     _spec_with(lambda d: d["lattice"].update(g1=[1e300, 0.0])),
     _spec_with(lambda d: d["lattice"].update(g1=[float("inf"), 0.0])),
+    # |beta0| overflows: Python abs() would raise OverflowError
+    _spec_with(lambda d: d.update(beta0=[1.7e308, 1.7e308])),
+    _spec_with(lambda d: d.update(beta0=[float("inf"), 0.0])),
+    # finite generators whose dual basis underflows
+    _spec_with(lambda d: d["lattice"].update(g1=[1.7e308, 1.7e308],
+                                             g2=[-1.7e308, 1.7e308])),
 ], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
         "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
-        "beta0-huge", "g1-huge", "g1-inf"])
+        "beta0-huge", "g1-huge", "g1-inf", "beta0-overflow", "beta0-inf",
+        "dual-underflow"])
 def test_malformed_spec_is_input_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

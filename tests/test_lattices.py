@@ -77,6 +77,21 @@ def test_non_finite_generator_rejected(g1):
         Lattice(g1, 1j)
 
 
+def test_dual_out_of_float_range_names_the_generators():
+    # the inverse basis underflows to subnormals (5.9e-309 and -0 without
+    # the check, reported as a collinear dual); tiny generators overflow it
+    for g1, g2 in ((1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j),
+                   (1e-320, 1e-320j)):
+        lat = Lattice(g1, g2)
+        with pytest.raises(DegenerateLattice) as err:
+            lat.dual()
+        assert f"generators {lat.g1}, {lat.g2} have no dual basis" in str(err.value)
+    # generators near the range ends with a normal dual still invert
+    for scale in (1e300, 1e-300):
+        d = Lattice(scale, scale * 1j).dual()
+        assert d.g1 == 1.0 / scale and d.g2 == 1j / scale
+
+
 def test_enumerate_square_basic():
     fs = enumerate_frequencies(Lattice.square(), 1 + 1j)
     assert len(fs) == 2
@@ -122,6 +137,12 @@ def test_enumerate_rejects_bad_slope():
         enumerate_frequencies(Lattice.square(), 0.3 + 0.4j)
     with pytest.raises(SlopeNotInDualLattice):
         enumerate_frequencies(Lattice.square(), 0.0)
+    # a modulus past the float range, checked before any abs()
+    for slope in (1.7e308 + 1.7e308j, complex("inf"), complex("nan")):
+        with pytest.raises(SlopeNotInDualLattice, match="finite modulus"):
+            enumerate_frequencies(Lattice.square(), slope)
+        with pytest.raises(SlopeNotInDualLattice, match="finite modulus"):
+            periodicity_class(Lattice.square(), slope)
 
 
 def test_frequency_set_invariants(rng):

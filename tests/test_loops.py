@@ -357,6 +357,77 @@ def test_birkhoff_outside_big_cell():
         birkhoff(loop, neg_degree=24, nsamples=m)
 
 
+def _ref_birkhoff_negative(loop, n, m):
+    """Negative-factor coefficients (exponents -1..-n) and condition number
+    from the full block Toeplitz system, both parity classes at once."""
+    rot, _ = loop.sample(m)
+    shat = loop_coeffs(np.linalg.inv(rot))
+    rows = np.arange(n + 8)
+    big = shat[(np.arange(n) - rows[:, None]) % m]
+    big = big.transpose(0, 2, 1, 3).reshape(4 * len(rows), 4 * n)
+    rhs = -shat[(-1 - rows) % m].reshape(4 * len(rows), 4)
+    sol, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
+    return sol.reshape(n, 4, 4), sv[0] / sv[-1]
+
+
+def test_birkhoff_matches_full_toeplitz_reference(monkeypatch):
+    # criterion-6 products: degree-5 negative times positive, amplitude 0.15
+    rng = np.random.default_rng(6)
+    lstsq = np.linalg.lstsq
+    conds = []
+
+    def recording_lstsq(a, b, rcond=None):
+        out = lstsq(a, b, rcond=rcond)
+        conds.append(out[3][0] / out[3][-1])
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    n, m = 40, 256
+    for _ in range(20):
+        gm = exp_twisted_loop(*random_twisted_algebra_coeffs(
+            5, rng, amp=0.15, sign=-1), 128)
+        gp = exp_twisted_loop(*random_twisted_algebra_coeffs(
+            5, rng, amp=0.15, sign=+1), 128)
+        prod = gm.compose(gp, 256)
+        ref, ref_cond = _ref_birkhoff_negative(prod, n, m)
+        gm2, _ = birkhoff(prod, neg_degree=n, nsamples=m)
+        got = np.zeros((m, 4, 4), dtype=complex)
+        for k, r in zip(gm2.ks, gm2.rot):
+            if k < 0:
+                got[-1 - k] = r
+        assert np.max(np.abs(got[:n] - ref)) <= 1e-12
+        assert np.max(np.abs(got[n:])) <= 1e-12
+        assert abs(conds[-1] - ref_cond) <= 1e-10 * ref_cond
+        # the even class (odd exponents -1, -3, ...) is exactly zero
+        assert np.all(got[0::2] == 0)
+    assert len(conds) == 40
+
+
+def test_birkhoff_rejects_untwisted_rotation():
+    # one odd rotation mode: the parity classes would couple
+    loop = TwistedLoop(np.array([0, 1]), np.array([ID4, 0.1 * R_I]),
+                       np.zeros((2, 4), dtype=complex))
+    with pytest.raises(SingularInput, match="twisted"):
+        birkhoff(loop, neg_degree=16, nsamples=128)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(degree=st.integers(1, 6), amp=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_birkhoff_twisted_input_passes_twist_gate(degree, amp, seed):
+    # the twist gate never fires on a twisted loop, and both factors stay
+    # twisted; only the big-cell gates may refuse the loop
+    loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
+                                     amp=amp)
+    try:
+        gm, gp = birkhoff(loop, neg_degree=40)
+    except OutsideBigCell:
+        return
+    bound = 1e-10 * max(1.0, loop.norm())
+    assert gm.twist_residual() <= bound
+    assert gp.twist_residual() <= bound
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(degree=st.integers(1, 6), amp=st.floats(0.05, 3.0),
        seed=st.integers(0, 2 ** 32 - 1))
