@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import checks, finitetype, lattices, weierstrass
-from .errors import HamstatError
+from .errors import HamstatError, SingularInput
 from .lattices import Lattice
 
 EXIT_OK = 0
@@ -257,7 +257,10 @@ def cmd_lax(args) -> int:
     path = [i / n * lat.g1 for i in range(1, n + 1)]
     path += [lat.g1 + i / n * lat.g2 for i in range(1, n + 1)]
     step = lat.diameter() / args.steps
-    res = finitetype.lax_integrate(field, path, step=step)
+    try:
+        res = finitetype.lax_integrate(field, path, step=step)
+    except SingularInput as exc:
+        raise SystemExit_input(f"invalid seed file: {exc}")
     payload = {
         "degree": field.d,
         "samples": len(res.points),

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPS, G0_BASIS, L_I, coords, from_coords
+from .algebra import (EPS, G0_BASIS, L_I, ROTATION_BASIS, AlgebraElement,
+                      coords, from_coords)
 from .checks import _curvature_residual
-from .errors import StepSizeUnderflow
+from .errors import SingularInput, StepSizeUnderflow
 from .loops import TwistedLoop, _parse_record
 from .tori import rhombic_torus, standard_torus
 from .weierstrass import TorusSpec, _mode_sum, _u_modes
@@ -134,67 +135,114 @@ def lax_project(xi: KillingField):
             0: (r_op(xi.coeff(-xi.d + 2)[0]), np.zeros(4, dtype=complex))}
 
 
-def _affine(xi: KillingField) -> np.ndarray:
-    """The (2d+1, 5, 5) affine state [[rot, trans], [0, 0]] of a field."""
-    state = np.zeros((2 * xi.d + 1, 5, 5), dtype=complex)
-    state[:, :4, :4] = xi.rot
-    state[:, :4, 4] = xi.trans
-    return state
+# --- the flow in algebra coordinates ------------------------------------------
+# A coefficient of u(2) (x) C |x C^4 is the 8-vector of its rotation's
+# ROTATION_BASIS coordinates and its translation; a field is (2d+1, 8).
+_UNITS = ([AlgebraElement(b, np.zeros(4)) for b in ROTATION_BASIS]
+          + [AlgebraElement(np.zeros((4, 4)), t) for t in np.eye(4)])
+# structure constants: entry [q, 8p + c] is coordinate c of [e_p, e_q], so
+# the rows of m @ _BRACKET hold [e_p, m_j]
+_BRACKET = np.array([
+    np.r_[coords(ab.rotation, ROTATION_BASIS), ab.translation]
+    for ab in (a.bracket(b) for b in _UNITS for a in _UNITS)]).reshape(8, 64)
+_SPILL_CHUNK = 256      # RK stages held by a spill log between reductions
 
 
-def _lax_rhs(state, zdot: complex, pad_report: list) -> np.ndarray:
-    """Bracket of every state coefficient with the multiplier
-    zdot*M + conj(zdot)*Mbar (five 5 x 5 matrices, exponents -2..2),
-    truncated back to the field's exponents; the spill into the four
-    padding rows is appended to pad_report."""
-    n = state.shape[0]
-    zbar = np.conj(zdot)
-    mult = np.zeros((5, 5, 5), dtype=complex)
-    mult[:2] = zdot * state[:2]
-    mult[3:] = zbar * np.conj(state[1::-1])
-    r = r_op(state[2, :4, :4])
-    mult[2, :4, :4] = zdot * r + zbar * np.conj(r)
-    # xi_k M_j as [k, a, j, b] and M_j xi_k as [j, a, k, b]
-    left = (state.reshape(5 * n, 5)
-            @ mult.transpose(1, 0, 2).reshape(5, 25)).reshape(n, 5, 5, 5)
-    right = (mult.reshape(25, 5)
-             @ state.transpose(1, 0, 2).reshape(5, 5 * n)).reshape(5, 5, n, 5)
-    bracket = left.transpose(2, 0, 1, 3) - right.transpose(0, 2, 1, 3)
-    out = np.zeros((n + 4, 5, 5), dtype=complex)
-    for j in range(5):
-        out[j:j + n] += bracket[j]
-    pad_report.append(float(np.max(np.abs(out[[0, 1, -2, -1]]))))
-    return out[2:-2]
+def _field_coords(xi: KillingField) -> np.ndarray:
+    """(2d+1, 8) coordinates of a field; SingularInput when a rotation
+    coefficient leaves the span of ROTATION_BASIS."""
+    rot = coords(xi.rot, ROTATION_BASIS)
+    off = np.max(np.abs(xi.rot - from_coords(rot, ROTATION_BASIS)), axis=(1, 2))
+    bad = np.flatnonzero(
+        off > 1e-12 * np.maximum(1.0, np.max(np.abs(xi.rot), axis=(1, 2))))
+    if bad.size:
+        raise SingularInput(f"rotation coefficient at exponent {bad[0] - xi.d} "
+                            f"is off the u(2) algebra by {off[bad[0]]:.3e}")
+    return np.concatenate([rot, xi.trans], axis=1)
 
 
-def _flow_state(state, z_from: complex, z_to: complex, step: float,
-                pad: list):
-    """RK4 Lax flow of an affine state along the straight segment; returns
-    the moved state and the number of RK steps taken."""
+class _SpillLog:
+    """Truncation spill of the RK stages: padding rows held for up to
+    _SPILL_CHUNK stages, then reduced to each stage's largest |entry| as 4 x 4
+    rotations and 4-vectors (into ``diagnostics``) and their maximum ``worst``."""
+
+    def __init__(self, diagnostics: list | None = None):
+        self.rows = np.empty((_SPILL_CHUNK, 4, 8), dtype=complex)
+        self.fill, self.worst, self.diagnostics = 0, 0.0, diagnostics
+
+    def push(self, pad):
+        self.rows[self.fill] = pad
+        self.fill += 1
+        if self.fill == _SPILL_CHUNK:
+            self.flush()
+
+    def flush(self) -> float:
+        held = self.rows[:self.fill]
+        per_stage = np.maximum(
+            np.abs(from_coords(held[..., :4], ROTATION_BASIS)).max(axis=(1, 2, 3)),
+            np.abs(held[..., 4:]).max(axis=(1, 2)))
+        self.worst = float(np.max(per_stage, initial=self.worst))
+        if self.diagnostics is not None:
+            self.diagnostics.extend(per_stage.tolist())
+        self.fill = 0
+        return self.worst
+
+
+def _lax_stage(n: int, zdot: complex, spill: _SpillLog):
+    """Lax derivative of (n, 8) field coordinates along direction zdot.
+    ``mult`` takes (x[:3], conj x[:3]) to the multiplier zdot*M + conj(zdot)*Mbar
+    at exponents -2..2, with r_op as a 4 x 4 coordinate block; ``shift`` puts
+    coefficient k in row (k + j, j): field exponents first, padding last."""
+    zbar, eye = np.conj(zdot), np.eye(8)
+    r = np.stack([coords(r_op(b), ROTATION_BASIS) for b in ROTATION_BASIS], 1)
+    mult = np.zeros((5, 8, 2, 3, 8), dtype=complex)   # [j, c, conj, i, c']
+    mult[0, :, 0, 0] = mult[1, :, 0, 1] = zdot * eye
+    mult[3, :, 1, 1] = mult[4, :, 1, 0] = zbar * eye
+    mult[2, :4, 0, 2, :4] = zdot * r
+    mult[2, :4, 1, 2, :4] = zbar * np.conj(r)
+    mult = mult.reshape(40, 48)
+    order = np.r_[2:n + 2, 0, 1, n + 2, n + 3]
+    shift = np.stack([np.eye(n + 4, n, -j, dtype=complex)[order]
+                      for j in range(5)], axis=1).reshape(5 * (n + 4), n)
+
+    def rhs(x):
+        v = x[:3].ravel()
+        m = (mult @ np.concatenate((v, v.conj()))).reshape(5, 8)
+        out = (shift @ x).reshape(n + 4, 40) @ (m @ _BRACKET).reshape(40, 8)
+        spill.push(out[n:])
+        return out[:n]
+    return rhs
+
+
+def _flow_coords(x, z_from: complex, z_to: complex, step: float,
+                 spill: _SpillLog):
+    """RK4 Lax flow of field coordinates along the straight segment; returns
+    the moved coordinates and the number of RK steps taken."""
     seg = complex(z_to) - complex(z_from)
     length = abs(seg)
     if length == 0:
-        return state, 0
+        return x, 0
     nsteps = max(1, int(np.ceil(length / step)))
     h = length / nsteps
     if h < 1e-14 * max(1.0, abs(z_to)):
         raise StepSizeUnderflow(f"step {h:.3e} below representable resolution")
-    direction = seg / length
+    rhs = _lax_stage(x.shape[0], seg / length, spill)
     for _ in range(nsteps):
-        k1 = _lax_rhs(state, direction, pad)
-        k2 = _lax_rhs(state + 0.5 * h * k1, direction, pad)
-        k3 = _lax_rhs(state + 0.5 * h * k2, direction, pad)
-        k4 = _lax_rhs(state + h * k3, direction, pad)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return state, nsteps
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x, nsteps
 
 
 def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
                step: float, diagnostics: list | None = None) -> KillingField:
-    """RK4 integration of the Lax flow along the straight segment."""
-    pad = diagnostics if diagnostics is not None else []
-    state, _ = _flow_state(_affine(xi0), z_from, z_to, step, pad)
-    return KillingField(xi0.d, state[:, :4, :4], state[:, :4, 4])
+    """RK4 Lax flow along the straight segment; per-stage spill to diagnostics."""
+    spill = _SpillLog(diagnostics)
+    x, _ = _flow_coords(_field_coords(xi0), z_from, z_to, step, spill)
+    spill.flush()
+    return KillingField(xi0.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:])
 
 
 def _alpha_xy(xi: KillingField, lam: complex):
@@ -252,16 +300,17 @@ def lax_integrate(seed: KillingField, waypoints, step: float | None = None,
     if step is None:
         scale = lattice.diameter() if lattice is not None else 1.0
         step = scale / 2048.0
-    diag: list = []
+    spill = _SpillLog()
     points = [0.0 + 0.0j] + [complex(z) for z in waypoints]
     fields = [seed.copy()]
-    state = _affine(seed)
+    x = _field_coords(seed)
     steps = 0
     for z_prev, z in zip(points, points[1:]):
-        state, n = _flow_state(state, z_prev, z, step, diag)
+        x, n = _flow_coords(x, z_prev, z, step, spill)
         steps += n
-        fields.append(KillingField(seed.d, state[:, :4, :4], state[:, :4, 4]))
-    return LaxFlowResult(points, fields, max(diag) if diag else 0.0, steps)
+        fields.append(KillingField(
+            seed.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:]))
+    return LaxFlowResult(points, fields, spill.flush(), steps)
 
 
 # --- formal Killing series --------------------------------------------------

@@ -11,6 +11,7 @@ differences never enter here; they are reserved for the verification module.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 _KEY_DECIMALS = 9
+# largest coefficient modulus whose square is a finite float
+_MAX_MODULUS = np.sqrt(np.finfo(float).max)
 
 
 def _key(gamma: complex):
@@ -73,6 +76,9 @@ class TorusSpec:
         for g, a in self.items():
             if not np.isfinite(a):
                 raise ValueError(f"coefficient {a} at frequency {g} is not finite")
+            if math.hypot(a.real, a.imag) > _MAX_MODULUS:
+                raise ValueError(f"coefficient {a} at frequency {g} has a "
+                                 "squared modulus beyond the float range")
             if not freq.contains_point(g, 10 * tol):
                 raise ValueError(f"coefficient frequency {g} is not in the "
                                  f"circle set for beta0 = {self.beta0}")

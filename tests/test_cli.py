@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hamstat.algebra import L_J
 from hamstat.cli import _face_block, _write_obj, _write_ply, main, parse_complex
 from hamstat.finitetype import standard_torus_killing_seed
 from hamstat.tori import standard_torus
@@ -247,6 +248,17 @@ def test_lax_seed_non_numeric_entry(seed_file, capsys):
     assert_input_error(["lax", seed_file], capsys)
 
 
+def test_lax_seed_off_algebra_rotation(seed_file, capsys):
+    # an L_j rotation coefficient lies outside u(2) (x) C |x C^4
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    rec = payload["field"]["coefficients"][0]
+    rec["rotation"] = [[[v, 0.0] for v in row] for row in L_J.tolist()]
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
 @pytest.mark.parametrize("lams", ["1,0.6+0.8x", "1,", "1,0.6+0.8i+"])
 def test_family_malformed_lambda(spec_file, capsys, lams):
     assert_input_error(["family", spec_file, "--lambda", lams], capsys)
@@ -274,6 +286,8 @@ def _spec_with(edit):
     _spec_with(lambda d: d["coefficients"][0].update(re=float("nan"))),
     _spec_with(lambda d: d["coefficients"][0].update(im=float("inf"))),
     _spec_with(lambda d: d["coefficients"][1].update(re=float("-inf"))),
+    # finite, but its squared modulus overflows
+    _spec_with(lambda d: d["coefficients"][0].update(re=1e308)),
     # a search box of 8e24 candidates: refused before anything is allocated
     _spec_with(lambda d: d.update(beta0=[1e12, 1e12])),
     _spec_with(lambda d: d["lattice"].update(g1=[1e300, 0.0])),
@@ -286,6 +300,7 @@ def _spec_with(edit):
                                              g2=[-1.7e308, 1.7e308])),
 ], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
         "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
+        "re-huge",
         "beta0-huge", "g1-huge", "g1-inf", "beta0-overflow", "beta0-inf",
         "dual-underflow"])
 def test_malformed_spec_is_input_error(tmp_path, capsys, payload):

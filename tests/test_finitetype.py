@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hamstat.algebra import EPS, L_I, R_I, R_J, R_K, tau_rotation, tau_vector
-from hamstat.errors import StepSizeUnderflow
-from hamstat.finitetype import (KillingField, _affine, _lax_rhs, b0_basis,
+from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS,
+                             from_coords, tau_rotation, tau_vector)
+from hamstat.errors import SingularInput, StepSizeUnderflow
+from hamstat.finitetype import (_SPILL_CHUNK, KillingField, _field_coords,
+                                _lax_stage, _SpillLog, b0_basis,
                                 flow_field, formal_killing, fourier_recurrence,
                                 lax_flatness_residual, lax_integrate,
                                 lax_project, mode_eval, pi_g0,
@@ -192,21 +194,54 @@ def test_affine_derivative_matches_per_exponent_loop(rng):
         zeta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         want = 0.5 * (pi_g0(zeta) - 1j * pi_g0(1j * zeta))
         assert np.max(np.abs(r_op(zeta) - want)) < 1e-14
+    # the flow runs on u(2) (x) C |x C^4: a gl(4) rotation is refused
     d = 6
     rot = rng.normal(size=(2 * d + 1, 4, 4)) + 1j * rng.normal(size=(2 * d + 1, 4, 4))
     trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
-    assert np.all(rot != 0) and np.all(trans != 0)
-    state = _affine(KillingField(d, rot, trans))
-    scale = max(np.max(np.abs(rot)), np.max(np.abs(trans)))
-    for zdot in (1.0, np.exp(0.7j)):
-        want_pad, got_pad = [], []
-        want_rot, want_trans = _reference_rhs(rot, trans, zdot, want_pad)
-        got = _lax_rhs(state, zdot, got_pad)
-        assert np.max(np.abs(got[:, :4, :4] - want_rot)) < 1e-13 * scale
-        assert np.max(np.abs(got[:, :4, 4] - want_trans)) < 1e-13 * scale
-        assert np.all(got[:, 4] == 0)
-        assert len(got_pad) == 1
-        assert abs(got_pad[0] - want_pad[0]) <= 1e-15 * want_pad[0]
+    with pytest.raises(SingularInput, match="exponent -6 "):
+        flow_field(KillingField(d, rot, trans), 0.0, 0.1, step=0.01)
+    with pytest.raises(SingularInput, match="exponent -6 "):
+        lax_integrate(KillingField(d, rot, trans), [0.1], step=0.01)
+    for _ in range(20):
+        rot = from_coords(rng.normal(size=(2 * d + 1, 4))
+                          + 1j * rng.normal(size=(2 * d + 1, 4)), ROTATION_BASIS)
+        trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
+        assert np.all(trans != 0)
+        x = _field_coords(KillingField(d, rot, trans))
+        scale = max(np.max(np.abs(rot)), np.max(np.abs(trans)))
+        for zdot in (1.0, np.exp(0.7j)):
+            want_pad, got_pad = [], []
+            want_rot, want_trans = _reference_rhs(rot, trans, zdot, want_pad)
+            spill = _SpillLog(got_pad)
+            got = _lax_stage(2 * d + 1, zdot, spill)(x)
+            spill.flush()
+            got_rot = from_coords(got[:, :4], ROTATION_BASIS)
+            assert np.max(np.abs(got_rot - want_rot)) < 1e-13 * scale
+            assert np.max(np.abs(got[:, 4:] - want_trans)) < 1e-13 * scale
+            assert len(got_pad) == 1
+            assert abs(got_pad[0] - want_pad[0]) <= 1e-15 * want_pad[0]
+
+
+def test_spill_chunk_boundary():
+    # three full chunks of stage rows plus one RK step (four stages) on an
+    # algebra-valued field that is not real, so the spill is O(1) and its
+    # largest value falls in the last, partial chunk
+    rng = np.random.default_rng(2)
+    d = 2
+    rot = from_coords(rng.normal(size=(2 * d + 1, 4))
+                      + 1j * rng.normal(size=(2 * d + 1, 4)), ROTATION_BASIS)
+    trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
+    field = KillingField(d, rot, trans)
+    nsteps = 3 * _SPILL_CHUNK // 4 + 1
+    step = 0.2 / nsteps * (1 + 1e-12)
+    diag = []
+    flow_field(field, 0.0, 0.2, step, diag)
+    res = lax_integrate(field, [0.2], step=step)
+    assert res.steps == nsteps and len(diag) == 4 * nsteps
+    assert np.argmax(diag) >= 3 * _SPILL_CHUNK
+    assert res.max_spill == max(diag)
+    _, _, pad = _reference_flow(field, 0.0, 0.2, step)
+    assert np.allclose(diag, pad, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("make_seed", [

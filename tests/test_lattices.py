@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamstat.algebra import exp_g2
 from hamstat.errors import (DegenerateLattice, EmptySpectrum,
                             FrequencyBoxTooLarge, SlopeNotInDualLattice)
 from hamstat.lattices import (MAX_SEARCH_BOX, Lattice, PeriodicityClass,
                               enumerate_frequencies, integer_span_lattice,
                               period_lattice, periodicity_class)
 from hamstat.tori import rhombic_torus, standard_torus
-from hamstat.weierstrass import TorusSpec
+from hamstat.numerics import dot_r2
+from hamstat.weierstrass import TorusSpec, immerse
 
 
 def disk_scan_oracle(lattice, beta0, tol=1e-9):
@@ -235,6 +237,51 @@ def test_period_lattice_empty_spectrum():
     spec = TorusSpec.build(lat, 2.0, {}, validate=False)
     with pytest.raises(EmptySpectrum):
         period_lattice(spec)
+
+
+PROPERTY_LATTICES = {"square": Lattice.square(),
+                     "hexagonal": Lattice(1.0, np.exp(1j * np.pi / 3)),
+                     "rectangular": Lattice(1.0, 1.7j)}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(PROPERTY_LATTICES)),
+       slope=st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+       .filter(lambda nm: nm != (0, 0)),
+       shift=st.complex_numbers(max_magnitude=1.0), data=st.data())
+def test_period_lattice_generators_are_periods_property(kind, slope, shift,
+                                                         data):
+    lat = PROPERTY_LATTICES[kind]
+    dl = lat.dual()
+    beta0 = slope[0] * dl.g1 + slope[1] * dl.g2
+    freqs = list(enumerate_frequencies(lat, beta0))
+    if not freqs:
+        return
+    active = data.draw(st.lists(st.sampled_from(freqs), min_size=1,
+                                unique=True))
+    coeffs = data.draw(st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+        min_size=len(active), max_size=len(active)))
+    spec = TorusSpec.build(lat, beta0, dict(zip(active, coeffs)))
+    rep = period_lattice(spec)
+    if rep.rank != 2:
+        return
+    zs = lat.grid(3) + 0.1 + 0.2j
+    x = immerse(spec, zs)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(x))))
+    for p in (rep.delta.g1, rep.delta.g2):
+        assert np.max(np.abs(immerse(spec, zs + p) - x)) <= tol
+    # a basepoint translation only rotates the mode phases: same frequencies,
+    # so the same period lattice
+    moved = TorusSpec.build(lat, beta0, {
+        g: a * np.exp(2j * np.pi * dot_r2(g, shift)) for g, a in spec.items()})
+    rotation = exp_g2(np.pi * dot_r2(beta0, shift))
+    got = immerse(moved, zs) @ rotation.T
+    assert np.max(np.abs(immerse(spec, zs + shift) - got)) <= tol
+    back = period_lattice(moved)
+    assert back.rank == 2 and back.multiple_cover == rep.multiple_cover
+    assert back.delta.same_lattice(rep.delta)
+    assert back.delta_dual.same_lattice(rep.delta_dual)
 
 
 def test_integer_span_lattice_reduction():
