@@ -124,6 +124,8 @@ class KillingField(TwistedLoop):
             if abs(k) > d:
                 raise ValueError(f"exponent {k} outside -{d}..{d}")
             field.set_coeff(k, rot, trans)
+        if not (np.isfinite(field.rot).all() and np.isfinite(field.trans).all()):
+            raise ValueError("coefficients must be finite")
         return field
 
 

@@ -621,17 +621,50 @@ class HolomorphicPotentialData:
         return cls.from_dict(json.loads(text))
 
 
+def _half_slots(m: int):
+    """Slots of the half-angle phases e^{+-i h / (2 lam^2)} over m samples.
+
+    They depend on lam only through +-lam^-2, which are the roots
+    e^{-i pi s / m} at the slots s = 4j and 4j + m (mod 2m).  That slot set
+    is closed under s -> s + m, which negates the root, so ``half`` holds
+    0.5j e^{-i pi s / m} for its slots s < m only and `_slot_exps` fills the
+    slots s + m by reciprocals.  ``pick[j]`` indexes that table at +lam_j^-2
+    and -lam_j^-2.
+    """
+    j = np.arange(m)
+    slots = np.stack([4 * j, 4 * j + m], axis=1) % (2 * m)
+    low = np.unique(slots[slots < m])
+    index = np.empty(2 * m, dtype=int)
+    index[low] = np.arange(len(low))
+    index[low + m] = len(low) + np.arange(len(low))
+    return 0.5j * np.exp(-1j * np.pi * low / m), index[slots]
+
+
+def _slot_exps(h, half):
+    """exp(h half_s) for every slot s < m, then the reciprocals for the
+    slots s + m: shape h.shape + (2 len(half),)."""
+    q = len(half)
+    out = np.empty(h.shape + (2 * q,), dtype=complex)
+    np.exp(h[..., None] * half, out=out[..., :q])
+    np.divide(1.0, out[..., :q], out=out[..., q:])
+    return out
+
+
 def _lift_w_minus1(lift, z, m: int):
     """Exponent -1 loop coefficient of W = e^{theta L_i} X_lam over z, with
     theta = -h / (2 lam^2): the lam^{+1} projection mean(lam W), taken
     through e^{theta L_i} = e^{i theta} P+ + e^{-i theta} P- so that the
-    samples contract before they are rotated.  Shape (..., 4)."""
+    samples contract (both signs in one product per part of the complex
+    weights) before they are rotated.  Shape (..., 4)."""
     z = np.asarray(z, dtype=complex)
     _, x = lift.samples(z, m)
-    lams = unit_lambdas(m)
-    rot = np.exp(-0.5j * lift.h_fn(z)[..., None] / lams ** 2)
-    plus = np.einsum("...j,...ji->...i", lams * rot, x)
-    minus = np.einsum("...j,...ji->...i", lams / rot, x)
+    half, pick = _half_slots(m)
+    # lam e^{-+i theta}, with e^{-+i theta} = exp(h half) at the slots of
+    # +-lam^-2; the samples are real, so each part of the weights contracts
+    # with them in place (a complex product would copy them to complex)
+    weights = _slot_exps(lift.h_fn(z), half)[..., pick.T]    # (..., 2, m)
+    weights *= unit_lambdas(m)
+    minus, plus = np.moveaxis(weights.real @ x + 1j * (weights.imag @ x), -2, 0)
     return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / m
 
 
@@ -689,7 +722,7 @@ def _taylor_interpolant(ring_values, radius):
 # that `ReconstructedLift._rule` contracts
 _SPLIT_SPIN = np.stack([PI_PLUS @ EPS, PI_PLUS @ LI_EPS_BAR,
                         PI_MINUS @ EPS, PI_MINUS @ LI_EPS_BAR])
-_CHUNK = 1 << 16        # elements of one (nodes, points, phases) block
+_CHUNK = 1 << 16        # elements of one (points, nodes, slots) block
 
 
 class ReconstructedLift:
@@ -729,21 +762,19 @@ class ReconstructedLift:
         wab = weights[:, None] * np.stack([
             np.broadcast_to(self.pot.a(v), v.shape),
             np.broadcast_to(self.pot.b(v), v.shape)])            # (2, n, points)
-        # e^{+-i theta} depend on lam only through +-lam^-2, whose values are
-        # the roots e^{-i pi k / m} at the slots k; `pick` maps them back
+        # e^{+-i theta} per slot of +-lam^-2 (`_half_slots`); the node sum
+        # is one (a|b, nodes) @ (nodes, slots) product per point
         m = self.m
-        j = np.arange(m)
-        slots, pick = np.unique(np.stack([4 * j, 4 * j + m], axis=1) % (2 * m),
-                                return_inverse=True)
-        half = 0.5j * np.exp(-1j * np.pi * slots / m)
-        sums = np.zeros((v.shape[1], len(slots), 2), dtype=complex)
-        step = max(1, _CHUNK // max(1, sums.size // 2))
-        for lo in range(0, n, step):
-            sums += np.einsum("kcp,cpq->pqk", wab[:, lo:lo + step],
-                              np.exp(h[lo:lo + step, :, None] * half))
+        half, pick = _half_slots(m)
+        wab = wab.transpose(2, 0, 1)                             # (points, 2, n)
+        sums = np.empty((len(wab), 2, 2 * len(half)), dtype=complex)
+        step = max(1, _CHUNK // (2 * len(half) * n))
+        for lo in range(0, len(wab), step):
+            cols = slice(lo, lo + step)
+            np.matmul(wab[cols], _slot_exps(h[:, cols].T, half), out=sums[cols])
         # (point, lam, +-, a|b): the row order of _SPLIT_SPIN
-        acc = (sums[:, pick.ravel()].reshape(-1, m, 4) @ _SPLIT_SPIN
-               / unit_lambdas(m)[:, None])
+        acc = (sums[..., pick].transpose(0, 2, 3, 1).reshape(-1, m, 4)
+               @ _SPLIT_SPIN / unit_lambdas(m)[:, None])
         return (acc * shift.ravel()[:, None, None]).reshape(shape + (m, 4))
 
     def eta(self, z):

@@ -29,8 +29,10 @@ __all__ = [
 ]
 
 _KEY_DECIMALS = 9
-# largest coefficient modulus whose square is a finite float
-_MAX_MODULUS = np.sqrt(np.finfo(float).max)
+# largest coefficient modulus: the metric determinant of the checks grows as
+# its fourth power, which must stay finite with room for a 1e6 scale from
+# the frequencies and the derivatives
+_MAX_MODULUS = np.finfo(float).max ** 0.25 / 1e6
 
 
 def _key(gamma: complex):
@@ -78,7 +80,8 @@ class TorusSpec:
                 raise ValueError(f"coefficient {a} at frequency {g} is not finite")
             if math.hypot(a.real, a.imag) > _MAX_MODULUS:
                 raise ValueError(f"coefficient {a} at frequency {g} has a "
-                                 "squared modulus beyond the float range")
+                                 f"modulus above {_MAX_MODULUS:.1e}, where "
+                                 "the metric overflows the float range")
             if not freq.contains_point(g, 10 * tol):
                 raise ValueError(f"coefficient frequency {g} is not in the "
                                  f"circle set for beta0 = {self.beta0}")
@@ -192,32 +195,25 @@ def _grid_sum(modes, frame, shape):
     return out.reshape(n1, n2, vecs.shape[1])
 
 
-def _mode_sum(modes, z, out=None):
-    """Sum of vec * exp(2 pi i <delta, z>) over the (delta, vec) pairs.
+def _mode_sum(modes, z):
+    """Sum of vec * exp(2 pi i <delta, z>) over the (delta, vec) pairs, shape
+    ``z.shape + (4,)``.
 
-    Each mode is added into ``out`` in place (fresh zeros of shape
-    ``z.shape + (4,)`` when omitted).  ``delta`` may be an array that
-    broadcasts against ``z``; ``vec`` then carries the same axes before its
-    last one.  Without ``out``, a 2-D ``z`` that is an affine grid (a
-    lattice grid or a shift of one) is summed separably by `_grid_sum`;
-    every other input runs the loop.  Every closed-form Fourier evaluator of
-    the package runs through this function.
+    A 2-D ``z`` that is an affine grid (a lattice grid or a shift of one) is
+    summed separably by `_grid_sum`; every other input runs the loop.
     """
     z = np.asarray(z, dtype=complex)
-    if out is None:
-        modes = list(modes)
-        frame = _affine_frame(z) if z.ndim == 2 and modes else None
-        if frame is not None:
-            return _grid_sum(modes, frame, z.shape)
-        out = np.zeros(z.shape + (4,), dtype=complex)
-    # added one component at a time, each wave freed before the next: an
-    # output-sized temporary per mode raises the process's peak memory on
-    # large (z, lam) batches
+    modes = list(modes)
+    frame = _affine_frame(z) if z.ndim == 2 and modes else None
+    if frame is not None:
+        return _grid_sum(modes, frame, z.shape)
+    out = np.zeros(z.shape + (4,), dtype=complex)
+    # one component at a time: a (z, 4) temporary per mode would raise the
+    # peak memory of large inputs
     for delta, vec in modes:
         wave = np.exp(2j * np.pi * dot_r2(delta, z))
-        for k in range(out.shape[-1]):
-            out[..., k] += wave * vec[..., k]
-        del wave
+        for k in range(4):
+            out[..., k] += wave * vec[k]
     return out
 
 
@@ -325,13 +321,18 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
 # --- associated family -------------------------------------------------
 
 _RES_TOL = 1e-12
+# elements of one (points, lams * 4) row block of a family batch: blocks this
+# small reuse allocator memory, where whole-batch temporaries (megabytes on
+# the extraction ring) came back as fresh pages, one page fault per 4 KB
+_BLOCK = 1 << 12
 
 
 def _family_terms(spec: TorusSpec, lams):
-    """Terms (mu, c1, c2) of the deformed derivative at circle parameter(s)
-    lams: c1 exp(2 pi i <mu, z>) dz + c2 exp(2 pi i <mu, z>) dz_bar, one per
-    spinor mode and eigenspace sign.  mu has the shape of lams and c1, c2
-    the shape lams.shape + (4,)."""
+    """Terms of the deformed derivative at circle parameter(s) lams: c1
+    exp(2 pi i <mu, z>) dz + c2 exp(2 pi i <mu, z>) dz_bar, one per spinor
+    mode delta and eigenspace sign sigma, with mu = delta + sigma lams^2
+    beta0 / 2.  Yields (delta, mu, c1, c2), the sign +1 term of each mode
+    first; mu has the shape of lams and c1, c2 the shape lams.shape + (4,)."""
     lams = np.asarray(lams, dtype=complex)
     shift = lams * lams * spec.beta0 / 2.0
     modes = _u_modes(spec)
@@ -339,13 +340,17 @@ def _family_terms(spec: TorusSpec, lams):
         entry = modes.get(_key(-delta))
         minus = entry[1] if entry is not None else np.zeros(4, dtype=complex)
         for sigma, proj in ((+1.0, PI_PLUS), (-1.0, PI_MINUS)):
-            yield (delta + sigma * shift, (proj @ vec) / lams[..., None],
+            yield (delta, delta + sigma * shift, (proj @ vec) / lams[..., None],
                    lams[..., None] * (proj @ np.conj(minus)))
 
 
 def _real_part(out, what: str):
-    imag = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if imag > 1e-8 * (1.0 + float(np.max(np.abs(out.real)))):
+    # max |.| from max and min: no array-sized temporaries
+    def peak(part):
+        return max(float(np.max(part)), -float(np.min(part))) if out.size else 0.0
+
+    imag = peak(out.imag)
+    if imag > 1e-8 * (1.0 + peak(out.real)):
         raise ArithmeticError(f"{what} has imaginary residue {imag:.2e}")
     return out.real
 
@@ -379,7 +384,7 @@ class FamilyEvaluator:
         """Group the terms by phase; exponential primitives go to ``_waves``
         as (mu, vec) modes, resonant (mu = 0) groups to ``_linear``."""
         groups: dict = {}
-        for mu, c1, c2 in _family_terms(self.spec, self.lam):
+        for _, mu, c1, c2 in _family_terms(self.spec, self.lam):
             mu = complex(mu)
             gk = _key(mu)
             if gk in groups:
@@ -436,28 +441,54 @@ def family_samples(spec: TorusSpec, z, lams, basepoint_zero: bool = True):
     """Family values on a batch of circle parameters, vectorized over (z, lam).
 
     Agrees with stacking :class:`FamilyEvaluator` values.  The terms come
-    from the same builder but are not grouped by phase: each is one mode
-    whose phase mu is an array over lams, summed for all lams at once.
-    Phases that collide only add, and a term's columns where mu vanishes
-    (the resonances) take the linear primitive instead.  With
-    ``basepoint_zero`` the value at z = 0 is subtracted, normalizing the
-    family as an extended lift.
+    from the same builder but are not grouped by phase.  Each wave factors
+    as e(<delta, z>) e(sigma <lam^2 beta0 / 2, z>), e(x) = exp(2 pi i x), and
+    the second factor's sign -1 value is the conjugate of its sign +1 one:
+    the batch costs one exponential per (mode, point), one cos/sin table
+    over (z, lam) and one (z, modes) @ (modes, lam * 4) product per sign.
+    A term's columns where mu vanishes (the resonances) take the linear
+    primitive instead.  With ``basepoint_zero`` the value at z = 0 is
+    subtracted, normalizing the family as an extended lift.
 
     Returns shape ``z.shape + lams.shape + (4,)``.
     """
     z = np.asarray(z, dtype=complex)
     lams = np.asarray(lams, dtype=complex)
-    out = np.zeros(z.shape + lams.shape + (4,), dtype=complex)
-    zc = z[..., None, None]
-    waves = []
-    for mu, c1, c2 in _family_terms(spec, lams):
-        res = np.abs(mu) <= _RES_TOL
-        vec = c1 / np.where(res, 1.0, 1j * np.pi * np.conj(mu))[..., None]
-        vec[res] = 0.0
-        waves.append((mu, vec))
-        if res.any():
-            out[..., res, :] += zc * c1[res] + np.conj(zc) * c2[res]
-    _mode_sum(waves, z.reshape(z.shape + (1,) * lams.ndim), out)
+    shape = z.shape + lams.shape + (4,)
+    zs, lams = z.ravel(), lams.ravel()
+    terms = list(_family_terms(spec, lams))
+    if not terms:
+        return np.zeros(shape)
+    deltas, mu, c1, c2 = (np.array(col) for col in zip(*terms))
+    res = np.abs(mu) <= _RES_TOL                               # (2K, lams)
+    vec = c1 / np.where(res, 1.0, 1j * np.pi * np.conj(mu))[..., None]
+    vec[res] = 0.0
+    waves = np.exp(2j * np.pi * dot_r2(deltas[None, ::2], zs[:, None]))
+    plus, minus = (vec[s::2].reshape(len(terms) // 2, -1) for s in (0, 1))
+    # e(sigma x), x = <lam^2 beta0 / 2, z>, is e(x) or its conjugate
+    arg = TWO_PI * dot_r2(lams * lams * spec.beta0 / 2.0, zs[:, None])
+    phase = np.empty(arg.shape + (1,), dtype=complex)
+    np.cos(arg, out=phase.real[..., 0])
+    np.sin(arg, out=phase.imag[..., 0])
+    out = np.empty((len(zs), len(lams), 4), dtype=complex)
+    # row blocks, with one reused buffer for the sign -1 product
+    step = max(1, _BLOCK // max(1, plus.shape[1]))
+    tail = np.empty((min(step, len(zs)),) + out.shape[1:], dtype=complex)
+    for lo in range(0, len(zs), step):
+        rows = slice(lo, lo + step)
+        blk = out[rows]
+        rest = tail[:len(blk)]
+        np.matmul(waves[rows], plus, out=blk.reshape(len(blk), -1))
+        np.matmul(waves[rows], minus, out=rest.reshape(len(blk), -1))
+        blk *= phase[rows]
+        rest *= np.conj(phase[rows])
+        blk += rest
+    if res.any():
+        cols = res.any(axis=0)
+        lin1 = np.where(res[..., None], c1, 0.0)[:, cols].sum(axis=0)
+        lin2 = np.where(res[..., None], c2, 0.0)[:, cols].sum(axis=0)
+        out[:, cols] += (zs[:, None, None] * lin1
+                         + np.conj(zs)[:, None, None] * lin2)
     if basepoint_zero:
-        out -= sum(vec for _, vec in waves)
-    return _real_part(out, "family batch")
+        out -= vec.sum(axis=0)
+    return _real_part(out.reshape(shape), "family batch")

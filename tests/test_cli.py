@@ -248,6 +248,16 @@ def test_lax_seed_non_numeric_entry(seed_file, capsys):
     assert_input_error(["lax", seed_file], capsys)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_lax_seed_non_finite_entry(seed_file, capsys, value):
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["field"]["coefficients"][0]["translation"][0] = [value, 0.0]
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
 def test_lax_seed_off_algebra_rotation(seed_file, capsys):
     # an L_j rotation coefficient lies outside u(2) (x) C |x C^4
     with open(seed_file) as fh:
@@ -288,6 +298,9 @@ def _spec_with(edit):
     _spec_with(lambda d: d["coefficients"][1].update(re=float("-inf"))),
     # finite, but its squared modulus overflows
     _spec_with(lambda d: d["coefficients"][0].update(re=1e308)),
+    # its square is finite, but the metric determinant (its fourth power)
+    # is not
+    _spec_with(lambda d: d["coefficients"][0].update(re=1e150)),
     # a search box of 8e24 candidates: refused before anything is allocated
     _spec_with(lambda d: d.update(beta0=[1e12, 1e12])),
     _spec_with(lambda d: d["lattice"].update(g1=[1e300, 0.0])),
@@ -300,7 +313,7 @@ def _spec_with(edit):
                                              g2=[-1.7e308, 1.7e308])),
 ], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
         "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
-        "re-huge",
+        "re-huge", "re-1e150",
         "beta0-huge", "g1-huge", "g1-inf", "beta0-overflow", "beta0-inf",
         "dual-underflow"])
 def test_malformed_spec_is_input_error(tmp_path, capsys, payload):

@@ -613,21 +613,41 @@ def _square_spec(slope):
     return TorusSpec.build(lat, beta0, pairs)
 
 
-def _round_trip_error(spec, grid, nsamples):
+def _round_trip(spec, grid, nsamples):
+    """Worst round-trip error on a lattice grid, and the number of integrand
+    calls (calls of a) the reconstruction made."""
     lat = spec.lattice
     pot = potential_extract(SpecLift(spec), nsamples=128)
+    calls, a = [0], pot.a
+
+    def counted(v):
+        calls[0] += 1
+        return a(v)
+
+    pot.a = counted
     rl = dpw_reconstruct(pot, nsamples=nsamples, quad_n=24, lattice=lat)
     zs = lat.grid(grid)
-    return float(np.max(np.abs(rl.immersion(zs)
-                               - (immerse(spec, zs) - immerse(spec, 0.0)))))
+    err = float(np.max(np.abs(rl.immersion(zs)
+                              - (immerse(spec, zs) - immerse(spec, 0.0)))))
+    return err, calls[0]
 
 
 def test_castro_urbano_round_trip():
-    # the stencil-derived a, b used to miss this bound (7.4e-7)
+    # the stencil-derived a, b used to miss this bound (7.4e-7); its
+    # quadrature bisects, to at most 7 coarse/fine rule pairs
     cu = castro_urbano(3, 1, 1, 3)
     gamma = np.exp(1j * cu.beta) / (2 * np.pi)
     spec = cu.build_spec({gamma: 2.0 + 1.0j, np.conj(gamma): 1.5 - 0.5j})
-    assert _round_trip_error(spec, 8, 128) < 1e-7
+    err, calls = _round_trip(spec, 8, 128)
+    assert err < 1e-7
+    assert calls <= 14
+
+
+def test_round_trip_of_benchmark_shape_does_not_bisect():
+    # the benchmark's round-trip input: one coarse/fine rule pair per call
+    err, calls = _round_trip(standard_torus(1.0, 1.0).spec, 6, 128)
+    assert err < 1e-7
+    assert calls == 2
 
 
 def test_reconstruction_rejects_aliased_loop_samples():
@@ -636,8 +656,8 @@ def test_reconstruction_rejects_aliased_loop_samples():
     # surface; 256 resolve it
     spec = _square_spec((3, 4))
     with pytest.raises(LoopAliasing):
-        _round_trip_error(spec, 4, 128)
-    assert _round_trip_error(spec, 4, 256) < 1e-7
+        _round_trip(spec, 4, 128)
+    assert _round_trip(spec, 4, 256)[0] < 1e-7
 
 
 # reference: the per-node rule with the cos/sin rotation that
@@ -659,9 +679,9 @@ def _ref_rule(pot, m, z_from, shift, n):
 @pytest.mark.parametrize("points, n, m",
                          [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 30)])
 def test_rule_matches_per_node_reference(rng, points, n, m):
-    # at m = 128, 3 x 4 points take the 48 nodes in two phase blocks and
-    # 12 x 25 points take one node per block; at m = 30, -lam^-2 is not a
-    # sample value of lam^-2
+    # at m = 128, 3 x 4 points fit one (points, nodes, slots) block and
+    # 12 x 25 points take 8 blocks; at m = 30, -lam^-2 is not a sample
+    # value of lam^-2
     spec = rhombic_torus().spec
     pots = (HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j),
             potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))

@@ -379,6 +379,41 @@ def test_family_samples_matches_evaluators(square_spec):
         assert np.max(np.abs(batch[:, j] - ev(zs))) < 1e-10
 
 
+def test_factored_family_batch_with_resonant_columns(square_spec):
+    # at 128 samples the 1 x 1 standard spec has mu = 0 in columns 16, 48,
+    # 80 and 112, which take the linear primitive
+    from hamstat.numerics import unit_lambdas
+    lams = unit_lambdas(128)
+    zs = np.array([0.15 + 0.22j, 0.8 - 0.3j, -1.1 + 0.4j])
+    batch = family_samples(square_spec, zs, lams)
+    assert batch.shape == (3, 128, 4)
+    for j, lam in enumerate(lams):
+        ev = associated_family(square_spec, lam, warn=False)
+        assert np.max(np.abs(batch[:, j] - (ev(zs) - ev(0.0)))) < 1e-10, j
+
+
+def test_factored_family_batch_keeps_lambda_shape():
+    spec = rhombic_torus().spec
+    lams = np.exp(2j * np.pi * np.array([[0.1, 0.35, 0.5], [0.77, 0.9, 0.0]]))
+    zs = np.array([[0.3 + 0.1j], [-0.2 + 0.6j]])
+    batch = family_samples(spec, zs, lams, basepoint_zero=False)
+    assert batch.shape == (2, 1, 2, 3, 4)
+    for idx in np.ndindex(lams.shape):
+        ev = FamilyEvaluator(spec, lams[idx], warn=False)
+        assert np.max(np.abs(batch[(..., *idx, slice(None))] - ev(zs))) < 1e-10
+
+
+@pytest.mark.parametrize("basepoint_zero", [True, False])
+def test_factored_family_batch_of_empty_spec_is_zero(basepoint_zero):
+    from hamstat.numerics import unit_lambdas
+    zs = np.array([0.3 + 0.1j, -0.2 + 0.6j])
+    for pairs in ({}, {0.5 - 0.5j: 0.0}):
+        spec = TorusSpec.build(Lattice.square(), 1 + 1j, pairs)
+        got = family_samples(spec, zs, unit_lambdas(8),
+                             basepoint_zero=basepoint_zero)
+        assert np.array_equal(got, np.zeros((2, 8, 4)))
+
+
 def test_spec_json_round_trip(square_spec):
     text = square_spec.to_json()
     back = TorusSpec.from_json(text)
