@@ -264,12 +264,14 @@ class SpinorFields:
         return (rot_x, tr_x), (rot_y, tr_y)
 
 
-def _curvature_residual(connection, h: float) -> float:
+def _curvature_residual(connection, h: float,
+                        translation_scale: float = 1.0) -> float:
     """Max entry of d_x A_y - d_y A_x + [A_x, A_y] by central differences.
 
     ``connection(dz)`` returns ((rot_x, tr_x), (rot_y, tr_y)), the connection
     on d/dx and d/dy at the sample points shifted by dz; the bracket is that
     of the motion-group algebra, acting on translations by the rotations.
+    The translation part is divided by ``translation_scale``.
     """
     (ax_r, ax_t), (ay_r, ay_t) = connection(0.0)
     ayp_r, ayp_t = connection(h)[1]
@@ -281,7 +283,8 @@ def _curvature_residual(connection, h: float) -> float:
                - np.einsum("...ij,...j->...i", ay_r, ax_t))
     res_r = (ayp_r - aym_r) / (2 * h) - (axp_r - axm_r) / (2 * h) + brack_r
     res_t = (ayp_t - aym_t) / (2 * h) - (axp_t - axm_t) / (2 * h) + brack_t
-    return float(max(np.max(np.abs(res_r)), np.max(np.abs(res_t))))
+    return float(max(np.max(np.abs(res_r)),
+                     np.max(np.abs(res_t)) / translation_scale))
 
 
 def check_flatness(source, lam: complex, grid_n: int,
@@ -291,13 +294,18 @@ def check_flatness(source, lam: complex, grid_n: int,
 
     Computes  dA(x,y) + [A_x, A_y]  by central differences of the coefficient
     fields; for stationary data this vanishes for every circle parameter.
+    The translation part is linear in u, so it is divided by max|u| on the
+    grid (unless u vanishes there), which makes the residual the same for
+    every homothety of the surface.
     """
     fields = (SpinorFields.from_spec(source) if isinstance(source, TorusSpec)
               else source)
     lat = fields.lattice
     h = fd_step or 1e-5 * lat.diameter()
     zs = lat.grid(grid_n)
-    res = _curvature_residual(lambda dz: fields.connection_xy(lam, zs + dz), h)
+    u_max = float(np.max(np.abs(fields.u(zs))))
+    res = _curvature_residual(lambda dz: fields.connection_xy(lam, zs + dz), h,
+                              u_max if u_max > 0.0 else 1.0)
     return CheckReport("flatness", grid_n, res, threshold,
                        {"lambda": [lam.real, lam.imag], "fd_step": h})
 

@@ -15,7 +15,9 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,8 +95,8 @@ def _project(points: np.ndarray, how: str) -> np.ndarray:
     raise SystemExit_input(f"unknown projection {how!r}")
 
 
-# rows per %-format call, so the text and argument tuple of a whole mesh are
-# never held at once
+# rows per %-format call of the face block, so the text and argument tuple
+# of a whole mesh are never held at once
 _CHUNK_ROWS = 4096
 
 
@@ -107,7 +109,7 @@ def _format_rows(line: str, rows: np.ndarray):
 
 
 @functools.lru_cache(maxsize=4)
-def _face_block(n: int, fmt: str) -> str:
+def _face_block(n: int, fmt: str) -> bytes:
     """Face lines of the closed n x n quad mesh whose vertex i * n + j is
     grid point (i, j): 1-based for OBJ, 0-based with a vertex count for PLY.
     They depend on (n, fmt) alone, so each block is built once."""
@@ -115,26 +117,148 @@ def _face_block(n: int, fmt: str) -> str:
     below, right = (i + 1) % n * n, (j + 1) % n
     quads = np.stack([i * n + j, below + j, below + right, i * n + right], axis=1)
     if fmt == "obj":
-        return "".join(_format_rows("f %d %d %d %d\n", quads + 1))
-    return "".join(_format_rows("4 %d %d %d %d\n", quads))
+        return "".join(_format_rows("f %d %d %d %d\n", quads + 1)).encode()
+    return "".join(_format_rows("4 %d %d %d %d\n", quads)).encode()
+
+
+# --- vertex text ----------------------------------------------------------------
+#
+# Vertex rows are Python's "%.12g" text, built from digit tables a block of
+# rows at a time.  A value with 1e-4 <= |x| < 1000 prints in fixed notation.
+# With e = floor(log10|x|) and p = 10^(11 - e), a power of ten that is exact
+# for e in [-4, 2], its 12 digits are M = round(|x| p): only the product
+# rounds, by less than 2^-13, so M is the correctly rounded value unless
+# |x| p lies within 1e-3 of a half-integer.  The text is the sign and the
+# integer part I = floor(M / p), then "." and the fraction M - I p as 15
+# digits with trailing zeros stripped: one chunk of 3 digits and three of 4.
+# Each part is a 4-byte glyph padded with NULs, so a row is a fixed run of
+# uint32 slots, and bytes.translate drops the NULs.  Every other value --
+# zeros, NaN, infinities, |x| outside the window, a possible tie, a carry to
+# 1000 -- gets Python's own "%.12g" text in its slots.
+
+_BLOCK_ROWS = 8192
+_VALUE_SLOTS = 5        # 20 bytes: room for any "%.12g" text (at most 19)
+
+
+def _glyphs(texts) -> np.ndarray:
+    """One uint32 per text of at most 4 ASCII bytes, padded with NULs."""
+    return np.array(texts, dtype="S4").view(np.uint32)
+
+
+def _digit_glyphs(width: int, lead: str = "") -> np.ndarray:
+    """``lead`` and the ``width`` digits of each of 0 .. 10**width - 1, then
+    the same with trailing zeros stripped (empty when no digit is left)."""
+    digits = [f"{c:0{width}d}" for c in range(10 ** width)]
+    stripped = [d.rstrip("0") for d in digits]
+    return _glyphs([lead + d for d in digits]
+                   + [lead + d if d else "" for d in stripped])
+
+
+def _smallest_double_at_least(q: Fraction) -> float:
+    x = float(q)                                # correctly rounded
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def _exponent_tables():
+    """Per binade of |x| (its biased exponent bits), the number k of the
+    edges 10^-4 .. 10^3 at or below its low end, and the one edge inside it
+    (a binade holds at most one), or inf.  |x| then passes
+    k + (|x| >= cut) edges: e + 5 in the window, 0 below it, and 8 above it
+    or for NaN."""
+    edges = np.array([_smallest_double_at_least(Fraction(10) ** k)
+                      for k in range(-4, 4)])
+    low = np.ldexp(1.0, np.arange(1, 2047) - 1023)      # normal binades
+    count = np.searchsorted(edges, low, side="right")
+    nxt = edges[np.minimum(count, len(edges) - 1)]
+    cut = np.where((count < len(edges)) & (nxt / 2 < low), nxt, np.inf)
+    # zero and subnormals lie below every edge, inf and NaN above them; a
+    # NaN cut, which no comparison passes, keeps inf at len(edges)
+    return np.r_[0, count, len(edges)], np.r_[np.inf, cut, np.nan]
+
+
+@functools.cache
+def _chunk_glyphs() -> tuple:
+    """The glyph table of each of the five parts of a value: sign and
+    integer part, "." and 3 fraction digits, then three of 4 digits.  Built
+    on first use, since most commands write no mesh."""
+    quad = _digit_glyphs(4)
+    return (_glyphs([sign + str(i) for sign in ("", "-") for i in range(1000)]),
+            _digit_glyphs(3, "."), quad, quad, quad)
+
+
+_E_COUNT, _E_CUT = _exponent_tables()
+# p = 10^(11 - e) by k = e + 5, and 1 outside the window (k = 0 or 8)
+_POW = np.array([1.0] + [10.0 ** (16 - k) for k in range(1, 8)] + [1.0])
+_SEPARATORS = _glyphs([" ", " ", "\n"])
+
+
+def _vertex_block(rows: np.ndarray, prefix: np.uint32) -> bytes:
+    """The text of ``prefix`` and three "%.12g" values per row of ``rows``."""
+    n = len(rows)
+    x = rows.ravel()
+    ax = np.abs(x)
+    binade = ax.view(np.int64) >> 52
+    k = _E_COUNT[binade] + (ax >= _E_CUT[binade])
+    p = _POW[k]
+    with np.errstate(invalid="ignore"):         # exact-path values only
+        scaled = ax * p
+        m = np.floor(scaled + 0.5)
+        whole = np.floor(m / p)
+        frac = (m - whole * p) * (1e15 / p)     # 15 digits after the point
+        c0 = np.floor(frac / 1e12)
+        r0 = frac - c0 * 1e12
+        c1 = np.floor(r0 / 1e8)
+        r1 = r0 - c1 * 1e8
+        c2 = np.floor(r1 / 1e4)
+        c3 = r1 - c2 * 1e4
+        # each chunk takes its stripped glyph when no digit follows it
+        index = np.stack([whole + 1000 * np.signbit(x),
+                          c0 + 1000 * (r0 == 0),
+                          c1 + 10000 * (r1 == 0),
+                          c2 + 10000 * (c3 == 0),
+                          c3 + 10000]).astype(np.intp)
+        exact = np.flatnonzero((k == 0) | (k == 8) | (whole >= 1000)
+                               | (np.abs(scaled - m) > 0.499))
+    out = np.empty((n, 1 + 3 * (_VALUE_SLOTS + 1)), dtype=np.uint32)
+    out[:, 0] = prefix
+    cells = out[:, 1:].reshape(n, 3, _VALUE_SLOTS + 1)
+    cells[..., -1] = _SEPARATORS
+    for j, table in enumerate(_chunk_glyphs()):
+        cells[..., j] = np.take(table, index[j], mode="clip").reshape(n, 3)
+    if len(exact):
+        text = b"".join([(b"%.12g" % v).ljust(4 * _VALUE_SLOTS, b"\0")
+                         for v in x[exact].tolist()])
+        start = exact // 3 * out.shape[1] + 1 + exact % 3 * (_VALUE_SLOTS + 1)
+        out.reshape(-1)[start[:, None] + np.arange(_VALUE_SLOTS)] = (
+            np.frombuffer(text, dtype=np.uint32).reshape(-1, _VALUE_SLOTS))
+    return out.tobytes().translate(None, b"\0")
+
+
+def _vertex_text(verts: np.ndarray, prefix: str):
+    """Lines of ``prefix`` and the "%.12g" text of each row of ``verts``
+    (n, 3), one bytes object per block of at most ``_BLOCK_ROWS`` rows."""
+    lead = _glyphs([prefix])[0]
+    verts = np.asarray(verts, dtype=float)
+    for start in range(0, len(verts), _BLOCK_ROWS):
+        yield _vertex_block(verts[start:start + _BLOCK_ROWS], lead)
 
 
 def _write_obj(path: str, verts: np.ndarray, n: int, header: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.writelines(_format_rows("v %.12g %.12g %.12g\n", verts))
+    with open(path, "wb") as fh:
+        fh.write(f"# {header}\n".encode())
+        fh.writelines(_vertex_text(verts, "v "))
         fh.write(_face_block(n, "obj"))
 
 
 def _write_ply(path: str, verts: np.ndarray, n: int, header: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"comment {header}\n")
-        fh.write(f"element vertex {len(verts)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {n * n}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        fh.writelines(_format_rows("%.12g %.12g %.12g\n", verts))
+    with open(path, "wb") as fh:
+        fh.write((f"ply\nformat ascii 1.0\ncomment {header}\n"
+                  f"element vertex {len(verts)}\n"
+                  "property float x\nproperty float y\nproperty float z\n"
+                  f"element face {n * n}\n"
+                  "property list uchar int vertex_indices\nend_header\n"
+                  ).encode())
+        fh.writelines(_vertex_text(verts, ""))
         fh.write(_face_block(n, "ply"))
 
 
@@ -329,8 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args leaves the parser as it was, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

@@ -7,7 +7,7 @@ from hamstat.checks import (SpinorFields, check_conformal, check_flatness,
 from hamstat.errors import AngleUnwrapFailure, DegenerateMetric
 from hamstat.lattices import Lattice
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
-from hamstat.weierstrass import _affine_frame, immerse
+from hamstat.weierstrass import TorusSpec, _affine_frame, immerse
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,35 @@ def test_flatness_quadratic_angle_probe():
     # degenerate parameter: the rotation residual factor vanishes
     rep = check_flatness(fields, 1j, 8)
     assert rep.residual < 1e-9
+
+
+@pytest.mark.parametrize("factor", [1e3, 1e-3])
+def test_flatness_is_scale_free(factor):
+    # a homothety of R^4 scales u, and with it the translation part of the
+    # curvature; the residual is taken relative to max|u|
+    spec = standard_torus(1.0, 1.0).spec
+    scaled = TorusSpec.build(spec.lattice, spec.beta0,
+                             {g: factor * a for g, a in spec.items()})
+    for lam in (1.0, 1j):
+        base = check_flatness(spec, lam, 8).residual
+        rep = check_flatness(scaled, lam, 8)
+        assert rep.passed, rep.residual
+        assert abs(rep.residual - base) <= 0.01 * base
+
+
+def test_flatness_rejects_sine_perturbed_spinor():
+    spec = standard_torus(1.0, 1.0).spec
+    exact = SpinorFields.from_spec(spec)
+    bump = np.array([1.0, 1j, 0.0, 0.0])
+
+    def u(z):
+        wave = np.sin(2 * np.pi * np.real(z))
+        return exact.u(z) + 1e-3 * wave[..., None] * bump
+
+    fields = SpinorFields(exact.beta_z, u, spec.lattice)
+    for lam in (1.0, 1j):
+        rep = check_flatness(fields, lam, 8)
+        assert not rep.passed, rep.residual
 
 
 def test_mean_curvature_second_order_refinement(tori):

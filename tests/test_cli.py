@@ -1,12 +1,16 @@
 import json
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hamstat.algebra import L_J
-from hamstat.cli import _face_block, _write_obj, _write_ply, main, parse_complex
+from hamstat.cli import (_BLOCK_ROWS, _face_block, _write_obj, _write_ply, main,
+                         parse_complex)
 from hamstat.finitetype import standard_torus_killing_seed
 from hamstat.tori import standard_torus
 
@@ -156,6 +160,42 @@ def test_verify_pass_and_fail(tmp_path, spec_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", str(bad)])
     assert err.value.code == 2
+
+
+def test_verify_passes_on_a_homothety(tmp_path, capsys):
+    # the surface scaled by 1000 is as stationary as the unit one
+    spec = standard_torus(1.0, 1.0).spec.to_dict()
+    for coeff in spec["coefficients"]:
+        coeff["re"] *= 1000.0
+        coeff["im"] *= 1000.0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", str(path), "--grid", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, spec_file, capsys):
+    # one parser serves every call: flags of one call must not reach the next
+    ply, obj = tmp_path / "a.ply", tmp_path / "b.obj"
+    assert main(["mesh", spec_file, "--grid", "4", "--format", "ply",
+                 "--out", str(ply)]) == 0
+    assert main(["mesh", spec_file, "--grid", "4", "--out", str(obj)]) == 0
+    assert ply.read_bytes().startswith(b"ply\n")
+    assert obj.read_bytes().startswith(b"# spec ")
+    capsys.readouterr()
+    assert main(["verify", spec_file, "--grid", "8", "--tol", "0.5"]) in (0, 1)
+    loose = json.loads(capsys.readouterr().out)["reports"]
+    assert main(["family", spec_file, "--grid", "4", "--format", "ply",
+                 "--out", str(tmp_path / "fam")]) == 0
+    capsys.readouterr()
+    assert main(["family", spec_file, "--grid", "4",
+                 "--out", str(tmp_path / "fam")]) == 0
+    member = json.loads(capsys.readouterr().out)["members"][0]
+    assert member["mesh"].endswith(".obj") and "period_defects" in member
+    assert main(["verify", spec_file, "--grid", "8"]) in (0, 1)
+    strict = json.loads(capsys.readouterr().out)["reports"]
+    assert {r["threshold"] for r in loose} == {0.5}
+    assert {r["threshold"] for r in strict} == {1e-5, 1e-6}
 
 
 def test_family_reports_monodromy(spec_file, capsys):
@@ -381,3 +421,83 @@ def test_mesh_writers_match_per_line_reference(tmp_path, n):
             ref(tmp_path / f"ref.{fmt}", verts, n, f"test {n}")
             assert ((tmp_path / f"ours.{fmt}").read_bytes()
                     == (tmp_path / f"ref.{fmt}").read_bytes()), (order, fmt)
+
+
+def _assert_writers_match_reference(tmp_path, verts, n=3):
+    for fmt, ours, ref in (("obj", _write_obj, _reference_obj),
+                           ("ply", _write_ply, _reference_ply)):
+        ours(tmp_path / f"ours.{fmt}", verts, n, "case")
+        ref(tmp_path / f"ref.{fmt}", verts, n, "case")
+        assert ((tmp_path / f"ours.{fmt}").read_bytes()
+                == (tmp_path / f"ref.{fmt}").read_bytes()), fmt
+
+
+def _power_of_ten_neighbours():
+    """A few ulps either side of the double nearest 10^k, k = -5..3."""
+    out = []
+    for k in range(-5, 4):
+        x = float(f"1e{k}")
+        below = above = x
+        out.append(x)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+def _dyadic_ties():
+    """Doubles k / 2^p whose exact decimal value has 13 significant digits
+    ending in 5, so "%.12g" rounds a true tie (half to even): with p = 12 - e
+    an odd k in [10^e 2^p, 10^(e+1) 2^p) has exactly that form."""
+    out = []
+    for e in range(-5, 4):
+        p = 12 - e
+        low = math.ceil(Decimal(10) ** e * 2 ** p) | 1
+        high = math.ceil(Decimal(10) ** (e + 1) * 2 ** p)
+        for k in range(low, min(low + 40, high), 2):
+            exact = Decimal(k) / Decimal(2 ** p)
+            digits = exact.as_tuple().digits
+            assert len(digits) == 13 and digits[-1] == 5, exact
+            assert exact == Decimal(k / 2 ** p)           # a double
+            out.append(k / 2 ** p)
+    return out
+
+
+FIXED_VALUES = ([0.0, -0.0, math.nan, math.inf, -math.inf]
+                + _power_of_ten_neighbours() + _dyadic_ties()
+                + [9.9999999999996, 9.99999999999949, 99.9999999999996,
+                   999.99999999999, 999.999999999499, 999.9999999995,
+                   0.0999999999999996, 0.000999999999999996,
+                   0.0000999999999999996, 1e-4 * 0.99999999999996])
+
+
+def test_vertex_text_fixed_cases(tmp_path):
+    values = np.array(FIXED_VALUES)
+    values = np.concatenate([values, -values])
+    if len(values) % 3:
+        values = np.concatenate([values, np.zeros(3 - len(values) % 3)])
+    rows = values.reshape(-1, 3)
+    for shift in range(3):                  # each value in every column
+        _assert_writers_match_reference(tmp_path, np.roll(rows, shift, axis=1))
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                   _BLOCK_ROWS + 1])
+def test_vertex_text_block_edges(tmp_path, count):
+    rng = np.random.default_rng(count)
+    verts = rng.uniform(-3.0, 3.0, size=(count, 3))
+    # exact-path values on both sides of the first block boundary
+    for row in (_BLOCK_ROWS - 1, _BLOCK_ROWS):
+        if row < count:
+            verts[row] = [0.0, math.nan, 1e300]
+    _assert_writers_match_reference(tmp_path, verts)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(st.floats(), st.floats(-1e3, 1e3),
+                          st.floats(-1e-3, 1e-3)),
+                min_size=3, max_size=300).map(
+                    lambda xs: np.array(xs[:len(xs) // 3 * 3]).reshape(-1, 3)))
+def test_vertex_text_matches_per_line_reference_property(tmp_path, verts):
+    _assert_writers_match_reference(tmp_path, verts)
