@@ -111,13 +111,6 @@ class GroupElement:
     def apply(self, x):
         return (self.rotation @ np.asarray(x, dtype=float).T).T + self.translation
 
-    def matrix5(self) -> np.ndarray:
-        m = np.zeros((5, 5))
-        m[:4, :4] = self.rotation
-        m[:4, 4] = self.translation
-        m[4, 4] = 1.0
-        return m
-
     def is_valid(self, tol: float = 1e-9) -> bool:
         orth = np.max(np.abs(self.rotation @ self.rotation.T - ID4)) <= tol
         return bool(orth and _commutes_with_li(self.rotation, tol))

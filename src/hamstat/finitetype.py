@@ -20,7 +20,7 @@ from .checks import _curvature_residual
 from .errors import SingularInput, StepSizeUnderflow
 from .loops import TwistedLoop, _parse_record
 from .tori import rhombic_torus, standard_torus
-from .weierstrass import TorusSpec, _mode_sum, _u_modes
+from .weierstrass import TorusSpec, _u_modes
 
 __all__ = [
     "KillingField", "r_op", "pi_g0", "b0_basis", "lax_project",
@@ -317,63 +317,38 @@ def lax_integrate(seed: KillingField, waypoints, step: float | None = None,
 
 # --- formal Killing series --------------------------------------------------
 
-def _mode_dz(modes: dict) -> dict:
-    """d/dz on a frequency-mode dictionary: multiply by i pi conj(delta)."""
-    return {k: (delta, 1j * np.pi * np.conj(delta) * vec)
-            for k, (delta, vec) in modes.items()}
-
-
-def _mode_apply(matrix, modes: dict) -> dict:
-    return {k: (delta, matrix @ vec) for k, (delta, vec) in modes.items()}
-
-
-def _mode_add(m1: dict, m2: dict) -> dict:
-    out = dict(m1)
-    for k, (delta, vec) in m2.items():
-        if k in out:
-            out[k] = (out[k][0], out[k][1] + vec)
-        else:
-            out[k] = (delta, vec)
-    return out
-
-
-def _mode_scale(c, modes: dict) -> dict:
-    return {k: (delta, c * vec) for k, (delta, vec) in modes.items()}
-
-
-def mode_eval(modes: dict, z):
-    return _mode_sum(modes.values(), z)
-
-
-def formal_killing(u_modes: dict, a: complex, n_coeffs: int = 24) -> list:
+def formal_killing(u_modes, a: complex, n_coeffs: int = 24) -> list:
     """First coefficients of the adapted formal Killing series.
 
-    ``u_modes`` maps rounded keys to (frequency, C^4 vector); the recurrence
-    is w0 = a^-1 L_i u, w1 = -w0, w2 = a^-1 L_i dz w0 + a^-2 dz u (vanishing
-    identically), then w_n = a^-1 L_i dz w_{n-2}.
+    ``u_modes`` is the mode table (freqs, vecs) of u, and each coefficient
+    is a table on the same frequencies, where d/dz scales row j by
+    i pi conj(freqs[j]).  The recurrence is w0 = a^-1 L_i u, w1 = -w0,
+    w2 = a^-1 L_i dz w0 + a^-2 dz u (vanishing identically), then
+    w_n = a^-1 L_i dz w_{n-2}.
     """
     if a == 0:
         raise ValueError("top coefficient must be nonzero")
+    freqs, u = u_modes
     inv = 1.0 / complex(a)
-    w0 = _mode_apply(inv * L_I, u_modes)
-    w1 = _mode_scale(-1.0, w0)
+    step = (inv * L_I).T
+    dz = 1j * np.pi * np.conj(freqs)[:, None]
+    w0 = u @ step
     # a^-1 L_i dz(w0) + a^-2 dz(u) = a^-2 dz(L_i L_i u + u): grouped so the
     # exact cancellation L_i^2 = -Id survives floating point bitwise
-    du = _mode_dz(u_modes)
-    w2 = _mode_scale(inv * inv,
-                     _mode_add(_mode_apply(L_I @ L_I, du), du))
-    out = [w0, w1, w2]
+    du = dz * u
+    out = [w0, -w0, inv * inv * (du @ (L_I @ L_I).T + du)]
     while len(out) < n_coeffs:
-        out.append(_mode_apply(inv * L_I, _mode_dz(out[-2])))
-    return out[:n_coeffs]
+        out.append((dz * out[-2]) @ step)
+    return [(freqs, w) for w in out[:n_coeffs]]
 
 
-def zeta_coefficients(w_list: list, u_modes: dict, a: complex) -> list:
-    """Translation parts of the adapted series: order 0 is u + a L_i w0
-    (identically zero), order n >= 1 is a L_i w_n."""
-    out = [_mode_add(u_modes, _mode_apply(complex(a) * L_I, w_list[0]))]
-    for w in w_list[1:]:
-        out.append(_mode_apply(complex(a) * L_I, w))
+def zeta_coefficients(w_list: list, u_modes, a: complex) -> list:
+    """Translation parts of the adapted series, as mode tables: order 0 is
+    u + a L_i w0 (identically zero), order n >= 1 is a L_i w_n."""
+    freqs, u = u_modes
+    step = (complex(a) * L_I).T
+    out = [(freqs, u + w_list[0][1] @ step)]
+    out += [(freqs, w @ step) for _, w in w_list[1:]]
     return out
 
 
@@ -452,38 +427,25 @@ def _seed_from_spec(spec: TorusSpec, cs: dict, p: int) -> KillingField:
     d = 4 * p + 2
     beta0 = spec.beta0
     a_top = np.pi * np.conj(beta0) / 2.0
-    modes = _u_modes(spec)
-
-    def chain_multiplier(q, delta):
-        # bottom-to-q multiplier on one frequency mode
-        ratio = (2.0 * np.conj(delta) / np.conj(beta0)) ** 2
-        val = 1.0 + 0.0j
-        for qq in range(-p, q):
-            val = cs[qq] + ratio * val
-        return val
-
+    freqs, vecs = _u_modes(spec)
+    ratio = (2.0 * np.conj(freqs) / np.conj(beta0)) ** 2
+    li_vecs = (2j * np.conj(freqs) / np.conj(beta0))[:, None] * (vecs @ L_I.T)
     field = KillingField(d, np.zeros((2 * d + 1, 4, 4), dtype=complex),
                          np.zeros((2 * d + 1, 4), dtype=complex))
     # even rotation string: top, the c_q line, and the conjugates by reality
     field.set_coeff(-d, a_top * L_I, np.zeros(4))
     field.set_coeff(d, np.conj(a_top) * L_I, np.zeros(4))
+    # per q: the rotation c_q line at 4q+2 and the translation strings u_q at
+    # 4q-1 and v_q at 4q+1, evaluated at z = 0; mult holds each mode's
+    # bottom-to-q chain multiplier
+    mult = np.ones(len(freqs), dtype=complex)
     for q in range(-p, p + 1):
-        if q == p:
-            c_q = beta0 / np.conj(beta0)     # forced by reality
-        else:
-            c_q = cs[q]
-        rotc = (np.pi * np.conj(beta0) * c_q / 2.0) * L_I
-        field.set_coeff(4 * q + 2, rotc, np.zeros(4))
-    # translation strings u_q at 4q-1 and v_q at 4q+1, evaluated at z = 0
-    for q in range(-p, p + 1):
-        u_q = np.zeros(4, dtype=complex)
-        v_q = np.zeros(4, dtype=complex)
-        for delta, vec in modes.values():
-            mult = chain_multiplier(q, delta)
-            u_q = u_q + mult * vec
-            v_q = v_q + mult * (2j * np.conj(delta) / np.conj(beta0)) * (L_I @ vec)
-        field.set_coeff(4 * q - 1, np.zeros((4, 4)), u_q)
-        field.set_coeff(4 * q + 1, np.zeros((4, 4)), v_q)
+        c_q = cs[q] if q < p else beta0 / np.conj(beta0)   # forced by reality
+        field.set_coeff(4 * q + 2, (np.pi * np.conj(beta0) * c_q / 2.0) * L_I,
+                        np.zeros(4))
+        field.set_coeff(4 * q - 1, np.zeros((4, 4)), mult @ vecs)
+        field.set_coeff(4 * q + 1, np.zeros((4, 4)), mult @ li_vecs)
+        mult = c_q + ratio * mult
     return field
 
 

@@ -80,9 +80,6 @@ class Lattice:
         return np.array([[self.g1.real, self.g2.real],
                          [self.g1.imag, self.g2.imag]])
 
-    def cell_area(self) -> float:
-        return float(np.imag(np.conj(self.g1) * self.g2))
-
     def diameter(self) -> float:
         return float(max(abs(self.g1), abs(self.g2),
                          abs(self.g1 + self.g2), abs(self.g1 - self.g2)))

@@ -39,6 +39,24 @@ def _key(gamma: complex):
     return (round(gamma.real, _KEY_DECIMALS), round(gamma.imag, _KEY_DECIMALS))
 
 
+def _merge(freqs, vecs):
+    """Mode table with the rows of equal rounded frequency summed, in order of
+    first occurrence; each row keeps the first exact frequency of its group.
+
+    A mode table is a frequency array (K,) and a vector array (K, ...): the
+    term vecs[j] exp(2 pi i <freqs[j], z>) per row.
+    """
+    groups: dict = {}
+    for i, f in enumerate(freqs.tolist()):
+        groups.setdefault(_key(f), []).append(i)
+    heads = [rows[0] for rows in groups.values()]
+    out = vecs[heads]
+    for j, rows in enumerate(groups.values()):
+        for i in rows[1:]:
+            out[j] += vecs[i]
+    return freqs[heads], out
+
+
 @dataclass
 class TorusSpec:
     """Lattice + slope + circle Fourier coefficients of a doubly periodic
@@ -53,16 +71,13 @@ class TorusSpec:
 
     def __post_init__(self):
         self.beta0 = complex(self.beta0)
-        merged: dict = {}
-        pairs = self.coeffs.items() if isinstance(self.coeffs, dict) else self.coeffs
-        for g, a in pairs:
-            g, a = complex(g), complex(a)
-            k = _key(g)
-            if k in merged:
-                merged[k] = (merged[k][0], merged[k][1] + a)
-            else:
-                merged[k] = (g, a)
-        self.coeffs = merged
+        pairs = list(self.coeffs.items() if isinstance(self.coeffs, dict)
+                     else self.coeffs)
+        gammas, coeffs = _merge(
+            np.array([complex(g) for g, _ in pairs], dtype=complex),
+            np.array([complex(a) for _, a in pairs], dtype=complex))
+        self.coeffs = {_key(g): (g, a)
+                       for g, a in zip(gammas.tolist(), coeffs.tolist())}
 
     @classmethod
     def build(cls, lattice, beta0, pairs, validate: bool = True,
@@ -151,6 +166,9 @@ def holomorphic_angle(beta0: complex):
 # through its corners takes the separable path; lattice grids and their
 # finite-difference shifts sit within about 1.3
 _GRID_ULPS = 8
+# a C^4 row times this is the row pair (P+ vec, P- vec) of the two L_i
+# eigenspaces, as one (K, 8) product
+_SPLIT = np.concatenate([PI_PLUS, PI_MINUS]).T
 
 
 def _affine_frame(z):
@@ -176,7 +194,7 @@ def _affine_frame(z):
     return z0, u, v
 
 
-def _grid_sum(modes, frame, shape):
+def _grid_sum(freqs, vecs, frame, shape):
     """The mode sum on the affine grid z0 + i u + j v of the given shape.
 
     Each wave factors as e(z0) e(i u) e(j v), so the grid costs K (n1 + n2)
@@ -185,32 +203,29 @@ def _grid_sum(modes, frame, shape):
     z0, u, v = frame
     n1, n2 = shape
     if n1 < n2:     # the (K, n2, 4) factor below stays on the shorter side
-        return _grid_sum(modes, (z0, v, u), (n2, n1)).swapaxes(0, 1)
-    deltas = np.array([complex(d) for d, _ in modes])
-    vecs = np.array([vec for _, vec in modes], dtype=complex)
-    rows = np.exp(2j * np.pi * np.outer(np.arange(n1), dot_r2(deltas, u)))
-    cols = np.exp(2j * np.pi * np.outer(dot_r2(deltas, v), np.arange(n2)))
-    weights = np.exp(2j * np.pi * dot_r2(deltas, z0))[:, None] * vecs
-    out = rows @ (cols[:, :, None] * weights[:, None, :]).reshape(len(modes), -1)
+        return _grid_sum(freqs, vecs, (z0, v, u), (n2, n1)).swapaxes(0, 1)
+    rows = np.exp(2j * np.pi * np.outer(np.arange(n1), dot_r2(freqs, u)))
+    cols = np.exp(2j * np.pi * np.outer(dot_r2(freqs, v), np.arange(n2)))
+    weights = np.exp(2j * np.pi * dot_r2(freqs, z0))[:, None] * vecs
+    out = rows @ (cols[:, :, None] * weights[:, None, :]).reshape(len(freqs), -1)
     return out.reshape(n1, n2, vecs.shape[1])
 
 
-def _mode_sum(modes, z):
-    """Sum of vec * exp(2 pi i <delta, z>) over the (delta, vec) pairs, shape
-    ``z.shape + (4,)``.
+def _mode_sum(freqs, vecs, z):
+    """Sum of vecs[j] exp(2 pi i <freqs[j], z>) over the rows of a mode
+    table, shape ``z.shape + (4,)``.
 
     A 2-D ``z`` that is an affine grid (a lattice grid or a shift of one) is
     summed separably by `_grid_sum`; every other input runs the loop.
     """
     z = np.asarray(z, dtype=complex)
-    modes = list(modes)
-    frame = _affine_frame(z) if z.ndim == 2 and modes else None
+    frame = _affine_frame(z) if z.ndim == 2 and len(freqs) else None
     if frame is not None:
-        return _grid_sum(modes, frame, z.shape)
+        return _grid_sum(freqs, vecs, frame, z.shape)
     out = np.zeros(z.shape + (4,), dtype=complex)
     # one component at a time: a (z, 4) temporary per mode would raise the
     # peak memory of large inputs
-    for delta, vec in modes:
+    for delta, vec in zip(freqs, vecs):
         wave = np.exp(2j * np.pi * dot_r2(delta, z))
         for k in range(4):
             out[..., k] += wave * vec[k]
@@ -239,14 +254,12 @@ def _basis_sum(pairs, beta0, z):
     """
     beta0 = complex(beta0)
     half = beta0 / 2.0
-    modes = []
-    for g, a in pairs:
-        if a == 0:
-            continue
-        g = complex(g)
-        vec = np.conj(a) * (4.0 / np.pi) * _basis_column(g, beta0)
-        modes += [(half - g, PI_PLUS @ vec), (-half - g, PI_MINUS @ vec)]
-    return _mode_sum(modes, z).real
+    terms = [(complex(g), complex(a)) for g, a in pairs if a != 0]
+    gammas = np.array([g for g, _ in terms], dtype=complex)
+    cols = np.array([np.conj(a) * (4.0 / np.pi) * _basis_column(g, beta0)
+                     for g, a in terms]).reshape(-1, 4)
+    freqs = (np.array([half, -half]) - gammas[:, None]).ravel()
+    return _mode_sum(freqs, (cols @ _SPLIT).reshape(-1, 4), z).real
 
 
 def basis_A(gamma, beta0, z):
@@ -264,28 +277,27 @@ def immerse(spec: TorusSpec, z):
     return _basis_sum(spec.items(), spec.beta0, z)
 
 
-def _u_modes(spec: TorusSpec) -> dict:
-    """Fourier modes of the spinor field u: rounded key -> (frequency, C^4)."""
-    modes: dict = {}
+def _u_modes(spec: TorusSpec):
+    """Fourier modes of the spinor field u as a mode table (freqs, vecs).
 
-    def add(delta, vec):
-        k = _key(delta)
-        if k in modes:
-            modes[k] = (modes[k][0], modes[k][1] + vec)
-        else:
-            modes[k] = (delta, vec.astype(complex))
-
-    for gamma, a in spec.items():
-        if a == 0:
-            continue
-        add(gamma, a * EPS)
-        add(-gamma, (2j * np.conj(gamma) / spec.beta0) * np.conj(a) * LI_EPS_BAR)
-    return modes
+    A coefficient a at gamma gives a eps at gamma and
+    (2i conj(gamma) / beta0) conj(a) L_i eps_bar at -gamma.  Spec frequencies
+    are distinct, so after the merge the rows still come in pairs
+    (delta, -delta) at 2j and 2j + 1: the table is closed under negation.
+    """
+    terms = [(g, a) for g, a in spec.items() if a != 0]
+    gammas = np.array([g for g, _ in terms], dtype=complex)
+    vecs = np.empty((len(terms), 2, 4), dtype=complex)
+    vecs[:, 0] = np.array([a for _, a in terms], dtype=complex)[:, None] * EPS
+    vecs[:, 1] = np.array([(2j * np.conj(g) / spec.beta0) * np.conj(a)
+                           for g, a in terms], dtype=complex)[:, None] * LI_EPS_BAR
+    return _merge(np.stack([gammas, -gammas], axis=1).ravel(),
+                  vecs.reshape(-1, 4))
 
 
 def spinor_u(spec: TorusSpec, z):
     """u = e^{-beta L_i / 2} dX/dz, from its exact Fourier modes."""
-    return _mode_sum(_u_modes(spec).values(), z)
+    return _mode_sum(*_u_modes(spec), z)
 
 
 def spinor_ab(spec: TorusSpec, z):
@@ -331,17 +343,19 @@ def _family_terms(spec: TorusSpec, lams):
     """Terms of the deformed derivative at circle parameter(s) lams: c1
     exp(2 pi i <mu, z>) dz + c2 exp(2 pi i <mu, z>) dz_bar, one per spinor
     mode delta and eigenspace sign sigma, with mu = delta + sigma lams^2
-    beta0 / 2.  Yields (delta, mu, c1, c2), the sign +1 term of each mode
-    first; mu has the shape of lams and c1, c2 the shape lams.shape + (4,)."""
+    beta0 / 2.  Returns arrays (delta, mu, c1, c2) over the 2K terms, the
+    sign +1 term of each mode first: delta (2K,), mu (2K,) + lams.shape and
+    c1, c2 (2K,) + lams.shape + (4,)."""
     lams = np.asarray(lams, dtype=complex)
     shift = lams * lams * spec.beta0 / 2.0
-    modes = _u_modes(spec)
-    for delta, vec in modes.values():
-        entry = modes.get(_key(-delta))
-        minus = entry[1] if entry is not None else np.zeros(4, dtype=complex)
-        for sigma, proj in ((+1.0, PI_PLUS), (-1.0, PI_MINUS)):
-            yield (delta, delta + sigma * shift, (proj @ vec) / lams[..., None],
-                   lams[..., None] * (proj @ np.conj(minus)))
+    freqs, vecs = _u_modes(spec)
+    minus = np.conj(vecs[np.arange(len(vecs)) ^ 1])     # the row of -delta
+    ex = (slice(None),) + (None,) * lams.ndim
+    sign = np.tile([1.0, -1.0], len(freqs))
+    c1 = (vecs @ _SPLIT).reshape(-1, 4)[ex] / lams[..., None]
+    c2 = lams[..., None] * (minus @ _SPLIT).reshape(-1, 4)[ex]
+    deltas = np.repeat(freqs, 2)
+    return deltas, deltas[ex] + sign[ex] * shift, c1, c2
 
 
 def _real_part(out, what: str):
@@ -381,44 +395,38 @@ class FamilyEvaluator:
                 MonodromyWarning, stacklevel=3)
 
     def _build_table(self):
-        """Group the terms by phase; exponential primitives go to ``_waves``
-        as (mu, vec) modes, resonant (mu = 0) groups to ``_linear``."""
-        groups: dict = {}
-        for _, mu, c1, c2 in _family_terms(self.spec, self.lam):
-            mu = complex(mu)
-            gk = _key(mu)
-            if gk in groups:
-                mu, g1, g2 = groups[gk]
-                c1, c2 = g1 + c1, g2 + c2
-            groups[gk] = (mu, c1, c2)
-        self._waves, self._linear = [], []
-        for mu, c1, c2 in groups.values():
-            if abs(mu) <= _RES_TOL:
-                self._linear.append((c1, c2))
-                continue
-            closed = np.linalg.norm(mu * c1 - np.conj(mu) * c2)
-            scale = np.linalg.norm(c1) + np.linalg.norm(c2) + 1e-30
-            if closed > 1e-8 * scale:
-                raise ArithmeticError(
-                    f"phase {mu} fails closedness ({closed:.2e}); "
-                    "family table is inconsistent")
-            self._waves.append((mu, c1 / (1j * np.pi * np.conj(mu))))
+        """Group the terms by phase; exponential primitives go to the
+        ``_waves`` mode table, resonant (mu = 0) rows to ``_linear``."""
+        _, mu, c1, c2 = _family_terms(self.spec, self.lam)
+        mu, c = _merge(mu, np.concatenate([c1, c2], axis=1))
+        res = np.abs(mu) <= _RES_TOL
+        self._linear = c[res, :4], c[res, 4:]
+        mu, c1, c2 = mu[~res], c[~res, :4], c[~res, 4:]
+        closed = np.linalg.norm(mu[:, None] * c1 - np.conj(mu)[:, None] * c2,
+                                axis=1)
+        scale = (np.linalg.norm(c1, axis=1) + np.linalg.norm(c2, axis=1)
+                 + 1e-30)
+        bad = np.flatnonzero(closed > 1e-8 * scale)
+        if bad.size:
+            raise ArithmeticError(
+                f"phase {mu[bad[0]]} fails closedness ({closed[bad[0]]:.2e}); "
+                "family table is inconsistent")
+        self._waves = mu, c1 / (1j * np.pi * np.conj(mu))[:, None]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = _mode_sum(self._waves, z)
-        for c1, c2 in self._linear:
+        out = _mode_sum(*self._waves, z)
+        for c1, c2 in zip(*self._linear):
             out += z[..., None] * c1 + np.conj(z)[..., None] * c2
         return _real_part(out, "family value")
 
     def _monodromy(self, tol: float) -> dict:
+        mu, vecs = self._waves
         defects = {}
         for name, g in (("g1", self.spec.lattice.g1), ("g2", self.spec.lattice.g2)):
-            total = 0.0
-            for mu, vec in self._waves:
-                total += abs(np.exp(2j * np.pi * dot_r2(mu, g)) - 1.0) \
-                    * np.linalg.norm(vec)
-            for c1, c2 in self._linear:
+            total = float(np.sum(np.abs(np.exp(2j * np.pi * dot_r2(mu, g)) - 1.0)
+                                 * np.linalg.norm(vecs, axis=1)))
+            for c1, c2 in zip(*self._linear):
                 total += np.linalg.norm(g * c1 + np.conj(g) * c2)
             defects[name] = float(total)
         return defects
@@ -456,15 +464,14 @@ def family_samples(spec: TorusSpec, z, lams, basepoint_zero: bool = True):
     lams = np.asarray(lams, dtype=complex)
     shape = z.shape + lams.shape + (4,)
     zs, lams = z.ravel(), lams.ravel()
-    terms = list(_family_terms(spec, lams))
-    if not terms:
+    deltas, mu, c1, c2 = _family_terms(spec, lams)
+    if not len(deltas):
         return np.zeros(shape)
-    deltas, mu, c1, c2 = (np.array(col) for col in zip(*terms))
     res = np.abs(mu) <= _RES_TOL                               # (2K, lams)
     vec = c1 / np.where(res, 1.0, 1j * np.pi * np.conj(mu))[..., None]
     vec[res] = 0.0
     waves = np.exp(2j * np.pi * dot_r2(deltas[None, ::2], zs[:, None]))
-    plus, minus = (vec[s::2].reshape(len(terms) // 2, -1) for s in (0, 1))
+    plus, minus = (vec[s::2].reshape(len(deltas) // 2, -1) for s in (0, 1))
     # e(sigma x), x = <lam^2 beta0 / 2, z>, is e(x) or its conjugate
     arg = TWO_PI * dot_r2(lams * lams * spec.beta0 / 2.0, zs[:, None])
     phase = np.empty(arg.shape + (1,), dtype=complex)

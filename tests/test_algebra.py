@@ -135,8 +135,9 @@ def test_group_law_associativity_and_inverse(rng):
         prod = g1 @ inv
         assert np.max(np.abs(prod.rotation - ID4)) < 1e-12
         assert np.max(np.abs(prod.translation)) < 1e-12
-        # 5x5 embedding is a homomorphism
-        assert np.allclose((g1 @ g2).matrix5(), g1.matrix5() @ g2.matrix5())
+        # the product acts as the composition of the actions
+        x = rng.normal(size=(5, 4))
+        assert np.allclose((g1 @ g2).apply(x), g1.apply(g2.apply(x)))
 
 
 def test_bracket_antisymmetry_and_jacobi(rng):

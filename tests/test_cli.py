@@ -149,7 +149,8 @@ def test_verify_pass_and_fail(tmp_path, spec_file, capsys):
     assert rc == 0 and out["pass"]
     # corrupt the spec: move a coefficient off its admissible value by
     # breaking the lattice (stretch generators so beta0 leaves the dual)
-    data = json.loads(open(spec_file).read())
+    with open(spec_file) as fh:
+        data = json.load(fh)
     data["coefficients"][0]["re"] *= 1.7
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -218,8 +219,9 @@ def test_family_mesh_output(tmp_path, spec_file, capsys):
     capsys.readouterr()
 
     def verts(path):
-        return np.array([[float(t) for t in l.split()[1:]]
-                         for l in open(path) if l.startswith("v ")])
+        with open(path) as fh:
+            return np.array([[float(t) for t in l.split()[1:]]
+                             for l in fh if l.startswith("v ")])
 
     diff = verts(data["members"][0]["mesh"]) - verts(tmp_path / "plain.obj")
     assert np.max(np.abs(diff)) < 1e-12

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from hamstat.algebra import EPS, ID4, L_I, LI_EPS_BAR
 from hamstat.cli import _spec_hash
 from hamstat.errors import MonodromyWarning, ResonantFrequency
+from hamstat.finitetype import formal_killing
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.numerics import dot_r2, fd_x, fd_y, fd_z, fd_zbar
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, _affine_frame,
-                                 associated_family, basis_A, basis_B,
-                                 beta_eval, family_samples, immerse,
-                                 regularity_scan, spinor_ab, spinor_u)
+                                 _merge, _u_modes, associated_family,
+                                 basis_A, basis_B, beta_eval, family_samples,
+                                 immerse, regularity_scan, spinor_ab, spinor_u)
 
 
 @pytest.fixture
@@ -190,6 +191,33 @@ def test_immerse_zero_and_linearity(rng):
     sb = TorusSpec.build(lat, 6 + 8j, {freq[2]: -0.7 + 0.2j})
     sab = TorusSpec.build(lat, 6 + 8j, {freq[0]: 1.0 + 0.5j, freq[2]: -0.7 + 0.2j})
     assert np.max(np.abs(immerse(sab, zs) - immerse(sa, zs) - immerse(sb, zs))) < 1e-12
+
+
+def test_merge_keeps_first_occurrence():
+    freqs = np.array([1 + 1j, 2.0, 1 + 1j + 1e-12, 3j, 2.0 - 3e-11])
+    vecs = np.arange(10.0).reshape(5, 2) + 1j
+    merged, sums = _merge(freqs, vecs)
+    assert merged.tolist() == [1 + 1j, 2.0, 3j]
+    assert np.array_equal(sums, [vecs[0] + vecs[2], vecs[1] + vecs[4], vecs[3]])
+
+
+def test_u_mode_table_invariants():
+    # gamma and -gamma both active, plus 5i without its negative
+    lat, beta0, gamma = Lattice.square(), 6 + 8j, 4 + 3j
+    coeffs = {gamma: 1.0 + 0.5j, -gamma: -0.7 + 0.2j, 5j: 0.3 - 0.4j}
+    freqs, vecs = _u_modes(TorusSpec.build(lat, beta0, coeffs))
+    # one row per distinct frequency, in pairs (delta, -delta)
+    assert freqs.tolist() == [gamma, -gamma, 5j, -5j]
+    assert vecs.shape == (4, 4)
+    assert np.array_equal(freqs[1::2], -freqs[::2])
+    # the rows of +-gamma sum the contributions of the two coefficients
+    alone = [_u_modes(TorusSpec.build(lat, beta0, {g: coeffs[g]}))
+             for g in (gamma, -gamma)]
+    assert np.array_equal(vecs[0], alone[0][1][0] + alone[1][1][1])
+    assert np.array_equal(vecs[1], alone[0][1][1] + alone[1][1][0])
+    # the formal Killing coefficients live on the frequencies of u
+    for f, w in formal_killing((freqs, vecs), np.pi * np.conj(beta0) / 2, 6):
+        assert f is freqs and w.shape == vecs.shape
 
 
 def test_spinor_single_mode_is_basis_vector():
