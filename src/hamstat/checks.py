@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import L_I, lagrangian_angle_raw, omega
 from .errors import AngleUnwrapFailure, DegenerateMetric
-from .numerics import TWO_PI, fd_x, fd_x4, fd_xx, fd_xy, fd_y, fd_y4, fd_yy
+from .numerics import TWO_PI, fd_x, fd_x4, fd_y, fd_y4
 from .weierstrass import TorusSpec, spinor_u
 
 __all__ = [
@@ -68,6 +68,17 @@ def _with_richardson(name, grid_n, threshold, h, fields_of_h, combine):
     return CheckReport(name, grid_n, float(res), threshold, extra)
 
 
+def _frame(f, zs, h):
+    """Central X_x, X_y on the grid and the mean squared |X_x| that
+    normalizes the conformal and Lagrangian residuals."""
+    xx = fd_x(f, zs, h)
+    xy = fd_y(f, zs, h)
+    scale = float(np.mean(np.sum(xx * xx, axis=-1)))
+    if scale < 1e-300:
+        raise DegenerateMetric("frame vanishes on the whole grid")
+    return xx, xy, scale
+
+
 def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
                     threshold: float = 1e-5) -> CheckReport:
     """Max of |<X_x, X_y>| + ||X_x|^2 - |X_y|^2| over the grid, normalized by
@@ -75,11 +86,7 @@ def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
     zs = lattice.grid(grid_n)
 
     def fields_of_h(h):
-        xx = fd_x(f, zs, h)
-        xy = fd_y(f, zs, h)
-        scale = float(np.mean(np.sum(xx * xx, axis=-1)))
-        if scale < 1e-300:
-            raise DegenerateMetric("frame vanishes on the whole grid")
+        xx, xy, scale = _frame(f, zs, h)
         cross = np.sum(xx * xy, axis=-1)
         stretch = np.sum(xx * xx, axis=-1) - np.sum(xy * xy, axis=-1)
         return (cross, stretch), scale
@@ -95,11 +102,7 @@ def check_lagrangian(f, lattice, grid_n: int, fd_step: float | None = None,
     zs = lattice.grid(grid_n)
 
     def fields_of_h(h):
-        xx = fd_x(f, zs, h)
-        xy = fd_y(f, zs, h)
-        scale = float(np.mean(np.sum(xx * xx, axis=-1)))
-        if scale < 1e-300:
-            raise DegenerateMetric("frame vanishes on the whole grid")
+        xx, xy, scale = _frame(f, zs, h)
         return (omega(xx, xy),), scale
 
     return _with_richardson(
@@ -163,6 +166,37 @@ def check_harmonic_angle(f, lattice, grid_n: int, fd_step: float | None = None,
                         "beta0_fit": [beta0_fit.real, beta0_fit.imag]})
 
 
+def _central(fp, f0, fm, h):
+    """First and second central differences from the values at z + s, z and
+    z - s, |s| = h."""
+    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
+
+
+def _wrapped(d):
+    """Angle difference brought into [-pi, pi]."""
+    return d - TWO_PI * np.round(d / TWO_PI)
+
+
+def _corner_terms(f, zs, c, h):
+    """X_xy from the corners zs + (+-1 +- i) h, and the angle gradient
+    (b_x, b_y) as central differences of the frame angle between the axis
+    neighbours zs +- h and zs +- i h.
+
+    The angle at a neighbour is that of its central differences left
+    unnormalized (a positive scale leaves it unchanged); they take two
+    corners, the centre ``c`` and one point at distance 2h, which is
+    evaluated here and nowhere else.
+    """
+    pp, pm = f(zs + h + 1j * h), f(zs + h - 1j * h)
+    mp, mm = f(zs - h + 1j * h), f(zs - h - 1j * h)
+    sxy = (pp - pm - mp + mm) / (4.0 * h * h)
+    bx = _wrapped(lagrangian_angle_raw(f(zs + 2 * h) - c, pp - pm)
+                  - lagrangian_angle_raw(c - f(zs - 2 * h), mp - mm)) / (2 * h)
+    by = _wrapped(lagrangian_angle_raw(pp - mp, f(zs + 2j * h) - c)
+                  - lagrangian_angle_raw(pm - mm, c - f(zs - 2j * h))) / (2 * h)
+    return sxy, bx, by
+
+
 def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
                          threshold: float = 1e-5) -> CheckReport:
     """Residual of the stationary-angle identity for the mean curvature.
@@ -175,11 +209,13 @@ def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
     zs = lattice.grid(grid_n)
 
     def fields_of_h(h):
-        xx = fd_x(f, zs, h)
-        xy = fd_y(f, zs, h)
-        sxx = fd_xx(f, zs, h)
-        sxy = fd_xy(f, zs, h)
-        syy = fd_yy(f, zs, h)
+        # the 13-point stencil zs + (i + j i) h, |i| + |j| <= 2: the corners
+        # and the points at distance 2h go into _corner_terms, the axis
+        # points into the first and second x and y differences
+        c = f(zs)
+        sxy, bx, by = _corner_terms(f, zs, c, h)
+        xx, sxx = _central(f(zs + h), c, f(zs - h), h)
+        xy, syy = _central(f(zs + 1j * h), c, f(zs - 1j * h), h)
 
         e = np.sum(xx * xx, axis=-1)
         g = np.sum(xy * xy, axis=-1)
@@ -196,26 +232,9 @@ def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
             c2 = (e * b - fg * a) / det
             return vec - c1[..., None] * xx - c2[..., None] * xy
 
-        h11 = normal_part(sxx)
-        h12 = normal_part(sxy)
-        h22 = normal_part(syy)
-        mean_curv = 0.5 * ((g[..., None] * h11 - 2 * fg[..., None] * h12
-                            + e[..., None] * h22) / det[..., None])
-
-        # angle gradient via wrapped finite differences of the frame angle
-        def angle(z):
-            ax = fd_x(f, z, h)
-            ay = fd_y(f, z, h)
-            ax = ax / np.linalg.norm(ax, axis=-1, keepdims=True)
-            ay = ay / np.linalg.norm(ay, axis=-1, keepdims=True)
-            return lagrangian_angle_raw(ax, ay)
-
-        def dwrap(a, b):
-            d = a - b
-            return d - TWO_PI * np.round(d / TWO_PI)
-
-        bx = dwrap(angle(zs + h), angle(zs - h)) / (2 * h)
-        by = dwrap(angle(zs + 1j * h), angle(zs - 1j * h)) / (2 * h)
+        mean_curv = 0.5 * ((g[..., None] * normal_part(sxx)
+                            - 2 * fg[..., None] * normal_part(sxy)
+                            + e[..., None] * normal_part(syy)) / det[..., None])
         grad = ((g * bx - fg * by)[..., None] * xx
                 + (e * by - fg * bx)[..., None] * xy) / det[..., None]
         target = 0.5 * (grad @ L_I.T)

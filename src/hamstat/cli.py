@@ -345,13 +345,10 @@ def cmd_family(args) -> int:
         except ValueError:
             raise SystemExit_input(f"invalid family parameter {text!r}")
     report = []
-    import warnings as _warnings
     for lam in lams:
         if abs(abs(lam) - 1.0) > 1e-9:
             raise SystemExit_input(f"family parameter {lam} is not unimodular")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            ev = weierstrass.associated_family(spec, lam, warn=False)
+        ev = weierstrass.associated_family(spec, lam, warn=False)
         entry = {"lambda": [lam.real, lam.imag],
                  "period_defects": ev.period_defects,
                  "periodic": max(ev.period_defects.values()) <= args.tol}

@@ -112,10 +112,9 @@ class Lattice:
         return Lattice(complex(inv_t[0, 0], inv_t[1, 0]),
                        complex(inv_t[0, 1], inv_t[1, 1]))
 
-    def grid(self, n: int, closed: bool = False) -> np.ndarray:
-        """n x n fundamental-domain samples; closed adds the wrap row/column."""
-        count = n + 1 if closed else n
-        s = np.arange(count) / n
+    def grid(self, n: int) -> np.ndarray:
+        """n x n fundamental-domain samples."""
+        s = np.arange(n) / n
         ss, tt = np.meshgrid(s, s, indexing="ij")
         return ss * self.g1 + tt * self.g2
 

@@ -70,14 +70,13 @@ class TwistedLoop:
             raise ValueError("sample count too small for the loop degree")
         rot_hat = np.zeros((m, 4, 4), dtype=complex)
         trans_hat = np.zeros((m, 4), dtype=complex)
-        for k, r, t in zip(self.ks, self.rot, self.trans):
-            rot_hat[k % m] += r
-            trans_hat[k % m] += t
+        np.add.at(rot_hat, self.ks % m, self.rot)
+        np.add.at(trans_hat, self.ks % m, self.trans)
         return samples_from_coeffs(rot_hat), samples_from_coeffs(trans_hat)
 
     @classmethod
-    def from_samples(cls, rot_samples, trans_samples, tol: float = 1e-12,
-                     max_degree: int | None = None) -> "TwistedLoop":
+    def from_samples(cls, rot_samples, trans_samples,
+                     tol: float = 1e-12) -> "TwistedLoop":
         rot_hat = loop_coeffs(np.asarray(rot_samples, dtype=complex))
         trans_hat = loop_coeffs(np.asarray(trans_samples, dtype=complex))
         m = rot_hat.shape[0]
@@ -85,8 +84,6 @@ class TwistedLoop:
         norms = (np.max(np.abs(rot_hat), axis=(1, 2))
                  + np.max(np.abs(trans_hat), axis=1))
         keep = norms > tol * max(norms.max(), 1e-300)
-        if max_degree is not None:
-            keep &= np.abs(ks) <= max_degree
         if not np.any(keep):
             keep[0] = True
         return cls(ks[keep], rot_hat[keep], trans_hat[keep])
@@ -113,34 +110,26 @@ class TwistedLoop:
         return TwistedLoop.from_samples(
             r1 @ r2, np.einsum("mij,mj->mi", r1, t2) + t1)
 
-    def inverse(self, m: int | None = None,
-                max_degree: int | None = None) -> "TwistedLoop":
+    def inverse(self, m: int | None = None) -> "TwistedLoop":
         m = m or _pow2(8 * self.degree + 16)
         r, t = self.sample(m)
         rinv = np.linalg.inv(r)
         return TwistedLoop.from_samples(
-            rinv, -np.einsum("mij,mj->mi", rinv, t), max_degree=max_degree)
+            rinv, -np.einsum("mij,mj->mi", rinv, t))
 
     def twist_residual(self) -> float:
-        worst = 0.0
-        for k, r, t in zip(self.ks, self.rot, self.trans):
-            w = 1j ** int(k % 4)
-            worst = max(worst,
-                        float(np.max(np.abs(tau_rotation(r) - w * r))),
-                        float(np.max(np.abs(tau_vector(t) - w * t))))
-        return worst
+        """Max entry of tau(c_k) - i^k c_k over the coefficients."""
+        w = np.array([1, 1j, -1, -1j])[self.ks % 4]
+        return _max_abs(tau_rotation(self.rot) - w[:, None, None] * self.rot,
+                        tau_vector(self.trans) - w[:, None] * self.trans)
 
     def reality_residual(self) -> float:
-        idx = {int(k): j for j, k in enumerate(self.ks)}
-        worst = 0.0
-        for j, k in enumerate(self.ks):
-            jm = idx.get(-int(k))
-            rm = self.rot[jm] if jm is not None else np.zeros((4, 4))
-            tm = self.trans[jm] if jm is not None else np.zeros(4)
-            worst = max(worst,
-                        float(np.max(np.abs(np.conj(self.rot[j]) - rm))),
-                        float(np.max(np.abs(np.conj(self.trans[j]) - tm))))
-        return worst
+        """Max entry of conj(c_k) - c_{-k}, a missing c_{-k} being 0."""
+        jm = np.minimum(np.searchsorted(self.ks, -self.ks), len(self.ks) - 1)
+        found = self.ks[jm] == -self.ks
+        rm = np.where(found[:, None, None], self.rot[jm], 0.0)
+        tm = np.where(found[:, None], self.trans[jm], 0.0)
+        return _max_abs(np.conj(self.rot) - rm, np.conj(self.trans) - tm)
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.rot)) + np.max(np.abs(self.trans)))
@@ -171,6 +160,10 @@ class TwistedLoop:
     @classmethod
     def from_json(cls, text: str) -> "TwistedLoop":
         return cls.from_dict(json.loads(text))
+
+
+def _max_abs(*arrays) -> float:
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
 def _parse_record(rec: dict):
@@ -306,19 +299,25 @@ def _branch_ii_compact(m: int, sign: float):
 
 # --- spectral factorizations ---------------------------------------------
 
-def _szego_scalar(w_samples, tol: float = 1e-12):
+def _half_plus(samples):
+    """Samples of half the constant mode plus the positive modes
+    1 .. m/2 - 1 of circle samples (axis 0)."""
+    m = samples.shape[0]
+    hat = np.fft.fft(samples, axis=0) / m
+    placed = np.zeros_like(hat)
+    placed[0] = 0.5 * hat[0]
+    placed[1:m // 2] = hat[1:m // 2]
+    return np.fft.ifft(placed, axis=0) * m
+
+
+def _szego_scalar(w_samples):
     """Scalar circle factorization w = u * b with |u| = 1 and b extending
     holomorphically into the disk, b(0) > 0 (classical log-splitting)."""
     w = np.asarray(w_samples, dtype=complex)
-    m = len(w)
     mod2 = np.abs(w) ** 2
     if np.min(mod2) < 1e-28:
         raise SingularInput("phase-factor loop vanishes on the circle")
-    chat = np.fft.fft(np.log(mod2)) / m
-    placed = np.zeros(m, dtype=complex)
-    placed[0] = 0.5 * chat[0]
-    placed[1:m // 2] = chat[1:m // 2]
-    b = np.exp(np.fft.ifft(placed) * m)
+    b = np.exp(_half_plus(np.log(mod2)))
     u = w / b
     if np.max(np.abs(np.abs(u) - 1.0)) > 1e-8:
         raise ConvergenceFailure("scalar factor is not unimodular; "
@@ -326,7 +325,11 @@ def _szego_scalar(w_samples, tol: float = 1e-12):
     return u, b
 
 
-def _wilson_factor(j_samples, tol: float = 1e-13, max_iter: int = 60):
+_WILSON_TOL = 1e-13      # Newton stops once |B^-* J B^-1 - Id| is below this
+_WILSON_ITER = 60
+
+
+def _wilson_factor(j_samples):
     """Canonical spectral factor of a Hermitian positive 2x2 loop:
     J = B* B with B holomorphic and invertible in the disk.
 
@@ -341,20 +344,15 @@ def _wilson_factor(j_samples, tol: float = 1e-13, max_iter: int = 60):
     low = np.linalg.cholesky(j0)
     b = np.broadcast_to(low.conj().T, j.shape).copy()
     eye = np.broadcast_to(np.eye(2), j.shape)
-    for _ in range(max_iter):
+    for _ in range(_WILSON_ITER):
         binv = np.linalg.inv(b)
         s = np.conj(np.swapaxes(binv, 1, 2)) @ j @ binv - eye
         err = float(np.max(np.abs(s)))
-        shat = np.fft.fft(s, axis=0) / m
-        that = np.zeros_like(shat)
-        that[0] = 0.5 * shat[0]
-        that[1:m // 2] = shat[1:m // 2]
-        t = np.fft.ifft(that, axis=0) * m
-        b = (eye + t) @ b
+        b = (eye + _half_plus(s)) @ b
         bhat = np.fft.fft(b, axis=0) / m
         bhat[m // 2 + 1:] = 0.0
         b = np.fft.ifft(bhat, axis=0) * m
-        if err < tol:
+        if err < _WILSON_TOL:
             break
     else:
         if err > 1e-9:
@@ -452,8 +450,9 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
         raise ConvergenceFailure("real factor has imaginary residue")
     f_real = f_rot.real
     v = np.einsum("mji,mj->mi", f_real, trans)      # F^{-1} = F^T pointwise
-    x = p_real_part(v)
-    b_tr = v - _split_neg(v) - np.conj(_split_neg(v))
+    neg = _split_neg(v)
+    x = neg + np.conj(neg)
+    b_tr = v - neg - np.conj(neg)
 
     u_loop = TwistedLoop.from_samples(
         f_real.astype(complex), np.einsum("mij,mj->mi", f_real, x))
@@ -479,8 +478,12 @@ def _phase_w(k_samples):
 
 # --- Birkhoff factorization -----------------------------------------------
 
+_COND_MAX = 1e10         # Toeplitz condition number beyond which birkhoff
+                         # reports the complement of the big cell
+
+
 def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
-             nsamples: int | None = None, cond_threshold: float = 1e10,
+             nsamples: int | None = None,
              tol: float = 1e-8) -> tuple[TwistedLoop, TwistedLoop]:
     """Split a twisted loop as (negative, = Id at infinity) . (positive).
 
@@ -517,15 +520,16 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     rhs = -shat[(-1 - rows) % m].reshape(4 * len(rows), 4)
     half, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > _COND_MAX:
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
 
-    rot_neg_coeffs = np.zeros((n + 1, 4, 4), dtype=complex)
-    rot_neg_coeffs[0] = ID4
-    rot_neg_coeffs[2::2] = half.reshape(len(cols), 4, 4)
-    gm_rot_loop = TwistedLoop(np.arange(0, -n - 1, -1), rot_neg_coeffs,
-                              np.zeros((n + 1, 4), dtype=complex))
-    gm_rot, _ = gm_rot_loop.sample(m)
+    # Id plus the exponents -2, -4, ..., placed in their FFT slots
+    if m < 2 * n + 2:
+        raise ValueError("sample count too small for the loop degree")
+    gm_hat = np.zeros((m, 4, 4), dtype=complex)
+    gm_hat[0] = ID4
+    gm_hat[m - 1 - cols] = half.reshape(len(cols), 4, 4)
+    gm_rot = samples_from_coeffs(gm_hat)
     gm_inv = np.linalg.inv(gm_rot)
     gp_rot = gm_inv @ rot
 
@@ -536,8 +540,9 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
         raise OutsideBigCell(f"positive factor leaks negative modes ({leak:.2e})")
 
     v = np.einsum("mij,mj->mi", gm_inv, trans)
-    t_plus = q_plus(v)
-    t_minus = np.einsum("mij,mj->mi", gm_rot, q_minus(v))
+    neg = _split_neg(v)
+    t_plus = v - neg
+    t_minus = np.einsum("mij,mj->mi", gm_rot, neg)
     g_minus = TwistedLoop.from_samples(gm_rot, t_minus)
     g_plus = TwistedLoop.from_samples(gp_rot, t_plus)
     return g_minus, g_plus
@@ -592,33 +597,10 @@ class HolomorphicPotentialData:
     @classmethod
     def constant(cls, c: complex, a: complex, b: complex) -> "HolomorphicPotentialData":
         c, a, b = complex(c), complex(a), complex(b)
-        pot = cls(h=lambda z: 2.0 * c * np.asarray(z, dtype=complex),
-                  dh=lambda z: np.full(np.shape(z), 2.0 * c, dtype=complex),
-                  a=lambda z: np.full(np.shape(z), a, dtype=complex),
-                  b=lambda z: np.full(np.shape(z), b, dtype=complex))
-        pot._constants = (c, a, b)
-        return pot
-
-    def to_dict(self) -> dict:
-        """JSON form; only structured (constant) potentials serialize."""
-        if not hasattr(self, "_constants"):
-            raise TypeError("only constant potentials have a JSON form; "
-                            "extraction-backed data is callable-only")
-        c, a, b = self._constants
-        return {"c": [c.real, c.imag], "a": [a.real, a.imag],
-                "b": [b.real, b.imag]}
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HolomorphicPotentialData":
-        return cls.constant(complex(*data["c"]), complex(*data["a"]),
-                            complex(*data["b"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "HolomorphicPotentialData":
-        return cls.from_dict(json.loads(text))
+        return cls(h=lambda z: 2.0 * c * np.asarray(z, dtype=complex),
+                   dh=lambda z: np.full(np.shape(z), 2.0 * c, dtype=complex),
+                   a=lambda z: np.full(np.shape(z), a, dtype=complex),
+                   b=lambda z: np.full(np.shape(z), b, dtype=complex))
 
 
 def _half_slots(m: int):

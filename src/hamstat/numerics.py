@@ -80,19 +80,6 @@ def fd_zbar(f, z, h):
     return 0.5 * (fd_x(f, z, h) + 1j * fd_y(f, z, h))
 
 
-def fd_xx(f, z, h):
-    return (f(z + h) - 2.0 * f(z) + f(z - h)) / (h * h)
-
-
-def fd_yy(f, z, h):
-    return (f(z + 1j * h) - 2.0 * f(z) + f(z - 1j * h)) / (h * h)
-
-
-def fd_xy(f, z, h):
-    return (f(z + h + 1j * h) - f(z + h - 1j * h)
-            - f(z - h + 1j * h) + f(z - h - 1j * h)) / (4.0 * h * h)
-
-
 def fd_laplacian4(f, z, h):
     """Fourth-order 9-point Laplacian."""
     def second(step):

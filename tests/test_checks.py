@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from mean_curvature_reference import reference_residual
 
 from hamstat.checks import (SpinorFields, check_conformal, check_flatness,
                             check_harmonic_angle, check_lagrangian,
@@ -204,3 +207,60 @@ def test_suite_rejects_sine_perturbation(tori, where):
     bad = run_suite(perturbed, spec.lattice, 32, spec=spec)
     assert all(r.passed for r in good)
     assert not bad[0].passed                    # conformal
+
+
+class _Counted:
+    """Immersion of a spec that counts its calls."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return immerse(self.spec, z)
+
+
+def test_mean_curvature_takes_one_13_point_stencil(tori):
+    spec = tori[0]
+    f = _Counted(spec)
+    rep = check_mean_curvature(f, spec.lattice, 16)
+    assert rep.passed and not rep.extra.get("richardson")
+    assert f.calls == 13
+    f.calls = 0
+    check_mean_curvature(f, spec.lattice, 16, threshold=0.0)   # fallback runs
+    assert f.calls == 26
+    f.calls = 0
+    reports = run_suite(f, spec.lattice, 16, spec=spec)
+    assert all(r.passed and not r.extra.get("richardson") for r in reports)
+    assert f.calls == 29
+
+
+@pytest.mark.parametrize("grid_n", [16, 64, 128])
+def test_mean_curvature_matches_30_evaluation_reference(tori, grid_n):
+    for spec in tori:
+        f = lambda z: immerse(spec, z)
+        rep = check_mean_curvature(f, spec.lattice, grid_n, threshold=np.inf)
+        ref = reference_residual(f, spec.lattice, grid_n, rep.extra["fd_step"])
+        assert abs(rep.residual - ref) <= 2e-2 * ref, (grid_n, rep.residual, ref)
+
+
+def test_mean_curvature_peak_memory_within_reference(tori):
+    spec = tori[0]
+    f = lambda z: immerse(spec, z)
+    h = 3e-5 * spec.lattice.diameter()
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        new = peak(lambda: check_mean_curvature(f, spec.lattice, 128,
+                                                threshold=np.inf))
+        ref = peak(lambda: reference_residual(f, spec.lattice, 128, h))
+    finally:
+        tracemalloc.stop()
+    assert new <= ref, (new, ref)
