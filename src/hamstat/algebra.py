@@ -212,7 +212,7 @@ def eigen_project(x: AlgebraElement, k: int) -> AlgebraElement:
     return AlgebraElement(np.zeros((4, 4)), proj)
 
 
-def _wedge_value(e1, e3):
+def wedge_value(e1, e3):
     """(dx1 + i dx2) ^ (dx3 + i dx4) on the ordered pair (e1, e3)."""
     a = e1[..., 0] + 1j * e1[..., 1]
     b = e1[..., 2] + 1j * e1[..., 3]
@@ -233,12 +233,12 @@ def lagrangian_angle(e1, e3, tol: float = 1e-9):
     worst = max(checks)
     if worst > tol:
         raise FrameNotLagrangian(f"frame residual {worst:.3e} exceeds tol {tol:.1e}")
-    return float(np.angle(_wedge_value(e1, e3)))
+    return float(np.angle(wedge_value(e1, e3)))
 
 
 def lagrangian_angle_raw(e1, e3):
     """Angle of the wedge value without precondition checks (vectorized)."""
-    return np.angle(_wedge_value(np.asarray(e1), np.asarray(e3)))
+    return np.angle(wedge_value(np.asarray(e1), np.asarray(e3)))
 
 
 def exp_g2(a):

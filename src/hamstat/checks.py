@@ -9,12 +9,13 @@ independent of it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import L_I, lagrangian_angle_raw, omega
+from .algebra import L_I, lagrangian_angle_raw, omega, wedge_value
 from .errors import AngleUnwrapFailure, DegenerateMetric
 from .numerics import TWO_PI, fd_x, fd_x4, fd_y, fd_y4
 from .weierstrass import TorusSpec, spinor_u
@@ -68,15 +69,40 @@ def _with_richardson(name, grid_n, threshold, h, fields_of_h, combine):
     return CheckReport(name, grid_n, float(res), threshold, extra)
 
 
+def _dot(a, b):
+    """Row dot product of (..., 4) arrays, summed in the order np.sum uses."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+
+
 def _frame(f, zs, h):
     """Central X_x, X_y on the grid and the mean squared |X_x| that
     normalizes the conformal and Lagrangian residuals."""
     xx = fd_x(f, zs, h)
     xy = fd_y(f, zs, h)
-    scale = float(np.mean(np.sum(xx * xx, axis=-1)))
+    scale = float(np.mean(_dot(xx, xx)))
     if scale < 1e-300:
         raise DegenerateMetric("frame vanishes on the whole grid")
     return xx, xy, scale
+
+
+def _conformal(frame, grid_n, h, threshold):
+    def fields_of_h(h):
+        xx, xy, scale = frame(h)
+        return (_dot(xx, xy), _dot(xx, xx) - _dot(xy, xy)), scale
+
+    return _with_richardson(
+        "conformal", grid_n, threshold, h, fields_of_h,
+        lambda fs: float(np.max(np.abs(fs[0]) + np.abs(fs[1]))))
+
+
+def _lagrangian(frame, grid_n, h, threshold):
+    def fields_of_h(h):
+        xx, xy, scale = frame(h)
+        return (omega(xx, xy),), scale
+
+    return _with_richardson("lagrangian", grid_n, threshold, h, fields_of_h,
+                            lambda fs: float(np.max(np.abs(fs[0]))))
 
 
 def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
@@ -84,40 +110,25 @@ def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
     """Max of |<X_x, X_y>| + ||X_x|^2 - |X_y|^2| over the grid, normalized by
     the mean squared frame length."""
     zs = lattice.grid(grid_n)
-
-    def fields_of_h(h):
-        xx, xy, scale = _frame(f, zs, h)
-        cross = np.sum(xx * xy, axis=-1)
-        stretch = np.sum(xx * xx, axis=-1) - np.sum(xy * xy, axis=-1)
-        return (cross, stretch), scale
-
-    return _with_richardson(
-        "conformal", grid_n, threshold, fd_step or _default_step(lattice),
-        fields_of_h, lambda fs: float(np.max(np.abs(fs[0]) + np.abs(fs[1]))))
+    return _conformal(lambda h: _frame(f, zs, h), grid_n,
+                      fd_step or _default_step(lattice), threshold)
 
 
 def check_lagrangian(f, lattice, grid_n: int, fd_step: float | None = None,
                      threshold: float = 1e-5) -> CheckReport:
     """Max |omega(X_x, X_y)| over the grid (same normalization as above)."""
     zs = lattice.grid(grid_n)
-
-    def fields_of_h(h):
-        xx, xy, scale = _frame(f, zs, h)
-        return (omega(xx, xy),), scale
-
-    return _with_richardson(
-        "lagrangian", grid_n, threshold, fd_step or _default_step(lattice),
-        fields_of_h, lambda fs: float(np.max(np.abs(fs[0]))))
+    return _lagrangian(lambda h: _frame(f, zs, h), grid_n,
+                       fd_step or _default_step(lattice), threshold)
 
 
 def _angle_field(f, zs, h):
     xx = fd_x4(f, zs, h)
     xy = fd_y4(f, zs, h)
-    nx = np.linalg.norm(xx, axis=-1, keepdims=True)
-    ny = np.linalg.norm(xy, axis=-1, keepdims=True)
-    if np.min(nx) < 1e-12 or np.min(ny) < 1e-12:
+    # unnormalized: a positive scale leaves the wedge argument unchanged
+    if np.min(_dot(xx, xx)) < 1e-24 or np.min(_dot(xy, xy)) < 1e-24:
         raise DegenerateMetric("frame vanishes at a grid point")
-    return lagrangian_angle_raw(xx / nx, xy / ny)
+    return lagrangian_angle_raw(xx, xy)
 
 
 def _unwrap_grid(angles, budget: float = np.pi):
@@ -172,28 +183,27 @@ def _central(fp, f0, fm, h):
     return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
 
 
-def _wrapped(d):
-    """Angle difference brought into [-pi, pi]."""
-    return d - TWO_PI * np.round(d / TWO_PI)
-
-
 def _corner_terms(f, zs, c, h):
     """X_xy from the corners zs + (+-1 +- i) h, and the angle gradient
     (b_x, b_y) as central differences of the frame angle between the axis
     neighbours zs +- h and zs +- i h.
 
-    The angle at a neighbour is that of its central differences left
-    unnormalized (a positive scale leaves it unchanged); they take two
-    corners, the centre ``c`` and one point at distance 2h, which is
-    evaluated here and nowhere else.
+    The angle at a neighbour is that of the wedge value of its central
+    differences left unnormalized (a positive scale leaves it unchanged);
+    they take two corners, the centre ``c`` and one point at distance 2h,
+    which is evaluated here and nowhere else.  The angle difference of two
+    neighbours is the argument of one wedge value times the conjugate of
+    the other, already in [-pi, pi].
     """
     pp, pm = f(zs + h + 1j * h), f(zs + h - 1j * h)
     mp, mm = f(zs - h + 1j * h), f(zs - h - 1j * h)
     sxy = (pp - pm - mp + mm) / (4.0 * h * h)
-    bx = _wrapped(lagrangian_angle_raw(f(zs + 2 * h) - c, pp - pm)
-                  - lagrangian_angle_raw(c - f(zs - 2 * h), mp - mm)) / (2 * h)
-    by = _wrapped(lagrangian_angle_raw(pp - mp, f(zs + 2j * h) - c)
-                  - lagrangian_angle_raw(pm - mm, c - f(zs - 2j * h))) / (2 * h)
+    # one wedge at a time, so its input differences are freed before the
+    # next ones are built
+    bx = np.angle(wedge_value(f(zs + 2 * h) - c, pp - pm)
+                  * np.conj(wedge_value(c - f(zs - 2 * h), mp - mm))) / (2 * h)
+    by = np.angle(wedge_value(pp - mp, f(zs + 2j * h) - c)
+                  * np.conj(wedge_value(pm - mm, c - f(zs - 2j * h)))) / (2 * h)
     return sxy, bx, by
 
 
@@ -217,24 +227,20 @@ def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
         xx, sxx = _central(f(zs + h), c, f(zs - h), h)
         xy, syy = _central(f(zs + 1j * h), c, f(zs - 1j * h), h)
 
-        e = np.sum(xx * xx, axis=-1)
-        g = np.sum(xy * xy, axis=-1)
-        fg = np.sum(xx * xy, axis=-1)
+        e = _dot(xx, xx)
+        g = _dot(xy, xy)
+        fg = _dot(xx, xy)
         det = e * g - fg ** 2
         if np.min(det) < 1e-12 * np.max(det):
             raise DegenerateMetric("induced metric is singular on the grid")
 
-        def normal_part(vec):
-            # subtract tangential components (general, non-orthogonal frame)
-            a = np.sum(vec * xx, axis=-1)
-            b = np.sum(vec * xy, axis=-1)
-            c1 = (g * a - fg * b) / det
-            c2 = (e * b - fg * a) / det
-            return vec - c1[..., None] * xx - c2[..., None] * xy
-
-        mean_curv = 0.5 * ((g[..., None] * normal_part(sxx)
-                            - 2 * fg[..., None] * normal_part(sxy)
-                            + e[..., None] * normal_part(syy)) / det[..., None])
+        # the normal projection is linear: project the metric trace once,
+        # subtracting its tangential part in the non-orthogonal frame
+        trace = g[..., None] * sxx - 2 * fg[..., None] * sxy + e[..., None] * syy
+        a, b = _dot(trace, xx), _dot(trace, xy)
+        mean_curv = 0.5 * ((trace - ((g * a - fg * b) / det)[..., None] * xx
+                            - ((e * b - fg * a) / det)[..., None] * xy)
+                           / det[..., None])
         grad = ((g * bx - fg * by)[..., None] * xx
                 + (e * by - fg * bx)[..., None] * xy) / det[..., None]
         target = 0.5 * (grad @ L_I.T)
@@ -243,7 +249,7 @@ def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
     return _with_richardson(
         "mean-curvature", grid_n, threshold,
         fd_step or 3e-5 * lattice.diameter(), fields_of_h,
-        lambda fs: float(np.max(np.linalg.norm(fs[0], axis=-1))))
+        lambda fs: float(np.sqrt(np.max(_dot(fs[0], fs[0])))))
 
 
 class SpinorFields:
@@ -336,9 +342,15 @@ def run_suite(f, lattice, grid_n: int, spec: TorusSpec | None = None,
     th = {"conformal": 1e-5, "lagrangian": 1e-5, "harmonic-angle": 1e-6,
           "mean-curvature": 1e-5, "flatness": 1e-6}
     th.update(thresholds or {})
-    reports = [
-        check_conformal(f, lattice, grid_n, threshold=th["conformal"]),
-        check_lagrangian(f, lattice, grid_n, threshold=th["lagrangian"]),
+    # the conformal and Lagrangian checks read one frame per step, the
+    # Richardson h/2 one too; the cache goes before the angle check allocates
+    zs = lattice.grid(grid_n)
+    frame = functools.cache(lambda h: _frame(f, zs, h))
+    h = _default_step(lattice)
+    reports = [_conformal(frame, grid_n, h, th["conformal"]),
+               _lagrangian(frame, grid_n, h, th["lagrangian"])]
+    del frame, zs
+    reports += [
         check_harmonic_angle(f, lattice, grid_n, threshold=th["harmonic-angle"]),
         check_mean_curvature(f, lattice, grid_n, threshold=th["mean-curvature"]),
     ]

@@ -115,8 +115,7 @@ class Lattice:
     def grid(self, n: int) -> np.ndarray:
         """n x n fundamental-domain samples."""
         s = np.arange(n) / n
-        ss, tt = np.meshgrid(s, s, indexing="ij")
-        return ss * self.g1 + tt * self.g2
+        return (s * self.g1)[:, None] + (s * self.g2)[None, :]
 
     def is_sublattice_of(self, other: "Lattice", tol: float = 1e-9) -> bool:
         return bool(np.all(other.contains(np.array([self.g1, self.g2]), tol)))

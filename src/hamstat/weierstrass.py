@@ -323,7 +323,10 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     zs = spec.lattice.grid(grid_n)
-    norms = np.linalg.norm(spinor_u(spec, zs), axis=-1)
+    u = spinor_u(spec, zs)
+    # np.linalg.norm's own sum of squares, unrolled over the 4 components
+    s = (u.conj() * u).real
+    norms = np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])
     idx = np.unravel_index(np.argmin(norms), norms.shape)
     cover = ("1" if spec.periodicity() is PeriodicityClass.TRULY_PERIODIC
              else "2")

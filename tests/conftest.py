@@ -3,8 +3,11 @@ import pytest
 
 from hamstat.algebra import (EPS, EPS_BAR, L_I, LI_EPS, LI_EPS_BAR, R_I,
                              R_J, R_K, exp_rotation)
+from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.loops import TwistedLoop
 from hamstat.numerics import gauss_legendre_01, unit_lambdas
+from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
+from hamstat.weierstrass import TorusSpec, spinor_u
 
 
 @pytest.fixture
@@ -77,3 +80,31 @@ def exp_twisted_loop(ks, rots, trans, m):
 def random_twisted_group_loop(deg, rng, m=128, amp=0.2, sign=0, real=False):
     ks, rots, trans = random_twisted_algebra_coeffs(deg, rng, amp, sign, real)
     return exp_twisted_loop(ks, rots, trans, m)
+
+
+def golden_tori():
+    """The standard, rhombic and Castro-Urbano (3,1,1,3) torus specs."""
+    cu = castro_urbano(3, 1, 1, 3)
+    gamma = np.exp(1j * cu.beta) / (2 * np.pi)
+    cu_spec = cu.build_spec({gamma: 2.0 + 1.0j, np.conj(gamma): 1.5 - 0.5j})
+    return [standard_torus(1.0, 1.0).spec, rhombic_torus().spec, cu_spec]
+
+
+def spec_vanishing_at(z_star):
+    """Square-lattice spec on three frequencies of slope 6 + 8i whose spinor
+    u vanishes at z_star: the coefficients are a null vector of the
+    real-linear map from coefficients to the (a, b) components of u(z_star)."""
+    lat = Lattice.square()
+    beta0 = 6 + 8j
+    freq = list(enumerate_frequencies(lat, beta0))[:3]
+    cols = []
+    for j in range(3):
+        for val in (1.0, 1j):
+            c = [0.0] * 3
+            c[j] = val
+            u = spinor_u(TorusSpec.build(lat, beta0, dict(zip(freq, c))), z_star)
+            cols.append([u[0].real, u[0].imag, u[1].real, u[1].imag])
+    _, _, vt = np.linalg.svd(np.array(cols).T)
+    null = vt[-2]
+    coeffs = [complex(null[2 * j], null[2 * j + 1]) for j in range(3)]
+    return TorusSpec.build(lat, beta0, dict(zip(freq, coeffs)))

@@ -2,23 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import golden_tori
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mean_curvature_reference import reference_residual
 
-from hamstat.checks import (SpinorFields, check_conformal, check_flatness,
-                            check_harmonic_angle, check_lagrangian,
-                            check_mean_curvature, run_suite)
+from hamstat.checks import (SpinorFields, _dot, check_conformal,
+                            check_flatness, check_harmonic_angle,
+                            check_lagrangian, check_mean_curvature, run_suite)
 from hamstat.errors import AngleUnwrapFailure, DegenerateMetric
 from hamstat.lattices import Lattice
-from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
+from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, _affine_frame, immerse
 
 
 @pytest.fixture(scope="module")
 def tori():
-    cu = castro_urbano(3, 1, 1, 3)
-    gamma = np.exp(1j * cu.beta) / (2 * np.pi)
-    cu_spec = cu.build_spec({gamma: 2.0 + 1.0j, np.conj(gamma): 1.5 - 0.5j})
-    return [standard_torus(1.0, 1.0).spec, rhombic_torus().spec, cu_spec]
+    return golden_tori()
 
 
 def test_suites_pass_on_golden_tori(tori):
@@ -54,6 +54,39 @@ def test_constant_map_has_degenerate_metric():
 
     with pytest.raises(DegenerateMetric):
         check_conformal(point, Lattice.square(), 8)
+
+
+def test_frame_vanishing_on_a_grid_row_is_degenerate():
+    # X_y = (0, 0, 3 y^2, 0) vanishes on the y = 0 row that both the angle
+    # grid and the lattice grid contain; X_x never does, so the conformal
+    # normalization does not trip
+    def cusp(z):
+        z = np.asarray(z, dtype=complex)
+        zero = np.zeros_like(z.real)
+        return np.stack([z.real, zero, z.imag ** 3, zero], axis=-1)
+
+    with pytest.raises(DegenerateMetric, match="frame vanishes at a grid point"):
+        check_harmonic_angle(cusp, Lattice.square(), 16)
+    with pytest.raises(DegenerateMetric, match="induced metric is singular"):
+        check_mean_curvature(cusp, Lattice.square(), 16)
+
+
+_ENTRY = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan]))
+# rows of unit-scale entries make the summation order show in the last bits
+_ROW = st.one_of(st.tuples(*[st.floats(-4.0, 4.0)] * 8),
+                 st.tuples(*[_ENTRY] * 8))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(_ROW, min_size=1, max_size=6))
+def test_dot_matches_axis_sum(rows):
+    # numpy sums a length-4 axis left to right, as the unrolled dot does
+    ab = np.array(rows).reshape(-1, 2, 4)
+    a, b = ab[:, 0], ab[:, 1]
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_dot(a, b), np.sum(a * b, axis=-1),
+                              equal_nan=True)
 
 
 def test_non_gradient_graph_fails_lagrangian():
@@ -233,6 +266,24 @@ def test_mean_curvature_takes_one_13_point_stencil(tori):
     f.calls = 0
     reports = run_suite(f, spec.lattice, 16, spec=spec)
     assert all(r.passed and not r.extra.get("richardson") for r in reports)
+    assert f.calls == 25
+
+
+def test_conformal_and_lagrangian_take_four_evaluations_alone(tori):
+    spec = tori[0]
+    for check in (check_conformal, check_lagrangian):
+        f = _Counted(spec)
+        check(f, spec.lattice, 16)
+        assert f.calls == 4
+
+
+def test_suite_fallbacks_share_one_half_step_frame(tori):
+    # both Richardson fallbacks run: 4 calls at h and 4 at h/2 serve the
+    # two checks, then 8 for the angle and 13 for the mean curvature
+    spec = tori[0]
+    f = _Counted(spec)
+    run_suite(f, spec.lattice, 16, spec=spec,
+              thresholds={"conformal": 0.0, "lagrangian": 0.0})
     assert f.calls == 29
 
 
@@ -264,3 +315,24 @@ def test_mean_curvature_peak_memory_within_reference(tori):
     finally:
         tracemalloc.stop()
     assert new <= ref, (new, ref)
+
+
+def test_suite_peak_memory_within_mean_curvature(tori):
+    # the conformal and Lagrangian frames are released before the angle
+    # check, so the suite peaks in the mean-curvature check
+    spec = tori[0]
+    f = lambda z: immerse(spec, z)
+
+    def peak(run):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        suite = peak(lambda: run_suite(f, spec.lattice, 128, spec=spec))
+        alone = peak(lambda: check_mean_curvature(f, spec.lattice, 128))
+    finally:
+        tracemalloc.stop()
+    assert suite <= alone + 64 * 1024, (suite, alone)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import spec_vanishing_at
 from hamstat.algebra import L_J
 from hamstat.cli import (_BLOCK_ROWS, _face_block, _write_obj, _write_ply, main,
                          parse_complex)
@@ -112,6 +113,20 @@ def test_mesh_obj_watertight(tmp_path, spec_file, capsys):
                 edges.add((min(a, b), max(a, b)))
     assert verts == 16 * 16 == faces
     assert verts - len(edges) + faces == 0      # closed genus-one mesh
+
+
+def test_mesh_warns_when_the_spinor_vanishes_on_the_grid(tmp_path, capsys):
+    # u vanishes at a point of the 16 x 16 lattice grid that both the
+    # regularity scan and the mesh sample
+    spec = tmp_path / "zero.json"
+    spec.write_text(spec_vanishing_at(5 / 16 + 3j / 16).to_json())
+    out = tmp_path / "mesh.obj"
+    rc = main(["mesh", str(spec), "--grid", "16", "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: grid may be degenerate")
+    verts = sum(line.startswith("v ") for line in out.read_text().splitlines())
+    assert verts == 256
 
 
 def test_mesh_deterministic(tmp_path, spec_file):

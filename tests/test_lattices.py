@@ -296,3 +296,15 @@ def test_lattice_from_config_fractions():
     lat = Lattice.from_config({"g1": ["3/2", "0"], "g2": ["0", "1/3"]})
     assert abs(lat.g1 - 1.5) < 1e-15
     assert abs(lat.g2 - 1j / 3) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128, 256])
+def test_grid_matches_meshgrid_formula(n):
+    s = np.arange(n) / n
+    ss, tt = np.meshgrid(s, s, indexing="ij")
+    for scale in (1.0, 1e3):
+        for lat in (Lattice(scale, scale * 1j),
+                    Lattice(scale, scale * np.exp(1j * np.pi / 3)),
+                    Lattice(scale * (1.3 - 0.2j), scale * (0.4 + 0.9j))):
+            ref = ss * lat.g1 + tt * lat.g2
+            assert np.array_equal(lat.grid(n).view(float), ref.view(float))

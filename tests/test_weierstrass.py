@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import golden_tori, spec_vanishing_at
 from hamstat.algebra import EPS, ID4, L_I, LI_EPS_BAR
 from hamstat.cli import _spec_hash
 from hamstat.errors import MonodromyWarning, ResonantFrequency
@@ -309,34 +310,29 @@ def test_regularity_scan_standard_and_zero(square_spec):
     assert regularity_scan(zero, 8).min_abs_u == 0.0
 
 
-def test_regularity_scan_constructed_zero(rng):
+def test_regularity_scan_constructed_zero():
     # choose coefficients so the spinor vanishes at a chosen point
-    lat = Lattice.square()
-    beta0 = 6 + 8j
-    freq = list(enumerate_frequencies(lat, beta0))[:3]
     z_star = 0.31 + 0.17j
-
-    def u_of(coeffs, z):
-        spec = TorusSpec.build(lat, beta0, dict(zip(freq, coeffs)))
-        return spinor_u(spec, z)
-
-    # real-linear system for (a, b) components at z_star
-    cols = []
-    for j in range(3):
-        for val in (1.0, 1j):
-            c = [0.0] * 3
-            c[j] = val
-            u = u_of(c, z_star)
-            cols.append([u[0].real, u[0].imag, u[1].real, u[1].imag])
-    a_mat = np.array(cols).T
-    _, s, vt = np.linalg.svd(a_mat)
-    null = vt[-2]
-    coeffs = [complex(null[2 * j], null[2 * j + 1]) for j in range(3)]
-    spec = TorusSpec.build(lat, beta0, dict(zip(freq, coeffs)))
+    spec = spec_vanishing_at(z_star)
     assert np.linalg.norm(spinor_u(spec, z_star)) < 1e-10
     rep = regularity_scan(spec, 160)
-    u_max = np.max(np.linalg.norm(spinor_u(spec, lat.grid(32)), axis=-1))
+    u_max = np.max(np.linalg.norm(spinor_u(spec, spec.lattice.grid(32)),
+                                  axis=-1))
     assert rep.min_abs_u < 0.05 * u_max
+
+
+def test_regularity_scan_matches_norm_reference():
+    # the unrolled sum of squares is np.linalg.norm's own, so the minimum
+    # and the grid point it picks are bit for bit the same
+    cases = [(spec, 64) for spec in golden_tori()]
+    cases.append((spec_vanishing_at(0.31 + 0.17j), 160))
+    for spec, grid_n in cases:
+        rep = regularity_scan(spec, grid_n)
+        zs = spec.lattice.grid(grid_n)
+        norms = np.linalg.norm(spinor_u(spec, zs), axis=-1)
+        idx = np.unravel_index(np.argmin(norms), norms.shape)
+        assert rep.min_abs_u == norms[idx]
+        assert rep.argmin == zs[idx]
 
 
 def test_solution_space_dimension(rng):
