@@ -34,10 +34,21 @@ def _as_real(value) -> float:
     return float(value)
 
 
+def parse_pair(value) -> complex:
+    """re + i im of a [re, im] list of two numbers or exact fraction
+    strings; ValueError for anything else."""
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(_as_real(value[0]), _as_real(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"expected a [re, im] pair, got {value!r}")
+
+
 def _as_complex(value) -> complex:
     """Accept complex literals, (re, im) pairs, or exact fraction strings."""
     if isinstance(value, (list, tuple)):
-        return complex(_as_real(value[0]), _as_real(value[1]))
+        return parse_pair(value)
     if isinstance(value, str):
         return complex(value)
     return complex(value)

@@ -17,12 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (EPS, G0_BASIS, ID4, L_I, LI_EPS_BAR, PHASE_BASIS,
+from .algebra import (EPS, G0_BASIS, ID4, L_I, L_J, LI_EPS_BAR, PHASE_BASIS,
                       PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, _li_rotate, coords,
                       from_coords, tau_rotation, tau_vector)
 from .errors import (BranchDetectionFailure, ConvergenceFailure, LoopAliasing,
                      NotInBigCell, OutsideBigCell, PathIntegrationFailure,
                      SingularInput)
+from .lattices import parse_pair
 from .numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                        samples_from_coeffs, unit_lambdas)
 from .weierstrass import TorusSpec, family_samples, holomorphic_angle
@@ -77,10 +78,16 @@ class TwistedLoop:
     @classmethod
     def from_samples(cls, rot_samples, trans_samples,
                      tol: float = 1e-12) -> "TwistedLoop":
-        rot_hat = loop_coeffs(np.asarray(rot_samples, dtype=complex))
-        trans_hat = loop_coeffs(np.asarray(trans_samples, dtype=complex))
-        m = rot_hat.shape[0]
-        ks = coeff_exponents(m)
+        return cls.from_coeffs(
+            loop_coeffs(np.asarray(rot_samples, dtype=complex)),
+            loop_coeffs(np.asarray(trans_samples, dtype=complex)), tol)
+
+    @classmethod
+    def from_coeffs(cls, rot_hat, trans_hat,
+                    tol: float = 1e-12) -> "TwistedLoop":
+        """Loop from coefficients in FFT slots (slot j <-> exponent j mod m),
+        keeping the slots above ``tol`` times the largest."""
+        ks = coeff_exponents(rot_hat.shape[0])
         norms = (np.max(np.abs(rot_hat), axis=(1, 2))
                  + np.max(np.abs(trans_hat), axis=1))
         keep = norms > tol * max(norms.max(), 1e-300)
@@ -119,7 +126,7 @@ class TwistedLoop:
 
     def twist_residual(self) -> float:
         """Max entry of tau(c_k) - i^k c_k over the coefficients."""
-        w = np.array([1, 1j, -1, -1j])[self.ks % 4]
+        w = _I_POW[self.ks % 4]
         return _max_abs(tau_rotation(self.rot) - w[:, None, None] * self.rot,
                         tau_vector(self.trans) - w[:, None] * self.trans)
 
@@ -162,15 +169,26 @@ class TwistedLoop:
         return cls.from_dict(json.loads(text))
 
 
+_I_POW = np.array([1, 1j, -1, -1j])     # i^k at slot k % 4
+
+
 def _max_abs(*arrays) -> float:
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+def _finite_norm(loop: TwistedLoop) -> float:
+    """``loop.norm()``, which is NaN or inf when a coefficient is."""
+    norm = loop.norm()
+    if not np.isfinite(norm):
+        raise SingularInput("loop coefficients must be finite")
+    return norm
 
 
 def _parse_record(rec: dict):
     """(k, rotation, translation) of one serialized coefficient record."""
     return (int(rec["k"]),
-            [[complex(v[0], v[1]) for v in row] for row in rec["rotation"]],
-            [complex(v[0], v[1]) for v in rec["translation"]])
+            [[parse_pair(v) for v in row] for row in rec["rotation"]],
+            [parse_pair(v) for v in rec["translation"]])
 
 
 def _pow2(n: int) -> int:
@@ -345,7 +363,7 @@ def _wilson_factor(j_samples):
     b = np.broadcast_to(low.conj().T, j.shape).copy()
     eye = np.broadcast_to(np.eye(2), j.shape)
     for _ in range(_WILSON_ITER):
-        binv = np.linalg.inv(b)
+        binv = _inv2(b)
         s = np.conj(np.swapaxes(binv, 1, 2)) @ j @ binv - eye
         err = float(np.max(np.abs(s)))
         b = (eye + _half_plus(s)) @ b
@@ -358,6 +376,24 @@ def _wilson_factor(j_samples):
         if err > 1e-9:
             raise ConvergenceFailure(f"spectral factorization stalled at {err:.2e}")
     return b
+
+
+_ADJ_SIGNS = np.array([[1, -1], [-1, 1]])
+
+
+def _inv2(b):
+    """Inverse of a (..., 2, 2) stack by the adjugate over the determinant.
+
+    Raises SingularInput when a determinant is 0 or not finite, or an entry
+    of the inverse overflows, so no NaN or inf is returned.
+    """
+    with np.errstate(all="ignore"):
+        det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+        inv = (np.swapaxes(b[..., ::-1, ::-1], -1, -2) * _ADJ_SIGNS
+               / det[..., None, None])
+    if not (np.isfinite(det).all() and np.isfinite(inv).all()):
+        raise SingularInput("2x2 factor is singular or not finite")
+    return inv
 
 
 # Bridge between the 4x4 compact-type span and 2x2 matrices: the quaternion
@@ -419,6 +455,7 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     ``X = F . P(F^{-1} T)``.
     """
     m = nsamples or _pow2(max(64, 8 * loop.degree))
+    scale = max(1.0, _finite_norm(loop))
     rot, trans = loop.sample(m)
 
     split = rotation_factor_split(rot)
@@ -431,7 +468,7 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     m2 = _g0_to_2x2(split.m_twisted)
     j2 = np.conj(np.swapaxes(m2, 1, 2)) @ m2
     b2 = _wilson_factor(j2)
-    u2 = m2 @ np.linalg.inv(b2)
+    u2 = m2 @ _inv2(b2)
     phi = _2x2_to_g0(u2)
     beta = _2x2_to_g0(b2)
 
@@ -464,7 +501,6 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     recon_t = np.einsum("mij,mj->mi", ur, bt) + ut
     resid = max(float(np.max(np.abs(recon_r - rot))),
                 float(np.max(np.abs(recon_t - trans))))
-    scale = max(1.0, loop.norm())
     if resid > tol * scale:
         raise ConvergenceFailure(f"factorization residual {resid:.3e} "
                                  f"exceeds tolerance {tol:.1e}")
@@ -480,6 +516,18 @@ def _phase_w(k_samples):
 
 _COND_MAX = 1e10         # Toeplitz condition number beyond which birkhoff
                          # reports the complement of the big cell
+
+# Frame (E+, L_j E+) of C^4: E+ spans the +i eigenspace of L_i, and L_j E+
+# the -i one, since L_j anticommutes with L_i.  A matrix commuting with L_i
+# is block diagonal in it, and tau = Ad(L_j) swaps the two blocks, so a
+# twisted lam^k coefficient reads diag(C_k, i^-k C_k).
+_E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
+_FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
+# flattened m -> flattened frame blocks F^H m F; flattened 2x2 C -> E C E^H
+# for the halves E = E+ and E = L_j E+
+_TO_FRAME = np.einsum("ac,bd->abcd", _FRAME.conj(), _FRAME).reshape(16, 16)
+_FROM_HALF = np.einsum("cya,dyb->yabcd", _FRAME.reshape(4, 2, 2),
+                       _FRAME.conj().reshape(4, 2, 2)).reshape(2, 4, 16)
 
 
 def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
@@ -499,36 +547,57 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     (for even ``neg_degree``) and a zero right-hand side, so its unknowns
     are 0 and its condition number is the half system's.  A rotation loop
     with odd modes is rejected rather than decoupled.
+
+    Every coefficient also commutes with L_i and is twisted, so in the
+    frame (E+, L_j E+) the system splits into an E+ and an E- system whose
+    rows and columns differ only by the unit phases i^-k.  Only the E+
+    system is solved (48 x 40 at ``neg_degree`` 40): its singular values
+    are those of the full system, and the E- blocks of the solution are
+    i^-k times its E+ blocks.  A coefficient outside the twisted L_i
+    commutant is rejected, as is a loop with a non-finite coefficient.
     """
     n = neg_degree or max(16, 2 * loop.degree)
     m = nsamples or _pow2(max(64, 8 * loop.degree, 4 * n))
+    gate = max(tol, 1e-7) * max(1.0, _finite_norm(loop))
     rot, trans = loop.sample(m)
     shat = loop_coeffs(np.linalg.inv(rot))
     exps = coeff_exponents(m)
-    gate = max(tol, 1e-7) * max(1.0, loop.norm())
-    odd = float(np.max(np.abs(shat[exps % 2 == 1]), initial=0.0))
+    even = exps % 2 == 0
+    odd = float(np.max(np.abs(shat[~even]), initial=0.0))
     if odd > gate:
         raise SingularInput(f"rotation loop is not twisted: odd modes "
                             f"of its inverse reach {odd:.2e}")
+    blocks = (shat.reshape(m, 16) @ _TO_FRAME).reshape(m, 4, 4)
+    be = blocks[even]
+    w = _I_POW[-exps[even] % 4][:, None, None]
+    off = _max_abs(be[:, :2, 2:], be[:, 2:, :2],
+                   be[:, 2:, 2:] - w * be[:, :2, :2])
+    if off > gate:
+        raise SingularInput(f"rotation loop is not twisted in the L_i "
+                            f"commutant: its inverse is off by {off:.2e}")
 
     # block row i holds exponent -1 - i, block column j exponent -1 - j;
     # only the odd rows and columns can be nonzero
     rows = np.arange(1, n + 8, 2)
     cols = np.arange(1, n, 2)
-    big = shat[(cols - rows[:, None]) % m]
-    big = big.transpose(0, 2, 1, 3).reshape(4 * len(rows), 4 * len(cols))
-    rhs = -shat[(-1 - rows) % m].reshape(4 * len(rows), 4)
+    plus = blocks[:, :2, :2]
+    big = plus[(cols - rows[:, None]) % m]
+    big = big.transpose(0, 2, 1, 3).reshape(2 * len(rows), 2 * len(cols))
+    rhs = -plus[(-1 - rows) % m].reshape(2 * len(rows), 2)
     half, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _COND_MAX:
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
 
-    # Id plus the exponents -2, -4, ..., placed in their FFT slots
+    # Id plus the exponents k = -2, -4, ..., placed in their FFT slots as
+    # E+ C E+^H + i^-k (L_j E+) C (L_j E+)^H
     if m < 2 * n + 2:
         raise ValueError("sample count too small for the loop degree")
+    c = half.reshape(len(cols), 4)
     gm_hat = np.zeros((m, 4, 4), dtype=complex)
     gm_hat[0] = ID4
-    gm_hat[m - 1 - cols] = half.reshape(len(cols), 4, 4)
+    gm_hat[m - 1 - cols] = (c @ _FROM_HALF[0] + _I_POW[(1 + cols) % 4, None]
+                            * (c @ _FROM_HALF[1])).reshape(len(cols), 4, 4)
     gm_rot = samples_from_coeffs(gm_hat)
     gm_inv = np.linalg.inv(gm_rot)
     gp_rot = gm_inv @ rot
@@ -544,7 +613,7 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     t_plus = v - neg
     t_minus = np.einsum("mij,mj->mi", gm_rot, neg)
     g_minus = TwistedLoop.from_samples(gm_rot, t_minus)
-    g_plus = TwistedLoop.from_samples(gp_rot, t_plus)
+    g_plus = TwistedLoop.from_coeffs(gp_hat, loop_coeffs(t_plus))
     return g_minus, g_plus
 
 

@@ -70,20 +70,3 @@ def fd_x4(f, z, h):
 def fd_y4(f, z, h):
     return (8.0 * (f(z + 1j * h) - f(z - 1j * h))
             - (f(z + 2j * h) - f(z - 2j * h))) / (12.0 * h)
-
-
-def fd_z(f, z, h):
-    return 0.5 * (fd_x(f, z, h) - 1j * fd_y(f, z, h))
-
-
-def fd_zbar(f, z, h):
-    return 0.5 * (fd_x(f, z, h) + 1j * fd_y(f, z, h))
-
-
-def fd_laplacian4(f, z, h):
-    """Fourth-order 9-point Laplacian."""
-    def second(step):
-        return (-(f(z + 2 * step) + f(z - 2 * step))
-                + 16.0 * (f(z + step) + f(z - step)) - 30.0 * f(z)) / (12.0 * h * h)
-
-    return second(h) + second(1j * h)

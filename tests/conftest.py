@@ -5,7 +5,7 @@ from hamstat.algebra import (EPS, EPS_BAR, L_I, LI_EPS, LI_EPS_BAR, R_I,
                              R_J, R_K, exp_rotation)
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.loops import TwistedLoop
-from hamstat.numerics import gauss_legendre_01, unit_lambdas
+from hamstat.numerics import fd_x, fd_y, gauss_legendre_01, unit_lambdas
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, spinor_u
 
@@ -80,6 +80,23 @@ def exp_twisted_loop(ks, rots, trans, m):
 def random_twisted_group_loop(deg, rng, m=128, amp=0.2, sign=0, real=False):
     ks, rots, trans = random_twisted_algebra_coeffs(deg, rng, amp, sign, real)
     return exp_twisted_loop(ks, rots, trans, m)
+
+
+def fd_z(f, z, h):
+    return 0.5 * (fd_x(f, z, h) - 1j * fd_y(f, z, h))
+
+
+def fd_zbar(f, z, h):
+    return 0.5 * (fd_x(f, z, h) + 1j * fd_y(f, z, h))
+
+
+def fd_laplacian4(f, z, h):
+    """Fourth-order 9-point Laplacian."""
+    def second(step):
+        return (-(f(z + 2 * step) + f(z - 2 * step))
+                + 16.0 * (f(z + step) + f(z - step)) - 30.0 * f(z)) / (12.0 * h * h)
+
+    return second(h) + second(1j * h)
 
 
 def golden_tori():

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from conftest import random_twisted_algebra_coeffs, exp_twisted_loop, \
-    random_twisted_group_loop
+    fd_laplacian4, random_twisted_group_loop
 from hamstat.algebra import EPS
 from hamstat.checks import (check_conformal, check_harmonic_angle,
                             check_lagrangian, check_mean_curvature)
@@ -21,7 +21,6 @@ from hamstat.finitetype import (flow_field, formal_killing,
 from hamstat.lattices import Lattice, enumerate_frequencies, period_lattice
 from hamstat.loops import (SpecLift, birkhoff, dpw_reconstruct, iwasawa,
                            potential_extract)
-from hamstat.numerics import fd_laplacian4
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, _mode_sum, _u_modes, immerse
 

@@ -305,6 +305,24 @@ def test_lax_seed_non_numeric_entry(seed_file, capsys):
     assert_input_error(["lax", seed_file], capsys)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("field", "coefficients", 0, "rotation", 0, 0), "x"),
+    (("field", "coefficients", 0, "translation", 0), []),
+    (("lattice", "g1"), [1]),
+], ids=["rotation-string", "translation-empty", "lattice-one-number"])
+def test_lax_seed_entry_not_a_pair(seed_file, capsys, path, value):
+    # indexing such an entry unchecked ends in an IndexError traceback
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_lax_seed_non_finite_entry(seed_file, capsys, value):
     with open(seed_file) as fh:

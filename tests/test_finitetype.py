@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import fd_laplacian4
 from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS,
                              from_coords, tau_rotation, tau_vector)
 from hamstat.errors import SingularInput, StepSizeUnderflow
@@ -14,7 +15,6 @@ from hamstat.finitetype import (_SPILL_CHUNK, KillingField, _field_coords,
                                 standard_torus_killing_seed,
                                 zeta_coefficients)
 from hamstat.lattices import enumerate_frequencies
-from hamstat.numerics import fd_laplacian4
 from hamstat.tori import standard_torus
 from hamstat.weierstrass import _mode_sum, _u_modes, immerse, spinor_u
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
                       random_twisted_group_loop)
-from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, LI_EPS_BAR, QUAT_BASIS,
-                             R_I, R_J, R_K, _li_rotate, exp_g0, from_coords)
+from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
+                             QUAT_BASIS, R_I, R_J, R_K, _li_rotate, exp_g0,
+                             from_coords)
 from hamstat.errors import (BranchDetectionFailure, ConvergenceFailure,
                             HamstatError, LoopAliasing, NotInBigCell,
                             OutsideBigCell, PathIntegrationFailure,
@@ -17,7 +18,7 @@ from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            potential_extract, q_minus, q_plus,
                            rotation_factor_split, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.loops import (_2x2_to_g0, _continuity_signs, _g0_to_2x2,
+from hamstat.loops import (_2x2_to_g0, _continuity_signs, _g0_to_2x2, _inv2,
                            _taylor_interpolant)
 from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                               unit_lambdas)
@@ -411,6 +412,37 @@ def test_birkhoff_rejects_untwisted_rotation():
         birkhoff(loop, neg_degree=16, nsamples=128)
 
 
+@pytest.mark.parametrize("generator, twist", [(L_J, 0.0), (L_I, 0.2)],
+                         ids=["L_j", "L_i"])
+def test_birkhoff_rejects_rotation_outside_twisted_li_commutant(generator,
+                                                                twist):
+    # Id + 0.1 L_j is twisted but does not commute with L_i; Id + 0.1 L_i
+    # commutes with L_i but is not twisted at exponent 0
+    loop = TwistedLoop(np.array([0]), np.array([ID4 + 0.1 * generator]),
+                       np.zeros((1, 4), dtype=complex))
+    assert loop.twist_residual() == pytest.approx(twist, abs=1e-15)
+    with pytest.raises(SingularInput, match="twisted"):
+        birkhoff(loop, neg_degree=16, nsamples=128)
+
+
+def test_birkhoff_solves_one_half_system(monkeypatch):
+    # one least-squares solve, on the E+ half: 24 odd block rows and 20 odd
+    # block columns of 2x2 blocks at neg_degree 40
+    lstsq = np.linalg.lstsq
+    shapes = []
+
+    def recording_lstsq(a, b, rcond=None):
+        shapes.append((a.shape, b.shape))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    rng = np.random.default_rng(7)
+    gm = exp_twisted_loop(*random_twisted_algebra_coeffs(5, rng, sign=-1), 128)
+    gp = exp_twisted_loop(*random_twisted_algebra_coeffs(5, rng, sign=+1), 128)
+    birkhoff(gm.compose(gp, 256), neg_degree=40, nsamples=256)
+    assert shapes == [((48, 40), (48, 2))]
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(degree=st.integers(1, 6), amp=st.floats(0.05, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -734,6 +766,50 @@ def test_split_half_angle_loop_does_not_close():
 def test_iwasawa_unreachable_tolerance(rng):
     with pytest.raises(ConvergenceFailure):
         iwasawa(random_twisted_group_loop(3, rng), tol=1e-300)
+
+
+def _with_entry(loop, part, value):
+    """Copy of ``loop`` with the first entry of its rotation or translation
+    coefficients set to ``value``."""
+    bad = TwistedLoop(loop.ks, loop.rot.copy(), loop.trans.copy())
+    getattr(bad, part).reshape(-1)[0] = value
+    return bad
+
+
+# unchecked, the first three return non-finite factors, and on the fourth
+# LAPACK prints a DLASCL error before numpy raises LinAlgError
+@pytest.mark.parametrize("factor, part, value", [
+    pytest.param(iwasawa, "rot", np.nan, id="iwasawa-nan-rotation"),
+    pytest.param(iwasawa, "trans", np.inf, id="iwasawa-inf-translation"),
+    pytest.param(birkhoff, "trans", np.nan, id="birkhoff-nan-translation"),
+    pytest.param(birkhoff, "rot", np.nan, id="birkhoff-nan-rotation"),
+])
+def test_factorizations_reject_non_finite_loop(rng, capfd, factor, part,
+                                               value):
+    loop = _with_entry(random_twisted_group_loop(3, rng), part, value)
+    with pytest.raises(SingularInput, match="finite"):
+        factor(loop)
+    assert capfd.readouterr() == ("", "")
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(entries=st.lists(st.complex_numbers(max_magnitude=10.0,
+                                           allow_nan=False,
+                                           allow_infinity=False),
+                        min_size=12, max_size=12))
+def test_inv2_matches_lapack_inverse(entries):
+    b = np.array(entries).reshape(3, 2, 2)
+    assume(np.all(np.linalg.cond(b) < 1e3))
+    ref = np.linalg.inv(b)
+    assert np.max(np.abs(_inv2(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("entry", [0.0, np.nan], ids=["singular", "nan"])
+def test_inv2_rejects_singular_or_nan_stack(entry):
+    b = np.broadcast_to(ID4[:2, :2], (4, 2, 2)).astype(complex)
+    b[2, 1, 1] = entry
+    with pytest.raises(SingularInput):
+        _inv2(b)
 
 
 def test_taylor_interpolant_rejects_pole_inside_circle():

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_tori, spec_vanishing_at
+from conftest import fd_z, fd_zbar, golden_tori, spec_vanishing_at
 from hamstat.algebra import EPS, ID4, L_I, LI_EPS_BAR
 from hamstat.cli import _spec_hash
 from hamstat.errors import MonodromyWarning, ResonantFrequency
 from hamstat.finitetype import formal_killing
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.numerics import dot_r2, fd_x, fd_y, fd_z, fd_zbar
+from hamstat.numerics import dot_r2, fd_x, fd_y
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, _affine_frame,
                                  _merge, _u_modes, associated_family,
