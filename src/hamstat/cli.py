@@ -278,10 +278,10 @@ def cmd_enumerate(args) -> int:
         else:
             lat = Lattice.from_config(data["lattice"])
         beta0 = (parse_complex(args.beta0) if args.beta0
-                 else complex(data["beta0"][0], data["beta0"][1]))
+                 else lattices.parse_pair(data["beta0"]))
         freq = lattices.enumerate_frequencies(lat, beta0, args.tol)
         per = lattices.periodicity_class(lat, beta0, args.tol)
-    except (HamstatError, KeyError, ValueError) as exc:
+    except (HamstatError, KeyError, TypeError, ValueError) as exc:
         raise SystemExit_input(str(exc))
     table = {
         "beta0": [beta0.real, beta0.imag],

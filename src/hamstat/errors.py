@@ -41,10 +41,6 @@ class SingularInput(HamstatError):
     """Matrix argument is singular or outside the expected group."""
 
 
-class BranchDetectionFailure(HamstatError):
-    """Neither sign branch of the rotation-factor split is consistent."""
-
-
 class ConvergenceFailure(HamstatError):
     """Iterative factorization did not reach the requested tolerance."""
 

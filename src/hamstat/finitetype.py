@@ -92,6 +92,12 @@ def r_op(zeta) -> np.ndarray:
 
 # --- Killing fields ---------------------------------------------------------
 
+# Largest degree a Killing field file may declare (the least is 1: a Lax
+# stage reads 3 of the 2d + 1 coefficients).  The dense shift matrix of
+# `_lax_stage` holds 5 (2d + 5)(2d + 1) complex entries: 21 MB at 256.
+_MAX_DEGREE = 256
+
+
 class KillingField(TwistedLoop):
     """Real twisted polynomial loop of algebra values, exponents -d..d,
     stored densely: ``rot[k + d]`` and ``trans[k + d]`` multiply lam**k."""
@@ -118,7 +124,10 @@ class KillingField(TwistedLoop):
     @classmethod
     def from_dict(cls, data: dict) -> "KillingField":
         """Zero-filled dense field from sparse, unordered records."""
-        d = int(data["degree"])
+        degree = data["degree"]
+        if not 1 <= degree <= _MAX_DEGREE:
+            raise ValueError(f"degree {degree!r} outside 1..{_MAX_DEGREE}")
+        d = int(degree)
         field = cls(d, np.zeros((2 * d + 1, 4, 4)), np.zeros((2 * d + 1, 4)))
         for k, rot, trans in map(_parse_record, data["coefficients"]):
             if abs(k) > d:

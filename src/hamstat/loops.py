@@ -4,9 +4,10 @@ the holomorphic-potential correspondence.
 Loops are stored as Fourier coefficients and manipulated pointwise on
 uniform circle samples; conversions go through the FFT.  The group is the
 semidirect product, so every factorization splits into a rotation-part
-problem (handled by a commuting phase factor plus an SU(2)-type spectral
-factorization in a 2x2 complex picture) and an explicit linear projection
-for the translation part.
+problem and an explicit linear projection for the translation part.  A
+twisted rotation loop is fixed by its E+ block A(lam), a 2x2 loop whose E-
+partner A(-i lam) is a quarter turn of the m-th roots of unity away, so
+both factorizations need ``nsamples`` to be a multiple of 4.
 """
 
 from __future__ import annotations
@@ -17,22 +18,19 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (EPS, G0_BASIS, ID4, L_I, L_J, LI_EPS_BAR, PHASE_BASIS,
-                      PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, _li_rotate, coords,
-                      from_coords, tau_rotation, tau_vector)
-from .errors import (BranchDetectionFailure, ConvergenceFailure, LoopAliasing,
-                     NotInBigCell, OutsideBigCell, PathIntegrationFailure,
-                     SingularInput)
+from .algebra import (EPS, ID4, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
+                      _li_rotate, tau_rotation, tau_vector)
+from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
+                     OutsideBigCell, PathIntegrationFailure, SingularInput)
 from .lattices import parse_pair
 from .numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                        samples_from_coeffs, unit_lambdas)
 from .weierstrass import TorusSpec, family_samples, holomorphic_angle
 
 __all__ = [
-    "TwistedLoop", "su2_iwasawa", "rotation_factor_split", "RotationSplit",
-    "iwasawa", "birkhoff", "p_real_part", "q_minus", "q_plus",
-    "SpecLift", "HolomorphicPotentialData", "potential_extract",
-    "dpw_reconstruct", "ReconstructedLift",
+    "TwistedLoop", "su2_iwasawa", "iwasawa", "birkhoff", "p_real_part",
+    "q_minus", "q_plus", "SpecLift", "HolomorphicPotentialData",
+    "potential_extract", "dpw_reconstruct", "ReconstructedLift",
 ]
 
 
@@ -223,98 +221,6 @@ def su2_iwasawa(g, tol: float = 1e-9):
     return k, b
 
 
-# --- commuting-phase split of the rotation part ---------------------------
-
-# the products (1, L_i) x (1, R_i, R_j, R_k), row-major
-_SPLIT_BASIS = (PHASE_BASIS[:, None] @ np.concatenate([[ID4], G0_BASIS])
-                ).reshape(8, 4, 4)
-
-
-def _phase_coeffs(samples):
-    """(p1, p2) with sample = (p1 Id + p2 L_i) . (G0-span factor)."""
-    return coords(samples, _SPLIT_BASIS).reshape(samples.shape[:-2] + (2, 4))
-
-
-@dataclass
-class RotationSplit:
-    branch: str                  # "i" or "ii"
-    k: np.ndarray                # raw phase-factor samples, k @ m = input
-    m: np.ndarray
-    k_twisted: np.ndarray        # tau-compatible factors (branch ii corrected)
-    m_twisted: np.ndarray
-    residual: float
-
-
-def rotation_factor_split(rot_samples, tol: float = 1e-8) -> RotationSplit:
-    """Split rotation-loop samples into a phase factor times a compact-type
-    factor, with sign continuity around the circle and branch detection.
-    """
-    g = np.asarray(rot_samples, dtype=complex)
-    m_count = g.shape[0]
-    coeffs = _phase_coeffs(g)                       # (M, 2, 4)
-    col = np.argmax(np.sum(np.abs(coeffs) ** 2, axis=1), axis=1)
-    p = np.take_along_axis(coeffs, col[:, None, None], axis=2)[:, :, 0]
-    nu = p[:, 0] ** 2 + p[:, 1] ** 2
-    if np.min(np.abs(nu)) < 1e-14:
-        raise SingularInput("rotation sample is singular (isotropic phase)")
-    p = p / np.sqrt(nu)[:, None]
-    p = p * _continuity_signs(p)[:, None]
-    k = from_coords(p, PHASE_BASIS)
-    m = from_coords(p * [1, -1], PHASE_BASIS) @ g
-    if np.linalg.norm(p[0] + p[-1]) < np.linalg.norm(p[0] - p[-1]):
-        raise BranchDetectionFailure("phase factor does not close up over the circle")
-    residual = float(np.max(np.abs(k @ m - g)))
-
-    # branch from the coefficient pattern of the phase factor
-    p1, p2 = loop_coeffs(p).T
-    ks = coeff_exponents(m_count)
-    mod4 = np.mod(ks, 4)
-    odd = np.abs(ks) % 2 == 1
-    if np.max(np.abs(p1[odd])) + np.max(np.abs(p2[odd])) > tol * (1 + np.max(np.abs(p1))):
-        raise BranchDetectionFailure("phase factor has odd Fourier content")
-    v_i = (np.sum(np.abs(p2[mod4 == 0]) ** 2) + np.sum(np.abs(p1[mod4 == 2]) ** 2))
-    v_ii = (np.sum(np.abs(p1[mod4 == 0]) ** 2) + np.sum(np.abs(p2[mod4 == 2]) ** 2))
-    total = v_i + v_ii
-    if total < 1e-28 or v_i <= v_ii:
-        branch = "i"
-        k_tw, m_tw = k, m
-        consistency = v_i
-    else:
-        branch = "ii"
-        k_tw = -np.einsum("ij,mjk->mik", L_I, k)     # strip the L_i prefactor
-        m_tw = _branch_ii_compact(m_count, -1.0) @ m
-        consistency = v_ii
-    if consistency > tol ** 2 * max(total, 1.0):
-        raise BranchDetectionFailure(
-            f"no consistent twist branch (violations {v_i:.2e}/{v_ii:.2e})")
-    return RotationSplit(branch, k, m, k_tw, m_tw, residual)
-
-
-def _continuity_signs(p):
-    """Signs s_j making each s_j p_j the nearer of +-p_j to s_(j-1) p_(j-1),
-    s_0 = 1; a tie keeps +p_j.
-
-    |a + b|^2 - |a - b|^2 = 4 Re<a, b>, so s_j = -1 exactly when
-    s_(j-1) Re<p_j, p_(j-1)> < 0: the signs are a running product of
-    sign Re<p_j, p_(j-1)>, restarted at +1 after each tie.
-    """
-    r = np.zeros(len(p))
-    r[1:] = np.sum(p[1:] * np.conj(p[:-1]), axis=1).real
-    idx = np.arange(len(p))
-    start = np.maximum.accumulate(np.where(r == 0.0, idx, 0))
-    flips = np.cumsum(r < 0.0)
-    return 1 - 2 * ((flips - flips[start]) % 2)
-
-
-def _branch_ii_compact(m: int, sign: float):
-    """cos 2t Id + sign sin 2t R_i at the samples lam = e^{it}; the branch-(ii)
-    phase of a twisted loop is L_i times this factor with sign +1."""
-    lams = unit_lambdas(m)
-    cs = np.stack([0.5 * (lams ** 2 + lams ** -2),
-                   sign * (lams ** 2 - lams ** -2) / 2j], axis=-1)
-    return from_coords(cs, np.stack([ID4, R_I]))
-
-
 # --- spectral factorizations ---------------------------------------------
 
 def _half_plus(samples):
@@ -326,21 +232,6 @@ def _half_plus(samples):
     placed[0] = 0.5 * hat[0]
     placed[1:m // 2] = hat[1:m // 2]
     return np.fft.ifft(placed, axis=0) * m
-
-
-def _szego_scalar(w_samples):
-    """Scalar circle factorization w = u * b with |u| = 1 and b extending
-    holomorphically into the disk, b(0) > 0 (classical log-splitting)."""
-    w = np.asarray(w_samples, dtype=complex)
-    mod2 = np.abs(w) ** 2
-    if np.min(mod2) < 1e-28:
-        raise SingularInput("phase-factor loop vanishes on the circle")
-    b = np.exp(_half_plus(np.log(mod2)))
-    u = w / b
-    if np.max(np.abs(np.abs(u) - 1.0)) > 1e-8:
-        raise ConvergenceFailure("scalar factor is not unimodular; "
-                                 "loop may carry winding")
-    return u, b
 
 
 _WILSON_TOL = 1e-13      # Newton stops once |B^-* J B^-1 - Id| is below this
@@ -396,25 +287,6 @@ def _inv2(b):
     return inv
 
 
-# Bridge between the 4x4 compact-type span and 2x2 matrices: the quaternion
-# units as 2x2 matrices E_b (orthogonal, <E_b, E_b> = 2) and the (4, 4, 2, 2)
-# intertwiners g -> sum_b q_b(g) E_b and m -> sum_b (<E_b, m> / 2) QUAT_BASIS_b.
-_QUAT_2X2 = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
-                      [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
-_TO_2X2 = (coords(np.eye(16).reshape(16, 4, 4), QUAT_BASIS)
-           @ _QUAT_2X2.reshape(4, 4)).reshape(4, 4, 2, 2)
-_FROM_2X2 = from_coords(_QUAT_2X2.conj().reshape(4, 4).T / 2.0,
-                        QUAT_BASIS).transpose(1, 2, 0).reshape(4, 4, 2, 2)
-
-
-def _g0_to_2x2(samples):
-    return np.tensordot(samples, _TO_2X2, axes=2)
-
-
-def _2x2_to_g0(m):
-    return np.tensordot(m, _FROM_2X2, axes=([-2, -1], [2, 3]))
-
-
 # --- translation projections ---------------------------------------------
 
 def _split_neg(samples):
@@ -441,41 +313,78 @@ def q_plus(trans_samples):
     return trans_samples - _split_neg(trans_samples)
 
 
+# --- the E+ block of a twisted rotation loop -------------------------------
+
+# Frame (E+, L_j E+) of C^4: E+ spans the +i eigenspace of L_i, and L_j E+
+# the -i one, since L_j anticommutes with L_i.  A matrix commuting with L_i
+# is block diagonal in it, and tau = Ad(L_j) swaps the two blocks, so a
+# twisted lam^k coefficient reads diag(C_k, i^-k C_k): the loop is
+# diag(A(lam), A(-i lam)) with A its E+ block.
+_E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
+_FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
+# flattened m -> flattened frame blocks F^H m F; flattened 2x2 C -> E C E^H
+# for the halves E = E+ and E = L_j E+
+_TO_FRAME = np.einsum("ac,bd->abcd", _FRAME.conj(), _FRAME).reshape(16, 16)
+_FROM_HALF = np.einsum("cya,dyb->yabcd", _FRAME.reshape(4, 2, 2),
+                       _FRAME.conj().reshape(4, 2, 2)).reshape(2, 4, 16)
+
+
+def _plus_block(rot_samples, gate: float):
+    """E+ block A of rotation samples at the m-th roots of unity, (m, 2, 2).
+
+    At those roots -i lam_j = lam_(j - m/4) and -lam_j = lam_(j + m/2), so
+    m must be a multiple of 4 (else ValueError).  Raises SingularInput when
+    the samples leave the twisted L_i commutant by more than ``gate``: in
+    their off-diagonal blocks, in an E- block other than A(-i lam), or in
+    odd modes, A(-lam) != A(lam).
+    """
+    m = rot_samples.shape[0]
+    if m % 4:
+        raise ValueError(f"sample count {m} is not a multiple of 4")
+    blocks = (rot_samples.reshape(m, 16) @ _TO_FRAME).reshape(m, 4, 4)
+    plus = blocks[:, :2, :2]
+    off = _max_abs(blocks[:, :2, 2:], blocks[:, 2:, :2],
+                   blocks[:, 2:, 2:] - np.roll(plus, m // 4, axis=0),
+                   plus - np.roll(plus, m // 2, axis=0))
+    if off > gate:
+        raise SingularInput(f"rotation loop is not twisted in the L_i "
+                            f"commutant: its samples are off by {off:.2e}")
+    return plus
+
+
+def _from_plus(plus):
+    """Rotation samples diag(A(lam), A(-i lam)) from E+ block samples A,
+    (m, 2, 2) with m a multiple of 4: the inverse of `_plus_block`."""
+    m = plus.shape[0]
+    flat = plus.reshape(m, 4)
+    return (flat @ _FROM_HALF[0] + np.roll(flat, m // 4, axis=0)
+            @ _FROM_HALF[1]).reshape(m, 4, 4)
+
+
 # --- Iwasawa factorization ------------------------------------------------
 
 def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
             tol: float = 1e-8) -> tuple[TwistedLoop, TwistedLoop]:
     """Split a complexified twisted loop as (real twisted) . (positive).
 
-    The rotation part follows the constructive route: commuting-phase /
-    compact-type split, scalar log-factorization of the phase, spectral
-    factorization of the compact part in the 2x2 picture, and a constant
-    finite-dimensional correction pinning the positive factor's value at 0
-    to the ray stabilizer.  The translation part is the explicit projection
-    ``X = F . P(F^{-1} T)``.
+    The rotation part is its E+ block A, a loop in GL(2, C), whose Iwasawa
+    splitting A = U B (U unitary on the circle, B holomorphic in the disk)
+    is unique up to a constant unitary (Pressley-Segal, Loop Groups, ch. 8):
+    B is the Wilson spectral factor of A^H A and U = A B^-1.  A constant
+    correction pins B(0) to the ray stabilizer.  The translation part is
+    the explicit projection ``X = F . P(F^{-1} T)``.
+
+    ``nsamples`` must be a multiple of 4 (ValueError); rotation samples
+    outside the twisted L_i commutant raise SingularInput.
     """
     m = nsamples or _pow2(max(64, 8 * loop.degree))
     scale = max(1.0, _finite_norm(loop))
     rot, trans = loop.sample(m)
 
-    split = rotation_factor_split(rot)
-    u_sc, b_sc = _szego_scalar(_phase_w(split.k_twisted))
-    psi = from_coords(np.stack([u_sc.real, u_sc.imag], axis=-1), PHASE_BASIS)
-    gamma = from_coords(np.stack([0.5 * (b_sc + 1.0 / b_sc),
-                                  (b_sc - 1.0 / b_sc) / 2j], axis=-1),
-                        PHASE_BASIS)
-
-    m2 = _g0_to_2x2(split.m_twisted)
-    j2 = np.conj(np.swapaxes(m2, 1, 2)) @ m2
-    b2 = _wilson_factor(j2)
-    u2 = m2 @ _inv2(b2)
-    phi = _2x2_to_g0(u2)
-    beta = _2x2_to_g0(b2)
-
-    f_rot = psi @ phi
-    if split.branch == "ii":
-        f_rot = (L_I @ _branch_ii_compact(m, 1.0)) @ f_rot
-    b_rot = gamma @ beta
+    a = _plus_block(rot, max(tol, 1e-7) * scale)
+    b2 = _wilson_factor(np.conj(np.swapaxes(a, 1, 2)) @ a)
+    f_rot = _from_plus(a @ _inv2(b2))
+    b_rot = _from_plus(b2)
 
     # pin B(0) into the ray stabilizer by a constant compact correction
     b0_val = np.mean(b_rot, axis=0)     # holomorphic: value at 0 = mean
@@ -507,27 +416,10 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     return u_loop, b_loop
 
 
-def _phase_w(k_samples):
-    """Scalar coordinate w = p1 + i p2 of a phase-factor sample batch."""
-    return coords(k_samples, PHASE_BASIS) @ np.array([1, 1j])
-
-
 # --- Birkhoff factorization -----------------------------------------------
 
 _COND_MAX = 1e10         # Toeplitz condition number beyond which birkhoff
                          # reports the complement of the big cell
-
-# Frame (E+, L_j E+) of C^4: E+ spans the +i eigenspace of L_i, and L_j E+
-# the -i one, since L_j anticommutes with L_i.  A matrix commuting with L_i
-# is block diagonal in it, and tau = Ad(L_j) swaps the two blocks, so a
-# twisted lam^k coefficient reads diag(C_k, i^-k C_k).
-_E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
-_FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
-# flattened m -> flattened frame blocks F^H m F; flattened 2x2 C -> E C E^H
-# for the halves E = E+ and E = L_j E+
-_TO_FRAME = np.einsum("ac,bd->abcd", _FRAME.conj(), _FRAME).reshape(16, 16)
-_FROM_HALF = np.einsum("cya,dyb->yabcd", _FRAME.reshape(4, 2, 2),
-                       _FRAME.conj().reshape(4, 2, 2)).reshape(2, 4, 16)
 
 
 def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
@@ -540,47 +432,32 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     the complement of the big cell.  Translations use the +-frequency
     projections of the conjugated translation loop.
 
-    A twisted rotation loop carries only even powers of lambda, so block
+    The rotation loop is fixed by its E+ block A (`_plus_block`), so only
+    the E+ system is solved, on the coefficients of A^-1: the E- system
+    has the same singular values, its rows and columns differing only by
+    the unit phases i^-k.  A carries only even powers of lambda, so block
     (i, j) = shat[j - i] vanishes unless j - i is even, and the right-hand
     side only has odd block rows.  The odd rows and odd unknowns (exponents
-    -2, -4, ...) form a closed system; the even class has the same matrix
-    (for even ``neg_degree``) and a zero right-hand side, so its unknowns
-    are 0 and its condition number is the half system's.  A rotation loop
-    with odd modes is rejected rather than decoupled.
+    -2, -4, ...) form a closed system (48 x 40 at ``neg_degree`` 40); the
+    even class has the same matrix (for even ``neg_degree``) and a zero
+    right-hand side, so its unknowns are 0 and its condition number is the
+    half system's.
 
-    Every coefficient also commutes with L_i and is twisted, so in the
-    frame (E+, L_j E+) the system splits into an E+ and an E- system whose
-    rows and columns differ only by the unit phases i^-k.  Only the E+
-    system is solved (48 x 40 at ``neg_degree`` 40): its singular values
-    are those of the full system, and the E- blocks of the solution are
-    i^-k times its E+ blocks.  A coefficient outside the twisted L_i
-    commutant is rejected, as is a loop with a non-finite coefficient.
+    ``nsamples`` must be a multiple of 4 (ValueError); rotation samples
+    outside the twisted L_i commutant, odd modes included, and non-finite
+    coefficients raise SingularInput.
     """
     n = neg_degree or max(16, 2 * loop.degree)
     m = nsamples or _pow2(max(64, 8 * loop.degree, 4 * n))
     gate = max(tol, 1e-7) * max(1.0, _finite_norm(loop))
     rot, trans = loop.sample(m)
-    shat = loop_coeffs(np.linalg.inv(rot))
-    exps = coeff_exponents(m)
-    even = exps % 2 == 0
-    odd = float(np.max(np.abs(shat[~even]), initial=0.0))
-    if odd > gate:
-        raise SingularInput(f"rotation loop is not twisted: odd modes "
-                            f"of its inverse reach {odd:.2e}")
-    blocks = (shat.reshape(m, 16) @ _TO_FRAME).reshape(m, 4, 4)
-    be = blocks[even]
-    w = _I_POW[-exps[even] % 4][:, None, None]
-    off = _max_abs(be[:, :2, 2:], be[:, 2:, :2],
-                   be[:, 2:, 2:] - w * be[:, :2, :2])
-    if off > gate:
-        raise SingularInput(f"rotation loop is not twisted in the L_i "
-                            f"commutant: its inverse is off by {off:.2e}")
+    a = _plus_block(rot, gate)
+    plus = loop_coeffs(_inv2(a))
 
     # block row i holds exponent -1 - i, block column j exponent -1 - j;
     # only the odd rows and columns can be nonzero
     rows = np.arange(1, n + 8, 2)
     cols = np.arange(1, n, 2)
-    plus = blocks[:, :2, :2]
     big = plus[(cols - rows[:, None]) % m]
     big = big.transpose(0, 2, 1, 3).reshape(2 * len(rows), 2 * len(cols))
     rhs = -plus[(-1 - rows) % m].reshape(2 * len(rows), 2)
@@ -589,26 +466,24 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     if not np.isfinite(cond) or cond > _COND_MAX:
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
 
-    # Id plus the exponents k = -2, -4, ..., placed in their FFT slots as
-    # E+ C E+^H + i^-k (L_j E+) C (L_j E+)^H
+    # Id plus the exponents k = -2, -4, ..., placed in their FFT slots
     if m < 2 * n + 2:
         raise ValueError("sample count too small for the loop degree")
-    c = half.reshape(len(cols), 4)
-    gm_hat = np.zeros((m, 4, 4), dtype=complex)
-    gm_hat[0] = ID4
-    gm_hat[m - 1 - cols] = (c @ _FROM_HALF[0] + _I_POW[(1 + cols) % 4, None]
-                            * (c @ _FROM_HALF[1])).reshape(len(cols), 4, 4)
-    gm_rot = samples_from_coeffs(gm_hat)
-    gm_inv = np.linalg.inv(gm_rot)
-    gp_rot = gm_inv @ rot
+    gm_hat = np.zeros((m, 2, 2), dtype=complex)
+    gm_hat[0] = np.eye(2)
+    gm_hat[m - 1 - cols] = half.reshape(len(cols), 2, 2)
+    gm_plus = samples_from_coeffs(gm_hat)
+    gm_inv = _inv2(gm_plus)
+    gm_rot = _from_plus(gm_plus)
+    gp_rot = _from_plus(gm_inv @ a)
 
     # positive factor must be holomorphic: measure the negative leakage
     gp_hat = loop_coeffs(gp_rot)
-    leak = float(np.max(np.abs(gp_hat[exps < 0]), initial=0.0))
+    leak = float(np.max(np.abs(gp_hat[coeff_exponents(m) < 0]), initial=0.0))
     if leak > gate:
         raise OutsideBigCell(f"positive factor leaks negative modes ({leak:.2e})")
 
-    v = np.einsum("mij,mj->mi", gm_inv, trans)
+    v = np.einsum("mij,mj->mi", _from_plus(gm_inv), trans)
     neg = _split_neg(v)
     t_plus = v - neg
     t_minus = np.einsum("mij,mj->mi", gm_rot, neg)

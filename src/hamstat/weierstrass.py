@@ -19,7 +19,8 @@ import numpy as np
 
 from .algebra import EPS, LI_EPS_BAR, PI_MINUS, PI_PLUS
 from .errors import MonodromyWarning, ResonantFrequency
-from .lattices import Lattice, enumerate_frequencies, periodicity_class, PeriodicityClass
+from .lattices import (Lattice, PeriodicityClass, enumerate_frequencies,
+                       parse_pair, periodicity_class)
 from .numerics import TWO_PI, dot_r2
 
 __all__ = [
@@ -132,8 +133,8 @@ class TorusSpec:
     @classmethod
     def from_dict(cls, data: dict, validate: bool = True) -> "TorusSpec":
         lat = Lattice.from_config(data["lattice"])
-        beta0 = complex(data["beta0"][0], data["beta0"][1])
-        pairs = {complex(c["gamma"][0], c["gamma"][1]): complex(c["re"], c["im"])
+        beta0 = parse_pair(data["beta0"])
+        pairs = {parse_pair(c["gamma"]): complex(c["re"], c["im"])
                  for c in data["coefficients"]}
         return cls.build(lat, beta0, pairs, validate=validate)
 

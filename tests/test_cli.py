@@ -97,6 +97,18 @@ def test_enumerate_config_file_with_fractions(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
+@pytest.mark.parametrize("config", [
+    # the third entry used to be dropped silently
+    {"lattice": {"g1": [1, 0], "g2": [0, 1]}, "beta0": [1, 1, 99]},
+    # indexing a list by key used to end in a TypeError traceback
+    [1, 2],
+], ids=["beta0-three", "top-level-list"])
+def test_enumerate_config_is_input_error(tmp_path, capsys, config):
+    cfg = tmp_path / "lattice.json"
+    cfg.write_text(json.dumps(config))
+    assert_input_error(["enumerate", "--config", str(cfg)], capsys)
+
+
 def test_mesh_obj_watertight(tmp_path, spec_file, capsys):
     out = tmp_path / "mesh.obj"
     rc = main(["mesh", spec_file, "--grid", "16", "--out", str(out)])
@@ -323,6 +335,20 @@ def test_lax_seed_entry_not_a_pair(seed_file, capsys, path, value):
     assert_input_error(["lax", seed_file], capsys)
 
 
+@pytest.mark.parametrize("degree", [0, 1e12, float("inf")],
+                         ids=["0", "1e12", "inf"])
+def test_lax_seed_degree_out_of_range(seed_file, capsys, degree):
+    # unchecked, degree 0 failed in the first Lax stage's matmul, and the
+    # dense field of 2 degree + 1 rows was allocated: a MemoryError, or an
+    # OverflowError from int(inf)
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["field"]["degree"] = degree
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_lax_seed_non_finite_entry(seed_file, capsys, value):
     with open(seed_file) as fh:
@@ -367,6 +393,9 @@ def _spec_with(edit):
     _spec_with(lambda d: d.update(lattice=[1, 2])),
     _spec_with(lambda d: d.update(beta0=[1])),
     _spec_with(lambda d: d["coefficients"][0].update(gamma="ab")),
+    # a third entry used to be dropped silently
+    _spec_with(lambda d: d["beta0"].append(99)),
+    _spec_with(lambda d: d["coefficients"][0]["gamma"].append("x")),
     [1, 2],
     _spec_with(lambda d: d["coefficients"][0].update(re=float("nan"))),
     _spec_with(lambda d: d["coefficients"][0].update(im=float("inf"))),
@@ -387,7 +416,7 @@ def _spec_with(edit):
     _spec_with(lambda d: d["lattice"].update(g1=[1.7e308, 1.7e308],
                                              g2=[-1.7e308, 1.7e308])),
 ], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
-        "gamma-string", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
+        "gamma-string", "beta0-three", "gamma-three", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
         "re-huge", "re-1e150",
         "beta0-huge", "g1-huge", "g1-inf", "beta0-overflow", "beta0-inf",
         "dual-underflow"])

@@ -8,17 +8,15 @@ from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
                              QUAT_BASIS, R_I, R_J, R_K, _li_rotate, exp_g0,
                              from_coords)
-from hamstat.errors import (BranchDetectionFailure, ConvergenceFailure,
-                            HamstatError, LoopAliasing, NotInBigCell,
-                            OutsideBigCell, PathIntegrationFailure,
-                            SingularInput)
+from hamstat.errors import (ConvergenceFailure, HamstatError, LoopAliasing,
+                            NotInBigCell, OutsideBigCell,
+                            PathIntegrationFailure, SingularInput)
 from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            SpecLift, TwistedLoop,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
-                           potential_extract, q_minus, q_plus,
-                           rotation_factor_split, su2_iwasawa)
+                           potential_extract, q_minus, q_plus, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.loops import (_2x2_to_g0, _continuity_signs, _g0_to_2x2, _inv2,
+from hamstat.loops import (_from_plus, _inv2, _plus_block,
                            _taylor_interpolant)
 from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                               unit_lambdas)
@@ -31,20 +29,7 @@ def rand_g0c(rng):
     return from_coords(q / np.sqrt(np.sum(q * q)), QUAT_BASIS)
 
 
-# reference: the per-component quaternion bridge the intertwiners replace
-def _ref_g0_to_2x2(samples):
-    q = np.empty(samples.shape[:-2] + (4,), dtype=complex)
-    q[..., 0] = np.einsum("...ii->...", samples) / 4.0
-    for a, ra in enumerate((R_I, R_J, R_K), start=1):
-        q[..., a] = -np.einsum("...ij,ij->...", samples, ra) / 4.0
-    m = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    m[..., 0, 0] = q[..., 0] + 1j * q[..., 1]
-    m[..., 1, 1] = q[..., 0] - 1j * q[..., 1]
-    m[..., 0, 1] = q[..., 2] + 1j * q[..., 3]
-    m[..., 1, 0] = -q[..., 2] + 1j * q[..., 3]
-    return m
-
-
+# 4x4 compact-type matrix of a 2x2 one, through the quaternion units
 def _ref_2x2_to_g0(m):
     q = np.stack([0.5 * (m[..., 0, 0] + m[..., 1, 1]),
                   -0.5j * (m[..., 0, 0] - m[..., 1, 1]),
@@ -58,21 +43,6 @@ def _ref_frame(phi):
     """The dense lift frame cos(phi) Id + sin(phi) L_i."""
     return (np.cos(phi)[..., None, None] * ID4
             + np.sin(phi)[..., None, None] * L_I)
-
-
-def test_quaternion_bridge_matches_reference(rng):
-    g = np.stack([rand_g0c(rng) * (rng.normal() + 1j * rng.normal())
-                  for _ in range(12)]).reshape(3, 4, 4, 4)
-    m2 = _g0_to_2x2(g)
-    assert m2.shape == (3, 4, 2, 2)
-    assert np.max(np.abs(m2 - _ref_g0_to_2x2(g))) < 1e-13
-    assert np.max(np.abs(_2x2_to_g0(m2) - g)) < 1e-13
-    w = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
-    assert np.max(np.abs(_2x2_to_g0(w) - _ref_2x2_to_g0(w))) < 1e-13
-    # both maps are algebra homomorphisms
-    assert np.max(np.abs(_g0_to_2x2(g @ g[::-1]) - m2 @ m2[::-1])) < 1e-13
-    assert np.max(np.abs(_2x2_to_g0(w @ w[::-1])
-                         - _2x2_to_g0(w) @ _2x2_to_g0(w[::-1]))) < 1e-12
 
 
 # --- container ----------------------------------------------------------------
@@ -139,69 +109,6 @@ def test_su2_iwasawa_random(rng):
 def test_su2_iwasawa_singular_input():
     with pytest.raises(SingularInput):
         su2_iwasawa(np.zeros((4, 4)))
-
-
-# --- rotation-factor split -------------------------------------------------------
-
-def test_split_constant_product(rng):
-    # twist forces constant loops into the compact factor (up to sign), so a
-    # valid constant input is -M with M in the compact complexification
-    const = -rand_g0c(rng)
-    samples = np.broadcast_to(const, (32, 4, 4)).astype(complex)
-    split = rotation_factor_split(samples)
-    assert split.branch == "i"
-    assert split.residual < 1e-12
-    assert np.max(np.abs(split.k @ split.m - samples)) < 1e-12
-    # constant factors: no lambda dependence
-    assert np.max(np.abs(split.k - split.k[0])) < 1e-12
-    assert np.max(np.abs(split.m - split.m[0])) < 1e-12
-
-
-def test_split_exceptional_branch():
-    lams = unit_lambdas(64)
-    c = 0.5 * (lams ** 2 + lams ** -2)
-    s = (lams ** 2 - lams ** -2) / 2j
-    pi_lam = np.einsum("ij,mjk->mik", L_I,
-                       c[:, None, None] * ID4 + s[:, None, None] * R_I)
-    split = rotation_factor_split(pi_lam)
-    assert split.branch == "ii"
-    assert np.max(np.abs(split.k_twisted - ID4)) < 1e-12
-    assert np.max(np.abs(split.m_twisted - ID4)) < 1e-12
-
-
-def test_split_random_loop(rng):
-    loop = random_twisted_group_loop(6, rng)
-    rot, _ = loop.sample(128)
-    split = rotation_factor_split(rot)
-    assert split.residual < 1e-10
-
-
-# reference: the per-sample sign sweep `_continuity_signs` replaces
-def _ref_sign_sweep(p):
-    p = p.copy()
-    for j in range(1, len(p)):
-        if np.linalg.norm(p[j] + p[j - 1]) < np.linalg.norm(p[j] - p[j - 1]):
-            p[j] = -p[j]
-    return p
-
-
-def test_continuity_signs_match_reference_sweep(rng):
-    # random sign flips along a slowly turning unit phase path
-    t = np.linspace(0.0, 2.0 * np.pi, 97)
-    p = np.stack([np.cos(t), np.sin(t)], axis=-1) * (1 + 0.3j)
-    p *= rng.choice([-1.0, 1.0], size=len(p))[:, None]
-    assert np.array_equal(p * _continuity_signs(p)[:, None], _ref_sign_sweep(p))
-    # exact ties (Re<p_j, p_(j-1)> = 0) keep +p_j, also after a flip
-    ties = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [-1, 0], [0, 1j],
-                     [0, -1]], dtype=complex)
-    want = _ref_sign_sweep(ties)
-    assert np.array_equal(ties * _continuity_signs(ties)[:, None], want)
-    assert np.array_equal(want[2], ties[2])
-    # the split's phase factor equals the one the reference sweep gives
-    rot, _ = random_twisted_group_loop(6, rng).sample(128)
-    split = rotation_factor_split(rot)
-    q = split.k[:, :2, 0]                    # (p1, p2) of p1 Id + p2 L_i
-    assert np.array_equal(_ref_sign_sweep(q), q)
 
 
 # --- translation projections -----------------------------------------------------
@@ -351,7 +258,7 @@ def test_birkhoff_outside_big_cell():
     diag = np.zeros((m, 2, 2), dtype=complex)
     diag[:, 0, 0] = lams ** 4
     diag[:, 1, 1] = lams ** -4
-    rot = _2x2_to_g0(diag)
+    rot = _ref_2x2_to_g0(diag)
     loop = TwistedLoop.from_samples(rot, np.zeros((m, 4), dtype=complex))
     assert loop.twist_residual() < 1e-12
     with pytest.raises(OutsideBigCell, match="condition"):
@@ -405,11 +312,13 @@ def test_birkhoff_matches_full_toeplitz_reference(monkeypatch):
 
 
 def test_birkhoff_rejects_untwisted_rotation():
-    # one odd rotation mode: the parity classes would couple
+    # one odd rotation mode: the parity classes would couple; iwasawa
+    # returned a positive factor with twist residual 0.14 on it
     loop = TwistedLoop(np.array([0, 1]), np.array([ID4, 0.1 * R_I]),
                        np.zeros((2, 4), dtype=complex))
-    with pytest.raises(SingularInput, match="twisted"):
-        birkhoff(loop, neg_degree=16, nsamples=128)
+    for factor in (birkhoff, iwasawa):
+        with pytest.raises(SingularInput, match="twisted"):
+            factor(loop, nsamples=128)
 
 
 @pytest.mark.parametrize("generator, twist", [(L_J, 0.0), (L_I, 0.2)],
@@ -417,12 +326,44 @@ def test_birkhoff_rejects_untwisted_rotation():
 def test_birkhoff_rejects_rotation_outside_twisted_li_commutant(generator,
                                                                 twist):
     # Id + 0.1 L_j is twisted but does not commute with L_i; Id + 0.1 L_i
-    # commutes with L_i but is not twisted at exponent 0
+    # commutes with L_i but is not twisted at exponent 0.  Both factorizations
+    # read only the E+ block, so both must refuse them
     loop = TwistedLoop(np.array([0]), np.array([ID4 + 0.1 * generator]),
                        np.zeros((1, 4), dtype=complex))
     assert loop.twist_residual() == pytest.approx(twist, abs=1e-15)
-    with pytest.raises(SingularInput, match="twisted"):
-        birkhoff(loop, neg_degree=16, nsamples=128)
+    for factor in (birkhoff, iwasawa):
+        with pytest.raises(SingularInput, match="twisted"):
+            factor(loop, nsamples=128)
+
+
+@pytest.mark.parametrize("factor", [iwasawa, birkhoff],
+                         ids=["iwasawa", "birkhoff"])
+def test_factorizations_reject_sample_count_not_multiple_of_4(rng, factor):
+    # the E- block is read off the samples by a quarter turn of the roots
+    loop = random_twisted_group_loop(3, rng)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        factor(loop, nsamples=90)
+
+
+def test_plus_block_round_trip(rng):
+    rot, _ = random_twisted_group_loop(6, rng).sample(128)
+    back = _from_plus(_plus_block(rot, 1e-7))
+    assert np.max(np.abs(back - rot)) < 1e-14
+
+
+def test_factorizations_do_not_call_lapack_inverse(rng, monkeypatch):
+    # every inverse is a 2x2 adjugate on the E+ block
+    loop = random_twisted_group_loop(4, rng)
+    product = exp_twisted_loop(*random_twisted_algebra_coeffs(
+        5, rng, sign=-1), 128).compose(exp_twisted_loop(
+            *random_twisted_algebra_coeffs(5, rng, sign=+1), 128), 256)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    iwasawa(loop)
+    birkhoff(product, neg_degree=40, nsamples=256)
 
 
 def test_birkhoff_solves_one_half_system(monkeypatch):
@@ -753,15 +694,6 @@ def test_ring_extraction_matches_stencil_under_translation(s, t):
 
 
 # --- failure paths ----------------------------------------------------------------
-
-def test_split_half_angle_loop_does_not_close():
-    # cos(theta/2) Id + sin(theta/2) L_i changes sign once around the circle
-    theta = 2 * np.pi * np.arange(64) / 64
-    rot = (np.cos(theta / 2)[:, None, None] * ID4
-           + np.sin(theta / 2)[:, None, None] * L_I)
-    with pytest.raises(BranchDetectionFailure):
-        rotation_factor_split(rot)
-
 
 def test_iwasawa_unreachable_tolerance(rng):
     with pytest.raises(ConvergenceFailure):
