@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks, finitetype, lattices, weierstrass
-from .errors import HamstatError, SingularInput
+from .errors import ConvergenceFailure, HamstatError, SingularInput
 from .lattices import Lattice
 
 EXIT_OK = 0
@@ -382,6 +382,8 @@ def cmd_lax(args) -> int:
         res = finitetype.lax_integrate(field, path, step=step)
     except SingularInput as exc:
         raise SystemExit_input(f"invalid seed file: {exc}")
+    except ConvergenceFailure as exc:
+        raise SystemExit_input(str(exc))
     payload = {
         "degree": field.d,
         "samples": len(res.points),

@@ -42,7 +42,8 @@ class SingularInput(HamstatError):
 
 
 class ConvergenceFailure(HamstatError):
-    """Iterative factorization did not reach the requested tolerance."""
+    """Iterative factorization did not reach the requested tolerance, or the
+    flow integrator left the finite range."""
 
 
 class OutsideBigCell(HamstatError):

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import (EPS, G0_BASIS, L_I, ROTATION_BASIS, AlgebraElement,
                       coords, from_coords)
 from .checks import _curvature_residual
-from .errors import SingularInput, StepSizeUnderflow
+from .errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from .loops import TwistedLoop, _parse_record
 from .tori import rhombic_torus, standard_torus
 from .weierstrass import TorusSpec, _u_modes
@@ -94,7 +94,7 @@ def r_op(zeta) -> np.ndarray:
 
 # Largest degree a Killing field file may declare (the least is 1: a Lax
 # stage reads 3 of the 2d + 1 coefficients).  The dense shift matrix of
-# `_lax_stage` holds 5 (2d + 5)(2d + 1) complex entries: 21 MB at 256.
+# `_lax_stage` holds 5 (2d + 5)(2d + 1) float entries: 10.6 MB at 256.
 _MAX_DEGREE = 256
 
 
@@ -128,6 +128,8 @@ class KillingField(TwistedLoop):
         if not 1 <= degree <= _MAX_DEGREE:
             raise ValueError(f"degree {degree!r} outside 1..{_MAX_DEGREE}")
         d = int(degree)
+        if d != degree:
+            raise ValueError(f"degree {degree!r} is not an integer")
         field = cls(d, np.zeros((2 * d + 1, 4, 4)), np.zeros((2 * d + 1, 4)))
         for k, rot, trans in map(_parse_record, data["coefficients"]):
             if abs(k) > d:
@@ -152,16 +154,22 @@ def lax_project(xi: KillingField):
 _UNITS = ([AlgebraElement(b, np.zeros(4)) for b in ROTATION_BASIS]
           + [AlgebraElement(np.zeros((4, 4)), t) for t in np.eye(4)])
 # structure constants: entry [q, 8p + c] is coordinate c of [e_p, e_q], so
-# the rows of m @ _BRACKET hold [e_p, m_j]
+# the rows of m @ _BRACKET hold [e_p, m_j]; the brackets of the real basis
+# are real
 _BRACKET = np.array([
     np.r_[coords(ab.rotation, ROTATION_BASIS), ab.translation]
-    for ab in (a.bracket(b) for b in _UNITS for a in _UNITS)]).reshape(8, 64)
+    for ab in (a.bracket(b) for b in _UNITS for a in _UNITS)
+]).real.reshape(8, 64)
+# the same on interleaved rows (q, re|im) and columns (p, re|im, c, re|im):
+# w = re + i im times an entry b is the real block [[re, im], [-im, re]] b
+_BRACKET_RE = np.einsum("qpc,ust->qupsct", _BRACKET.reshape(8, 8, 8),
+                        [np.eye(2), [[0, 1], [-1, 0]]]).reshape(16, 256)
 _SPILL_CHUNK = 256      # RK stages held by a spill log between reductions
 
 
 def _field_coords(xi: KillingField) -> np.ndarray:
-    """(2d+1, 8) coordinates of a field; SingularInput when a rotation
-    coefficient leaves the span of ROTATION_BASIS."""
+    """C-contiguous (2d+1, 8) coordinates of a field; SingularInput when a
+    rotation coefficient leaves the span of ROTATION_BASIS."""
     rot = coords(xi.rot, ROTATION_BASIS)
     off = np.max(np.abs(xi.rot - from_coords(rot, ROTATION_BASIS)), axis=(1, 2))
     bad = np.flatnonzero(
@@ -200,10 +208,13 @@ class _SpillLog:
 
 
 def _lax_stage(n: int, zdot: complex, spill: _SpillLog):
-    """Lax derivative of (n, 8) field coordinates along direction zdot.
-    ``mult`` takes (x[:3], conj x[:3]) to the multiplier zdot*M + conj(zdot)*Mbar
-    at exponents -2..2, with r_op as a 4 x 4 coordinate block; ``shift`` puts
-    coefficient k in row (k + j, j): field exponents first, padding last."""
+    """Lax derivative of (n, 8) field coordinates along direction zdot, in
+    float64 products on the interleaved (re, im) view of C-contiguous x.
+    ``rm`` takes x[:3] to the multiplier zdot*M + conj(zdot)*Mbar at exponents
+    -2..2, with r_op as a 4 x 4 coordinate block: rows (j, c, re|im), columns
+    (i, c', re|im).  ``shift`` copies coefficient k to row (k + j, j) of the
+    float view: field exponents first, padding last.  The multiplier's rows
+    times _BRACKET_RE are then the real block matrix of [e_p, m_j]."""
     zbar, eye = np.conj(zdot), np.eye(8)
     r = np.stack([coords(r_op(b), ROTATION_BASIS) for b in ROTATION_BASIS], 1)
     mult = np.zeros((5, 8, 2, 3, 8), dtype=complex)   # [j, c, conj, i, c']
@@ -211,15 +222,18 @@ def _lax_stage(n: int, zdot: complex, spill: _SpillLog):
     mult[3, :, 1, 1] = mult[4, :, 1, 0] = zbar * eye
     mult[2, :4, 0, 2, :4] = zdot * r
     mult[2, :4, 1, 2, :4] = zbar * np.conj(r)
-    mult = mult.reshape(40, 48)
+    # A v + B conj(v) = (A + B) Re v + i (A - B) Im v
+    p, q = mult[:, :, 0] + mult[:, :, 1], 1j * (mult[:, :, 0] - mult[:, :, 1])
+    rm = np.stack([np.stack([p.real, q.real], -1),
+                   np.stack([p.imag, q.imag], -1)], 2).reshape(80, 48)
     order = np.r_[2:n + 2, 0, 1, n + 2, n + 3]
-    shift = np.stack([np.eye(n + 4, n, -j, dtype=complex)[order]
+    shift = np.stack([np.eye(n + 4, n, -j)[order]
                       for j in range(5)], axis=1).reshape(5 * (n + 4), n)
 
     def rhs(x):
-        v = x[:3].ravel()
-        m = (mult @ np.concatenate((v, v.conj()))).reshape(5, 8)
-        out = (shift @ x).reshape(n + 4, 40) @ (m @ _BRACKET).reshape(40, 8)
+        m = rm @ x[:3].view(float).ravel()
+        blk = (m.reshape(5, 16) @ _BRACKET_RE).reshape(80, 16)
+        out = ((shift @ x.view(float)).reshape(n + 4, 80) @ blk).view(complex)
         spill.push(out[n:])
         return out[:n]
     return rhs
@@ -238,12 +252,18 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float,
     if h < 1e-14 * max(1.0, abs(z_to)):
         raise StepSizeUnderflow(f"step {h:.3e} below representable resolution")
     rhs = _lax_stage(x.shape[0], seg / length, spill)
-    for _ in range(nsteps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # a step too long for the field makes RK4 overflow; the segment's end
+    # point is checked once, so the stages pay nothing for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nsteps):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.isfinite(x).all():
+        raise ConvergenceFailure(f"Lax flow overflowed on the segment to "
+                                 f"{complex(z_to):.6g} at step {h:.3e}")
     return x, nsteps
 
 

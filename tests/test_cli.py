@@ -349,6 +349,40 @@ def test_lax_seed_degree_out_of_range(seed_file, capsys, degree):
     assert_input_error(["lax", seed_file], capsys)
 
 
+@pytest.mark.parametrize("degree", [2.5, 3.9])
+def test_lax_seed_degree_not_integral(seed_file, capsys, degree):
+    # int() alone flowed these as degree 2 and 3 and exited 0
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["field"]["degree"] = degree
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
+def test_lax_seed_degree_integral_float(seed_file, capsys):
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["field"]["degree"] = 2.0
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert main(["lax", seed_file, "--grid", "1", "--steps", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 2
+
+
+@pytest.mark.parametrize("g1", [1e6, 1e12], ids=["1e6", "1e12"])
+def test_lax_flow_overflow(seed_file, capsys, g1):
+    # RK4 at diameter / 64 overflows on a segment this long; unguarded, the
+    # overflow warned and isospectral_drift ended in a LinAlgError traceback
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["lattice"]["g1"] = [g1, 0.0]
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file, "--grid", "1", "--steps", "64"],
+                       capsys)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_lax_seed_non_finite_entry(seed_file, capsys, value):
     with open(seed_file) as fh:

@@ -266,6 +266,51 @@ def test_flow_field_matches_reference_rk4(make_seed):
     assert res.isospectral_drift() <= 1e-15
 
 
+def test_flow_of_non_contiguous_coefficients():
+    # the stage reads float views of the coordinates, so a field held in
+    # strided or Fortran-ordered arrays must flow bit for bit as its copy
+    seed = rhombic_killing_seed()
+    field = seed.field
+    n = 2 * field.d + 1
+    rot_big = np.zeros((n, 4, 4, 2), dtype=complex)
+    rot_big[..., 1] = field.rot
+    trans_big = np.zeros((2 * n, 4), dtype=complex)
+    trans_big[::2] = field.trans
+    through_init = KillingField(field.d, np.asfortranarray(field.rot),
+                                trans_big[::2])
+    assigned = field.copy()
+    assigned.rot, assigned.trans = rot_big[..., 1], np.asfortranarray(field.trans)
+    assert not (assigned.rot.flags.c_contiguous
+                or assigned.trans.flags.c_contiguous)
+    z_to = 0.05 * seed.spec.lattice.g1 + 0.03 * seed.spec.lattice.g2
+    step = seed.spec.lattice.diameter() / 2048.0
+    want = flow_field(field.copy(), 0.0, z_to, step)
+    want_res = lax_integrate(field.copy(), [z_to, 2 * z_to], step=step)
+    for xi in (through_init, assigned):
+        got = flow_field(xi, 0.0, z_to, step)
+        assert np.array_equal(got.rot, want.rot)
+        assert np.array_equal(got.trans, want.trans)
+        res = lax_integrate(xi, [z_to, 2 * z_to], step=step)
+        assert res.max_spill == want_res.max_spill
+        for f, g in zip(res.fields[1:], want_res.fields[1:]):
+            assert np.array_equal(f.rot, g.rot)
+            assert np.array_equal(f.trans, g.trans)
+
+
+@pytest.mark.parametrize("make_seed", [
+    lambda: standard_torus_killing_seed(1.0, 1.0), rhombic_killing_seed],
+    ids=["standard", "rhombic"])
+def test_shipped_seed_drifts_stay_exactly_zero(make_seed):
+    # the top and even coefficients' derivatives cancel in exact zeros, which
+    # the real block products must keep
+    seed = make_seed()
+    z_to = 0.1 * seed.spec.lattice.g1 + 0.05 * seed.spec.lattice.g2
+    res = lax_integrate(seed.field, [z_to], step=abs(z_to) / 64 * (1 + 1e-12))
+    assert res.steps == 64
+    assert res.coefficient_drift(-seed.field.d) == 0.0
+    assert res.even_coefficient_drift() == 0.0
+
+
 def test_seed_structure_standard():
     seed = standard_torus_killing_seed(1.0, 1.0)
     f = seed.field
