@@ -55,11 +55,13 @@ class NotInBigCell(HamstatError):
 
 
 class LoopAliasing(HamstatError):
-    """Loop sample count too small: the spectrum has not decayed at its top."""
+    """Loop sample count too small: the spectrum has not decayed at its top,
+    or the angle range is so wide that e^(|h|/2) overflows."""
 
 
 class PathIntegrationFailure(HamstatError):
-    """Adaptive quadrature along the integration path did not converge."""
+    """Adaptive quadrature along the integration path did not converge, or
+    the potential's angle is not finite on it."""
 
 
 class StepSizeUnderflow(HamstatError):

@@ -13,6 +13,7 @@ both factorizations need ``nsamples`` to be a multiple of 4.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -510,12 +511,15 @@ class SpecLift:
 
         The frame is F = exp(phi L_i).  Normalized as an extended lift: the
         value at the basepoint is the identity, so the family is shifted to
-        vanish at z = 0.
+        vanish at z = 0.  The family is odd in lam, so it is evaluated on half
+        the circle and negated on the rest: m must be even (else ValueError).
         """
+        if m % 2:
+            raise ValueError(f"sample count {m} is odd")
         z = np.asarray(z, dtype=complex)
         lams = unit_lambdas(m)
-        x = family_samples(self.spec, z, lams, basepoint_zero=True)
-        return _frame_phase(self.h_fn(z), lams), x
+        x = family_samples(self.spec, z, lams[:m // 2], basepoint_zero=True)
+        return _frame_phase(self.h_fn(z), lams), np.concatenate([x, -x], -2)
 
 
 def _frame_phase(h, lams):
@@ -548,31 +552,45 @@ class HolomorphicPotentialData:
 
 
 def _half_slots(m: int):
-    """Slots of the half-angle phases e^{+-i h / (2 lam^2)} over m samples.
-
-    They depend on lam only through +-lam^-2, which are the roots
-    e^{-i pi s / m} at the slots s = 4j and 4j + m (mod 2m).  That slot set
-    is closed under s -> s + m, which negates the root, so ``half`` holds
-    0.5j e^{-i pi s / m} for its slots s < m only and `_slot_exps` fills the
-    slots s + m by reciprocals.  ``pick[j]`` indexes that table at +lam_j^-2
-    and -lam_j^-2.
-    """
+    """Roots of the half-angle phases e^{+-i h / (2 lam^2)} over m samples:
+    +-lam_j^-2 are e^{-i pi s / m} at s = 4j, 4j + m (mod 2m), multiples of
+    g = gcd(4, m), so they are the L = 2m / g roots zeta_k = e^{-2 pi i k / L}
+    (k = s / g, natural DFT order).  Returns L and ``pick``, whose row j
+    indexes +lam_j^-2 and -lam_j^-2."""
+    g = math.gcd(4, m)
     j = np.arange(m)
-    slots = np.stack([4 * j, 4 * j + m], axis=1) % (2 * m)
-    low = np.unique(slots[slots < m])
-    index = np.empty(2 * m, dtype=int)
-    index[low] = np.arange(len(low))
-    index[low + m] = len(low) + np.arange(len(low))
-    return 0.5j * np.exp(-1j * np.pi * low / m), index[slots]
+    return 2 * m // g, np.stack([4 * j, 4 * j + m], axis=1) % (2 * m) // g
 
 
-def _slot_exps(h, half):
-    """exp(h half_s) for every slot s < m, then the reciprocals for the
-    slots s + m: shape h.shape + (2 len(half),)."""
-    q = len(half)
-    out = np.empty(h.shape + (2 * q,), dtype=complex)
-    np.exp(h[..., None] * half, out=out[..., :q])
-    np.divide(1.0, out[..., :q], out=out[..., q:])
+def _slot_series(c, size: int, left=None):
+    """exp(c zeta_k) at the roots zeta_k = e^{-2 pi i k / size}, shape
+    c.shape + (size,), or left @ exp(c zeta) over c's last axis: per block
+    of c's first axis, one FFT of the Taylor terms c^n / n! (contracted with
+    ``left``) up to the first n > C = max|c| with C^n / n! < 2^-53 e^C
+    (36.8 > 53 ln 2), so each value is off by about eps e^C.  A non-finite
+    c raises PathIntegrationFailure, an e^C that overflows LoopAliasing."""
+    big = max(float(np.max(np.abs(c), initial=0.0)), 1e-300)
+    if not math.isfinite(big):
+        raise PathIntegrationFailure("potential angle is not finite on the path")
+    if big > 709.78:
+        raise LoopAliasing(f"e^(|h| / 2) overflows at |h| / 2 = {big:.3g}")
+    top = math.floor(big) + 1
+    while top * math.log(big) - math.lgamma(top + 1) > big - 36.8:
+        top += 1
+    factors = np.cumprod(np.r_[1.0, big / np.arange(1, top + 1)])   # C^n / n!
+    out = np.empty((c if left is None else left[..., 0]).shape + (size,), complex)
+    fold = -(-len(factors) // size)     # every fold-th bin folds mod size
+    step = max(1, _CHUNK // (len(factors) * math.prod(c.shape[1:])))
+    for lo in range(0, len(c), step):
+        blk = slice(lo, lo + step)
+        ratio = c[blk] / big                # powers of c / C cannot overflow
+        powers = np.empty((len(factors),) + ratio.shape, dtype=complex)
+        powers[0] = 1.0
+        for n in range(1, len(factors)):
+            np.multiply(powers[n - 1], ratio, out=powers[n])
+        terms = np.moveaxis(powers, 0, -1)
+        terms = (terms if left is None else left[blk] @ terms) * factors
+        out[blk] = np.fft.fft(terms, n=fold * size, axis=-1)[..., ::fold]
     return out
 
 
@@ -584,11 +602,11 @@ def _lift_w_minus1(lift, z, m: int):
     weights) before they are rotated.  Shape (..., 4)."""
     z = np.asarray(z, dtype=complex)
     _, x = lift.samples(z, m)
-    half, pick = _half_slots(m)
-    # lam e^{-+i theta}, with e^{-+i theta} = exp(h half) at the slots of
-    # +-lam^-2; the samples are real, so each part of the weights contracts
-    # with them in place (a complex product would copy them to complex)
-    weights = _slot_exps(lift.h_fn(z), half)[..., pick.T]    # (..., 2, m)
+    size, pick = _half_slots(m)
+    # lam e^{-+i theta}, e^{-+i theta} = exp(i h zeta / 2) at the roots zeta
+    # of +-lam^-2; the samples are real, so each part of the weights
+    # contracts with them in place (a complex product would copy them)
+    weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick.T]  # (..., 2, m)
     weights *= unit_lambdas(m)
     minus, plus = np.moveaxis(weights.real @ x + 1j * (weights.imag @ x), -2, 0)
     return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / m
@@ -648,7 +666,7 @@ def _taylor_interpolant(ring_values, radius):
 # that `ReconstructedLift._rule` contracts
 _SPLIT_SPIN = np.stack([PI_PLUS @ EPS, PI_PLUS @ LI_EPS_BAR,
                         PI_MINUS @ EPS, PI_MINUS @ LI_EPS_BAR])
-_CHUNK = 1 << 16        # elements of one (points, nodes, slots) block
+_CHUNK = 1 << 16        # elements of one (points, nodes, terms) block
 
 
 class ReconstructedLift:
@@ -658,10 +676,10 @@ class ReconstructedLift:
     eta(z) integrates e^{theta L_i} lam^-1 (a eps + b L_i eps_bar), theta =
     h / (2 lam^2), along 0 -> z.  Each Gauss rule calls h, a and b once on
     all its nodes and uses the eigen-split e^{theta L_i} = e^{i theta} P+ +
-    e^{-i theta} P-: per (point, lam) the nodes contract against
-    w a e^{+-i theta} and w b e^{+-i theta}, and only the four sums expand
-    to vectors.  ``samples`` raises :class:`LoopAliasing` when ``nsamples``
-    is too small for the range of the angle.
+    e^{-i theta} P-: per point the nodes contract w a and w b against the
+    Taylor terms of e^{+-i theta} in lam^-2, one FFT takes them to every lam,
+    and only the four sums expand to vectors.  ``samples`` raises
+    :class:`LoopAliasing` when ``nsamples`` is too small for the angle.
     """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
@@ -688,16 +706,11 @@ class ReconstructedLift:
         wab = weights[:, None] * np.stack([
             np.broadcast_to(self.pot.a(v), v.shape),
             np.broadcast_to(self.pot.b(v), v.shape)])            # (2, n, points)
-        # e^{+-i theta} per slot of +-lam^-2 (`_half_slots`); the node sum
-        # is one (a|b, nodes) @ (nodes, slots) product per point
+        # e^{+-i theta} = exp(i h zeta / 2) at the roots zeta of +-lam^-2
+        # (`_half_slots`), with the node sum inside the series
         m = self.m
-        half, pick = _half_slots(m)
-        wab = wab.transpose(2, 0, 1)                             # (points, 2, n)
-        sums = np.empty((len(wab), 2, 2 * len(half)), dtype=complex)
-        step = max(1, _CHUNK // (2 * len(half) * n))
-        for lo in range(0, len(wab), step):
-            cols = slice(lo, lo + step)
-            np.matmul(wab[cols], _slot_exps(h[:, cols].T, half), out=sums[cols])
+        size, pick = _half_slots(m)
+        sums = _slot_series(0.5j * h.T, size, wab.transpose(2, 0, 1))
         # (point, lam, +-, a|b): the row order of _SPLIT_SPIN
         acc = (sums[..., pick].transpose(0, 2, 3, 1).reshape(-1, m, 4)
                @ _SPLIT_SPIN / unit_lambdas(m)[:, None])

@@ -16,12 +16,12 @@ from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus, q_plus, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.loops import (_from_plus, _inv2, _plus_block,
-                           _taylor_interpolant)
+from hamstat.loops import (_from_plus, _half_slots, _inv2, _plus_block,
+                           _slot_series, _taylor_interpolant)
 from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                               unit_lambdas)
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
-from hamstat.weierstrass import TorusSpec, immerse
+from hamstat.weierstrass import TorusSpec, family_samples, immerse
 
 
 def rand_g0c(rng):
@@ -448,6 +448,22 @@ def test_spec_lift_shape_and_base(rng):
     assert np.max(np.abs(phi.imag)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [32, 128])
+@pytest.mark.parametrize("torus", [standard_torus(1.0, 1.0), rhombic_torus()],
+                         ids=["standard", "rhombic"])
+def test_spec_lift_samples_half_the_circle(torus, m):
+    # the family is odd in lam: the second half of the circle is the
+    # negated first, bit for bit, and matches the family evaluated there
+    zs = np.array([[0.3 + 0.2j, -0.41 + 0.17j], [0.9 - 0.35j, 0.05 + 0.6j]])
+    _, x = SpecLift(torus.spec).samples(zs, m)
+    assert x.shape == (2, 2, m, 4)
+    assert np.array_equal(x[..., m // 2:, :], -x[..., :m // 2, :])
+    want = family_samples(torus.spec, zs, unit_lambdas(m), basepoint_zero=True)
+    assert np.max(np.abs(x - want)) < 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        SpecLift(torus.spec).samples(zs, m + 1)
+
+
 def test_lift_phase_gives_reference_frame():
     # the phase reproduces the dense frame both lifts used to return, and
     # the reconstruction's projection agrees with the dense rotation
@@ -623,6 +639,24 @@ def test_round_trip_of_benchmark_shape_does_not_bisect():
     assert calls == 2
 
 
+def _square_k2_complex_spec():
+    sq = Lattice.square()
+    freqs = enumerate_frequencies(sq, 1 + 1j)
+    return TorusSpec.build(sq, 1 + 1j,
+                           dict(zip(freqs, (1.0 + 0.5j, 0.7 - 0.2j))))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(rhombic_torus().spec, id="rhombic"),
+    pytest.param(standard_torus(1.25, 0.8).spec, id="standard-1.25x0.8"),
+    pytest.param(_square_k2_complex_spec(), id="square-K2-complex")])
+def test_round_trip_of_every_pool_slot_does_not_bisect(spec):
+    # the other slot specs of the benchmark's round-trip pool
+    err, calls = _round_trip(spec, 6, 128)
+    assert err < 1e-7
+    assert calls == 2
+
+
 def test_reconstruction_rejects_aliased_loop_samples():
     # |h| reaches 16.7 on the grid: e^{i h / 2 lam^2} needs exponents past
     # the +-64 that 128 samples hold, so those samples would give a wrong
@@ -649,15 +683,7 @@ def _ref_rule(pot, m, z_from, shift, n):
     return acc * np.asarray(shift, dtype=complex)[..., None, None]
 
 
-@pytest.mark.parametrize("points, n, m",
-                         [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 30)])
-def test_rule_matches_per_node_reference(rng, points, n, m):
-    # at m = 128, 3 x 4 points fit one (points, nodes, slots) block and
-    # 12 x 25 points take 8 blocks; at m = 30, -lam^-2 is not a sample
-    # value of lam^-2
-    spec = rhombic_torus().spec
-    pots = (HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j),
-            potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))
+def _check_rule(rng, pots, points, n, m):
     z_from = 0.3 * (rng.normal(size=points) + 1j * rng.normal(size=points))
     shift = 0.4 * (rng.normal(size=points) + 1j * rng.normal(size=points))
     for pot in pots:
@@ -665,6 +691,71 @@ def test_rule_matches_per_node_reference(rng, points, n, m):
         got = ReconstructedLift(pot, nsamples=m)._rule(z_from, shift, n)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("points, n, m",
+                         [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 30)])
+def test_rule_matches_per_node_reference(rng, points, n, m):
+    # at m = 128, 3 x 4 points fit one (points, nodes, terms) block and
+    # 12 x 25 points take several; at m = 30, -lam^-2 is not a sample
+    # value of lam^-2
+    spec = rhombic_torus().spec
+    pots = (HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j),
+            potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))
+    _check_rule(rng, pots, points, n, m)
+
+
+@pytest.mark.parametrize("c, n, m", [(5, 24, 30), (5 + 3j, 48, 30), (2, 24, 4)])
+def test_rule_folds_taylor_terms_past_the_roots(rng, c, n, m):
+    # more Taylor terms than roots (L = 30, 30 and 2): the terms fold mod L
+    pot = HolomorphicPotentialData.constant(c, 0.7, -0.2j)
+    _check_rule(rng, (pot,), (3, 4), n, m)
+
+
+@pytest.mark.parametrize("m", [4, 30, 31, 64, 128, 256])
+def test_slot_series_matches_exp_on_every_root(m):
+    # _half_slots: root k is zeta_k = e^{-2 pi i k / L} in natural DFT order,
+    # and pick[j] indexes +-lam_j^-2; each series value is within
+    # 8 (1 + |c|) eps e^|c| of exp(c zeta_k) at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    size, pick = _half_slots(m)
+    zeta = np.exp(-2j * np.pi * np.arange(size) / size)
+    lam2 = unit_lambdas(m) ** -2
+    assert np.max(np.abs(zeta[pick] - np.stack([lam2, -lam2], axis=1))) < 1e-14
+    assert set(pick.ravel()) == set(range(size))
+    for r in (0.0, 0.5, 3.0, 10.0, 30.0):
+        cs = r * np.exp(2j * np.pi * np.array([0.0, 0.17, 0.5, 0.83]))
+        got = _slot_series(cs, size)
+        with mpmath.workdps(40):
+            roots = [mpmath.expjpi(-2 * mpmath.mpf(k) / size)
+                     for k in range(size)]
+            want = np.array([[complex(mpmath.exp(mpmath.mpc(c.real, c.imag) * z))
+                              for z in roots] for c in cs])
+        bound = 8 * (1 + r) * np.finfo(float).eps * np.exp(r)
+        assert np.max(np.abs(got - want)) < bound, (r, m)
+
+
+@pytest.mark.parametrize("c, expect", [
+    (5, None), (20, LoopAliasing), (400, PathIntegrationFailure),
+    (1e4, LoopAliasing), (np.nan, PathIntegrationFailure)])
+def test_reconstruction_angle_range(c, expect):
+    # a value while 128 samples resolve the angle; past that the spectrum
+    # edge (20) or the quadrature (400) fails, an e^{|h|/2} that overflows
+    # and a non-finite angle are refused before any series is built
+    pot = HolomorphicPotentialData.constant(c, 1, 0.5)
+    run = lambda: dpw_reconstruct(pot, z=[0.5 + 0.25j], nsamples=128,
+                                  quad_n=24)
+    if expect is not None:
+        with pytest.raises(expect):
+            run()
+        return
+    _, x = run()
+    # lam_0 and lam_37 as the per-slot exponential tables gave them
+    want = np.array([[-0.05193489588311273, 0.09819290364534612,
+                      0.09482641312136166, 0.01418916083351388],
+                     [0.006336222908807004, -0.022175529895309146,
+                      0.048679320522266915, 0.09583038655488937]])
+    assert np.max(np.abs(x[0, [0, 37]] - want)) < 1e-13
 
 
 # reference: a, b from a 5-point stencil in z of W's exponent -1 coefficient,
