@@ -5,9 +5,12 @@ Loops are stored as Fourier coefficients and manipulated pointwise on
 uniform circle samples; conversions go through the FFT.  The group is the
 semidirect product, so every factorization splits into a rotation-part
 problem and an explicit linear projection for the translation part.  A
-twisted rotation loop is fixed by its E+ block A(lam), a 2x2 loop whose E-
-partner A(-i lam) is a quarter turn of the m-th roots of unity away, so
-both factorizations need ``nsamples`` to be a multiple of 4.
+twisted rotation loop is fixed by its E+ block A(lam), a 2x2 loop: its
+lam^k coefficient is diag(C_k, i^-k C_k) in the frame (E+, L_j E+).  Both
+factorizations read the C_k on entry (`_plus_block`), work on samples of A
+and rebuild 4x4 coefficients on exit (`_from_plus`).  Translations turn by
+diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots
+of unity away, so both need ``nsamples`` to be a multiple of 4.
 """
 
 from __future__ import annotations
@@ -66,13 +69,7 @@ class TwistedLoop:
 
     def sample(self, m: int):
         """Rotation and translation samples at the m-th roots of unity."""
-        if m < 2 * self.degree + 2:
-            raise ValueError("sample count too small for the loop degree")
-        rot_hat = np.zeros((m, 4, 4), dtype=complex)
-        trans_hat = np.zeros((m, 4), dtype=complex)
-        np.add.at(rot_hat, self.ks % m, self.rot)
-        np.add.at(trans_hat, self.ks % m, self.trans)
-        return samples_from_coeffs(rot_hat), samples_from_coeffs(trans_hat)
+        return _on_circle(self.ks, self.rot, m), _on_circle(self.ks, self.trans, m)
 
     @classmethod
     def from_samples(cls, rot_samples, trans_samples,
@@ -171,6 +168,17 @@ class TwistedLoop:
 _I_POW = np.array([1, 1j, -1, -1j])     # i^k at slot k % 4
 
 
+def _on_circle(ks, coeffs, m: int):
+    """Samples at the m-th roots of unity of the loop with coefficients
+    ``coeffs`` of lam**ks, placed in their FFT slots; ValueError when m
+    cannot resolve the exponents."""
+    if m < 2 * int(np.max(np.abs(ks), initial=0)) + 2:
+        raise ValueError(f"sample count {m} too small for the loop degree")
+    hat = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
+    np.add.at(hat, ks % m, coeffs)
+    return samples_from_coeffs(hat)
+
+
 def _max_abs(*arrays) -> float:
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
@@ -227,31 +235,31 @@ def su2_iwasawa(g, tol: float = 1e-9):
 def _half_plus(samples):
     """Samples of half the constant mode plus the positive modes
     1 .. m/2 - 1 of circle samples (axis 0)."""
-    m = samples.shape[0]
-    hat = np.fft.fft(samples, axis=0) / m
-    placed = np.zeros_like(hat)
-    placed[0] = 0.5 * hat[0]
-    placed[1:m // 2] = hat[1:m // 2]
-    return np.fft.ifft(placed, axis=0) * m
+    hat = loop_coeffs(samples)
+    hat[0] *= 0.5
+    hat[len(hat) // 2:] = 0.0
+    return samples_from_coeffs(hat)
 
 
 _WILSON_TOL = 1e-13      # Newton stops once |B^-* J B^-1 - Id| is below this
 _WILSON_ITER = 60
 
 
-def _wilson_factor(j_samples):
+def _wilson_factor(j):
     """Canonical spectral factor of a Hermitian positive 2x2 loop:
     J = B* B with B holomorphic and invertible in the disk.
 
     Newton-type iteration on samples; quadratically convergent for strictly
-    positive J.  Normalization of the constant unitary freedom is left to
-    the caller.
+    positive J.  A J whose mean is not numerically positive definite raises
+    SingularInput; the constant unitary freedom is left to the caller.
     """
-    j = np.asarray(j_samples, dtype=complex)
-    m = j.shape[0]
     j0 = np.mean(j, axis=0)
     j0 = 0.5 * (j0 + j0.conj().T)
-    low = np.linalg.cholesky(j0)
+    try:
+        low = np.linalg.cholesky(j0)
+    except np.linalg.LinAlgError:
+        raise SingularInput("mean of the 2x2 loop is not positive definite: "
+                            "the loop is numerically singular") from None
     b = np.broadcast_to(low.conj().T, j.shape).copy()
     eye = np.broadcast_to(np.eye(2), j.shape)
     for _ in range(_WILSON_ITER):
@@ -259,9 +267,9 @@ def _wilson_factor(j_samples):
         s = np.conj(np.swapaxes(binv, 1, 2)) @ j @ binv - eye
         err = float(np.max(np.abs(s)))
         b = (eye + _half_plus(s)) @ b
-        bhat = np.fft.fft(b, axis=0) / m
-        bhat[m // 2 + 1:] = 0.0
-        b = np.fft.ifft(bhat, axis=0) * m
+        bhat = loop_coeffs(b)
+        bhat[len(b) // 2 + 1:] = 0.0
+        b = samples_from_coeffs(bhat)
         if err < _WILSON_TOL:
             break
     else:
@@ -290,28 +298,23 @@ def _inv2(b):
 
 # --- translation projections ---------------------------------------------
 
-def _split_neg(samples):
+def q_minus(trans_samples):
     """Strictly negative Fourier part of circle samples, as samples."""
-    m = samples.shape[0]
-    hat = np.fft.fft(samples, axis=0) / m
-    hat[:m // 2 + 1] = 0.0            # keep exponents -1 .. -(m/2 - 1)
-    return np.fft.ifft(hat, axis=0) * m
+    hat = loop_coeffs(trans_samples)
+    hat[:len(hat) // 2 + 1] = 0.0     # keep exponents -1 .. -(m/2 - 1)
+    return samples_from_coeffs(hat)
+
+
+def q_plus(trans_samples):
+    return trans_samples - q_minus(trans_samples)
 
 
 def p_real_part(trans_samples):
     """Projection of a twisted translation loop onto the real-form part,
     along the holomorphic half: twice the real part of the strictly
     negative-frequency half."""
-    neg = _split_neg(trans_samples)
+    neg = q_minus(trans_samples)
     return neg + np.conj(neg)
-
-
-def q_minus(trans_samples):
-    return _split_neg(trans_samples)
-
-
-def q_plus(trans_samples):
-    return trans_samples - _split_neg(trans_samples)
 
 
 # --- the E+ block of a twisted rotation loop -------------------------------
@@ -323,43 +326,59 @@ def q_plus(trans_samples):
 # diag(A(lam), A(-i lam)) with A its E+ block.
 _E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
 _FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
-# flattened m -> flattened frame blocks F^H m F; flattened 2x2 C -> E C E^H
-# for the halves E = E+ and E = L_j E+
-_TO_FRAME = np.einsum("ac,bd->abcd", _FRAME.conj(), _FRAME).reshape(16, 16)
-_FROM_HALF = np.einsum("cya,dyb->yabcd", _FRAME.reshape(4, 2, 2),
-                       _FRAME.conj().reshape(4, 2, 2)).reshape(2, 4, 16)
+_TO_FRAME = np.kron(_FRAME.conj(), _FRAME)    # vec M -> vec F^H M F, unitary
+# conj swaps the halves, F^H conj(F) = [[0, Q], [Q^T, 0]]: on the circle the
+# loop is real where A(lam) = Q conj(A(-i lam)) Q^T
+_CONJ_Q = (_FRAME.conj().T @ _FRAME.conj())[:2, 2:]
 
 
-def _plus_block(rot_samples, gate: float):
-    """E+ block A of rotation samples at the m-th roots of unity, (m, 2, 2).
-
-    At those roots -i lam_j = lam_(j - m/4) and -lam_j = lam_(j + m/2), so
-    m must be a multiple of 4 (else ValueError).  Raises SingularInput when
-    the samples leave the twisted L_i commutant by more than ``gate``: in
-    their off-diagonal blocks, in an E- block other than A(-i lam), or in
-    odd modes, A(-lam) != A(lam).
+def _plus_block(loop: TwistedLoop, m: int, gate: float):
+    """(m, 2, 2) samples of a twisted loop's E+ block A, read off its
+    coefficients C_k, (m, 4) samples of its translation, and ``off``: the
+    sum over k of the largest entry by which a coefficient leaves
+    diag(C_k, i^-k C_k) with C_k even, which bounds the loop's distance from
+    diag(A(lam), A(-i lam)) at every sample.  Raises SingularInput when
+    ``off`` exceeds ``gate``, and ValueError when m is not a multiple of 4
+    (`_turn` needs it) or cannot resolve the loop's exponents.
     """
-    m = rot_samples.shape[0]
     if m % 4:
         raise ValueError(f"sample count {m} is not a multiple of 4")
-    blocks = (rot_samples.reshape(m, 16) @ _TO_FRAME).reshape(m, 4, 4)
-    plus = blocks[:, :2, :2]
-    off = _max_abs(blocks[:, :2, 2:], blocks[:, 2:, :2],
-                   blocks[:, 2:, 2:] - np.roll(plus, m // 4, axis=0),
-                   plus - np.roll(plus, m // 2, axis=0))
+    blocks = (loop.rot.reshape(-1, 16) @ _TO_FRAME).reshape(-1, 4, 4)
+    plus = blocks[:, :2, :2].copy()
+    blocks[:, 2:, 2:] -= _I_POW[-loop.ks % 4, None, None] * plus
+    blocks[loop.ks % 2 == 0, :2, :2] = 0.0
+    off = float(np.sum(np.max(np.abs(blocks), axis=(1, 2))))
     if off > gate:
         raise SingularInput(f"rotation loop is not twisted in the L_i "
-                            f"commutant: its samples are off by {off:.2e}")
-    return plus
+                            f"commutant: its coefficients are off by {off:.2e}")
+    return _plus_samples(loop.ks, plus, loop.trans, m) + (off,)
 
 
-def _from_plus(plus):
-    """Rotation samples diag(A(lam), A(-i lam)) from E+ block samples A,
-    (m, 2, 2) with m a multiple of 4: the inverse of `_plus_block`."""
-    m = plus.shape[0]
-    flat = plus.reshape(m, 4)
-    return (flat @ _FROM_HALF[0] + np.roll(flat, m // 4, axis=0)
-            @ _FROM_HALF[1]).reshape(m, 4, 4)
+def _plus_samples(ks, plus, trans, m: int):
+    """(m, 2, 2) E+ block and (m, 4) translation samples of the loop whose
+    lam**ks coefficients have E+ blocks ``plus`` and translations ``trans``."""
+    both = _on_circle(ks, np.concatenate([plus.reshape(-1, 4), trans], axis=1), m)
+    return both[:, :4].reshape(m, 2, 2), both[:, 4:]
+
+
+def _from_plus(plus_hat):
+    """4x4 coefficients diag(C_j, i^-j C_j) in the frame of E+ coefficients
+    C_j in FFT slots j, whose count is a multiple of 4: the inverse of
+    `_plus_block`'s reading."""
+    blocks = np.zeros((len(plus_hat), 4, 4), dtype=complex)
+    blocks[:, :2, :2] = plus_hat
+    blocks[:, 2:, 2:] = _I_POW[-np.arange(len(plus_hat)) % 4, None, None] * plus_hat
+    return (blocks.reshape(-1, 16) @ _TO_FRAME.conj().T).reshape(-1, 4, 4)
+
+
+def _turn(a, trans):
+    """Translation samples rotated by diag(A(lam), A(-i lam)) in the frame,
+    for E+ block samples A at m roots of unity, m a multiple of 4: the E-
+    samples are A rolled a quarter turn."""
+    m = len(a)
+    pair = np.stack([a, np.roll(a, m // 4, axis=0)], axis=1)     # (m, 2, 2, 2)
+    halves = (trans @ _FRAME.conj()).reshape(m, 2, 2)
+    return np.einsum("mhij,mhj->mhi", pair, halves).reshape(m, 4) @ _FRAME.T
 
 
 # --- Iwasawa factorization ------------------------------------------------
@@ -371,46 +390,45 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     The rotation part is its E+ block A, a loop in GL(2, C), whose Iwasawa
     splitting A = U B (U unitary on the circle, B holomorphic in the disk)
     is unique up to a constant unitary (Pressley-Segal, Loop Groups, ch. 8):
-    B is the Wilson spectral factor of A^H A and U = A B^-1.  A constant
-    correction pins B(0) to the ray stabilizer.  The translation part is
-    the explicit projection ``X = F . P(F^{-1} T)``.
+    B is the Wilson spectral factor of A^H A and U = A B^-1, whose
+    imaginary rounding is dropped.  A constant correction pins B(0) to the
+    ray stabilizer.  The translation part is the explicit projection
+    ``X = F . P(F^{-1} T)``.
 
-    ``nsamples`` must be a multiple of 4 (ValueError); rotation samples
-    outside the twisted L_i commutant raise SingularInput.
+    ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError);
+    a rotation outside the twisted L_i commutant raises SingularInput, and
+    factors whose spectrum fills every slot raise LoopAliasing.  A product
+    U B off the loop by more than tol * max(1, |loop|), or a U off real by
+    more than tol, raises ConvergenceFailure.
     """
     m = nsamples or _pow2(max(64, 8 * loop.degree))
     scale = max(1.0, _finite_norm(loop))
-    rot, trans = loop.sample(m)
+    a, trans, off = _plus_block(loop, m, max(tol, 1e-7) * scale)
+    b = _wilson_factor(np.conj(np.swapaxes(a, 1, 2)) @ a)
 
-    a = _plus_block(rot, max(tol, 1e-7) * scale)
-    b2 = _wilson_factor(np.conj(np.swapaxes(a, 1, 2)) @ a)
-    f_rot = _from_plus(a @ _inv2(b2))
-    b_rot = _from_plus(b2)
+    # pin B(0) = mean(B) to the ray stabilizer by a constant compact K0; K0
+    # is real and commutes with L_i, so its E+ block is unitary
+    b0 = _FRAME @ np.kron(np.eye(2), np.mean(b, axis=0)) @ _FRAME.conj().T
+    k0 = _E_PLUS.conj().T @ su2_iwasawa(b0)[0] @ _E_PLUS
+    b = k0.conj().T @ b
+    u = a @ _inv2(b)
+    u = 0.5 * (u + _CONJ_Q @ np.conj(np.roll(u, m // 4, axis=0)) @ _CONJ_Q.T)
+    u_hat, b_hat = loop_coeffs(u), loop_coeffs(b)
 
-    # pin B(0) into the ray stabilizer by a constant compact correction
-    b0_val = np.mean(b_rot, axis=0)     # holomorphic: value at 0 = mean
-    k0, _ = su2_iwasawa(b0_val)
-    f_rot = f_rot @ k0
-    b_rot = np.einsum("ij,mjk->mik", k0.T, b_rot)
+    v = _turn(np.conj(np.swapaxes(u, 1, 2)), trans)     # U^-1 = U^H
+    x = p_real_part(v)
+    u_loop = TwistedLoop.from_coeffs(_from_plus(u_hat), loop_coeffs(_turn(u, x)))
+    b_loop = TwistedLoop.from_coeffs(_from_plus(b_hat), loop_coeffs(v - x))
 
-    if np.max(np.abs(f_rot.imag)) > 1e-6:
-        raise ConvergenceFailure("real factor has imaginary residue")
-    f_real = f_rot.real
-    v = np.einsum("mji,mj->mi", f_real, trans)      # F^{-1} = F^T pointwise
-    neg = _split_neg(v)
-    x = neg + np.conj(neg)
-    b_tr = v - neg - np.conj(neg)
-
-    u_loop = TwistedLoop.from_samples(
-        f_real.astype(complex), np.einsum("mij,mj->mi", f_real, x))
-    b_loop = TwistedLoop.from_samples(b_rot, b_tr)
-
-    ur, ut = u_loop.sample(m)
-    br, bt = b_loop.sample(m)
-    recon_r = ur @ br
-    recon_t = np.einsum("mij,mj->mi", ur, bt) + ut
-    resid = max(float(np.max(np.abs(recon_r - rot))),
-                float(np.max(np.abs(recon_t - trans))))
+    # the residual bounds U B - loop at the samples: the outputs' kept E+
+    # coefficients against A, plus the input's distance ``off`` from A; U
+    # is unitary, so its reality residual is held to tol without the scale
+    if 2 * max(u_loop.degree, b_loop.degree) + 2 > m:
+        raise LoopAliasing(f"{m} samples cannot resolve the factors' spectrum")
+    ua, ut = _plus_samples(u_loop.ks, u_hat[u_loop.ks % m], u_loop.trans, m)
+    ba, bt = _plus_samples(b_loop.ks, b_hat[b_loop.ks % m], b_loop.trans, m)
+    resid = max(_max_abs(ua @ ba - a, _turn(ua, bt) + ut - trans), off,
+                scale * u_loop.reality_residual())
     if resid > tol * scale:
         raise ConvergenceFailure(f"factorization residual {resid:.3e} "
                                  f"exceeds tolerance {tol:.1e}")
@@ -444,15 +462,17 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     right-hand side, so its unknowns are 0 and its condition number is the
     half system's.
 
-    ``nsamples`` must be a multiple of 4 (ValueError); rotation samples
-    outside the twisted L_i commutant, odd modes included, and non-finite
-    coefficients raise SingularInput.
+    ``nsamples`` must be a multiple of 4 and resolve the loop and
+    ``neg_degree`` (ValueError); rotations outside the twisted L_i commutant,
+    odd modes included, and non-finite coefficients raise SingularInput.
     """
     n = neg_degree or max(16, 2 * loop.degree)
     m = nsamples or _pow2(max(64, 8 * loop.degree, 4 * n))
+    if m < 2 * n + 2:
+        raise ValueError(f"sample count {m} too small for the negative "
+                         f"degree {n}")
     gate = max(tol, 1e-7) * max(1.0, _finite_norm(loop))
-    rot, trans = loop.sample(m)
-    a = _plus_block(rot, gate)
+    a, trans, _ = _plus_block(loop, m, gate)
     plus = loop_coeffs(_inv2(a))
 
     # block row i holds exponent -1 - i, block column j exponent -1 - j;
@@ -468,28 +488,23 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
 
     # Id plus the exponents k = -2, -4, ..., placed in their FFT slots
-    if m < 2 * n + 2:
-        raise ValueError("sample count too small for the loop degree")
     gm_hat = np.zeros((m, 2, 2), dtype=complex)
     gm_hat[0] = np.eye(2)
     gm_hat[m - 1 - cols] = half.reshape(len(cols), 2, 2)
-    gm_plus = samples_from_coeffs(gm_hat)
-    gm_inv = _inv2(gm_plus)
-    gm_rot = _from_plus(gm_plus)
-    gp_rot = _from_plus(gm_inv @ a)
+    gm = samples_from_coeffs(gm_hat)
+    gm_inv = _inv2(gm)
+    gp_rot = _from_plus(loop_coeffs(gm_inv @ a))
 
     # positive factor must be holomorphic: measure the negative leakage
-    gp_hat = loop_coeffs(gp_rot)
-    leak = float(np.max(np.abs(gp_hat[coeff_exponents(m) < 0]), initial=0.0))
+    leak = _max_abs(gp_rot[coeff_exponents(m) < 0])
     if leak > gate:
         raise OutsideBigCell(f"positive factor leaks negative modes ({leak:.2e})")
 
-    v = np.einsum("mij,mj->mi", _from_plus(gm_inv), trans)
-    neg = _split_neg(v)
-    t_plus = v - neg
-    t_minus = np.einsum("mij,mj->mi", gm_rot, neg)
-    g_minus = TwistedLoop.from_samples(gm_rot, t_minus)
-    g_plus = TwistedLoop.from_coeffs(gp_hat, loop_coeffs(t_plus))
+    v = _turn(gm_inv, trans)
+    neg = q_minus(v)
+    g_minus = TwistedLoop.from_coeffs(_from_plus(gm_hat),
+                                      loop_coeffs(_turn(gm, neg)))
+    g_plus = TwistedLoop.from_coeffs(gp_rot, loop_coeffs(v - neg))
     return g_minus, g_plus
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
@@ -16,8 +16,9 @@ from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus, q_plus, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.loops import (_from_plus, _half_slots, _inv2, _plus_block,
-                           _slot_series, _taylor_interpolant)
+from hamstat.loops import (_E_PLUS, _from_plus, _half_slots, _inv2,
+                           _plus_block, _slot_series, _taylor_interpolant,
+                           _turn)
 from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                               unit_lambdas)
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
@@ -149,7 +150,8 @@ def _check_iwasawa(loop, u, b, m=256, tol=1e-9):
     rh, th = loop.sample(m)
     assert np.max(np.abs(ru @ rb - rh)) < tol
     assert np.max(np.abs(np.einsum("mij,mj->mi", ru, tb) + tu - th)) < tol
-    assert u.reality_residual() < tol
+    # U's imaginary rounding is dropped, so it is real to rounding
+    assert u.reality_residual() < 1e-14 * max(1.0, loop.norm())
     assert u.twist_residual() < tol
     assert b.twist_residual() < tol
     assert np.min(b.ks) >= 0
@@ -336,6 +338,17 @@ def test_birkhoff_rejects_rotation_outside_twisted_li_commutant(generator,
             factor(loop, nsamples=128)
 
 
+def test_iwasawa_residual_counts_distance_from_li_commutant(rng):
+    # 5e-8 L_j passes the commutant gate (1e-7) but not the residual
+    # (1e-8): only the E+ block is factored, so U B misses the loop by it
+    loop = random_twisted_group_loop(4, rng)
+    scale = max(1.0, loop.norm())
+    rot = loop.rot.copy()
+    rot[loop.ks == 0] += 5e-8 * scale * L_J
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        iwasawa(TwistedLoop(loop.ks, rot, loop.trans))
+
+
 @pytest.mark.parametrize("factor", [iwasawa, birkhoff],
                          ids=["iwasawa", "birkhoff"])
 def test_factorizations_reject_sample_count_not_multiple_of_4(rng, factor):
@@ -345,10 +358,65 @@ def test_factorizations_reject_sample_count_not_multiple_of_4(rng, factor):
         factor(loop, nsamples=90)
 
 
+@pytest.mark.parametrize("factor, kwargs", [(iwasawa, {}),
+                                           (birkhoff, {"neg_degree": 2})],
+                         ids=["iwasawa", "birkhoff"])
+def test_factorizations_reject_sample_count_below_loop_degree(rng, factor,
+                                                              kwargs):
+    loop = random_twisted_group_loop(3, rng)
+    assert 2 * loop.degree + 2 > 8
+    with pytest.raises(ValueError, match="too small for the loop degree"):
+        factor(loop, nsamples=8, **kwargs)
+
+
+def test_birkhoff_checks_sample_count_before_toeplitz_solve(monkeypatch):
+    # 64 samples cannot hold the 40 negative exponents and their mirror
+    def refuse(*args, **kwargs):
+        raise AssertionError("Toeplitz system solved")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    with pytest.raises(ValueError, match="negative degree 40"):
+        birkhoff(TwistedLoop.identity(), neg_degree=40, nsamples=64)
+
+
 def test_plus_block_round_trip(rng):
-    rot, _ = random_twisted_group_loop(6, rng).sample(128)
-    back = _from_plus(_plus_block(rot, 1e-7))
-    assert np.max(np.abs(back - rot)) < 1e-14
+    # per coefficient: the E+ block read off the 4x4 coefficients rebuilds
+    # them, and its samples turn translation samples as the 4x4 ones do
+    loop = random_twisted_group_loop(6, rng)
+    a, trans, off = _plus_block(loop, 128, 1e-7)
+    assert off < 1e-14
+    rot, want = loop.sample(128)
+    assert np.max(np.abs(a - _E_PLUS.conj().T @ rot @ _E_PLUS)) < 1e-14
+    assert np.max(np.abs(trans - want)) < 1e-14
+    back = TwistedLoop.from_coeffs(_from_plus(loop_coeffs(a)),
+                                   loop_coeffs(trans))
+    assert np.array_equal(back.ks, loop.ks)
+    assert np.max(np.abs(back.rot - loop.rot)) < 1e-14
+    assert np.max(np.abs(back.trans - loop.trans)) < 1e-14
+    vec = rng.normal(size=(128, 4)) + 1j * rng.normal(size=(128, 4))
+    assert np.max(np.abs(_turn(a, vec)
+                         - np.einsum("mij,mj->mi", rot, vec))) < 1e-13
+
+
+def test_factorizations_take_no_4x4_samples(rng, monkeypatch):
+    # loops enter and leave both factorizations as coefficients
+    loop = random_twisted_group_loop(4, rng)
+    product = exp_twisted_loop(*random_twisted_algebra_coeffs(
+        5, rng, sign=-1), 128).compose(exp_twisted_loop(
+            *random_twisted_algebra_coeffs(5, rng, sign=+1), 128), 256)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("4x4 samples taken")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TwistedLoop, "sample", refuse)
+        patch.setattr(TwistedLoop, "from_samples", refuse)
+        u, b = iwasawa(loop)
+        gm, gp = birkhoff(product, neg_degree=40, nsamples=256)
+    _check_iwasawa(loop, u, b)
+    recon = gm.compose(gp, 256)
+    for got, want in zip(recon.sample(256), product.sample(256)):
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_factorizations_do_not_call_lapack_inverse(rng, monkeypatch):
@@ -418,6 +486,52 @@ def test_birkhoff_reproduces_loop_or_raises(degree, amp, seed):
     err = max(float(np.max(np.abs(rm @ rp - rot))),
               float(np.max(np.abs(np.einsum("mij,mj->mi", rm, tp) + tm - trans))))
     assert err < 1e-8 * max(1.0, loop.norm())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(degree=st.integers(1, 6), amp=st.floats(0.05, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+# the factors fill every coefficient slot (LoopAliasing)
+@example(degree=2, amp=3.0, seed=13)
+# cond(A) reaches 1.1e8, so mean(A^H A) is not positive definite
+@example(degree=1, amp=5.0, seed=24)
+def test_iwasawa_reproduces_loop_or_raises(degree, amp, seed):
+    loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
+                                     amp=amp)
+    try:
+        u, b = iwasawa(loop)
+    except HamstatError:
+        return
+    bound = 1e-8 * max(1.0, loop.norm())
+    lams = unit_lambdas(256)
+    ru, tu = u.value_at(lams)
+    rb, tb = b.value_at(lams)
+    rot, trans = loop.value_at(lams)
+    err = max(float(np.max(np.abs(ru @ rb - rot))),
+              float(np.max(np.abs(np.einsum("mij,mj->mi", ru, tb) + tu
+                                  - trans))))
+    assert err < bound
+    assert u.reality_residual() <= 1e-8         # U is unitary: no scale
+    assert max(u.twist_residual(), b.twist_residual()) <= bound
+    assert np.min(b.ks) >= 0
+    be = b.rot[b.ks == 0][0] @ EPS
+    ratio = be[0] / EPS[0]
+    assert abs(ratio.imag) <= 1e-10 * abs(ratio) and ratio.real > 0
+    assert np.max(np.abs(be - ratio * EPS)) <= 1e-10 * max(1.0, abs(ratio))
+
+
+@pytest.mark.parametrize("degree, seed, amp, error, match", [
+    (2, 13, 3.0, LoopAliasing, "512 samples"),
+    (1, 24, 5.0, SingularInput, "not positive definite"),
+], ids=["factor-fills-every-slot", "mean-not-positive-definite"])
+def test_iwasawa_typed_errors_on_unresolved_or_singular_loop(degree, seed, amp,
+                                                             error, match):
+    # a factor spectrum that fills all m slots, and a mean(A^H A) that the
+    # Cholesky factor rejects, end in typed errors
+    loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
+                                     amp=amp)
+    with pytest.raises(error, match=match):
+        iwasawa(loop)
 
 
 def test_q_projection_rules():
