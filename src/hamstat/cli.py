@@ -391,7 +391,7 @@ def cmd_lax(args) -> int:
         "even_coefficient_drift": res.even_coefficient_drift(),
         "isospectral_drift": res.isospectral_drift(),
         "truncation_spill": res.max_spill,
-        "rk_steps": res.steps,
+        "steps": res.steps,
     }
     print(json.dumps(payload, indent=2))
     ok = (payload["top_coefficient_drift"] <= args.tol
@@ -446,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seed", help="JSON file with {field, lattice}")
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--steps", type=int, default=2048,
-                   help="flow steps per lattice diameter")
+                   help="most flow steps per lattice diameter: each step is "
+                        "at least diameter / STEPS, else exit 2")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_lax)
     return ap

@@ -3,9 +3,10 @@
 A Killing field of degree d (d = 2 mod 4) is a real twisted polynomial loop
 of algebra values; its lowest coefficient is a constant phase generator and
 the flow equation moves the remaining coefficients by bracketing against the
-projected connection.  The module integrates the flow, projects the
-connection, runs the scalar Fourier recurrences along the coefficient chain,
-and builds the polynomial frequency condition those recurrences close on.
+projected connection.  The module integrates the flow by Taylor steps whose
+length the decay of their own coefficients sets, projects the connection,
+runs the scalar Fourier recurrences along the coefficient chain, and builds
+the polynomial frequency condition those recurrences close on.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .algebra import (EPS, G0_BASIS, L_I, ROTATION_BASIS, AlgebraElement,
                       coords, from_coords)
 from .checks import _curvature_residual
 from .errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
+from .lattices import Lattice, parse_integer
 from .loops import TwistedLoop, _parse_record
 from .tori import rhombic_torus, standard_torus
 from .weierstrass import TorusSpec, _u_modes
@@ -92,9 +94,9 @@ def r_op(zeta) -> np.ndarray:
 
 # --- Killing fields ---------------------------------------------------------
 
-# Largest degree a Killing field file may declare (the least is 1: a Lax
-# stage reads 3 of the 2d + 1 coefficients).  The dense shift matrix of
-# `_lax_stage` holds 5 (2d + 5)(2d + 1) float entries: 10.6 MB at 256.
+# Largest degree a Killing field file may declare (the least is 1: the Lax
+# form reads 3 of the 2d + 1 coefficients).  The dense shift matrix of
+# `_lax_form` holds 5 (2d + 5)(2d + 1) float entries: 10.6 MB at 256.
 _MAX_DEGREE = 256
 
 
@@ -124,12 +126,9 @@ class KillingField(TwistedLoop):
     @classmethod
     def from_dict(cls, data: dict) -> "KillingField":
         """Zero-filled dense field from sparse, unordered records."""
-        degree = data["degree"]
-        if not 1 <= degree <= _MAX_DEGREE:
-            raise ValueError(f"degree {degree!r} outside 1..{_MAX_DEGREE}")
-        d = int(degree)
-        if d != degree:
-            raise ValueError(f"degree {degree!r} is not an integer")
+        d = parse_integer(data["degree"], "degree")
+        if not 1 <= d <= _MAX_DEGREE:
+            raise ValueError(f"degree {d} outside 1..{_MAX_DEGREE}")
         field = cls(d, np.zeros((2 * d + 1, 4, 4)), np.zeros((2 * d + 1, 4)))
         for k, rot, trans in map(_parse_record, data["coefficients"]):
             if abs(k) > d:
@@ -164,7 +163,10 @@ _BRACKET = np.array([
 # w = re + i im times an entry b is the real block [[re, im], [-im, re]] b
 _BRACKET_RE = np.einsum("qpc,ust->qupsct", _BRACKET.reshape(8, 8, 8),
                         [np.eye(2), [[0, 1], [-1, 0]]]).reshape(16, 256)
-_SPILL_CHUNK = 256      # RK stages held by a spill log between reductions
+# Taylor order of a flow step (Jorba-Zou's rule gives about 17 for eps =
+# 2^-52), and the share of the coefficients' radius of convergence it goes
+_ORDER, _REACH = 16, 0.9 / np.e ** 2
+_ROOTS = 1.0 / np.r_[_ORDER - 1, _ORDER]
 
 
 def _field_coords(xi: KillingField) -> np.ndarray:
@@ -180,41 +182,14 @@ def _field_coords(xi: KillingField) -> np.ndarray:
     return np.concatenate([rot, xi.trans], axis=1)
 
 
-class _SpillLog:
-    """Truncation spill of the RK stages: padding rows held for up to
-    _SPILL_CHUNK stages, then reduced to each stage's largest |entry| as 4 x 4
-    rotations and 4-vectors (into ``diagnostics``) and their maximum ``worst``."""
-
-    def __init__(self, diagnostics: list | None = None):
-        self.rows = np.empty((_SPILL_CHUNK, 4, 8), dtype=complex)
-        self.fill, self.worst, self.diagnostics = 0, 0.0, diagnostics
-
-    def push(self, pad):
-        self.rows[self.fill] = pad
-        self.fill += 1
-        if self.fill == _SPILL_CHUNK:
-            self.flush()
-
-    def flush(self) -> float:
-        held = self.rows[:self.fill]
-        per_stage = np.maximum(
-            np.abs(from_coords(held[..., :4], ROTATION_BASIS)).max(axis=(1, 2, 3)),
-            np.abs(held[..., 4:]).max(axis=(1, 2)))
-        self.worst = float(np.max(per_stage, initial=self.worst))
-        if self.diagnostics is not None:
-            self.diagnostics.extend(per_stage.tolist())
-        self.fill = 0
-        return self.worst
-
-
-def _lax_stage(n: int, zdot: complex, spill: _SpillLog):
-    """Lax derivative of (n, 8) field coordinates along direction zdot, in
-    float64 products on the interleaved (re, im) view of C-contiguous x.
-    ``rm`` takes x[:3] to the multiplier zdot*M + conj(zdot)*Mbar at exponents
-    -2..2, with r_op as a 4 x 4 coordinate block: rows (j, c, re|im), columns
-    (i, c', re|im).  ``shift`` copies coefficient k to row (k + j, j) of the
-    float view: field exponents first, padding last.  The multiplier's rows
-    times _BRACKET_RE are then the real block matrix of [e_p, m_j]."""
+def _lax_form(n: int, zdot: complex):
+    """Cauchy-product form of the Lax derivative B(x, x) of (n, 8) field
+    coordinates along direction zdot, real-bilinear, in float64 products on
+    interleaved (re, im) views.  ``rmt`` takes y[:3] to the multiplier zdot*M
+    + conj(zdot)*Mbar at exponents -2..2 (r_op as a 4 x 4 coordinate block),
+    whose rows times _BRACKET_RE are the real blocks of [e_p, m_j]; ``shift``
+    copies coefficient k of x to row (k + j, j), field rows first, padding
+    last.  The form maps a (k+1, n, 8) stack xs to sum_j B(xs[j], xs[k-j])."""
     zbar, eye = np.conj(zdot), np.eye(8)
     r = np.stack([coords(r_op(b), ROTATION_BASIS) for b in ROTATION_BASIS], 1)
     mult = np.zeros((5, 8, 2, 3, 8), dtype=complex)   # [j, c, conj, i, c']
@@ -224,55 +199,66 @@ def _lax_stage(n: int, zdot: complex, spill: _SpillLog):
     mult[2, :4, 1, 2, :4] = zbar * np.conj(r)
     # A v + B conj(v) = (A + B) Re v + i (A - B) Im v
     p, q = mult[:, :, 0] + mult[:, :, 1], 1j * (mult[:, :, 0] - mult[:, :, 1])
-    rm = np.stack([np.stack([p.real, q.real], -1),
-                   np.stack([p.imag, q.imag], -1)], 2).reshape(80, 48)
+    rmt = np.stack([np.stack([p.real, q.real], -1),
+                    np.stack([p.imag, q.imag], -1)], 2).reshape(80, 48).T
     order = np.r_[2:n + 2, 0, 1, n + 2, n + 3]
     shift = np.stack([np.eye(n + 4, n, -j)[order]
                       for j in range(5)], axis=1).reshape(5 * (n + 4), n)
 
-    def rhs(x):
-        m = rm @ x[:3].view(float).ravel()
-        blk = (m.reshape(5, 16) @ _BRACKET_RE).reshape(80, 16)
-        out = ((shift @ x.view(float)).reshape(n + 4, 80) @ blk).view(complex)
-        spill.push(out[n:])
-        return out[:n]
-    return rhs
+    def form(xs):
+        f = xs.view(float)
+        blk = ((f[:, :3].reshape(-1, 48) @ rmt).reshape(-1, 5, 16)
+               @ _BRACKET_RE).reshape(-1, 80, 16)
+        sx = (shift @ f).reshape(-1, n + 4, 80)
+        return (sx @ blk[::-1]).sum(0).view(complex)
+    return form
 
 
-def _flow_coords(x, z_from: complex, z_to: complex, step: float,
-                 spill: _SpillLog):
-    """RK4 Lax flow of field coordinates along the straight segment; returns
-    the moved coordinates and the number of RK steps taken."""
+def _flow_coords(x, z_from: complex, z_to: complex, step: float):
+    """Taylor flow of field coordinates along the straight segment; returns
+    them moved, the step count and the largest spill.  A step runs x_{k+1} =
+    sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER and goes _REACH rho, with rho =
+    min (|x_0| / |x_j|)^(1/j) over the last two orders (Jorba-Zou), but not
+    past the segment's end.  A shorter step than ``step`` raises
+    ConvergenceFailure.  A step's spill, sum_k |pad_k| h^k over the padding
+    rows of the products, bounds the derivative's padding over the step."""
     seg = complex(z_to) - complex(z_from)
-    length = abs(seg)
-    if length == 0:
-        return x, 0
-    nsteps = max(1, int(np.ceil(length / step)))
-    h = length / nsteps
-    if h < 1e-14 * max(1.0, abs(z_to)):
-        raise StepSizeUnderflow(f"step {h:.3e} below representable resolution")
-    rhs = _lax_stage(x.shape[0], seg / length, spill)
-    # a step too long for the field makes RK4 overflow; the segment's end
-    # point is checked once, so the stages pay nothing for it
+    left = abs(seg)
+    if left == 0:
+        return x, 0, 0.0
+    if step < 1e-14 * max(1.0, abs(z_to)):
+        raise StepSizeUnderflow(f"step {step:.3e} below representable resolution")
+    n = x.shape[0]
+    form = _lax_form(n, seg / left)
+    xs = np.empty((_ORDER + 1, n, 8), dtype=complex)
+    prods = np.empty((_ORDER, n + 4, 8), dtype=complex)
+    steps, spill = 0, 0.0
+    # overflow leaves inf or NaN in the coefficients, which refuse the step
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nsteps):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.isfinite(x).all():
-        raise ConvergenceFailure(f"Lax flow overflowed on the segment to "
-                                 f"{complex(z_to):.6g} at step {h:.3e}")
-    return x, nsteps
+        while left > 0:
+            xs[0] = x
+            for k in range(_ORDER):
+                prods[k] = form(xs[:k + 1])
+                xs[k + 1] = prods[k, :n] / (k + 1)
+            size = np.max(np.abs(xs[[0, -2, -1]]), axis=(1, 2))
+            inv_rho = np.max((size[1:] / (size[0] or 1.0)) ** _ROOTS)
+            h = left if inv_rho * left <= _REACH else _REACH / inv_rho
+            x = np.polyval(xs[::-1], h)
+            if not (h >= min(step, left) and np.isfinite(x).all()):
+                raise ConvergenceFailure(
+                    f"Lax flow needs steps below {step:.3e} on the segment "
+                    f"to {complex(z_to):.6g}")
+            spill = max(spill, float(np.polyval(
+                np.max(np.abs(prods[::-1, n:]), axis=(1, 2)), h)))
+            left -= h
+            steps += 1
+    return x, steps, spill
 
 
 def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
-               step: float, diagnostics: list | None = None) -> KillingField:
-    """RK4 Lax flow along the straight segment; per-stage spill to diagnostics."""
-    spill = _SpillLog(diagnostics)
-    x, _ = _flow_coords(_field_coords(xi0), z_from, z_to, step, spill)
-    spill.flush()
+               step: float) -> KillingField:
+    """Lax flow along the straight segment, with steps of at least ``step``."""
+    x, _, _ = _flow_coords(_field_coords(xi0), z_from, z_to, step)
     return KillingField(xi0.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:])
 
 
@@ -301,8 +287,8 @@ def lax_flatness_residual(xi_at_z: KillingField, lam: complex,
 class LaxFlowResult:
     points: list
     fields: list
-    max_spill: float
-    steps: int                 # RK steps over all segments
+    max_spill: float           # largest spill of any flow step
+    steps: int                 # Taylor steps over all segments
 
     def coefficient_drift(self, k: int) -> float:
         base_r, base_t = self.fields[0].coeff(k)
@@ -327,21 +313,21 @@ class LaxFlowResult:
 
 def lax_integrate(seed: KillingField, waypoints, step: float | None = None,
                   lattice=None) -> LaxFlowResult:
-    """Flow the seed through a polyline of waypoints (starting at 0)."""
+    """Flow the seed through a polyline of waypoints (starting at 0), with
+    steps of at least ``step``: diameter / 2048 of the lattice by default."""
     if step is None:
         scale = lattice.diameter() if lattice is not None else 1.0
         step = scale / 2048.0
-    spill = _SpillLog()
     points = [0.0 + 0.0j] + [complex(z) for z in waypoints]
     fields = [seed.copy()]
     x = _field_coords(seed)
-    steps = 0
+    steps, spill = 0, 0.0
     for z_prev, z in zip(points, points[1:]):
-        x, n = _flow_coords(x, z_prev, z, step, spill)
-        steps += n
+        x, n, s = _flow_coords(x, z_prev, z, step)
+        steps, spill = steps + n, max(spill, s)
         fields.append(KillingField(
             seed.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:]))
-    return LaxFlowResult(points, fields, spill.flush(), steps)
+    return LaxFlowResult(points, fields, spill, steps)
 
 
 # --- formal Killing series --------------------------------------------------
@@ -444,7 +430,6 @@ def _spec_rotate(spec: TorusSpec, mu: complex) -> TorusSpec:
     """
     mubar = np.conj(mu)
     lat = spec.lattice
-    from .lattices import Lattice
     new_lat = Lattice(mubar * lat.g1, mubar * lat.g2)
     pairs = {g * mubar: mu * a for g, a in spec.items()}
     return TorusSpec.build(new_lat, spec.beta0 * mubar, pairs)

@@ -45,6 +45,15 @@ def parse_pair(value) -> complex:
     raise ValueError(f"expected a [re, im] pair, got {value!r}")
 
 
+def parse_integer(value, what: str) -> int:
+    """An integral JSON number (2.0 reads as 2); ValueError for a bool, a
+    string, a fraction, NaN or an infinity."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def _as_complex(value) -> complex:
     """Accept complex literals, (re, im) pairs, or exact fraction strings."""
     if isinstance(value, (list, tuple)):

@@ -26,7 +26,7 @@ from .algebra import (EPS, ID4, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
                       _li_rotate, tau_rotation, tau_vector)
 from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
-from .lattices import parse_pair
+from .lattices import parse_integer, parse_pair
 from .numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                        samples_from_coeffs, unit_lambdas)
 from .weierstrass import TorusSpec, family_samples, holomorphic_angle
@@ -193,7 +193,7 @@ def _finite_norm(loop: TwistedLoop) -> float:
 
 def _parse_record(rec: dict):
     """(k, rotation, translation) of one serialized coefficient record."""
-    return (int(rec["k"]),
+    return (parse_integer(rec["k"], "exponent"),
             [[parse_pair(v) for v in row] for row in rec["rotation"]],
             [parse_pair(v) for v in rec["translation"]])
 

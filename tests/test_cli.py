@@ -12,8 +12,10 @@ from conftest import spec_vanishing_at
 from hamstat.algebra import L_J
 from hamstat.cli import (_BLOCK_ROWS, _face_block, _write_obj, _write_ply, main,
                          parse_complex)
-from hamstat.finitetype import standard_torus_killing_seed
+from hamstat.finitetype import lax_integrate, standard_torus_killing_seed
+from hamstat.lattices import Lattice
 from hamstat.tori import standard_torus
+from hamstat.weierstrass import spinor_u
 
 
 @pytest.fixture
@@ -69,7 +71,6 @@ def test_enumerate_text_and_json(capsys):
 
 def test_enumerate_hexagonal_includes_sixth_roots(capsys):
     # lattice with hexagonal dual: generators computed from the dual basis
-    from hamstat.lattices import Lattice
     lat = Lattice(1.0, np.exp(1j * np.pi / 3)).dual()
     rc = main(["enumerate", "--g1", f"{lat.g1.real}{lat.g1.imag:+}i",
                "--g2", f"{lat.g2.real}{lat.g2.imag:+}i", "--beta0", "2",
@@ -260,13 +261,15 @@ def test_lax_subcommand(seed_file, capsys):
     assert rc == 0
     assert out["isospectral_drift"] <= 1e-8
     assert out["top_coefficient_drift"] <= 1e-10
-    # the CLI path: --grid steps along g1, then along g2, at step diam/--steps
-    lat = standard_torus_killing_seed(1.0, 1.0).spec.lattice
-    step = lat.diameter() / 1024
-    path = [0.0] + [i / 4 * lat.g1 for i in range(1, 5)]
+    # the CLI path: --grid segments along g1, then along g2, with flow steps
+    # of at least diam/--steps
+    seed = standard_torus_killing_seed(1.0, 1.0)
+    lat = seed.spec.lattice
+    path = [i / 4 * lat.g1 for i in range(1, 5)]
     path += [lat.g1 + i / 4 * lat.g2 for i in range(1, 5)]
-    assert out["rk_steps"] == sum(max(1, math.ceil(abs(b - a) / step))
-                                  for a, b in zip(path, path[1:]))
+    res = lax_integrate(seed.field, path, step=lat.diameter() / 1024)
+    assert out["steps"] == res.steps >= 8
+    assert out["truncation_spill"] == res.max_spill
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "2"])
@@ -298,8 +301,10 @@ def test_lax_counts_below_one(seed_file, capsys, flag):
     assert_input_error(["lax", seed_file, flag, "0"], capsys)
 
 
-@pytest.mark.parametrize("k", [-3, 3])
+@pytest.mark.parametrize("k", [-3, 3, math.inf, -math.inf, -1.5, True])
 def test_lax_seed_exponent_out_of_range(seed_file, capsys, k):
+    # int() raised OverflowError on an infinity, moved -1.5 onto exponent -1
+    # and read true as exponent 1
     with open(seed_file) as fh:
         payload = json.load(fh)
     payload["field"]["coefficients"][0]["k"] = k      # degree-2 seed
@@ -372,8 +377,9 @@ def test_lax_seed_degree_integral_float(seed_file, capsys):
 
 @pytest.mark.parametrize("g1", [1e6, 1e12], ids=["1e6", "1e12"])
 def test_lax_flow_overflow(seed_file, capsys, g1):
-    # RK4 at diameter / 64 overflows on a segment this long; unguarded, the
-    # overflow warned and isospectral_drift ended in a LinAlgError traceback
+    # the flow along a segment this long needs steps far below diameter / 64;
+    # under fixed-step RK4 it overflowed, which unguarded warned and ended in
+    # a LinAlgError traceback from isospectral_drift
     with open(seed_file) as fh:
         payload = json.load(fh)
     payload["lattice"]["g1"] = [g1, 0.0]
@@ -381,6 +387,90 @@ def test_lax_flow_overflow(seed_file, capsys, g1):
         json.dump(payload, fh)
     assert_input_error(["lax", seed_file, "--grid", "1", "--steps", "64"],
                        capsys)
+
+
+def _run_lax(seed_file, payload, argv, capsys):
+    """Exit code, stdout and stderr of `lax` on the payload."""
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    try:
+        rc = main(["lax", seed_file, *argv])
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in the JSON output")
+
+
+@pytest.mark.parametrize("steps", [["--steps", "64"], []],
+                         ids=["steps64", "default"])
+@pytest.mark.parametrize("g", [80, 100, 200, 1e3])
+def test_lax_long_lattice_flow_is_right_or_refused(seed_file, capsys, g,
+                                                   steps):
+    # fixed-step RK4 at --steps 64 passed g = 80, 100 and 200 with fields off
+    # by 6.4, 4.5e19 and 5.9e106, and called g = 1e3 a failed verification
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["lattice"]["g1"] = [g, 0.0]
+    rc, out, err = _run_lax(seed_file, payload, ["--grid", "1", *steps],
+                            capsys)
+    if rc == 2:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and not out
+        return
+    assert rc == 0 and not err
+    seed = standard_torus_killing_seed(1.0, 1.0)
+    lat = Lattice(g, seed.spec.lattice.g2)
+    res = lax_integrate(seed.field, [lat.g1, lat.g1 + lat.g2],
+                        step=lat.diameter() / int(steps[1] if steps else 2048))
+    assert json.loads(out)["steps"] == res.steps
+    for z, f in zip(res.points, res.fields):
+        assert np.max(np.abs(f.coeff(-1)[1] - spinor_u(seed.spec, z))) < 1e-12
+
+
+LAX_FUZZ_VALUES = [0, -1, 5e-324, 1e12, 1e55, 1e70, 1.7e308, math.nan,
+                   math.inf, -math.inf, "x", None, [], [1], {}, True]
+
+
+def test_lax_seed_file_fuzz(seed_file, capsys):
+    # one leaf at a time of the degree, the lattice and each coefficient
+    # record (its exponent, a rotation pair and a translation pair) takes
+    # each value; every run ends in a result or a one-line input error
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    paths = [("field", "degree")]
+    paths += [("lattice", g, i) for g in ("g1", "g2") for i in (0, 1)]
+    for j in range(len(payload["field"]["coefficients"])):
+        rec = ("field", "coefficients", j)
+        paths += [rec + ("k",), rec + ("rotation", 0, 1, 0),
+                  rec + ("rotation", 0, 1, 1), rec + ("translation", 0, 0)]
+    failures = []
+    for path in paths:
+        for value in LAX_FUZZ_VALUES:
+            edited = json.loads(json.dumps(payload))
+            parent = edited
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            try:
+                rc, out, err = _run_lax(seed_file, edited,
+                                        ["--grid", "1", "--steps", "64"],
+                                        capsys)
+                lines = err.strip().splitlines()
+                if rc == 2:
+                    ok = (len(lines) == 1 and lines[0].startswith("error:")
+                          and not out)
+                else:
+                    ok = rc in (0, 1) and not err and isinstance(
+                        json.loads(out, parse_constant=_reject_constant), dict)
+            except Exception as exc:          # noqa: BLE001 - reported below
+                ok, rc = False, repr(exc)
+            if not ok:
+                failures.append((path, value, rc))
+    assert not failures, failures
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import fd_laplacian4
-from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS,
+from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS, coords,
                              from_coords, tau_rotation, tau_vector)
-from hamstat.errors import SingularInput, StepSizeUnderflow
-from hamstat.finitetype import (_SPILL_CHUNK, KillingField, _field_coords,
-                                _lax_stage, _SpillLog, b0_basis,
+from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
+from hamstat.finitetype import (KillingField, _field_coords, _lax_form,
+                                b0_basis,
                                 flow_field, formal_killing, fourier_recurrence,
                                 lax_flatness_residual, lax_integrate,
                                 lax_project, pi_g0,
@@ -94,6 +94,24 @@ def test_killing_field_from_dict_zero_fills_sparse_records():
         assert np.all(rot == 0) and np.all(trans == 0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("degree", True), ("degree", "2"), ("k", True), ("k", -0.5),
+    ("k", float("-inf"))])
+def test_killing_field_from_dict_rejects_non_integer(key, value):
+    # int() read true as 1, truncated -0.5 onto exponent 0, and raised
+    # OverflowError on an infinity
+    rec = {"k": 0, "rotation": [[[0.0, 0.0]] * 4] * 4,
+           "translation": [[1.0, 0.0]] * 4}
+    data = {"degree": 1, "coefficients": [rec]}
+    assert KillingField.from_dict(data).d == 1
+    if key == "k":
+        rec[key] = value
+    else:
+        data[key] = value
+    with pytest.raises(ValueError, match="is not an integer"):
+        KillingField.from_dict(data)
+
+
 def test_killing_field_rejects_wrong_coefficient_count():
     with pytest.raises(ValueError):
         KillingField(2, np.zeros((4, 4, 4)), np.zeros((4, 4)))
@@ -137,12 +155,24 @@ def test_flow_field_step_underflow():
         flow_field(field, 0, 1, step=1e-20)
 
 
+def test_flow_field_step_budget():
+    # across the lattice the standard seed's coefficients ask for steps of
+    # about a quarter of |g2|: a floor of |g2| refuses the flow
+    seed = standard_torus_killing_seed(1.0, 1.0)
+    g2 = seed.spec.lattice.g2
+    with pytest.raises(ConvergenceFailure, match="steps below"):
+        flow_field(seed.field, 0.0, 4 * g2, step=abs(g2))
+    res = lax_integrate(seed.field, [4 * g2], step=abs(g2) / 8)
+    assert 8 < res.steps <= 32
+
+
 # --- reference per-exponent Lax flow -------------------------------------------
 
-def _reference_rhs(rot, trans, zdot, pad_report):
+def _reference_rhs(rot, trans, zdot):
     """Per-exponent form of the Lax derivative: the projected connection
     (lam^-2, lam^-1 and r at lam^0) and its conjugate give the multiplier
-    at exponents -2..2; each exponent is bracketed with the whole field."""
+    at exponents -2..2; each exponent is bracketed with the whole field.
+    Returns the rotations and translations at exponents -d-2..d+2."""
     def r_ref(zeta):
         return 0.5 * (pi_g0(zeta) - 1j * pi_g0(1j * zeta))
 
@@ -163,30 +193,36 @@ def _reference_rhs(rot, trans, zdot, pad_report):
         out_rot[j:j + n] += rot @ mrot[j] - mrot[j] @ rot
         out_trans[j:j + n] += (np.einsum("kij,j->ki", rot, mtrans[j])
                                - np.einsum("ij,kj->ki", mrot[j], trans))
-    pad_report.append(max(np.max(np.abs(out_rot[:2])),
-                          np.max(np.abs(out_rot[-2:])),
-                          np.max(np.abs(out_trans[:2])),
-                          np.max(np.abs(out_trans[-2:]))))
-    return out_rot[2:-2], out_trans[2:-2]
+    return out_rot, out_trans
 
 
 def _reference_flow(field, z_from, z_to, step):
-    """RK4 with the per-exponent derivative and the same step rule."""
+    """RK4 with the per-exponent derivative at a fixed step."""
     seg = complex(z_to) - complex(z_from)
     nsteps = max(1, int(np.ceil(abs(seg) / step)))
     h = abs(seg) / nsteps
     zdot = seg / abs(seg)
-    rot, trans, pad = field.rot, field.trans, []
+
+    def rhs(rot, trans):
+        r, t = _reference_rhs(rot, trans, zdot)
+        return r[2:-2], t[2:-2]
+
+    rot, trans = field.rot, field.trans
     for _ in range(nsteps):
-        r1, t1 = _reference_rhs(rot, trans, zdot, pad)
-        r2, t2 = _reference_rhs(rot + 0.5 * h * r1, trans + 0.5 * h * t1,
-                                zdot, pad)
-        r3, t3 = _reference_rhs(rot + 0.5 * h * r2, trans + 0.5 * h * t2,
-                                zdot, pad)
-        r4, t4 = _reference_rhs(rot + h * r3, trans + h * t3, zdot, pad)
+        r1, t1 = rhs(rot, trans)
+        r2, t2 = rhs(rot + 0.5 * h * r1, trans + 0.5 * h * t1)
+        r3, t3 = rhs(rot + 0.5 * h * r2, trans + 0.5 * h * t2)
+        r4, t4 = rhs(rot + h * r3, trans + h * t3)
         rot = rot + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
         trans = trans + (h / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
-    return rot, trans, pad
+    return rot, trans
+
+
+def _random_algebra_field(rng, d):
+    rot = from_coords(rng.normal(size=(2 * d + 1, 4))
+                      + 1j * rng.normal(size=(2 * d + 1, 4)), ROTATION_BASIS)
+    trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
+    return KillingField(d, rot, trans)
 
 
 def test_affine_derivative_matches_per_exponent_loop(rng):
@@ -202,65 +238,66 @@ def test_affine_derivative_matches_per_exponent_loop(rng):
         flow_field(KillingField(d, rot, trans), 0.0, 0.1, step=0.01)
     with pytest.raises(SingularInput, match="exponent -6 "):
         lax_integrate(KillingField(d, rot, trans), [0.1], step=0.01)
+    # the form's rows: exponents -d..d, then the padding -d-2, -d-1, d+1, d+2
+    rows = np.r_[2:2 * d + 3, 0, 1, 2 * d + 3, 2 * d + 4]
     for _ in range(20):
-        rot = from_coords(rng.normal(size=(2 * d + 1, 4))
-                          + 1j * rng.normal(size=(2 * d + 1, 4)), ROTATION_BASIS)
-        trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
-        assert np.all(trans != 0)
-        x = _field_coords(KillingField(d, rot, trans))
-        scale = max(np.max(np.abs(rot)), np.max(np.abs(trans)))
+        f0, f1 = _random_algebra_field(rng, d), _random_algebra_field(rng, d)
+        assert np.all(f0.trans != 0)
+        x0, x1 = _field_coords(f0), _field_coords(f1)
+        scale = [max(np.max(np.abs(f.rot)), np.max(np.abs(f.trans)))
+                 for f in (f0, f1)]
         for zdot in (1.0, np.exp(0.7j)):
-            want_pad, got_pad = [], []
-            want_rot, want_trans = _reference_rhs(rot, trans, zdot, want_pad)
-            spill = _SpillLog(got_pad)
-            got = _lax_stage(2 * d + 1, zdot, spill)(x)
-            spill.flush()
+            form = _lax_form(2 * d + 1, zdot)
+            got = form(x0[None])
+            want_rot, want_trans = _reference_rhs(f0.rot, f0.trans, zdot)
             got_rot = from_coords(got[:, :4], ROTATION_BASIS)
-            assert np.max(np.abs(got_rot - want_rot)) < 1e-13 * scale
-            assert np.max(np.abs(got[:, 4:] - want_trans)) < 1e-13 * scale
-            assert len(got_pad) == 1
-            assert abs(got_pad[0] - want_pad[0]) <= 1e-15 * want_pad[0]
+            assert np.max(np.abs(got_rot - want_rot[rows])) < 1e-13 * scale[0]
+            assert (np.max(np.abs(got[:, 4:] - want_trans[rows]))
+                    < 1e-13 * scale[0])
+            # two coefficients: B(x0, x1) + B(x1, x0) by polarization
+            q = [np.concatenate([coords(r, ROTATION_BASIS), t], axis=1)
+                 for r, t in (_reference_rhs(f.rot, f.trans, zdot)
+                              for f in (f0, f1, KillingField(
+                                  d, f0.rot + f1.rot, f0.trans + f1.trans)))]
+            cross = form(np.stack([x0, x1]))
+            assert (np.max(np.abs(cross - (q[2] - q[0] - q[1])[rows]))
+                    < 1e-13 * max(scale))
 
 
-def test_spill_chunk_boundary():
-    # three full chunks of stage rows plus one RK step (four stages) on an
-    # algebra-valued field that is not real, so the spill is O(1) and its
-    # largest value falls in the last, partial chunk
-    rng = np.random.default_rng(2)
-    d = 2
-    rot = from_coords(rng.normal(size=(2 * d + 1, 4))
-                      + 1j * rng.normal(size=(2 * d + 1, 4)), ROTATION_BASIS)
-    trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
-    field = KillingField(d, rot, trans)
-    nsteps = 3 * _SPILL_CHUNK // 4 + 1
-    step = 0.2 / nsteps * (1 + 1e-12)
-    diag = []
-    flow_field(field, 0.0, 0.2, step, diag)
-    res = lax_integrate(field, [0.2], step=step)
-    assert res.steps == nsteps and len(diag) == 4 * nsteps
-    assert np.argmax(diag) >= 3 * _SPILL_CHUNK
-    assert res.max_spill == max(diag)
-    _, _, pad = _reference_flow(field, 0.0, 0.2, step)
-    assert np.allclose(diag, pad, rtol=1e-12, atol=0)
+def test_spill_of_non_real_field():
+    # an algebra-valued field that is not real leaks O(1) bracket mass past
+    # the exponent range; the first step's order-0 product carries the
+    # derivative's own padding rows, and the spill bounds them
+    field = _random_algebra_field(np.random.default_rng(2), 2)
+    rot, trans = _reference_rhs(field.rot, field.trans, 1.0)
+    pads = np.r_[0, 1, -2, -1]
+    want = max(np.max(np.abs(coords(rot[pads], ROTATION_BASIS))),
+               np.max(np.abs(trans[pads])))
+    res = lax_integrate(field, [0.1, 0.2], step=1e-3)
+    assert 0.1 < want <= res.max_spill * (1 + 1e-14) < np.inf
+    assert res.max_spill < 1e3 * want and res.steps >= 2
+    moved = flow_field(field, 0.0, 0.2, step=1e-3)
+    assert np.max(np.abs(moved.trans - res.fields[-1].trans)) < 1e-12
 
 
 @pytest.mark.parametrize("make_seed", [
     lambda: standard_torus_killing_seed(1.0, 1.0), rhombic_killing_seed],
     ids=["standard", "rhombic"])
 def test_flow_field_matches_reference_rk4(make_seed):
+    # the truncation of per-exponent RK4 at diameter / 16384 is far below
+    # the bound on this segment
     seed = make_seed()
     lat = seed.spec.lattice
     z_to = 0.05 * lat.g1 + 0.03 * lat.g2
     step = lat.diameter() / 2048.0
-    diag = []
-    got = flow_field(seed.field, 0.0, z_to, step, diag)
-    rot, trans, pad = _reference_flow(seed.field, 0.0, z_to, step)
-    assert np.max(np.abs(got.rot - rot)) < 1e-12
-    assert np.max(np.abs(got.trans - trans)) < 1e-12
-    assert len(diag) == len(pad) and max(diag) < 1e-12
+    got = flow_field(seed.field, 0.0, z_to, step)
+    rot, trans = _reference_flow(seed.field, 0.0, z_to, lat.diameter() / 16384)
+    assert np.max(np.abs(got.rot - rot)) < 1e-13
+    assert np.max(np.abs(got.trans - trans)) < 1e-13
     res = lax_integrate(seed.field, [z_to], step=step)
     d = seed.field.d
-    assert res.steps == int(np.ceil(abs(z_to) / step))
+    assert 1 <= res.steps <= int(np.ceil(abs(z_to) / step))
+    assert res.max_spill < 1e-12
     assert res.coefficient_drift(-d) <= 1e-15
     assert res.even_coefficient_drift() <= 1e-15
     assert res.isospectral_drift() <= 1e-15
@@ -304,9 +341,9 @@ def test_shipped_seed_drifts_stay_exactly_zero(make_seed):
     # the top and even coefficients' derivatives cancel in exact zeros, which
     # the real block products must keep
     seed = make_seed()
-    z_to = 0.1 * seed.spec.lattice.g1 + 0.05 * seed.spec.lattice.g2
-    res = lax_integrate(seed.field, [z_to], step=abs(z_to) / 64 * (1 + 1e-12))
-    assert res.steps == 64
+    lat = seed.spec.lattice
+    res = lax_integrate(seed.field, [4 * lat.g1 + 2 * lat.g2], lattice=lat)
+    assert res.steps >= 8
     assert res.coefficient_drift(-seed.field.d) == 0.0
     assert res.even_coefficient_drift() == 0.0
 
@@ -349,6 +386,12 @@ def test_lax_project_top_only_field():
     moved = flow_field(f, 0.0, 0.3 + 0.4j, step=0.01)
     assert np.max(np.abs(moved.rot - f.rot)) < 1e-14
     assert np.max(np.abs(moved.trans - f.trans)) < 1e-14
+    # its Taylor coefficients above order 0 are exactly zero, which the step
+    # rule reads as an infinite radius; the zero field's are 0 / 0
+    for g in (f, KillingField(d, 0 * rot, 0 * trans)):
+        res = lax_integrate(g, [0.3 + 0.4j, 1e6], step=0.01)
+        assert res.steps == 2 and res.max_spill == 0.0
+        assert np.array_equal(res.fields[-1].rot, g.rot)
 
 
 @pytest.fixture(scope="module")

@@ -82,6 +82,19 @@ def test_twisted_loop_reality_and_json(rng):
     assert np.max(np.abs(back.rot - loop.rot)) < 1e-15
 
 
+@pytest.mark.parametrize("k", [0.9, -1.5, True, float("inf"), float("nan"),
+                               "0"])
+def test_twisted_loop_from_dict_rejects_non_integer_exponent(k):
+    # int() turned 0.9 into a second exponent 0 and true into 1, and raised
+    # OverflowError on an infinity
+    data = TwistedLoop.identity().to_dict()
+    data["coefficients"].append({**data["coefficients"][0], "k": k})
+    with pytest.raises(ValueError, match="exponent"):
+        TwistedLoop.from_dict(data)
+    data["coefficients"][-1]["k"] = 4.0
+    assert list(TwistedLoop.from_dict(data).ks) == [0, 4]
+
+
 # --- pointwise Iwasawa ----------------------------------------------------------
 
 def test_su2_iwasawa_fixed_points(rng):
