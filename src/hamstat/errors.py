@@ -42,8 +42,8 @@ class SingularInput(HamstatError):
 
 
 class ConvergenceFailure(HamstatError):
-    """Iterative factorization did not reach the requested tolerance, or the
-    flow integrator left the finite range."""
+    """A factorization's residual exceeds the requested tolerance, or the
+    Lax flow needs steps shorter than allowed or leaves the finite range."""
 
 
 class OutsideBigCell(HamstatError):

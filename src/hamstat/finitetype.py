@@ -182,14 +182,10 @@ def _field_coords(xi: KillingField) -> np.ndarray:
     return np.concatenate([rot, xi.trans], axis=1)
 
 
-def _lax_form(n: int, zdot: complex):
-    """Cauchy-product form of the Lax derivative B(x, x) of (n, 8) field
-    coordinates along direction zdot, real-bilinear, in float64 products on
-    interleaved (re, im) views.  ``rmt`` takes y[:3] to the multiplier zdot*M
-    + conj(zdot)*Mbar at exponents -2..2 (r_op as a 4 x 4 coordinate block),
-    whose rows times _BRACKET_RE are the real blocks of [e_p, m_j]; ``shift``
-    copies coefficient k of x to row (k + j, j), field rows first, padding
-    last.  The form maps a (k+1, n, 8) stack xs to sum_j B(xs[j], xs[k-j])."""
+def _multiplier(zdot: complex):
+    """Real matrix taking interleaved y[:3] to the multiplier zdot*M +
+    conj(zdot)*Mbar at exponents -2..2 (r_op as a 4 x 4 coordinate block),
+    whose rows times _BRACKET_RE are the real blocks of [e_p, m_j]."""
     zbar, eye = np.conj(zdot), np.eye(8)
     r = np.stack([coords(r_op(b), ROTATION_BASIS) for b in ROTATION_BASIS], 1)
     mult = np.zeros((5, 8, 2, 3, 8), dtype=complex)   # [j, c, conj, i, c']
@@ -199,8 +195,20 @@ def _lax_form(n: int, zdot: complex):
     mult[2, :4, 1, 2, :4] = zbar * np.conj(r)
     # A v + B conj(v) = (A + B) Re v + i (A - B) Im v
     p, q = mult[:, :, 0] + mult[:, :, 1], 1j * (mult[:, :, 0] - mult[:, :, 1])
-    rmt = np.stack([np.stack([p.real, q.real], -1),
-                    np.stack([p.imag, q.imag], -1)], 2).reshape(80, 48).T
+    return np.stack([np.stack([p.real, q.real], -1),
+                     np.stack([p.imag, q.imag], -1)], 2).reshape(80, 48).T
+
+
+_MULT_1, _MULT_I = _multiplier(1.0), _multiplier(1j)     # real-linear in zdot
+
+
+def _lax_form(n: int, zdot: complex):
+    """Cauchy-product form of the real-bilinear Lax derivative B(x, x) of
+    (n, 8) field coordinates along direction zdot, in float64 products on
+    interleaved (re, im) views.  ``shift`` copies coefficient k of x to row
+    (k + j, j), field rows first, padding last.  The form maps a (k+1, n, 8)
+    stack xs to sum_j B(xs[j], xs[k-j])."""
+    rmt = zdot.real * _MULT_1 + zdot.imag * _MULT_I
     order = np.r_[2:n + 2, 0, 1, n + 2, n + 3]
     shift = np.stack([np.eye(n + 4, n, -j)[order]
                       for j in range(5)], axis=1).reshape(5 * (n + 4), n)

@@ -232,50 +232,39 @@ def su2_iwasawa(g, tol: float = 1e-9):
 
 # --- spectral factorizations ---------------------------------------------
 
-def _half_plus(samples):
-    """Samples of half the constant mode plus the positive modes
-    1 .. m/2 - 1 of circle samples (axis 0)."""
-    hat = loop_coeffs(samples)
-    hat[0] *= 0.5
-    hat[len(hat) // 2:] = 0.0
-    return samples_from_coeffs(hat)
+def _toeplitz(hat, row_exps, col_exps):
+    """Block Toeplitz matrix of 2x2 coefficients in FFT slots: block (i, j)
+    is the coefficient of lam**(row_exps[i] - col_exps[j])."""
+    big = hat[(row_exps[:, None] - col_exps) % len(hat)]
+    return big.transpose(0, 2, 1, 3).reshape(2 * len(row_exps), 2 * len(col_exps))
 
 
-_WILSON_TOL = 1e-13      # Newton stops once |B^-* J B^-1 - Id| is below this
-_WILSON_ITER = 60
+def _spectral_factor(j):
+    """Canonical spectral factor of a Hermitian positive 2x2 loop J, given
+    by m samples: J = B* B with B holomorphic and invertible in the disk.
 
-
-def _wilson_factor(j):
-    """Canonical spectral factor of a Hermitian positive 2x2 loop:
-    J = B* B with B holomorphic and invertible in the disk.
-
-    Newton-type iteration on samples; quadratically convergent for strictly
-    positive J.  A J whose mean is not numerically positive definite raises
-    SingularInput; the constant unitary freedom is left to the caller.
+    X = B^-1 B(0)^-* is holomorphic and J X = B* B(0)^-* has no positive
+    exponent and constant term Id, so X solves one block Toeplitz system in
+    the coefficients of J (Sayed-Kailath, Numer. Linear Algebra Appl. 8,
+    2001), on the exponents 0, 2, .., m/2 - 2 since J is even in lam.  B(0)
+    is the Cholesky factor of X_0^-1 = B(0)* B(0), and B = (X B(0)*)^-1.  A
+    singular system, or an X_0^-1 whose lower triangle (all Cholesky reads)
+    is not positive definite, raises SingularInput.
     """
-    j0 = np.mean(j, axis=0)
-    j0 = 0.5 * (j0 + j0.conj().T)
+    m = len(j)
+    exps = np.arange(0, m // 2, 2)
     try:
-        low = np.linalg.cholesky(j0)
+        x = np.linalg.solve(_toeplitz(loop_coeffs(j), exps, exps),
+                            np.eye(2 * len(exps), 2))
+        low = np.linalg.cholesky(_inv2(x[:2]))
     except np.linalg.LinAlgError:
-        raise SingularInput("mean of the 2x2 loop is not positive definite: "
+        raise SingularInput("2x2 loop is not positive definite: "
                             "the loop is numerically singular") from None
-    b = np.broadcast_to(low.conj().T, j.shape).copy()
-    eye = np.broadcast_to(np.eye(2), j.shape)
-    for _ in range(_WILSON_ITER):
-        binv = _inv2(b)
-        s = np.conj(np.swapaxes(binv, 1, 2)) @ j @ binv - eye
-        err = float(np.max(np.abs(s)))
-        b = (eye + _half_plus(s)) @ b
-        bhat = loop_coeffs(b)
-        bhat[len(b) // 2 + 1:] = 0.0
-        b = samples_from_coeffs(bhat)
-        if err < _WILSON_TOL:
-            break
-    else:
-        if err > 1e-9:
-            raise ConvergenceFailure(f"spectral factorization stalled at {err:.2e}")
-    return b
+    x_hat = np.zeros((m, 2, 2), dtype=complex)
+    x_hat[exps] = x.reshape(-1, 2, 2) @ low
+    b_hat = loop_coeffs(_inv2(samples_from_coeffs(x_hat)))
+    b_hat[m // 2 + 1:] = 0.0
+    return samples_from_coeffs(b_hat)
 
 
 _ADJ_SIGNS = np.array([[1, -1], [-1, 1]])
@@ -390,10 +379,10 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     The rotation part is its E+ block A, a loop in GL(2, C), whose Iwasawa
     splitting A = U B (U unitary on the circle, B holomorphic in the disk)
     is unique up to a constant unitary (Pressley-Segal, Loop Groups, ch. 8):
-    B is the Wilson spectral factor of A^H A and U = A B^-1, whose
-    imaginary rounding is dropped.  A constant correction pins B(0) to the
-    ray stabilizer.  The translation part is the explicit projection
-    ``X = F . P(F^{-1} T)``.
+    B is the spectral factor of A^H A, from one block Toeplitz solve, and
+    U = A B^-1, whose imaginary rounding is dropped.  A constant correction
+    pins B(0) to the ray stabilizer.  The translation part is the explicit
+    projection ``X = F . P(F^{-1} T)``.
 
     ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError);
     a rotation outside the twisted L_i commutant raises SingularInput, and
@@ -404,7 +393,7 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     m = nsamples or _pow2(max(64, 8 * loop.degree))
     scale = max(1.0, _finite_norm(loop))
     a, trans, off = _plus_block(loop, m, max(tol, 1e-7) * scale)
-    b = _wilson_factor(np.conj(np.swapaxes(a, 1, 2)) @ a)
+    b = _spectral_factor(np.conj(np.swapaxes(a, 1, 2)) @ a)
 
     # pin B(0) = mean(B) to the ray stabilizer by a constant compact K0; K0
     # is real and commutes with L_i, so its E+ block is unitary
@@ -479,8 +468,7 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     # only the odd rows and columns can be nonzero
     rows = np.arange(1, n + 8, 2)
     cols = np.arange(1, n, 2)
-    big = plus[(cols - rows[:, None]) % m]
-    big = big.transpose(0, 2, 1, 3).reshape(2 * len(rows), 2 * len(cols))
+    big = _toeplitz(plus, -1 - rows, -1 - cols)
     rhs = -plus[(-1 - rows) % m].reshape(2 * len(rows), 2)
     half, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf

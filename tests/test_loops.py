@@ -17,8 +17,8 @@ from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            potential_extract, q_minus, q_plus, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.loops import (_E_PLUS, _from_plus, _half_slots, _inv2,
-                           _plus_block, _slot_series, _taylor_interpolant,
-                           _turn)
+                           _plus_block, _slot_series, _spectral_factor,
+                           _taylor_interpolant, _turn)
 from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                               unit_lambdas)
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
@@ -212,6 +212,42 @@ def test_iwasawa_large_amplitude(rng):
     loop = random_twisted_group_loop(6, rng, m=256, amp=0.8)
     u, b = iwasawa(loop, nsamples=256)
     _check_iwasawa(loop, u, b, m=256)
+
+
+@pytest.mark.parametrize("amp, seed", [(1.0, 15), (2.0, 6), (2.0, 19)])
+def test_iwasawa_factors_large_amplitude_degree_4_loops(amp, seed):
+    # a Newton iteration for the spectral factor (Wilson's) stalls on these
+    # loops, at 3.1e-8, 1.1e-1 and 4.8e1; one Toeplitz solve has no stall
+    loop = random_twisted_group_loop(4, np.random.default_rng(seed), amp=amp)
+    u, b = iwasawa(loop)
+    _check_iwasawa(loop, u, b)
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_spectral_factor_recovers_known_outer_factor(m):
+    # B = B0 (Id + C lam^2), B0 upper triangular with a positive diagonal and
+    # |C|_2 <= 1/4, is the canonical factor of J = B* B; X = B^-1 B0^-*
+    # decays like 4^-k, so the m/4 kept Toeplitz unknowns carry all of it.
+    # The error grows like eps cond(J) = eps cond(B0)^2; here cond(B0) <= 5
+    rng = np.random.default_rng(m)
+    lam2 = unit_lambdas(m)[:, None, None] ** 2
+    for _ in range(25):
+        b0 = np.diag(rng.uniform(0.5, 2.0, size=2)).astype(complex)
+        b0[0, 1] = rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c *= rng.uniform(0.0, 0.25) / np.linalg.norm(c, 2)
+        b = b0 + b0 @ c * lam2
+        got = _spectral_factor(np.conj(np.swapaxes(b, 1, 2)) @ b)
+        assert np.max(np.abs(got - b)) < 1e-13 * np.max(np.abs(b))
+
+
+def test_spectral_factor_rejects_indefinite_loop():
+    # Hermitian on the circle, with a negative second diagonal entry
+    cos2 = unit_lambdas(64).real ** 2 - unit_lambdas(64).imag ** 2
+    j = np.zeros((64, 2, 2), dtype=complex)
+    j[:, 0, 0], j[:, 1, 1] = 1.0 + 0.6 * cos2, -1.0 + 0.6 * cos2
+    with pytest.raises(SingularInput, match="not positive definite"):
+        _spectral_factor(j)
 
 
 def test_iwasawa_sample_count_independence(rng):
@@ -506,7 +542,8 @@ def test_birkhoff_reproduces_loop_or_raises(degree, amp, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 # the factors fill every coefficient slot (LoopAliasing)
 @example(degree=2, amp=3.0, seed=13)
-# cond(A) reaches 1.1e8, so mean(A^H A) is not positive definite
+# cond(A) reaches 1.1e8, so the Toeplitz system of A^H A is numerically
+# singular: the X_0^-1 it gives is not positive definite
 @example(degree=1, amp=5.0, seed=24)
 def test_iwasawa_reproduces_loop_or_raises(degree, amp, seed):
     loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
@@ -536,11 +573,11 @@ def test_iwasawa_reproduces_loop_or_raises(degree, amp, seed):
 @pytest.mark.parametrize("degree, seed, amp, error, match", [
     (2, 13, 3.0, LoopAliasing, "512 samples"),
     (1, 24, 5.0, SingularInput, "not positive definite"),
-], ids=["factor-fills-every-slot", "mean-not-positive-definite"])
+], ids=["factor-fills-every-slot", "indefinite-toeplitz"])
 def test_iwasawa_typed_errors_on_unresolved_or_singular_loop(degree, seed, amp,
                                                              error, match):
-    # a factor spectrum that fills all m slots, and a mean(A^H A) that the
-    # Cholesky factor rejects, end in typed errors
+    # a factor spectrum that fills all m slots, and a Toeplitz solution X_0
+    # whose inverse the Cholesky factor rejects, end in typed errors
     loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
                                      amp=amp)
     with pytest.raises(error, match=match):
