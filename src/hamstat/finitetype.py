@@ -95,8 +95,8 @@ def r_op(zeta) -> np.ndarray:
 # --- Killing fields ---------------------------------------------------------
 
 # Largest degree a Killing field file may declare (the least is 1: the Lax
-# form reads 3 of the 2d + 1 coefficients).  The dense shift matrix of
-# `_lax_form` holds 5 (2d + 5)(2d + 1) float entries: 10.6 MB at 256.
+# block reads 3 of the 2d + 1 coefficients).  A flow step's windows of
+# `_lax_taylor` hold 16 (2d + 5) 80 float entries: 5.3 MB at 256.
 _MAX_DEGREE = 256
 
 
@@ -202,34 +202,48 @@ def _multiplier(zdot: complex):
 _MULT_1, _MULT_I = _multiplier(1.0), _multiplier(1j)     # real-linear in zdot
 
 
-def _lax_form(n: int, zdot: complex):
-    """Cauchy-product form of the real-bilinear Lax derivative B(x, x) of
-    (n, 8) field coordinates along direction zdot, in float64 products on
-    interleaved (re, im) views.  ``shift`` copies coefficient k of x to row
-    (k + j, j), field rows first, padding last.  The form maps a (k+1, n, 8)
-    stack xs to sum_j B(xs[j], xs[k-j])."""
+def _lax_taylor(n: int, zdot: complex):
+    """Taylor orders of the Lax flow of (n, 8) field coordinates along zdot,
+    in float64 products on interleaved (re, im) views.  The derivative is the
+    real-bilinear B(x, y) = shifted(x) @ block(y): ``block`` brackets the
+    multiplier of y's rows 0..2 into (80, 16), and ``shifted`` is the (n + 4,
+    80) window with x's row m - j in slot j of padded row m, field rows first.
+    ``orders(x)`` fills x_{k+1} = sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER
+    from x_0 = x, with one block and window per coefficient, and returns its
+    buffers of the coefficients and the (n + 4)-row products."""
     rmt = zdot.real * _MULT_1 + zdot.imag * _MULT_I
-    order = np.r_[2:n + 2, 0, 1, n + 2, n + 3]
-    shift = np.stack([np.eye(n + 4, n, -j)[order]
-                      for j in range(5)], axis=1).reshape(5 * (n + 4), n)
+    window = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] + 4 - np.arange(5)
+    pad = np.zeros((n + 8, 16))         # rows 4..n+3 take the coefficient
+    xs = np.empty((_ORDER + 1, n, 8), dtype=complex)
+    prods = np.empty((_ORDER, n + 4, 8), dtype=complex)
+    blk, sx = np.empty((_ORDER, 80, 16)), np.empty((_ORDER, n + 4, 80))
 
-    def form(xs):
-        f = xs.view(float)
-        blk = ((f[:, :3].reshape(-1, 48) @ rmt).reshape(-1, 5, 16)
-               @ _BRACKET_RE).reshape(-1, 80, 16)
-        sx = (shift @ f).reshape(-1, n + 4, 80)
-        return (sx @ blk[::-1]).sum(0).view(complex)
-    return form
+    def block(x):
+        f = x[:3].view(float).reshape(48)
+        return ((f @ rmt).reshape(5, 16) @ _BRACKET_RE).reshape(80, 16)
+
+    def shifted(x):
+        pad[4:n + 4] = x.view(float)
+        return pad[window].reshape(n + 4, 80)
+
+    def orders(x):
+        xs[0] = x
+        for k in range(_ORDER):
+            blk[k], sx[k] = block(xs[k]), shifted(xs[k])
+            prods[k] = (sx[:k + 1] @ blk[k::-1]).sum(0).view(complex)
+            xs[k + 1] = prods[k, :n] / (k + 1)
+        return xs, prods
+    return orders, block, shifted
 
 
 def _flow_coords(x, z_from: complex, z_to: complex, step: float):
     """Taylor flow of field coordinates along the straight segment; returns
-    them moved, the step count and the largest spill.  A step runs x_{k+1} =
-    sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER and goes _REACH rho, with rho =
-    min (|x_0| / |x_j|)^(1/j) over the last two orders (Jorba-Zou), but not
-    past the segment's end.  A shorter step than ``step`` raises
-    ConvergenceFailure.  A step's spill, sum_k |pad_k| h^k over the padding
-    rows of the products, bounds the derivative's padding over the step."""
+    them moved, the step count and the largest spill.  A step runs the
+    orders of `_lax_taylor` and goes _REACH rho, with rho = min (|x_0| /
+    |x_j|)^(1/j) over the last two orders (Jorba-Zou), but not past the
+    segment's end.  A shorter step than ``step`` raises ConvergenceFailure.
+    A step's spill, sum_k |pad_k| h^k over the padding rows of the products,
+    bounds the derivative's padding over the step."""
     seg = complex(z_to) - complex(z_from)
     left = abs(seg)
     if left == 0:
@@ -237,17 +251,12 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
     if step < 1e-14 * max(1.0, abs(z_to)):
         raise StepSizeUnderflow(f"step {step:.3e} below representable resolution")
     n = x.shape[0]
-    form = _lax_form(n, seg / left)
-    xs = np.empty((_ORDER + 1, n, 8), dtype=complex)
-    prods = np.empty((_ORDER, n + 4, 8), dtype=complex)
+    orders = _lax_taylor(n, seg / left)[0]
     steps, spill = 0, 0.0
     # overflow leaves inf or NaN in the coefficients, which refuse the step
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0:
-            xs[0] = x
-            for k in range(_ORDER):
-                prods[k] = form(xs[:k + 1])
-                xs[k + 1] = prods[k, :n] / (k + 1)
+            xs, prods = orders(x)
             size = np.max(np.abs(xs[[0, -2, -1]]), axis=(1, 2))
             inv_rho = np.max((size[1:] / (size[0] or 1.0)) ** _ROOTS)
             h = left if inv_rho * left <= _REACH else _REACH / inv_rho
@@ -298,25 +307,22 @@ class LaxFlowResult:
     max_spill: float           # largest spill of any flow step
     steps: int                 # Taylor steps over all segments
 
+    def _drift(self, rows) -> float:
+        return float(max(np.max(np.abs(c - c[0])) for c in (
+            np.stack([f.rot[rows] for f in self.fields]),
+            np.stack([f.trans[rows] for f in self.fields]))))
+
     def coefficient_drift(self, k: int) -> float:
-        base_r, base_t = self.fields[0].coeff(k)
-        worst = 0.0
-        for f in self.fields:
-            r, t = f.coeff(k)
-            worst = max(worst, float(np.max(np.abs(r - base_r))),
-                        float(np.max(np.abs(t - base_t))))
-        return worst
+        return self._drift(k + self.fields[0].d)
 
     def even_coefficient_drift(self) -> float:
-        d = self.fields[0].d
-        return max(self.coefficient_drift(k)
-                   for k in range(-d, d + 1) if k % 2 == 0)
+        return self._drift(slice(self.fields[0].d % 2, None, 2))
 
     def isospectral_drift(self, n_lams: int = 8) -> float:
         lams = np.exp(2j * np.pi * (np.arange(n_lams) + 0.31) / n_lams)
-        spectra = [np.sort_complex(np.linalg.eigvals(f.matrix5_at(lams)))
-                   for f in self.fields]
-        return max(float(np.max(np.abs(e - spectra[0]))) for e in spectra)
+        spectra = np.sort_complex(np.linalg.eigvals(
+            np.stack([f.matrix5_at(lams) for f in self.fields])))
+        return float(np.max(np.abs(spectra - spectra[0])))
 
 
 def lax_integrate(seed: KillingField, waypoints, step: float | None = None,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import fd_laplacian4
 from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS, coords,
                              from_coords, tau_rotation, tau_vector)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
-from hamstat.finitetype import (KillingField, _field_coords, _lax_form,
+from hamstat.finitetype import (KillingField, _field_coords, _lax_taylor,
                                 b0_basis,
                                 flow_field, formal_killing, fourier_recurrence,
                                 lax_flatness_residual, lax_integrate,
@@ -247,8 +249,11 @@ def test_affine_derivative_matches_per_exponent_loop(rng):
         scale = [max(np.max(np.abs(f.rot)), np.max(np.abs(f.trans)))
                  for f in (f0, f1)]
         for zdot in (1.0, np.exp(0.7j)):
-            form = _lax_form(2 * d + 1, zdot)
-            got = form(x0[None])
+            _, block, shifted = _lax_taylor(2 * d + 1, zdot)
+
+            def form(x, y):
+                return (shifted(x) @ block(y)).view(complex)
+            got = form(x0, x0)
             want_rot, want_trans = _reference_rhs(f0.rot, f0.trans, zdot)
             got_rot = from_coords(got[:, :4], ROTATION_BASIS)
             assert np.max(np.abs(got_rot - want_rot[rows])) < 1e-13 * scale[0]
@@ -259,9 +264,50 @@ def test_affine_derivative_matches_per_exponent_loop(rng):
                  for r, t in (_reference_rhs(f.rot, f.trans, zdot)
                               for f in (f0, f1, KillingField(
                                   d, f0.rot + f1.rot, f0.trans + f1.trans)))]
-            cross = form(np.stack([x0, x1]))
+            cross = form(x0, x1) + form(x1, x0)
             assert (np.max(np.abs(cross - (q[2] - q[0] - q[1])[rows]))
                     < 1e-13 * max(scale))
+
+
+def test_taylor_orders_sum_the_polarized_derivative(rng):
+    # each order of one step sums B(x_j, x_{k-j}) from the cached blocks and
+    # windows of the coefficients; B is the polarization of the per-exponent
+    # derivative Q.  The polarization loses eps max(|a|, |b|)^2, so the field
+    # is scaled until the step's sixteen coefficients stay near 1
+    d, zdot = 6, np.exp(0.7j)
+    f = _random_algebra_field(rng, d)
+    x0 = _field_coords(KillingField(d, 0.2 * f.rot, 0.2 * f.trans))
+    xs, prods = _lax_taylor(2 * d + 1, zdot)[0](x0)
+    assert 0.1 < np.min(np.abs(xs).max(axis=(1, 2))) <= np.max(np.abs(xs)) < 2
+    rows = np.r_[2:2 * d + 3, 0, 1, 2 * d + 3, 2 * d + 4]
+
+    def q(x):
+        r, t = _reference_rhs(from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:],
+                              zdot)
+        return np.concatenate([coords(r, ROTATION_BASIS), t], axis=1)[rows]
+    for k in range(16):
+        want = sum(0.5 * (q(xs[j] + xs[k - j]) - q(xs[j]) - q(xs[k - j]))
+                   for j in range(k + 1))
+        scale = np.max(np.abs(xs[:k + 1])) ** 2
+        assert np.max(np.abs(prods[k] - want)) < 1e-13 * scale
+        assert np.array_equal(xs[k + 1], prods[k, :2 * d + 1] / (k + 1))
+
+
+def test_flow_window_memory_at_largest_degree(rng):
+    # one step holds 16 windows of (2d + 5, 80) floats, 5.3 MB at d = 256,
+    # and nothing that grows as the square of the degree
+    d = 256
+    field = _random_algebra_field(rng, d)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        moved = flow_field(field, 0, 0.01, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(moved.trans).all()
+    assert peak <= 12e6, peak
 
 
 def test_spill_of_non_real_field():
@@ -348,6 +394,34 @@ def test_shipped_seed_drifts_stay_exactly_zero(make_seed):
     assert res.even_coefficient_drift() == 0.0
 
 
+@pytest.mark.parametrize("make_seed", [
+    lambda: standard_torus_killing_seed(1.1, 0.9), rhombic_killing_seed],
+    ids=["standard", "rhombic"])
+def test_flow_pinned_to_40_digit_spinor(make_seed):
+    # the lowest odd translation coefficient is the spinor field u; against
+    # u's modes summed at 40 digits (the float rows read as exact binary
+    # values) the flow keeps to a few rounding errors of the mode sum
+    mpmath = pytest.importorskip("mpmath")
+    seed = make_seed()
+    lat = seed.spec.lattice
+    res = lax_integrate(seed.field, [0.13 * lat.g1 + 0.07 * lat.g2,
+                                     0.21 * lat.g1 - 0.05 * lat.g2],
+                        lattice=lat)
+    freqs, vecs = _u_modes(seed.spec)
+    bound = 8 * np.finfo(float).eps * np.sum(np.abs(vecs))
+    for z, f in zip(res.points[1:], res.fields[1:]):
+        with mpmath.workdps(40):
+            w = mpmath.mpc(z.real, z.imag)
+            waves = [mpmath.expjpi(2 * mpmath.re(
+                mpmath.conj(mpmath.mpc(g.real, g.imag)) * w)) for g in freqs]
+            exact = np.array([complex(mpmath.fsum(
+                wave * mpmath.mpc(v.real, v.imag)
+                for wave, v in zip(waves, vecs[:, c]))) for c in range(4)])
+        _, u = f.coeff(-seed.field.d + 1)
+        assert np.max(np.abs(u - exact)) <= bound
+        assert np.max(np.abs(spinor_u(seed.spec, z) - exact)) <= bound
+
+
 def test_seed_structure_standard():
     seed = standard_torus_killing_seed(1.0, 1.0)
     f = seed.field
@@ -413,6 +487,29 @@ def test_standard_flow_invariants(standard_flow):
     for f in res.fields:
         assert f.twist_residual() < 1e-9
         assert f.reality_residual() < 1e-9
+
+
+def test_drifts_of_stacked_fields_match_per_field_loops(rng):
+    # the invariants read the fields as one stack and make one eigvals call;
+    # on an odd degree the even exponents sit at the odd dense rows
+    d = 3
+    f = _random_algebra_field(rng, d)
+    res = lax_integrate(KillingField(d, 0.2 * f.rot, 0.2 * f.trans),
+                        [0.1, 0.1 + 0.2j], step=1e-3)
+
+    def drift(k):
+        base_r, base_t = res.fields[0].coeff(k)
+        return max(max(np.max(np.abs(g.coeff(k)[0] - base_r)),
+                       np.max(np.abs(g.coeff(k)[1] - base_t)))
+                   for g in res.fields)
+    ks = range(-d, d + 1)
+    assert [res.coefficient_drift(k) for k in ks] == [drift(k) for k in ks]
+    assert res.even_coefficient_drift() == max(map(drift, (-2, 0, 2))) > 0
+    lams = np.exp(2j * np.pi * (np.arange(8) + 0.31) / 8)
+    spectra = [np.sort_complex(np.linalg.eigvals(g.matrix5_at(lams)))
+               for g in res.fields]
+    assert res.isospectral_drift() == max(
+        np.max(np.abs(e - spectra[0])) for e in spectra) > 0
 
 
 def test_standard_flow_reproduces_spinor_field(standard_flow):
