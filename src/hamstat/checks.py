@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import L_I, lagrangian_angle_raw, omega, wedge_value
 from .errors import AngleUnwrapFailure, DegenerateMetric
+from .lattices import affine_grid
 from .numerics import TWO_PI, fd_x, fd_x4, fd_y, fd_y4
 from .weierstrass import TorusSpec, spinor_u
 
@@ -162,7 +163,7 @@ def check_harmonic_angle(f, lattice, grid_n: int, fd_step: float | None = None,
     side = 0.75 * min(abs(lattice.g1), abs(lattice.g2))
     hg = side / (grid_n - 1)
     xs = np.arange(grid_n) * hg
-    zz = xs[:, None] + 1j * xs[None, :]
+    zz = affine_grid(xs, 1j * xs)
     beta = _unwrap_grid(_angle_field(f, zz, h_fd))
     lap = (beta[2:, 1:-1] + beta[:-2, 1:-1] + beta[1:-1, 2:] + beta[1:-1, :-2]
            - 4.0 * beta[1:-1, 1:-1]) / hg ** 2

@@ -22,9 +22,10 @@ from .errors import (DegenerateLattice, EmptySpectrum, FrequencyBoxTooLarge,
                      SlopeNotInDualLattice)
 
 __all__ = [
-    "Lattice", "FrequencySet", "PeriodicityClass", "PeriodReport",
-    "enumerate_frequencies", "periodicity_class", "period_lattice",
-    "integer_span_lattice", "sort_frequencies",
+    "AffineGrid", "affine_grid", "Lattice", "FrequencySet",
+    "PeriodicityClass", "PeriodReport", "enumerate_frequencies",
+    "periodicity_class", "period_lattice", "integer_span_lattice",
+    "sort_frequencies",
 ]
 
 
@@ -61,6 +62,39 @@ def _as_complex(value) -> complex:
     if isinstance(value, str):
         return complex(value)
     return complex(value)
+
+
+class AffineGrid(np.ndarray):
+    """A read-only grid z0 + i u + j v marked ``affine``: adding or
+    subtracting a 0-d scalar keeps the mark, and every other operation
+    (views, copies, other ufuncs) returns an unmarked array."""
+
+    affine = False
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, AffineGrid) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        shift = (ufunc in (np.add, np.subtract) and method == "__call__"
+                 and not kwargs and min(map(np.ndim, inputs)) == 0
+                 and any(getattr(x, "affine", False) for x in inputs))
+        return _mark(result) if shift else result
+
+
+def _mark(z) -> AffineGrid:
+    grid = z.view(AffineGrid)
+    grid.affine = True
+    grid.flags.writeable = False
+    return grid
+
+
+def affine_grid(rows, cols) -> AffineGrid:
+    """The grid rows[:, None] + cols[None, :] of two evenly spaced
+    sequences, marked affine."""
+    return _mark(np.asarray(rows)[:, None] + np.asarray(cols)[None, :])
 
 
 @dataclass(frozen=True)
@@ -132,10 +166,10 @@ class Lattice:
         return Lattice(complex(inv_t[0, 0], inv_t[1, 0]),
                        complex(inv_t[0, 1], inv_t[1, 1]))
 
-    def grid(self, n: int) -> np.ndarray:
+    def grid(self, n: int) -> AffineGrid:
         """n x n fundamental-domain samples."""
         s = np.arange(n) / n
-        return (s * self.g1)[:, None] + (s * self.g2)[None, :]
+        return affine_grid(s * self.g1, s * self.g2)
 
     def is_sublattice_of(self, other: "Lattice", tol: float = 1e-9) -> bool:
         return bool(np.all(other.contains(np.array([self.g1, self.g2]), tol)))

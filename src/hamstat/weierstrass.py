@@ -163,66 +163,47 @@ def holomorphic_angle(beta0: complex):
     return h
 
 
-# a 2-D input within this many ulps (of its largest corner) of the affine grid
-# through its corners takes the separable path; lattice grids and their
-# finite-difference shifts sit within about 1.3
-_GRID_ULPS = 8
 # a C^4 row times this is the row pair (P+ vec, P- vec) of the two L_i
 # eigenspaces, as one (K, 8) product
 _SPLIT = np.concatenate([PI_PLUS, PI_MINUS]).T
 
 
-def _affine_frame(z):
-    """``(z0, u, v)`` when the 2-D array ``z`` is the grid z0 + i u + j v,
-    else None.
-
-    The steps are read off the far ends of the first column and row, so
-    their error does not grow along the grid; one pass then checks every
-    point against its affine value.
-    """
-    n1, n2 = z.shape
-    if n1 < 2 or n2 < 2:
-        return None
-    z0 = z[0, 0]
-    u = (z[-1, 0] - z0) / (n1 - 1)
-    v = (z[0, -1] - z0) / (n2 - 1)
-    scale = max(abs(z0), abs(z[-1, 0]), abs(z[0, -1]), abs(z[-1, -1]))
-    dev = z - (np.arange(n1) * u)[:, None]
-    dev -= (np.arange(n2) * v + z0)[None, :]
-    tol = _GRID_ULPS * np.finfo(float).eps * scale
-    if not np.max(np.abs(dev.view(float))) <= tol:     # NaN falls back too
-        return None
-    return z0, u, v
-
-
-def _grid_sum(freqs, vecs, frame, shape):
-    """The mode sum on the affine grid z0 + i u + j v of the given shape.
+def _grid_sum(freqs, vecs, frame, shape, real):
+    """The mode sum on the affine grid z0 + i u + j v of the given shape,
+    or its real part.
 
     Each wave factors as e(z0) e(i u) e(j v), so the grid costs K (n1 + n2)
-    exponentials and one (n1, K) @ (K, 4 n2) product.
+    exponentials and one (n1, K) @ (K, 4 n2) product; the real part is one
+    real product, [Re rows | Im rows] @ [Re right; -Im right].
     """
     z0, u, v = frame
     n1, n2 = shape
     if n1 < n2:     # the (K, n2, 4) factor below stays on the shorter side
-        return _grid_sum(freqs, vecs, (z0, v, u), (n2, n1)).swapaxes(0, 1)
+        return _grid_sum(freqs, vecs, (z0, v, u), (n2, n1), real).swapaxes(0, 1)
     rows = np.exp(2j * np.pi * np.outer(np.arange(n1), dot_r2(freqs, u)))
     cols = np.exp(2j * np.pi * np.outer(dot_r2(freqs, v), np.arange(n2)))
     weights = np.exp(2j * np.pi * dot_r2(freqs, z0))[:, None] * vecs
-    out = rows @ (cols[:, :, None] * weights[:, None, :]).reshape(len(freqs), -1)
+    right = (cols[:, :, None] * weights[:, None, :]).reshape(len(freqs), -1)
+    out = (np.concatenate([rows.real, rows.imag], axis=1)
+           @ np.concatenate([right.real, -right.imag]) if real else rows @ right)
     return out.reshape(n1, n2, vecs.shape[1])
 
 
-def _mode_sum(freqs, vecs, z):
+def _mode_sum(freqs, vecs, z, real=False):
     """Sum of vecs[j] exp(2 pi i <freqs[j], z>) over the rows of a mode
-    table, shape ``z.shape + (4,)``.
+    table, shape ``z.shape + (4,)``, or its real part.
 
-    A 2-D ``z`` that is an affine grid (a lattice grid or a shift of one) is
-    summed separably by `_grid_sum`; every other input runs the loop.
+    A grid marked affine (a lattice grid or a scalar shift of one) is summed
+    separably by `_grid_sum`, its steps read off the far ends of its first
+    column and row so their error does not grow along the grid; every other
+    input runs the loop.
     """
+    if getattr(z, "affine", False) and min(z.shape) > 1 and len(freqs):
+        z0 = z[0, 0]
+        frame = (z0, (z[-1, 0] - z0) / (z.shape[0] - 1),
+                 (z[0, -1] - z0) / (z.shape[1] - 1))
+        return _grid_sum(freqs, vecs, frame, z.shape, real)
     z = np.asarray(z, dtype=complex)
-    frame = _affine_frame(z) if z.ndim == 2 and len(freqs) else None
-    if frame is not None:
-        return _grid_sum(freqs, vecs, frame, z.shape)
     out = np.zeros(z.shape + (4,), dtype=complex)
     # one component at a time: a (z, 4) temporary per mode would raise the
     # peak memory of large inputs
@@ -230,7 +211,7 @@ def _mode_sum(freqs, vecs, z):
         wave = np.exp(2j * np.pi * dot_r2(delta, z))
         for k in range(4):
             out[..., k] += wave * vec[k]
-    return out
+    return out.real if real else out
 
 
 def _basis_column(gamma: complex, beta0: complex):
@@ -260,7 +241,8 @@ def _basis_sum(pairs, beta0, z):
     cols = np.array([np.conj(a) * (4.0 / np.pi) * _basis_column(g, beta0)
                      for g, a in terms]).reshape(-1, 4)
     freqs = (np.array([half, -half]) - gammas[:, None]).ravel()
-    return _mode_sum(freqs, (cols @ _SPLIT).reshape(-1, 4), z).real
+    return np.ascontiguousarray(
+        _mode_sum(freqs, (cols @ _SPLIT).reshape(-1, 4), z, real=True))
 
 
 def basis_A(gamma, beta0, z):
@@ -325,9 +307,14 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
         raise ValueError("grid_n must be at least 2")
     zs = spec.lattice.grid(grid_n)
     u = spinor_u(spec, zs)
-    # np.linalg.norm's own sum of squares, unrolled over the 4 components
-    s = (u.conj() * u).real
-    norms = np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])
+    norms = np.empty(zs.shape)
+    # np.linalg.norm's own sum of squares, unrolled over the 4 components,
+    # a block of rows at a time so no temporary is the size of u
+    step = max(1, _BLOCK // u[0].size)
+    for lo in range(0, grid_n, step):
+        s = (u[lo:lo + step].conj() * u[lo:lo + step]).real
+        norms[lo:lo + step] = np.sqrt(s[..., 0] + s[..., 1] + s[..., 2]
+                                      + s[..., 3])
     idx = np.unravel_index(np.argmin(norms), norms.shape)
     cover = ("1" if spec.periodicity() is PeriodicityClass.TRULY_PERIODIC
              else "2")
@@ -418,8 +405,8 @@ class FamilyEvaluator:
         self._waves = mu, c1 / (1j * np.pi * np.conj(mu))[:, None]
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
         out = _mode_sum(*self._waves, z)
+        z = np.asarray(z, dtype=complex)
         for c1, c2 in zip(*self._linear):
             out += z[..., None] * c1 + np.conj(z)[..., None] * c2
         return _real_part(out, "family value")

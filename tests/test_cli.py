@@ -554,6 +554,119 @@ def test_malformed_spec_is_input_error(tmp_path, capsys, payload):
     assert not mesh.exists()
 
 
+def _spec_edits():
+    """(name, payload) for the standard spec with one leaf replaced by each
+    fuzz value, or one key dropped."""
+    data = standard_torus(1.0, 1.0).spec.to_dict()
+    leaves = [("lattice", g, i) for g in ("g1", "g2") for i in (0, 1)]
+    leaves += [("beta0", 0), ("beta0", 1)]
+    keys = [("lattice",), ("beta0",), ("coefficients",), ("lattice", "g1"),
+            ("lattice", "g2")]
+    for j in range(len(data["coefficients"])):
+        rec = ("coefficients", j)
+        leaves += [rec + ("gamma", 0), rec + ("gamma", 1), rec + ("re",),
+                   rec + ("im",)]
+        keys += [rec + (k,) for k in ("gamma", "re", "im")]
+
+    def edited(path, drop, value=None):
+        out = json.loads(json.dumps(data))
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return out
+
+    for path in leaves:
+        for value in LAX_FUZZ_VALUES:
+            yield f"{path}={value!r}", edited(path, False, value)
+    for path in keys:
+        yield f"drop {path}", edited(path, True)
+
+
+def _run_spec(tmp_path, payload, argv, capsys):
+    """Exit code, stdout and stderr of a spec command on the payload."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    try:
+        rc = main([argv[0], str(path), *argv[1:]])
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _keeps_exit_contract(rc, out, err, json_out=True):
+    """Exit 2 prints one `error:` line and nothing else; exits 0 and 1 print
+    nothing on stderr and, for JSON commands, JSON without NaN."""
+    lines = err.strip().splitlines()
+    if rc == 2:
+        return len(lines) == 1 and lines[0].startswith("error:") and not out
+    if rc not in (0, 1) or err:
+        return False
+    if json_out:
+        return isinstance(json.loads(out, parse_constant=_reject_constant),
+                          dict)
+    return out.startswith("wrote ")
+
+
+def test_mesh_and_family_spec_fuzz(tmp_path, capsys):
+    # every leaf of the standard spec takes each fuzz value, and every key
+    # is dropped once; each run ends in a result or a one-line input error
+    commands = (["mesh", "--grid", "4", "--out", str(tmp_path / "m.obj")],
+                ["family", "--grid", "4", "--out", str(tmp_path / "f")])
+    failures = []
+    for name, payload in _spec_edits():
+        for argv in commands:
+            try:
+                rc, out, err = _run_spec(tmp_path, payload, argv, capsys)
+                ok = _keeps_exit_contract(rc, out, err, argv[0] == "family")
+            except Exception as exc:          # noqa: BLE001 - reported below
+                ok, rc = False, repr(exc)
+            if not ok:
+                failures.append((argv[0], name, rc))
+    assert not failures, failures
+
+
+def _overflows_verify(payload):
+    # mean curvature is not yet scale-free: a coefficient part of 1e55 or
+    # 1e70 overflows the check's products in a RuntimeWarning
+    return any(c.get(k) in (1e55, 1e70)
+               for c in payload.get("coefficients", []) for k in ("re", "im"))
+
+
+_VERIFY_EDITS = list(_spec_edits())
+
+
+def test_verify_spec_fuzz(tmp_path, capsys):
+    failures = []
+    for name, payload in _VERIFY_EDITS:
+        if _overflows_verify(payload):
+            continue
+        try:
+            rc, out, err = _run_spec(tmp_path, payload,
+                                     ["verify", "--grid", "8"], capsys)
+            ok = _keeps_exit_contract(rc, out, err)
+        except Exception as exc:              # noqa: BLE001 - reported below
+            ok, rc = False, repr(exc)
+        if not ok:
+            failures.append((name, rc))
+    assert not failures, failures
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="verify overflows at this coefficient scale")
+@pytest.mark.parametrize("payload", [
+    pytest.param(payload, id=name) for name, payload in _VERIFY_EDITS
+    if _overflows_verify(payload)])
+def test_verify_spec_fuzz_overflow(tmp_path, capsys, payload):
+    rc, out, err = _run_spec(tmp_path, payload, ["verify", "--grid", "8"],
+                             capsys)
+    assert _keeps_exit_contract(rc, out, err)
+
+
 # --- mesh writers --------------------------------------------------------------
 
 def _reference_faces(n):

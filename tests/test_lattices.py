@@ -7,7 +7,7 @@ from hamstat.algebra import exp_g2
 from hamstat.errors import (DegenerateLattice, EmptySpectrum,
                             FrequencyBoxTooLarge, SlopeNotInDualLattice)
 from hamstat.lattices import (MAX_SEARCH_BOX, Lattice, PeriodicityClass,
-                              enumerate_frequencies, integer_span_lattice,
+                              affine_grid, enumerate_frequencies, integer_span_lattice,
                               period_lattice, periodicity_class)
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.numerics import dot_r2
@@ -308,3 +308,36 @@ def test_grid_matches_meshgrid_formula(n):
                     Lattice(scale * (1.3 - 0.2j), scale * (0.4 + 0.9j))):
             ref = ss * lat.g1 + tt * lat.g2
             assert np.array_equal(lat.grid(n).view(float), ref.view(float))
+
+
+def _marked(z):
+    return getattr(z, "affine", False)
+
+
+def test_scalar_shift_keeps_the_affine_mark():
+    z = Lattice(1.3 - 0.2j, 0.4 + 0.9j).grid(6)
+    ref = np.array(z)
+    assert _marked(z)
+    for c in (0.25 - 0.5j, 1e-5, np.float64(2.0), np.array(3j)):
+        for shifted, want in ((z + c, ref + c), (c + z, c + ref),
+                              (z - c, ref - c), (c - z, c - ref)):
+            assert _marked(shifted) and not shifted.flags.writeable
+            assert np.array_equal(shifted, want)
+
+
+def test_every_other_operation_drops_the_affine_mark():
+    z = affine_grid(np.arange(5) * 0.2, np.arange(4) * 0.3j)
+    other = np.ones(z.shape)
+    for out in (z[1:], z[:, 0], z.T, z.reshape(-1), z[[0, 2]], z.copy(),
+                np.asarray(z), z * 2, z + other, np.add(z, other), z + z,
+                np.conj(z), z.real):
+        assert not _marked(out)
+
+
+def test_affine_grid_is_read_only():
+    z = Lattice.square().grid(4)
+    with pytest.raises(ValueError):
+        z[0, 0] = 0
+    with pytest.raises(ValueError):
+        z += 1
+    assert np.array_equal(z, Lattice.square().grid(4))

@@ -8,13 +8,13 @@ from hamstat.algebra import EPS, ID4, L_I, LI_EPS_BAR
 from hamstat.cli import _spec_hash
 from hamstat.errors import MonodromyWarning, ResonantFrequency
 from hamstat.finitetype import formal_killing
-from hamstat.lattices import Lattice, enumerate_frequencies
+from hamstat.lattices import Lattice, affine_grid, enumerate_frequencies
 from hamstat.numerics import dot_r2, fd_x, fd_y
 from hamstat.tori import rhombic_torus, standard_torus
-from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, _affine_frame,
-                                 _merge, _u_modes, associated_family,
-                                 basis_A, basis_B, beta_eval, family_samples,
-                                 immerse, regularity_scan, spinor_ab, spinor_u)
+from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, _basis_column,
+                                 _merge, _u_modes, associated_family, basis_A,
+                                 basis_B, beta_eval, family_samples, immerse,
+                                 regularity_scan, spinor_ab, spinor_u)
 
 
 @pytest.fixture
@@ -501,8 +501,8 @@ def _loop(f, z):
        n1=st.integers(4, 40), n2=st.integers(4, 33),
        angle=st.floats(0.0, 2 * np.pi))
 def test_grid_path_matches_loop_property(which, z0, u, v, n1, n2, angle):
-    z = z0 + np.arange(n1)[:, None] * u + np.arange(n2)[None, :] * v
-    assert _affine_frame(z) is not None
+    z = affine_grid(z0 + np.arange(n1) * u, np.arange(n2) * v)
+    assert z.affine
     for name, f in _evaluators(GRID_SPECS[which], np.exp(1j * angle)).items():
         got, want = f(z), _loop(f, z)
         assert got.shape == want.shape == (n1, n2, 4)
@@ -515,8 +515,42 @@ def test_off_grid_input_falls_back_to_loop():
     moved = zs.copy()
     moved[5, 7] += 1e-9
     warped = zs + 1e-3 * np.sin(2 * np.pi * zs.real)
-    assert _affine_frame(zs) is not None
-    assert _affine_frame(moved) is None and _affine_frame(warped) is None
+    assert zs.affine
+    assert not moved.affine and not getattr(warped, "affine", False)
     for f in _evaluators(spec, 0.6 + 0.8j).values():
         for z in (moved, warped):
             assert np.array_equal(f(z), _loop(f, z))
+
+
+def test_unmarked_copy_of_a_grid_runs_the_loop():
+    for spec in GRID_SPECS:
+        marked = spec.lattice.grid(20) - 0.3 + 0.2j
+        plain = np.array(marked)
+        assert marked.affine and not getattr(plain, "affine", False)
+        for name, f in _evaluators(spec, 0.6 + 0.8j).items():
+            got, want = f(marked), f(plain)
+            assert np.array_equal(want, _loop(f, plain)), name
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", range(len(GRID_SPECS)))
+def test_immerse_real_sum_matches_complex_loop(which):
+    # the bound is eps times the terms' scale (4/pi) sum |a| |column|, times
+    # 1 + the largest phase: float64 exponentials lose about |phase| ulps
+    # (see test_basis_pinned_to_high_precision), and the loop and the grid
+    # take theirs at different arguments
+    spec = GRID_SPECS[which]
+    scale = (4 / np.pi) * sum(
+        abs(a) * np.linalg.norm(_basis_column(g, spec.beta0))
+        for g, a in spec.items())
+    reach = max(abs(g) for g in spec.gammas()) + abs(spec.beta0) / 2
+    for z in (spec.lattice.grid(32), spec.lattice.grid(17) - 0.3 + 0.2j,
+              affine_grid(np.arange(5) * 0.1, np.arange(9) * (0.02 + 0.07j))):
+        got = immerse(spec, z)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        # an unmarked input runs the loop, whose complex sum is cut to its
+        # real part at the end
+        want = immerse(spec, np.array(z))
+        phase = 2 * np.pi * reach * np.max(np.abs(z))
+        bound = np.finfo(float).eps * scale * (1.0 + phase)
+        assert np.max(np.abs(got - want)) <= bound
