@@ -210,7 +210,9 @@ def _lax_taylor(n: int, zdot: complex):
     80) window with x's row m - j in slot j of padded row m, field rows first.
     ``orders(x)`` fills x_{k+1} = sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER
     from x_0 = x, with one block and window per coefficient, and returns its
-    buffers of the coefficients and the (n + 4)-row products."""
+    buffers of the coefficients and the (n + 4)-row products.  With ``still``
+    an x_1 (padding included) within 64 eps of its rounding bound |window| @
+    |block| entrywise is a field that does not move: its later orders are 0."""
     rmt = zdot.real * _MULT_1 + zdot.imag * _MULT_I
     window = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] + 4 - np.arange(5)
     pad = np.zeros((n + 8, 16))         # rows 4..n+3 take the coefficient
@@ -226,12 +228,16 @@ def _lax_taylor(n: int, zdot: complex):
         pad[4:n + 4] = x.view(float)
         return pad[window].reshape(n + 4, 80)
 
-    def orders(x):
+    def orders(x, still=False):
         xs[0] = x
         for k in range(_ORDER):
             blk[k], sx[k] = block(xs[k]), shifted(xs[k])
             prods[k] = (sx[:k + 1] @ blk[k::-1]).sum(0).view(complex)
             xs[k + 1] = prods[k, :n] / (k + 1)
+        if still:                       # the bound is inf on overflow
+            bound = 64 * np.finfo(float).eps * (np.abs(sx[0]) @ np.abs(blk[0]))
+            if np.all(np.abs(prods[0].view(float)) <= bound) and np.isfinite(bound).all():
+                xs[1:], prods[:] = 0.0, 0.0
         return xs, prods
     return orders, block, shifted
 
@@ -243,7 +249,9 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
     |x_j|)^(1/j) over the last two orders (Jorba-Zou), but not past the
     segment's end.  A shorter step than ``step`` raises ConvergenceFailure.
     A step's spill, sum_k |pad_k| h^k over the padding rows of the products,
-    bounds the derivative's padding over the step."""
+    bounds the derivative's padding over the step.  The first step asks
+    `_lax_taylor` whether x is ``still`` (a moving field cannot stop later):
+    then its orders are 0 and that one step ends the segment."""
     seg = complex(z_to) - complex(z_from)
     left = abs(seg)
     if left == 0:
@@ -256,7 +264,7 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
     # overflow leaves inf or NaN in the coefficients, which refuse the step
     with np.errstate(over="ignore", invalid="ignore"):
         while left > 0:
-            xs, prods = orders(x)
+            xs, prods = orders(x, still=steps == 0)
             size = np.max(np.abs(xs[[0, -2, -1]]), axis=(1, 2))
             inv_rho = np.max((size[1:] / (size[0] or 1.0)) ** _ROOTS)
             h = left if inv_rho * left <= _REACH else _REACH / inv_rho

@@ -1,16 +1,16 @@
 """Truncated twisted loops, their Iwasawa and Birkhoff factorizations, and
 the holomorphic-potential correspondence.
 
-Loops are stored as Fourier coefficients and manipulated pointwise on
-uniform circle samples; conversions go through the FFT.  The group is the
-semidirect product, so every factorization splits into a rotation-part
-problem and an explicit linear projection for the translation part.  A
-twisted rotation loop is fixed by its E+ block A(lam), a 2x2 loop: its
-lam^k coefficient is diag(C_k, i^-k C_k) in the frame (E+, L_j E+).  Both
-factorizations read the C_k on entry (`_plus_block`), work on samples of A
-and rebuild 4x4 coefficients on exit (`_from_plus`).  Translations turn by
-diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots
-of unity away, so both need ``nsamples`` to be a multiple of 4.
+Loops are stored as Fourier coefficients and manipulated pointwise on uniform
+circle samples; conversions go through the FFT.  The group is the semidirect
+product, so every factorization splits into a rotation-part problem and an
+explicit linear projection for the translation part.  A twisted rotation loop
+is fixed by its E+ block A(lam), a 2x2 loop: its lam^k coefficient is
+diag(C_k, i^-k C_k) in the frame (E+, L_j E+).  Both factorizations read the
+C_k on entry (`_plus_block`), solve on A (Iwasawa by a QR of its band) and
+rebuild 4x4 coefficients on exit (`_from_plus`).  Translations turn by
+diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots of
+unity away, so both need ``nsamples`` to be a multiple of 4.
 """
 
 from __future__ import annotations
@@ -239,32 +239,9 @@ def _toeplitz(hat, row_exps, col_exps):
     return big.transpose(0, 2, 1, 3).reshape(2 * len(row_exps), 2 * len(col_exps))
 
 
-def _spectral_factor(j):
-    """Canonical spectral factor of a Hermitian positive 2x2 loop J, given
-    by m samples: J = B* B with B holomorphic and invertible in the disk.
-
-    X = B^-1 B(0)^-* is holomorphic and J X = B* B(0)^-* has no positive
-    exponent and constant term Id, so X solves one block Toeplitz system in
-    the coefficients of J (Sayed-Kailath, Numer. Linear Algebra Appl. 8,
-    2001), on the exponents 0, 2, .., m/2 - 2 since J is even in lam.  B(0)
-    is the Cholesky factor of X_0^-1 = B(0)* B(0), and B = (X B(0)*)^-1.  A
-    singular system, or an X_0^-1 whose lower triangle (all Cholesky reads)
-    is not positive definite, raises SingularInput.
-    """
-    m = len(j)
-    exps = np.arange(0, m // 2, 2)
-    try:
-        x = np.linalg.solve(_toeplitz(loop_coeffs(j), exps, exps),
-                            np.eye(2 * len(exps), 2))
-        low = np.linalg.cholesky(_inv2(x[:2]))
-    except np.linalg.LinAlgError:
-        raise SingularInput("2x2 loop is not positive definite: "
-                            "the loop is numerically singular") from None
-    x_hat = np.zeros((m, 2, 2), dtype=complex)
-    x_hat[exps] = x.reshape(-1, 2, 2) @ low
-    b_hat = loop_coeffs(_inv2(samples_from_coeffs(x_hat)))
-    b_hat[m // 2 + 1:] = 0.0
-    return samples_from_coeffs(b_hat)
+def _mul2(a, b):
+    """Product of (..., 2, 2) stacks by broadcast, faster than matmul's."""
+    return a[..., :1] * b[..., :1, :] + a[..., 1:] * b[..., 1:, :]
 
 
 _ADJ_SIGNS = np.array([[1, -1], [-1, 1]])
@@ -316,19 +293,19 @@ def p_real_part(trans_samples):
 _E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
 _FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
 _TO_FRAME = np.kron(_FRAME.conj(), _FRAME)    # vec M -> vec F^H M F, unitary
-# conj swaps the halves, F^H conj(F) = [[0, Q], [Q^T, 0]]: on the circle the
-# loop is real where A(lam) = Q conj(A(-i lam)) Q^T
-_CONJ_Q = (_FRAME.conj().T @ _FRAME.conj())[:2, 2:]
+# conj swaps the halves, F^H conj(F) = [[0, Q], [Q^T, 0]] with Q = [[0, -1],
+# [1, 0]]: on the circle the loop is real where A(lam) = Q conj(A(-i lam)) Q^T,
+# and Q X Q^T is X with its entries reversed and the adjugate's signs
 
 
 def _plus_block(loop: TwistedLoop, m: int, gate: float):
     """(m, 2, 2) samples of a twisted loop's E+ block A, read off its
-    coefficients C_k, (m, 4) samples of its translation, and ``off``: the
+    coefficients C_k, (m, 4) samples of its translation, ``off``: the
     sum over k of the largest entry by which a coefficient leaves
     diag(C_k, i^-k C_k) with C_k even, which bounds the loop's distance from
-    diag(A(lam), A(-i lam)) at every sample.  Raises SingularInput when
-    ``off`` exceeds ``gate``, and ValueError when m is not a multiple of 4
-    (`_turn` needs it) or cannot resolve the loop's exponents.
+    diag(A(lam), A(-i lam)) at every sample, and the C_k at ``loop.ks``.
+    Raises SingularInput when ``off`` exceeds ``gate``, and ValueError when
+    m is not a multiple of 4 (`_turn` needs it) or cannot resolve the loop.
     """
     if m % 4:
         raise ValueError(f"sample count {m} is not a multiple of 4")
@@ -340,7 +317,7 @@ def _plus_block(loop: TwistedLoop, m: int, gate: float):
     if off > gate:
         raise SingularInput(f"rotation loop is not twisted in the L_i "
                             f"commutant: its coefficients are off by {off:.2e}")
-    return _plus_samples(loop.ks, plus, loop.trans, m) + (off,)
+    return _plus_samples(loop.ks, plus, loop.trans, m) + (off, plus)
 
 
 def _plus_samples(ks, plus, trans, m: int):
@@ -379,44 +356,67 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     The rotation part is its E+ block A, a loop in GL(2, C), whose Iwasawa
     splitting A = U B (U unitary on the circle, B holomorphic in the disk)
     is unique up to a constant unitary (Pressley-Segal, Loop Groups, ch. 8):
-    B is the spectral factor of A^H A, from one block Toeplitz solve, and
-    U = A B^-1, whose imaginary rounding is dropped.  A constant correction
-    pins B(0) to the ray stabilizer.  The translation part is the explicit
-    projection ``X = F . P(F^{-1} T)``.
+    B^-1 from one QR of A's band (Sayed-Kailath, Numer. Linear Algebra Appl.
+    8, 2001), U = A B^-1 with its imaginary rounding dropped.  A constant
+    correction pins B(0) to the ray stabilizer.  The translation part is the
+    explicit projection ``X = F . P(F^{-1} T)``.
 
-    ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError);
-    a rotation outside the twisted L_i commutant raises SingularInput, and
-    factors whose spectrum fills every slot raise LoopAliasing.  A product
-    U B off the loop by more than tol * max(1, |loop|), or a U off real by
-    more than tol, raises ConvergenceFailure.
+    ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError); a
+    rotation outside the twisted L_i commutant, or one whose band has a pivot
+    at rounding, raises SingularInput, a factor spectrum's top sixteenth of
+    |exponent| over 1e-6 of its head LoopAliasing, and a product U B off the
+    loop by more than tol * max(1, |loop|), or a U off real by more than tol,
+    ConvergenceFailure.
     """
     m = nsamples or _pow2(max(64, 8 * loop.degree))
     scale = max(1.0, _finite_norm(loop))
-    a, trans, off = _plus_block(loop, m, max(tol, 1e-7) * scale)
-    b = _spectral_factor(np.conj(np.swapaxes(a, 1, 2)) @ a)
+    a, trans, off, plus = _plus_block(loop, m, max(tol, 1e-7) * scale)
 
-    # pin B(0) = mean(B) to the ray stabilizer by a constant compact K0; K0
-    # is real and commutes with L_i, so its E+ block is unitary
-    b0 = _FRAME @ np.kron(np.eye(2), np.mean(b, axis=0)) @ _FRAME.conj().T
+    # M maps X's exponents m/2 - 2, .., 0 to A X's even ones, both highest
+    # first and on 2m slots (no wrap); M^H M is A^H A's Toeplitz section, so
+    # R^-1's last block column is B^-1 with B(0) = R_LL, to eps cond(A)
+    even = loop.ks[loop.ks % 2 == 0]
+    cols = np.arange(m // 2 - 2, -1, -2)
+    rows = np.arange(m // 2 - 2 + np.max(even, initial=0),
+                     np.min(even, initial=0) - 1, -2)
+    pad = np.zeros((2 * m, 2, 2), dtype=complex)
+    pad[loop.ks] = plus
+    r = np.linalg.qr(_toeplitz(pad, rows, cols), mode="r")
+    piv = np.diag(r)       # a pivot at rounding proves M numerically singular
+    if np.min(np.abs(piv)) <= len(r) * np.finfo(float).eps * np.max(np.abs(piv)):
+        raise SingularInput("rotation loop is singular: R has a pivot at rounding")
+    col = np.linalg.solve(r, np.eye(len(r), 2, 2 - len(r))).reshape(-1, 2, 2)
+    x_hat = np.zeros((m, 2, 2), dtype=complex)      # K0 cannot absorb R_LL's
+    x_hat[cols] = col * (piv[-2:] / np.abs(piv[-2:]))   # diagonal phases
+    b_inv = samples_from_coeffs(x_hat)
+    b_hat = loop_coeffs(_inv2(b_inv))
+
+    # pin B(0) to the ray stabilizer by a constant compact K0; K0 is real
+    # and commutes with L_i, so its E+ block is unitary
+    b0 = _FRAME @ np.kron(np.eye(2), b_hat[0]) @ _FRAME.conj().T
     k0 = _E_PLUS.conj().T @ su2_iwasawa(b0)[0] @ _E_PLUS
-    b = k0.conj().T @ b
-    u = a @ _inv2(b)
-    u = 0.5 * (u + _CONJ_Q @ np.conj(np.roll(u, m // 4, axis=0)) @ _CONJ_Q.T)
-    u_hat, b_hat = loop_coeffs(u), loop_coeffs(b)
+    b_hat = _mul2(k0.conj().T, b_hat)
+    u = _mul2(a, _mul2(b_inv, k0))
+    u = 0.5 * (u + np.conj(np.roll(u, m // 4, axis=0))[:, ::-1, ::-1] * _ADJ_SIGNS)
+    u_hat = loop_coeffs(u)
+
+    edge = np.abs(coeff_exponents(m)) >= 15 * m // 32   # aliasing folds here
+    ratio = max(np.max(np.abs(h[edge])) / np.max(np.abs(h)) for h in (u_hat, b_hat))
+    if ratio > 1e-6:
+        raise LoopAliasing(f"factor spectrum edge at {ratio:.1e} of its head at m = {m}")
 
     v = _turn(np.conj(np.swapaxes(u, 1, 2)), trans)     # U^-1 = U^H
     x = p_real_part(v)
-    u_loop = TwistedLoop.from_coeffs(_from_plus(u_hat), loop_coeffs(_turn(u, x)))
-    b_loop = TwistedLoop.from_coeffs(_from_plus(b_hat), loop_coeffs(v - x))
+    ut, bt = loop_coeffs(_turn(u, x)), loop_coeffs(v - x)
+    b_hat[m // 2:] = u_hat[m // 2] = ut[m // 2] = bt[m // 2] = 0.0  # B < 0, +-m/2
+    u_loop = TwistedLoop.from_coeffs(_from_plus(u_hat), ut)
+    b_loop = TwistedLoop.from_coeffs(_from_plus(b_hat), bt)
 
-    # the residual bounds U B - loop at the samples: the outputs' kept E+
-    # coefficients against A, plus the input's distance ``off`` from A; U
-    # is unitary, so its reality residual is held to tol without the scale
-    if 2 * max(u_loop.degree, b_loop.degree) + 2 > m:
-        raise LoopAliasing(f"{m} samples cannot resolve the factors' spectrum")
+    # the residual: the kept E+ coefficients against A at the samples, plus
+    # A's distance ``off``; U is unitary, so its reality needs no scale
     ua, ut = _plus_samples(u_loop.ks, u_hat[u_loop.ks % m], u_loop.trans, m)
     ba, bt = _plus_samples(b_loop.ks, b_hat[b_loop.ks % m], b_loop.trans, m)
-    resid = max(_max_abs(ua @ ba - a, _turn(ua, bt) + ut - trans), off,
+    resid = max(_max_abs(_mul2(ua, ba) - a, _turn(ua, bt) + ut - trans), off,
                 scale * u_loop.reality_residual())
     if resid > tol * scale:
         raise ConvergenceFailure(f"factorization residual {resid:.3e} "
@@ -461,7 +461,7 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
         raise ValueError(f"sample count {m} too small for the negative "
                          f"degree {n}")
     gate = max(tol, 1e-7) * max(1.0, _finite_norm(loop))
-    a, trans, _ = _plus_block(loop, m, gate)
+    a, trans, _, _ = _plus_block(loop, m, gate)
     plus = loop_coeffs(_inv2(a))
 
     # block row i holds exponent -1 - i, block column j exponent -1 - j;
@@ -481,7 +481,7 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     gm_hat[m - 1 - cols] = half.reshape(len(cols), 2, 2)
     gm = samples_from_coeffs(gm_hat)
     gm_inv = _inv2(gm)
-    gp_rot = _from_plus(loop_coeffs(gm_inv @ a))
+    gp_rot = _from_plus(loop_coeffs(_mul2(gm_inv, a)))
 
     # positive factor must be holomorphic: measure the negative leakage
     leak = _max_abs(gp_rot[coeff_exponents(m) < 0])

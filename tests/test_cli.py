@@ -431,6 +431,29 @@ def test_lax_long_lattice_flow_is_right_or_refused(seed_file, capsys, g,
         assert np.max(np.abs(f.coeff(-1)[1] - spinor_u(seed.spec, z))) < 1e-12
 
 
+@pytest.mark.parametrize("g", [80, 100, 200, 1e3, 1e6])
+def test_lax_stationary_leg_takes_one_step(seed_file, capsys, g):
+    # the standard seed's field does not move along g1 = g on the real
+    # axis: each of the 8 segments there is one step, so the default floor
+    # (diameter / 2048) holds up to g = 1e6; read as decay, the rounding
+    # there takes 39 and 320 steps at g = 80 and 1e3, with spills of 1e-11,
+    # and refuses g = 1e6
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    payload["lattice"]["g1"] = [g, 0.0]
+    rc, out, err = _run_lax(seed_file, payload, [], capsys)
+    assert rc == 0 and not err
+    seed = standard_torus_killing_seed(1.0, 1.0)
+    lat = Lattice(g, seed.spec.lattice.g2)
+    path = [i / 8 * lat.g1 for i in range(1, 9)]
+    path += [lat.g1 + i / 8 * lat.g2 for i in range(1, 9)]
+    res = lax_integrate(seed.field, path, step=lat.diameter() / 2048)
+    assert json.loads(out)["steps"] == res.steps
+    assert res.steps < 2 * 8 + 8 and res.max_spill < 1e-14
+    for z, f in zip(res.points, res.fields):
+        assert np.max(np.abs(f.coeff(-1)[1] - spinor_u(seed.spec, z))) < 1e-12
+
+
 LAX_FUZZ_VALUES = [0, -1, 5e-324, 1e12, 1e55, 1e70, 1.7e308, math.nan,
                    math.inf, -math.inf, "x", None, [], [1], {}, True]
 

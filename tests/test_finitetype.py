@@ -7,8 +7,8 @@ from conftest import fd_laplacian4
 from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS, coords,
                              from_coords, tau_rotation, tau_vector)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
-from hamstat.finitetype import (KillingField, _field_coords, _lax_taylor,
-                                b0_basis,
+from hamstat.finitetype import (KillingField, _field_coords, _flow_coords,
+                                _lax_taylor, b0_basis,
                                 flow_field, formal_killing, fourier_recurrence,
                                 lax_flatness_residual, lax_integrate,
                                 lax_project, pi_g0,
@@ -166,6 +166,30 @@ def test_flow_field_step_budget():
         flow_field(seed.field, 0.0, 4 * g2, step=abs(g2))
     res = lax_integrate(seed.field, [4 * g2], step=abs(g2) / 8)
     assert 8 < res.steps <= 32
+
+
+@pytest.mark.parametrize("tilt, moves", [(0.0, False), (1e-13, True)],
+                         ids=["real-axis", "tilted-1e-13"])
+def test_flow_tells_a_stationary_step_from_rounding(tilt, moves):
+    # along the real axis the standard seed's field does not move, and its
+    # x_1 is rounding well below 64 eps of |shifted(x)| @ |block(x)|: one
+    # step covers 0 -> 80 and leaves x as it was (read as decay, the
+    # rounding takes 25).  Tilted by 1e-13 rad, x_1 sits a few hundred ulps
+    # of that bound above it, and the radius rule runs
+    seed = standard_torus_killing_seed(1.0, 1.0)
+    x = _field_coords(seed.field)
+    zdot = np.exp(1j * tilt)
+    _, block, shifted = _lax_taylor(len(x), zdot)
+    sx, blk = shifted(x), block(x)
+    bound = np.abs(sx) @ np.abs(blk) * np.finfo(float).eps
+    ulps = np.max(np.abs(sx @ blk)[bound > 0] / bound[bound > 0])
+    assert np.all(np.abs(sx @ blk)[bound == 0] == 0)
+    moved, steps, spill = _flow_coords(x.copy(), 0.0, 80 * zdot, 1e-3)
+    if moves:
+        assert 64 < ulps < 1000 and steps > 1
+    else:
+        assert ulps < 1 and steps == 1 and spill == 0.0
+        assert np.array_equal(moved, x)
 
 
 # --- reference per-exponent Lax flow -------------------------------------------

@@ -16,8 +16,9 @@ from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus, q_plus, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.loops import (_E_PLUS, _from_plus, _half_slots, _inv2,
-                           _plus_block, _slot_series, _spectral_factor,
+from hamstat.loops import (_ADJ_SIGNS, _E_PLUS, _FRAME, _from_plus,
+                           _half_slots, _inv2, _mul2,
+                           _plus_block, _pow2, _slot_series,
                            _taylor_interpolant, _turn)
 from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
                               unit_lambdas)
@@ -223,31 +224,52 @@ def test_iwasawa_factors_large_amplitude_degree_4_loops(amp, seed):
     _check_iwasawa(loop, u, b)
 
 
+def _plus_loop(plus_hat):
+    """Twisted loop with no translation whose E+ block has the coefficients
+    ``plus_hat`` in FFT slots (a multiple of 4 of them)."""
+    return TwistedLoop.from_coeffs(_from_plus(plus_hat),
+                                   np.zeros((len(plus_hat), 4), dtype=complex))
+
+
+def _plus_values(loop, m):
+    """(m, 2, 2) E+ block of a loop at the m-th roots of unity."""
+    return _E_PLUS.conj().T @ loop.sample(m)[0] @ _E_PLUS
+
+
 @pytest.mark.parametrize("m", [128, 256])
 def test_spectral_factor_recovers_known_outer_factor(m):
-    # B = B0 (Id + C lam^2), B0 upper triangular with a positive diagonal and
-    # |C|_2 <= 1/4, is the canonical factor of J = B* B; X = B^-1 B0^-*
-    # decays like 4^-k, so the m/4 kept Toeplitz unknowns carry all of it.
-    # The error grows like eps cond(J) = eps cond(B0)^2; here cond(B0) <= 5
+    # A = B0 (Id + C lam^2), B0 upper triangular with a positive diagonal and
+    # |C|_2 <= 1/4, is its own outer factor: iwasawa returns a constant U
+    # = K0 and B = K0^H A.  25 draws have cond(B0) <= 5; 5 more have B0 =
+    # [[1, 100 e^(i t)], [0, 1]], cond 1e4, where a factor of A^H A (cond
+    # 1e8) is off by 2e-10 of max|B| and the QR of A's band stays at 4e-14
     rng = np.random.default_rng(m)
     lam2 = unit_lambdas(m)[:, None, None] ** 2
-    for _ in range(25):
+    for draw in range(30):
         b0 = np.diag(rng.uniform(0.5, 2.0, size=2)).astype(complex)
         b0[0, 1] = rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        if draw >= 25:
+            b0 = np.array([[1.0, 100.0 * b0[0, 1] / abs(b0[0, 1])], [0.0, 1.0]])
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         c *= rng.uniform(0.0, 0.25) / np.linalg.norm(c, 2)
         b = b0 + b0 @ c * lam2
-        got = _spectral_factor(np.conj(np.swapaxes(b, 1, 2)) @ b)
-        assert np.max(np.abs(got - b)) < 1e-13 * np.max(np.abs(b))
+        u, got = iwasawa(_plus_loop(loop_coeffs(b)), nsamples=m)
+        k0 = _plus_values(u, m)[0]
+        assert np.max(np.abs(_plus_values(got, m) - k0.conj().T @ b)) \
+            < 1e-13 * np.max(np.abs(b))
 
 
-def test_spectral_factor_rejects_indefinite_loop():
-    # Hermitian on the circle, with a negative second diagonal entry
-    cos2 = unit_lambdas(64).real ** 2 - unit_lambdas(64).imag ** 2
-    j = np.zeros((64, 2, 2), dtype=complex)
-    j[:, 0, 0], j[:, 1, 1] = 1.0 + 0.6 * cos2, -1.0 + 0.6 * cos2
-    with pytest.raises(SingularInput, match="not positive definite"):
-        _spectral_factor(j)
+@pytest.mark.parametrize("c0", [np.zeros((2, 2)), np.diag([1.0, 0.0]),
+                                np.outer([1.0, 2j], [0.5, -1.0 - 1.0j])],
+                         ids=["zero", "rank-one", "rank-one-generic"])
+def test_iwasawa_rejects_singular_plus_block(c0):
+    # E+ block c0 (1 + lam^2 / 2) of rank at most one: R's pivots are 0
+    # (whole columns of the band are 0) or at rounding of its largest
+    m = 64
+    plus_hat = np.zeros((m, 2, 2), dtype=complex)
+    plus_hat[0], plus_hat[2] = c0, c0 / 2
+    with pytest.raises(SingularInput, match="singular"):
+        iwasawa(_plus_loop(plus_hat), nsamples=m)
 
 
 def test_iwasawa_sample_count_independence(rng):
@@ -432,8 +454,9 @@ def test_plus_block_round_trip(rng):
     # per coefficient: the E+ block read off the 4x4 coefficients rebuilds
     # them, and its samples turn translation samples as the 4x4 ones do
     loop = random_twisted_group_loop(6, rng)
-    a, trans, off = _plus_block(loop, 128, 1e-7)
+    a, trans, off, plus = _plus_block(loop, 128, 1e-7)
     assert off < 1e-14
+    assert np.max(np.abs(plus - _E_PLUS.conj().T @ loop.rot @ _E_PLUS)) < 1e-15
     rot, want = loop.sample(128)
     assert np.max(np.abs(a - _E_PLUS.conj().T @ rot @ _E_PLUS)) < 1e-14
     assert np.max(np.abs(trans - want)) < 1e-14
@@ -540,10 +563,12 @@ def test_birkhoff_reproduces_loop_or_raises(degree, amp, seed):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(degree=st.integers(1, 6), amp=st.floats(0.05, 5.0),
        seed=st.integers(0, 2 ** 32 - 1))
-# the factors fill every coefficient slot (LoopAliasing)
+# at m = 512 a spectral factor of A^H A left U's exponents up to +-255
+# above the 1e-12 trim, which a degree test read as aliasing; the QR of A's
+# band leaves +-59, and the spectrum's tail is 2e-14 of its head
 @example(degree=2, amp=3.0, seed=13)
-# cond(A) reaches 1.1e8, so the Toeplitz system of A^H A is numerically
-# singular: the X_0^-1 it gives is not positive definite
+# A is a constant of condition 1.1e8: the Toeplitz system of A^H A (cond
+# 1e16) was numerically singular, while the band of A has cond(A) itself
 @example(degree=1, amp=5.0, seed=24)
 def test_iwasawa_reproduces_loop_or_raises(degree, amp, seed):
     loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
@@ -570,18 +595,116 @@ def test_iwasawa_reproduces_loop_or_raises(degree, amp, seed):
     assert np.max(np.abs(be - ratio * EPS)) <= 1e-10 * max(1.0, abs(ratio))
 
 
-@pytest.mark.parametrize("degree, seed, amp, error, match", [
-    (2, 13, 3.0, LoopAliasing, "512 samples"),
-    (1, 24, 5.0, SingularInput, "not positive definite"),
-], ids=["factor-fills-every-slot", "indefinite-toeplitz"])
-def test_iwasawa_typed_errors_on_unresolved_or_singular_loop(degree, seed, amp,
-                                                             error, match):
-    # a factor spectrum that fills all m slots, and a Toeplitz solution X_0
-    # whose inverse the Cholesky factor rejects, end in typed errors
+def _zero_rotation_loop():
+    return TwistedLoop(np.array([0, 1]), np.zeros((2, 4, 4), dtype=complex),
+                       np.array([np.zeros(4), EPS]))
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: random_twisted_group_loop(2, np.random.default_rng(14), amp=5.0),
+     LoopAliasing, "m = 256"),
+    (_zero_rotation_loop, SingularInput, "singular"),
+], ids=["factor-fills-every-slot", "singular-plus-block"])
+def test_iwasawa_typed_errors_on_unresolved_or_singular_loop(make, error,
+                                                             match):
+    # no splitting exists for either loop: the first leaves the group
+    # between its 128 construction roots (A(-i lam) misses A(lam) / det A(lam)
+    # by 7e-4 |A|), and its factor spectrum's tail holds 4e-5 of the head at
+    # m = 256 (still 2.5e-5 at 4m); the second has rotation part 0
+    with pytest.raises(error, match=match):
+        iwasawa(make())
+
+
+def _probe_loops(picks):
+    """Loops ``picks`` of the 300-loop Iwasawa probe: per loop, degree in
+    1..6 and amplitude in [0.05, 5) from one default_rng(5) stream."""
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(max(picks) + 1):
+        deg, amp = int(rng.integers(1, 7)), float(rng.uniform(0.05, 5))
+        loop = random_twisted_group_loop(deg, rng, amp=amp)
+        if i in picks:
+            out.append(loop)
+    return out
+
+
+def _off_root_error(loop, u, b, n):
+    """Largest entry of U B - loop at n points halfway between n-th roots."""
+    lams = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    ru, tu = u.value_at(lams)
+    rb, tb = b.value_at(lams)
+    rot, trans = loop.value_at(lams)
+    return max(float(np.max(np.abs(ru @ rb - rot))),
+               float(np.max(np.abs(np.einsum("mij,mj->mi", ru, tb) + tu
+                                   - trans))))
+
+
+def test_iwasawa_factors_ill_conditioned_constant_loops():
+    # degree-1 loops, so A is a constant of condition 1.5e4 to 1.1e8; a
+    # spectral factor of A^H A squared it and missed the loop by 4e-5 to 0.1
+    loops = _probe_loops({51, 58, 127, 154})
+    loops.append(random_twisted_group_loop(1, np.random.default_rng(24),
+                                           amp=5.0))
+    for loop in loops:
+        assert loop.degree == 1
+        u, b = iwasawa(loop)
+        assert _off_root_error(loop, u, b, 256) < 1e-8 * max(1.0, loop.norm())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(degree=st.integers(1, 6), amp=st.floats(0.05, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_iwasawa_holds_off_the_sample_roots(degree, amp, seed):
+    # the residual gate reads the m sample roots only; 4m points between
+    # them see what aliasing would hide there
     loop = random_twisted_group_loop(degree, np.random.default_rng(seed),
                                      amp=amp)
-    with pytest.raises(error, match=match):
-        iwasawa(loop)
+    try:
+        u, b = iwasawa(loop)
+    except HamstatError:
+        return
+    m = _pow2(max(64, 8 * loop.degree))
+    assert _off_root_error(loop, u, b, 4 * m) < 1e-8 * max(1.0, loop.norm())
+
+
+def test_iwasawa_takes_one_qr_of_the_band(monkeypatch):
+    # one QR of the band: A = B0 + C lam^2 has exponents 0 and 2, so at m =
+    # 64 the columns hold exponents 30, .., 0 (16 blocks) and the rows 32,
+    # .., 0 (17 blocks); no Cholesky factor is taken
+    qr = np.linalg.qr
+    shapes = []
+
+    def recording_qr(a, mode="reduced"):
+        shapes.append((a.shape, mode))
+        return qr(a, mode=mode)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    m = 64
+    plus_hat = np.zeros((m, 2, 2), dtype=complex)
+    plus_hat[0] = [[2.0, 0.5j], [0.0, 1.0]]
+    plus_hat[2] = [[0.3, 0.0], [0.1, -0.2j]]
+    iwasawa(_plus_loop(plus_hat), nsamples=m)
+    assert shapes == [((34, 32), "r")]
+
+
+def test_mul2_matches_matmul(rng):
+    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    b = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    assert np.max(np.abs(_mul2(a, b) - a @ b)) <= 1e-15 * 8
+    assert np.max(np.abs(_mul2(a[0], b) - a[0] @ b)) <= 1e-15 * 8
+
+
+def test_reality_flip_is_the_frame_conjugation(rng):
+    # iwasawa makes U real with X -> Q X Q^T, Q the E+/E- block of
+    # F^H conj(F), as the entries of X reversed with the adjugate's signs
+    q = (_FRAME.conj().T @ _FRAME.conj())[:2, 2:]
+    assert np.max(np.abs(q - [[0, -1], [1, 0]])) < 1e-15
+    x = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    assert np.max(np.abs(q @ x @ q.T - x[:, ::-1, ::-1] * _ADJ_SIGNS)) < 1e-14
 
 
 def test_q_projection_rules():
