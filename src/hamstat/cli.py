@@ -7,6 +7,9 @@ seed and report invariant drift).
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  ``family``
 reports ``"periodic"`` per member and exits 0 whenever the sweep ran.
+Input errors of every kind -- argv that argparse rejects, an option out of
+range, a file that cannot be read or written, a payload the library refuses
+-- reach ``main``, which prints one ``error:`` line and raises SystemExit(2).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks, finitetype, lattices, weierstrass
-from .errors import ConvergenceFailure, HamstatError, SingularInput
+from .errors import HamstatError, InputError
 from .lattices import Lattice
 
 EXIT_OK = 0
@@ -39,33 +42,25 @@ def parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j"))
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, build):
+    """``build`` of the JSON in the file at ``path``: unreadable JSON, or a
+    Python error from ``build``, is an InputError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        line = getattr(exc, "lineno", None)
-        where = f" (line {line})" if line else ""
-        raise SystemExit_input(f"cannot read {path}{where}: {exc}")
-
-
-def SystemExit_input(msg: str) -> SystemExit:
-    print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(EXIT_INPUT_ERROR)
-
-
-def _load_spec(path: str) -> weierstrass.TorusSpec:
-    data = _load_json(path)
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        return weierstrass.TorusSpec.from_dict(data)
-    except (KeyError, IndexError, TypeError, ValueError, HamstatError) as exc:
-        raise SystemExit_input(f"invalid spec {path}: {exc}")
+        return build(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid {what} {path}: {exc}") from None
 
 
-def _require_at_least(args, name: str, low: int):
-    value = getattr(args, name)
-    if value < low:
-        raise SystemExit_input(f"--{name} must be at least {low}, got {value}")
+def _require_at_least(args, **lows):
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if not low <= value < math.inf:         # NaN fails too
+            raise InputError(f"--{name} must be finite and >= {low}, got {value}")
 
 
 def _spec_hash(spec: weierstrass.TorusSpec) -> str:
@@ -77,22 +72,18 @@ def _spec_hash(spec: weierstrass.TorusSpec) -> str:
 def _project(points: np.ndarray, how: str) -> np.ndarray:
     """R^4 -> R^3 for visualization: drop:k keeps the other three
     coordinates; stereo projects the normalized points from the first pole."""
-    if how.startswith("drop:"):
-        k = int(how.split(":")[1])
-        if not 1 <= k <= 4:
-            raise SystemExit_input("drop coordinate must be in 1..4")
-        keep = [i for i in range(4) if i != k - 1]
-        return points[..., keep]
+    if how in ("drop:1", "drop:2", "drop:3", "drop:4"):
+        return np.delete(points, int(how[-1]) - 1, axis=-1)
     if how == "stereo":
         norms = np.linalg.norm(points, axis=-1, keepdims=True)
         if np.min(norms) < 1e-9:
-            raise SystemExit_input("stereo projection undefined: surface meets 0")
+            raise InputError("stereo projection undefined: surface meets 0")
         unit = points / norms
         denom = 1.0 - unit[..., 0]
         if np.min(np.abs(denom)) < 1e-9:
-            raise SystemExit_input("stereo projection hits the pole")
+            raise InputError("stereo projection hits the pole")
         return unit[..., 1:] / denom[..., None]
-    raise SystemExit_input(f"unknown projection {how!r}")
+    raise InputError(f"unknown projection {how!r}: use drop:1..4 or stereo")
 
 
 # rows per %-format call of the face block, so the text and argument tuple
@@ -262,16 +253,21 @@ def _write_ply(path: str, verts: np.ndarray, n: int, header: str):
         fh.write(_face_block(n, "ply"))
 
 
-def _mesh_from_evaluator(f, lattice, grid_n, project):
-    zs = lattice.grid(grid_n)
-    pts = np.asarray(f(zs)).reshape(-1, 4)
-    return _project(pts, project)
+def _write_mesh(args, path: str, f, lattice, header: str) -> int:
+    """Write the ``args.grid`` mesh of ``f`` over ``lattice``, projected and
+    formatted as ``args`` says, to ``path``; returns its vertex count."""
+    verts = _project(np.asarray(f(lattice.grid(args.grid))).reshape(-1, 4),
+                     args.project)      # the unbound R^4 points die here
+    writer = _write_ply if args.format == "ply" else _write_obj
+    writer(path, verts, args.grid, header)
+    return len(verts)
 
 
 # --- subcommands --------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    data = _load_json(args.config) if args.config else {}
+    _require_at_least(args, tol=0)
+    data = _load(args.config, "config", lambda data: data) if args.config else {}
     try:
         if args.g1 or args.g2:
             lat = Lattice(parse_complex(args.g1), parse_complex(args.g2))
@@ -279,10 +275,10 @@ def cmd_enumerate(args) -> int:
             lat = Lattice.from_config(data["lattice"])
         beta0 = (parse_complex(args.beta0) if args.beta0
                  else lattices.parse_pair(data["beta0"]))
-        freq = lattices.enumerate_frequencies(lat, beta0, args.tol)
-        per = lattices.periodicity_class(lat, beta0, args.tol)
-    except (HamstatError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit_input(str(exc))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid lattice or slope: {exc}") from None
+    freq = lattices.enumerate_frequencies(lat, beta0, args.tol)
+    per = lattices.periodicity_class(lat, beta0, args.tol)
     table = {
         "beta0": [beta0.real, beta0.imag],
         "count": len(freq),
@@ -301,27 +297,25 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    _require_at_least(args, "grid", 3)
-    spec = _load_spec(args.spec)
+    _require_at_least(args, grid=3)
+    spec = _load(args.spec, "spec", weierstrass.TorusSpec.from_dict)
     scan = weierstrass.regularity_scan(spec, max(args.grid, 16))
     if scan.min_abs_u < 1e-6:
         print(f"warning: grid may be degenerate (min |u| = {scan.min_abs_u:.2e})",
               file=sys.stderr)
     header = f"spec {_spec_hash(spec)} projection {args.project} grid {args.grid}"
-    verts = _mesh_from_evaluator(
-        lambda z: weierstrass.immerse(spec, z), spec.lattice, args.grid,
-        args.project)
-    writer = _write_ply if args.format == "ply" else _write_obj
-    writer(args.out, verts, args.grid, header)
-    print(f"wrote {args.out}: {len(verts)} vertices, {args.grid ** 2} faces")
+    count = _write_mesh(args, args.out, lambda z: weierstrass.immerse(spec, z),
+                        spec.lattice, header)
+    print(f"wrote {args.out}: {count} vertices, {args.grid ** 2} faces")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _require_at_least(args, "grid", 3)
-    spec = _load_spec(args.spec)
+    _require_at_least(args, grid=3)
+    spec = _load(args.spec, "spec", weierstrass.TorusSpec.from_dict)
     thresholds = None
     if args.tol is not None:
+        _require_at_least(args, tol=0)
         thresholds = {k: args.tol for k in
                       ("conformal", "lagrangian", "harmonic-angle",
                        "mean-curvature", "flatness")}
@@ -336,29 +330,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    _require_at_least(args, "grid", 3)
-    spec = _load_spec(args.spec)
-    lams = []
-    for text in args.lams.split(","):
-        try:
-            lams.append(parse_complex(text))
-        except ValueError:
-            raise SystemExit_input(f"invalid family parameter {text!r}")
+    _require_at_least(args, grid=3, tol=0)
+    spec = _load(args.spec, "spec", weierstrass.TorusSpec.from_dict)
+    try:
+        lams = [parse_complex(text) for text in args.lams.split(",")]
+    except ValueError:
+        raise InputError(f"invalid --lambda {args.lams!r}") from None
+    for lam in lams:
+        if not abs(abs(lam) - 1.0) <= 1e-9:     # NaN fails too
+            raise InputError(f"family parameter {lam} is not unimodular")
     report = []
     for lam in lams:
-        if abs(abs(lam) - 1.0) > 1e-9:
-            raise SystemExit_input(f"family parameter {lam} is not unimodular")
         ev = weierstrass.associated_family(spec, lam, warn=False)
         entry = {"lambda": [lam.real, lam.imag],
                  "period_defects": ev.period_defects,
                  "periodic": max(ev.period_defects.values()) <= args.tol}
         if args.out:
             fname = f"{args.out}.lam{lam.real:+.3f}{lam.imag:+.3f}.{args.format}"
-            verts = _mesh_from_evaluator(ev, spec.lattice, args.grid,
-                                         args.project)
-            writer = _write_ply if args.format == "ply" else _write_obj
-            writer(fname, verts, args.grid,
-                   f"spec {_spec_hash(spec)} lambda {lam}")
+            _write_mesh(args, fname, ev, spec.lattice,
+                        f"spec {_spec_hash(spec)} lambda {lam}")
             entry["mesh"] = fname
         report.append(entry)
     print(json.dumps({"members": report}, indent=2))
@@ -366,24 +356,14 @@ def cmd_family(args) -> int:
 
 
 def cmd_lax(args) -> int:
-    _require_at_least(args, "grid", 1)
-    _require_at_least(args, "steps", 1)
-    data = _load_json(args.seed)
-    try:
-        field = finitetype.KillingField.from_dict(data["field"])
-        lat = Lattice.from_config(data["lattice"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit_input(f"invalid seed file: {exc}")
+    _require_at_least(args, grid=1, steps=1, tol=0)
+    field, lat = _load(args.seed, "seed file", lambda data: (
+        finitetype.KillingField.from_dict(data["field"]),
+        Lattice.from_config(data["lattice"])))
     n = args.grid
     path = [i / n * lat.g1 for i in range(1, n + 1)]
     path += [lat.g1 + i / n * lat.g2 for i in range(1, n + 1)]
-    step = lat.diameter() / args.steps
-    try:
-        res = finitetype.lax_integrate(field, path, step=step)
-    except SingularInput as exc:
-        raise SystemExit_input(f"invalid seed file: {exc}")
-    except ConvergenceFailure as exc:
-        raise SystemExit_input(str(exc))
+    res = finitetype.lax_integrate(field, path, step=lat.diameter() / args.steps)
     payload = {
         "degree": field.d,
         "samples": len(res.points),
@@ -399,8 +379,15 @@ def cmd_lax(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise InputError, for ``main``; subparsers inherit."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hamstat",
         description="Stationary Lagrangian torus toolbox: build, verify, "
                     "deform, and flow.")
@@ -408,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="frequency set and moduli dimension")
     p.add_argument("--config", help="JSON file with lattice/beta0")
-    p.add_argument("--g1", help="lattice generator, e.g. '1' or '1+0.5i'")
-    p.add_argument("--g2", help="lattice generator")
+    # an empty default: one generator given without the other is malformed
+    p.add_argument("--g1", default="", help="lattice generator, e.g. '1' or '1+0.5i'")
+    p.add_argument("--g2", default="", help="lattice generator")
     p.add_argument("--beta0", help="angle slope, e.g. '1+1i'")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -458,14 +446,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one subcommand; returns 0 or 1, raises SystemExit(2) on bad input."""
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
-    except HamstatError as exc:
+    except (HamstatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise SystemExit(EXIT_INPUT_ERROR) from None
 
 
 if __name__ == "__main__":

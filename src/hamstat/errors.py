@@ -5,6 +5,10 @@ class HamstatError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InputError(HamstatError):
+    """A command-line argument or input file is malformed or out of range."""
+
+
 class FrameNotLagrangian(HamstatError):
     """Tangent frame fails the unit/orthogonal/isotropy requirements."""
 

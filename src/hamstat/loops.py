@@ -670,6 +670,8 @@ def _taylor_interpolant(ring_values, radius):
 _SPLIT_SPIN = np.stack([PI_PLUS @ EPS, PI_PLUS @ LI_EPS_BAR,
                         PI_MINUS @ EPS, PI_MINUS @ LI_EPS_BAR])
 _CHUNK = 1 << 16        # elements of one (points, nodes, terms) block
+_QUAD_TOL = 1e-10       # gap of the two Gauss rules that keeps a path piece
+_QUAD_DEPTH = 10        # most bisections of a path piece
 
 
 class ReconstructedLift:
@@ -686,13 +688,10 @@ class ReconstructedLift:
     """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
-                 quad_n: int = 32, quad_tol: float = 1e-10,
-                 max_depth: int = 10, lattice=None):
+                 quad_n: int = 32, lattice=None):
         self.pot = pot
         self.m = nsamples
         self.quad_n = quad_n
-        self.quad_tol = quad_tol
-        self.max_depth = max_depth
         self.lattice = lattice
         self.h_fn = pot.h
         self.dh = pot.dh
@@ -729,9 +728,9 @@ class ReconstructedLift:
         shift = z_to - z_from
         fine = self._rule(z_from, shift, 2 * self.quad_n)
         coarse = self._rule(z_from, shift, self.quad_n)
-        if float(np.max(np.abs(fine - coarse))) <= self.quad_tol:
+        if float(np.max(np.abs(fine - coarse))) <= _QUAD_TOL:
             return fine
-        if depth >= self.max_depth:
+        if depth >= _QUAD_DEPTH:
             raise PathIntegrationFailure("adaptive quadrature depth exhausted")
         mid = z_from + 0.5 * shift
         return (self._piece(z_from, mid, depth + 1)
@@ -771,10 +770,10 @@ class ReconstructedLift:
 
 
 def dpw_reconstruct(pot: HolomorphicPotentialData, z=None, nsamples: int = 64,
-                    quad_n: int = 32, quad_tol: float = 1e-10, lattice=None):
+                    quad_n: int = 32, lattice=None):
     """Build the reconstructed lift; with ``z`` given returns (phi, X) samples."""
     lift = ReconstructedLift(pot, nsamples=nsamples, quad_n=quad_n,
-                             quad_tol=quad_tol, lattice=lattice)
+                             lattice=lattice)
     if z is None:
         return lift
     return lift.samples(z)

@@ -517,7 +517,8 @@ def test_lax_seed_off_algebra_rotation(seed_file, capsys):
     assert_input_error(["lax", seed_file], capsys)
 
 
-@pytest.mark.parametrize("lams", ["1,0.6+0.8x", "1,", "1,0.6+0.8i+"])
+@pytest.mark.parametrize("lams", ["1,0.6+0.8x", "1,", "1,0.6+0.8i+", "nan",
+                                  "1,nan"])
 def test_family_malformed_lambda(spec_file, capsys, lams):
     assert_input_error(["family", spec_file, "--lambda", lams], capsys)
 
@@ -688,6 +689,125 @@ def test_verify_spec_fuzz_overflow(tmp_path, capsys, payload):
     rc, out, err = _run_spec(tmp_path, payload, ["verify", "--grid", "8"],
                              capsys)
     assert _keeps_exit_contract(rc, out, err)
+
+
+# --- argv and the one input-error path ----------------------------------------
+
+NOT_JSON = {"json": b'{"lattice": ', "utf8": b"\xff\xfe",
+            # json's decoder recurses once per level
+            "deep": b"[" * 5000 + b"]" * 5000}
+
+
+@pytest.mark.parametrize("route", ["library", "argparse", "oserror",
+                                   *NOT_JSON])
+def test_input_error_routes(tmp_path, seed_file, spec_file, capsys, route):
+    # each kind of bad input reaches main's one handler: a HamstatError from
+    # the library, an argparse error, an OSError and a file that is not JSON
+    # (a non-UTF-8 one and a deeply nested one ended in tracebacks)
+    bad = tmp_path / "bad.json"
+    if route == "library":
+        with open(seed_file) as fh:
+            payload = json.load(fh)
+        payload["lattice"] = {"g1": [1, 0], "g2": [2, 0]}     # collinear
+        bad.write_text(json.dumps(payload))
+        argv = ["lax", str(bad)]
+    elif route == "argparse":
+        argv = ["verify", spec_file, "--grid", "x"]
+    elif route == "oserror":
+        argv = ["mesh", spec_file, "--grid", "4",
+                "--out", str(tmp_path / "missing" / "m.obj")]
+    else:
+        bad.write_bytes(NOT_JSON[route])
+        argv = ["verify", str(bad)]
+    assert_input_error(argv, capsys)
+
+
+def test_enumerate_one_generator_is_input_error(capsys):
+    # a lone --g1 used to end in an AttributeError traceback
+    assert_input_error(["enumerate", "--g1", "1", "--beta0", "1+1i"], capsys)
+
+
+@pytest.mark.parametrize("project", ["drop:x", "drop:", "drop:1.5"])
+def test_mesh_projection_is_input_error(tmp_path, spec_file, capsys, project):
+    # int() of drop:x, drop: and drop:1.5 ended in a ValueError traceback
+    out = tmp_path / "m.obj"
+    assert_input_error(["mesh", spec_file, "--grid", "4", "--project", project,
+                        "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-1"])
+@pytest.mark.parametrize("command", ["enumerate", "verify", "family", "lax"])
+def test_tol_is_finite_and_non_negative(spec_file, seed_file, capsys, command,
+                                        tol):
+    # verify printed NaN or Infinity thresholds, family called every member
+    # non-periodic and enumerate blamed beta0
+    head = {"enumerate": ["enumerate", "--g1", "1", "--g2", "1i",
+                          "--beta0", "1+1i"],
+            "verify": ["verify", spec_file, "--grid", "8"],
+            "family": ["family", spec_file],
+            "lax": ["lax", seed_file, "--grid", "1", "--steps", "64"]}[command]
+    assert_input_error([*head, "--tol", tol], capsys)
+
+
+def _run_main(argv, capsys):
+    """Exit code, stdout, stderr and warnings of one run; an exit 2 that
+    main returns instead of raising as SystemExit reads as None."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+            rc = None if rc == 2 else rc
+        except SystemExit as exc:
+            rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, caught
+
+
+ARGV_VALUES = ["nan", "inf", "-inf", "-1", "0", "x", "", "1e400"]
+
+
+def test_cli_argv_fuzz(tmp_path, spec_file, seed_file, capsys, monkeypatch):
+    # each option of each subcommand takes each value in turn on a valid
+    # file.  Every run ends in a result or one `error:` line, exit 2 comes
+    # only as SystemExit, and nothing warns.  Grids stay small: a grid in
+    # the thousands allocates gigabytes before any check
+    monkeypatch.chdir(tmp_path)            # relative paths land in tmp_path
+    (tmp_path / "dir").mkdir()
+    commands = [
+        (["enumerate"], {"--g1": "1", "--g2": "1i", "--beta0": "1+1i",
+                         "--tol": "1e-9", "--format": "json", "--config": None}),
+        (["mesh", spec_file], {"--grid": "4", "--project": "drop:4",
+                               "--out": "m.obj", "--format": "obj"}),
+        (["verify", spec_file], {"--grid": "8", "--tol": "1e-5"}),
+        (["family", spec_file], {"--lambda": "1,0.6+0.8i", "--grid": "4",
+                                 "--project": "drop:4", "--out": "f",
+                                 "--format": "obj", "--tol": "1e-8"}),
+        (["lax", seed_file], {"--grid": "1", "--steps": "64", "--tol": "1e-8"}),
+    ]
+    extra = {"--project": ["drop:x", "drop:", "drop:0", "drop:5", "drop:1.5",
+                           "foo"],
+             "--lambda": ["1,2,3", "0.6+0.8i,x"]}
+    failures = []
+    for head, options in commands:
+        for option in options:
+            values = (["dir", str(tmp_path / "missing" / "out")]
+                      if option == "--out"
+                      else ARGV_VALUES + extra.get(option, []))
+            for value in values:
+                argv = list(head)
+                for name, base in {**options, option: value}.items():
+                    argv += [] if base is None else [name, base]
+                try:
+                    rc, out, err, caught = _run_main(argv, capsys)
+                    ok = not caught and _keeps_exit_contract(
+                        rc, out, err, head[0] != "mesh")
+                except Exception as exc:       # noqa: BLE001 - reported below
+                    ok, rc = False, repr(exc)
+                    capsys.readouterr()
+                if not ok:
+                    failures.append((head[0], option, value, rc))
+    assert not failures, failures
 
 
 # --- mesh writers --------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
                       random_twisted_group_loop)
+from hamstat import loops
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
                              QUAT_BASIS, R_I, R_J, R_K, _li_rotate, exp_g0,
                              from_coords)
@@ -1128,9 +1129,10 @@ def test_taylor_interpolant_rejects_pole_inside_circle():
         _taylor_interpolant(1.0 / (ring - 0.5), 1.0)
 
 
-def test_reconstruction_quadrature_depth_exhausted():
+def test_reconstruction_quadrature_depth_exhausted(monkeypatch):
+    monkeypatch.setattr(loops, "_QUAD_TOL", 1e-14)
+    monkeypatch.setattr(loops, "_QUAD_DEPTH", 1)
     pot = HolomorphicPotentialData.constant(1 + 0.5j, 0.7, -0.2j)
-    lift = ReconstructedLift(pot, nsamples=16, quad_n=2, quad_tol=1e-14,
-                             max_depth=1)
+    lift = ReconstructedLift(pot, nsamples=16, quad_n=2)
     with pytest.raises(PathIntegrationFailure):
         lift.immersion(np.array([3 + 2j]))
