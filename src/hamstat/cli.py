@@ -31,6 +31,10 @@ from .lattices import Lattice
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
+# largest --grid: 4x the largest grid of the tests, demos and benchmark
+# (mesh at 256); verify at 1024 holds about 430 MB
+MAX_GRID = 1024
+PROJECTIONS = ("drop:1", "drop:2", "drop:3", "drop:4", "stereo")
 
 
 def parse_complex(text: str) -> complex:
@@ -57,10 +61,14 @@ def _load(path: str, what: str, build):
 
 
 def _require_at_least(args, **lows):
+    """Each named option is finite and at least its low; --grid is also at
+    most MAX_GRID, checked before any file is read."""
     for name, low in lows.items():
         value = getattr(args, name)
         if not low <= value < math.inf:         # NaN fails too
             raise InputError(f"--{name} must be finite and >= {low}, got {value}")
+        if name == "grid" and value > MAX_GRID:
+            raise InputError(f"--grid must be <= {MAX_GRID}, got {value}")
 
 
 def _spec_hash(spec: weierstrass.TorusSpec) -> str:
@@ -70,20 +78,19 @@ def _spec_hash(spec: weierstrass.TorusSpec) -> str:
 # --- projections -------------------------------------------------------------
 
 def _project(points: np.ndarray, how: str) -> np.ndarray:
-    """R^4 -> R^3 for visualization: drop:k keeps the other three
-    coordinates; stereo projects the normalized points from the first pole."""
-    if how in ("drop:1", "drop:2", "drop:3", "drop:4"):
+    """R^4 -> R^3 for visualization, ``how`` one of PROJECTIONS: drop:k
+    keeps the other three coordinates; stereo projects the normalized points
+    from the first pole."""
+    if how != "stereo":
         return np.delete(points, int(how[-1]) - 1, axis=-1)
-    if how == "stereo":
-        norms = np.linalg.norm(points, axis=-1, keepdims=True)
-        if np.min(norms) < 1e-9:
-            raise InputError("stereo projection undefined: surface meets 0")
-        unit = points / norms
-        denom = 1.0 - unit[..., 0]
-        if np.min(np.abs(denom)) < 1e-9:
-            raise InputError("stereo projection hits the pole")
-        return unit[..., 1:] / denom[..., None]
-    raise InputError(f"unknown projection {how!r}: use drop:1..4 or stereo")
+    norms = np.linalg.norm(points, axis=-1, keepdims=True)
+    if np.min(norms) < 1e-9:
+        raise InputError("stereo projection undefined: surface meets 0")
+    unit = points / norms
+    denom = 1.0 - unit[..., 0]
+    if np.min(np.abs(denom)) < 1e-9:
+        raise InputError("stereo projection hits the pole")
+    return unit[..., 1:] / denom[..., None]
 
 
 # rows per %-format call of the face block, so the text and argument tuple
@@ -406,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="export the surface as OBJ/PLY")
     p.add_argument("spec", help="TorusSpec JSON file")
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--project", default="drop:4",
-                   help="drop:k (k in 1..4) or stereo")
+    p.add_argument("--project", choices=PROJECTIONS, default="drop:4")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("obj", "ply"), default="obj")
     p.set_defaults(func=cmd_mesh)
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lams", default="1",
                    help="comma-separated unimodular values, e.g. '1,0.6+0.8i'")
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--project", default="drop:4")
+    p.add_argument("--project", choices=PROJECTIONS, default="drop:4")
     p.add_argument("--out", help="mesh filename stem (optional)")
     p.add_argument("--format", choices=("obj", "ply"), default="obj")
     p.add_argument("--tol", type=float, default=1e-8)

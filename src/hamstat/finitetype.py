@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (EPS, G0_BASIS, L_I, ROTATION_BASIS, AlgebraElement,
-                      coords, from_coords)
+from .algebra import (G0_BASIS, L_I, R_I, R_J, R_K, ROTATION_BASIS,
+                      AlgebraElement, coords, from_coords)
 from .checks import _curvature_residual
 from .errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from .lattices import Lattice, parse_integer
@@ -34,62 +34,30 @@ __all__ = [
 
 
 # --- ray-stabilizer splitting of the compact complexified algebra ---------
-
-def _g0c_coords(zeta) -> np.ndarray:
-    """Real 6-vectors (Re b1, Im b1, ...) of zeta = sum b_a R_a, batched."""
-    b = coords(np.asarray(zeta, dtype=complex), G0_BASIS)
-    return np.stack([b.real, b.imag], axis=-1).reshape(b.shape[:-1] + (6,))
-
-
-def _g0c_from_coords(c) -> np.ndarray:
-    c = np.asarray(c)
-    return from_coords(c[..., 0::2] + 1j * c[..., 1::2], G0_BASIS)
-
-
-_B0_CACHE: dict = {}
+# zeta = b1 R_i + b2 R_j + b3 R_k sends eps to i b2 eps + (b1 - i b3) L_i
+# eps_bar, so the ray stabilizer b0 = {zeta : zeta.eps in R.eps} is
+# {b2 in iR, b1 = i b3}.  pi projects onto the real form along b0, with
+# coordinates (Re b1 + Im b3, Re b2, Re b3 - Im b1), and r(zeta) = (pi(zeta)
+# - i pi(i zeta)) / 2 is complex-linear: the matrix below on (b1, b2, b3).
+_R_G0 = 0.5 * np.array([[1, 0, -1j], [0, 1, 0], [1j, 0, 1]])
 
 
 def b0_basis() -> np.ndarray:
-    """Real basis (3 x 4 x 4 complex) of the ray-stabilizer subalgebra,
-    computed as the nullspace of the linear condition zeta.eps in R.eps."""
-    if "basis" not in _B0_CACHE:
-        # real-linear map R^6 -> C^4 ~ R^8, then strike the R*eps direction
-        v = _g0c_from_coords(np.eye(6)) @ EPS
-        a_mat = np.concatenate([v.real, v.imag], axis=1).T      # 8 x 6
-        ray = np.concatenate([EPS.real, EPS.imag])
-        ray = ray / np.linalg.norm(ray)
-        proj = np.eye(8) - np.outer(ray, ray)
-        system = proj @ a_mat
-        _, s, vt = np.linalg.svd(system)
-        null = vt[np.sum(s > 1e-10):]
-        if null.shape[0] != 3:
-            raise RuntimeError("ray-stabilizer subalgebra has unexpected rank")
-        basis = _g0c_from_coords(null)
-        _B0_CACHE["basis"] = basis
-        _B0_CACHE["solve"] = np.linalg.inv(
-            _g0c_coords(np.concatenate([G0_BASIS, basis])).T)
-        # r is complex-linear, so it is one matrix on the flattened 4 x 4
-        units = np.eye(16).reshape(16, 4, 4)
-        _B0_CACHE["r"] = np.stack(
-            [0.5 * (pi_g0(e) - 1j * pi_g0(1j * e)) for e in units],
-            axis=-1).reshape(16, 16)
-    return _B0_CACHE["basis"]
+    """Real basis (3 x 4 x 4 complex) of the ray-stabilizer subalgebra."""
+    return np.stack([1j * R_I + R_K, -R_I + 1j * R_K, 1j * R_J])
 
 
 def pi_g0(zeta) -> np.ndarray:
     """Projection of a complexified compact-type element onto the real part
     along the ray-stabilizer subalgebra."""
-    b0_basis()
-    c = _B0_CACHE["solve"] @ _g0c_coords(zeta)
-    return from_coords(c[:3] + 0j, G0_BASIS)
+    r = r_op(zeta)
+    return r + np.conj(r)
 
 
 def r_op(zeta) -> np.ndarray:
-    """(pi(zeta) - i pi(i zeta)) / 2: the dz-component of the projected form,
-    applied as the cached 16 x 16 matrix on the row-major flattened zeta."""
-    b0_basis()
-    zeta = np.asarray(zeta, dtype=complex)
-    return (_B0_CACHE["r"] @ zeta.reshape(16)).reshape(4, 4)
+    """(pi(zeta) - i pi(i zeta)) / 2: the dz-component of the projected form."""
+    return from_coords(coords(np.asarray(zeta, dtype=complex), G0_BASIS)
+                       @ _R_G0.T, G0_BASIS)
 
 
 # --- Killing fields ---------------------------------------------------------
@@ -184,15 +152,15 @@ def _field_coords(xi: KillingField) -> np.ndarray:
 
 def _multiplier(zdot: complex):
     """Real matrix taking interleaved y[:3] to the multiplier zdot*M +
-    conj(zdot)*Mbar at exponents -2..2 (r_op as a 4 x 4 coordinate block),
-    whose rows times _BRACKET_RE are the real blocks of [e_p, m_j]."""
+    conj(zdot)*Mbar at exponents -2..2 (r_op as the _R_G0 block on the R_a
+    coordinates, which kills L_i), whose rows times _BRACKET_RE are the real
+    blocks of [e_p, m_j]."""
     zbar, eye = np.conj(zdot), np.eye(8)
-    r = np.stack([coords(r_op(b), ROTATION_BASIS) for b in ROTATION_BASIS], 1)
     mult = np.zeros((5, 8, 2, 3, 8), dtype=complex)   # [j, c, conj, i, c']
     mult[0, :, 0, 0] = mult[1, :, 0, 1] = zdot * eye
     mult[3, :, 1, 1] = mult[4, :, 1, 0] = zbar * eye
-    mult[2, :4, 0, 2, :4] = zdot * r
-    mult[2, :4, 1, 2, :4] = zbar * np.conj(r)
+    mult[2, 1:4, 0, 2, 1:4] = zdot * _R_G0
+    mult[2, 1:4, 1, 2, 1:4] = zbar * np.conj(_R_G0)
     # A v + B conj(v) = (A + B) Re v + i (A - B) Im v
     p, q = mult[:, :, 0] + mult[:, :, 1], 1j * (mult[:, :, 0] - mult[:, :, 1])
     return np.stack([np.stack([p.real, q.real], -1),

@@ -758,10 +758,7 @@ class ReconstructedLift:
                                "angle's range")
         what[..., exps >= 0, :] = 0.0
         neg = np.fft.ifft(what, axis=-2) * m
-        x = neg + np.conj(neg)
-        if np.max(np.abs(x.imag)) > 1e-9 * max(1.0, np.max(np.abs(x.real))):
-            raise ArithmeticError("projected immersion has imaginary residue")
-        return phi, _li_rotate(phi, x.real).real
+        return phi, _li_rotate(phi, 2.0 * neg.real)     # neg + conj(neg)
 
     def immersion(self, z):
         """The lam = 1 member of the reconstructed family."""

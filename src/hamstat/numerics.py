@@ -8,6 +8,8 @@ indices read modulo M (index j >= M/2 means exponent j - M).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -40,15 +42,11 @@ def samples_from_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.fft.ifft(coeffs, axis=axis) * m
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1], cached."""
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # Finite-difference stencils.  `f` maps a complex array to an array whose

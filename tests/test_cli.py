@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import spec_vanishing_at
+from hamstat import finitetype, weierstrass
 from hamstat.algebra import L_J
-from hamstat.cli import (_BLOCK_ROWS, _face_block, _write_obj, _write_ply, main,
-                         parse_complex)
+from hamstat.cli import (_BLOCK_ROWS, MAX_GRID, _face_block, _write_obj,
+                         _write_ply, main, parse_complex)
 from hamstat.finitetype import lax_integrate, standard_torus_killing_seed
 from hamstat.lattices import Lattice
 from hamstat.tori import standard_torus
@@ -734,6 +735,45 @@ def test_mesh_projection_is_input_error(tmp_path, spec_file, capsys, project):
     assert_input_error(["mesh", spec_file, "--grid", "4", "--project", project,
                         "--out", str(out)], capsys)
     assert not out.exists()
+
+
+def test_family_projection_refused_without_out(spec_file, capsys):
+    # family read --project only to write a mesh, so this exited 0
+    assert_input_error(["family", spec_file, "--project", "foo"], capsys)
+
+
+class _Reached(Exception):
+    """Raised by a patched evaluation: the command got past its checks."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_mesh_projection_refused_before_evaluation(tmp_path, spec_file,
+                                                   capsys, monkeypatch):
+    # mesh refused a bad name only after the scan and the whole immersion
+    monkeypatch.setattr(weierstrass, "regularity_scan", _reached)
+    assert_input_error(["mesh", spec_file, "--project", "foo",
+                        "--out", str(tmp_path / "m.obj")], capsys)
+
+
+@pytest.mark.parametrize("command", ["mesh", "verify", "family", "lax"])
+def test_grid_above_the_bound_is_input_error(tmp_path, spec_file, seed_file,
+                                             capsys, monkeypatch, command):
+    # a grid in the thousands took gigabytes before any check; the patched
+    # grid and flow raise where the allocation would start, so the accepted
+    # MAX_GRID reaches them and nothing is allocated
+    monkeypatch.setattr(Lattice, "grid", _reached)
+    monkeypatch.setattr(finitetype, "lax_integrate", _reached)
+    head = {"mesh": ["mesh", spec_file, "--out", str(tmp_path / "m.obj")],
+            "verify": ["verify", spec_file],
+            "family": ["family", spec_file, "--out", str(tmp_path / "f")],
+            "lax": ["lax", seed_file]}[command]
+    for grid in ("1025", "100000000"):
+        assert_input_error([*head, "--grid", grid], capsys)
+    with pytest.raises(_Reached):
+        main([*head, "--grid", str(MAX_GRID)])
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-1"])

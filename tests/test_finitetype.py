@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_laplacian4
-from hamstat.algebra import (EPS, L_I, R_I, R_J, R_K, ROTATION_BASIS, coords,
-                             from_coords, tau_rotation, tau_vector)
+from hamstat.algebra import (EPS, G0_BASIS, L_I, R_I, R_J, R_K,
+                             ROTATION_BASIS, coords, from_coords, tau_rotation,
+                             tau_vector)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from hamstat.finitetype import (KillingField, _field_coords, _flow_coords,
                                 _lax_taylor, b0_basis,
@@ -69,6 +70,47 @@ def test_r_op_real_linearity(rng):
 def test_r_op_kills_stabilizer_directions():
     for b in b0_basis():
         assert np.max(np.abs(pi_g0(b))) < 1e-12
+
+
+def _reference_splitting():
+    """The splitting from its definition: b0 is the nullspace of the
+    real-linear map zeta -> (zeta.eps modulo R.eps) on the 6 real coordinates
+    (Re b, Im b) of zeta = sum b_a R_a, and pi keeps the span_R(R_a) part of
+    zeta in g0^C = span_R(R_a) + b0.  Returns b0's basis and pi."""
+    units = from_coords(np.r_[np.eye(3), 1j * np.eye(3)], G0_BASIS)
+    v = units @ EPS                                           # 6 x 4
+    ray = np.r_[EPS.real, EPS.imag] / np.linalg.norm(EPS)
+    system = (np.eye(8) - np.outer(ray, ray)) @ np.c_[v.real, v.imag].T
+    _, s, vt = np.linalg.svd(system)
+    assert np.sum(s > 1e-10) == 3
+    null = vt[3:]
+    solve = np.linalg.inv(np.r_[np.eye(6)[:3], null].T)
+
+    def pi(zeta):
+        b = coords(zeta, G0_BASIS)
+        return from_coords((solve @ np.r_[b.real, b.imag])[:3] + 0j, G0_BASIS)
+    return np.einsum("bk,kij->bij", null, units), pi
+
+
+def test_splitting_matches_its_definition(rng):
+    ref_basis, ref_pi = _reference_splitting()
+    both = np.stack([np.r_[b.real.ravel(), b.imag.ravel()]
+                     for b in np.concatenate([b0_basis(), ref_basis])])
+    assert np.linalg.matrix_rank(both, tol=1e-10) == 3
+    # components off g0 included: both drop them
+    for _ in range(100):
+        zeta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        want = 0.5 * (ref_pi(zeta) - 1j * ref_pi(1j * zeta))
+        assert np.max(np.abs(r_op(zeta) - want)) < 1e-15
+
+
+def test_pi_g0_fixes_the_real_form_and_r_op_is_complex_linear(rng):
+    # with pi(b0) = 0 and a real image, these fix pi uniquely
+    for _ in range(20):
+        x = from_coords(rng.normal(size=3), G0_BASIS)
+        assert np.max(np.abs(pi_g0(x) - x)) < 1e-15
+        zeta = rand_g0c(rng)
+        assert np.max(np.abs(r_op(1j * zeta) - 1j * r_op(zeta))) < 1e-15
 
 
 # --- Killing field container -----------------------------------------------------
