@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (EPS, ID4, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
-                      _li_rotate, tau_rotation, tau_vector)
+                      tau_rotation, tau_vector)
 from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
 from .lattices import parse_integer, parse_pair
@@ -520,9 +520,11 @@ class SpecLift:
         if m % 2:
             raise ValueError(f"sample count {m} is odd")
         z = np.asarray(z, dtype=complex)
-        lams = unit_lambdas(m)
-        x = family_samples(self.spec, z, lams[:m // 2], basepoint_zero=True)
-        return _frame_phase(self.h_fn(z), lams), np.concatenate([x, -x], -2)
+        lams, half = unit_lambdas(m), m // 2
+        x = np.empty(z.shape + (m, 4))
+        x[..., :half, :] = family_samples(self.spec, z, lams[:half])
+        np.negative(x[..., :half, :], out=x[..., half:, :])
+        return _frame_phase(self.h_fn(z), lams), x
 
 
 def _frame_phase(h, lams):
@@ -602,17 +604,21 @@ def _lift_w_minus1(lift, z, m: int):
     theta = -h / (2 lam^2): the lam^{+1} projection mean(lam W), taken
     through e^{theta L_i} = e^{i theta} P+ + e^{-i theta} P- so that the
     samples contract (both signs in one product per part of the complex
-    weights) before they are rotated.  Shape (..., 4)."""
-    z = np.asarray(z, dtype=complex)
-    _, x = lift.samples(z, m)
+    weights) before they are rotated.  theta is even and X odd in lam, so lam W
+    is even and its mean over the first m/2 roots (lam_{j + m/2} = -lam_j) is
+    the mean over all m: m must be even (else ValueError).  Shape (..., 4)."""
+    if m % 2:
+        raise ValueError(f"sample count {m} is odd")
+    z, half = np.asarray(z, dtype=complex), m // 2
+    x = lift.samples(z, m)[1][..., :half, :]
     size, pick = _half_slots(m)
     # lam e^{-+i theta}, e^{-+i theta} = exp(i h zeta / 2) at the roots zeta
     # of +-lam^-2; the samples are real, so each part of the weights
     # contracts with them in place (a complex product would copy them)
-    weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick.T]  # (..., 2, m)
-    weights *= unit_lambdas(m)
+    weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick[:half].T]
+    weights *= unit_lambdas(m)[:half]                         # (..., 2, m/2)
     minus, plus = np.moveaxis(weights.real @ x + 1j * (weights.imag @ x), -2, 0)
-    return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / m
+    return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / half
 
 
 _RING_N = 256           # ring points behind the Taylor series of W_{-1}
@@ -683,8 +689,8 @@ class ReconstructedLift:
     all its nodes and uses the eigen-split e^{theta L_i} = e^{i theta} P+ +
     e^{-i theta} P-: per point the nodes contract w a and w b against the
     Taylor terms of e^{+-i theta} in lam^-2, one FFT takes them to every lam,
-    and only the four sums expand to vectors.  ``samples`` raises
-    :class:`LoopAliasing` when ``nsamples`` is too small for the angle.
+    and only the four sums expand to vectors.  ``samples`` and ``immersion``
+    raise :class:`LoopAliasing` when ``nsamples`` is too small for the angle.
     """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
@@ -736,16 +742,17 @@ class ReconstructedLift:
         return (self._piece(z_from, mid, depth + 1)
                 + self._piece(mid, z_to, depth + 1))
 
-    def samples(self, z, m: int | None = None):
-        """(phi, X) samples of the reconstructed lift at z, F = exp(phi L_i)."""
-        if m is not None and m != self.m:
-            raise ValueError("sample count fixed at construction")
+    def _negative_half(self, z):
+        """Frame phase phi at z, its cos and sin (shape (..., m, 1)) and the
+        coefficients of w = e^{-phi L_i} eta(z) with the exponents >= 0 zeroed:
+        the holomorphic half that the real form is projected along."""
         m = self.m
         z = np.asarray(z, dtype=complex)
         phi = _frame_phase(self.pot.h(z), unit_lambdas(m))
-        w = _li_rotate(-phi, self.eta(z))
-        # project onto the real translation form along the holomorphic half
-        what = np.fft.fft(w, axis=-2) / m
+        cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
+        eta = self.eta(z)
+        # e^{-phi L_i}: cos(-phi) = cos(phi) and sin(-phi) = -sin(phi) exactly
+        what = np.fft.fft(cos * eta - sin * (eta @ L_I.T), axis=-2) / m
         exps = coeff_exponents(m)
         # aliasing folds the spectrum beyond +-m/2 onto the kept negative
         # half, so the top sixteenth of |exponent| must hold < 1e-6 of it
@@ -757,13 +764,21 @@ class ReconstructedLift:
                                f"its head: {m} samples cannot resolve the "
                                "angle's range")
         what[..., exps >= 0, :] = 0.0
-        neg = np.fft.ifft(what, axis=-2) * m
-        return phi, _li_rotate(phi, 2.0 * neg.real)     # neg + conj(neg)
+        return phi, cos, sin, what
+
+    def samples(self, z, m: int | None = None):
+        """(phi, X) samples at z: X = F 2 Re(neg), F = exp(phi L_i)."""
+        if m is not None and m != self.m:
+            raise ValueError("sample count fixed at construction")
+        phi, cos, sin, what = self._negative_half(z)
+        x = 2.0 * (np.fft.ifft(what, axis=-2) * self.m).real   # neg + conj(neg)
+        return phi, cos * x + sin * (x @ L_I.T)
 
     def immersion(self, z):
-        """The lam = 1 member of the reconstructed family."""
-        _, x = self.samples(z)
-        return x[..., 0, :]
+        """The lam = 1 member, neg(1) the sum of the negative coefficients."""
+        _, cos, sin, what = self._negative_half(z)
+        x = 2.0 * what.sum(axis=-2).real
+        return cos[..., 0, :] * x + sin[..., 0, :] * (x @ L_I.T)
 
 
 def dpw_reconstruct(pot: HolomorphicPotentialData, z=None, nsamples: int = 64,

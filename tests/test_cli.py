@@ -160,16 +160,37 @@ def test_mesh_ply_and_stereo(tmp_path, spec_file):
     assert "element vertex 144" in text
 
 
-def test_mesh_stereo_pole_error(tmp_path):
-    # a spec whose surface passes near the projection pole on the sphere:
-    # the standard torus divided by its norm hits the pole when x2 = x4
-    # direction aligns; easier: drop projection with invalid index
+def test_mesh_drop_index_out_of_range_is_input_error(tmp_path):
+    # drop:7 names no coordinate of R^4
     path = tmp_path / "std.json"
     path.write_text(standard_torus(1.0, 1.0).spec.to_json())
     with pytest.raises(SystemExit) as err:
         main(["mesh", str(path), "--grid", "8", "--project", "drop:7",
               "--out", str(tmp_path / "x.obj")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("point, message", [
+    ((0.0, 0.0, 0.0, 0.0), "stereo projection undefined: surface meets 0"),
+    ((2.5, 0.0, 0.0, 0.0), "stereo projection hits the pole")])
+def test_mesh_stereo_refuses_origin_and_pole(tmp_path, spec_file, capsys,
+                                             monkeypatch, point, message):
+    # one grid point of the patched surface sits at 0 or on the positive x1
+    # axis, which the normalized points send to the pole (1, 0, 0, 0)
+    def immerse(spec, z):
+        x = np.ones(np.shape(z) + (4,))
+        x[1, 2] = point
+        return x
+
+    monkeypatch.setattr(weierstrass, "immerse", immerse)
+    with pytest.raises(SystemExit) as err:
+        main(["mesh", spec_file, "--grid", "8", "--project", "stereo",
+              "--out", str(tmp_path / "m.obj")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_verify_pass_and_fail(tmp_path, spec_file, capsys):

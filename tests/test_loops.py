@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,8 +9,8 @@ from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
                       random_twisted_group_loop)
 from hamstat import loops
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
-                             QUAT_BASIS, R_I, R_J, R_K, _li_rotate, exp_g0,
-                             from_coords)
+                             PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, R_J, R_K,
+                             _li_rotate, exp_g0, from_coords)
 from hamstat.errors import (ConvergenceFailure, HamstatError, LoopAliasing,
                             NotInBigCell, OutsideBigCell,
                             PathIntegrationFailure, SingularInput)
@@ -953,6 +955,103 @@ def test_reconstruction_rejects_aliased_loop_samples():
     with pytest.raises(LoopAliasing):
         _round_trip(spec, 4, 128)
     assert _round_trip(spec, 4, 256)[0] < 1e-7
+
+
+_POOL_SPECS = [
+    pytest.param(standard_torus(1.0, 1.0).spec, id="standard"),
+    pytest.param(rhombic_torus().spec, id="rhombic"),
+    pytest.param(_square_k2_complex_spec(), id="square-K2-complex")]
+
+
+def _ring(spec):
+    """The 256-point Taylor ring that `potential_extract` samples."""
+    lat = spec.lattice
+    return 1.35 * max(1.0, abs(lat.g1) + abs(lat.g2)) * unit_lambdas(256)
+
+
+# reference: the full-circle lam^{+1} mean that `_lift_w_minus1` halves
+def _full_circle_w_minus1(lift, z, m):
+    _, x = lift.samples(z, m)
+    size, pick = _half_slots(m)
+    weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick.T]
+    weights *= unit_lambdas(m)
+    minus, plus = np.moveaxis(weights.real @ x + 1j * (weights.imag @ x), -2, 0)
+    return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / m
+
+
+@pytest.mark.parametrize("spec", _POOL_SPECS)
+def test_extraction_contracts_half_the_circle(spec):
+    # lam W is even in lam, so the first m/2 roots carry the whole mean; the
+    # lift's second half of the circle is its first negated, bit for bit
+    lift, ring = SpecLift(spec), _ring(spec)
+    _, x = lift.samples(ring, 128)
+    assert np.array_equal(x[..., 64:, :], -x[..., :64, :])
+    want = _full_circle_w_minus1(lift, ring, 128)
+    got = loops._lift_w_minus1(lift, ring, 128)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= 16 * eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", _POOL_SPECS)
+def test_immersion_is_the_lam_1_sample(spec):
+    # the immersion sums the negative coefficients instead of taking the
+    # inverse FFT of all 128 samples and keeping lam = 1
+    pot = potential_extract(SpecLift(spec), nsamples=128)
+    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
+    zs = spec.lattice.grid(6)
+    _, x = rl.samples(zs)
+    eps = np.finfo(float).eps
+    assert (np.max(np.abs(rl.immersion(zs) - x[..., 0, :]))
+            <= 8 * eps * np.max(np.abs(x)))
+
+
+def test_immersion_and_samples_share_the_aliasing_gate():
+    # the 3+4i input of test_reconstruction_rejects_aliased_loop_samples
+    spec = _square_spec((3, 4))
+    pot = potential_extract(SpecLift(spec), nsamples=128)
+    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
+    for read in (rl.samples, rl.immersion):
+        with pytest.raises(LoopAliasing):
+            read(spec.lattice.grid(4))
+
+
+@pytest.mark.parametrize("spec", _POOL_SPECS)
+def test_round_trip_through_a_lift_with_only_the_traced_attributes(
+        spec, monkeypatch):
+    # the benchmark's traced lift forwards lattice, h_fn, dh and samples
+    # only, and wraps pot.h/a/b after the reconstruction is built
+    lift, calls = SpecLift(spec), []
+
+    def samples(z, m):
+        calls.append(m)
+        return lift.samples(z, m)
+
+    duck = SimpleNamespace(lattice=lift.lattice, h_fn=lift.h_fn, dh=lift.dh,
+                           samples=samples)
+    pot = potential_extract(duck, nsamples=128)
+    assert calls == [128]
+    want = potential_extract(lift, nsamples=128)
+    assert np.array_equal(pot.a.coef, want.a.coef)
+    assert np.array_equal(pot.b.coef, want.b.coef)
+    with pytest.raises(ValueError):
+        loops._lift_w_minus1(duck, _ring(spec), 127)
+    assert calls == [128]                   # refused before any sample
+
+    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
+    a, rule, counts = pot.a, ReconstructedLift._rule, {"a": 0, "rule": 0}
+
+    def counted_a(v):
+        counts["a"] += 1
+        return a(v)
+
+    def counted_rule(self, *args):
+        counts["rule"] += 1
+        return rule(self, *args)
+
+    pot.a = counted_a
+    monkeypatch.setattr(ReconstructedLift, "_rule", counted_rule)
+    rl.immersion(spec.lattice.grid(6))
+    assert counts["rule"] >= 2 and counts["a"] == counts["rule"]
 
 
 # reference: the per-node rule with the cos/sin rotation that
