@@ -78,10 +78,6 @@ def omega(u, v):
             + u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2])
 
 
-def _commutes_with_li(m, tol):
-    return np.max(np.abs(m @ L_I - L_I @ m)) <= tol
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Rigid motion (G, T): rotation commuting with L_i plus translation.
@@ -111,9 +107,10 @@ class GroupElement:
     def apply(self, x):
         return (self.rotation @ np.asarray(x, dtype=float).T).T + self.translation
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        orth = np.max(np.abs(self.rotation @ self.rotation.T - ID4)) <= tol
-        return bool(orth and _commutes_with_li(self.rotation, tol))
+    def is_valid(self) -> bool:
+        g = self.rotation
+        return bool(np.max(np.abs(g @ g.T - ID4)) <= 1e-9
+                    and np.max(np.abs(g @ L_I - L_I @ g)) <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,9 @@ class AlgebraElement:
         return cls(np.zeros((4, 4)), np.zeros(4))
 
     @classmethod
-    def from_coeffs(cls, a=0.0, b=(0.0, 0.0, 0.0), t=None) -> "AlgebraElement":
-        rot = from_coords(np.array([a, *b]), ROTATION_BASIS)
-        return cls(rot, np.zeros(4) if t is None else t)
+    def from_coeffs(cls, a=0.0, b=(0.0, 0.0, 0.0)) -> "AlgebraElement":
+        """The rotation a L_i + b.R, with no translation."""
+        return cls(from_coords(np.array([a, *b]), ROTATION_BASIS), np.zeros(4))
 
     def coeffs(self):
         """(a, b1, b2, b3) coordinates of the rotation part."""
@@ -165,13 +162,6 @@ class AlgebraElement:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.rotation) ** 2)
                              + np.sum(np.abs(self.translation) ** 2)))
-
-
-def _li_rotate(phase, vec):
-    """exp(phase L_i) on vectors, cos(phase) v + sin(phase) L_i v, with the
-    (complex) phase broadcast over the leading axes of ``vec``."""
-    return (np.cos(phase)[..., None] * vec
-            + np.sin(phase)[..., None] * (vec @ L_I.T))
 
 
 def tau_rotation(m):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import L_I, lagrangian_angle_raw, omega, wedge_value
-from .errors import AngleUnwrapFailure, DegenerateMetric
+from .errors import DegenerateMetric
 from .lattices import affine_grid
 from .numerics import TWO_PI, fd_x, fd_x4, fd_y, fd_y4
 from .weierstrass import TorusSpec, spinor_u
@@ -132,19 +132,16 @@ def _angle_field(f, zs, h):
     return lagrangian_angle_raw(xx, xy)
 
 
-def _unwrap_grid(angles, budget: float = np.pi):
-    """Row-major unwrap with 2*pi jump correction; fails when an increment
-    cannot be brought under the budget."""
+def _unwrap_grid(angles):
+    """Row-major unwrap with 2*pi jump correction: each increment moves by a
+    multiple of 2*pi to its representative nearest 0, of modulus pi at most
+    (up to the rounding of an unwrapped first column)."""
     out = np.array(angles, dtype=float)
     # first column, downwards, then each row left to right
     for axis, sl in ((0, np.s_[:, 0]), (1, np.s_[:, :])):
         a = out[sl]
         d = np.diff(a, axis=axis)
-        jumps = np.round(d / TWO_PI)
-        d_corr = d - TWO_PI * jumps
-        if np.max(np.abs(d_corr)) > budget:
-            raise AngleUnwrapFailure(
-                f"angle increment {np.max(np.abs(d_corr)):.3f} exceeds budget")
+        d_corr = d - TWO_PI * np.round(d / TWO_PI)
         out[sl] = np.concatenate([np.take(a, [0], axis=axis),
                                   np.take(a, [0], axis=axis)
                                   + np.cumsum(d_corr, axis=axis)], axis=axis)

@@ -33,10 +33,6 @@ class ResonantFrequency(HamstatError):
     """Frequency sits at the pseudo-periodic resonance of the basis formula."""
 
 
-class AngleUnwrapFailure(HamstatError):
-    """Angle increments between grid neighbours exceed the unwrap budget."""
-
-
 class DegenerateMetric(HamstatError):
     """Induced metric below tolerance; curvature quantities undefined."""
 

@@ -266,14 +266,12 @@ def _alpha_xy(xi: KillingField, lam: complex):
             (1j * (rot_z - np.conj(rot_z)), 1j * (tr_z - np.conj(tr_z))))
 
 
-def lax_flatness_residual(xi_at_z: KillingField, lam: complex,
-                          fd_step: float = 1e-4,
-                          flow_step: float = 1e-5) -> float:
+def lax_flatness_residual(xi_at_z: KillingField, lam: complex) -> float:
     """Curvature residual of the projected connection at one point, with the
-    stencil fields produced by short flows from the given one."""
+    stencil fields (step 1e-4) produced by short flows (step 1e-5) from the
+    given one."""
     return _curvature_residual(
-        lambda dz: _alpha_xy(flow_field(xi_at_z, 0.0, dz, flow_step), lam),
-        fd_step)
+        lambda dz: _alpha_xy(flow_field(xi_at_z, 0.0, dz, 1e-5), lam), 1e-4)
 
 
 @dataclass
@@ -294,8 +292,8 @@ class LaxFlowResult:
     def even_coefficient_drift(self) -> float:
         return self._drift(slice(self.fields[0].d % 2, None, 2))
 
-    def isospectral_drift(self, n_lams: int = 8) -> float:
-        lams = np.exp(2j * np.pi * (np.arange(n_lams) + 0.31) / n_lams)
+    def isospectral_drift(self) -> float:
+        lams = np.exp(2j * np.pi * (np.arange(8) + 0.31) / 8)
         spectra = np.sort_complex(np.linalg.eigvals(
             np.stack([f.matrix5_at(lams) for f in self.fields])))
         return float(np.max(np.abs(spectra - spectra[0])))
@@ -359,8 +357,7 @@ def zeta_coefficients(w_list: list, u_modes, a: complex) -> list:
 
 # --- scalar recurrences and the frequency polynomial ------------------------
 
-def fourier_recurrence(beta0: complex, cs: dict, seeds: dict, p: int,
-                       tol: float = 1e-9) -> dict:
+def fourier_recurrence(beta0: complex, cs: dict, seeds: dict, p: int) -> dict:
     """Run the coefficient chain per frequency and evaluate the closure.
 
     ``cs`` maps q in -p..p-1 to the constant c_q; ``seeds`` maps each
@@ -371,7 +368,7 @@ def fourier_recurrence(beta0: complex, cs: dict, seeds: dict, p: int,
     report = {}
     for gamma, bottom in seeds.items():
         gamma = complex(gamma)
-        if abs(abs(gamma) - abs(beta0) / 2) > tol * max(1.0, abs(beta0)):
+        if abs(abs(gamma) - abs(beta0) / 2) > 1e-9 * max(1.0, abs(beta0)):
             raise ValueError(f"frequency {gamma} is off the circle")
         ratio = (2.0 * np.conj(gamma) / np.conj(beta0)) ** 2
         chain = [complex(bottom)]
@@ -379,7 +376,7 @@ def fourier_recurrence(beta0: complex, cs: dict, seeds: dict, p: int,
             chain.append(cs[q] * chain[0] + ratio * chain[-1])
         closure = abs(gamma * chain[0] + np.conj(gamma) * chain[-1])
         report[gamma] = {"chain": chain, "closure": closure,
-                         "ok": closure <= tol * max(1.0, abs(chain[0]))}
+                         "ok": closure <= 1e-9 * max(1.0, abs(chain[0]))}
     return report
 
 
@@ -475,8 +472,8 @@ def rhombic_killing_seed() -> KillingSeed:
     return KillingSeed(field, spec, 1.0 + 0j, cs, 1)
 
 
-def _validate_seed(field: KillingField, tol: float = 1e-10):
-    if field.twist_residual() > tol or field.reality_residual() > tol:
+def _validate_seed(field: KillingField):
+    if field.twist_residual() > 1e-10 or field.reality_residual() > 1e-10:
         raise AssertionError(
             f"seed violates twist/reality: {field.twist_residual():.2e}, "
             f"{field.reality_residual():.2e}")

@@ -171,11 +171,11 @@ class Lattice:
         s = np.arange(n) / n
         return affine_grid(s * self.g1, s * self.g2)
 
-    def is_sublattice_of(self, other: "Lattice", tol: float = 1e-9) -> bool:
-        return bool(np.all(other.contains(np.array([self.g1, self.g2]), tol)))
+    def is_sublattice_of(self, other: "Lattice") -> bool:
+        return bool(np.all(other.contains(np.array([self.g1, self.g2]))))
 
-    def same_lattice(self, other: "Lattice", tol: float = 1e-9) -> bool:
-        return self.is_sublattice_of(other, tol) and other.is_sublattice_of(self, tol)
+    def same_lattice(self, other: "Lattice") -> bool:
+        return self.is_sublattice_of(other) and other.is_sublattice_of(self)
 
 
 class PeriodicityClass(Enum):
@@ -197,8 +197,8 @@ class FrequencySet:
     def __iter__(self):
         return iter(self.points)
 
-    def contains_point(self, gamma, tol: float = 1e-9) -> bool:
-        return any(abs(gamma - p) <= tol for p in self.points)
+    def contains_point(self, gamma) -> bool:
+        return any(abs(gamma - p) <= 1e-8 for p in self.points)
 
 
 def _require_slope(lattice: Lattice, beta0: complex, tol: float) -> Lattice:
@@ -291,14 +291,14 @@ def _integer_row_basis(rows: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-def integer_span_lattice(vectors, base: Lattice, tol: float = 1e-9):
+def integer_span_lattice(vectors, base: Lattice):
     """Lattice generated over Z by the given base-lattice points.
 
     Returns ``(lattice_or_None, rank)``.
     """
     coords = base.coords(np.asarray(vectors, dtype=complex))
     rounded = np.round(coords)
-    if coords.size and np.max(np.abs(coords - rounded)) > tol:
+    if coords.size and np.max(np.abs(coords - rounded)) > 1e-9:
         raise ValueError("vectors are not lattice points of the base lattice")
     basis = _integer_row_basis(rounded.astype(np.int64))
     if len(basis) < 2:
@@ -316,7 +316,7 @@ class PeriodReport:
     multiple_cover: bool
 
 
-def period_lattice(spec, tol: float = 1e-9) -> PeriodReport:
+def period_lattice(spec) -> PeriodReport:
     """Period lattice of a torus spec: the dual of the lattice generated by
     all ``gamma +- beta0/2`` over the active frequencies.
 
@@ -332,10 +332,10 @@ def period_lattice(spec, tol: float = 1e-9) -> PeriodReport:
     for g in gammas:
         gens.append(g - half)
         gens.append(g + half)
-    span, rank = integer_span_lattice(gens, dl, tol)
+    span, rank = integer_span_lattice(gens, dl)
     if rank < 2 or span is None:
         return PeriodReport(None, None, rank, False)
     delta = span.dual()
-    cover = (spec.lattice.is_sublattice_of(delta, tol)
-             and not delta.same_lattice(spec.lattice, tol))
+    cover = (spec.lattice.is_sublattice_of(delta)
+             and not delta.same_lattice(spec.lattice))
     return PeriodReport(delta, span, rank, cover)

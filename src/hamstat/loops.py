@@ -72,21 +72,19 @@ class TwistedLoop:
         return _on_circle(self.ks, self.rot, m), _on_circle(self.ks, self.trans, m)
 
     @classmethod
-    def from_samples(cls, rot_samples, trans_samples,
-                     tol: float = 1e-12) -> "TwistedLoop":
+    def from_samples(cls, rot_samples, trans_samples) -> "TwistedLoop":
         return cls.from_coeffs(
             loop_coeffs(np.asarray(rot_samples, dtype=complex)),
-            loop_coeffs(np.asarray(trans_samples, dtype=complex)), tol)
+            loop_coeffs(np.asarray(trans_samples, dtype=complex)))
 
     @classmethod
-    def from_coeffs(cls, rot_hat, trans_hat,
-                    tol: float = 1e-12) -> "TwistedLoop":
+    def from_coeffs(cls, rot_hat, trans_hat) -> "TwistedLoop":
         """Loop from coefficients in FFT slots (slot j <-> exponent j mod m),
-        keeping the slots above ``tol`` times the largest."""
+        keeping the slots above 1e-12 times the largest."""
         ks = coeff_exponents(rot_hat.shape[0])
         norms = (np.max(np.abs(rot_hat), axis=(1, 2))
                  + np.max(np.abs(trans_hat), axis=1))
-        keep = norms > tol * max(norms.max(), 1e-300)
+        keep = norms > 1e-12 * max(norms.max(), 1e-300)
         if not np.any(keep):
             keep[0] = True
         return cls(ks[keep], rot_hat[keep], trans_hat[keep])
@@ -113,9 +111,8 @@ class TwistedLoop:
         return TwistedLoop.from_samples(
             r1 @ r2, np.einsum("mij,mj->mi", r1, t2) + t1)
 
-    def inverse(self, m: int | None = None) -> "TwistedLoop":
-        m = m or _pow2(8 * self.degree + 16)
-        r, t = self.sample(m)
+    def inverse(self) -> "TwistedLoop":
+        r, t = self.sample(_pow2(8 * self.degree + 16))
         rinv = np.linalg.inv(r)
         return TwistedLoop.from_samples(
             rinv, -np.einsum("mij,mj->mi", rinv, t))
@@ -207,7 +204,7 @@ def _pow2(n: int) -> int:
 
 # --- finite-dimensional Iwasawa (compact factor of SU(2)-type) -----------
 
-def su2_iwasawa(g, tol: float = 1e-9):
+def su2_iwasawa(g):
     """Split g in the complexified SU(2)-type factor as (K real, B) with B
     stabilizing the positive ray through the isotropic vector.
 
@@ -221,9 +218,9 @@ def su2_iwasawa(g, tol: float = 1e-9):
     h = np.stack(cols, axis=1)
     norms = np.linalg.norm(h, axis=0)
     r = norms[0]
-    if r < tol:
+    if r < 1e-9:
         raise SingularInput("group element maps the ray vector to ~0")
-    if np.max(np.abs(norms - r)) > tol * max(1.0, r):
+    if np.max(np.abs(norms - r)) > 1e-9 * max(1.0, r):
         raise SingularInput("input is not in the complexified compact factor")
     k = h / r
     b = k.T @ g
@@ -431,8 +428,7 @@ _COND_MAX = 1e10         # Toeplitz condition number beyond which birkhoff
 
 
 def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
-             nsamples: int | None = None,
-             tol: float = 1e-8) -> tuple[TwistedLoop, TwistedLoop]:
+             nsamples: int | None = None) -> tuple[TwistedLoop, TwistedLoop]:
     """Split a twisted loop as (negative, = Id at infinity) . (positive).
 
     The rotation part solves the block Toeplitz system for the negative
@@ -460,7 +456,7 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     if m < 2 * n + 2:
         raise ValueError(f"sample count {m} too small for the negative "
                          f"degree {n}")
-    gate = max(tol, 1e-7) * max(1.0, _finite_norm(loop))
+    gate = 1e-7 * max(1.0, _finite_norm(loop))
     a, trans, _, _ = _plus_block(loop, m, gate)
     plus = loop_coeffs(_inv2(a))
 
@@ -499,8 +495,9 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
 # --- lifts and the potential correspondence -------------------------------
 
 class SpecLift:
-    """Extended lift of a torus spec: the pure-phase rotation factor and the
-    circle family of immersions, sampled on the loop parameter."""
+    """Extended lift of a torus spec: the holomorphic half-angle ``h_fn``,
+    whose `_frame_phase` is the pure-phase rotation factor, and the circle
+    family of immersions, sampled on the loop parameter."""
 
     def __init__(self, spec: TorusSpec):
         self.spec = spec
@@ -510,12 +507,13 @@ class SpecLift:
                                     dtype=complex)
 
     def samples(self, z, m: int):
-        """(phi, X) on the m-th roots of unity; shapes (..., m)/(..., m, 4).
+        """X on the m-th roots of unity, shape (..., m, 4).
 
-        The frame is F = exp(phi L_i).  Normalized as an extended lift: the
-        value at the basepoint is the identity, so the family is shifted to
-        vanish at z = 0.  The family is odd in lam, so it is evaluated on half
-        the circle and negated on the rest: m must be even (else ValueError).
+        The frame is F = exp(phi L_i), phi = `_frame_phase` of ``h_fn(z)``.
+        Normalized as an extended lift: the value at the basepoint is the
+        identity, so the family is shifted to vanish at z = 0.  The family is
+        odd in lam, so it is evaluated on half the circle and negated on the
+        rest: m must be even (else ValueError).
         """
         if m % 2:
             raise ValueError(f"sample count {m} is odd")
@@ -524,7 +522,7 @@ class SpecLift:
         x = np.empty(z.shape + (m, 4))
         x[..., :half, :] = family_samples(self.spec, z, lams[:half])
         np.negative(x[..., :half, :], out=x[..., half:, :])
-        return _frame_phase(self.h_fn(z), lams), x
+        return x
 
 
 def _frame_phase(h, lams):
@@ -610,7 +608,7 @@ def _lift_w_minus1(lift, z, m: int):
     if m % 2:
         raise ValueError(f"sample count {m} is odd")
     z, half = np.asarray(z, dtype=complex), m // 2
-    x = lift.samples(z, m)[1][..., :half, :]
+    x = lift.samples(z, m)[..., :half, :]
     size, pick = _half_slots(m)
     # lam e^{-+i theta}, e^{-+i theta} = exp(i h zeta / 2) at the roots zeta
     # of +-lam^-2; the samples are real, so each part of the weights
@@ -743,7 +741,7 @@ class ReconstructedLift:
                 + self._piece(mid, z_to, depth + 1))
 
     def _negative_half(self, z):
-        """Frame phase phi at z, its cos and sin (shape (..., m, 1)) and the
+        """cos and sin of the frame phase phi at z (shape (..., m, 1)) and the
         coefficients of w = e^{-phi L_i} eta(z) with the exponents >= 0 zeroed:
         the holomorphic half that the real form is projected along."""
         m = self.m
@@ -764,28 +762,25 @@ class ReconstructedLift:
                                f"its head: {m} samples cannot resolve the "
                                "angle's range")
         what[..., exps >= 0, :] = 0.0
-        return phi, cos, sin, what
+        return cos, sin, what
 
     def samples(self, z, m: int | None = None):
-        """(phi, X) samples at z: X = F 2 Re(neg), F = exp(phi L_i)."""
+        """X samples at z: X = F 2 Re(neg), F = exp(phi L_i)."""
         if m is not None and m != self.m:
             raise ValueError("sample count fixed at construction")
-        phi, cos, sin, what = self._negative_half(z)
+        cos, sin, what = self._negative_half(z)
         x = 2.0 * (np.fft.ifft(what, axis=-2) * self.m).real   # neg + conj(neg)
-        return phi, cos * x + sin * (x @ L_I.T)
+        return cos * x + sin * (x @ L_I.T)
 
     def immersion(self, z):
         """The lam = 1 member, neg(1) the sum of the negative coefficients."""
-        _, cos, sin, what = self._negative_half(z)
+        cos, sin, what = self._negative_half(z)
         x = 2.0 * what.sum(axis=-2).real
         return cos[..., 0, :] * x + sin[..., 0, :] * (x @ L_I.T)
 
 
-def dpw_reconstruct(pot: HolomorphicPotentialData, z=None, nsamples: int = 64,
-                    quad_n: int = 32, lattice=None):
-    """Build the reconstructed lift; with ``z`` given returns (phi, X) samples."""
-    lift = ReconstructedLift(pot, nsamples=nsamples, quad_n=quad_n,
+def dpw_reconstruct(pot: HolomorphicPotentialData, nsamples: int = 64,
+                    quad_n: int = 32, lattice=None) -> ReconstructedLift:
+    """The lift reconstructed from potential data."""
+    return ReconstructedLift(pot, nsamples=nsamples, quad_n=quad_n,
                              lattice=lattice)
-    if z is None:
-        return lift
-    return lift.samples(z)

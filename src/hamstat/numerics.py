@@ -25,10 +25,10 @@ def unit_lambdas(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def loop_coeffs(samples: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Fourier coefficients of circle samples, index j <-> exponent j mod M."""
-    m = samples.shape[axis]
-    return np.fft.fft(samples, axis=axis) / m
+def loop_coeffs(samples: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of circle samples along the first axis, index
+    j <-> exponent j mod M."""
+    return np.fft.fft(samples, axis=0) / len(samples)
 
 
 def coeff_exponents(m: int) -> np.ndarray:
@@ -37,9 +37,8 @@ def coeff_exponents(m: int) -> np.ndarray:
     return np.where(k < m // 2 + m % 2, k, k - m)
 
 
-def samples_from_coeffs(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
-    m = coeffs.shape[axis]
-    return np.fft.ifft(coeffs, axis=axis) * m
+def samples_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(coeffs, axis=0) * len(coeffs)
 
 
 @functools.cache

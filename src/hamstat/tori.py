@@ -114,19 +114,18 @@ class CastroUrbanoData:
                                         * np.conj(a))
         return out
 
-    def build_spec(self, seed: dict, validate: bool = True) -> TorusSpec:
+    def build_spec(self, seed: dict) -> TorusSpec:
         coeffs = self.constrain_coefficients(seed)
-        return TorusSpec.build(self.lattice, self.phi0, coeffs, validate=validate)
+        return TorusSpec.build(self.lattice, self.phi0, coeffs)
 
 
-def _circle_points(primal: Lattice, dual: Lattice, radius: float,
-                   tol: float = 1e-9):
+def _circle_points(primal: Lattice, dual: Lattice, radius: float):
     n_max = int(np.ceil(radius * abs(primal.g1))) + 2
     m_max = int(np.ceil(radius * abs(primal.g2))) + 2
     ns, ms = np.meshgrid(np.arange(-n_max, n_max + 1),
                          np.arange(-m_max, m_max + 1), indexing="ij")
     pts = ns * dual.g1 + ms * dual.g2
-    keep = np.abs(np.abs(pts) - radius) <= tol
+    keep = np.abs(np.abs(pts) - radius) <= 1e-9
     return sort_frequencies(pts[keep])
 
 

@@ -81,16 +81,12 @@ class TorusSpec:
                        for g, a in zip(gammas.tolist(), coeffs.tolist())}
 
     @classmethod
-    def build(cls, lattice, beta0, pairs, validate: bool = True,
-              tol: float = 1e-9) -> "TorusSpec":
-        spec = cls(lattice, beta0,
-                   dict(pairs) if not isinstance(pairs, dict) else pairs)
-        if validate:
-            spec.validate(tol)
-        return spec
+    def build(cls, lattice, beta0, pairs) -> "TorusSpec":
+        """The validated spec; the constructor builds an unvalidated one."""
+        return cls(lattice, beta0, pairs).validate()
 
-    def validate(self, tol: float = 1e-9):
-        freq = enumerate_frequencies(self.lattice, self.beta0, tol)
+    def validate(self):
+        freq = enumerate_frequencies(self.lattice, self.beta0)
         for g, a in self.items():
             if not np.isfinite(a):
                 raise ValueError(f"coefficient {a} at frequency {g} is not finite")
@@ -98,7 +94,7 @@ class TorusSpec:
                 raise ValueError(f"coefficient {a} at frequency {g} has a "
                                  f"modulus above {_MAX_MODULUS:.1e}, where "
                                  "the metric overflows the float range")
-            if not freq.contains_point(g, 10 * tol):
+            if not freq.contains_point(g):
                 raise ValueError(f"coefficient frequency {g} is not in the "
                                  f"circle set for beta0 = {self.beta0}")
         return self
@@ -108,10 +104,6 @@ class TorusSpec:
 
     def gammas(self):
         return [g for g, _ in self.coeffs.values()]
-
-    def coefficient(self, gamma: complex) -> complex:
-        entry = self.coeffs.get(_key(complex(gamma)))
-        return entry[1] if entry is not None else 0.0 + 0.0j
 
     def periodicity(self) -> PeriodicityClass:
         return periodicity_class(self.lattice, self.beta0)
@@ -131,16 +123,16 @@ class TorusSpec:
         return json.dumps(self.to_dict(), **kw)
 
     @classmethod
-    def from_dict(cls, data: dict, validate: bool = True) -> "TorusSpec":
+    def from_dict(cls, data: dict) -> "TorusSpec":
         lat = Lattice.from_config(data["lattice"])
         beta0 = parse_pair(data["beta0"])
         pairs = {parse_pair(c["gamma"]): complex(c["re"], c["im"])
                  for c in data["coefficients"]}
-        return cls.build(lat, beta0, pairs, validate=validate)
+        return cls.build(lat, beta0, pairs)
 
     @classmethod
-    def from_json(cls, text: str, validate: bool = True) -> "TorusSpec":
-        return cls.from_dict(json.loads(text), validate=validate)
+    def from_json(cls, text: str) -> "TorusSpec":
+        return cls.from_dict(json.loads(text))
 
 
 def beta_eval(spec: TorusSpec, z):
@@ -324,6 +316,7 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
 # --- associated family -------------------------------------------------
 
 _RES_TOL = 1e-12
+_PERIOD_TOL = 1e-9      # period defect beyond which a member warns
 # elements of one (points, lams * 4) row block of a family batch: blocks this
 # small reuse allocator memory, where whole-batch temporaries (megabytes on
 # the extraction ring) came back as fresh pages, one page fault per 4 KB
@@ -370,16 +363,15 @@ class FamilyEvaluator:
     lam = 1 this reproduces the undeformed immersion exactly.
     """
 
-    def __init__(self, spec: TorusSpec, lam: complex, tol: float = 1e-9,
-                 warn: bool = True):
+    def __init__(self, spec: TorusSpec, lam: complex, warn: bool = True):
         lam = complex(lam)
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ValueError("family parameter must lie on the unit circle")
         self.spec = spec
         self.lam = lam
         self._build_table()
-        self.period_defects = self._monodromy(tol)
-        if warn and max(self.period_defects.values()) > tol:
+        self.period_defects = self._monodromy()
+        if warn and max(self.period_defects.values()) > _PERIOD_TOL:
             warnings.warn(
                 f"family member lam={lam:.6g} breaks lattice periodicity "
                 f"(defect {max(self.period_defects.values()):.3e})",
@@ -411,7 +403,7 @@ class FamilyEvaluator:
             out += z[..., None] * c1 + np.conj(z)[..., None] * c2
         return _real_part(out, "family value")
 
-    def _monodromy(self, tol: float) -> dict:
+    def _monodromy(self) -> dict:
         mu, vecs = self._waves
         defects = {}
         for name, g in (("g1", self.spec.lattice.g1), ("g2", self.spec.lattice.g2)):
@@ -423,31 +415,24 @@ class FamilyEvaluator:
         return defects
 
 
-def associated_family(spec: TorusSpec, lam: complex, z=None, tol: float = 1e-9,
-                      warn: bool = True):
-    """Deformed immersion at circle parameter lam.
-
-    With ``z`` given, returns the value; otherwise returns the evaluator
-    (which carries the per-generator period defects).
-    """
-    ev = FamilyEvaluator(spec, lam, tol=tol, warn=warn)
-    if z is None:
-        return ev
-    return ev(z)
+def associated_family(spec: TorusSpec, lam: complex, warn: bool = True):
+    """Deformed immersion at circle parameter lam, as its evaluator (which
+    carries the per-generator period defects)."""
+    return FamilyEvaluator(spec, lam, warn=warn)
 
 
-def family_samples(spec: TorusSpec, z, lams, basepoint_zero: bool = True):
+def family_samples(spec: TorusSpec, z, lams):
     """Family values on a batch of circle parameters, vectorized over (z, lam).
 
-    Agrees with stacking :class:`FamilyEvaluator` values.  The terms come
+    Agrees with stacking :class:`FamilyEvaluator` values less their value
+    at z = 0, which normalizes the family as an extended lift.  The terms come
     from the same builder but are not grouped by phase.  Each wave factors
     as e(<delta, z>) e(sigma <lam^2 beta0 / 2, z>), e(x) = exp(2 pi i x), and
     the second factor's sign -1 value is the conjugate of its sign +1 one:
     the batch costs one exponential per (mode, point), one cos/sin table
     over (z, lam) and one (z, modes) @ (modes, lam * 4) product per sign.
     A term's columns where mu vanishes (the resonances) take the linear
-    primitive instead.  With ``basepoint_zero`` the value at z = 0 is
-    subtracted, normalizing the family as an extended lift.
+    primitive instead.
 
     Returns shape ``z.shape + lams.shape + (4,)``.
     """
@@ -487,6 +472,5 @@ def family_samples(spec: TorusSpec, z, lams, basepoint_zero: bool = True):
         lin2 = np.where(res[..., None], c2, 0.0)[:, cols].sum(axis=0)
         out[:, cols] += (zs[:, None, None] * lin1
                          + np.conj(zs)[:, None, None] * lin2)
-    if basepoint_zero:
-        out -= vec.sum(axis=0)
+    out -= vec.sum(axis=0)
     return _real_part(out.reshape(shape), "family batch")

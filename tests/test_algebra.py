@@ -126,7 +126,7 @@ def _random_group_element(rng):
 def test_group_law_associativity_and_inverse(rng):
     for _ in range(50):
         g1, g2, g3 = (_random_group_element(rng) for _ in range(3))
-        assert g1.is_valid(1e-9)
+        assert g1.is_valid()
         lhs = (g1 @ g2) @ g3
         rhs = g1 @ (g2 @ g3)
         assert np.max(np.abs(lhs.rotation - rhs.rotation)) < 1e-12

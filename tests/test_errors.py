@@ -34,3 +34,23 @@ def test_every_error_class_is_raised():
     raised, warned = _raised_and_warned()
     assert declared and not declared - raised, sorted(declared - raised)
     assert "MonodromyWarning" in warned
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is dead API; the receiver of a
+    # method (self, cls) may go unread when an override fixes its signature
+    unread = []
+    for path in sorted(Path(hamstat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [p for p in (a.vararg, a.kwarg) if p is not None]]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {p}" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert not unread, unread

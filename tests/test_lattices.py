@@ -234,7 +234,7 @@ def test_period_lattice_single_frequency_has_full_rank():
 
 def test_period_lattice_empty_spectrum():
     lat = Lattice.square()
-    spec = TorusSpec.build(lat, 2.0, {}, validate=False)
+    spec = TorusSpec(lat, 2.0, {})
     with pytest.raises(EmptySpectrum):
         period_lattice(spec)
 

@@ -10,7 +10,7 @@ from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
 from hamstat import loops
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
                              PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, R_J, R_K,
-                             _li_rotate, exp_g0, from_coords)
+                             exp_g0, from_coords)
 from hamstat.errors import (ConvergenceFailure, HamstatError, LoopAliasing,
                             NotInBigCell, OutsideBigCell,
                             PathIntegrationFailure, SingularInput)
@@ -48,6 +48,13 @@ def _ref_frame(phi):
     """The dense lift frame cos(phi) Id + sin(phi) L_i."""
     return (np.cos(phi)[..., None, None] * ID4
             + np.sin(phi)[..., None, None] * L_I)
+
+
+def _li_rotate(phase, vec):
+    """exp(phase L_i) on vectors, cos(phase) v + sin(phase) L_i v, with the
+    (complex) phase broadcast over the leading axes of ``vec``."""
+    return (np.cos(phase)[..., None] * vec
+            + np.sin(phase)[..., None] * (vec @ L_I.T))
 
 
 # --- container ----------------------------------------------------------------
@@ -730,7 +737,9 @@ def test_q_projection_rules():
 def test_spec_lift_shape_and_base(rng):
     spec = standard_torus(1.0, 1.0).spec
     lift = SpecLift(spec)
-    phi, x = lift.samples(np.array([0.0 + 0j, 0.3 + 0.2j]), 32)
+    zs = np.array([0.0 + 0j, 0.3 + 0.2j])
+    x = lift.samples(zs, 32)
+    phi = loops._frame_phase(lift.h_fn(zs), unit_lambdas(32))
     assert phi.shape == (2, 32) and x.shape == (2, 32, 4)
     assert np.max(np.abs(x[0])) < 1e-12          # identity at the basepoint
     assert np.max(np.abs(phi[0])) < 1e-12
@@ -745,38 +754,70 @@ def test_spec_lift_samples_half_the_circle(torus, m):
     # the family is odd in lam: the second half of the circle is the
     # negated first, bit for bit, and matches the family evaluated there
     zs = np.array([[0.3 + 0.2j, -0.41 + 0.17j], [0.9 - 0.35j, 0.05 + 0.6j]])
-    _, x = SpecLift(torus.spec).samples(zs, m)
+    x = SpecLift(torus.spec).samples(zs, m)
     assert x.shape == (2, 2, m, 4)
     assert np.array_equal(x[..., m // 2:, :], -x[..., :m // 2, :])
-    want = family_samples(torus.spec, zs, unit_lambdas(m), basepoint_zero=True)
+    want = family_samples(torus.spec, zs, unit_lambdas(m))
     assert np.max(np.abs(x - want)) < 1e-13 * np.max(np.abs(want))
     with pytest.raises(ValueError):
         SpecLift(torus.spec).samples(zs, m + 1)
 
 
 def test_lift_phase_gives_reference_frame():
-    # the phase reproduces the dense frame both lifts used to return, and
-    # the reconstruction's projection agrees with the dense rotation
+    # the phase of each lift's h_fn reproduces the dense frame both lifts
+    # used to return, and the reconstruction's projection agrees with the
+    # dense rotation
     spec = rhombic_torus().spec
     zs = np.array([0.3 + 0.2j, -0.41 + 0.17j])
     lams = unit_lambdas(32)
     lift = SpecLift(spec)
     h = lift.h_fn(zs)[:, None]
     want = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
-    phi, _ = lift.samples(zs, 32)
+    phi = loops._frame_phase(lift.h_fn(zs), lams)
     assert np.max(np.abs(_ref_frame(phi) - want)) < 1e-13
     pot = HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j)
     rl = ReconstructedLift(pot, nsamples=32, quad_n=12)
     h = pot.h(zs)[:, None]
     f = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
-    phi, x = rl.samples(zs)
+    phi = loops._frame_phase(rl.h_fn(zs), lams)
     assert np.max(np.abs(_ref_frame(phi) - f)) < 1e-13
+    x = rl.samples(zs)
     w = np.einsum("...mji,...mj->...mi", f, rl.eta(zs))
     what = np.fft.fft(w, axis=-2) / 32
     what[..., coeff_exponents(32) >= 0, :] = 0.0
     neg = np.fft.ifft(what, axis=-2) * 32
     x_ref = np.einsum("...mij,...mj->...mi", f, (neg + np.conj(neg)).real).real
     assert np.max(np.abs(x - x_ref)) < 1e-12 * max(1.0, np.max(np.abs(x_ref)))
+
+
+@pytest.mark.parametrize("zs", [np.array(0.3 + 0.2j),
+                                np.array([0.3 + 0.2j, -0.41 + 0.17j]),
+                                np.array([[0.3 + 0.2j], [-0.41 + 0.17j],
+                                          [0.1 - 0.2j]])],
+                         ids=["scalar", "row", "column"])
+def test_lift_samples_are_x_alone(zs):
+    # the lift protocol: samples(z, m) is X, shape z.shape + (m, 4); the
+    # frame is the phase of h_fn, which callers take themselves
+    pot = HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j)
+    for lift in (SpecLift(rhombic_torus().spec),
+                 ReconstructedLift(pot, nsamples=32, quad_n=12)):
+        x = lift.samples(zs, 32)
+        assert isinstance(x, np.ndarray) and x.shape == zs.shape + (32, 4)
+        assert x.dtype == float
+
+
+def test_extraction_takes_no_frame_phase(monkeypatch):
+    # W's rotation comes from the Taylor series of h_fn alone
+    spec = rhombic_torus().spec
+    want = potential_extract(SpecLift(spec), nsamples=128)
+
+    def refuse(*args):
+        raise AssertionError("the extraction took the frame phase")
+
+    monkeypatch.setattr(loops, "_frame_phase", refuse)
+    pot = potential_extract(SpecLift(spec), nsamples=128)
+    assert np.array_equal(pot.a.coef, want.a.coef)
+    assert np.array_equal(pot.b.coef, want.b.coef)
 
 
 def test_potential_extract_constants():
@@ -818,7 +859,7 @@ def test_point_map_extracts_zero_potential():
     from hamstat.lattices import Lattice
     from hamstat.weierstrass import TorusSpec
 
-    empty = TorusSpec.build(Lattice.square(), 1 + 1j, {}, validate=False)
+    empty = TorusSpec(Lattice.square(), 1 + 1j, {})
     lift = SpecLift(empty)
     pot = potential_extract(lift, nsamples=32)
     zs = np.array([0.1 + 0.2j, 0.7 - 0.4j])
@@ -971,7 +1012,7 @@ def _ring(spec):
 
 # reference: the full-circle lam^{+1} mean that `_lift_w_minus1` halves
 def _full_circle_w_minus1(lift, z, m):
-    _, x = lift.samples(z, m)
+    x = lift.samples(z, m)
     size, pick = _half_slots(m)
     weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick.T]
     weights *= unit_lambdas(m)
@@ -984,7 +1025,7 @@ def test_extraction_contracts_half_the_circle(spec):
     # lam W is even in lam, so the first m/2 roots carry the whole mean; the
     # lift's second half of the circle is its first negated, bit for bit
     lift, ring = SpecLift(spec), _ring(spec)
-    _, x = lift.samples(ring, 128)
+    x = lift.samples(ring, 128)
     assert np.array_equal(x[..., 64:, :], -x[..., :64, :])
     want = _full_circle_w_minus1(lift, ring, 128)
     got = loops._lift_w_minus1(lift, ring, 128)
@@ -999,7 +1040,7 @@ def test_immersion_is_the_lam_1_sample(spec):
     pot = potential_extract(SpecLift(spec), nsamples=128)
     rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
     zs = spec.lattice.grid(6)
-    _, x = rl.samples(zs)
+    x = rl.samples(zs)
     eps = np.finfo(float).eps
     assert (np.max(np.abs(rl.immersion(zs) - x[..., 0, :]))
             <= 8 * eps * np.max(np.abs(x)))
@@ -1130,13 +1171,13 @@ def test_reconstruction_angle_range(c, expect):
     # edge (20) or the quadrature (400) fails, an e^{|h|/2} that overflows
     # and a non-finite angle are refused before any series is built
     pot = HolomorphicPotentialData.constant(c, 1, 0.5)
-    run = lambda: dpw_reconstruct(pot, z=[0.5 + 0.25j], nsamples=128,
-                                  quad_n=24)
+    run = lambda: dpw_reconstruct(pot, nsamples=128,
+                                  quad_n=24).samples([0.5 + 0.25j])
     if expect is not None:
         with pytest.raises(expect):
             run()
         return
-    _, x = run()
+    x = run()
     # lam_0 and lam_37 as the per-slot exponential tables gave them
     want = np.array([[-0.05193489588311273, 0.09819290364534612,
                       0.09482641312136166, 0.01418916083351388],
@@ -1150,7 +1191,7 @@ def test_reconstruction_angle_range(c, expect):
 def _stencil_ab(lift, z, m, h):
     z = np.asarray(z, dtype=complex)
     stencil = np.stack([z + h, z - h, z + 1j * h, z - 1j * h], axis=0)
-    _, x = lift.samples(stencil, m)
+    x = lift.samples(stencil, m)
     w = -0.5 * lift.h_fn(stencil)[..., None] / unit_lambdas(m) ** 2
     vhat = np.fft.fft(_li_rotate(w, x), axis=-2) / m
     w_m1 = vhat[..., coeff_exponents(m) == -1, :][..., 0, :]

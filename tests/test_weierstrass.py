@@ -126,7 +126,7 @@ def test_closed_forms_match_term_by_term_reference(rng, kind):
 
 
 def test_closed_forms_of_empty_spec_vanish():
-    empty = TorusSpec.build(Lattice.square(), 6 + 8j, {}, validate=False)
+    empty = TorusSpec(Lattice.square(), 6 + 8j, {})
     for z in (0.3 + 0.1j, np.array([0.2, 1j]), Lattice.square().grid(3)):
         got = immerse(empty, z)
         assert got.shape == np.shape(z) + (4,)
@@ -179,7 +179,7 @@ def test_basis_resonant_frequency_rejected():
 
 def test_immerse_zero_and_linearity(rng):
     lat = Lattice.square()
-    empty = TorusSpec.build(lat, 1 + 1j, {}, validate=False)
+    empty = TorusSpec(lat, 1 + 1j, {})
     zs = lat.grid(5)
     assert np.max(np.abs(immerse(empty, zs))) == 0.0
 
@@ -306,7 +306,7 @@ def test_regularity_scan_standard_and_zero(square_spec):
     rep = regularity_scan(square_spec, 24)
     assert abs(rep.min_abs_u - np.pi * np.sqrt(2)) < 1e-9
     assert rep.cover == "2"
-    zero = TorusSpec.build(Lattice.square(), 1 + 1j, {}, validate=False)
+    zero = TorusSpec(Lattice.square(), 1 + 1j, {})
     assert regularity_scan(zero, 8).min_abs_u == 0.0
 
 
@@ -397,10 +397,10 @@ def test_family_samples_matches_evaluators(square_spec):
     from hamstat.numerics import unit_lambdas
     lams = unit_lambdas(16)
     zs = np.array([0.15 + 0.22j, 0.8 - 0.3j])
-    batch = family_samples(square_spec, zs, lams, basepoint_zero=False)
+    batch = family_samples(square_spec, zs, lams)
     for j in (0, 2, 7):
         ev = associated_family(square_spec, lams[j], warn=False)
-        assert np.max(np.abs(batch[:, j] - ev(zs))) < 1e-10
+        assert np.max(np.abs(batch[:, j] - (ev(zs) - ev(0.0)))) < 1e-10
 
 
 def test_factored_family_batch_with_resonant_columns(square_spec):
@@ -420,22 +420,48 @@ def test_factored_family_batch_keeps_lambda_shape():
     spec = rhombic_torus().spec
     lams = np.exp(2j * np.pi * np.array([[0.1, 0.35, 0.5], [0.77, 0.9, 0.0]]))
     zs = np.array([[0.3 + 0.1j], [-0.2 + 0.6j]])
-    batch = family_samples(spec, zs, lams, basepoint_zero=False)
+    batch = family_samples(spec, zs, lams)
     assert batch.shape == (2, 1, 2, 3, 4)
     for idx in np.ndindex(lams.shape):
         ev = FamilyEvaluator(spec, lams[idx], warn=False)
-        assert np.max(np.abs(batch[(..., *idx, slice(None))] - ev(zs))) < 1e-10
+        assert np.max(np.abs(batch[(..., *idx, slice(None))]
+                             - (ev(zs) - ev(0.0)))) < 1e-10
 
 
-@pytest.mark.parametrize("basepoint_zero", [True, False])
-def test_factored_family_batch_of_empty_spec_is_zero(basepoint_zero):
+def test_factored_family_batch_of_empty_spec_is_zero():
     from hamstat.numerics import unit_lambdas
     zs = np.array([0.3 + 0.1j, -0.2 + 0.6j])
     for pairs in ({}, {0.5 - 0.5j: 0.0}):
         spec = TorusSpec.build(Lattice.square(), 1 + 1j, pairs)
-        got = family_samples(spec, zs, unit_lambdas(8),
-                             basepoint_zero=basepoint_zero)
+        got = family_samples(spec, zs, unit_lambdas(8))
         assert np.array_equal(got, np.zeros((2, 8, 4)))
+
+
+def _off_circle_spec():
+    """A constructor-built spec whose one frequency is off the circle
+    |gamma| = |beta0| / 2, after checking that `TorusSpec.build` refuses it."""
+    spec = TorusSpec(Lattice.square(), 1 + 1j, {0.3 + 0.1j: 1.0})
+    with pytest.raises(ValueError, match="not in the circle set"):
+        TorusSpec.build(spec.lattice, spec.beta0, spec.items())
+    return spec
+
+
+def test_family_evaluator_refuses_an_off_circle_frequency():
+    # the deformed derivative is not closed, so no primitive exists
+    spec = _off_circle_spec()
+    for lam in (1.0, 1j, np.exp(0.3j)):
+        with pytest.raises(ArithmeticError, match="fails closedness"):
+            FamilyEvaluator(spec, lam, warn=False)
+
+
+def test_family_batch_refuses_an_off_circle_frequency():
+    # the batch builds no phase table: the unclosed terms leave an
+    # imaginary part far above its 1e-8 bound
+    from hamstat.numerics import unit_lambdas
+    spec = _off_circle_spec()
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        family_samples(spec, np.array([0.3 + 0.1j, -0.2 + 0.6j]),
+                       unit_lambdas(8))
 
 
 def test_spec_json_round_trip(square_spec):
