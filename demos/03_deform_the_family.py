@@ -6,31 +6,27 @@ periodicity survives only at special values; the evaluator reports the period
 defect per generator.
 """
 
-import warnings
-
 import numpy as np
 
-from hamstat import associated_family, immerse, standard_torus
+from hamstat import FamilyEvaluator, immerse, standard_torus
 
 spec = standard_torus(1.0, 1.0).spec
 
 print(" lambda                defect(g1)   defect(g2)")
 for theta in np.linspace(0.0, np.pi / 2, 7):
     lam = np.exp(1j * theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        member = associated_family(spec, lam, warn=False)
+    member = FamilyEvaluator(spec, lam)
     d1 = member.period_defects["g1"]
     d2 = member.period_defects["g2"]
     print(f" exp({theta:5.3f}i)          {d1:10.3e}  {d2:10.3e}")
 
 # the unit parameter reproduces the original immersion exactly
-member1 = associated_family(spec, 1.0, warn=False)
+member1 = FamilyEvaluator(spec, 1.0)
 zs = spec.lattice.grid(6)
 print("\nfamily at 1 vs direct evaluation:",
       f"{np.max(np.abs(member1(zs) - immerse(spec, zs))):.2e}")
 
 # the opposite parameter is the point reflection of the surface
-member_m = associated_family(spec, -1.0, warn=False)
+member_m = FamilyEvaluator(spec, -1.0)
 print("family at -1 vs point reflection:",
       f"{np.max(np.abs(member_m(zs) + immerse(spec, zs))):.2e}")

@@ -7,22 +7,19 @@ surfaces through holomorphic potentials, and integrates the commuting flows
 of polynomial Killing fields.
 """
 
-from .algebra import (AlgebraElement, GroupElement, eigen_project,
-                      lagrangian_angle, omega, tau)
+from .algebra import omega
 from .lattices import (FrequencySet, Lattice, PeriodicityClass,
                        enumerate_frequencies, period_lattice,
                        periodicity_class)
-from .weierstrass import (TorusSpec, associated_family, basis_A, basis_B,
-                          beta_eval, family_samples, immerse,
-                          regularity_scan, spinor_ab, spinor_u)
+from .weierstrass import (FamilyEvaluator, TorusSpec, family_samples, immerse,
+                          regularity_scan, spinor_u)
 from .tori import castro_urbano, rhombic_torus, standard_torus
 from .checks import (check_conformal, check_flatness, check_harmonic_angle,
                      check_lagrangian, check_mean_curvature, run_suite)
 from .loops import (HolomorphicPotentialData, SpecLift, TwistedLoop, birkhoff,
                     dpw_reconstruct, iwasawa, potential_extract, su2_iwasawa)
-from .finitetype import (KillingField, formal_killing, fourier_recurrence,
-                         lax_integrate, lax_project, polynomial_condition,
-                         r_op, rhombic_killing_seed,
-                         standard_torus_killing_seed)
+from .finitetype import (KillingField, formal_killing, lax_integrate,
+                         lax_project, polynomial_condition, r_op,
+                         rhombic_killing_seed, standard_torus_killing_seed)
 
 __version__ = "1.0.0"

@@ -1,30 +1,25 @@
-"""Quaternionic 4x4 matrix constants, the symmetry group of R^4 ~ C^2, and
-the Lagrangian angle map.
+"""Quaternionic 4x4 matrix constants, the twisting automorphism of the
+symmetry algebra of R^4 ~ C^2, and the Lagrangian angle map.
 
 The ambient space carries the metric, the symplectic form
 ``omega(u, v) = <L_i u, v>`` and the complex structure ``J = L_i``.  The
 symmetry group is the semidirect product of ``{G in SO(4): [G, L_i] = 0}``
 (isomorphic to U(2)) with translations.  An order-4 automorphism ``tau``
-(conjugation by ``(-L_j, 0)``) grades the complexified Lie algebra into four
-eigenspaces; that grading drives everything downstream.
+(conjugation by ``(-L_j, 0)``, `tau_rotation` and `tau_vector` on the two
+parts) grades the complexified Lie algebra into four eigenspaces; that
+grading drives everything downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import FrameNotLagrangian
 
 __all__ = [
     "ID4", "L_I", "L_J", "L_K", "R_I", "R_J", "R_K",
     "EPS", "EPS_BAR", "LI_EPS", "LI_EPS_BAR",
     "PHASE_BASIS", "G0_BASIS", "ROTATION_BASIS", "QUAT_BASIS",
-    "coords", "from_coords",
-    "GroupElement", "AlgebraElement",
-    "omega", "tau", "tau_rotation", "tau_vector",
-    "eigen_project", "lagrangian_angle",
+    "coords", "from_coords", "omega", "tau_rotation", "tau_vector",
+    "wedge_value", "lagrangian_angle_raw",
     "exp_g2", "exp_g0", "exp_rotation",
 ]
 
@@ -78,92 +73,6 @@ def omega(u, v):
             + u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2])
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Rigid motion (G, T): rotation commuting with L_i plus translation.
-
-    The product law is ``(G, T) (G', T') = (G G', G T' + T)``.
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(ID4.copy(), np.zeros(4))
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.rotation @ other.rotation,
-                            self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "GroupElement":
-        rt = self.rotation.T
-        return GroupElement(rt, -rt @ self.translation)
-
-    def apply(self, x):
-        return (self.rotation @ np.asarray(x, dtype=float).T).T + self.translation
-
-    def is_valid(self) -> bool:
-        g = self.rotation
-        return bool(np.max(np.abs(g @ g.T - ID4)) <= 1e-9
-                    and np.max(np.abs(g @ L_I - L_I @ g)) <= 1e-9)
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Lie algebra element (eta, t): eta = a L_i + b.R, t a (possibly complex)
-    4-vector.  The bracket is ``[(e,t),(e',t')] = (ee'-e'e, e t' - e' t)``."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=complex))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=complex))
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls(np.zeros((4, 4)), np.zeros(4))
-
-    @classmethod
-    def from_coeffs(cls, a=0.0, b=(0.0, 0.0, 0.0)) -> "AlgebraElement":
-        """The rotation a L_i + b.R, with no translation."""
-        return cls(from_coords(np.array([a, *b]), ROTATION_BASIS), np.zeros(4))
-
-    def coeffs(self):
-        """(a, b1, b2, b3) coordinates of the rotation part."""
-        return tuple(coords(self.rotation, ROTATION_BASIS))
-
-    def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
-        e, f = self.rotation, other.rotation
-        return AlgebraElement(e @ f - f @ e,
-                              e @ other.translation - f @ self.translation)
-
-    def conj(self) -> "AlgebraElement":
-        return AlgebraElement(np.conj(self.rotation), np.conj(self.translation))
-
-    def __add__(self, other):
-        return AlgebraElement(self.rotation + other.rotation,
-                              self.translation + other.translation)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.rotation - other.rotation,
-                              self.translation - other.translation)
-
-    def __mul__(self, c):
-        return AlgebraElement(c * self.rotation, c * self.translation)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.rotation) ** 2)
-                             + np.sum(np.abs(self.translation) ** 2)))
-
-
 def tau_rotation(m):
     """tau on a rotation-part matrix: conjugation by -L_j."""
     return -L_J @ np.asarray(m) @ L_J
@@ -172,34 +81,6 @@ def tau_rotation(m):
 def tau_vector(v):
     """tau on a translation 4-vector."""
     return -(L_J @ np.asarray(v).T).T
-
-
-def tau(x):
-    """Order-4 automorphism, on group or algebra elements."""
-    if isinstance(x, GroupElement):
-        return GroupElement(tau_rotation(x.rotation), tau_vector(x.translation))
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(tau_rotation(x.rotation), tau_vector(x.translation))
-    raise TypeError(f"tau expects a group or algebra element, got {type(x)!r}")
-
-
-def eigen_project(x: AlgebraElement, k: int) -> AlgebraElement:
-    """Component of a complexified algebra element in the i**k eigenspace.
-
-    k = 2 picks the L_i line, k = 0 the R-span, and k = -1/+1 split the
-    translation into the -i/+i eigenspaces of -L_j.
-    """
-    if k not in (-1, 0, 1, 2):
-        raise ValueError("k must be one of -1, 0, 1, 2")
-    if k in (0, 2):
-        basis = G0_BASIS if k == 0 else ROTATION_BASIS[:1]
-        return AlgebraElement(from_coords(coords(x.rotation, basis), basis),
-                              np.zeros(4))
-    t = x.translation
-    sign = -1.0 if k == -1 else 1.0
-    # eigenprojection of A = -L_j with A^2 = -Id: P(+-i) = (Id -+ i A)/2
-    proj = 0.5 * (t - sign * 1j * (-(L_J @ t)))
-    return AlgebraElement(np.zeros((4, 4)), proj)
 
 
 def wedge_value(e1, e3):
@@ -211,23 +92,9 @@ def wedge_value(e1, e3):
     return a * d - c * b
 
 
-def lagrangian_angle(e1, e3, tol: float = 1e-9):
-    """Angle Theta in (-pi, pi] with e^{i Theta} the wedge value of the frame.
-
-    Raises :class:`FrameNotLagrangian` unless (e1, e3) is unit, orthogonal and
-    omega-isotropic within ``tol``.
-    """
-    e1 = np.asarray(e1, dtype=float)
-    e3 = np.asarray(e3, dtype=float)
-    checks = (abs(e1 @ e1 - 1.0), abs(e3 @ e3 - 1.0), abs(e1 @ e3), abs(omega(e1, e3)))
-    worst = max(checks)
-    if worst > tol:
-        raise FrameNotLagrangian(f"frame residual {worst:.3e} exceeds tol {tol:.1e}")
-    return float(np.angle(wedge_value(e1, e3)))
-
-
 def lagrangian_angle_raw(e1, e3):
-    """Angle of the wedge value without precondition checks (vectorized)."""
+    """Angle Theta in (-pi, pi] with e^{i Theta} the wedge value of the frame
+    (e1, e3), vectorized; the frame is not checked to be Lagrangian."""
     return np.angle(wedge_value(np.asarray(e1), np.asarray(e3)))
 
 

@@ -10,7 +10,6 @@ independent of it.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,6 @@ class CheckReport:
         return {"check": self.check, "grid_n": self.grid_n,
                 "residual": self.residual, "threshold": self.threshold,
                 "pass": self.passed, **self.extra}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _default_step(lattice) -> float:

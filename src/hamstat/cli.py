@@ -348,7 +348,7 @@ def cmd_family(args) -> int:
             raise InputError(f"family parameter {lam} is not unimodular")
     report = []
     for lam in lams:
-        ev = weierstrass.associated_family(spec, lam, warn=False)
+        ev = weierstrass.FamilyEvaluator(spec, lam)
         entry = {"lambda": [lam.real, lam.imag],
                  "period_defects": ev.period_defects,
                  "periodic": max(ev.period_defects.values()) <= args.tol}

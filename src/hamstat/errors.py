@@ -1,4 +1,4 @@
-"""Exception and warning types raised across the library."""
+"""Exception types raised across the library."""
 
 
 class HamstatError(Exception):
@@ -7,10 +7,6 @@ class HamstatError(Exception):
 
 class InputError(HamstatError):
     """A command-line argument or input file is malformed or out of range."""
-
-
-class FrameNotLagrangian(HamstatError):
-    """Tangent frame fails the unit/orthogonal/isotropy requirements."""
 
 
 class DegenerateLattice(HamstatError):
@@ -70,7 +66,3 @@ class StepSizeUnderflow(HamstatError):
 
 class NoRealSolution(HamstatError):
     """Parameter ratios admit no angle solution in the required range."""
-
-
-class MonodromyWarning(UserWarning):
-    """Deformed immersion fails lattice periodicity at tolerance."""

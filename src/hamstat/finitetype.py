@@ -5,8 +5,8 @@ of algebra values; its lowest coefficient is a constant phase generator and
 the flow equation moves the remaining coefficients by bracketing against the
 projected connection.  The module integrates the flow by Taylor steps whose
 length the decay of their own coefficients sets, projects the connection,
-runs the scalar Fourier recurrences along the coefficient chain, and builds
-the polynomial frequency condition those recurrences close on.
+builds the shipped seeds by running their spinor modes along the coefficient
+chain, and builds the polynomial frequency condition that chain closes on.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (G0_BASIS, L_I, R_I, R_J, R_K, ROTATION_BASIS,
-                      AlgebraElement, coords, from_coords)
+from .algebra import G0_BASIS, L_I, ROTATION_BASIS, coords, from_coords
 from .checks import _curvature_residual
 from .errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from .lattices import Lattice, parse_integer
@@ -25,10 +24,9 @@ from .tori import rhombic_torus, standard_torus
 from .weierstrass import TorusSpec, _u_modes
 
 __all__ = [
-    "KillingField", "r_op", "pi_g0", "b0_basis", "lax_project",
+    "KillingField", "r_op", "lax_project",
     "lax_integrate", "flow_field", "LaxFlowResult",
-    "formal_killing", "zeta_coefficients", "fourier_recurrence",
-    "polynomial_condition", "standard_torus_killing_seed",
+    "formal_killing", "polynomial_condition", "standard_torus_killing_seed",
     "rhombic_killing_seed", "KillingSeed",
 ]
 
@@ -40,18 +38,6 @@ __all__ = [
 # coordinates (Re b1 + Im b3, Re b2, Re b3 - Im b1), and r(zeta) = (pi(zeta)
 # - i pi(i zeta)) / 2 is complex-linear: the matrix below on (b1, b2, b3).
 _R_G0 = 0.5 * np.array([[1, 0, -1j], [0, 1, 0], [1j, 0, 1]])
-
-
-def b0_basis() -> np.ndarray:
-    """Real basis (3 x 4 x 4 complex) of the ray-stabilizer subalgebra."""
-    return np.stack([1j * R_I + R_K, -R_I + 1j * R_K, 1j * R_J])
-
-
-def pi_g0(zeta) -> np.ndarray:
-    """Projection of a complexified compact-type element onto the real part
-    along the ray-stabilizer subalgebra."""
-    r = r_op(zeta)
-    return r + np.conj(r)
 
 
 def r_op(zeta) -> np.ndarray:
@@ -117,16 +103,17 @@ def lax_project(xi: KillingField):
 
 # --- the flow in algebra coordinates ------------------------------------------
 # A coefficient of u(2) (x) C |x C^4 is the 8-vector of its rotation's
-# ROTATION_BASIS coordinates and its translation; a field is (2d+1, 8).
-_UNITS = ([AlgebraElement(b, np.zeros(4)) for b in ROTATION_BASIS]
-          + [AlgebraElement(np.zeros((4, 4)), t) for t in np.eye(4)])
-# structure constants: entry [q, 8p + c] is coordinate c of [e_p, e_q], so
-# the rows of m @ _BRACKET hold [e_p, m_j]; the brackets of the real basis
-# are real
+# ROTATION_BASIS coordinates and its translation; a field is (2d+1, 8).  The
+# 8 units (rotation, translation) of those coordinates:
+_UNIT_ROT = np.concatenate([ROTATION_BASIS, np.zeros((4, 4, 4))])
+_UNIT_TRANS = np.concatenate([np.zeros((4, 4)), np.eye(4)])
+# structure constants of the bracket [(e, t), (f, t')] = (e f - f e,
+# e t' - f t): entry [q, 8p + c] is coordinate c of [e_p, e_q], so the rows of
+# m @ _BRACKET hold [e_p, m_j]; the brackets of the real basis are real
 _BRACKET = np.array([
-    np.r_[coords(ab.rotation, ROTATION_BASIS), ab.translation]
-    for ab in (a.bracket(b) for b in _UNITS for a in _UNITS)
-]).real.reshape(8, 64)
+    np.r_[coords(e @ f - f @ e, ROTATION_BASIS), e @ t_q - f @ t_p]
+    for f, t_q in zip(_UNIT_ROT, _UNIT_TRANS)
+    for e, t_p in zip(_UNIT_ROT, _UNIT_TRANS)]).reshape(8, 64)
 # the same on interleaved rows (q, re|im) and columns (p, re|im, c, re|im):
 # w = re + i im times an entry b is the real block [[re, im], [-im, re]] b
 _BRACKET_RE = np.einsum("qpc,ust->qupsct", _BRACKET.reshape(8, 8, 8),
@@ -345,40 +332,7 @@ def formal_killing(u_modes, a: complex, n_coeffs: int = 24) -> list:
     return [(freqs, w) for w in out[:n_coeffs]]
 
 
-def zeta_coefficients(w_list: list, u_modes, a: complex) -> list:
-    """Translation parts of the adapted series, as mode tables: order 0 is
-    u + a L_i w0 (identically zero), order n >= 1 is a L_i w_n."""
-    freqs, u = u_modes
-    step = (complex(a) * L_I).T
-    out = [(freqs, u + w_list[0][1] @ step)]
-    out += [(freqs, w @ step) for _, w in w_list[1:]]
-    return out
-
-
-# --- scalar recurrences and the frequency polynomial ------------------------
-
-def fourier_recurrence(beta0: complex, cs: dict, seeds: dict, p: int) -> dict:
-    """Run the coefficient chain per frequency and evaluate the closure.
-
-    ``cs`` maps q in -p..p-1 to the constant c_q; ``seeds`` maps each
-    frequency gamma (with |gamma| = |beta0|/2) to the bottom coefficient.
-    Returns {gamma: {"chain": [...], "closure": residual, "ok": bool}}.
-    """
-    beta0 = complex(beta0)
-    report = {}
-    for gamma, bottom in seeds.items():
-        gamma = complex(gamma)
-        if abs(abs(gamma) - abs(beta0) / 2) > 1e-9 * max(1.0, abs(beta0)):
-            raise ValueError(f"frequency {gamma} is off the circle")
-        ratio = (2.0 * np.conj(gamma) / np.conj(beta0)) ** 2
-        chain = [complex(bottom)]
-        for q in range(-p, p):
-            chain.append(cs[q] * chain[0] + ratio * chain[-1])
-        closure = abs(gamma * chain[0] + np.conj(gamma) * chain[-1])
-        report[gamma] = {"chain": chain, "closure": closure,
-                         "ok": closure <= 1e-9 * max(1.0, abs(chain[0]))}
-    return report
-
+# --- the frequency polynomial ----------------------------------------------
 
 def polynomial_condition(beta0: complex, cs: dict, p: int):
     """Monic degree-(4p+2) polynomial whose roots carry the admissible

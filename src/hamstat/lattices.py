@@ -150,9 +150,6 @@ class Lattice:
         c = self.coords(v)
         return np.all(np.abs(c - np.round(c)) <= tol, axis=-1)
 
-    def point(self, n: int, m: int) -> complex:
-        return n * self.g1 + m * self.g2
-
     def dual(self) -> "Lattice":
         """Generators with <gi*, gj> = delta_ij (2x2 inverse transpose)."""
         inv_t = np.linalg.inv(self.basis_matrix()).T
@@ -303,8 +300,7 @@ def integer_span_lattice(vectors, base: Lattice):
     basis = _integer_row_basis(rounded.astype(np.int64))
     if len(basis) < 2:
         return None, len(basis)
-    g1 = base.point(int(basis[0][0]), int(basis[0][1]))
-    g2 = base.point(int(basis[1][0]), int(basis[1][1]))
+    g1, g2 = (int(n) * base.g1 + int(m) * base.g2 for n, m in basis[:2])
     return Lattice(g1, g2), 2
 
 

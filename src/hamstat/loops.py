@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (EPS, ID4, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
+from .algebra import (EPS, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
                       tau_rotation, tau_vector)
 from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
@@ -33,7 +33,7 @@ from .weierstrass import TorusSpec, family_samples, holomorphic_angle
 
 __all__ = [
     "TwistedLoop", "su2_iwasawa", "iwasawa", "birkhoff", "p_real_part",
-    "q_minus", "q_plus", "SpecLift", "HolomorphicPotentialData",
+    "q_minus", "SpecLift", "HolomorphicPotentialData",
     "potential_extract", "dpw_reconstruct", "ReconstructedLift",
 ]
 
@@ -57,11 +57,6 @@ class TwistedLoop:
         self.trans = np.asarray(self.trans, dtype=complex)
         order = np.argsort(self.ks)
         self.ks, self.rot, self.trans = self.ks[order], self.rot[order], self.trans[order]
-
-    @classmethod
-    def identity(cls) -> "TwistedLoop":
-        return cls(np.array([0]), np.array([ID4], dtype=complex),
-                   np.zeros((1, 4), dtype=complex))
 
     @property
     def degree(self) -> int:
@@ -111,12 +106,6 @@ class TwistedLoop:
         return TwistedLoop.from_samples(
             r1 @ r2, np.einsum("mij,mj->mi", r1, t2) + t1)
 
-    def inverse(self) -> "TwistedLoop":
-        r, t = self.sample(_pow2(8 * self.degree + 16))
-        rinv = np.linalg.inv(r)
-        return TwistedLoop.from_samples(
-            rinv, -np.einsum("mij,mj->mi", rinv, t))
-
     def twist_residual(self) -> float:
         """Max entry of tau(c_k) - i^k c_k over the coefficients."""
         w = _I_POW[self.ks % 4]
@@ -156,10 +145,6 @@ class TwistedLoop:
             rots.append(r)
             trs.append(t)
         return cls(np.array(ks), np.array(rots), np.array(trs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwistedLoop":
-        return cls.from_dict(json.loads(text))
 
 
 _I_POW = np.array([1, 1j, -1, -1j])     # i^k at slot k % 4
@@ -266,10 +251,6 @@ def q_minus(trans_samples):
     hat = loop_coeffs(trans_samples)
     hat[:len(hat) // 2 + 1] = 0.0     # keep exponents -1 .. -(m/2 - 1)
     return samples_from_coeffs(hat)
-
-
-def q_plus(trans_samples):
-    return trans_samples - q_minus(trans_samples)
 
 
 def p_real_part(trans_samples):
@@ -545,14 +526,6 @@ class HolomorphicPotentialData:
     def c(self, z):
         return 0.5 * np.asarray(self.dh(z))
 
-    @classmethod
-    def constant(cls, c: complex, a: complex, b: complex) -> "HolomorphicPotentialData":
-        c, a, b = complex(c), complex(a), complex(b)
-        return cls(h=lambda z: 2.0 * c * np.asarray(z, dtype=complex),
-                   dh=lambda z: np.full(np.shape(z), 2.0 * c, dtype=complex),
-                   a=lambda z: np.full(np.shape(z), a, dtype=complex),
-                   b=lambda z: np.full(np.shape(z), b, dtype=complex))
-
 
 def _half_slots(m: int):
     """Roots of the half-angle phases e^{+-i h / (2 lam^2)} over m samples:
@@ -630,15 +603,15 @@ def potential_extract(lift, nsamples: int = 64,
     W_{-1} of W = e^{-lam^-2 h L_i / 2} X, the translation half of the
     lift's negative Birkhoff factor.  W_{-1} is taken from ``nsamples`` loop
     samples on a 256-point ring of radius ``taylor_radius`` (by default
-    1.35 max(1, |g1| + |g2|) of ``lift.lattice``); one FFT over the ring
-    gives its Taylor series.  A pole inside the ring raises
-    :class:`NotInBigCell`.
+    1.35 (|g1| + |g2|) of ``lift.lattice``, so the ring scales with the
+    domain); one FFT over the ring gives its Taylor series.  A pole inside
+    the ring raises :class:`NotInBigCell`.
     """
     if not hasattr(lift, "h_fn"):
         raise TypeError("lift must expose the holomorphic half-angle h_fn")
     if taylor_radius is None:
         lat = lift.lattice
-        taylor_radius = 1.35 * max(1.0, abs(lat.g1) + abs(lat.g2))
+        taylor_radius = 1.35 * (abs(lat.g1) + abs(lat.g2))
     ring = taylor_radius * unit_lambdas(_RING_N)
     w_m1 = _lift_w_minus1(lift, ring, nsamples)                 # (_RING_N, 4)
     a, b = (_taylor_interpolant(2.0 * w_m1[:, k], taylor_radius).deriv()

@@ -97,10 +97,6 @@ class CastroUrbanoData:
     candidates: tuple              # (gamma, in_coset, excluded) triples
     degenerate_rectangular: bool
 
-    def admissible_frequencies(self):
-        return tuple(g for g, in_coset, excluded in self.candidates
-                     if in_coset and not excluded)
-
     def constrain_coefficients(self, seed: dict) -> dict:
         """Extend coefficients on ``gamma`` / ``conj(gamma)`` seeds to their
         negatives with the locked phases; other keys pass through."""

@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import EPS, LI_EPS_BAR, PI_MINUS, PI_PLUS
-from .errors import MonodromyWarning, ResonantFrequency
+from .errors import ResonantFrequency
 from .lattices import (Lattice, PeriodicityClass, enumerate_frequencies,
                        parse_pair, periodicity_class)
 from .numerics import TWO_PI, dot_r2
 
 __all__ = [
-    "TorusSpec", "beta_eval", "basis_A", "basis_B", "immerse",
-    "spinor_u", "spinor_ab", "regularity_scan", "RegularityReport",
-    "associated_family", "FamilyEvaluator", "holomorphic_angle",
+    "TorusSpec", "immerse", "spinor_u", "regularity_scan",
+    "RegularityReport", "FamilyEvaluator", "family_samples",
+    "holomorphic_angle",
 ]
 
 _KEY_DECIMALS = 9
@@ -102,9 +101,6 @@ class TorusSpec:
     def items(self):
         return [(g, a) for g, a in self.coeffs.values()]
 
-    def gammas(self):
-        return [g for g, _ in self.coeffs.values()]
-
     def periodicity(self) -> PeriodicityClass:
         return periodicity_class(self.lattice, self.beta0)
 
@@ -133,11 +129,6 @@ class TorusSpec:
     @classmethod
     def from_json(cls, text: str) -> "TorusSpec":
         return cls.from_dict(json.loads(text))
-
-
-def beta_eval(spec: TorusSpec, z):
-    """Lagrangian angle lift 2*pi*<beta0, z> (basepoint at 0)."""
-    return TWO_PI * dot_r2(spec.beta0, np.asarray(z, dtype=complex))
 
 
 def holomorphic_angle(beta0: complex):
@@ -215,8 +206,9 @@ def _basis_column(gamma: complex, beta0: complex):
     return np.array([-1j * gamma, -beta0 / 2.0, gamma, -1j * beta0 / 2.0]) / denom
 
 
-def _basis_sum(pairs, beta0, z):
-    """sum over (gamma, a) of Re(a) A_gamma + Im(a) B_gamma.
+def immerse(spec: TorusSpec, z):
+    """X = sum over (gamma, a) of Re(a) A_gamma + Im(a) B_gamma, shape
+    (..., 4), with A_gamma and B_gamma the two basis surfaces of a frequency.
 
     With w_gamma = exp(-2 pi i <gamma, z>) column_gamma, A and B are the
     rotated real and imaginary parts of (4/pi) w_gamma, and
@@ -226,30 +218,15 @@ def _basis_sum(pairs, beta0, z):
     the modes -gamma +- beta0/2: one mode sum and one real part serve all
     terms.
     """
-    beta0 = complex(beta0)
+    beta0 = spec.beta0
     half = beta0 / 2.0
-    terms = [(complex(g), complex(a)) for g, a in pairs if a != 0]
+    terms = [(g, a) for g, a in spec.items() if a != 0]
     gammas = np.array([g for g, _ in terms], dtype=complex)
     cols = np.array([np.conj(a) * (4.0 / np.pi) * _basis_column(g, beta0)
                      for g, a in terms]).reshape(-1, 4)
     freqs = (np.array([half, -half]) - gammas[:, None]).ravel()
     return np.ascontiguousarray(
         _mode_sum(freqs, (cols @ _SPLIT).reshape(-1, 4), z, real=True))
-
-
-def basis_A(gamma, beta0, z):
-    """Closed-form basis immersion attached to a frequency (real part)."""
-    return _basis_sum([(gamma, 1.0)], beta0, z)
-
-
-def basis_B(gamma, beta0, z):
-    """Companion basis immersion (imaginary part)."""
-    return _basis_sum([(gamma, 1j)], beta0, z)
-
-
-def immerse(spec: TorusSpec, z):
-    """X = sum over frequencies of Re(a) A + Im(a) B, shape (..., 4)."""
-    return _basis_sum(spec.items(), spec.beta0, z)
 
 
 def _u_modes(spec: TorusSpec):
@@ -273,12 +250,6 @@ def _u_modes(spec: TorusSpec):
 def spinor_u(spec: TorusSpec, z):
     """u = e^{-beta L_i / 2} dX/dz, from its exact Fourier modes."""
     return _mode_sum(*_u_modes(spec), z)
-
-
-def spinor_ab(spec: TorusSpec, z):
-    """The two scalar components of u in the (eps, L_i eps_bar) frame."""
-    u = spinor_u(spec, z)
-    return 2.0 * u[..., 0], 2.0 * u[..., 1]
 
 
 @dataclass(frozen=True)
@@ -316,7 +287,6 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
 # --- associated family -------------------------------------------------
 
 _RES_TOL = 1e-12
-_PERIOD_TOL = 1e-9      # period defect beyond which a member warns
 # elements of one (points, lams * 4) row block of a family batch: blocks this
 # small reuse allocator memory, where whole-batch temporaries (megabytes on
 # the extraction ring) came back as fresh pages, one page fault per 4 KB
@@ -363,7 +333,7 @@ class FamilyEvaluator:
     lam = 1 this reproduces the undeformed immersion exactly.
     """
 
-    def __init__(self, spec: TorusSpec, lam: complex, warn: bool = True):
+    def __init__(self, spec: TorusSpec, lam: complex):
         lam = complex(lam)
         if abs(abs(lam) - 1.0) > 1e-12:
             raise ValueError("family parameter must lie on the unit circle")
@@ -371,11 +341,6 @@ class FamilyEvaluator:
         self.lam = lam
         self._build_table()
         self.period_defects = self._monodromy()
-        if warn and max(self.period_defects.values()) > _PERIOD_TOL:
-            warnings.warn(
-                f"family member lam={lam:.6g} breaks lattice periodicity "
-                f"(defect {max(self.period_defects.values()):.3e})",
-                MonodromyWarning, stacklevel=3)
 
     def _build_table(self):
         """Group the terms by phase; exponential primitives go to the
@@ -413,12 +378,6 @@ class FamilyEvaluator:
                 total += np.linalg.norm(g * c1 + np.conj(g) * c2)
             defects[name] = float(total)
         return defects
-
-
-def associated_family(spec: TorusSpec, lam: complex, warn: bool = True):
-    """Deformed immersion at circle parameter lam, as its evaluator (which
-    carries the per-generator period defects)."""
-    return FamilyEvaluator(spec, lam, warn=warn)
 
 
 def family_samples(spec: TorusSpec, z, lams):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hamstat.algebra import (AlgebraElement, EPS, EPS_BAR, G0_BASIS,
-                             GroupElement, ID4, L_I, L_J, L_K, PHASE_BASIS,
-                             QUAT_BASIS, R_I, R_J, R_K, ROTATION_BASIS, coords,
-                             eigen_project, exp_g0, from_coords,
-                             lagrangian_angle, omega, tau, tau_rotation,
-                             tau_vector)
-from hamstat.errors import FrameNotLagrangian
+from hamstat.algebra import (EPS, EPS_BAR, G0_BASIS, ID4, L_I, L_J, L_K,
+                             LI_EPS, LI_EPS_BAR, PHASE_BASIS, QUAT_BASIS, R_I,
+                             R_J, R_K, ROTATION_BASIS, coords, exp_g0,
+                             from_coords, lagrangian_angle_raw, omega,
+                             tau_rotation, tau_vector)
+from hamstat.finitetype import _BRACKET
+from hamstat.loops import TwistedLoop
 
 LEFT = {"1": ID4, "i": L_I, "j": L_J, "k": L_K}
 RIGHT = {"1": ID4, "i": R_I, "j": R_J, "k": R_K}
@@ -54,16 +54,16 @@ def test_coordinate_map_on_the_sixteen_products(rng):
         assert np.array_equal(coords(basis, basis), np.eye(len(basis)))
         assert np.array_equal(np.abs(coords(basis, products)).sum(axis=-1),
                               np.ones(len(basis)))
-    el = AlgebraElement.from_coeffs(0.3 - 1j, (2.0, -0.5j, 1.5))
-    assert np.array_equal(el.rotation, (0.3 - 1j) * L_I + 2.0 * R_I
+    rot = from_coords(np.array([0.3 - 1j, 2.0, -0.5j, 1.5]), ROTATION_BASIS)
+    assert np.array_equal(rot, (0.3 - 1j) * L_I + 2.0 * R_I
                           - 0.5j * R_J + 1.5 * R_K)
-    assert np.allclose(el.coeffs(), (0.3 - 1j, 2.0, -0.5j, 1.5), atol=1e-15)
+    assert np.allclose(coords(rot, ROTATION_BASIS),
+                       (0.3 - 1j, 2.0, -0.5j, 1.5), atol=1e-15)
 
 
 def test_tau_examples_and_order():
-    ident = GroupElement.identity()
-    out = tau(ident)
-    assert np.allclose(out.rotation, ID4) and np.allclose(out.translation, 0)
+    # the identity motion is fixed
+    assert np.allclose(tau_rotation(ID4), ID4)
     # direct matrix product: -L_j L_i L_j = -L_i
     assert np.allclose(tau_rotation(L_I), -L_I)
     # translation eigenvector: eps sits in the (-i)-eigenspace of -L_j
@@ -73,27 +73,37 @@ def test_tau_examples_and_order():
 
 def test_tau_fourth_power_identity(rng):
     for _ in range(20):
-        el = AlgebraElement(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-                            rng.normal(size=4) + 1j * rng.normal(size=4))
-        out = tau(tau(tau(tau(el))))
-        assert np.allclose(out.rotation, el.rotation)
-        assert np.allclose(out.translation, el.translation)
+        rot = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        trans = rng.normal(size=4) + 1j * rng.normal(size=4)
+        out_rot, out_trans = rot, trans
+        for _ in range(4):
+            out_rot, out_trans = tau_rotation(out_rot), tau_vector(out_trans)
+        assert np.allclose(out_rot, rot)
+        assert np.allclose(out_trans, trans)
+
+
+def _eigen_parts(rot, trans):
+    """Components of an algebra element (a L_i + b.R, t) in the i**k
+    eigenspaces of tau, k = -1, 0, 1, 2: the R-span, the L_i line and the
+    eps, L_i eps_bar (k = -1) and eps_bar, L_i eps (k = 1) halves of t."""
+    zero_rot, zero_trans = np.zeros((4, 4)), np.zeros(4)
+    g0 = from_coords(coords(rot, G0_BASIS), G0_BASIS)
+    li = from_coords(coords(rot, ROTATION_BASIS[:1]), ROTATION_BASIS[:1])
+    # eigenprojection of A = -L_j with A^2 = -Id: P(+-i) = (Id -+ i A)/2
+    minus = 0.5 * (trans - 1j * (L_J @ trans))
+    return {-1: (zero_rot, minus), 0: (g0, zero_trans),
+            1: (zero_rot, trans - minus), 2: (li, zero_trans)}
 
 
 def test_eigen_project_examples():
-    li = AlgebraElement(L_I, np.zeros(4))
-    p2 = eigen_project(li, 2)
-    assert np.allclose(p2.rotation, L_I) and np.allclose(p2.translation, 0)
-
-    eps_el = AlgebraElement(np.zeros((4, 4)), EPS)
-    pm1 = eigen_project(eps_el, -1)
-    assert np.allclose(pm1.translation, EPS)
-    assert np.allclose(eigen_project(eps_el, 1).translation, 0)
-
-    rj = AlgebraElement(R_J, np.zeros(4))
-    assert np.allclose(eigen_project(rj, 1).rotation, 0)
-    assert np.allclose(eigen_project(rj, 1).translation, 0)
-    assert np.allclose(eigen_project(rj, 0).rotation, R_J)
+    # the odd eigenspaces are spanned by the distinguished vectors
+    for vec, k in ((EPS, -1), (LI_EPS_BAR, -1), (EPS_BAR, 1), (LI_EPS, 1)):
+        assert np.allclose(tau_vector(vec), 1j ** k * vec)
+        assert np.allclose(_eigen_parts(np.zeros((4, 4)), vec)[k][1], vec)
+    assert np.allclose(tau_rotation(L_I), -L_I)
+    for r in (R_I, R_J, R_K):
+        assert np.allclose(tau_rotation(r), r)
+        assert np.allclose(_eigen_parts(r, np.zeros(4))[0][0], r)
 
 
 def test_eigen_project_resolution_and_eigenvalues(rng):
@@ -101,58 +111,63 @@ def test_eigen_project_resolution_and_eigenvalues(rng):
     for _ in range(1000):
         coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         trans = rng.normal(size=4) + 1j * rng.normal(size=4)
-        el = AlgebraElement(coeffs[0] * L_I + coeffs[1] * R_I
-                            + coeffs[2] * R_J + coeffs[3] * R_K, trans)
+        rot = from_coords(coeffs, ROTATION_BASIS)
         total_rot = np.zeros((4, 4), dtype=complex)
         total_tr = np.zeros(4, dtype=complex)
-        for k in (-1, 0, 1, 2):
-            comp = eigen_project(el, k)
-            tcomp = tau(comp)
-            assert np.max(np.abs(tcomp.rotation - 1j ** k * comp.rotation)) < 1e-12
-            assert np.max(np.abs(tcomp.translation - 1j ** k * comp.translation)) < 1e-12
-            total_rot += comp.rotation
-            total_tr += comp.translation
-        assert np.max(np.abs(total_rot - el.rotation)) <= 1e-12 * (1 + np.max(np.abs(el.rotation)))
-        assert np.max(np.abs(total_tr - el.translation)) <= 1e-12 * (1 + np.max(np.abs(el.translation)))
+        for k, (crot, ctr) in _eigen_parts(rot, trans).items():
+            assert np.max(np.abs(tau_rotation(crot) - 1j ** k * crot)) < 1e-12
+            assert np.max(np.abs(tau_vector(ctr) - 1j ** k * ctr)) < 1e-12
+            total_rot += crot
+            total_tr += ctr
+        assert np.max(np.abs(total_rot - rot)) <= 1e-12 * (1 + np.max(np.abs(rot)))
+        assert np.max(np.abs(total_tr - trans)) <= 1e-12 * (1 + np.max(np.abs(trans)))
 
 
-def _random_group_element(rng):
+def _random_motion(rng):
+    """A constant loop at a random rigid motion (rotation, translation)."""
     theta = rng.uniform(-np.pi, np.pi)
-    b = rng.normal(size=3)
-    rot = (np.cos(theta) * ID4 + np.sin(theta) * L_I) @ exp_g0(b).real
-    return GroupElement(rot, rng.normal(size=4))
+    rot = (np.cos(theta) * ID4 + np.sin(theta) * L_I) @ exp_g0(rng.normal(size=3)).real
+    return TwistedLoop(np.array([0]), rot[None], rng.normal(size=(1, 4)))
 
 
 def test_group_law_associativity_and_inverse(rng):
+    # the motion group law (R1, T1)(R2, T2) = (R1 R2, R1 T2 + T1) that
+    # TwistedLoop.compose applies pointwise
     for _ in range(50):
-        g1, g2, g3 = (_random_group_element(rng) for _ in range(3))
-        assert g1.is_valid()
-        lhs = (g1 @ g2) @ g3
-        rhs = g1 @ (g2 @ g3)
-        assert np.max(np.abs(lhs.rotation - rhs.rotation)) < 1e-12
-        assert np.max(np.abs(lhs.translation - rhs.translation)) < 1e-12
-        inv = g1.inverse()
-        prod = g1 @ inv
-        assert np.max(np.abs(prod.rotation - ID4)) < 1e-12
-        assert np.max(np.abs(prod.translation)) < 1e-12
-        # the product acts as the composition of the actions
+        g1, g2, g3 = (_random_motion(rng) for _ in range(3))
+        r1, t1 = g1.value_at(1.0)
+        assert np.allclose(r1 @ r1.T, ID4) and np.isclose(np.linalg.det(r1), 1.0)
+        lhs = g1.compose(g2).compose(g3).value_at(1.0)
+        rhs = g1.compose(g2.compose(g3)).value_at(1.0)
+        assert np.max(np.abs(lhs[0] - rhs[0])) < 1e-12
+        assert np.max(np.abs(lhs[1] - rhs[1])) < 1e-12
+        r1inv = np.linalg.inv(r1)
+        inv = TwistedLoop(np.array([0]), r1inv[None], -(r1inv @ t1)[None])
+        rp, tp = g1.compose(inv).value_at(1.0)
+        assert np.max(np.abs(rp - ID4)) < 1e-12
+        assert np.max(np.abs(tp)) < 1e-12
+        # the product acts as the composition of the actions x -> R x + T
         x = rng.normal(size=(5, 4))
-        assert np.allclose((g1 @ g2).apply(x), g1.apply(g2.apply(x)))
+        r2, t2 = g2.value_at(1.0)
+        r12, t12 = g1.compose(g2).value_at(1.0)
+        assert np.allclose(x @ r12.T + t12, (x @ r2.T + t2) @ r1.T + t1)
 
 
 def test_bracket_antisymmetry_and_jacobi(rng):
-    def rand_alg():
-        c = rng.normal(size=4)
-        return AlgebraElement(c[0] * L_I + c[1] * R_I + c[2] * R_J + c[3] * R_K,
-                              rng.normal(size=4))
+    # the flow's structure constants on the 8 coordinates (4 of the rotation
+    # in ROTATION_BASIS, 4 of the translation): [x, y]_c = x_p y_q B[q, p, c]
+    table = _BRACKET.reshape(8, 8, 8)
 
+    def bracket(x, y):
+        return np.einsum("p,q,qpc->c", x, y, table)
+
+    assert np.array_equal(table, -table.transpose(1, 0, 2))
     for _ in range(25):
-        x, y, z = rand_alg(), rand_alg(), rand_alg()
-        antisym = x.bracket(y) + y.bracket(x)
-        assert antisym.norm() < 1e-12
-        jac = (x.bracket(y.bracket(z)) + y.bracket(z.bracket(x))
-               + z.bracket(x.bracket(y)))
-        assert jac.norm() < 1e-10
+        x, y, z = rng.normal(size=(3, 8))
+        assert np.linalg.norm(bracket(x, y) + bracket(y, x)) < 1e-12
+        jac = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+               + bracket(z, bracket(x, y)))
+        assert np.linalg.norm(jac) < 1e-10
 
 
 E1 = np.array([1.0, 0, 0, 0])
@@ -169,12 +184,12 @@ def _angle_via_u2_determinant(e1, e3):
 
 
 def test_lagrangian_angle_examples():
-    assert abs(lagrangian_angle(E1, E3)) < 1e-14
+    assert abs(lagrangian_angle_raw(E1, E3)) < 1e-14
     # same oriented plane, rotated basis
-    assert abs(lagrangian_angle(E3, -E1)) < 1e-14
+    assert abs(lagrangian_angle_raw(E3, -E1)) < 1e-14
     for theta in (0.3, -1.2, 2.9):
         rot = np.cos(theta) * ID4 + np.sin(theta) * L_I
-        got = lagrangian_angle(rot @ E1, rot @ E3)
+        got = lagrangian_angle_raw(rot @ E1, rot @ E3)
         expect = np.angle(np.exp(2j * theta))
         assert abs(got - expect) < 1e-12
         assert abs(got - _angle_via_u2_determinant(rot @ E1, rot @ E3)) < 1e-12
@@ -186,16 +201,9 @@ def test_lagrangian_angle_g0_invariance(rng):
         theta = rng.uniform(-np.pi, np.pi)
         g2 = np.cos(theta) * ID4 + np.sin(theta) * L_I
         k = exp_g0(rng.normal(size=3)).real
-        base = lagrangian_angle(g2 @ E1, g2 @ E3)
-        moved = lagrangian_angle(g2 @ k @ E1, g2 @ k @ E3)
+        base = lagrangian_angle_raw(g2 @ E1, g2 @ E3)
+        moved = lagrangian_angle_raw(g2 @ k @ E1, g2 @ k @ E3)
         assert abs((base - moved + np.pi) % (2 * np.pi) - np.pi) < 1e-12
-
-
-def test_lagrangian_angle_rejects_bad_frames():
-    with pytest.raises(FrameNotLagrangian):
-        lagrangian_angle(E1, np.array([0.0, 1.0, 0, 0]))   # omega(e1, e3) = 1
-    with pytest.raises(FrameNotLagrangian):
-        lagrangian_angle(2 * E1, E3)
 
 
 def test_omega_matches_symplectic_matrix(rng):

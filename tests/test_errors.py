@@ -1,29 +1,33 @@
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import hamstat
 from hamstat import errors
 
+SRC = Path(hamstat.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+# the programs: the package itself (the CLI included), the demos and the
+# benchmark harness, without its tests
+PROGRAMS = [path for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
+            for path in sorted(folder.glob("*.py"))
+            if not path.name.startswith("test_")]
+# public names that only the acceptance criteria call
+ACCEPTANCE_ONLY = {"formal_killing", "period_lattice", "lax_flatness_residual",
+                   "flow_field"}
 
-def _raised_and_warned():
-    """Names of the classes the package's sources raise, and of the warning
-    categories they pass to ``warnings.warn``."""
-    raised, warned = set(), set()
-    for path in Path(hamstat.__file__).parent.glob("*.py"):
+
+def _raised():
+    """Names of the classes the package's sources raise."""
+    raised = set()
+    for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "warn"):
-                categories = node.args[1:2] + [k.value for k in node.keywords
-                                               if k.arg == "category"]
-                warned.update(c.id for c in categories
-                              if isinstance(c, ast.Name))
-    return raised, warned
+    return raised
 
 
 def test_every_error_class_is_raised():
@@ -31,9 +35,44 @@ def test_every_error_class_is_raised():
     declared = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
                 if issubclass(cls, errors.HamstatError)
                 and cls is not errors.HamstatError}
-    raised, warned = _raised_and_warned()
-    assert declared and not declared - raised, sorted(declared - raised)
-    assert "MonodromyWarning" in warned
+    assert declared and not declared - _raised(), sorted(declared - _raised())
+
+
+def _public_definitions():
+    """(qualified name, name) of every public module-level function and
+    class under the package, and of every public method that overrides no
+    base-class method."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"hamstat.{path.stem}"),
+                              node.name)
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")
+                            and not any(hasattr(base, item.name)
+                                        for base in cls.__mro__[1:])):
+                        yield (f"{path.stem}.{node.name}.{item.name}",
+                               item.name)
+
+
+def test_every_public_name_is_reached():
+    # a public name that no program mentions is dead API; an import or an
+    # __all__ entry is not a mention
+    mentioned = set()
+    for path in PROGRAMS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+    unreached = [qual for qual, name in _public_definitions()
+                 if name not in mentioned | ACCEPTANCE_ONLY]
+    assert not unreached, unreached
 
 
 def test_every_parameter_is_read():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,11 @@ from hamstat.algebra import (EPS, G0_BASIS, L_I, R_I, R_J, R_K,
                              tau_vector)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from hamstat.finitetype import (KillingField, _field_coords, _flow_coords,
-                                _lax_taylor, b0_basis,
-                                flow_field, formal_killing, fourier_recurrence,
+                                _lax_taylor, flow_field, formal_killing,
                                 lax_flatness_residual, lax_integrate,
-                                lax_project, pi_g0,
-                                polynomial_condition, r_op,
+                                lax_project, polynomial_condition, r_op,
                                 rhombic_killing_seed,
-                                standard_torus_killing_seed,
-                                zeta_coefficients)
+                                standard_torus_killing_seed)
 from hamstat.lattices import enumerate_frequencies
 from hamstat.tori import standard_torus
 from hamstat.weierstrass import _mode_sum, _u_modes, immerse, spinor_u
@@ -28,6 +26,18 @@ def rand_g0c(rng):
 
 
 # --- splitting operator -------------------------------------------------------
+
+def b0_basis() -> np.ndarray:
+    """Real basis (3 x 4 x 4 complex) of the ray-stabilizer subalgebra."""
+    return np.stack([1j * R_I + R_K, -R_I + 1j * R_K, 1j * R_J])
+
+
+def pi_g0(zeta) -> np.ndarray:
+    """Projection of a complexified compact-type element onto the real part
+    along the ray-stabilizer subalgebra."""
+    r = r_op(zeta)
+    return r + np.conj(r)
+
 
 def test_b0_basis_stabilizes_ray():
     for b in b0_basis():
@@ -117,7 +127,7 @@ def test_pi_g0_fixes_the_real_form_and_r_op_is_complex_linear(rng):
 
 def test_killing_field_serialization():
     seed = standard_torus_killing_seed(1.0, 1.0).field
-    back = KillingField.from_json(seed.to_json())
+    back = KillingField.from_dict(json.loads(seed.to_json()))
     assert back.d == seed.d
     assert np.max(np.abs(back.rot - seed.rot)) < 1e-15
     assert np.max(np.abs(back.trans - seed.trans)) < 1e-15
@@ -635,6 +645,16 @@ def standard_formal():
     return spec, u_modes, a, formal_killing(u_modes, a, n_coeffs=24)
 
 
+def zeta_coefficients(w_list: list, u_modes, a: complex) -> list:
+    """Translation parts of the adapted series, as mode tables: order 0 is
+    u + a L_i w0 (identically zero), order n >= 1 is a L_i w_n."""
+    freqs, u = u_modes
+    step = (complex(a) * L_I).T
+    out = [(freqs, u + w_list[0][1] @ step)]
+    out += [(freqs, w @ step) for _, w in w_list[1:]]
+    return out
+
+
 def test_formal_killing_w2_vanishes_exactly(standard_formal):
     _, _, _, ws = standard_formal
     assert np.all(ws[2][1] == 0)
@@ -695,6 +715,29 @@ def test_formal_killing_antiholomorphic_equation(standard_formal):
 
 # --- scalar recurrences -----------------------------------------------------------
 
+def fourier_recurrence(beta0: complex, cs: dict, seeds: dict, p: int) -> dict:
+    """Run the coefficient chain per frequency and evaluate the closure.
+
+    ``cs`` maps q in -p..p-1 to the constant c_q; ``seeds`` maps each
+    frequency gamma (with |gamma| = |beta0|/2) to the bottom coefficient.
+    Returns {gamma: {"chain": [...], "closure": residual, "ok": bool}}.
+    """
+    beta0 = complex(beta0)
+    report = {}
+    for gamma, bottom in seeds.items():
+        gamma = complex(gamma)
+        if abs(abs(gamma) - abs(beta0) / 2) > 1e-9 * max(1.0, abs(beta0)):
+            raise ValueError(f"frequency {gamma} is off the circle")
+        ratio = (2.0 * np.conj(gamma) / np.conj(beta0)) ** 2
+        chain = [complex(bottom)]
+        for q in range(-p, p):
+            chain.append(cs[q] * chain[0] + ratio * chain[-1])
+        closure = abs(gamma * chain[0] + np.conj(gamma) * chain[-1])
+        report[gamma] = {"chain": chain, "closure": closure,
+                         "ok": closure <= 1e-9 * max(1.0, abs(chain[0]))}
+    return report
+
+
 def test_fourier_recurrence_genus_zero_closure():
     beta0 = 2.0
     ok = fourier_recurrence(beta0, {}, {1j: 1.0, -1j: 0.5}, 0)
@@ -713,6 +756,19 @@ def test_fourier_recurrence_geometric_chain(rng):
     ratio = (2 * np.conj(gamma) / np.conj(beta0)) ** 2
     for j, val in enumerate(chain):
         assert abs(val - (1.5 - 0.5j) * ratio ** j) < 1e-12
+
+
+def test_seed_chain_matches_fourier_recurrence():
+    # the seed's translation string at exponent 4q - 1 sums the spinor modes
+    # times their chain multipliers, the chain run from a bottom of 1
+    seed = rhombic_killing_seed()
+    freqs, vecs = _u_modes(seed.spec)
+    rep = fourier_recurrence(seed.spec.beta0, seed.cs,
+                             {f: 1.0 for f in freqs.tolist()}, seed.p)
+    for q in range(-seed.p, seed.p + 1):
+        want = sum(rep[f]["chain"][q + seed.p] * v
+                   for f, v in zip(freqs.tolist(), vecs))
+        assert np.max(np.abs(seed.field.coeff(4 * q - 1)[1] - want)) < 1e-12
 
 
 def test_recurrence_closure_iff_polynomial_root(rng):

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from hamstat.errors import (ConvergenceFailure, HamstatError, LoopAliasing,
 from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            SpecLift, TwistedLoop,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
-                           potential_extract, q_minus, q_plus, su2_iwasawa)
+                           potential_extract, q_minus, su2_iwasawa)
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.loops import (_ADJ_SIGNS, _E_PLUS, _FRAME, _from_plus,
                            _half_slots, _inv2, _mul2,
@@ -50,6 +51,33 @@ def _ref_frame(phi):
             + np.sin(phi)[..., None, None] * L_I)
 
 
+def _identity_loop():
+    return TwistedLoop(np.array([0]), np.array([ID4]), np.zeros((1, 4)))
+
+
+def _inverse_loop(loop):
+    """The pointwise inverse (G^-1, -G^-1 T), resampled from 8 degree + 16
+    circle points."""
+    r, t = loop.sample(_pow2(8 * loop.degree + 16))
+    rinv = np.linalg.inv(r)
+    return TwistedLoop.from_samples(rinv, -np.einsum("mij,mj->mi", rinv, t))
+
+
+def q_plus(trans_samples):
+    """The nonnegative Fourier part of circle samples, as samples."""
+    return trans_samples - q_minus(trans_samples)
+
+
+def constant_potential(c, a, b):
+    """Potential data with h = 2 c z and constant a, b."""
+    c, a, b = complex(c), complex(a), complex(b)
+    return HolomorphicPotentialData(
+        h=lambda z: 2.0 * c * np.asarray(z, dtype=complex),
+        dh=lambda z: np.full(np.shape(z), 2.0 * c, dtype=complex),
+        a=lambda z: np.full(np.shape(z), a, dtype=complex),
+        b=lambda z: np.full(np.shape(z), b, dtype=complex))
+
+
 def _li_rotate(phase, vec):
     """exp(phase L_i) on vectors, cos(phase) v + sin(phase) L_i v, with the
     (complex) phase broadcast over the leading axes of ``vec``."""
@@ -78,17 +106,21 @@ def test_twisted_loop_compose_inverse(rng):
     rp, tp = prod.sample(256)
     assert np.max(np.abs(rp - ra @ rb)) < 1e-10
     assert np.max(np.abs(tp - (np.einsum("mij,mj->mi", ra, tb) + ta))) < 1e-10
-    inv = a.inverse()
-    ident = a.compose(inv)
+    ident = a.compose(_inverse_loop(a))
     ri, ti = ident.sample(256)
     assert np.max(np.abs(ri - ID4)) < 1e-9
     assert np.max(np.abs(ti)) < 1e-9
+    # the motion group law is associative
+    c = random_twisted_group_loop(2, rng)
+    for lhs, rhs in zip(prod.compose(c).sample(256),
+                        a.compose(b.compose(c)).sample(256)):
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_twisted_loop_reality_and_json(rng):
     loop = random_twisted_group_loop(4, rng, real=True)
     assert loop.reality_residual() < 1e-12
-    back = TwistedLoop.from_json(loop.to_json())
+    back = TwistedLoop.from_dict(json.loads(loop.to_json()))
     assert np.array_equal(back.ks, loop.ks)
     assert np.max(np.abs(back.rot - loop.rot)) < 1e-15
 
@@ -98,7 +130,7 @@ def test_twisted_loop_reality_and_json(rng):
 def test_twisted_loop_from_dict_rejects_non_integer_exponent(k):
     # int() turned 0.9 into a second exponent 0 and true into 1, and raised
     # OverflowError on an infinity
-    data = TwistedLoop.identity().to_dict()
+    data = _identity_loop().to_dict()
     data["coefficients"].append({**data["coefficients"][0], "k": k})
     with pytest.raises(ValueError, match="exponent"):
         TwistedLoop.from_dict(data)
@@ -457,7 +489,7 @@ def test_birkhoff_checks_sample_count_before_toeplitz_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     with pytest.raises(ValueError, match="negative degree 40"):
-        birkhoff(TwistedLoop.identity(), neg_degree=40, nsamples=64)
+        birkhoff(_identity_loop(), neg_degree=40, nsamples=64)
 
 
 def test_plus_block_round_trip(rng):
@@ -775,7 +807,7 @@ def test_lift_phase_gives_reference_frame():
     want = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
     phi = loops._frame_phase(lift.h_fn(zs), lams)
     assert np.max(np.abs(_ref_frame(phi) - want)) < 1e-13
-    pot = HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j)
+    pot = constant_potential(1.0 + 0.5j, 0.7, -0.2j)
     rl = ReconstructedLift(pot, nsamples=32, quad_n=12)
     h = pot.h(zs)[:, None]
     f = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
@@ -798,7 +830,7 @@ def test_lift_phase_gives_reference_frame():
 def test_lift_samples_are_x_alone(zs):
     # the lift protocol: samples(z, m) is X, shape z.shape + (m, 4); the
     # frame is the phase of h_fn, which callers take themselves
-    pot = HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j)
+    pot = constant_potential(1.0 + 0.5j, 0.7, -0.2j)
     for lift in (SpecLift(rhombic_torus().spec),
                  ReconstructedLift(pot, nsamples=32, quad_n=12)):
         x = lift.samples(zs, 32)
@@ -848,7 +880,7 @@ def test_potential_taylor_cache_matches_direct():
 
 
 def test_dpw_zero_potential():
-    pot = HolomorphicPotentialData.constant(1.0 + 0.5j, 0.0, 0.0)
+    pot = constant_potential(1.0 + 0.5j, 0.0, 0.0)
     rl = dpw_reconstruct(pot, nsamples=32, quad_n=8)
     zs = np.array([0.2 + 0.1j, 1.0 - 0.7j])
     assert np.max(np.abs(rl.immersion(zs))) < 1e-12
@@ -872,7 +904,7 @@ def test_dpw_angle_free_branch_is_direct_integral():
     # reconstruction reduces to the projected holomorphic integral, checked
     # against an independent quadrature of the data
     a_c, b_c = 1.3 - 0.2j, 0.4 + 0.9j
-    pot = HolomorphicPotentialData.constant(0.0, a_c, b_c)
+    pot = constant_potential(0.0, a_c, b_c)
     rl = dpw_reconstruct(pot, nsamples=32, quad_n=12)
     zs = np.array([0.4 + 0.3j, -0.6 + 0.1j])
     got = rl.immersion(zs)
@@ -889,7 +921,7 @@ def test_dpw_constant_potential_is_stationary_surface():
     from hamstat.checks import run_suite
     spec = standard_torus(1.0, 1.0).spec
     c = np.pi * np.conj(spec.beta0) / 2
-    pot = HolomorphicPotentialData.constant(c, 2 * np.pi, 0.0)
+    pot = constant_potential(c, 2 * np.pi, 0.0)
     rl = dpw_reconstruct(pot, nsamples=96, quad_n=16, lattice=spec.lattice)
     reports = run_suite(lambda z: rl.immersion(z), spec.lattice, 16)
     for rep in reports:
@@ -961,6 +993,32 @@ def test_castro_urbano_round_trip():
     err, calls = _round_trip(spec, 8, 128)
     assert err < 1e-7
     assert calls <= 14
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 0.05, 0.1, 0.2, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("name", ["standard", "rhombic"])
+def test_round_trip_default_radius_scales_with_the_lattice(name, s):
+    # the lattice times s with beta0 and every gamma over s is the surface
+    # times s, and the default ring follows the lattice: each scale gives
+    # its surface back within criterion 7's 1e-7 (relative to the surface
+    # where it is below 1, so a small wrong surface cannot pass) or refuses
+    # with a typed error, never a wrong surface
+    base = (standard_torus(1.0, 1.0) if name == "standard"
+            else rhombic_torus()).spec
+    lat = Lattice(s * base.lattice.g1, s * base.lattice.g2)
+    spec = TorusSpec.build(lat, base.beta0 / s,
+                           {g / s: a for g, a in base.items()})
+    zs = lat.grid(8)
+    try:
+        pot = potential_extract(SpecLift(spec), nsamples=128)
+        got = dpw_reconstruct(pot, nsamples=128, quad_n=24,
+                              lattice=lat).immersion(zs)
+    except HamstatError:
+        if s == 0.1:
+            raise
+        return
+    want = immerse(spec, zs) - immerse(spec, 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-7 * min(1.0, np.max(np.abs(want)))
 
 
 def test_round_trip_of_benchmark_shape_does_not_bisect():
@@ -1128,7 +1186,7 @@ def test_rule_matches_per_node_reference(rng, points, n, m):
     # 12 x 25 points take several; at m = 30, -lam^-2 is not a sample
     # value of lam^-2
     spec = rhombic_torus().spec
-    pots = (HolomorphicPotentialData.constant(1.0 + 0.5j, 0.7, -0.2j),
+    pots = (constant_potential(1.0 + 0.5j, 0.7, -0.2j),
             potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))
     _check_rule(rng, pots, points, n, m)
 
@@ -1136,7 +1194,7 @@ def test_rule_matches_per_node_reference(rng, points, n, m):
 @pytest.mark.parametrize("c, n, m", [(5, 24, 30), (5 + 3j, 48, 30), (2, 24, 4)])
 def test_rule_folds_taylor_terms_past_the_roots(rng, c, n, m):
     # more Taylor terms than roots (L = 30, 30 and 2): the terms fold mod L
-    pot = HolomorphicPotentialData.constant(c, 0.7, -0.2j)
+    pot = constant_potential(c, 0.7, -0.2j)
     _check_rule(rng, (pot,), (3, 4), n, m)
 
 
@@ -1170,7 +1228,7 @@ def test_reconstruction_angle_range(c, expect):
     # a value while 128 samples resolve the angle; past that the spectrum
     # edge (20) or the quadrature (400) fails, an e^{|h|/2} that overflows
     # and a non-finite angle are refused before any series is built
-    pot = HolomorphicPotentialData.constant(c, 1, 0.5)
+    pot = constant_potential(c, 1, 0.5)
     run = lambda: dpw_reconstruct(pot, nsamples=128,
                                   quad_n=24).samples([0.5 + 0.25j])
     if expect is not None:
@@ -1272,7 +1330,7 @@ def test_taylor_interpolant_rejects_pole_inside_circle():
 def test_reconstruction_quadrature_depth_exhausted(monkeypatch):
     monkeypatch.setattr(loops, "_QUAD_TOL", 1e-14)
     monkeypatch.setattr(loops, "_QUAD_DEPTH", 1)
-    pot = HolomorphicPotentialData.constant(1 + 0.5j, 0.7, -0.2j)
+    pot = constant_potential(1 + 0.5j, 0.7, -0.2j)
     lift = ReconstructedLift(pot, nsamples=16, quad_n=2)
     with pytest.raises(PathIntegrationFailure):
         lift.immersion(np.array([3 + 2j]))
