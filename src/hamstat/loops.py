@@ -494,16 +494,17 @@ class SpecLift:
         Normalized as an extended lift: the value at the basepoint is the
         identity, so the family is shifted to vanish at z = 0.  The family is
         odd in lam, so it is evaluated on half the circle and negated on the
-        rest: m must be even (else ValueError).
+        rest: m must be even (else ValueError).  `family_samples` writes that
+        half into the samples in place, through their (z.size, m, 4) layout.
         """
         if m % 2:
             raise ValueError(f"sample count {m} is odd")
         z = np.asarray(z, dtype=complex)
         lams, half = unit_lambdas(m), m // 2
-        x = np.empty(z.shape + (m, 4))
-        x[..., :half, :] = family_samples(self.spec, z, lams[:half])
-        np.negative(x[..., :half, :], out=x[..., half:, :])
-        return x
+        x = np.empty((z.size, m, 4))
+        family_samples(self.spec, z.ravel(), lams[:half], out=x[:, :half])
+        np.negative(x[:, :half], out=x[:, half:])
+        return x.reshape(z.shape + (m, 4))
 
 
 def _frame_phase(h, lams):

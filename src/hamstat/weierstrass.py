@@ -287,8 +287,9 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
 # --- associated family -------------------------------------------------
 
 _RES_TOL = 1e-12
-# elements of one (points, lams * 4) row block of a family batch: blocks this
-# small reuse allocator memory, where whole-batch temporaries (megabytes on
+# elements of one (points, lams * 4) row block of a family batch: its complex
+# values are made a block at a time and only the real parts kept, so every
+# temporary reuses allocator memory, where a whole-batch one (a megabyte on
 # the extraction ring) came back as fresh pages, one page fault per 4 KB
 _BLOCK = 1 << 12
 
@@ -312,15 +313,16 @@ def _family_terms(spec: TorusSpec, lams):
     return deltas, deltas[ex] + sign[ex] * shift, c1, c2
 
 
-def _real_part(out, what: str):
+def _peak(part) -> float:
     # max |.| from max and min: no array-sized temporaries
-    def peak(part):
-        return max(float(np.max(part)), -float(np.min(part))) if out.size else 0.0
+    return max(float(np.max(part)), -float(np.min(part))) if part.size else 0.0
 
-    imag = peak(out.imag)
-    if imag > 1e-8 * (1.0 + peak(out.real)):
+
+def _real_part(real, imag: float, what: str):
+    # imag: the largest |imag| of the whole batch, against its largest |real|
+    if imag > 1e-8 * (1.0 + _peak(real)):
         raise ArithmeticError(f"{what} has imaginary residue {imag:.2e}")
-    return out.real
+    return real
 
 
 class FamilyEvaluator:
@@ -366,7 +368,7 @@ class FamilyEvaluator:
         z = np.asarray(z, dtype=complex)
         for c1, c2 in zip(*self._linear):
             out += z[..., None] * c1 + np.conj(z)[..., None] * c2
-        return _real_part(out, "family value")
+        return _real_part(out.real, _peak(out.imag), "family value")
 
     def _monodromy(self) -> dict:
         mu, vecs = self._waves
@@ -380,7 +382,7 @@ class FamilyEvaluator:
         return defects
 
 
-def family_samples(spec: TorusSpec, z, lams):
+def family_samples(spec: TorusSpec, z, lams, out=None):
     """Family values on a batch of circle parameters, vectorized over (z, lam).
 
     Agrees with stacking :class:`FamilyEvaluator` values less their value
@@ -391,45 +393,51 @@ def family_samples(spec: TorusSpec, z, lams):
     the batch costs one exponential per (mode, point), one cos/sin table
     over (z, lam) and one (z, modes) @ (modes, lam * 4) product per sign.
     A term's columns where mu vanishes (the resonances) take the linear
-    primitive instead.
+    primitive instead.  The complex values are made one `_BLOCK` row block
+    at a time, and only their real parts are kept.
 
-    Returns shape ``z.shape + lams.shape + (4,)``.
+    Returns shape ``z.shape + lams.shape + (4,)``.  With ``out``, a float
+    array of shape (z.size, lams.size, 4), the values are written into it.
     """
     z = np.asarray(z, dtype=complex)
     lams = np.asarray(lams, dtype=complex)
     shape = z.shape + lams.shape + (4,)
     zs, lams = z.ravel(), lams.ravel()
+    if out is None:
+        out = np.empty((len(zs), len(lams), 4))
     deltas, mu, c1, c2 = _family_terms(spec, lams)
-    if not len(deltas):
-        return np.zeros(shape)
     res = np.abs(mu) <= _RES_TOL                               # (2K, lams)
     vec = c1 / np.where(res, 1.0, 1j * np.pi * np.conj(mu))[..., None]
     vec[res] = 0.0
     waves = np.exp(2j * np.pi * dot_r2(deltas[None, ::2], zs[:, None]))
-    plus, minus = (vec[s::2].reshape(len(deltas) // 2, -1) for s in (0, 1))
+    plus, minus = (vec[s::2].reshape(len(deltas) // 2, 4 * len(lams))
+                   for s in (0, 1))
     # e(sigma x), x = <lam^2 beta0 / 2, z>, is e(x) or its conjugate
     arg = TWO_PI * dot_r2(lams * lams * spec.beta0 / 2.0, zs[:, None])
     phase = np.empty(arg.shape + (1,), dtype=complex)
     np.cos(arg, out=phase.real[..., 0])
     np.sin(arg, out=phase.imag[..., 0])
-    out = np.empty((len(zs), len(lams), 4), dtype=complex)
-    # row blocks, with one reused buffer for the sign -1 product
+    cols = res.any(axis=0)
+    lin1 = np.where(res[..., None], c1, 0.0)[:, cols].sum(axis=0)
+    lin2 = np.where(res[..., None], c2, 0.0)[:, cols].sum(axis=0)
+    base = vec.sum(axis=0)
+    # row blocks, in two reused buffers, one per sign
     step = max(1, _BLOCK // max(1, plus.shape[1]))
-    tail = np.empty((min(step, len(zs)),) + out.shape[1:], dtype=complex)
+    head, tail = np.empty((2, min(step, len(zs))) + out.shape[1:],
+                          dtype=complex)
+    imag = 0.0
     for lo in range(0, len(zs), step):
         rows = slice(lo, lo + step)
-        blk = out[rows]
-        rest = tail[:len(blk)]
+        blk, rest = head[:len(waves[rows])], tail[:len(waves[rows])]
         np.matmul(waves[rows], plus, out=blk.reshape(len(blk), -1))
         np.matmul(waves[rows], minus, out=rest.reshape(len(blk), -1))
         blk *= phase[rows]
         rest *= np.conj(phase[rows])
         blk += rest
-    if res.any():
-        cols = res.any(axis=0)
-        lin1 = np.where(res[..., None], c1, 0.0)[:, cols].sum(axis=0)
-        lin2 = np.where(res[..., None], c2, 0.0)[:, cols].sum(axis=0)
-        out[:, cols] += (zs[:, None, None] * lin1
-                         + np.conj(zs)[:, None, None] * lin2)
-    out -= vec.sum(axis=0)
-    return _real_part(out.reshape(shape), "family batch")
+        if cols.any():
+            blk[:, cols] += (zs[rows, None, None] * lin1
+                             + np.conj(zs[rows])[:, None, None] * lin2)
+        blk -= base
+        out[rows] = blk.real
+        imag = max(imag, _peak(blk.imag))
+    return _real_part(out, imag, "family batch").reshape(shape)

@@ -1068,6 +1068,38 @@ def _ring(spec):
     return 1.35 * max(1.0, abs(lat.g1) + abs(lat.g2)) * unit_lambdas(256)
 
 
+@pytest.mark.parametrize("spec", _POOL_SPECS[:2])
+def test_spec_lift_samples_any_point_shape(spec):
+    # the family writes into a flat view of the lift's samples: a grid or a
+    # scalar gives the same bits as its points in a 1-D array
+    lift = SpecLift(spec)
+    grid = spec.lattice.grid(6)
+    x = lift.samples(grid, 128)
+    assert x.shape == (6, 6, 128, 4)
+    assert np.array_equal(x, lift.samples(grid.ravel(), 128).reshape(x.shape))
+    z = 0.3 + 0.2j
+    assert lift.samples(z, 128).shape == (128, 4)
+    assert np.array_equal(lift.samples(z, 128), lift.samples([z], 128)[0])
+
+
+@pytest.mark.parametrize("spec", _POOL_SPECS[:2])
+def test_spec_lift_samples_allocate_little_above_the_output(spec):
+    # the 256-point ring at 128 samples: 1 MB of samples, and the family's
+    # complex values made a row block at a time instead of a 1 MB batch
+    # (the whole batch peaked at 1.7 MB above the output)
+    import tracemalloc
+    lift, ring = SpecLift(spec), _ring(spec)
+    lift.samples(ring, 128)
+    tracemalloc.start()
+    try:
+        x = lift.samples(ring, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes == 1 << 20
+    assert peak - x.nbytes <= 850 * 1024
+
+
 # reference: the full-circle lam^{+1} mean that `_lift_w_minus1` halves
 def _full_circle_w_minus1(lift, z, m):
     x = lift.samples(z, m)

@@ -485,6 +485,40 @@ def test_family_batch_refuses_an_off_circle_frequency():
                        unit_lambdas(8))
 
 
+def test_multi_block_family_batch(square_spec):
+    # 40 points at 128 samples fill five row blocks of 8; the resonant
+    # columns 16, 48, 80 and 112 take the linear primitive in every block
+    from hamstat import weierstrass
+    from hamstat.numerics import unit_lambdas
+    lams = unit_lambdas(128)
+    assert weierstrass._BLOCK // (4 * len(lams)) == 8
+    zs = 0.9 * np.exp(2j * np.pi * np.arange(40) / 40) + 0.1j
+    batch = family_samples(square_spec, zs, lams)
+    assert batch.shape == (40, 128, 4)
+    for j, lam in enumerate(lams):
+        ev = FamilyEvaluator(square_spec, lam)
+        assert np.max(np.abs(batch[:, j] - (ev(zs) - ev(0.0)))) < 1e-10, j
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        family_samples(_off_circle_spec(), zs, lams)
+
+
+def test_family_batch_residue_gate_spans_the_whole_batch(square_spec):
+    # a small off-circle term leaves an imaginary residue of about 1e-7:
+    # the 8 points near the basepoint, one row block, are refused on their
+    # own, but in one batch with 8 far points (family values of about 4e3
+    # through the resonant columns) the residue is within 1e-8 of the
+    # batch's largest real value, so the batch passes
+    from hamstat.numerics import unit_lambdas
+    spec = TorusSpec(square_spec.lattice, square_spec.beta0,
+                     {**dict(square_spec.items()), 0.3 + 0.1j: 1e-6})
+    lams = unit_lambdas(128)
+    near = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        family_samples(spec, near, lams)
+    batch = family_samples(spec, np.concatenate([near, near + 1000.0]), lams)
+    assert np.max(np.abs(batch[8:])) > 1e3
+
+
 def test_spec_json_round_trip(square_spec):
     text = square_spec.to_json()
     back = TorusSpec.from_json(text)
