@@ -49,8 +49,8 @@ def r_op(zeta) -> np.ndarray:
 # --- Killing fields ---------------------------------------------------------
 
 # Largest degree a Killing field file may declare (the least is 1: the Lax
-# block reads 3 of the 2d + 1 coefficients).  A flow step's windows of
-# `_lax_taylor` hold 16 (2d + 5) 80 float entries: 5.3 MB at 256.
+# block reads 3 of the 2d + 1 coefficients).  A flow step's buffers in
+# `_lax_taylor` hold 16 (2d + 5) 80 window floats, 7.6 MB in all at 256.
 _MAX_DEGREE = 256
 
 
@@ -160,37 +160,42 @@ _MULT_1, _MULT_I = _multiplier(1.0), _multiplier(1j)     # real-linear in zdot
 def _lax_taylor(n: int, zdot: complex):
     """Taylor orders of the Lax flow of (n, 8) field coordinates along zdot,
     in float64 products on interleaved (re, im) views.  The derivative is the
-    real-bilinear B(x, y) = shifted(x) @ block(y): ``block`` brackets the
-    multiplier of y's rows 0..2 into (80, 16), and ``shifted`` is the (n + 4,
-    80) window with x's row m - j in slot j of padded row m, field rows first.
+    real-bilinear B(x, y) = shifted(pad) @ block(y), pad holding x's floats
+    between four zero rows each side: ``block`` brackets the multiplier of
+    y's rows 0..2 into (80, 16), and ``shifted`` is the (n + 4, 80) window
+    with x's row m - j in slot j of padded row m, field rows first.
     ``orders(x)`` fills x_{k+1} = sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER
-    from x_0 = x, with one block and window per coefficient, and returns its
-    buffers of the coefficients and the (n + 4)-row products.  With ``still``
+    from x_0 = x in a zero-padded (_ORDER + 1, n + 8, 16) store, and returns
+    its coefficients and the (n + 4)-row products.  x_j's window sits at
+    columns 80 j of one buffer and its block at rows 80 (_ORDER - 1 - j) of
+    another, so order k is one product, summed over j inside BLAS: orders
+    k >= 1 differ by rounding from k + 1 separate products.  With ``still``
     an x_1 (padding included) within 64 eps of its rounding bound |window| @
     |block| entrywise is a field that does not move: its later orders are 0."""
     rmt = zdot.real * _MULT_1 + zdot.imag * _MULT_I
     window = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] + 4 - np.arange(5)
-    pad = np.zeros((n + 8, 16))         # rows 4..n+3 take the coefficient
-    xs = np.empty((_ORDER + 1, n, 8), dtype=complex)
+    padded = np.zeros((_ORDER + 1, n + 8, 16))      # rows 4..n+3 hold x_k
+    xs = padded[:, 4:n + 4].view(complex)
     prods = np.empty((_ORDER, n + 4, 8), dtype=complex)
-    blk, sx = np.empty((_ORDER, 80, 16)), np.empty((_ORDER, n + 4, 80))
+    sx, blk = np.empty((n + 4, 80 * _ORDER)), np.empty((80 * _ORDER, 16))
 
-    def block(x):
+    def block(x, out=None):
         f = x[:3].view(float).reshape(48)
-        return ((f @ rmt).reshape(5, 16) @ _BRACKET_RE).reshape(80, 16)
+        return np.matmul((f @ rmt).reshape(5, 16), _BRACKET_RE, out=out).reshape(80, 16)
 
-    def shifted(x):
-        pad[4:n + 4] = x.view(float)
-        return pad[window].reshape(n + 4, 80)
+    def shifted(pad, out=None):
+        return np.take(pad, window, axis=0, out=out).reshape(n + 4, 80)
 
     def orders(x, still=False):
         xs[0] = x
         for k in range(_ORDER):
-            blk[k], sx[k] = block(xs[k]), shifted(xs[k])
-            prods[k] = (sx[:k + 1] @ blk[k::-1]).sum(0).view(complex)
-            xs[k + 1] = prods[k, :n] / (k + 1)
+            row = 80 * (_ORDER - 1 - k)
+            block(xs[k], blk[row:row + 80].reshape(5, 256))
+            shifted(padded[k], sx[:, 80 * k:80 * k + 80].reshape(n + 4, 5, 16))
+            np.matmul(sx[:, :80 * k + 80], blk[row:], out=prods[k].view(float))
+            np.divide(prods[k, :n], k + 1, out=xs[k + 1])
         if still:                       # the bound is inf on overflow
-            bound = 64 * np.finfo(float).eps * (np.abs(sx[0]) @ np.abs(blk[0]))
+            bound = 64 * np.finfo(float).eps * (np.abs(sx[:, :80]) @ np.abs(blk[-80:]))
             if np.all(np.abs(prods[0].view(float)) <= bound) and np.isfinite(bound).all():
                 xs[1:], prods[:] = 0.0, 0.0
         return xs, prods
@@ -204,7 +209,8 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
     |x_j|)^(1/j) over the last two orders (Jorba-Zou), but not past the
     segment's end.  A shorter step than ``step`` raises ConvergenceFailure.
     A step's spill, sum_k |pad_k| h^k over the padding rows of the products,
-    bounds the derivative's padding over the step.  The first step asks
+    bounds the derivative's padding over the step.  Both sums run np.polyval's
+    Horner (0, times h, plus c) in place, bit for bit.  The first step asks
     `_lax_taylor` whether x is ``still`` (a moving field cannot stop later):
     then its orders are 0 and that one step ends the segment."""
     seg = complex(z_to) - complex(z_from)
@@ -223,13 +229,18 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
             size = np.max(np.abs(xs[[0, -2, -1]]), axis=(1, 2))
             inv_rho = np.max((size[1:] / (size[0] or 1.0)) ** _ROOTS)
             h = left if inv_rho * left <= _REACH else _REACH / inv_rho
-            x = np.polyval(xs[::-1], h)
+            x = np.zeros_like(x)
+            for c in xs[::-1]:          # np.polyval's Horner, in place
+                x *= h
+                x += c
             if not (h >= min(step, left) and np.isfinite(x).all()):
                 raise ConvergenceFailure(
                     f"Lax flow needs steps below {step:.3e} on the segment "
                     f"to {complex(z_to):.6g}")
-            spill = max(spill, float(np.polyval(
-                np.max(np.abs(prods[::-1, n:]), axis=(1, 2)), h)))
+            pad = 0.0
+            for c in np.max(np.abs(prods[::-1, n:]), axis=(1, 2)).tolist():
+                pad = pad * h + c
+            spill = max(spill, pad)
             left -= h
             steps += 1
     return x, steps, spill

@@ -9,8 +9,9 @@ from hamstat.algebra import (EPS, G0_BASIS, L_I, R_I, R_J, R_K,
                              ROTATION_BASIS, coords, from_coords, tau_rotation,
                              tau_vector)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
-from hamstat.finitetype import (KillingField, _field_coords, _flow_coords,
-                                _lax_taylor, flow_field, formal_killing,
+from hamstat.finitetype import (_BRACKET_RE, _MULT_1, _MULT_I, KillingField,
+                                _field_coords, _flow_coords, _lax_taylor,
+                                flow_field, formal_killing,
                                 lax_flatness_residual, lax_integrate,
                                 lax_project, polynomial_condition, r_op,
                                 rhombic_killing_seed,
@@ -232,7 +233,7 @@ def test_flow_tells_a_stationary_step_from_rounding(tilt, moves):
     x = _field_coords(seed.field)
     zdot = np.exp(1j * tilt)
     _, block, shifted = _lax_taylor(len(x), zdot)
-    sx, blk = shifted(x), block(x)
+    sx, blk = shifted(np.pad(x.view(float), ((4, 4), (0, 0)))), block(x)
     bound = np.abs(sx) @ np.abs(blk) * np.finfo(float).eps
     ulps = np.max(np.abs(sx @ blk)[bound > 0] / bound[bound > 0])
     assert np.all(np.abs(sx @ blk)[bound == 0] == 0)
@@ -328,7 +329,8 @@ def test_affine_derivative_matches_per_exponent_loop(rng):
             _, block, shifted = _lax_taylor(2 * d + 1, zdot)
 
             def form(x, y):
-                return (shifted(x) @ block(y)).view(complex)
+                pad = np.pad(x.view(float), ((4, 4), (0, 0)))
+                return (shifted(pad) @ block(y)).view(complex)
             got = form(x0, x0)
             want_rot, want_trans = _reference_rhs(f0.rot, f0.trans, zdot)
             got_rot = from_coords(got[:, :4], ROTATION_BASIS)
@@ -367,6 +369,75 @@ def test_taylor_orders_sum_the_polarized_derivative(rng):
         scale = np.max(np.abs(xs[:k + 1])) ** 2
         assert np.max(np.abs(prods[k] - want)) < 1e-13 * scale
         assert np.array_equal(xs[k + 1], prods[k, :2 * d + 1] / (k + 1))
+
+
+@pytest.mark.parametrize("make_seed", [
+    lambda: standard_torus_killing_seed(1.0, 1.0), rhombic_killing_seed],
+    ids=["standard", "rhombic"])
+def test_taylor_orders_pinned_to_40_digits(make_seed):
+    # orders 0..4 of one step along e^0.7i by the same recurrence at 40
+    # digits: the tables' nonzero entries are small integers and the seed's
+    # rows are read as exact binary values.  Each order keeps to 8 eps of its
+    # scale, the largest entry of sum_j |window_j| @ |block_{k-j}|; both seeds
+    # read at most 1.6 eps
+    mpmath = pytest.importorskip("mpmath")
+    x0 = _field_coords(make_seed().field)
+    n = len(x0)
+    _, prods = _lax_taylor(n, np.exp(0.7j))[0](x0)
+    # the field row that slot s of window row m reads (padding outside 0..n-1)
+    reads = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] - np.arange(5)
+    with mpmath.workdps(40):
+        cos, sin = mpmath.cos(0.7), mpmath.sin(0.7)
+        mult = [[(i, cos * a + sin * b) for i, (a, b) in
+                 enumerate(zip(_MULT_1[:, o], _MULT_I[:, o])) if a or b]
+                for o in range(80)]
+        bracket = [[(q, mpmath.mpf(v)) for q, v in enumerate(col) if v]
+                   for col in _BRACKET_RE.T]
+
+        def block(x):                   # blk[s][16 c + o], as the (5, 256) rows
+            f = [v for row in x[:3] for v in row]
+            g = [mpmath.fsum(f[i] * v for i, v in col) for col in mult]
+            return [[mpmath.fsum(g[16 * s + q] * v for q, v in col)
+                     for col in bracket] for s in range(5)]
+
+        xs, blocks = [[[mpmath.mpf(v) for v in row] for row in x0.view(float)]], []
+        for k in range(5):
+            blocks.append(block(xs[k]))
+            terms = [[[] for _ in range(16)] for _ in range(n + 4)]
+            for j in range(k + 1):
+                for m, s in np.ndindex(n + 4, 5):
+                    if 0 <= reads[m, s] < n:
+                        for c, v in enumerate(xs[j][reads[m, s]]):
+                            for o in range(16):
+                                terms[m][o].append(v * blocks[k - j][s][16 * c + o])
+            exact = [[mpmath.fsum(t) for t in row] for row in terms]
+            scale = max(float(mpmath.fsum(map(abs, t))) for row in terms for t in row)
+            err = np.abs(prods[k].view(float) - np.array(exact, dtype=float))
+            assert np.max(err) <= 8 * np.finfo(float).eps * scale, k
+            xs.append([[v / (k + 1) for v in row] for row in exact[:n]])
+
+
+@pytest.mark.parametrize("which", ["rhombic", "non-real"])
+def test_flow_step_is_np_polyval_bit_for_bit(which):
+    # the in-place Horner of the step polynomial and the Python-float Horner
+    # of the spill take np.polyval's operations in its order: on a segment
+    # short enough for one step, both match it bit for bit.  A non-real
+    # field has O(1) padding at every order, where a sum of powers of h
+    # rounds differently
+    if which == "rhombic":
+        seed = rhombic_killing_seed()
+        field, h = seed.field, 0.02 * seed.spec.lattice.diameter()
+    else:
+        field, h = _random_algebra_field(np.random.default_rng(7), 2), 0.01
+    x = _field_coords(field)
+    zdot = np.exp(0.3j)
+    moved, steps, spill = _flow_coords(x, 0.0, h * zdot, 1e-6)
+    assert steps == 1
+    xs, prods = _lax_taylor(len(x), zdot)[0](x, still=True)
+    want = np.polyval(xs[::-1], h)
+    assert moved.tobytes() == want.tobytes() and not np.array_equal(moved, x)
+    pads = np.max(np.abs(prods[::-1, len(x):]), axis=(1, 2))
+    assert np.float64(spill).tobytes() == np.polyval(pads, h).tobytes() and spill > 0
 
 
 def test_flow_window_memory_at_largest_degree(rng):
