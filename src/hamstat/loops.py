@@ -10,7 +10,10 @@ diag(C_k, i^-k C_k) in the frame (E+, L_j E+).  Both factorizations read the
 C_k on entry (`_plus_block`), solve on A (Iwasawa by a QR of its band) and
 rebuild 4x4 coefficients on exit (`_from_plus`).  Translations turn by
 diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots of
-unity away, so both need ``nsamples`` to be a multiple of 4.
+unity away, so both need ``nsamples`` to be a multiple of 4.  So do
+`SpecLift.samples`, `potential_extract` and `ReconstructedLift`: their loops
+are twisted, X(i lam) = tau X(lam), so they work on the first quarter of the
+circle and fill the rest with `_twist_fill`.
 """
 
 from __future__ import annotations
@@ -137,15 +140,6 @@ class TwistedLoop:
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TwistedLoop":
-        ks, rots, trs = [], [], []
-        for k, r, t in map(_parse_record, data["coefficients"]):
-            ks.append(k)
-            rots.append(r)
-            trs.append(t)
-        return cls(np.array(ks), np.array(rots), np.array(trs))
-
 
 _I_POW = np.array([1, 1j, -1, -1j])     # i^k at slot k % 4
 
@@ -178,6 +172,26 @@ def _parse_record(rec: dict):
     return (parse_integer(rec["k"], "exponent"),
             [[parse_pair(v) for v in row] for row in rec["rotation"]],
             [parse_pair(v) for v in rec["translation"]])
+
+
+def _quarter(m: int) -> int:
+    """m / 4 for a count of loop samples m; ValueError unless 4 divides m."""
+    if m % 4:
+        raise ValueError(f"sample count {m} is not a multiple of 4")
+    return m // 4
+
+
+def _twist_fill(x):
+    """Samples x (..., m, 4) at the m-th roots of unity filled in place from
+    their first quarter by the twist X(i lam) = tau X(lam), (x1, x2, x3, x4)
+    -> (x3, -x4, -x1, x2), and tau^2 = -1: exact copies and negations."""
+    q = x.shape[-2] // 4
+    src, dst = x[..., :q, :], x[..., q:2 * q, :]
+    dst[..., 0], dst[..., 3] = src[..., 2], src[..., 1]
+    np.negative(src[..., 3], out=dst[..., 1])
+    np.negative(src[..., 0], out=dst[..., 2])
+    np.negative(x[..., :2 * q, :], out=x[..., 2 * q:, :])
+    return x
 
 
 def _pow2(n: int) -> int:
@@ -285,8 +299,7 @@ def _plus_block(loop: TwistedLoop, m: int, gate: float):
     Raises SingularInput when ``off`` exceeds ``gate``, and ValueError when
     m is not a multiple of 4 (`_turn` needs it) or cannot resolve the loop.
     """
-    if m % 4:
-        raise ValueError(f"sample count {m} is not a multiple of 4")
+    _quarter(m)
     blocks = (loop.rot.reshape(-1, 16) @ _TO_FRAME).reshape(-1, 4, 4)
     plus = blocks[:, :2, :2].copy()
     blocks[:, 2:, 2:] -= _I_POW[-loop.ks % 4, None, None] * plus
@@ -493,18 +506,16 @@ class SpecLift:
         The frame is F = exp(phi L_i), phi = `_frame_phase` of ``h_fn(z)``.
         Normalized as an extended lift: the value at the basepoint is the
         identity, so the family is shifted to vanish at z = 0.  The family is
-        odd in lam, so it is evaluated on half the circle and negated on the
-        rest: m must be even (else ValueError).  `family_samples` writes that
-        half into the samples in place, through their (z.size, m, 4) layout.
+        twisted, X(i lam) = tau X(lam), so `family_samples` writes it at
+        lam_0 .. lam_{m/4 - 1} into the samples in place, through their
+        (z.size, m, 4) layout, and `_twist_fill` gives the rest: m must be
+        a multiple of 4 (else ValueError).
         """
-        if m % 2:
-            raise ValueError(f"sample count {m} is odd")
+        q = _quarter(m)
         z = np.asarray(z, dtype=complex)
-        lams, half = unit_lambdas(m), m // 2
         x = np.empty((z.size, m, 4))
-        family_samples(self.spec, z.ravel(), lams[:half], out=x[:, :half])
-        np.negative(x[:, :half], out=x[:, half:])
-        return x.reshape(z.shape + (m, 4))
+        family_samples(self.spec, z.ravel(), unit_lambdas(m)[:q], out=x[:, :q])
+        return _twist_fill(x).reshape(z.shape + (m, 4))
 
 
 def _frame_phase(h, lams):
@@ -576,21 +587,22 @@ def _lift_w_minus1(lift, z, m: int):
     theta = -h / (2 lam^2): the lam^{+1} projection mean(lam W), taken
     through e^{theta L_i} = e^{i theta} P+ + e^{-i theta} P- so that the
     samples contract (both signs in one product per part of the complex
-    weights) before they are rotated.  theta is even and X odd in lam, so lam W
-    is even and its mean over the first m/2 roots (lam_{j + m/2} = -lam_j) is
-    the mean over all m: m must be even (else ValueError).  Shape (..., 4)."""
-    if m % 2:
-        raise ValueError(f"sample count {m} is odd")
-    z, half = np.asarray(z, dtype=complex), m // 2
-    x = lift.samples(z, m)[..., :half, :]
+    weights) before they are rotated.  theta flips sign at i lam and
+    tau L_i = -L_i tau, so Y = lam W has Y(i lam) = i tau Y(lam) and
+    (i tau)^2 = Id: mean Y = (Id + i tau) S / (2q), S the sum of Y over the
+    first q = m/4 roots, the only samples read.  m must be a multiple of 4
+    (else ValueError).  Shape (..., 4)."""
+    z, q = np.asarray(z, dtype=complex), _quarter(m)
+    x = lift.samples(z, m)[..., :q, :]
     size, pick = _half_slots(m)
     # lam e^{-+i theta}, e^{-+i theta} = exp(i h zeta / 2) at the roots zeta
     # of +-lam^-2; the samples are real, so each part of the weights
     # contracts with them in place (a complex product would copy them)
-    weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick[:half].T]
-    weights *= unit_lambdas(m)[:half]                         # (..., 2, m/2)
+    weights = _slot_series(0.5j * lift.h_fn(z), size)[..., pick[:q].T]
+    weights *= unit_lambdas(m)[:q]                            # (..., 2, m/4)
     minus, plus = np.moveaxis(weights.real @ x + 1j * (weights.imag @ x), -2, 0)
-    return (plus @ PI_PLUS.T + minus @ PI_MINUS.T) / half
+    s = plus @ PI_PLUS.T + minus @ PI_MINUS.T
+    return (s - 1j * (s @ L_J.T)) / (2 * q)          # tau s = -L_j s
 
 
 _RING_N = 256           # ring points behind the Taylor series of W_{-1}
@@ -661,12 +673,14 @@ class ReconstructedLift:
     all its nodes and uses the eigen-split e^{theta L_i} = e^{i theta} P+ +
     e^{-i theta} P-: per point the nodes contract w a and w b against the
     Taylor terms of e^{+-i theta} in lam^-2, one FFT takes them to every lam,
-    and only the four sums expand to vectors.  ``samples`` and ``immersion``
-    raise :class:`LoopAliasing` when ``nsamples`` is too small for the angle.
+    and only the four sums expand to vectors.  ``nsamples`` must be a
+    multiple of 4 (ValueError); ``samples`` and ``immersion`` raise
+    :class:`LoopAliasing` when it is too small for the angle.
     """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
                  quad_n: int = 32, lattice=None):
+        _quarter(nsamples)
         self.pot = pot
         self.m = nsamples
         self.quad_n = quad_n
@@ -675,7 +689,10 @@ class ReconstructedLift:
         self.dh = pot.dh
 
     def _rule(self, z_from, shift, n):
-        """Order-n Gauss rule for eta over [z_from, z_from + shift]."""
+        """Order-n Gauss rule for eta over [z_from, z_from + shift] at
+        lam_0 .. lam_{m/4 - 1}, shape (..., m/4, 4): theta flips sign at i lam
+        and tau maps eps, L_i eps_bar to -i times them, so the rule at i lam is
+        tau of the rule at lam for any h, a and b."""
         nodes, weights = gauss_legendre_01(n)
         z_from, shift = np.broadcast_arrays(np.asarray(z_from, dtype=complex),
                                             np.asarray(shift, dtype=complex))
@@ -688,17 +705,18 @@ class ReconstructedLift:
             np.broadcast_to(self.pot.b(v), v.shape)])            # (2, n, points)
         # e^{+-i theta} = exp(i h zeta / 2) at the roots zeta of +-lam^-2
         # (`_half_slots`), with the node sum inside the series
-        m = self.m
+        m, q = self.m, self.m // 4
         size, pick = _half_slots(m)
         sums = _slot_series(0.5j * h.T, size, wab.transpose(2, 0, 1))
         # (point, lam, +-, a|b): the row order of _SPLIT_SPIN
-        acc = (sums[..., pick].transpose(0, 2, 3, 1).reshape(-1, m, 4)
-               @ _SPLIT_SPIN / unit_lambdas(m)[:, None])
-        return (acc * shift.ravel()[:, None, None]).reshape(shape + (m, 4))
+        acc = (sums[..., pick[:q]].transpose(0, 2, 3, 1).reshape(-1, q, 4)
+               @ _SPLIT_SPIN / unit_lambdas(m)[:q, None])
+        return (acc * shift.ravel()[:, None, None]).reshape(shape + (q, 4))
 
     def eta(self, z):
         """Path integral of the potential's translation part along the
-        straight segment 0 -> z, with adaptive bisection."""
+        straight segment 0 -> z, with adaptive bisection, on the first
+        quarter of the circle (`_rule`)."""
         z = np.asarray(z, dtype=complex)
         return self._piece(np.zeros_like(z), z, 0)
 
@@ -715,16 +733,20 @@ class ReconstructedLift:
                 + self._piece(mid, z_to, depth + 1))
 
     def _negative_half(self, z):
-        """cos and sin of the frame phase phi at z (shape (..., m, 1)) and the
-        coefficients of w = e^{-phi L_i} eta(z) with the exponents >= 0 zeroed:
-        the holomorphic half that the real form is projected along."""
-        m = self.m
+        """cos and sin of the frame phase phi at z on the first quarter
+        (shape (..., m/4, 1)) and the m coefficients of w = e^{-phi L_i}
+        eta(z) with the exponents >= 0 zeroed: the holomorphic half that the
+        real form is projected along.  phi flips sign at i lam, so w(i lam)
+        = tau w(lam): `_twist_fill` completes w before its m-point FFT."""
+        m, q = self.m, self.m // 4
         z = np.asarray(z, dtype=complex)
-        phi = _frame_phase(self.pot.h(z), unit_lambdas(m))
+        phi = _frame_phase(self.pot.h(z), unit_lambdas(m)[:q])
         cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
         eta = self.eta(z)
+        w = np.empty(eta.shape[:-2] + (m, 4), dtype=complex)
         # e^{-phi L_i}: cos(-phi) = cos(phi) and sin(-phi) = -sin(phi) exactly
-        what = np.fft.fft(cos * eta - sin * (eta @ L_I.T), axis=-2) / m
+        np.subtract(cos * eta, sin * (eta @ L_I.T), out=w[..., :q, :])
+        what = np.fft.fft(_twist_fill(w), axis=-2) / m
         exps = coeff_exponents(m)
         # aliasing folds the spectrum beyond +-m/2 onto the kept negative
         # half, so the top sixteenth of |exponent| must hold < 1e-6 of it
@@ -739,10 +761,13 @@ class ReconstructedLift:
         return cos, sin, what
 
     def samples(self, z, m: int | None = None):
-        """X samples at z: X = F 2 Re(neg), F = exp(phi L_i)."""
+        """X samples at z on all m roots: X = F 2 Re(neg), F = exp(phi L_i)."""
         if m is not None and m != self.m:
             raise ValueError("sample count fixed at construction")
-        cos, sin, what = self._negative_half(z)
+        what = self._negative_half(z)[2]
+        phi = _frame_phase(self.pot.h(np.asarray(z, dtype=complex)),
+                           unit_lambdas(self.m))
+        cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
         x = 2.0 * (np.fft.ifft(what, axis=-2) * self.m).real   # neg + conj(neg)
         return cos * x + sin * (x @ L_I.T)
 

@@ -22,6 +22,7 @@ ACCEPTANCE_ONLY = {"formal_killing", "period_lattice", "lax_flatness_residual",
 # each with the program that reaches this class's method
 SHARED_NAMES = {
     "checks.CheckReport.to_dict": "src/hamstat/cli.py",
+    "finitetype.KillingField.from_dict": "src/hamstat/cli.py",
     "lattices.Lattice.coords": "src/hamstat/lattices.py",
     "loops.SpecLift.samples": "src/hamstat/loops.py",
     "loops.TwistedLoop.to_dict": "src/hamstat/finitetype.py",
@@ -31,7 +32,7 @@ SHARED_NAMES = {
     "weierstrass.TorusSpec.to_json": "src/hamstat/cli.py",
 }
 # shared-name methods that only tests reach, kept until they are removed
-TESTS_ONLY = {"loops.TwistedLoop.from_dict", "loops.ReconstructedLift.samples"}
+TESTS_ONLY = {"loops.ReconstructedLift.samples"}
 
 
 def _raised():

@@ -151,14 +151,17 @@ def test_killing_field_from_dict_zero_fills_sparse_records():
 
 @pytest.mark.parametrize("key, value", [
     ("degree", True), ("degree", "2"), ("k", True), ("k", -0.5),
-    ("k", float("-inf"))])
+    ("k", float("-inf")), ("k", 0.9), ("k", float("nan")), ("k", "0")])
 def test_killing_field_from_dict_rejects_non_integer(key, value):
-    # int() read true as 1, truncated -0.5 onto exponent 0, and raised
-    # OverflowError on an infinity
+    # int() read true as 1, truncated -0.5 and 0.9 onto exponent 0, and
+    # raised OverflowError on an infinity; an integral float is an integer
     rec = {"k": 0, "rotation": [[[0.0, 0.0]] * 4] * 4,
            "translation": [[1.0, 0.0]] * 4}
     data = {"degree": 1, "coefficients": [rec]}
     assert KillingField.from_dict(data).d == 1
+    four = KillingField.from_dict({"degree": 4,
+                                   "coefficients": [{**rec, "k": 4.0}]})
+    assert np.all(four.coeff(4)[1] == 1.0) and np.all(four.coeff(0)[1] == 0.0)
     if key == "k":
         rec[key] = value
     else:

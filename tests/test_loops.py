@@ -78,6 +78,11 @@ def constant_potential(c, a, b):
         b=lambda z: np.full(np.shape(z), b, dtype=complex))
 
 
+def _tau(vec):
+    """tau on translation vectors (..., 4): v -> -L_j v."""
+    return -(vec @ L_J.T)
+
+
 def _li_rotate(phase, vec):
     """exp(phase L_i) on vectors, cos(phase) v + sin(phase) L_i v, with the
     (complex) phase broadcast over the leading axes of ``vec``."""
@@ -120,22 +125,10 @@ def test_twisted_loop_compose_inverse(rng):
 def test_twisted_loop_reality_and_json(rng):
     loop = random_twisted_group_loop(4, rng, real=True)
     assert loop.reality_residual() < 1e-12
-    back = TwistedLoop.from_dict(json.loads(loop.to_json()))
-    assert np.array_equal(back.ks, loop.ks)
-    assert np.max(np.abs(back.rot - loop.rot)) < 1e-15
-
-
-@pytest.mark.parametrize("k", [0.9, -1.5, True, float("inf"), float("nan"),
-                               "0"])
-def test_twisted_loop_from_dict_rejects_non_integer_exponent(k):
-    # int() turned 0.9 into a second exponent 0 and true into 1, and raised
-    # OverflowError on an infinity
-    data = _identity_loop().to_dict()
-    data["coefficients"].append({**data["coefficients"][0], "k": k})
-    with pytest.raises(ValueError, match="exponent"):
-        TwistedLoop.from_dict(data)
-    data["coefficients"][-1]["k"] = 4.0
-    assert list(TwistedLoop.from_dict(data).ks) == [0, 4]
+    records = json.loads(loop.to_json())["coefficients"]
+    assert [rec["k"] for rec in records] == list(loop.ks)
+    rot = np.array([rec["rotation"] for rec in records])
+    assert np.array_equal(rot[..., 0] + 1j * rot[..., 1], loop.rot)
 
 
 # --- pointwise Iwasawa ----------------------------------------------------------
@@ -783,11 +776,16 @@ def test_spec_lift_shape_and_base(rng):
 @pytest.mark.parametrize("torus", [standard_torus(1.0, 1.0), rhombic_torus()],
                          ids=["standard", "rhombic"])
 def test_spec_lift_samples_half_the_circle(torus, m):
-    # the family is odd in lam: the second half of the circle is the
-    # negated first, bit for bit, and matches the family evaluated there
+    # the family is twisted, X(i lam) = tau X(lam): each quarter of the
+    # circle is tau of the one before and the second half the negated
+    # first, bit for bit, and all of it matches the family evaluated there
     zs = np.array([[0.3 + 0.2j, -0.41 + 0.17j], [0.9 - 0.35j, 0.05 + 0.6j]])
     x = SpecLift(torus.spec).samples(zs, m)
     assert x.shape == (2, 2, m, 4)
+    q = m // 4
+    for k in range(3):
+        assert np.array_equal(x[..., (k + 1) * q:(k + 2) * q, :],
+                              _tau(x[..., k * q:(k + 1) * q, :]))
     assert np.array_equal(x[..., m // 2:, :], -x[..., :m // 2, :])
     want = family_samples(torus.spec, zs, unit_lambdas(m))
     assert np.max(np.abs(x - want)) < 1e-13 * np.max(np.abs(want))
@@ -814,7 +812,11 @@ def test_lift_phase_gives_reference_frame():
     phi = loops._frame_phase(rl.h_fn(zs), lams)
     assert np.max(np.abs(_ref_frame(phi) - f)) < 1e-13
     x = rl.samples(zs)
-    w = np.einsum("...mji,...mj->...mi", f, rl.eta(zs))
+    # eta holds the first quarter; the reference (no bisection here) holds
+    # the circle, whose other quarters _ref_rule checks are tau images
+    eta = _ref_rule(pot, 32, np.zeros_like(zs), zs, 24)
+    assert np.max(np.abs(rl.eta(zs) - eta[..., :8, :])) < 1e-13 * np.max(np.abs(eta))
+    w = np.einsum("...mji,...mj->...mi", f, eta)
     what = np.fft.fft(w, axis=-2) / 32
     what[..., coeff_exponents(32) >= 0, :] = 0.0
     neg = np.fft.ifft(what, axis=-2) * 32
@@ -1100,7 +1102,8 @@ def test_spec_lift_samples_allocate_little_above_the_output(spec):
     assert peak - x.nbytes <= 850 * 1024
 
 
-# reference: the full-circle lam^{+1} mean that `_lift_w_minus1` halves
+# reference: the full-circle lam^{+1} mean that `_lift_w_minus1` takes from
+# a quarter
 def _full_circle_w_minus1(lift, z, m):
     x = lift.samples(z, m)
     size, pick = _half_slots(m)
@@ -1112,7 +1115,7 @@ def _full_circle_w_minus1(lift, z, m):
 
 @pytest.mark.parametrize("spec", _POOL_SPECS)
 def test_extraction_contracts_half_the_circle(spec):
-    # lam W is even in lam, so the first m/2 roots carry the whole mean; the
+    # lam W is twisted, so the first m/4 roots carry the whole mean; the
     # lift's second half of the circle is its first negated, bit for bit
     lift, ring = SpecLift(spec), _ring(spec)
     x = lift.samples(ring, 128)
@@ -1185,6 +1188,37 @@ def test_round_trip_through_a_lift_with_only_the_traced_attributes(
     assert counts["rule"] >= 2 and counts["a"] == counts["rule"]
 
 
+@pytest.mark.parametrize("spec", _POOL_SPECS)
+def test_extraction_reads_one_quarter_of_the_samples(spec):
+    # a lift whose samples are NaN past the first quarter of the circle
+    # gives the same a and b, bit for bit, as the SpecLift it forwards
+    lift = SpecLift(spec)
+
+    def samples(z, m):
+        x = lift.samples(z, m)
+        x[..., m // 4:, :] = np.nan
+        return x
+
+    duck = SimpleNamespace(lattice=lift.lattice, h_fn=lift.h_fn, dh=lift.dh,
+                           samples=samples)
+    pot = potential_extract(duck, nsamples=128)
+    want = potential_extract(lift, nsamples=128)
+    assert np.array_equal(pot.a.coef, want.a.coef)
+    assert np.array_equal(pot.b.coef, want.b.coef)
+
+
+def test_lift_sample_counts_are_multiples_of_4():
+    # m = 30 is even, but its quarter turn is not a sample
+    spec = rhombic_torus().spec
+    lift = SpecLift(spec)
+    for run in (lambda: lift.samples(0.3 + 0.2j, 30),
+                lambda: potential_extract(lift, nsamples=30),
+                lambda: dpw_reconstruct(constant_potential(1.0, 0.7, 0.2),
+                                        nsamples=30)):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            run()
+
+
 # reference: the per-node rule with the cos/sin rotation that
 # `ReconstructedLift._rule` replaces
 def _ref_rule(pot, m, z_from, shift, n):
@@ -1198,34 +1232,41 @@ def _ref_rule(pot, m, z_from, shift, n):
         b = np.asarray(pot.b(v), dtype=complex)
         spin = a[..., None, None] * EPS + b[..., None, None] * LI_EPS_BAR
         acc += w * _li_rotate(0.5 * h[..., None] / lams ** 2, spin) / lams[..., None]
-    return acc * np.asarray(shift, dtype=complex)[..., None, None]
+    acc *= np.asarray(shift, dtype=complex)[..., None, None]
+    # eta is twisted: each quarter of the circle is tau of the one before
+    q = m // 4
+    for k in range(3):
+        assert (np.max(np.abs(acc[..., (k + 1) * q:(k + 2) * q, :]
+                              - _tau(acc[..., k * q:(k + 1) * q, :])))
+                <= 1e-13 * np.max(np.abs(acc)))
+    return acc
 
 
 def _check_rule(rng, pots, points, n, m):
     z_from = 0.3 * (rng.normal(size=points) + 1j * rng.normal(size=points))
     shift = 0.4 * (rng.normal(size=points) + 1j * rng.normal(size=points))
     for pot in pots:
-        want = _ref_rule(pot, m, z_from, shift, n)
+        want = _ref_rule(pot, m, z_from, shift, n)[..., :m // 4, :]
         got = ReconstructedLift(pot, nsamples=m)._rule(z_from, shift, n)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("points, n, m",
-                         [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 30)])
+                         [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 12)])
 def test_rule_matches_per_node_reference(rng, points, n, m):
     # at m = 128, 3 x 4 points fit one (points, nodes, terms) block and
-    # 12 x 25 points take several; at m = 30, -lam^-2 is not a sample
-    # value of lam^-2
+    # 12 x 25 points take several; at m = 12 the Taylor terms outnumber
+    # the L = 6 roots and fold
     spec = rhombic_torus().spec
     pots = (constant_potential(1.0 + 0.5j, 0.7, -0.2j),
             potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))
     _check_rule(rng, pots, points, n, m)
 
 
-@pytest.mark.parametrize("c, n, m", [(5, 24, 30), (5 + 3j, 48, 30), (2, 24, 4)])
+@pytest.mark.parametrize("c, n, m", [(5, 24, 12), (5 + 3j, 48, 12), (2, 24, 4)])
 def test_rule_folds_taylor_terms_past_the_roots(rng, c, n, m):
-    # more Taylor terms than roots (L = 30, 30 and 2): the terms fold mod L
+    # more Taylor terms than roots (L = 6, 6 and 2): the terms fold mod L
     pot = constant_potential(c, 0.7, -0.2j)
     _check_rule(rng, (pot,), (3, 4), n, m)
 
