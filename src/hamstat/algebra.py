@@ -79,8 +79,8 @@ def tau_rotation(m):
 
 
 def tau_vector(v):
-    """tau on a translation 4-vector."""
-    return -(L_J @ np.asarray(v).T).T
+    """tau on translation 4-vectors (..., 4)."""
+    return -(np.asarray(v) @ L_J.T)
 
 
 def wedge_value(e1, e3):

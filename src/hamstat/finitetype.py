@@ -49,8 +49,9 @@ def r_op(zeta) -> np.ndarray:
 # --- Killing fields ---------------------------------------------------------
 
 # Largest degree a Killing field file may declare (the least is 1: the Lax
-# block reads 3 of the 2d + 1 coefficients).  A flow step's buffers in
-# `_lax_taylor` hold 16 (2d + 5) 80 window floats, 7.6 MB in all at 256.
+# block reads 3 of the 2d + 1 coefficients).  A flow's buffers in
+# `_lax_taylor`, kept over its segments, hold 16 (2d + 5) 80 window floats,
+# 7.6 MB in all at 256.
 _MAX_DEGREE = 256
 
 
@@ -157,62 +158,68 @@ def _multiplier(zdot: complex):
 _MULT_1, _MULT_I = _multiplier(1.0), _multiplier(1j)     # real-linear in zdot
 
 
-def _lax_taylor(n: int, zdot: complex):
-    """Taylor orders of the Lax flow of (n, 8) field coordinates along zdot,
-    in float64 products on interleaved (re, im) views.  The derivative is the
-    real-bilinear B(x, y) = shifted(pad) @ block(y), pad holding x's floats
-    between four zero rows each side: ``block`` brackets the multiplier of
-    y's rows 0..2 into (80, 16), and ``shifted`` is the (n + 4, 80) window
-    with x's row m - j in slot j of padded row m, field rows first.
-    ``orders(x)`` fills x_{k+1} = sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER
-    from x_0 = x in a zero-padded (_ORDER + 1, n + 8, 16) store, and returns
-    its coefficients and the (n + 4)-row products.  x_j's window sits at
-    columns 80 j of one buffer and its block at rows 80 (_ORDER - 1 - j) of
-    another, so order k is one product, summed over j inside BLAS: orders
-    k >= 1 differ by rounding from k + 1 separate products.  With ``still``
-    an x_1 (padding included) within 64 eps of its rounding bound |window| @
+def _lax_taylor(n: int):
+    """Plan (orders, rmt, horner) of the Taylor orders of the Lax flow of
+    (n, 8) field coordinates, in float64 products on interleaved (re, im)
+    views.  A flow builds it once: a segment writes its direction's
+    multiplier into ``rmt``, and ``horner`` lists the coefficients from the
+    highest order down.  The derivative is the real-bilinear B(x, y) =
+    shifted(pad) @ block(y), pad holding x's floats between four zero rows
+    each side: block(y) brackets the multiplier of y's rows 0..2 into
+    (80, 16), and shifted(pad) is the (n + 4, 80) window with x's row m - j
+    in slot j of padded row m, field rows first.  ``orders(x)`` fills
+    x_{k+1} = sum_j B(x_j, x_{k-j}) / (k + 1) to _ORDER from x_0 = x in a
+    zero-padded (_ORDER + 1, n + 8, 16) store, and returns its coefficients
+    and the (n + 4)-row products.  x_j's window sits at columns 80 j of one
+    buffer and its block at rows 80 (_ORDER - 1 - j) of another, so order k
+    is one product, summed over j inside BLAS: orders k >= 1 differ by
+    rounding from k + 1 separate products.  The views of each order are
+    built here, so it costs five numpy calls.  With ``still`` an x_1
+    (padding included) within 64 eps of its rounding bound |window| @
     |block| entrywise is a field that does not move: its later orders are 0."""
-    rmt = zdot.real * _MULT_1 + zdot.imag * _MULT_I
+    # rmt takes _MULT_1's transposed layout, which the bits of f @ rmt follow
+    rmt, g = np.empty((80, 48)).T, np.empty(80)
     window = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] + 4 - np.arange(5)
     padded = np.zeros((_ORDER + 1, n + 8, 16))      # rows 4..n+3 hold x_k
     xs = padded[:, 4:n + 4].view(complex)
     prods = np.empty((_ORDER, n + 4, 8), dtype=complex)
     sx, blk = np.empty((n + 4, 80 * _ORDER)), np.empty((80 * _ORDER, 16))
-
-    def block(x, out=None):
-        f = x[:3].view(float).reshape(48)
-        return np.matmul((f @ rmt).reshape(5, 16), _BRACKET_RE, out=out).reshape(80, 16)
-
-    def shifted(pad, out=None):
-        return np.take(pad, window, axis=0, out=out).reshape(n + 4, 80)
+    g5, views = g.reshape(5, 16), []
+    for k in range(_ORDER):
+        row = 80 * (_ORDER - 1 - k)
+        views.append((padded[k, 4:7].reshape(48), blk[row:row + 80].reshape(5, 256),
+                     padded[k].take, sx[:, 80 * k:80 * k + 80].reshape(n + 4, 5, 16),
+                     sx[:, :80 * k + 80], blk[row:], prods[k].view(float),
+                     prods[k, :n], k + 1, xs[k + 1]))
 
     def orders(x, still=False):
         xs[0] = x
-        for k in range(_ORDER):
-            row = 80 * (_ORDER - 1 - k)
-            block(xs[k], blk[row:row + 80].reshape(5, 256))
-            shifted(padded[k], sx[:, 80 * k:80 * k + 80].reshape(n + 4, 5, 16))
-            np.matmul(sx[:, :80 * k + 80], blk[row:], out=prods[k].view(float))
-            np.divide(prods[k, :n], k + 1, out=xs[k + 1])
+        for f, blk_k, take, sx_k, sx_to_k, blk_from_k, prod, prod_n, k1, x_next in views:
+            np.matmul(f, rmt, out=g)
+            np.matmul(g5, _BRACKET_RE, out=blk_k)
+            take(window, 0, sx_k)
+            np.matmul(sx_to_k, blk_from_k, out=prod)
+            np.divide(prod_n, k1, out=x_next)
         if still:                       # the bound is inf on overflow
             bound = 64 * np.finfo(float).eps * (np.abs(sx[:, :80]) @ np.abs(blk[-80:]))
             if np.all(np.abs(prods[0].view(float)) <= bound) and np.isfinite(bound).all():
                 xs[1:], prods[:] = 0.0, 0.0
         return xs, prods
-    return orders, block, shifted
+    return orders, rmt, list(xs[::-1])
 
 
-def _flow_coords(x, z_from: complex, z_to: complex, step: float):
-    """Taylor flow of field coordinates along the straight segment; returns
-    them moved, the step count and the largest spill.  A step runs the
-    orders of `_lax_taylor` and goes _REACH rho, with rho = min (|x_0| /
-    |x_j|)^(1/j) over the last two orders (Jorba-Zou), but not past the
-    segment's end.  A shorter step than ``step`` raises ConvergenceFailure.
-    A step's spill, sum_k |pad_k| h^k over the padding rows of the products,
-    bounds the derivative's padding over the step.  Both sums run np.polyval's
-    Horner (0, times h, plus c) in place, bit for bit.  The first step asks
-    `_lax_taylor` whether x is ``still`` (a moving field cannot stop later):
-    then its orders are 0 and that one step ends the segment."""
+def _flow_coords(plan, x, z_from: complex, z_to: complex, step: float):
+    """Taylor flow of field coordinates along the straight segment with a
+    `_lax_taylor` plan for their row count; returns them moved, the step
+    count and the largest spill.  A step runs the plan's orders and goes
+    _REACH rho, with rho = min (|x_0| / |x_j|)^(1/j) over the last two orders
+    (Jorba-Zou), but not past the segment's end.  A shorter step than
+    ``step`` raises ConvergenceFailure.  A step's spill, sum_k |pad_k| h^k
+    over the padding rows of the products, bounds the derivative's padding
+    over the step.  Both sums run np.polyval's Horner (0, times h, plus c) in
+    place, bit for bit.  The first step asks the orders whether x is
+    ``still`` (a moving field cannot stop later): then its orders are 0 and
+    that one step ends the segment."""
     seg = complex(z_to) - complex(z_from)
     left = abs(seg)
     if left == 0:
@@ -220,7 +227,9 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
     if step < 1e-14 * max(1.0, abs(z_to)):
         raise StepSizeUnderflow(f"step {step:.3e} below representable resolution")
     n = x.shape[0]
-    orders = _lax_taylor(n, seg / left)[0]
+    orders, rmt, horner = plan
+    zdot = seg / left
+    np.add(zdot.real * _MULT_1, zdot.imag * _MULT_I, out=rmt)
     steps, spill = 0, 0.0
     # overflow leaves inf or NaN in the coefficients, which refuse the step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +239,7 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
             inv_rho = np.max((size[1:] / (size[0] or 1.0)) ** _ROOTS)
             h = left if inv_rho * left <= _REACH else _REACH / inv_rho
             x = np.zeros_like(x)
-            for c in xs[::-1]:          # np.polyval's Horner, in place
+            for c in horner:            # np.polyval's Horner, in place
                 x *= h
                 x += c
             if not (h >= min(step, left) and np.isfinite(x).all()):
@@ -249,7 +258,8 @@ def _flow_coords(x, z_from: complex, z_to: complex, step: float):
 def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
                step: float) -> KillingField:
     """Lax flow along the straight segment, with steps of at least ``step``."""
-    x, _, _ = _flow_coords(_field_coords(xi0), z_from, z_to, step)
+    x = _field_coords(xi0)
+    x, _, _ = _flow_coords(_lax_taylor(len(x)), x, z_from, z_to, step)
     return KillingField(xi0.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:])
 
 
@@ -307,9 +317,9 @@ def lax_integrate(seed: KillingField, waypoints, step: float | None = None,
     points = [0.0 + 0.0j] + [complex(z) for z in waypoints]
     fields = [seed.copy()]
     x = _field_coords(seed)
-    steps, spill = 0, 0.0
+    plan, steps, spill = _lax_taylor(len(x)), 0, 0.0
     for z_prev, z in zip(points, points[1:]):
-        x, n, s = _flow_coords(x, z_prev, z, step)
+        x, n, s = _flow_coords(plan, x, z_prev, z, step)
         steps, spill = steps + n, max(spill, s)
         fields.append(KillingField(
             seed.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:]))

@@ -82,6 +82,12 @@ def test_tau_fourth_power_identity(rng):
         assert np.allclose(out_trans, trans)
 
 
+def test_tau_vector_on_a_stack_acts_row_by_row(rng):
+    stack = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+    rows = np.array([[tau_vector(v) for v in block] for block in stack])
+    assert np.array_equal(tau_vector(stack), rows)
+
+
 def _eigen_parts(rot, trans):
     """Components of an algebra element (a L_i + b.R, t) in the i**k
     eigenspaces of tau, k = -1, 0, 1, 2: the R-span, the L_i line and the

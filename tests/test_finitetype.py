@@ -9,9 +9,9 @@ from hamstat.algebra import (EPS, G0_BASIS, L_I, R_I, R_J, R_K,
                              ROTATION_BASIS, coords, from_coords, tau_rotation,
                              tau_vector)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
-from hamstat.finitetype import (_BRACKET_RE, _MULT_1, _MULT_I, KillingField,
-                                _field_coords, _flow_coords, _lax_taylor,
-                                flow_field, formal_killing,
+from hamstat.finitetype import (_BRACKET_RE, _MULT_1, _MULT_I, _REACH, _ROOTS,
+                                KillingField, _field_coords, _flow_coords,
+                                _lax_taylor, flow_field, formal_killing,
                                 lax_flatness_residual, lax_integrate,
                                 lax_project, polynomial_condition, r_op,
                                 rhombic_killing_seed,
@@ -235,12 +235,12 @@ def test_flow_tells_a_stationary_step_from_rounding(tilt, moves):
     seed = standard_torus_killing_seed(1.0, 1.0)
     x = _field_coords(seed.field)
     zdot = np.exp(1j * tilt)
-    _, block, shifted = _lax_taylor(len(x), zdot)
-    sx, blk = shifted(np.pad(x.view(float), ((4, 4), (0, 0)))), block(x)
+    sx, blk = _window_and_block(x, zdot)
     bound = np.abs(sx) @ np.abs(blk) * np.finfo(float).eps
     ulps = np.max(np.abs(sx @ blk)[bound > 0] / bound[bound > 0])
     assert np.all(np.abs(sx @ blk)[bound == 0] == 0)
-    moved, steps, spill = _flow_coords(x.copy(), 0.0, 80 * zdot, 1e-3)
+    moved, steps, spill = _flow_coords(_lax_taylor(len(x)), x.copy(), 0.0,
+                                       80 * zdot, 1e-3)
     if moves:
         assert 64 < ulps < 1000 and steps > 1
     else:
@@ -249,6 +249,24 @@ def test_flow_tells_a_stationary_step_from_rounding(tilt, moves):
 
 
 # --- reference per-exponent Lax flow -------------------------------------------
+
+def _aimed_orders(n, zdot):
+    """The orders of a fresh `_lax_taylor` plan, aimed along zdot as
+    `_flow_coords` aims a segment."""
+    orders, rmt, _ = _lax_taylor(n)
+    np.add(zdot.real * _MULT_1, zdot.imag * _MULT_I, out=rmt)
+    return orders
+
+
+def _window_and_block(x, zdot):
+    """shifted(pad x), (n + 4, 80), and block(x), (80, 16), of a Lax plan's
+    first order along zdot: their product is x's derivative."""
+    n = len(x)
+    window = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] + 4 - np.arange(5)
+    sx = np.pad(x.view(float), ((4, 4), (0, 0)))[window].reshape(n + 4, 80)
+    g = x[:3].view(float).reshape(48) @ (zdot.real * _MULT_1 + zdot.imag * _MULT_I)
+    return sx, (g.reshape(5, 16) @ _BRACKET_RE).reshape(80, 16)
+
 
 def _reference_rhs(rot, trans, zdot):
     """Per-exponent form of the Lax derivative: the projected connection
@@ -329,12 +347,11 @@ def test_affine_derivative_matches_per_exponent_loop(rng):
         scale = [max(np.max(np.abs(f.rot)), np.max(np.abs(f.trans)))
                  for f in (f0, f1)]
         for zdot in (1.0, np.exp(0.7j)):
-            _, block, shifted = _lax_taylor(2 * d + 1, zdot)
-
             def form(x, y):
-                pad = np.pad(x.view(float), ((4, 4), (0, 0)))
-                return (shifted(pad) @ block(y)).view(complex)
+                return (_window_and_block(x, zdot)[0]
+                        @ _window_and_block(y, zdot)[1]).view(complex)
             got = form(x0, x0)
+            assert np.array_equal(_aimed_orders(2 * d + 1, zdot)(x0)[1][0], got)
             want_rot, want_trans = _reference_rhs(f0.rot, f0.trans, zdot)
             got_rot = from_coords(got[:, :4], ROTATION_BASIS)
             assert np.max(np.abs(got_rot - want_rot[rows])) < 1e-13 * scale[0]
@@ -358,7 +375,7 @@ def test_taylor_orders_sum_the_polarized_derivative(rng):
     d, zdot = 6, np.exp(0.7j)
     f = _random_algebra_field(rng, d)
     x0 = _field_coords(KillingField(d, 0.2 * f.rot, 0.2 * f.trans))
-    xs, prods = _lax_taylor(2 * d + 1, zdot)[0](x0)
+    xs, prods = _aimed_orders(2 * d + 1, zdot)(x0)
     assert 0.1 < np.min(np.abs(xs).max(axis=(1, 2))) <= np.max(np.abs(xs)) < 2
     rows = np.r_[2:2 * d + 3, 0, 1, 2 * d + 3, 2 * d + 4]
 
@@ -386,7 +403,7 @@ def test_taylor_orders_pinned_to_40_digits(make_seed):
     mpmath = pytest.importorskip("mpmath")
     x0 = _field_coords(make_seed().field)
     n = len(x0)
-    _, prods = _lax_taylor(n, np.exp(0.7j))[0](x0)
+    _, prods = _aimed_orders(n, np.exp(0.7j))(x0)
     # the field row that slot s of window row m reads (padding outside 0..n-1)
     reads = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] - np.arange(5)
     with mpmath.workdps(40):
@@ -420,6 +437,74 @@ def test_taylor_orders_pinned_to_40_digits(make_seed):
             xs.append([[v / (k + 1) for v in row] for row in exact[:n]])
 
 
+def test_one_lax_step_pinned_to_40_digits():
+    # one whole step of the standard seed along i: orders 1..16 and their
+    # products by the same recurrence at 40 digits, and the step's Horner
+    # sum at the h of the radius rule.  Along i the multiplier is _MULT_I,
+    # whose entries and the bracket's are exact, as are the seed's binary
+    # values.  Order k's products keep to 8 eps of their scale, the largest
+    # entry of sum_j |window_j| @ |block_{k-j}| (order k + 1 to that over
+    # k + 1), and each entry of the moved field to 8 eps of sum_k |x_k| h^k;
+    # they read at most 0.98 and 0.52 eps
+    mpmath = pytest.importorskip("mpmath")
+    x0 = _field_coords(standard_torus_killing_seed(1.0, 1.0).field)
+    n, eps = len(x0), np.finfo(float).eps
+    xs, prods = _aimed_orders(n, 1j)(x0)
+    size = np.max(np.abs(xs[[0, -2, -1]]), axis=(1, 2))
+    h = _REACH / np.max((size[1:] / size[0]) ** _ROOTS)
+    moved, steps, _ = _flow_coords(_lax_taylor(n), x0, 0.0, h * 1j, h)
+    assert steps == 1
+    # the (row, slot) pairs of the window that read field row r
+    reads = np.r_[2:n + 2, 0, 1, n + 2, n + 3][:, None] - np.arange(5)
+    slots = {r: list(zip(*np.nonzero(reads == r))) for r in range(n)}
+    with mpmath.workdps(40):
+        mult = [[(o, mpmath.mpf(v)) for o, v in enumerate(row) if v]
+                for row in _MULT_I]
+        bracket = [[(col, mpmath.mpf(v)) for col, v in enumerate(row) if v]
+                   for row in _BRACKET_RE]
+
+        def block(x):     # {(s, c): {o: blk[16 s + c, o]}} of a sparse x
+            g, out = {}, {}
+            for (r, c), v in x.items():
+                for o, w in mult[16 * r + c] if r < 3 else ():
+                    g[o] = g.get(o, 0) + v * w
+            for so, v in g.items():
+                for col, w in bracket[so % 16]:
+                    entry = out.setdefault((so // 16, col // 16), {})
+                    entry[col % 16] = entry.get(col % 16, 0) + v * w
+            return out
+
+        def dense(x, rows):
+            out = np.zeros((rows, 16))
+            for i, v in x.items():
+                out[i] = float(v)
+            return out
+
+        exact = [{i: mpmath.mpf(v) for i, v in np.ndenumerate(x0.view(float)) if v}]
+        blocks = []
+        for k in range(16):
+            blocks.append(block(exact[k]))
+            total, mag = {}, {}
+            for j in range(k + 1):
+                for (r, c), v in exact[j].items():
+                    for m, s in slots[r]:
+                        for o, w in blocks[k - j].get((s, c), {}).items():
+                            total[m, o] = total.get((m, o), 0) + v * w
+                            mag[m, o] = mag.get((m, o), 0) + abs(v * w)
+            scale = float(max(mag.values()))
+            err = np.abs(prods[k].view(float) - dense(total, n + 4))
+            assert np.max(err) <= 8 * eps * scale, k
+            exact.append({(m, o): v / (k + 1) for (m, o), v in total.items() if m < n})
+            err = np.abs(xs[k + 1].view(float) - dense(exact[-1], n))
+            assert np.max(err) <= 8 * eps * scale / (k + 1), k
+        terms = [[x.get(i, 0) * mpmath.mpf(h) ** k for k, x in enumerate(exact)]
+                 for i in np.ndindex(n, 16)]
+        step_sum = np.array([float(mpmath.fsum(t)) for t in terms])
+        scale = np.array([float(mpmath.fsum(map(abs, t))) for t in terms])
+    err = np.abs(moved.view(float).ravel() - step_sum)
+    assert np.all(err <= 8 * eps * scale)
+
+
 @pytest.mark.parametrize("which", ["rhombic", "non-real"])
 def test_flow_step_is_np_polyval_bit_for_bit(which):
     # the in-place Horner of the step polynomial and the Python-float Horner
@@ -434,17 +519,53 @@ def test_flow_step_is_np_polyval_bit_for_bit(which):
         field, h = _random_algebra_field(np.random.default_rng(7), 2), 0.01
     x = _field_coords(field)
     zdot = np.exp(0.3j)
-    moved, steps, spill = _flow_coords(x, 0.0, h * zdot, 1e-6)
+    moved, steps, spill = _flow_coords(_lax_taylor(len(x)), x, 0.0, h * zdot, 1e-6)
     assert steps == 1
-    xs, prods = _lax_taylor(len(x), zdot)[0](x, still=True)
+    xs, prods = _aimed_orders(len(x), zdot)(x, still=True)
     want = np.polyval(xs[::-1], h)
     assert moved.tobytes() == want.tobytes() and not np.array_equal(moved, x)
     pads = np.max(np.abs(prods[::-1, len(x):]), axis=(1, 2))
     assert np.float64(spill).tobytes() == np.polyval(pads, h).tobytes() and spill > 0
 
 
+@pytest.mark.parametrize("make_seed, turns", [
+    (lambda: standard_torus_killing_seed(1.0, 1.0), [0.3, 0.3 + 0.2j, 0.1 + 0.35j]),
+    (rhombic_killing_seed, [0.15 + 0.1j, 0.05 + 0.25j, -0.1 + 0.15j])],
+    ids=["standard", "rhombic"])
+def test_one_plan_serves_every_segment_of_a_flow(make_seed, turns):
+    # a plan kept across three segments that turn gives the bits of a fresh
+    # plan per segment.  The standard seed's first segment runs along the
+    # real axis, where the field is still: that step zeroes the plan's
+    # orders and products, which the next segments overwrite
+    seed = make_seed()
+    diam = seed.spec.lattice.diameter()
+    points = [0.0] + [diam * z for z in turns]
+    shared = fresh = _field_coords(seed.field)
+    plan, runs = _lax_taylor(len(shared)), []
+    for a, b in zip(points, points[1:]):
+        shared, *got = _flow_coords(plan, shared, a, b, diam / 2048)
+        fresh, *want = _flow_coords(_lax_taylor(len(fresh)), fresh, a, b, diam / 2048)
+        assert np.array_equal(shared, fresh) and got == want
+        runs.append(got)
+    still = seed.field.d == 2          # one step, no spill
+    assert (runs[0] == [1, 0.0]) == still
+    assert all(steps > 1 for steps, _ in runs[1:])
+
+
+def test_lax_integrate_keeps_no_state_between_calls():
+    def flow(seed):
+        diam = seed.spec.lattice.diameter()
+        res = lax_integrate(seed.field, [0.1 * diam, (0.1 + 0.15j) * diam],
+                            lattice=seed.spec.lattice)
+        return ([f.rot.tobytes() + f.trans.tobytes() for f in res.fields],
+                res.steps, res.max_spill)
+    first = flow(rhombic_killing_seed())
+    flow(standard_torus_killing_seed(1.0, 1.0))
+    assert flow(rhombic_killing_seed()) == first
+
+
 def test_flow_window_memory_at_largest_degree(rng):
-    # one step holds 16 windows of (2d + 5, 80) floats, 5.3 MB at d = 256,
+    # a flow holds 16 windows of (2d + 5, 80) floats, 5.3 MB at d = 256,
     # and nothing that grows as the square of the degree
     d = 256
     field = _random_algebra_field(rng, d)
