@@ -25,8 +25,7 @@ for golden in (standard_torus(1.0, 1.0), rhombic_torus()):
     print(f"   spinor data a(z) = {np.round(pot.a(zs), 4)}")
     print(f"   spinor data b(z) = {np.round(pot.b(zs), 4)}")
 
-    reconstructed = dpw_reconstruct(pot, nsamples=128, quad_n=24,
-                                    lattice=spec.lattice)
+    reconstructed = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice)
     grid = spec.lattice.grid(16)
     err = np.max(np.abs(reconstructed.immersion(grid)
                         - (immerse(spec, grid) - immerse(spec, 0.0))))

@@ -56,8 +56,8 @@ class LoopAliasing(HamstatError):
 
 
 class PathIntegrationFailure(HamstatError):
-    """Adaptive quadrature along the integration path did not converge, or
-    the potential's angle is not finite on it."""
+    """The potential's path integral has a rounding bound above the accepted
+    one, as e^(|h|/2) swamps the potential, or its angle is not finite."""
 
 
 class StepSizeUnderflow(HamstatError):

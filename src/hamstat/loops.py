@@ -13,15 +13,16 @@ diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots of
 unity away, so both need ``nsamples`` to be a multiple of 4.  So do
 `SpecLift.samples`, `potential_extract` and `ReconstructedLift`: their loops
 are twisted, X(i lam) = tau X(lam), so they work on the first quarter of the
-circle and fill the rest with `_twist_fill`.
+circle and fill the rest with `_twist_fill`.  The potential is a linear angle
+and Taylor polynomials, so the reconstruction integrates it in closed form.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .algebra import (EPS, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
 from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
 from .lattices import parse_integer, parse_pair
-from .numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
-                       samples_from_coeffs, unit_lambdas)
+from .numerics import (coeff_exponents, loop_coeffs, samples_from_coeffs,
+                       unit_lambdas)
 from .weierstrass import TorusSpec, family_samples, holomorphic_angle
 
 __all__ = [
@@ -527,13 +528,27 @@ def _frame_phase(h, lams):
 
 @dataclass
 class HolomorphicPotentialData:
-    """Weierstrass-type data: the holomorphic half-angle h (with dh = 2c)
-    and the two holomorphic spinor components a, b."""
+    """Weierstrass-type data: the holomorphic half-angle h(z) = slope z (so
+    dh = 2c = slope) and the spinor components a and b, Taylor series in
+    u = z / radius with the coefficient rows ``coeffs`` (2, K)."""
 
-    h: Callable
-    dh: Callable
-    a: Callable
-    b: Callable
+    slope: complex
+    radius: float
+    coeffs: np.ndarray
+
+    def h(self, z):
+        return self.slope * np.asarray(z, dtype=complex)
+
+    def dh(self, z):
+        return np.full(np.shape(z), self.slope, dtype=complex)
+
+    def a(self, z):      # numpy.polynomial loads on the first call
+        return np.polynomial.polynomial.polyval(np.asarray(z) / self.radius,
+                                                self.coeffs[0])
+
+    def b(self, z):
+        return np.polynomial.polynomial.polyval(np.asarray(z) / self.radius,
+                                                self.coeffs[1])
 
     def c(self, z):
         return 0.5 * np.asarray(self.dh(z))
@@ -550,13 +565,16 @@ def _half_slots(m: int):
     return 2 * m // g, np.stack([4 * j, 4 * j + m], axis=1) % (2 * m) // g
 
 
-def _slot_series(c, size: int, left=None):
+def _slot_series(c, size, moments=None):
     """exp(c zeta_k) at the roots zeta_k = e^{-2 pi i k / size}, shape
-    c.shape + (size,), or left @ exp(c zeta) over c's last axis: per block
-    of c's first axis, one FFT of the Taylor terms c^n / n! (contracted with
-    ``left``) up to the first n > C = max|c| with C^n / n! < 2^-53 e^C
-    (36.8 > 53 ln 2), so each value is off by about eps e^C.  A non-finite
-    c raises PathIntegrationFailure, an e^C that overflows LoopAliasing."""
+    c.shape + (size,); or, given ``moments`` (P, R, K) for c (P,), the
+    integrals sum_k moments_k int_0^1 t^k exp(c zeta_k t) dt (P, R, size).
+    Per block of c's first axis, one FFT of the Taylor terms c^n / n! (times
+    sum_k moments_k / (n + k + 1)) up to the first n > C = max|c| with
+    C^n / n! < 2^-53 e^C (36.8 > 53 ln 2), so each value is off by about
+    eps e^C.  A non-finite c raises PathIntegrationFailure, an e^C that
+    overflows LoopAliasing, and a rounding bound of the integrals (eps times
+    their terms' absolute sum) above `_ETA_ROUNDING` PathIntegrationFailure."""
     big = max(float(np.max(np.abs(c), initial=0.0)), 1e-300)
     if not math.isfinite(big):
         raise PathIntegrationFailure("potential angle is not finite on the path")
@@ -566,9 +584,12 @@ def _slot_series(c, size: int, left=None):
     while top * math.log(big) - math.lgamma(top + 1) > big - 36.8:
         top += 1
     factors = np.cumprod(np.r_[1.0, big / np.arange(1, top + 1)])   # C^n / n!
-    out = np.empty((c if left is None else left[..., 0]).shape + (size,), complex)
+    out = np.empty((c if moments is None else moments[..., 0]).shape + (size,), complex)
+    if moments is not None:            # int_0^1 t^k t^n dt = 1 / (n + k + 1)
+        kernel = 1.0 / np.add.outer(np.arange(1, moments.shape[-1] + 1),
+                                    np.arange(len(factors)))
     fold = -(-len(factors) // size)     # every fold-th bin folds mod size
-    step = max(1, _CHUNK // (len(factors) * math.prod(c.shape[1:])))
+    step = max(1, _CHUNK // (len(factors) * math.prod(out.shape[1:-1])))
     for lo in range(0, len(c), step):
         blk = slice(lo, lo + step)
         ratio = c[blk] / big                # powers of c / C cannot overflow
@@ -576,8 +597,15 @@ def _slot_series(c, size: int, left=None):
         powers[0] = 1.0
         for n in range(1, len(factors)):
             np.multiply(powers[n - 1], ratio, out=powers[n])
-        terms = np.moveaxis(powers, 0, -1)
-        terms = (terms if left is None else left[blk] @ terms) * factors
+        terms = np.moveaxis(powers, 0, -1) * factors
+        if moments is not None:
+            bound = np.finfo(float).eps * np.max(
+                np.abs(moments[blk]) @ (np.abs(terms) @ kernel.T)[..., None])
+            if bound > _ETA_ROUNDING:
+                raise PathIntegrationFailure(
+                    f"dynamic range: e^(|h| / 2) swamps the potential (path "
+                    f"integral rounding bound {bound:.1e} > {_ETA_ROUNDING:.0e})")
+            terms = (moments[blk] @ kernel) * terms[:, None]
         out[blk] = np.fft.fft(terms, n=fold * size, axis=-1)[..., ::fold]
     return out
 
@@ -618,7 +646,7 @@ def potential_extract(lift, nsamples: int = 64,
     samples on a 256-point ring of radius ``taylor_radius`` (by default
     1.35 (|g1| + |g2|) of ``lift.lattice``, so the ring scales with the
     domain); one FFT over the ring gives its Taylor series.  A pole inside
-    the ring raises :class:`NotInBigCell`.
+    the ring raises :class:`NotInBigCell`.  The slope of h is ``lift.dh``.
     """
     if not hasattr(lift, "h_fn"):
         raise TypeError("lift must expose the holomorphic half-angle h_fn")
@@ -627,41 +655,41 @@ def potential_extract(lift, nsamples: int = 64,
         taylor_radius = 1.35 * (abs(lat.g1) + abs(lat.g2))
     ring = taylor_radius * unit_lambdas(_RING_N)
     w_m1 = _lift_w_minus1(lift, ring, nsamples)                 # (_RING_N, 4)
-    a, b = (_taylor_interpolant(2.0 * w_m1[:, k], taylor_radius).deriv()
-            for k in (0, 1))
-    return HolomorphicPotentialData(h=lift.h_fn, dh=lift.dh, a=a, b=b)
+    coeffs = _taylor_interpolant(2.0 * w_m1[:, :2], taylor_radius)
+    return HolomorphicPotentialData(complex(lift.dh(0.0)), taylor_radius, coeffs)
 
 
 def _taylor_interpolant(ring_values, radius):
-    """Taylor series of a holomorphic function from samples on |z| = radius,
-    as a ``numpy.polynomial.Polynomial`` in z (so ``.deriv()`` is d/dz).
+    """Taylor coefficients in u = z / radius of the z-derivatives of functions
+    holomorphic on a disk, from samples on |z| = radius along the first axis
+    (rows of the result, at least one coefficient each).
 
     Raises :class:`NotInBigCell` when the coefficients fail to decay, which
-    signals a pole inside the sampling circle.  The series is cut after its
-    last coefficient above 1e-14 of the head: past it the coefficients are
+    signals a pole inside the sampling circle.  Each series is cut after its
+    last coefficient above 1e-14 of its head: past it the coefficients are
     rounding noise (about 1e-16 of the head for lift data).
     """
-    coeffs = np.fft.fft(ring_values) / len(ring_values)   # c_n * radius**n
+    coeffs = np.fft.fft(ring_values, axis=0) / len(ring_values)
     n = len(coeffs)
-    head = np.max(np.abs(coeffs[:n // 8])) + 1e-300
-    tail = np.max(np.abs(coeffs[-n // 8:]))
-    if tail > 1e-6 * head:
+    head = np.max(np.abs(coeffs[:n // 8]), axis=0) + 1e-300
+    ratio = np.max(np.max(np.abs(coeffs[-n // 8:]), axis=0) / head)
+    if ratio > 1e-6:
         raise NotInBigCell("potential data is not analytic on the sampling "
-                           f"disk (coefficient tail ratio {tail / head:.2e})")
-    keep = np.nonzero(np.abs(coeffs) > 1e-14 * head)[0]
-    coeffs = coeffs[:keep[-1] + 1] if len(keep) else coeffs[:1]
-    return np.polynomial.Polynomial(coeffs, domain=[-radius, radius])
+                           f"disk (coefficient tail ratio {ratio:.2e})")
+    big = np.abs(coeffs) > 1e-14 * head
+    keep = np.flip(np.logical_or.accumulate(np.flip(big, 0)), 0)   # to the last
+    top = max(2, keep.reshape(n, -1).any(axis=1).sum())
+    return (coeffs * keep)[1:top].T * np.arange(1, top) / radius  # n c_n u^n-1
 
 
 # --- reconstruction --------------------------------------------------------
 
-# P+- eps and P+- L_i eps_bar, in the row order (+a, +b, -a, -b) of the sums
-# that `ReconstructedLift._rule` contracts
+# P+- eps and P+- L_i eps_bar, in the row order (+a, +b, -a, -b) of the path
+# integrals that `ReconstructedLift.eta` contracts
 _SPLIT_SPIN = np.stack([PI_PLUS @ EPS, PI_PLUS @ LI_EPS_BAR,
                         PI_MINUS @ EPS, PI_MINUS @ LI_EPS_BAR])
-_CHUNK = 1 << 16        # elements of one (points, nodes, terms) block
-_QUAD_TOL = 1e-10       # gap of the two Gauss rules that keeps a path piece
-_QUAD_DEPTH = 10        # most bisections of a path piece
+_CHUNK = 1 << 16        # elements of one (points, terms) block of a series
+_ETA_ROUNDING = 3e-8    # largest rounding bound of eta that is accepted
 
 
 class ReconstructedLift:
@@ -669,68 +697,40 @@ class ReconstructedLift:
     and projecting onto the real form.
 
     eta(z) integrates e^{theta L_i} lam^-1 (a eps + b L_i eps_bar), theta =
-    h / (2 lam^2), along 0 -> z.  Each Gauss rule calls h, a and b once on
-    all its nodes and uses the eigen-split e^{theta L_i} = e^{i theta} P+ +
-    e^{-i theta} P-: per point the nodes contract w a and w b against the
-    Taylor terms of e^{+-i theta} in lam^-2, one FFT takes them to every lam,
-    and only the four sums expand to vectors.  ``nsamples`` must be a
-    multiple of 4 (ValueError); ``samples`` and ``immersion`` raise
-    :class:`LoopAliasing` when it is too small for the angle.
+    h / (2 lam^2), along 0 -> z in closed form: by e^{theta L_i} = e^{i theta}
+    P+ + e^{-i theta} P-, it is S(z, zeta) = int_0^z a(v) e^{i slope v zeta /
+    2} dv = sum_n g_n (i slope z zeta / 2)^n / n!, g_n = r sum_k a_k u^{k+1} /
+    (n + k + 1), u = z / r, and the same for b, at the roots zeta of +-lam^-2
+    (`_slot_series`).  Where e^{|h| / 2} swamps the potential, the series'
+    rounding bound exceeds `_ETA_ROUNDING`, which raises PathIntegrationFailure.
+    ``nsamples`` must be a multiple of 4 (ValueError); ``samples`` and
+    ``immersion`` raise LoopAliasing when it is too small for the angle.
     """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
-                 quad_n: int = 32, lattice=None):
+                 lattice=None):
         _quarter(nsamples)
         self.pot = pot
         self.m = nsamples
-        self.quad_n = quad_n
         self.lattice = lattice
         self.h_fn = pot.h
         self.dh = pot.dh
 
-    def _rule(self, z_from, shift, n):
-        """Order-n Gauss rule for eta over [z_from, z_from + shift] at
-        lam_0 .. lam_{m/4 - 1}, shape (..., m/4, 4): theta flips sign at i lam
-        and tau maps eps, L_i eps_bar to -i times them, so the rule at i lam is
-        tau of the rule at lam for any h, a and b."""
-        nodes, weights = gauss_legendre_01(n)
-        z_from, shift = np.broadcast_arrays(np.asarray(z_from, dtype=complex),
-                                            np.asarray(shift, dtype=complex))
-        shape = z_from.shape
-        v = z_from.ravel() + np.outer(nodes, shift.ravel())      # (n, points)
-        # the pot attributes are read per call: tracing may wrap them
-        h = np.asarray(self.pot.h(v), dtype=complex)
-        wab = weights[:, None] * np.stack([
-            np.broadcast_to(self.pot.a(v), v.shape),
-            np.broadcast_to(self.pot.b(v), v.shape)])            # (2, n, points)
-        # e^{+-i theta} = exp(i h zeta / 2) at the roots zeta of +-lam^-2
-        # (`_half_slots`), with the node sum inside the series
-        m, q = self.m, self.m // 4
+    def eta(self, z):
+        """The path integral along 0 -> z at lam_0 .. lam_{m/4 - 1}, shape
+        z.shape + (m/4, 4): theta flips sign at i lam and tau maps eps,
+        L_i eps_bar to -i times them, so eta at i lam is tau of eta at lam."""
+        pot, m, q = self.pot, self.m, self.m // 4
+        z = np.asarray(z, dtype=complex)
+        u = np.broadcast_to(z.reshape(-1, 1) / pot.radius,
+                            (z.size, pot.coeffs.shape[1]))
+        moments = (pot.radius * np.cumprod(u, axis=1))[:, None] * pot.coeffs
         size, pick = _half_slots(m)
-        sums = _slot_series(0.5j * h.T, size, wab.transpose(2, 0, 1))
+        sums = _slot_series(0.5j * (pot.slope * z.ravel()), size, moments)
         # (point, lam, +-, a|b): the row order of _SPLIT_SPIN
         acc = (sums[..., pick[:q]].transpose(0, 2, 3, 1).reshape(-1, q, 4)
                @ _SPLIT_SPIN / unit_lambdas(m)[:q, None])
-        return (acc * shift.ravel()[:, None, None]).reshape(shape + (q, 4))
-
-    def eta(self, z):
-        """Path integral of the potential's translation part along the
-        straight segment 0 -> z, with adaptive bisection, on the first
-        quarter of the circle (`_rule`)."""
-        z = np.asarray(z, dtype=complex)
-        return self._piece(np.zeros_like(z), z, 0)
-
-    def _piece(self, z_from, z_to, depth):
-        shift = z_to - z_from
-        fine = self._rule(z_from, shift, 2 * self.quad_n)
-        coarse = self._rule(z_from, shift, self.quad_n)
-        if float(np.max(np.abs(fine - coarse))) <= _QUAD_TOL:
-            return fine
-        if depth >= _QUAD_DEPTH:
-            raise PathIntegrationFailure("adaptive quadrature depth exhausted")
-        mid = z_from + 0.5 * shift
-        return (self._piece(z_from, mid, depth + 1)
-                + self._piece(mid, z_to, depth + 1))
+        return acc.reshape(z.shape + (q, 4))
 
     def _negative_half(self, z):
         """cos and sin of the frame phase phi at z on the first quarter
@@ -740,6 +740,7 @@ class ReconstructedLift:
         = tau w(lam): `_twist_fill` completes w before its m-point FFT."""
         m, q = self.m, self.m // 4
         z = np.asarray(z, dtype=complex)
+        # pot.h is read per call: tracing may wrap it
         phi = _frame_phase(self.pot.h(z), unit_lambdas(m)[:q])
         cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
         eta = self.eta(z)
@@ -779,7 +780,10 @@ class ReconstructedLift:
 
 
 def dpw_reconstruct(pot: HolomorphicPotentialData, nsamples: int = 64,
-                    quad_n: int = 32, lattice=None) -> ReconstructedLift:
-    """The lift reconstructed from potential data."""
-    return ReconstructedLift(pot, nsamples=nsamples, quad_n=quad_n,
-                             lattice=lattice)
+                    quad_n=None, lattice=None) -> ReconstructedLift:
+    """The lift reconstructed from potential data.  ``quad_n`` (the former
+    Gauss order) is ignored with a DeprecationWarning, until the benchmark
+    contract revision on the ROADMAP drops it."""
+    if quad_n is not None:
+        warnings.warn("quad_n is ignored", DeprecationWarning, stacklevel=2)
+    return ReconstructedLift(pot, nsamples=nsamples, lattice=lattice)

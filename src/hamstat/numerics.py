@@ -1,4 +1,4 @@
-"""Shared numerical helpers: Fourier conventions, quadrature, small stencils.
+"""Shared numerical helpers: Fourier conventions and small stencils.
 
 Loop-valued objects are sampled at the M-th roots of unity
 ``lam_m = exp(2*pi*i*m/M)``; Fourier coefficients follow the convention
@@ -7,8 +7,6 @@ indices read modulo M (index j >= M/2 means exponent j - M).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -39,13 +37,6 @@ def coeff_exponents(m: int) -> np.ndarray:
 
 def samples_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(coeffs, axis=0) * len(coeffs)
-
-
-@functools.cache
-def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1], cached."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # Finite-difference stencils.  `f` maps a complex array to an array whose

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,16 @@ from hamstat.algebra import (EPS, EPS_BAR, L_I, LI_EPS, LI_EPS_BAR, R_I,
                              R_J, R_K, exp_rotation)
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.loops import TwistedLoop
-from hamstat.numerics import fd_x, fd_y, gauss_legendre_01, unit_lambdas
+from hamstat.numerics import fd_x, fd_y, unit_lambdas
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, spinor_u
+
+
+@functools.cache
+def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0, 1], cached."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @pytest.fixture

@@ -241,8 +241,7 @@ def test_criterion_7_dpw_round_trip():
         spec = golden.spec
         lift = SpecLift(spec)
         pot = potential_extract(lift, nsamples=128)
-        lift2 = dpw_reconstruct(pot, nsamples=128, quad_n=24,
-                                lattice=spec.lattice)
+        lift2 = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice)
         zs = spec.lattice.grid(32)
         got = lift2.immersion(zs)
         want = immerse(spec, zs) - immerse(spec, 0.0)

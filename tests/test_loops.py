@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (exp_twisted_loop, random_twisted_algebra_coeffs,
-                      random_twisted_group_loop)
+from conftest import (exp_twisted_loop, gauss_legendre_01,
+                      random_twisted_algebra_coeffs, random_twisted_group_loop)
 from hamstat import loops
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
                              PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, R_J, R_K,
@@ -24,8 +25,7 @@ from hamstat.loops import (_ADJ_SIGNS, _E_PLUS, _FRAME, _from_plus,
                            _half_slots, _inv2, _mul2,
                            _plus_block, _pow2, _slot_series,
                            _taylor_interpolant, _turn)
-from hamstat.numerics import (coeff_exponents, gauss_legendre_01, loop_coeffs,
-                              unit_lambdas)
+from hamstat.numerics import coeff_exponents, loop_coeffs, unit_lambdas
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, family_samples, immerse
 
@@ -70,12 +70,8 @@ def q_plus(trans_samples):
 
 def constant_potential(c, a, b):
     """Potential data with h = 2 c z and constant a, b."""
-    c, a, b = complex(c), complex(a), complex(b)
-    return HolomorphicPotentialData(
-        h=lambda z: 2.0 * c * np.asarray(z, dtype=complex),
-        dh=lambda z: np.full(np.shape(z), 2.0 * c, dtype=complex),
-        a=lambda z: np.full(np.shape(z), a, dtype=complex),
-        b=lambda z: np.full(np.shape(z), b, dtype=complex))
+    return HolomorphicPotentialData(2.0 * complex(c), 1.0,
+                                    np.array([[a], [b]], dtype=complex))
 
 
 def _tau(vec):
@@ -806,15 +802,15 @@ def test_lift_phase_gives_reference_frame():
     phi = loops._frame_phase(lift.h_fn(zs), lams)
     assert np.max(np.abs(_ref_frame(phi) - want)) < 1e-13
     pot = constant_potential(1.0 + 0.5j, 0.7, -0.2j)
-    rl = ReconstructedLift(pot, nsamples=32, quad_n=12)
+    rl = ReconstructedLift(pot, nsamples=32)
     h = pot.h(zs)[:, None]
     f = _ref_frame(0.5 * (h / lams ** 2 + np.conj(h) * lams ** 2))
     phi = loops._frame_phase(rl.h_fn(zs), lams)
     assert np.max(np.abs(_ref_frame(phi) - f)) < 1e-13
     x = rl.samples(zs)
-    # eta holds the first quarter; the reference (no bisection here) holds
-    # the circle, whose other quarters _ref_rule checks are tau images
-    eta = _ref_rule(pot, 32, np.zeros_like(zs), zs, 24)
+    # eta holds the first quarter; the reference holds the circle, whose
+    # other quarters _gauss_eta checks are tau images
+    eta = _gauss_eta(pot, 32, zs, 24)
     assert np.max(np.abs(rl.eta(zs) - eta[..., :8, :])) < 1e-13 * np.max(np.abs(eta))
     w = np.einsum("...mji,...mj->...mi", f, eta)
     what = np.fft.fft(w, axis=-2) / 32
@@ -834,7 +830,7 @@ def test_lift_samples_are_x_alone(zs):
     # frame is the phase of h_fn, which callers take themselves
     pot = constant_potential(1.0 + 0.5j, 0.7, -0.2j)
     for lift in (SpecLift(rhombic_torus().spec),
-                 ReconstructedLift(pot, nsamples=32, quad_n=12)):
+                 ReconstructedLift(pot, nsamples=32)):
         x = lift.samples(zs, 32)
         assert isinstance(x, np.ndarray) and x.shape == zs.shape + (32, 4)
         assert x.dtype == float
@@ -850,8 +846,7 @@ def test_extraction_takes_no_frame_phase(monkeypatch):
 
     monkeypatch.setattr(loops, "_frame_phase", refuse)
     pot = potential_extract(SpecLift(spec), nsamples=128)
-    assert np.array_equal(pot.a.coef, want.a.coef)
-    assert np.array_equal(pot.b.coef, want.b.coef)
+    assert np.array_equal(pot.coeffs, want.coeffs)
 
 
 def test_potential_extract_constants():
@@ -883,7 +878,7 @@ def test_potential_taylor_cache_matches_direct():
 
 def test_dpw_zero_potential():
     pot = constant_potential(1.0 + 0.5j, 0.0, 0.0)
-    rl = dpw_reconstruct(pot, nsamples=32, quad_n=8)
+    rl = dpw_reconstruct(pot, nsamples=32)
     zs = np.array([0.2 + 0.1j, 1.0 - 0.7j])
     assert np.max(np.abs(rl.immersion(zs))) < 1e-12
 
@@ -907,7 +902,7 @@ def test_dpw_angle_free_branch_is_direct_integral():
     # against an independent quadrature of the data
     a_c, b_c = 1.3 - 0.2j, 0.4 + 0.9j
     pot = constant_potential(0.0, a_c, b_c)
-    rl = dpw_reconstruct(pot, nsamples=32, quad_n=12)
+    rl = dpw_reconstruct(pot, nsamples=32)
     zs = np.array([0.4 + 0.3j, -0.6 + 0.1j])
     got = rl.immersion(zs)
     # direct integral: z * (a eps + b L_i eps_bar), real-projected at lam = 1
@@ -924,7 +919,7 @@ def test_dpw_constant_potential_is_stationary_surface():
     spec = standard_torus(1.0, 1.0).spec
     c = np.pi * np.conj(spec.beta0) / 2
     pot = constant_potential(c, 2 * np.pi, 0.0)
-    rl = dpw_reconstruct(pot, nsamples=96, quad_n=16, lattice=spec.lattice)
+    rl = dpw_reconstruct(pot, nsamples=96, lattice=spec.lattice)
     reports = run_suite(lambda z: rl.immersion(z), spec.lattice, 16)
     for rep in reports:
         assert rep.passed, (rep.check, rep.residual)
@@ -935,7 +930,7 @@ def test_dpw_round_trip_small():
     spec = g.spec
     lift = SpecLift(spec)
     pot = potential_extract(lift, nsamples=128, taylor_radius=1.8)
-    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
+    rl = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice)
     zs = spec.lattice.grid(5) + 0.02 + 0.01j
     got = rl.immersion(zs)
     want = immerse(spec, zs) - immerse(spec, 0.0)
@@ -949,27 +944,30 @@ def _translated(spec, z0):
         for g, a in spec.items()})
 
 
-def _square_spec(slope):
-    """Square-lattice spec with slope n g1* + m g2*: unit coefficients
-    e^{i pi/4} on the first frequency pair and a small fixed pattern on the
-    rest (the known-hard 3+4i round trip at slope (3, 4))."""
-    lat = Lattice(1.0, 1j)
+def _design_spec(slope, lat=Lattice(1.0, 1j), real=False):
+    """Spec on ``lat`` with slope n g1* + m g2*: unit coefficients (e^{i pi/4}
+    unless ``real``) on the first frequency pair and a small fixed pattern
+    on the rest (the known-hard 3+4i round trip at slope (3, 4) on the
+    square lattice); None when no frequency has that slope."""
     dual = lat.dual()
     beta0 = slope[0] * dual.g1 + slope[1] * dual.g2
     freqs = list(enumerate_frequencies(lat, beta0))
+    if not freqs:
+        return None
     pairs, others = {}, 0
     for g in freqs:
         if abs(g - freqs[0]) < 1e-9 or abs(g + freqs[0]) < 1e-9:
-            pairs[g] = np.exp(0.25j * np.pi)
+            pairs[g] = 1.0 if real else np.exp(0.25j * np.pi)
         else:
             others += 1
-            pairs[g] = 0.15 * np.exp(2j * np.pi * 0.37 * others)
+            pairs[g] = (0.15 * (-1) ** others * (1 + 0.5 * others / len(freqs))
+                        if real else 0.15 * np.exp(2j * np.pi * 0.37 * others))
     return TorusSpec.build(lat, beta0, pairs)
 
 
 def _round_trip(spec, grid, nsamples):
-    """Worst round-trip error on a lattice grid, and the number of integrand
-    calls (calls of a) the reconstruction made."""
+    """Worst round-trip error on a lattice grid, and the number of calls of
+    a the reconstruction made: none, as it reads the Taylor coefficients."""
     lat = spec.lattice
     pot = potential_extract(SpecLift(spec), nsamples=128)
     calls, a = [0], pot.a
@@ -979,7 +977,7 @@ def _round_trip(spec, grid, nsamples):
         return a(v)
 
     pot.a = counted
-    rl = dpw_reconstruct(pot, nsamples=nsamples, quad_n=24, lattice=lat)
+    rl = dpw_reconstruct(pot, nsamples=nsamples, lattice=lat)
     zs = lat.grid(grid)
     err = float(np.max(np.abs(rl.immersion(zs)
                               - (immerse(spec, zs) - immerse(spec, 0.0)))))
@@ -987,14 +985,14 @@ def _round_trip(spec, grid, nsamples):
 
 
 def test_castro_urbano_round_trip():
-    # the stencil-derived a, b used to miss this bound (7.4e-7); its
-    # quadrature bisects, to at most 7 coarse/fine rule pairs
+    # the stencil-derived a, b used to miss this bound (7.4e-7); the exact
+    # path integral evaluates no integrand
     cu = castro_urbano(3, 1, 1, 3)
     gamma = np.exp(1j * cu.beta) / (2 * np.pi)
     spec = cu.build_spec({gamma: 2.0 + 1.0j, np.conj(gamma): 1.5 - 0.5j})
     err, calls = _round_trip(spec, 8, 128)
     assert err < 1e-7
-    assert calls <= 14
+    assert calls == 0
 
 
 @pytest.mark.parametrize("s", [1e-6, 1e-3, 0.05, 0.1, 0.2, 1.0, 10.0, 1e3])
@@ -1013,7 +1011,7 @@ def test_round_trip_default_radius_scales_with_the_lattice(name, s):
     zs = lat.grid(8)
     try:
         pot = potential_extract(SpecLift(spec), nsamples=128)
-        got = dpw_reconstruct(pot, nsamples=128, quad_n=24,
+        got = dpw_reconstruct(pot, nsamples=128,
                               lattice=lat).immersion(zs)
     except HamstatError:
         if s == 0.1:
@@ -1024,10 +1022,11 @@ def test_round_trip_default_radius_scales_with_the_lattice(name, s):
 
 
 def test_round_trip_of_benchmark_shape_does_not_bisect():
-    # the benchmark's round-trip input: one coarse/fine rule pair per call
+    # the benchmark's round-trip input: the path integral is exact, so no
+    # integrand is evaluated at all
     err, calls = _round_trip(standard_torus(1.0, 1.0).spec, 6, 128)
     assert err < 1e-7
-    assert calls == 2
+    assert calls == 0
 
 
 def _square_k2_complex_spec():
@@ -1045,17 +1044,75 @@ def test_round_trip_of_every_pool_slot_does_not_bisect(spec):
     # the other slot specs of the benchmark's round-trip pool
     err, calls = _round_trip(spec, 6, 128)
     assert err < 1e-7
-    assert calls == 2
+    assert calls == 0
 
 
 def test_reconstruction_rejects_aliased_loop_samples():
     # |h| reaches 16.7 on the grid: e^{i h / 2 lam^2} needs exponents past
     # the +-64 that 128 samples hold, so those samples would give a wrong
     # surface; 256 resolve it
-    spec = _square_spec((3, 4))
+    spec = _design_spec((3, 4))
     with pytest.raises(LoopAliasing):
         _round_trip(spec, 4, 128)
     assert _round_trip(spec, 4, 256)[0] < 1e-7
+
+
+_SWEEP_LATTICES = [(1.0, 1j), (1.0, np.exp(1j * np.pi / 3)), (1.0, 2j),
+                   (1.0, 1.5j)]
+
+
+def _sweep_specs(seed, draws):
+    """Seeded design specs: square, hexagonal, 1x2 and 1x1.5 lattices scaled
+    by 10^U(-1.5, 1), slopes in [-5, 5]^2, real or complex coefficients, a
+    random basepoint; draws without a torus are skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        g1, g2 = _SWEEP_LATTICES[rng.integers(4)]
+        slope = tuple(rng.integers(-5, 6, size=2))
+        scale = 10 ** rng.uniform(-1.5, 1)
+        real = not rng.integers(2)
+        s, t = rng.uniform(size=2)
+        if slope == (0, 0):
+            continue
+        spec = _design_spec(slope, Lattice(scale * g1, scale * g2), real)
+        if spec is not None:
+            yield _translated(spec, scale * (s * g1 + t * g2))
+
+
+def test_round_trip_sweep_is_right_or_refuses():
+    # criterion 7 or a typed refusal, never a wrong surface, with the same
+    # m on both sides: 140 of the ops give a surface; at m = 256 the path
+    # integral's rounding bound refuses the specs whose e^{|h|/2} swamps the
+    # potential (without it 20 ops here return errors of 1.3e-7 to 2.5e-4)
+    ops = silent = 0
+    for spec in _sweep_specs(77, 200):
+        zs = spec.lattice.grid(6)
+        want = immerse(spec, zs) - immerse(spec, 0.0)
+        for m in (128, 256):
+            try:
+                pot = potential_extract(SpecLift(spec), nsamples=m)
+                got = dpw_reconstruct(pot, nsamples=m,
+                                      lattice=spec.lattice).immersion(zs)
+            except HamstatError:
+                continue
+            ops += 1
+            silent += np.max(np.abs(got - want)) > 1e-7
+    assert ops >= 120 and silent == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the reconstruction's spectrum-edge gate (1e-6 of the head) passes an "
+    "edge of 9.8e-7 at m = 128 whose aliasing costs 1.4e-7"))
+def test_round_trip_aliasing_gate_at_its_margin():
+    # draw 82 of the sweep's generator at seed 2024: real coefficients on
+    # the 1x2 lattice times 7.97 at slope (-2, -2); m = 256 gives 2.8e-11
+    scale = 7.971554930577382
+    spec = _translated(_design_spec((-2, -2), Lattice(scale, 2j * scale), True),
+                       scale * (0.2933440575335393 + 0.8570689288871368 * 2j))
+    zs = spec.lattice.grid(6)
+    pot = potential_extract(SpecLift(spec), nsamples=128)
+    got = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice).immersion(zs)
+    assert np.max(np.abs(got - (immerse(spec, zs) - immerse(spec, 0.0)))) <= 1e-7
 
 
 _POOL_SPECS = [
@@ -1131,7 +1188,7 @@ def test_immersion_is_the_lam_1_sample(spec):
     # the immersion sums the negative coefficients instead of taking the
     # inverse FFT of all 128 samples and keeping lam = 1
     pot = potential_extract(SpecLift(spec), nsamples=128)
-    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
+    rl = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice)
     zs = spec.lattice.grid(6)
     x = rl.samples(zs)
     eps = np.finfo(float).eps
@@ -1141,17 +1198,16 @@ def test_immersion_is_the_lam_1_sample(spec):
 
 def test_immersion_and_samples_share_the_aliasing_gate():
     # the 3+4i input of test_reconstruction_rejects_aliased_loop_samples
-    spec = _square_spec((3, 4))
+    spec = _design_spec((3, 4))
     pot = potential_extract(SpecLift(spec), nsamples=128)
-    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
+    rl = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice)
     for read in (rl.samples, rl.immersion):
         with pytest.raises(LoopAliasing):
             read(spec.lattice.grid(4))
 
 
 @pytest.mark.parametrize("spec", _POOL_SPECS)
-def test_round_trip_through_a_lift_with_only_the_traced_attributes(
-        spec, monkeypatch):
+def test_round_trip_through_a_lift_with_only_the_traced_attributes(spec):
     # the benchmark's traced lift forwards lattice, h_fn, dh and samples
     # only, and wraps pot.h/a/b after the reconstruction is built
     lift, calls = SpecLift(spec), []
@@ -1165,27 +1221,27 @@ def test_round_trip_through_a_lift_with_only_the_traced_attributes(
     pot = potential_extract(duck, nsamples=128)
     assert calls == [128]
     want = potential_extract(lift, nsamples=128)
-    assert np.array_equal(pot.a.coef, want.a.coef)
-    assert np.array_equal(pot.b.coef, want.b.coef)
+    assert np.array_equal(pot.coeffs, want.coeffs)
     with pytest.raises(ValueError):
         loops._lift_w_minus1(duck, _ring(spec), 127)
     assert calls == [128]                   # refused before any sample
 
-    rl = dpw_reconstruct(pot, nsamples=128, quad_n=24, lattice=spec.lattice)
-    a, rule, counts = pot.a, ReconstructedLift._rule, {"a": 0, "rule": 0}
+    rl = dpw_reconstruct(pot, nsamples=128, lattice=spec.lattice)
+    want_x = rl.immersion(spec.lattice.grid(6))
+    counts = {"h": 0, "a": 0, "b": 0}
 
-    def counted_a(v):
-        counts["a"] += 1
-        return a(v)
+    def counted(name, fn):
+        def wrapped(v):
+            counts[name] += 1
+            return fn(v)
+        return wrapped
 
-    def counted_rule(self, *args):
-        counts["rule"] += 1
-        return rule(self, *args)
-
-    pot.a = counted_a
-    monkeypatch.setattr(ReconstructedLift, "_rule", counted_rule)
-    rl.immersion(spec.lattice.grid(6))
-    assert counts["rule"] >= 2 and counts["a"] == counts["rule"]
+    for name in counts:
+        setattr(pot, name, counted(name, getattr(pot, name)))
+    x = rl.immersion(spec.lattice.grid(6))
+    # pot.h is read at call time; a and b are Taylor coefficients, read as data
+    assert counts["h"] >= 1 and counts["a"] == counts["b"] == 0
+    assert np.array_equal(x, want_x)
 
 
 @pytest.mark.parametrize("spec", _POOL_SPECS)
@@ -1203,8 +1259,7 @@ def test_extraction_reads_one_quarter_of_the_samples(spec):
                            samples=samples)
     pot = potential_extract(duck, nsamples=128)
     want = potential_extract(lift, nsamples=128)
-    assert np.array_equal(pot.a.coef, want.a.coef)
-    assert np.array_equal(pot.b.coef, want.b.coef)
+    assert np.array_equal(pot.coeffs, want.coeffs)
 
 
 def test_lift_sample_counts_are_multiples_of_4():
@@ -1219,20 +1274,20 @@ def test_lift_sample_counts_are_multiples_of_4():
             run()
 
 
-# reference: the per-node rule with the cos/sin rotation that
-# `ReconstructedLift._rule` replaces
-def _ref_rule(pot, m, z_from, shift, n):
+# reference: eta by a per-node Gauss rule with the cos/sin rotation, on the
+# whole circle
+def _gauss_eta(pot, m, z, n):
     nodes, weights = gauss_legendre_01(n)
     lams = unit_lambdas(m)
-    acc = np.zeros(np.shape(z_from) + (m, 4), dtype=complex)
+    acc = np.zeros(np.shape(z) + (m, 4), dtype=complex)
     for t, w in zip(nodes, weights):
-        v = z_from + shift * t
+        v = z * t
         h = np.asarray(pot.h(v), dtype=complex)
         a = np.asarray(pot.a(v), dtype=complex)
         b = np.asarray(pot.b(v), dtype=complex)
         spin = a[..., None, None] * EPS + b[..., None, None] * LI_EPS_BAR
         acc += w * _li_rotate(0.5 * h[..., None] / lams ** 2, spin) / lams[..., None]
-    acc *= np.asarray(shift, dtype=complex)[..., None, None]
+    acc *= np.asarray(z, dtype=complex)[..., None, None]
     # eta is twisted: each quarter of the circle is tau of the one before
     q = m // 4
     for k in range(3):
@@ -1242,33 +1297,69 @@ def _ref_rule(pot, m, z_from, shift, n):
     return acc
 
 
-def _check_rule(rng, pots, points, n, m):
-    z_from = 0.3 * (rng.normal(size=points) + 1j * rng.normal(size=points))
-    shift = 0.4 * (rng.normal(size=points) + 1j * rng.normal(size=points))
-    for pot in pots:
-        want = _ref_rule(pot, m, z_from, shift, n)[..., :m // 4, :]
-        got = ReconstructedLift(pot, nsamples=m)._rule(z_from, shift, n)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+# reference: eta on the first quarter of the circle at 40 digits, with the
+# integrals I_k = int_0^z v^k e^{beta v} dv by I_k = (z^k e^{beta z} -
+# k I_{k-1}) / beta; the recursion loses up to log10(K! / |beta z|^K)
+# digits, which the working precision adds.  Also the scale of eta's
+# rounding: per point, the same integrals of |a| and |b| at beta = |h| / 2
+def _mp_eta(mpmath, pot, m, zs):
+    q, k_len = m // 4, pot.coeffs.shape[1]
+    eta = np.empty((len(zs), q, 4), dtype=complex)
+    scale = np.empty(len(zs))
+    for p, z0 in enumerate(zs):
+        c = abs(pot.slope * z0) / 2
+        lost = (math.lgamma(k_len + 1)
+                - k_len * math.log(min(c, 1.0))) / math.log(10)
+        with mpmath.workdps(40 + int(lost)):
+            z = mpmath.mpc(z0)
+            coeffs = [[mpmath.mpc(x) / mpmath.mpf(pot.radius) ** k
+                       for k, x in enumerate(row)] for row in pot.coeffs]
+
+            def integrals(beta, zz):
+                e = mpmath.exp(beta * zz)
+                out = [(e - 1) / beta]
+                for k in range(1, k_len):
+                    out.append((zz ** k * e - k * out[-1]) / beta)
+                return out
+
+            ints = integrals(mpmath.mpf(c), abs(z))
+            scale[p] = float(max(sum(abs(x) * i for x, i in zip(row, ints))
+                                 for row in coeffs))
+            for j in range(q):
+                lam = mpmath.expjpi(2 * mpmath.mpf(j) / m)
+                acc = [mpmath.mpc(0)] * 4
+                for sign in (1, -1):        # e^{+-i theta}, zeta = +-lam^-2
+                    ints = integrals(0.5j * mpmath.mpc(pot.slope) * sign
+                                     / lam ** 2, z)
+                    for f, row in enumerate(coeffs):
+                        val = sum(x * i for x, i in zip(row, ints))
+                        spin = loops._SPLIT_SPIN[(1 - sign) + f]
+                        acc = [s + val * mpmath.mpc(v) for s, v in zip(acc, spin)]
+                eta[p, j] = [complex(s / lam) for s in acc]
+    return eta, scale
 
 
-@pytest.mark.parametrize("points, n, m",
-                         [((3, 4), 48, 128), ((12, 25), 24, 128), ((3, 4), 24, 12)])
-def test_rule_matches_per_node_reference(rng, points, n, m):
-    # at m = 128, 3 x 4 points fit one (points, nodes, terms) block and
-    # 12 x 25 points take several; at m = 12 the Taylor terms outnumber
-    # the L = 6 roots and fold
-    spec = rhombic_torus().spec
-    pots = (constant_potential(1.0 + 0.5j, 0.7, -0.2j),
-            potential_extract(SpecLift(spec), nsamples=128, taylor_radius=1.8))
-    _check_rule(rng, pots, points, n, m)
-
-
-@pytest.mark.parametrize("c, n, m", [(5, 24, 12), (5 + 3j, 48, 12), (2, 24, 4)])
-def test_rule_folds_taylor_terms_past_the_roots(rng, c, n, m):
-    # more Taylor terms than roots (L = 6, 6 and 2): the terms fold mod L
-    pot = constant_potential(c, 0.7, -0.2j)
-    _check_rule(rng, (pot,), (3, 4), n, m)
+@pytest.mark.parametrize("c, m, points", [
+    pytest.param(1.0 + 0.5j, 128, 12, id="constant-128"),
+    pytest.param(None, 128, 4, id="extracted-128"),
+    pytest.param(1.0 + 0.5j, 12, 12, id="constant-12"),
+    pytest.param(5, 12, 4, id="fold-5-12"),
+    pytest.param(5 + 3j, 12, 4, id="fold-(5+3j)-12"),
+    pytest.param(2, 4, 4, id="fold-2-4")])
+def test_eta_matches_40_digit_reference(rng, c, m, points):
+    # the exact path integral of the constant potentials and of the rhombic
+    # spec's extracted one, within 4 eps of the scale of its terms; at
+    # m = 12 and 4 the Taylor terms outnumber the L = 6 and 2 roots and fold
+    mpmath = pytest.importorskip("mpmath")
+    pot = (constant_potential(c, 0.7, -0.2j) if c is not None else
+           potential_extract(SpecLift(rhombic_torus().spec), nsamples=128,
+                             taylor_radius=1.8))
+    zs = 0.5 * (rng.normal(size=points) + 1j * rng.normal(size=points))
+    want, scale = _mp_eta(mpmath, pot, m, zs)
+    got = ReconstructedLift(pot, nsamples=m).eta(zs)
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want), axis=(1, 2))
+    assert np.all(err <= 4 * np.finfo(float).eps * scale), err / scale
 
 
 @pytest.mark.parametrize("m", [4, 30, 31, 64, 128, 256])
@@ -1294,18 +1385,22 @@ def test_slot_series_matches_exp_on_every_root(m):
         assert np.max(np.abs(got - want)) < bound, (r, m)
 
 
-@pytest.mark.parametrize("c, expect", [
-    (5, None), (20, LoopAliasing), (400, PathIntegrationFailure),
-    (1e4, LoopAliasing), (np.nan, PathIntegrationFailure)])
-def test_reconstruction_angle_range(c, expect):
+@pytest.mark.parametrize("c, expect, match", [
+    (5, None, None), (20, LoopAliasing, "spectrum edge"),
+    (400, PathIntegrationFailure, "dynamic range"),
+    (1e4, LoopAliasing, "overflows"),
+    (np.nan, PathIntegrationFailure, "not finite")],
+    ids=["5-None", "20-LoopAliasing", "400-PathIntegrationFailure",
+         "10000.0-LoopAliasing", "nan-PathIntegrationFailure"])
+def test_reconstruction_angle_range(c, expect, match):
     # a value while 128 samples resolve the angle; past that the spectrum
-    # edge (20) or the quadrature (400) fails, an e^{|h|/2} that overflows
-    # and a non-finite angle are refused before any series is built
+    # edge fails (20), or e^{|h|/2} swamps the potential and the path
+    # integral's rounding bound refuses it (400); an e^{|h|/2} that
+    # overflows and a non-finite angle are refused before any series is built
     pot = constant_potential(c, 1, 0.5)
-    run = lambda: dpw_reconstruct(pot, nsamples=128,
-                                  quad_n=24).samples([0.5 + 0.25j])
+    run = lambda: dpw_reconstruct(pot, nsamples=128).samples([0.5 + 0.25j])
     if expect is not None:
-        with pytest.raises(expect):
+        with pytest.raises(expect, match=match):
             run()
         return
     x = run()
@@ -1399,11 +1494,3 @@ def test_taylor_interpolant_rejects_pole_inside_circle():
     with pytest.raises(NotInBigCell):
         _taylor_interpolant(1.0 / (ring - 0.5), 1.0)
 
-
-def test_reconstruction_quadrature_depth_exhausted(monkeypatch):
-    monkeypatch.setattr(loops, "_QUAD_TOL", 1e-14)
-    monkeypatch.setattr(loops, "_QUAD_DEPTH", 1)
-    pot = constant_potential(1 + 0.5j, 0.7, -0.2j)
-    lift = ReconstructedLift(pot, nsamples=16, quad_n=2)
-    with pytest.raises(PathIntegrationFailure):
-        lift.immersion(np.array([3 + 2j]))
