@@ -23,8 +23,12 @@ from .weierstrass import TorusSpec, spinor_u
 __all__ = [
     "CheckReport", "check_conformal", "check_lagrangian",
     "check_harmonic_angle", "check_mean_curvature", "check_flatness",
-    "run_suite", "SpinorFields",
+    "run_suite", "SpinorFields", "THRESHOLDS",
 ]
+
+# the default threshold of each check, by report name
+THRESHOLDS = {"conformal": 1e-5, "lagrangian": 1e-5, "harmonic-angle": 1e-6,
+              "mean-curvature": 1e-5, "flatness": 1e-6}
 
 
 @dataclass
@@ -103,7 +107,7 @@ def _lagrangian(frame, grid_n, h, threshold):
 
 
 def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
-                    threshold: float = 1e-5) -> CheckReport:
+                    threshold: float = THRESHOLDS["conformal"]) -> CheckReport:
     """Max of |<X_x, X_y>| + ||X_x|^2 - |X_y|^2| over the grid, normalized by
     the mean squared frame length."""
     zs = lattice.grid(grid_n)
@@ -112,7 +116,7 @@ def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
 
 
 def check_lagrangian(f, lattice, grid_n: int, fd_step: float | None = None,
-                     threshold: float = 1e-5) -> CheckReport:
+                     threshold: float = THRESHOLDS["lagrangian"]) -> CheckReport:
     """Max |omega(X_x, X_y)| over the grid (same normalization as above)."""
     zs = lattice.grid(grid_n)
     return _lagrangian(lambda h: _frame(f, zs, h), grid_n,
@@ -145,7 +149,7 @@ def _unwrap_grid(angles):
 
 
 def check_harmonic_angle(f, lattice, grid_n: int, fd_step: float | None = None,
-                         threshold: float = 1e-6) -> CheckReport:
+                         threshold: float = THRESHOLDS["harmonic-angle"]) -> CheckReport:
     """Flat Laplacian of the recovered angle on a square grid.
 
     The angle of a doubly periodic stationary solution is affine, so the
@@ -202,7 +206,7 @@ def _corner_terms(f, zs, c, h):
 
 
 def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
-                         threshold: float = 1e-5) -> CheckReport:
+                         threshold: float = THRESHOLDS["mean-curvature"]) -> CheckReport:
     """Residual of the stationary-angle identity for the mean curvature.
 
     H is the metric half-trace of the second fundamental form (second
@@ -308,7 +312,7 @@ def _curvature_residual(connection, h: float,
 
 def check_flatness(source, lam: complex, grid_n: int,
                    fd_step: float | None = None,
-                   threshold: float = 1e-6) -> CheckReport:
+                   threshold: float = THRESHOLDS["flatness"]) -> CheckReport:
     """Curvature residual of the deformed connection built from spinor data.
 
     Computes  dA(x,y) + [A_x, A_y]  by central differences of the coefficient
@@ -333,9 +337,7 @@ def run_suite(f, lattice, grid_n: int, spec: TorusSpec | None = None,
               thresholds: dict | None = None) -> list[CheckReport]:
     """Run the full geometric suite; adds the flatness checks when a spec is
     supplied (they need spinor data, not just the immersion)."""
-    th = {"conformal": 1e-5, "lagrangian": 1e-5, "harmonic-angle": 1e-6,
-          "mean-curvature": 1e-5, "flatness": 1e-6}
-    th.update(thresholds or {})
+    th = {**THRESHOLDS, **(thresholds or {})}
     # the conformal and Lagrangian checks read one frame per step, the
     # Richardson h/2 one too; the cache goes before the angle check allocates
     zs = lattice.grid(grid_n)

@@ -323,9 +323,7 @@ def cmd_verify(args) -> int:
     thresholds = None
     if args.tol is not None:
         _require_at_least(args, tol=0)
-        thresholds = {k: args.tol for k in
-                      ("conformal", "lagrangian", "harmonic-angle",
-                       "mean-curvature", "flatness")}
+        thresholds = dict.fromkeys(checks.THRESHOLDS, args.tol)
     reports = checks.run_suite(lambda z: weierstrass.immerse(spec, z),
                                spec.lattice, args.grid, spec=spec,
                                thresholds=thresholds)

@@ -55,15 +55,6 @@ def parse_integer(value, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
-def _as_complex(value) -> complex:
-    """Accept complex literals, (re, im) pairs, or exact fraction strings."""
-    if isinstance(value, (list, tuple)):
-        return parse_pair(value)
-    if isinstance(value, str):
-        return complex(value)
-    return complex(value)
-
-
 class AffineGrid(np.ndarray):
     """A read-only grid z0 + i u + j v marked ``affine``: adding or
     subtracting a 0-d scalar keeps the mark, and every other operation
@@ -125,9 +116,10 @@ class Lattice:
 
     @classmethod
     def from_config(cls, data) -> "Lattice":
-        """Build from {"g1": ..., "g2": ...}; coordinates may be decimals or
-        exact fraction strings such as "3/2"."""
-        return cls(_as_complex(data["g1"]), _as_complex(data["g2"]))
+        """Build from {"g1": [re, im], "g2": [re, im]}, each pair read by
+        `parse_pair`: its parts may be decimals or fraction strings such as
+        "3/2"."""
+        return cls(parse_pair(data["g1"]), parse_pair(data["g2"]))
 
     def basis_matrix(self) -> np.ndarray:
         """Columns are the generators as R^2 vectors."""

@@ -11,10 +11,10 @@ C_k on entry (`_plus_block`), solve on A (Iwasawa by a QR of its band) and
 rebuild 4x4 coefficients on exit (`_from_plus`).  Translations turn by
 diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots of
 unity away, so both need ``nsamples`` to be a multiple of 4.  So do
-`SpecLift.samples`, `potential_extract` and `ReconstructedLift`: their loops
-are twisted, X(i lam) = tau X(lam), so they work on the first quarter of the
-circle and fill the rest with `_twist_fill`.  The potential is a linear angle
-and Taylor polynomials, so the reconstruction integrates it in closed form.
+`SpecLift`, `potential_extract` and `ReconstructedLift`: their loops are
+twisted, X(i lam) = tau X(lam), so they work on the first quarter of the
+circle and fill the rest with `_twist_fill`.  The reconstruction integrates
+the potential in closed form to one surface, the lam = 1 immersion.
 """
 
 from __future__ import annotations
@@ -528,9 +528,9 @@ def _frame_phase(h, lams):
 
 @dataclass
 class HolomorphicPotentialData:
-    """Weierstrass-type data: the holomorphic half-angle h(z) = slope z (so
-    dh = 2c = slope) and the spinor components a and b, Taylor series in
-    u = z / radius with the coefficient rows ``coeffs`` (2, K)."""
+    """Weierstrass-type data that `dpw_reconstruct` integrates: the half-angle
+    h(z) = slope z = 2 c z and the spinor components a and b, Taylor series
+    in u = z / radius with the coefficient rows ``coeffs`` (2, K)."""
 
     slope: complex
     radius: float
@@ -538,9 +538,6 @@ class HolomorphicPotentialData:
 
     def h(self, z):
         return self.slope * np.asarray(z, dtype=complex)
-
-    def dh(self, z):
-        return np.full(np.shape(z), self.slope, dtype=complex)
 
     def a(self, z):      # numpy.polynomial loads on the first call
         return np.polynomial.polynomial.polyval(np.asarray(z) / self.radius,
@@ -551,7 +548,7 @@ class HolomorphicPotentialData:
                                                 self.coeffs[1])
 
     def c(self, z):
-        return 0.5 * np.asarray(self.dh(z))
+        return np.full(np.shape(z), 0.5 * self.slope)
 
 
 def _half_slots(m: int):
@@ -638,7 +635,7 @@ _RING_N = 256           # ring points behind the Taylor series of W_{-1}
 
 def potential_extract(lift, nsamples: int = 64,
                       taylor_radius: float | None = None):
-    """Potential data (h, dh, a, b) of an extended lift.
+    """Potential data (h, a, b) of an extended lift.
 
     a and b are twice the z-derivative of the exponent -1 loop coefficient
     W_{-1} of W = e^{-lam^-2 h L_i / 2} X, the translation half of the
@@ -648,8 +645,6 @@ def potential_extract(lift, nsamples: int = 64,
     domain); one FFT over the ring gives its Taylor series.  A pole inside
     the ring raises :class:`NotInBigCell`.  The slope of h is ``lift.dh``.
     """
-    if not hasattr(lift, "h_fn"):
-        raise TypeError("lift must expose the holomorphic half-angle h_fn")
     if taylor_radius is None:
         lat = lift.lattice
         taylor_radius = 1.35 * (abs(lat.g1) + abs(lat.g2))
@@ -693,8 +688,8 @@ _ETA_ROUNDING = 3e-8    # largest rounding bound of eta that is accepted
 
 
 class ReconstructedLift:
-    """Lift rebuilt from potential data by integrating the holomorphic frame
-    and projecting onto the real form.
+    """The lam = 1 immersion rebuilt from potential data by integrating the
+    holomorphic frame and projecting onto the real form.
 
     eta(z) integrates e^{theta L_i} lam^-1 (a eps + b L_i eps_bar), theta =
     h / (2 lam^2), along 0 -> z in closed form: by e^{theta L_i} = e^{i theta}
@@ -703,8 +698,8 @@ class ReconstructedLift:
     (n + k + 1), u = z / r, and the same for b, at the roots zeta of +-lam^-2
     (`_slot_series`).  Where e^{|h| / 2} swamps the potential, the series'
     rounding bound exceeds `_ETA_ROUNDING`, which raises PathIntegrationFailure.
-    ``nsamples`` must be a multiple of 4 (ValueError); ``samples`` and
-    ``immersion`` raise LoopAliasing when it is too small for the angle.
+    ``nsamples`` must be a multiple of 4 (ValueError); ``immersion`` raises
+    LoopAliasing when it is too small for the angle.
     """
 
     def __init__(self, pot: HolomorphicPotentialData, nsamples: int = 64,
@@ -713,8 +708,6 @@ class ReconstructedLift:
         self.pot = pot
         self.m = nsamples
         self.lattice = lattice
-        self.h_fn = pot.h
-        self.dh = pot.dh
 
     def eta(self, z):
         """The path integral along 0 -> z at lam_0 .. lam_{m/4 - 1}, shape
@@ -732,12 +725,10 @@ class ReconstructedLift:
                @ _SPLIT_SPIN / unit_lambdas(m)[:q, None])
         return acc.reshape(z.shape + (q, 4))
 
-    def _negative_half(self, z):
-        """cos and sin of the frame phase phi at z on the first quarter
-        (shape (..., m/4, 1)) and the m coefficients of w = e^{-phi L_i}
-        eta(z) with the exponents >= 0 zeroed: the holomorphic half that the
-        real form is projected along.  phi flips sign at i lam, so w(i lam)
-        = tau w(lam): `_twist_fill` completes w before its m-point FFT."""
+    def immersion(self, z):
+        """X = F 2 Re(neg(1)), F = exp(phi L_i), neg(1) the holomorphic half:
+        the negative coefficients of w = e^{-phi L_i} eta(z), summed.  phi
+        flips sign at i lam, so w(i lam) = tau w(lam) (`_twist_fill`)."""
         m, q = self.m, self.m // 4
         z = np.asarray(z, dtype=complex)
         # pot.h is read per call: tracing may wrap it
@@ -759,29 +750,13 @@ class ReconstructedLift:
                                f"its head: {m} samples cannot resolve the "
                                "angle's range")
         what[..., exps >= 0, :] = 0.0
-        return cos, sin, what
-
-    def samples(self, z, m: int | None = None):
-        """X samples at z on all m roots: X = F 2 Re(neg), F = exp(phi L_i)."""
-        if m is not None and m != self.m:
-            raise ValueError("sample count fixed at construction")
-        what = self._negative_half(z)[2]
-        phi = _frame_phase(self.pot.h(np.asarray(z, dtype=complex)),
-                           unit_lambdas(self.m))
-        cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
-        x = 2.0 * (np.fft.ifft(what, axis=-2) * self.m).real   # neg + conj(neg)
-        return cos * x + sin * (x @ L_I.T)
-
-    def immersion(self, z):
-        """The lam = 1 member, neg(1) the sum of the negative coefficients."""
-        cos, sin, what = self._negative_half(z)
         x = 2.0 * what.sum(axis=-2).real
         return cos[..., 0, :] * x + sin[..., 0, :] * (x @ L_I.T)
 
 
 def dpw_reconstruct(pot: HolomorphicPotentialData, nsamples: int = 64,
                     quad_n=None, lattice=None) -> ReconstructedLift:
-    """The lift reconstructed from potential data.  ``quad_n`` (the former
+    """The surface reconstructed from potential data.  ``quad_n`` (the former
     Gauss order) is ignored with a DeprecationWarning, until the benchmark
     contract revision on the ROADMAP drops it."""
     if quad_n is not None:

@@ -61,9 +61,14 @@ def test_parse_complex_forms():
 
 
 def test_enumerate_text_and_json(capsys):
-    rc = main(["enumerate", "--g1", "1", "--g2", "1i", "--beta0", "1+1i",
-               "--format", "json"])
-    assert rc == 0
+    argv = ["enumerate", "--g1", "1", "--g2", "1i", "--beta0", "1+1i"]
+    assert main(argv) == 0                  # the README's example
+    assert capsys.readouterr().out.splitlines() == [
+        "beta0 = (1+1j)  [anti-periodic]",
+        "count = 2   moduli dimension = 9",
+        "  +0.5 -0.5i",
+        "  -0.5 +0.5i"]
+    assert main(argv + ["--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["count"] == 2
     assert data["moduli_dimension"] == 9
@@ -104,7 +109,11 @@ def test_enumerate_config_file_with_fractions(tmp_path, capsys):
     {"lattice": {"g1": [1, 0], "g2": [0, 1]}, "beta0": [1, 1, 99]},
     # indexing a list by key used to end in a TypeError traceback
     [1, 2],
-], ids=["beta0-three", "top-level-list"])
+    # a generator is a [re, im] pair: complex() called "3/2" malformed
+    # and read 1.5 as a real generator
+    {"lattice": {"g1": "3/2", "g2": [0, 1]}, "beta0": [1, 1]},
+    {"lattice": {"g1": 1.5, "g2": [0, 1]}, "beta0": [1, 1]},
+], ids=["beta0-three", "top-level-list", "g1-fraction-string", "g1-number"])
 def test_enumerate_config_is_input_error(tmp_path, capsys, config):
     cfg = tmp_path / "lattice.json"
     cfg.write_text(json.dumps(config))

@@ -25,15 +25,12 @@ SHARED_NAMES = {
     "finitetype.KillingField.from_dict": "src/hamstat/cli.py",
     "lattices.Lattice.coords": "src/hamstat/lattices.py",
     "loops.HolomorphicPotentialData.h": "src/hamstat/loops.py",
-    "loops.SpecLift.samples": "src/hamstat/loops.py",
     "loops.TwistedLoop.to_dict": "src/hamstat/finitetype.py",
     "loops.TwistedLoop.to_json": "perfbench/workloads.py",
     "weierstrass.TorusSpec.from_dict": "src/hamstat/cli.py",
     "weierstrass.TorusSpec.to_dict": "src/hamstat/weierstrass.py",
     "weierstrass.TorusSpec.to_json": "src/hamstat/cli.py",
 }
-# shared-name methods that only tests reach, kept until they are removed
-TESTS_ONLY = {"loops.ReconstructedLift.samples"}
 
 
 def _raised():
@@ -107,8 +104,7 @@ def test_every_public_name_is_reached():
                 unreached.append(qual)
         elif name not in mentioned:
             unreached.append(qual)
-    assert shared == set(SHARED_NAMES) | TESTS_ONLY, sorted(
-        shared ^ (set(SHARED_NAMES) | TESTS_ONLY))
+    assert shared == set(SHARED_NAMES), sorted(shared ^ set(SHARED_NAMES))
     assert not unreached, unreached
 
 

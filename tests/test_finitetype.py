@@ -863,6 +863,8 @@ def test_formal_killing_adapted_leading_terms(standard_formal):
     assert np.max(np.abs(_mode_sum(*zetas[0], z0))) < 1e-12
     assert np.max(np.abs(_mode_sum(*zetas[1], z0) - spinor_u(spec, z0))) < 1e-12
     assert np.max(np.abs(_mode_sum(*zetas[2], z0))) < 1e-12
+    with pytest.raises(ValueError, match="nonzero"):     # no a^-1 at a = 0
+        formal_killing(u_modes, 0)
 
 
 def test_formal_killing_elliptic_equation(standard_formal):

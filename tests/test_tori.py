@@ -23,6 +23,8 @@ def test_standard_torus_agreement():
         assert np.max(np.abs(x0 - np.array([0.0, -w1, 0.0, -w2]))) < 1e-12
         assert periodicity_class(g.spec.lattice, g.spec.beta0) \
             is PeriodicityClass.ANTI_PERIODIC
+    with pytest.raises(ValueError, match="periods must be positive"):
+        standard_torus(0, 1)
 
 
 def test_rhombic_torus_values(rng):
@@ -101,6 +103,8 @@ def test_castro_urbano_degenerate_and_invalid():
         castro_urbano(1, 2, 1, 2)       # cos alpha < cos beta and sin alpha < sin beta
     with pytest.raises(NoRealSolution):
         castro_urbano(5, 1, 4, 1)
+    with pytest.raises(NoRealSolution, match="positive integers"):
+        castro_urbano(0, 1, 1, 1)
 
 
 def test_real_slope_removes_conjugate_pair():

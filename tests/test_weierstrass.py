@@ -332,6 +332,8 @@ def test_regularity_scan_standard_and_zero(square_spec):
     assert rep.cover == "2"
     zero = TorusSpec(Lattice.square(), 1 + 1j, {})
     assert regularity_scan(zero, 8).min_abs_u == 0.0
+    with pytest.raises(ValueError, match="at least 2"):
+        regularity_scan(square_spec, 1)
 
 
 def test_regularity_scan_constructed_zero():
@@ -389,6 +391,8 @@ def test_family_identity_and_sign(square_spec):
     # the opposite parameter gives the ambient point reflection of the surface
     fam_m = FamilyEvaluator(square_spec, -1.0)
     assert np.max(np.abs(fam_m(zs) + immerse(square_spec, zs))) < 1e-12
+    with pytest.raises(ValueError, match="unit circle"):
+        FamilyEvaluator(square_spec, 0.5)
 
 
 def test_family_path_integral_oracle(square_spec):
