@@ -17,7 +17,7 @@ from .tori import castro_urbano, rhombic_torus, standard_torus
 from .checks import (check_conformal, check_flatness, check_harmonic_angle,
                      check_lagrangian, check_mean_curvature, run_suite)
 from .loops import (HolomorphicPotentialData, SpecLift, TwistedLoop, birkhoff,
-                    dpw_reconstruct, iwasawa, potential_extract, su2_iwasawa)
+                    dpw_reconstruct, iwasawa, potential_extract)
 from .finitetype import (KillingField, formal_killing, lax_integrate,
                          lax_project, polynomial_condition, r_op,
                          rhombic_killing_seed, standard_torus_killing_seed)

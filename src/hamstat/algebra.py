@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ID4", "L_I", "L_J", "L_K", "R_I", "R_J", "R_K",
+    "ID4", "L_I", "L_J", "R_I", "R_J", "R_K",
     "EPS", "EPS_BAR", "LI_EPS", "LI_EPS_BAR",
-    "PHASE_BASIS", "G0_BASIS", "ROTATION_BASIS", "QUAT_BASIS",
+    "G0_BASIS", "ROTATION_BASIS",
     "coords", "from_coords", "omega", "tau_rotation", "tau_vector",
     "wedge_value", "lagrangian_angle_raw",
     "exp_g2", "exp_g0", "exp_rotation",
@@ -27,7 +27,6 @@ ID4 = np.eye(4)
 
 L_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
 L_J = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
-L_K = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
 R_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)
 R_J = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
 R_K = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
@@ -35,10 +34,8 @@ R_K = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype
 # Basis stacks (b, 4, 4) for `coords`/`from_coords`.  The 16 products
 # L_a R_b are orthonormal for the pairing trace(B^T m) / 4, so every stack of
 # such products (up to sign) is inverted by `from_coords` on its span.
-PHASE_BASIS = np.stack([ID4, L_I])                  # p1 + p2 L_i
 G0_BASIS = np.stack([R_I, R_J, R_K])                # compact-type algebra
 ROTATION_BASIS = np.stack([L_I, R_I, R_J, R_K])     # a L_i + b.R
-QUAT_BASIS = np.stack([ID4, -R_I, -R_J, -R_K])      # q0 + q1 i + q2 j + q3 k
 
 # Distinguished isotropic vectors spanning the odd tau-eigenspaces.
 EPS = 0.5 * np.array([1, 0, -1j, 0])

@@ -306,9 +306,9 @@ def cmd_enumerate(args) -> int:
 def cmd_mesh(args) -> int:
     _require_at_least(args, grid=3)
     spec = _load(args.spec, "spec", weierstrass.TorusSpec.from_dict)
-    scan = weierstrass.regularity_scan(spec, max(args.grid, 16))
-    if scan.min_abs_u < 1e-6:
-        print(f"warning: grid may be degenerate (min |u| = {scan.min_abs_u:.2e})",
+    min_u = weierstrass.regularity_scan(spec, max(args.grid, 16))
+    if min_u < 1e-6:
+        print(f"warning: grid may be degenerate (min |u| = {min_u:.2e})",
               file=sys.stderr)
     header = f"spec {_spec_hash(spec)} projection {args.project} grid {args.grid}"
     count = _write_mesh(args, args.out, lambda z: weierstrass.immerse(spec, z),

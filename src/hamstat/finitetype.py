@@ -301,9 +301,11 @@ class LaxFlowResult:
         return self._drift(slice(self.fields[0].d % 2, None, 2))
 
     def isospectral_drift(self) -> float:
+        """Largest spectrum change of the rotation values R(lam) at 8 points:
+        the affine [[R, t], [0, 0]] has spec(R) and 0, whatever t is."""
         lams = np.exp(2j * np.pi * (np.arange(8) + 0.31) / 8)
         spectra = np.sort_complex(np.linalg.eigvals(
-            np.stack([f.matrix5_at(lams) for f in self.fields])))
+            np.stack([f.value_at(lams)[0] for f in self.fields])))
         return float(np.max(np.abs(spectra - spectra[0])))
 
 

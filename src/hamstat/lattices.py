@@ -29,10 +29,18 @@ __all__ = [
 ]
 
 
+def _not_bool(value):
+    """The value, unless it is a bool (TypeError): float() and complex()
+    read JSON true and false as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
 def _as_real(value) -> float:
     if isinstance(value, str):
         return float(Fraction(value))
-    return float(value)
+    return float(_not_bool(value))
 
 
 def parse_pair(value) -> complex:

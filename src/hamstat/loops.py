@@ -36,7 +36,7 @@ from .numerics import (coeff_exponents, loop_coeffs, samples_from_coeffs,
 from .weierstrass import TorusSpec, family_samples, holomorphic_angle
 
 __all__ = [
-    "TwistedLoop", "su2_iwasawa", "iwasawa", "birkhoff", "p_real_part",
+    "TwistedLoop", "iwasawa", "birkhoff", "p_real_part",
     "q_minus", "SpecLift", "HolomorphicPotentialData",
     "potential_extract", "dpw_reconstruct", "ReconstructedLift",
 ]
@@ -79,11 +79,13 @@ class TwistedLoop:
     @classmethod
     def from_coeffs(cls, rot_hat, trans_hat) -> "TwistedLoop":
         """Loop from coefficients in FFT slots (slot j <-> exponent j mod m),
-        keeping the slots above 1e-12 times the largest."""
+        keeping a slot where its rotation or its translation is above 1e-12
+        times that part's largest: a translation has the units of length,
+        so it is not measured against the rotation."""
         ks = coeff_exponents(rot_hat.shape[0])
-        norms = (np.max(np.abs(rot_hat), axis=(1, 2))
-                 + np.max(np.abs(trans_hat), axis=1))
-        keep = norms > 1e-12 * max(norms.max(), 1e-300)
+        rot = np.max(np.abs(rot_hat), axis=(1, 2))
+        trans = np.max(np.abs(trans_hat), axis=1)
+        keep = (rot > 1e-12 * rot.max()) | (trans > 1e-12 * trans.max())
         if not np.any(keep):
             keep[0] = True
         return cls(ks[keep], rot_hat[keep], trans_hat[keep])
@@ -94,14 +96,6 @@ class TwistedLoop:
         rot = np.einsum("...k,kij->...ij", powers, self.rot)
         trans = np.einsum("...k,kj->...j", powers, self.trans)
         return rot, trans
-
-    def matrix5_at(self, lams):
-        """Values as 5x5 affine matrices [[rot, trans], [0, 0]]."""
-        rot, trans = self.value_at(lams)
-        m5 = np.zeros(rot.shape[:-2] + (5, 5), dtype=complex)
-        m5[..., :4, :4] = rot
-        m5[..., :4, 4] = trans
-        return m5
 
     def compose(self, other: "TwistedLoop", m: int | None = None) -> "TwistedLoop":
         m = m or _pow2(2 * (self.degree + other.degree) + 4)
@@ -202,31 +196,6 @@ def _pow2(n: int) -> int:
     return m
 
 
-# --- finite-dimensional Iwasawa (compact factor of SU(2)-type) -----------
-
-def su2_iwasawa(g):
-    """Split g in the complexified SU(2)-type factor as (K real, B) with B
-    stabilizing the positive ray through the isotropic vector.
-
-    The real factor is rebuilt from the image of that vector: its columns
-    are determined by the frame the image spans.
-    """
-    g = np.asarray(g, dtype=complex)
-    xi = g @ EPS
-    cols = [2.0 * xi.real, 2.0 * (L_I @ xi).real, -2.0 * xi.imag,
-            -2.0 * (L_I @ xi).imag]
-    h = np.stack(cols, axis=1)
-    norms = np.linalg.norm(h, axis=0)
-    r = norms[0]
-    if r < 1e-9:
-        raise SingularInput("group element maps the ray vector to ~0")
-    if np.max(np.abs(norms - r)) > 1e-9 * max(1.0, r):
-        raise SingularInput("input is not in the complexified compact factor")
-    k = h / r
-    b = k.T @ g
-    return k, b
-
-
 # --- spectral factorizations ---------------------------------------------
 
 def _toeplitz(hat, row_exps, col_exps):
@@ -242,6 +211,12 @@ def _mul2(a, b):
 
 
 _ADJ_SIGNS = np.array([[1, -1], [-1, 1]])
+
+
+def _su2(w):
+    """The SU(2) element [[w1, -conj(w2)], [w2, conj(w1)]] whose first column
+    is the unit vector w."""
+    return np.array([[w[0], -np.conj(w[1])], [w[1], np.conj(w[0])]])
 
 
 def _inv2(b):
@@ -286,6 +261,7 @@ def p_real_part(trans_samples):
 _E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
 _FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
 _TO_FRAME = np.kron(_FRAME.conj(), _FRAME)    # vec M -> vec F^H M F, unitary
+_ALPHA = np.array([1, -1j]) / np.sqrt(2.0)    # E+ coordinates of eps, normed
 # conj swaps the halves, F^H conj(F) = [[0, Q], [Q^T, 0]] with Q = [[0, -1],
 # [1, 0]]: on the circle the loop is real where A(lam) = Q conj(A(-i lam)) Q^T,
 # and Q X Q^T is X with its entries reversed and the adjugate's signs
@@ -383,10 +359,11 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     b_inv = samples_from_coeffs(x_hat)
     b_hat = loop_coeffs(_inv2(b_inv))
 
-    # pin B(0) to the ray stabilizer by a constant compact K0; K0 is real
-    # and commutes with L_i, so its E+ block is unitary
-    b0 = _FRAME @ np.kron(np.eye(2), b_hat[0]) @ _FRAME.conj().T
-    k0 = _E_PLUS.conj().T @ su2_iwasawa(b0)[0] @ _E_PLUS
+    # pin B(0) to the ray stabilizer by a constant K0 in SU(2): B(0) is
+    # diag(C0, C0) in the frame, where eps reads (alpha, -i alpha), so B(0)
+    # eps is on the ray through eps when C0 alpha is on the ray through alpha
+    v = b_hat[0] @ _ALPHA
+    k0 = _su2(v / np.linalg.norm(v)) @ _su2(_ALPHA).conj().T
     b_hat = _mul2(k0.conj().T, b_hat)
     u = _mul2(a, _mul2(b_inv, k0))
     u = 0.5 * (u + np.conj(np.roll(u, m // 4, axis=0))[:, ::-1, ::-1] * _ADJ_SIGNS)

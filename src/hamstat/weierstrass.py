@@ -18,14 +18,12 @@ import numpy as np
 
 from .algebra import EPS, LI_EPS_BAR, PI_MINUS, PI_PLUS
 from .errors import ResonantFrequency
-from .lattices import (Lattice, PeriodicityClass, enumerate_frequencies,
-                       parse_pair, periodicity_class)
+from .lattices import Lattice, _not_bool, enumerate_frequencies, parse_pair
 from .numerics import TWO_PI, dot_r2
 
 __all__ = [
-    "TorusSpec", "immerse", "spinor_u", "regularity_scan",
-    "RegularityReport", "FamilyEvaluator", "family_samples",
-    "holomorphic_angle",
+    "TorusSpec", "immerse", "spinor_u", "regularity_scan", "FamilyEvaluator",
+    "family_samples", "holomorphic_angle",
 ]
 
 _KEY_DECIMALS = 9
@@ -101,9 +99,6 @@ class TorusSpec:
     def items(self):
         return [(g, a) for g, a in self.coeffs.values()]
 
-    def periodicity(self) -> PeriodicityClass:
-        return periodicity_class(self.lattice, self.beta0)
-
     # --- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -122,8 +117,9 @@ class TorusSpec:
     def from_dict(cls, data: dict) -> "TorusSpec":
         lat = Lattice.from_config(data["lattice"])
         beta0 = parse_pair(data["beta0"])
-        pairs = {parse_pair(c["gamma"]): complex(c["re"], c["im"])
-                 for c in data["coefficients"]}
+        pairs = [(parse_pair(c["gamma"]), complex(_not_bool(c["re"]),
+                                                  _not_bool(c["im"])))
+                 for c in data["coefficients"]]
         return cls.build(lat, beta0, pairs)
 
     @classmethod
@@ -252,20 +248,9 @@ def spinor_u(spec: TorusSpec, z):
     return _mode_sum(*_u_modes(spec), z)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    min_abs_u: float
-    argmin: complex
-    grid_n: int
-    cover: str
-
-    @property
-    def immersed(self) -> bool:
-        return self.min_abs_u > 0.0
-
-
-def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
-    """Sampled minimum of |u| over the fundamental domain (advisory only)."""
+def regularity_scan(spec: TorusSpec, grid_n: int) -> float:
+    """Sampled minimum of |u| over the fundamental domain (advisory only):
+    the surface is immersed at the samples when it is positive."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     zs = spec.lattice.grid(grid_n)
@@ -278,10 +263,7 @@ def regularity_scan(spec: TorusSpec, grid_n: int) -> RegularityReport:
         s = (u[lo:lo + step].conj() * u[lo:lo + step]).real
         norms[lo:lo + step] = np.sqrt(s[..., 0] + s[..., 1] + s[..., 2]
                                       + s[..., 3])
-    idx = np.unravel_index(np.argmin(norms), norms.shape)
-    cover = ("1" if spec.periodicity() is PeriodicityClass.TRULY_PERIODIC
-             else "2")
-    return RegularityReport(float(norms[idx]), complex(zs[idx]), grid_n, cover)
+    return float(np.min(norms))
 
 
 # --- associated family -------------------------------------------------

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from hamstat.algebra import (EPS, EPS_BAR, G0_BASIS, ID4, L_I, L_J, L_K,
-                             LI_EPS, LI_EPS_BAR, PHASE_BASIS, QUAT_BASIS, R_I,
-                             R_J, R_K, ROTATION_BASIS, coords, exp_g0,
-                             from_coords, lagrangian_angle_raw, omega,
+from hamstat.algebra import (EPS, EPS_BAR, G0_BASIS, ID4, L_I, L_J, LI_EPS,
+                             LI_EPS_BAR, R_I, R_J, R_K, ROTATION_BASIS, coords,
+                             exp_g0, from_coords, lagrangian_angle_raw, omega,
                              tau_rotation, tau_vector)
 from hamstat.finitetype import _BRACKET
 from hamstat.loops import TwistedLoop
 
+# the left k and two more product stacks, which no program uses
+L_K = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
+PHASE_BASIS = np.stack([ID4, L_I])                  # p1 + p2 L_i
+QUAT_BASIS = np.stack([ID4, -R_I, -R_J, -R_K])      # q0 + q1 i + q2 j + q3 k
 LEFT = {"1": ID4, "i": L_I, "j": L_J, "k": L_K}
 RIGHT = {"1": ID4, "i": R_I, "j": R_J, "k": R_K}
 

@@ -113,7 +113,10 @@ def test_enumerate_config_file_with_fractions(tmp_path, capsys):
     # and read 1.5 as a real generator
     {"lattice": {"g1": "3/2", "g2": [0, 1]}, "beta0": [1, 1]},
     {"lattice": {"g1": 1.5, "g2": [0, 1]}, "beta0": [1, 1]},
-], ids=["beta0-three", "top-level-list", "g1-fraction-string", "g1-number"])
+    # JSON true used to read as 1
+    {"lattice": {"g1": [1, 0], "g2": [0, 1]}, "beta0": [True, True]},
+], ids=["beta0-three", "top-level-list", "g1-fraction-string", "g1-number",
+        "beta0-true"])
 def test_enumerate_config_is_input_error(tmp_path, capsys, config):
     cfg = tmp_path / "lattice.json"
     cfg.write_text(json.dumps(config))
@@ -357,9 +360,14 @@ def test_lax_seed_non_numeric_entry(seed_file, capsys):
     (("field", "coefficients", 0, "rotation", 0, 0), "x"),
     (("field", "coefficients", 0, "translation", 0), []),
     (("lattice", "g1"), [1]),
-], ids=["rotation-string", "translation-empty", "lattice-one-number"])
+    (("field", "coefficients", 0, "rotation", 0, 0), [False, 0.0]),
+    (("field", "coefficients", 0, "translation", 0), [0.0, False]),
+    (("lattice", "g1"), [True, 0.0]),
+], ids=["rotation-string", "translation-empty", "lattice-one-number",
+        "rotation-false", "translation-false", "lattice-true"])
 def test_lax_seed_entry_not_a_pair(seed_file, capsys, path, value):
-    # indexing such an entry unchecked ends in an IndexError traceback
+    # indexing such an entry unchecked ends in an IndexError traceback, and
+    # a JSON boolean used to read as the number 1 or 0
     with open(seed_file) as fh:
         payload = json.load(fh)
     parent = payload
@@ -594,11 +602,16 @@ def _spec_with(edit):
     # finite generators whose dual basis underflows
     _spec_with(lambda d: d["lattice"].update(g1=[1.7e308, 1.7e308],
                                              g2=[-1.7e308, 1.7e308])),
+    # JSON true used to read as 1: the standard spec verified at beta0 1+1i
+    _spec_with(lambda d: d.update(beta0=[True, True])),
+    _spec_with(lambda d: d["coefficients"][0].update(re=True)),
+    _spec_with(lambda d: d["coefficients"][0].update(im=False)),
+    _spec_with(lambda d: d["lattice"].update(g1=[True, 0.0])),
 ], ids=["re-null", "coefficients-string", "lattice-list", "beta0-short",
         "gamma-string", "beta0-three", "gamma-three", "top-level-list", "re-nan", "im-inf", "re-minus-inf",
         "re-huge", "re-1e150",
         "beta0-huge", "g1-huge", "g1-inf", "beta0-overflow", "beta0-inf",
-        "dual-underflow"])
+        "dual-underflow", "beta0-true", "re-true", "im-false", "g1-true"])
 def test_malformed_spec_is_input_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

@@ -54,11 +54,19 @@ def test_every_error_class_is_raised():
 
 
 def _public_definitions():
-    """(qualified name, name) of every public module-level function and
-    class under the package, and of every public method that overrides no
-    base-class method."""
+    """(qualified name, name) of every public module-level function, class
+    and assigned name under the package, and of every public method that
+    overrides no base-class method."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and not name.id.startswith("_")):
+                        yield f"{path.stem}.{name.id}", name.id
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
@@ -76,12 +84,13 @@ def _public_definitions():
 
 
 def _mentions(path: Path) -> set:
-    """Names a program mentions, as a name or an attribute."""
+    """Names a program loads, as a name or an attribute: an assignment to a
+    name is no mention of it."""
     mentioned = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             mentioned.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             mentioned.add(node.attr)
     return mentioned
 

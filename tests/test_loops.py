@@ -11,15 +11,14 @@ from conftest import (exp_twisted_loop, gauss_legendre_01,
                       random_twisted_algebra_coeffs, random_twisted_group_loop)
 from hamstat import loops
 from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
-                             PI_MINUS, PI_PLUS, QUAT_BASIS, R_I, R_J, R_K,
-                             exp_g0, from_coords)
+                             PI_MINUS, PI_PLUS, R_I, R_J, R_K)
 from hamstat.errors import (ConvergenceFailure, HamstatError, LoopAliasing,
                             NotInBigCell, OutsideBigCell,
                             PathIntegrationFailure, SingularInput)
 from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            SpecLift, TwistedLoop,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
-                           potential_extract, q_minus, su2_iwasawa)
+                           potential_extract, q_minus)
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.loops import (_ADJ_SIGNS, _E_PLUS, _FRAME, _from_plus,
                            _half_slots, _inv2, _mul2,
@@ -28,11 +27,6 @@ from hamstat.loops import (_ADJ_SIGNS, _E_PLUS, _FRAME, _from_plus,
 from hamstat.numerics import coeff_exponents, loop_coeffs, unit_lambdas
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, family_samples, immerse
-
-
-def rand_g0c(rng):
-    q = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return from_coords(q / np.sqrt(np.sum(q * q)), QUAT_BASIS)
 
 
 # 4x4 compact-type matrix of a 2x2 one, through the quaternion units
@@ -127,39 +121,6 @@ def test_twisted_loop_reality_and_json(rng):
     assert np.array_equal(rot[..., 0] + 1j * rot[..., 1], loop.rot)
 
 
-# --- pointwise Iwasawa ----------------------------------------------------------
-
-def test_su2_iwasawa_fixed_points(rng):
-    k_real = exp_g0(rng.normal(size=3)).real
-    k, b = su2_iwasawa(k_real)
-    assert np.max(np.abs(k - k_real)) < 1e-12
-    assert np.max(np.abs(b - ID4)) < 1e-12
-    # a positive dilation sits entirely in the solvable factor
-    k, b = su2_iwasawa(2.5 * ID4)
-    assert np.max(np.abs(k - ID4)) < 1e-12
-    assert np.max(np.abs(b - 2.5 * ID4)) < 1e-12
-
-
-def test_su2_iwasawa_random(rng):
-    for _ in range(30):
-        g = rand_g0c(rng)
-        k, b = su2_iwasawa(g)
-        assert np.max(np.abs(k @ b - g)) < 1e-12
-        assert np.max(np.abs(k @ k.T - ID4)) < 1e-12
-        be = b @ EPS
-        ratio = be[0] / EPS[0]
-        assert abs(ratio.imag) < 1e-10 and ratio.real > 0
-        assert np.max(np.abs(be - ratio * EPS)) < 1e-10
-
-
-def test_su2_iwasawa_singular_input():
-    with pytest.raises(SingularInput, match="ray vector"):
-        su2_iwasawa(np.zeros((4, 4)))
-    # the ray's image spans no frame of equal column norms
-    with pytest.raises(SingularInput, match="complexified compact factor"):
-        su2_iwasawa(np.diag([1, 1, 2, 2]).astype(complex))
-
-
 # --- translation projections -----------------------------------------------------
 
 def test_projection_coefficient_rules():
@@ -192,22 +153,24 @@ def test_projection_coefficient_rules():
 
 # --- Iwasawa factorization --------------------------------------------------------
 
-def _check_iwasawa(loop, u, b, m=256, tol=1e-9):
+def _check_iwasawa(loop, u, b, m=256, tol=1e-9, scale=1.0):
+    # ``scale`` multiplies a loop of size ~1: U stays unitary, while B, the
+    # translations and B(0) eps scale with it
     ru, tu = u.sample(m)
     rb, tb = b.sample(m)
     rh, th = loop.sample(m)
-    assert np.max(np.abs(ru @ rb - rh)) < tol
-    assert np.max(np.abs(np.einsum("mij,mj->mi", ru, tb) + tu - th)) < tol
+    assert np.max(np.abs(ru @ rb - rh)) < tol * scale
+    assert np.max(np.abs(np.einsum("mij,mj->mi", ru, tb) + tu - th)) < tol * scale
     # U's imaginary rounding is dropped, so it is real to rounding
     assert u.reality_residual() < 1e-14 * max(1.0, loop.norm())
     assert u.twist_residual() < tol
-    assert b.twist_residual() < tol
+    assert b.twist_residual() < tol * scale
     assert np.min(b.ks) >= 0
     b0 = b.rot[b.ks == 0][0]
     be = b0 @ EPS
     ratio = be[0] / EPS[0]
-    assert abs(ratio.imag) < 1e-8 and ratio.real > 0
-    assert np.max(np.abs(be - ratio * EPS)) < 1e-8
+    assert abs(ratio.imag) < 1e-8 * scale and ratio.real > 0
+    assert np.max(np.abs(be - ratio * EPS)) < 1e-8 * scale
 
 
 def test_iwasawa_real_loop_fixed_point(rng):
@@ -256,6 +219,15 @@ def test_iwasawa_factors_large_amplitude_degree_4_loops(amp, seed):
     loop = random_twisted_group_loop(4, np.random.default_rng(seed), amp=amp)
     u, b = iwasawa(loop)
     _check_iwasawa(loop, u, b)
+
+
+def test_iwasawa_factors_a_loop_scaled_to_1e_12():
+    # |B(0) eps| is about 1e-12 here, so the ray pin must be scale-free, and
+    # U's translation is 1e-12 of its rotation, so from_coeffs must keep it
+    loop = random_twisted_group_loop(3, np.random.default_rng(3))
+    small = TwistedLoop(loop.ks, 1e-12 * loop.rot, 1e-12 * loop.trans)
+    u, b = iwasawa(small)
+    _check_iwasawa(small, u, b, scale=1e-12)
 
 
 def _plus_loop(plus_hat):
@@ -355,6 +327,20 @@ def test_birkhoff_round_trip(rng):
             rb, tb = b.sample(256)
             assert np.max(np.abs(ra - rb)) < 1e-10
             assert np.max(np.abs(ta - tb)) < 1e-10
+
+
+def test_factors_keep_a_translation_far_below_the_rotation():
+    # a translation has the units of length: one 1e-12 the size of the
+    # rotation is kept to its own rounding, not cut as the rotation's
+    loop = random_twisted_group_loop(3, np.random.default_rng(3))
+    tiny = TwistedLoop(loop.ks, loop.rot, 1e-12 * loop.trans)
+    th = tiny.sample(256)[1]
+    for factorize in (iwasawa, birkhoff):
+        first, second = factorize(tiny)
+        r1, t1 = first.sample(256)
+        t2 = second.sample(256)[1]
+        err = np.max(np.abs(np.einsum("mij,mj->mi", r1, t2) + t1 - th))
+        assert err < 1e-9 * np.max(np.abs(th))
 
 
 def test_birkhoff_outside_big_cell():

@@ -327,11 +327,9 @@ def test_frame_angle_equals_beta_mod_2pi(rng, square_spec):
 
 
 def test_regularity_scan_standard_and_zero(square_spec):
-    rep = regularity_scan(square_spec, 24)
-    assert abs(rep.min_abs_u - np.pi * np.sqrt(2)) < 1e-9
-    assert rep.cover == "2"
+    assert abs(regularity_scan(square_spec, 24) - np.pi * np.sqrt(2)) < 1e-9
     zero = TorusSpec(Lattice.square(), 1 + 1j, {})
-    assert regularity_scan(zero, 8).min_abs_u == 0.0
+    assert regularity_scan(zero, 8) == 0.0
     with pytest.raises(ValueError, match="at least 2"):
         regularity_scan(square_spec, 1)
 
@@ -341,24 +339,20 @@ def test_regularity_scan_constructed_zero():
     z_star = 0.31 + 0.17j
     spec = spec_vanishing_at(z_star)
     assert np.linalg.norm(spinor_u(spec, z_star)) < 1e-10
-    rep = regularity_scan(spec, 160)
     u_max = np.max(np.linalg.norm(spinor_u(spec, spec.lattice.grid(32)),
                                   axis=-1))
-    assert rep.min_abs_u < 0.05 * u_max
+    assert regularity_scan(spec, 160) < 0.05 * u_max
 
 
 def test_regularity_scan_matches_norm_reference():
     # the unrolled sum of squares is np.linalg.norm's own, so the minimum
-    # and the grid point it picks are bit for bit the same
+    # is bit for bit the same
     cases = [(spec, 64) for spec in golden_tori()]
     cases.append((spec_vanishing_at(0.31 + 0.17j), 160))
     for spec, grid_n in cases:
-        rep = regularity_scan(spec, grid_n)
-        zs = spec.lattice.grid(grid_n)
-        norms = np.linalg.norm(spinor_u(spec, zs), axis=-1)
-        idx = np.unravel_index(np.argmin(norms), norms.shape)
-        assert rep.min_abs_u == norms[idx]
-        assert rep.argmin == zs[idx]
+        norms = np.linalg.norm(spinor_u(spec, spec.lattice.grid(grid_n)),
+                               axis=-1)
+        assert regularity_scan(spec, grid_n) == np.min(norms)
 
 
 def test_solution_space_dimension(rng):
@@ -549,6 +543,20 @@ def test_spec_json_round_trip_is_exact_property(rhombic, slope, data):
     back = TorusSpec.from_json(spec.to_json())
     assert back.items() == spec.items()
     assert _spec_hash(back) == _spec_hash(spec)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-12], ids=["exact", "moved-1e-12"])
+def test_spec_file_sums_a_repeated_coefficient(shift):
+    # read into a dict keyed by the frequency, an exact copy of a record
+    # replaced the first (pi stayed pi), while a copy moved by 1e-12 was
+    # summed by the merge (pi became 2 pi)
+    data = standard_torus(1.0, 1.0).spec.to_dict()
+    rec = data["coefficients"][0]
+    copy = dict(rec, gamma=[rec["gamma"][0] + shift, rec["gamma"][1]])
+    data["coefficients"].append(copy)
+    (g, a), (_, b) = TorusSpec.from_dict(data).items()
+    assert g == complex(*rec["gamma"])
+    assert a == 2 * np.pi and b == np.pi
 
 
 def test_spec_validation_rejects_off_circle():
