@@ -8,9 +8,8 @@ of polynomial Killing fields.
 """
 
 from .algebra import omega
-from .lattices import (FrequencySet, Lattice, PeriodicityClass,
-                       enumerate_frequencies, period_lattice,
-                       periodicity_class)
+from .lattices import (Lattice, PeriodicityClass, enumerate_frequencies,
+                       period_lattice, periodicity_class)
 from .weierstrass import (FamilyEvaluator, TorusSpec, family_samples, immerse,
                           regularity_scan, spinor_u)
 from .tori import castro_urbano, rhombic_torus, standard_torus

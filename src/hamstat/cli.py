@@ -344,17 +344,21 @@ def cmd_family(args) -> int:
     for lam in lams:
         if not abs(abs(lam) - 1.0) <= 1e-9:     # NaN fails too
             raise InputError(f"family parameter {lam} is not unimodular")
+    paths = [f"{args.out}.lam{lam.real:+.3f}{lam.imag:+.3f}.{args.format}"
+             for lam in lams]
+    if args.out and len(set(paths)) < len(paths):
+        raise InputError(f"two --lambda values round to one mesh name (3 "
+                         f"decimals) in {args.lams!r}")
     report = []
-    for lam in lams:
+    for lam, path in zip(lams, paths):
         ev = weierstrass.FamilyEvaluator(spec, lam)
         entry = {"lambda": [lam.real, lam.imag],
                  "period_defects": ev.period_defects,
                  "periodic": max(ev.period_defects.values()) <= args.tol}
         if args.out:
-            fname = f"{args.out}.lam{lam.real:+.3f}{lam.imag:+.3f}.{args.format}"
-            _write_mesh(args, fname, ev, spec.lattice,
+            _write_mesh(args, path, ev, spec.lattice,
                         f"spec {_spec_hash(spec)} lambda {lam}")
-            entry["mesh"] = fname
+            entry["mesh"] = path
         report.append(entry)
     print(json.dumps({"members": report}, indent=2))
     return EXIT_OK

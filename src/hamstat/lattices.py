@@ -2,10 +2,10 @@
 
 A lattice is stored by two complex generators.  Frequencies of doubly
 periodic angle data live on the coset ``beta0/2 + dual`` intersected with the
-circle of radius ``|beta0/2|`` (minus the two resonant points); enumeration
-uses an integer bounding box, complete because the coset coordinates of any
-circle point are bounded by twice the circle radius times the generator
-lengths.
+circle of radius ``|beta0/2|`` (minus the two resonant points); one integer
+box scan finds the points of a dual coset on a circle, complete because the
+coset coordinates of any circle point are bounded by the generator lengths
+times the circle radius plus the offset's modulus.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from .errors import (DegenerateLattice, EmptySpectrum, FrequencyBoxTooLarge,
                      SlopeNotInDualLattice)
 
 __all__ = [
-    "AffineGrid", "affine_grid", "Lattice", "FrequencySet",
-    "PeriodicityClass", "PeriodReport", "enumerate_frequencies",
-    "periodicity_class", "period_lattice", "integer_span_lattice",
-    "sort_frequencies",
+    "AffineGrid", "affine_grid", "Lattice", "PeriodicityClass",
+    "PeriodReport", "enumerate_frequencies", "periodicity_class",
+    "period_lattice", "integer_span_lattice", "sort_frequencies",
 ]
 
 
@@ -180,24 +179,6 @@ class PeriodicityClass(Enum):
     ANTI_PERIODIC = "anti-periodic"
 
 
-@dataclass(frozen=True)
-class FrequencySet:
-    """Circle points of the shifted dual coset attached to a slope beta0."""
-
-    beta0: complex
-    points: tuple
-    lattice: Lattice
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def contains_point(self, gamma) -> bool:
-        return any(abs(gamma - p) <= 1e-8 for p in self.points)
-
-
 def _require_slope(lattice: Lattice, beta0: complex, tol: float) -> Lattice:
     if not math.isfinite(math.hypot(beta0.real, beta0.imag)):
         raise SlopeNotInDualLattice(f"beta0 = {beta0} has no finite modulus")
@@ -215,38 +196,46 @@ def sort_frequencies(points):
                         key=lambda g: (np.angle(g), abs(g))))
 
 
-# integer candidates enumerate_frequencies may scan (a 16 MB complex array at
+# integer candidates a dual-circle scan may take (a 16 MB complex array at
 # the cap); the largest box any test, demo or benchmark pool needs is
 # 131 x 131 = 17,161
 MAX_SEARCH_BOX = 2 ** 20
 
 
-def enumerate_frequencies(lattice: Lattice, beta0, tol: float = 1e-9) -> FrequencySet:
-    """All gamma in beta0/2 + dual with |gamma| = |beta0/2|, gamma != +-beta0/2.
+def _dual_circle(lattice: Lattice, dual: Lattice, offset: complex,
+                 radius: float, tol: float) -> np.ndarray:
+    """The points offset + n g1* + m g2* of the coset of ``dual`` (the dual
+    of ``lattice``) within tol of the circle |v| = radius.
 
-    The coordinate of a coset offset v in the dual basis is <g_primal, v>,
-    so |coord| <= |g_primal| * 2R bounds the integer search box.  A box of
-    more than ``MAX_SEARCH_BOX`` candidates raises `FrequencyBoxTooLarge`
-    before anything is allocated.
+    The coordinate of v - offset along g_i* is <g_i, v - offset>, so
+    |coord| <= |g_i| (radius + |offset|) bounds the integer search box.  A
+    box of more than ``MAX_SEARCH_BOX`` candidates raises
+    `FrequencyBoxTooLarge` before anything is allocated.
     """
+    reach = radius + abs(offset)
+    # sides clipped at the cap, so an overflowing reach never meets ceil as inf
+    n_max = math.ceil(min(reach * abs(lattice.g1), MAX_SEARCH_BOX)) + 1
+    m_max = math.ceil(min(reach * abs(lattice.g2), MAX_SEARCH_BOX)) + 1
+    if (2 * n_max + 1) * (2 * m_max + 1) > MAX_SEARCH_BOX:
+        raise FrequencyBoxTooLarge(
+            f"the dual circle of radius {radius} needs a search box of more "
+            f"than {MAX_SEARCH_BOX} candidates on this lattice")
+    ns, ms = np.meshgrid(np.arange(-n_max, n_max + 1),
+                         np.arange(-m_max, m_max + 1), indexing="ij")
+    cand = offset + ns * dual.g1 + ms * dual.g2
+    return cand[np.abs(np.abs(cand) - radius) <= tol]
+
+
+def enumerate_frequencies(lattice: Lattice, beta0, tol: float = 1e-9) -> tuple:
+    """All gamma in beta0/2 + dual with |gamma| = |beta0/2|, gamma != +-beta0/2,
+    as a `sort_frequencies` tuple; `FrequencyBoxTooLarge` when the scan's box
+    passes the cap."""
     beta0 = complex(beta0)
     dl = _require_slope(lattice, beta0, tol)
     half = beta0 / 2.0
-    radius = abs(half)
-    # sides clipped at the cap, so an overflowing slope never reaches ceil as inf
-    n_max = math.ceil(min(2.0 * radius * abs(lattice.g1), MAX_SEARCH_BOX)) + 1
-    m_max = math.ceil(min(2.0 * radius * abs(lattice.g2), MAX_SEARCH_BOX)) + 1
-    if (2 * n_max + 1) * (2 * m_max + 1) > MAX_SEARCH_BOX:
-        raise FrequencyBoxTooLarge(
-            f"beta0 = {beta0} needs a frequency search box of more than "
-            f"{MAX_SEARCH_BOX} candidates on this lattice")
-    ns, ms = np.meshgrid(np.arange(-n_max, n_max + 1),
-                         np.arange(-m_max, m_max + 1), indexing="ij")
-    cand = half + ns * dl.g1 + ms * dl.g2
-    keep = np.abs(np.abs(cand) - radius) <= tol
-    keep &= np.abs(cand - half) > tol
-    keep &= np.abs(cand + half) > tol
-    return FrequencySet(beta0, sort_frequencies(cand[keep]), lattice)
+    cand = _dual_circle(lattice, dl, half, abs(half), tol)
+    return sort_frequencies(cand[(np.abs(cand - half) > tol)
+                                 & (np.abs(cand + half) > tol)])
 
 
 def periodicity_class(lattice: Lattice, beta0, tol: float = 1e-9) -> PeriodicityClass:
@@ -258,50 +247,29 @@ def periodicity_class(lattice: Lattice, beta0, tol: float = 1e-9) -> Periodicity
     return PeriodicityClass.ANTI_PERIODIC
 
 
-def _integer_row_basis(rows: np.ndarray) -> list[np.ndarray]:
-    """Basis of the integer row span of a k x 2 integer matrix.
-
-    Gcd elimination on the first column, then gcd of the leftover second
-    column; only unimodular row operations are used, so the span is exact.
-    """
-    live = [r.astype(np.int64) for r in rows if r[0] != 0 or r[1] != 0]
-    with_x = [r for r in live if r[0] != 0]
-    no_x = [r for r in live if r[0] == 0]
-    while len(with_x) > 1:
-        with_x.sort(key=lambda r: abs(int(r[0])))
-        pivot = with_x[0]
-        reduced = [pivot]
-        for r in with_x[1:]:
-            r = r - (r[0] // pivot[0]) * pivot   # |r[0]| drops below |pivot[0]|
-            if r[0] != 0:
-                reduced.append(r)
-            elif r[1] != 0:
-                no_x.append(r)
-        with_x = reduced
-    basis = []
-    if with_x:
-        basis.append(with_x[0])
-    if no_x:
-        g = int(np.gcd.reduce([abs(int(r[1])) for r in no_x]))
-        if g:
-            basis.append(np.array([0, g], dtype=np.int64))
-    return basis
-
-
 def integer_span_lattice(vectors, base: Lattice):
     """Lattice generated over Z by the given base-lattice points.
 
-    Returns ``(lattice_or_None, rank)``.
+    Returns ``(lattice_or_None, rank)``.  The rounded coordinates, as Python
+    ints, reduce by unimodular row operations to the Hermite rows (a, b),
+    (0, c): Euclid folds each row into the pivot (a, b) on the first column,
+    and c is the gcd of what is left in the second.
     """
     coords = base.coords(np.asarray(vectors, dtype=complex))
     rounded = np.round(coords)
     if coords.size and np.max(np.abs(coords - rounded)) > 1e-9:
         raise ValueError("vectors are not lattice points of the base lattice")
-    basis = _integer_row_basis(rounded.astype(np.int64))
-    if len(basis) < 2:
-        return None, len(basis)
-    g1, g2 = (int(n) * base.g1 + int(m) * base.g2 for n, m in basis[:2])
-    return Lattice(g1, g2), 2
+    a = b = c = 0
+    for n, m in rounded.reshape(-1, 2).tolist():
+        n, m = int(n), int(m)
+        while n:
+            q = a // n
+            a, b, n, m = n, m, a - q * n, b - q * m
+        c = math.gcd(c, m)
+    rank = (a != 0) + (c != 0)
+    if rank < 2:
+        return None, rank
+    return Lattice(a * base.g1 + b % c * base.g2, c * base.g2), 2
 
 
 @dataclass(frozen=True)
@@ -329,7 +297,7 @@ def period_lattice(spec) -> PeriodReport:
         gens.append(g - half)
         gens.append(g + half)
     span, rank = integer_span_lattice(gens, dl)
-    if rank < 2 or span is None:
+    if span is None:
         return PeriodReport(None, None, rank, False)
     delta = span.dual()
     cover = (spec.lattice.is_sublattice_of(delta)

@@ -33,7 +33,7 @@ from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
 from .lattices import parse_integer, parse_pair
 from .numerics import (coeff_exponents, loop_coeffs, samples_from_coeffs,
                        unit_lambdas)
-from .weierstrass import TorusSpec, family_samples, holomorphic_angle
+from .weierstrass import TorusSpec, family_samples
 
 __all__ = [
     "TwistedLoop", "iwasawa", "birkhoff", "p_real_part",
@@ -163,10 +163,16 @@ def _finite_norm(loop: TwistedLoop) -> float:
 
 
 def _parse_record(rec: dict):
-    """(k, rotation, translation) of one serialized coefficient record."""
-    return (parse_integer(rec["k"], "exponent"),
-            [[parse_pair(v) for v in row] for row in rec["rotation"]],
-            [parse_pair(v) for v in rec["translation"]])
+    """(k, rotation, translation) of one serialized coefficient record;
+    ValueError unless the rotation is 4 x 4 and the translation 4 long,
+    since numpy would broadcast one row or one entry into place."""
+    k = parse_integer(rec["k"], "exponent")
+    rot = [[parse_pair(v) for v in row] for row in rec["rotation"]]
+    trans = [parse_pair(v) for v in rec["translation"]]
+    if [len(row) for row in rot] != [4] * 4 or len(trans) != 4:
+        raise ValueError(f"coefficient {k} needs a 4 x 4 rotation and 4 "
+                         f"translation entries")
+    return k, rot, trans
 
 
 def _quarter(m: int) -> int:
@@ -468,15 +474,21 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
 
 class SpecLift:
     """Extended lift of a torus spec: the holomorphic half-angle ``h_fn``,
-    whose `_frame_phase` is the pure-phase rotation factor, and the circle
-    family of immersions, sampled on the loop parameter."""
+    h(z) = slope z with slope pi conj(beta0), whose `_frame_phase` is the
+    pure-phase rotation factor, and the circle family of immersions,
+    sampled on the loop parameter.  2 Re h is the Lagrangian angle and
+    h(0) = 0."""
 
     def __init__(self, spec: TorusSpec):
         self.spec = spec
         self.lattice = spec.lattice
-        self.h_fn = holomorphic_angle(spec.beta0)
-        self.dh = lambda z: np.full(np.shape(z), self.h_fn.derivative,
-                                    dtype=complex)
+        self.slope = np.pi * np.conj(spec.beta0)
+
+    def h_fn(self, z):
+        return self.slope * np.asarray(z, dtype=complex)
+
+    def dh(self, z):
+        return np.full(np.shape(z), self.slope, dtype=complex)
 
     def samples(self, z, m: int):
         """X on the m-th roots of unity, shape (..., m, 4).

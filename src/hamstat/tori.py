@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoRealSolution
-from .lattices import Lattice, sort_frequencies
+from .lattices import Lattice, _dual_circle, sort_frequencies
 from .weierstrass import TorusSpec
 
 __all__ = ["GoldenTorus", "standard_torus", "rhombic_torus",
@@ -115,16 +115,6 @@ class CastroUrbanoData:
         return TorusSpec.build(self.lattice, self.phi0, coeffs)
 
 
-def _circle_points(primal: Lattice, dual: Lattice, radius: float):
-    n_max = int(np.ceil(radius * abs(primal.g1))) + 2
-    m_max = int(np.ceil(radius * abs(primal.g2))) + 2
-    ns, ms = np.meshgrid(np.arange(-n_max, n_max + 1),
-                         np.arange(-m_max, m_max + 1), indexing="ij")
-    pts = ns * dual.g1 + ms * dual.g2
-    keep = np.abs(np.abs(pts) - radius) <= 1e-9
-    return sort_frequencies(pts[keep])
-
-
 def castro_urbano(p: int, q: int, r: int, s: int) -> CastroUrbanoData:
     """Solve sin(alpha) = (r/s) sin(beta), cos(alpha) = (p/q) cos(beta) and
     assemble the lattice/slope/frequency package.
@@ -161,7 +151,7 @@ def castro_urbano(p: int, q: int, r: int, s: int) -> CastroUrbanoData:
     if abs(phi0 - expected) > 1e-9:
         raise NoRealSolution("slope does not land on the (p, r) dual point")
 
-    circle = _circle_points(lat, dual, abs(phi0))
+    circle = sort_frequencies(_dual_circle(lat, dual, 0.0, abs(phi0), 1e-9))
     half = phi0 / 2.0
     cands = []
     for v in circle:

@@ -23,7 +23,7 @@ from .numerics import TWO_PI, dot_r2
 
 __all__ = [
     "TorusSpec", "immerse", "spinor_u", "regularity_scan", "FamilyEvaluator",
-    "family_samples", "holomorphic_angle",
+    "family_samples",
 ]
 
 _KEY_DECIMALS = 9
@@ -91,7 +91,7 @@ class TorusSpec:
                 raise ValueError(f"coefficient {a} at frequency {g} has a "
                                  f"modulus above {_MAX_MODULUS:.1e}, where "
                                  "the metric overflows the float range")
-            if not freq.contains_point(g):
+            if not any(abs(g - p) <= 1e-8 for p in freq):
                 raise ValueError(f"coefficient frequency {g} is not in the "
                                  f"circle set for beta0 = {self.beta0}")
         return self
@@ -125,21 +125,6 @@ class TorusSpec:
     @classmethod
     def from_json(cls, text: str) -> "TorusSpec":
         return cls.from_dict(json.loads(text))
-
-
-def holomorphic_angle(beta0: complex):
-    """h with 2*Re(h) the angle and h(0) = 0: h(z) = pi*conj(beta0)*z.
-
-    The unique holomorphic function vanishing at the basepoint whose real
-    part is half the angle; its imaginary part is the harmonic conjugate.
-    """
-    c = np.pi * np.conj(beta0)
-
-    def h(z):
-        return c * np.asarray(z, dtype=complex)
-
-    h.derivative = c
-    return h
 
 
 # a C^4 row times this is the row pair (P+ vec, P- vec) of the two L_i

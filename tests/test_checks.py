@@ -11,7 +11,7 @@ from hamstat.checks import (SpinorFields, _dot, check_conformal,
                             check_flatness, check_harmonic_angle,
                             check_lagrangian, check_mean_curvature, run_suite)
 from hamstat.errors import DegenerateMetric
-from hamstat.lattices import Lattice
+from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, immerse
 
@@ -130,6 +130,25 @@ def test_flatness_at_unit_parameters(tori):
         for lam in (1.0, 1j):
             rep = check_flatness(spec, lam, 8)
             assert rep.passed, rep.residual
+
+
+def test_flatness_reads_one_residual_on_the_twist_orbit(tori):
+    # alpha_{i lam} = tau(alpha_lam), and tau only permutes and negates
+    # entries, so lam = 1, i, -1 and -i read the same residual, bit for bit
+    rng = np.random.default_rng(3)
+    specs = list(tori)
+    for lat, slope in ((Lattice.square(), (3, 4)),
+                       (Lattice(1.0, np.exp(1j * np.pi / 3)), (-2, 3))):
+        dl = lat.dual()
+        beta0 = slope[0] * dl.g1 + slope[1] * dl.g2
+        specs.append(TorusSpec.build(lat, beta0, {
+            g: complex(*rng.normal(size=2))
+            for g in enumerate_frequencies(lat, beta0)}))
+    for spec in specs:
+        for grid_n in (8, 16):
+            residuals = {check_flatness(spec, lam, grid_n).residual
+                         for lam in (1.0, 1j, -1.0, -1j)}
+            assert len(residuals) == 1, residuals
 
 
 def test_flatness_quadratic_angle_probe():

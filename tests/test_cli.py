@@ -363,11 +363,17 @@ def test_lax_seed_non_numeric_entry(seed_file, capsys):
     (("field", "coefficients", 0, "rotation", 0, 0), [False, 0.0]),
     (("field", "coefficients", 0, "translation", 0), [0.0, False]),
     (("lattice", "g1"), [True, 0.0]),
+    # the k = -1 record carries the spinor translation
+    (("field", "coefficients", 1, "translation"), [[0.0, 0.0]]),
+    (("field", "coefficients", 1, "rotation"), [[[0.0, 0.0]] * 4]),
 ], ids=["rotation-string", "translation-empty", "lattice-one-number",
-        "rotation-false", "translation-false", "lattice-true"])
+        "rotation-false", "translation-false", "lattice-true",
+        "translation-one-pair", "rotation-one-row"])
 def test_lax_seed_entry_not_a_pair(seed_file, capsys, path, value):
-    # indexing such an entry unchecked ends in an IndexError traceback, and
-    # a JSON boolean used to read as the number 1 or 0
+    # indexing such an entry unchecked ends in an IndexError traceback, a
+    # JSON boolean used to read as the number 1 or 0, and one translation
+    # pair or one rotation row was broadcast to all four (a zero pair
+    # silently flowed a zero translation)
     with open(seed_file) as fh:
         payload = json.load(fh)
     parent = payload
@@ -560,6 +566,18 @@ def test_lax_seed_off_algebra_rotation(seed_file, capsys):
                                   "1,nan"])
 def test_family_malformed_lambda(spec_file, capsys, lams):
     assert_input_error(["family", spec_file, "--lambda", lams], capsys)
+
+
+def test_family_refuses_lambdas_sharing_a_mesh_name(tmp_path, spec_file,
+                                                   capsys):
+    # e^0.1i and e^0.1001i both round to lam+0.995+0.100: the second mesh
+    # overwrote the first, and the report listed both at one path
+    lams = ",".join(f"{math.cos(t)!r}+{math.sin(t)!r}i" for t in (0.1, 0.1001))
+    assert_input_error(["family", spec_file, "--lambda", lams, "--grid", "4",
+                        "--out", str(tmp_path / "fam")], capsys)
+    assert not list(tmp_path.glob("fam*"))
+    # without meshes there is nothing to lose
+    assert main(["family", spec_file, "--lambda", lams, "--grid", "4"]) == 0
 
 
 def test_family_exact_unit_lambda(spec_file, capsys):

@@ -24,7 +24,6 @@ SHARED_NAMES = {
     "checks.CheckReport.to_dict": "src/hamstat/cli.py",
     "finitetype.KillingField.from_dict": "src/hamstat/cli.py",
     "lattices.Lattice.coords": "src/hamstat/lattices.py",
-    "loops.HolomorphicPotentialData.h": "src/hamstat/loops.py",
     "loops.TwistedLoop.to_dict": "src/hamstat/finitetype.py",
     "loops.TwistedLoop.to_json": "perfbench/workloads.py",
     "weierstrass.TorusSpec.from_dict": "src/hamstat/cli.py",

@@ -290,6 +290,15 @@ def test_integer_span_lattice_reduction():
     assert rank == 2
     assert span.contains(2.0) and span.contains(2j)
     assert not span.contains(1.0)
+    # below rank 2 there is no lattice: collinear points, or none
+    assert integer_span_lattice([2.0, 4.0, -6.0], base) == (None, 1)
+    assert integer_span_lattice([3j, 0.0], base) == (None, 1)
+    assert integer_span_lattice([], base) == (None, 0)
+    # the 2 x 2 minors of these rows have gcd 4, the span's index in Z[i]
+    vecs = [2 + 4j, 6 + 2j, 6j]
+    span, rank = integer_span_lattice(vecs, base)
+    assert rank == 2 and np.all(span.contains(vecs))
+    assert abs(np.linalg.det(span.basis_matrix())) == pytest.approx(4.0)
 
 
 def test_lattice_from_config_fractions():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamstat.errors import NoRealSolution
+from hamstat.errors import FrequencyBoxTooLarge, NoRealSolution
 from hamstat.lattices import (PeriodicityClass, enumerate_frequencies,
                               period_lattice, periodicity_class)
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
@@ -105,6 +105,11 @@ def test_castro_urbano_degenerate_and_invalid():
         castro_urbano(5, 1, 4, 1)
     with pytest.raises(NoRealSolution, match="positive integers"):
         castro_urbano(0, 1, 1, 1)
+    # the circle scan's cap: 853^2 candidates pass, 1,135^2 are refused
+    # before they are allocated
+    assert len(castro_urbano(300, 300, 300, 300).circle_points) == 20
+    with pytest.raises(FrequencyBoxTooLarge):
+        castro_urbano(400, 400, 400, 400)
 
 
 def test_real_slope_removes_conjugate_pair():

@@ -13,9 +13,8 @@ from hamstat.lattices import Lattice, affine_grid, enumerate_frequencies
 from hamstat.numerics import dot_r2, fd_x, fd_y
 from hamstat.tori import rhombic_torus, standard_torus
 from hamstat.weierstrass import (FamilyEvaluator, TorusSpec, _basis_column,
-                                 _merge, _u_modes, family_samples,
-                                 holomorphic_angle, immerse, regularity_scan,
-                                 spinor_u)
+                                 _merge, _u_modes, family_samples, immerse,
+                                 regularity_scan, spinor_u)
 
 
 @pytest.fixture
@@ -33,8 +32,9 @@ def random_spec(rng, beta0=6 + 8j, n_active=4):
 
 def beta_eval(spec, z):
     """The Lagrangian angle 2 pi <beta0, z>, as twice the real part of the
-    holomorphic half-angle."""
-    return 2.0 * holomorphic_angle(spec.beta0)(z).real
+    holomorphic half-angle h(z) = pi conj(beta0) z."""
+    return 2.0 * (np.pi * np.conj(spec.beta0)
+                  * np.asarray(z, dtype=complex)).real
 
 
 def basis_surface(gamma, beta0, z, coeff=1.0):
