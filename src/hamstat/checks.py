@@ -5,6 +5,12 @@ with the lattice bounding the sample domain, computes derivatives by central
 finite differences, and reports a residual against a stated threshold.
 Closed-form evaluation lives elsewhere; these stencils are deliberately
 independent of it.
+
+A check is a function of the step h that returns its signed residual
+fields and their scale, and a ``_PROTOCOL`` entry: the norm of the fields,
+the stencil's order and whether a miss takes the Richardson fallback (today
+conformal, Lagrangian and mean curvature do).  ``run_check`` alone turns
+them into a report.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from .numerics import TWO_PI, fd_x, fd_x4, fd_y, fd_y4
 from .weierstrass import TorusSpec, spinor_u
 
 __all__ = [
-    "CheckReport", "check_conformal", "check_lagrangian",
-    "check_harmonic_angle", "check_mean_curvature", "check_flatness",
+    "CheckReport", "check_conformal", "check_lagrangian", "check_harmonic_angle",
+    "check_mean_curvature", "check_flatness", "curvature_fields", "run_check",
     "run_suite", "SpinorFields", "THRESHOLDS",
 ]
 
@@ -49,21 +55,34 @@ class CheckReport:
                 "pass": self.passed, **self.extra}
 
 
-def _default_step(lattice) -> float:
-    return 1e-5 * lattice.diameter()
+# each check's norm of its fields relative to their scale, its stencil's
+# order, and whether it takes the fallback; flatness divides its translation
+# part's max, not the field, which would move the residual by an ulp
+_PROTOCOL = {
+    "conformal": (lambda fs, s: np.max(np.abs(fs[0]) + np.abs(fs[1])) / s, 2, True),
+    "lagrangian": (lambda fs, s: np.max(np.abs(fs[0])) / s, 2, True),
+    "harmonic-angle": (lambda fs, s: np.max(np.abs(fs[0])) / s, 4, False),
+    "mean-curvature": (lambda fs, s: np.sqrt(np.max(_dot(fs[0], fs[0]))) / s, 2, True),
+    "flatness": (lambda fs, s: max(np.max(np.abs(fs[0])), np.max(np.abs(fs[1])) / s),
+                 2, False),
+}
 
 
-def _with_richardson(name, grid_n, threshold, h, fields_of_h, combine):
-    """Evaluate signed residual fields at step h; when their combined norm
-    misses the threshold, retry with the step-halving extrapolation that
-    cancels the second-order truncation term in each field."""
+def run_check(name, grid_n, threshold, h, fields_of_h, extra=None) -> CheckReport:
+    """Report of the named check: the norm of the residual fields that
+    ``fields_of_h(h)`` returns with their scale.  When the check takes the
+    fallback and misses the threshold, each field is extrapolated from h and
+    h/2 as (2^p b - a) / (2^p - 1), which cancels the h^p truncation term of
+    a stencil of order p, and the smaller residual is kept."""
+    norm, order, fallback = _PROTOCOL[name]
     fields, scale = fields_of_h(h)
-    res = combine(fields) / scale
-    extra = {"fd_step": h}
-    if res > threshold:
+    res = norm(fields, scale)
+    extra = {**(extra or {}), "fd_step": h}
+    if fallback and res > threshold:
+        w = 2.0 ** order
         halves, scale2 = fields_of_h(h / 2)
-        refined = tuple((4.0 * b - a) / 3.0 for a, b in zip(fields, halves))
-        res2 = combine(refined) / scale2
+        res2 = norm(tuple((w * b - a) / (w - 1.0)
+                          for a, b in zip(fields, halves)), scale2)
         if res2 < res:
             res = res2
             extra["richardson"] = True
@@ -76,60 +95,44 @@ def _dot(a, b):
             + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
 
 
-def _frame(f, zs, h):
-    """Central X_x, X_y on the grid and the mean squared |X_x| that
-    normalizes the conformal and Lagrangian residuals."""
-    xx = fd_x(f, zs, h)
-    xy = fd_y(f, zs, h)
-    scale = float(np.mean(_dot(xx, xx)))
-    if scale < 1e-300:
-        raise DegenerateMetric("frame vanishes on the whole grid")
-    return xx, xy, scale
+# the frame checks' signed residual fields and scale, from one frame
+_FRAME_FIELDS = {
+    "conformal": lambda xx, xy, s: ((_dot(xx, xy), _dot(xx, xx) - _dot(xy, xy)), s),
+    "lagrangian": lambda xx, xy, s: ((omega(xx, xy),), s),
+}
 
 
-def _conformal(frame, grid_n, h, threshold):
-    def fields_of_h(h):
-        xx, xy, scale = frame(h)
-        return (_dot(xx, xy), _dot(xx, xx) - _dot(xy, xy)), scale
+def _frame_checks(f, lattice, grid_n, fd_step, thresholds) -> list:
+    """Reports of the frame checks named in ``thresholds``.  They read one
+    cached frame per step, the fallback's h/2 one too: central X_x, X_y on
+    the grid and the mean squared |X_x| that scales their residuals."""
+    zs = lattice.grid(grid_n)
 
-    return _with_richardson(
-        "conformal", grid_n, threshold, h, fields_of_h,
-        lambda fs: float(np.max(np.abs(fs[0]) + np.abs(fs[1]))))
+    @functools.cache
+    def frame(h):
+        xx, xy = fd_x(f, zs, h), fd_y(f, zs, h)
+        scale = float(np.mean(_dot(xx, xx)))
+        if scale < 1e-300:
+            raise DegenerateMetric("frame vanishes on the whole grid")
+        return xx, xy, scale
 
-
-def _lagrangian(frame, grid_n, h, threshold):
-    def fields_of_h(h):
-        xx, xy, scale = frame(h)
-        return (omega(xx, xy),), scale
-
-    return _with_richardson("lagrangian", grid_n, threshold, h, fields_of_h,
-                            lambda fs: float(np.max(np.abs(fs[0]))))
+    h = fd_step or 1e-5 * lattice.diameter()
+    return [run_check(name, grid_n, th, h,
+                      lambda h, name=name: _FRAME_FIELDS[name](*frame(h)))
+            for name, th in thresholds.items()]
 
 
 def check_conformal(f, lattice, grid_n: int, fd_step: float | None = None,
                     threshold: float = THRESHOLDS["conformal"]) -> CheckReport:
     """Max of |<X_x, X_y>| + ||X_x|^2 - |X_y|^2| over the grid, normalized by
     the mean squared frame length."""
-    zs = lattice.grid(grid_n)
-    return _conformal(lambda h: _frame(f, zs, h), grid_n,
-                      fd_step or _default_step(lattice), threshold)
+    return _frame_checks(f, lattice, grid_n, fd_step, {"conformal": threshold})[0]
 
 
 def check_lagrangian(f, lattice, grid_n: int, fd_step: float | None = None,
                      threshold: float = THRESHOLDS["lagrangian"]) -> CheckReport:
     """Max |omega(X_x, X_y)| over the grid (same normalization as above)."""
-    zs = lattice.grid(grid_n)
-    return _lagrangian(lambda h: _frame(f, zs, h), grid_n,
-                       fd_step or _default_step(lattice), threshold)
-
-
-def _angle_field(f, zs, h):
-    xx = fd_x4(f, zs, h)
-    xy = fd_y4(f, zs, h)
-    # unnormalized: a positive scale leaves the wedge argument unchanged
-    if np.min(_dot(xx, xx)) < 1e-24 or np.min(_dot(xy, xy)) < 1e-24:
-        raise DegenerateMetric("frame vanishes at a grid point")
-    return lagrangian_angle_raw(xx, xy)
+    return _frame_checks(f, lattice, grid_n, fd_step, {"lagrangian": threshold})[0]
 
 
 def _unwrap_grid(angles):
@@ -156,23 +159,32 @@ def check_harmonic_angle(f, lattice, grid_n: int, fd_step: float | None = None,
     five-point Laplacian must vanish up to stencil noise.  Also reports the
     slope recovered by a least-squares fit.
     """
-    h_fd = fd_step or 1e-4 * lattice.diameter()
     side = 0.75 * min(abs(lattice.g1), abs(lattice.g2))
     hg = side / (grid_n - 1)
     xs = np.arange(grid_n) * hg
     zz = affine_grid(xs, 1j * xs)
-    beta = _unwrap_grid(_angle_field(f, zz, h_fd))
-    lap = (beta[2:, 1:-1] + beta[:-2, 1:-1] + beta[1:-1, 2:] + beta[1:-1, :-2]
-           - 4.0 * beta[1:-1, 1:-1]) / hg ** 2
-    res = float(np.max(np.abs(lap)))
-    # slope fit:  beta ~ 2 pi (x b0x + y b0y) + c
-    a_mat = np.stack([zz.real.ravel(), zz.imag.ravel(),
-                      np.ones(zz.size)], axis=1)
-    sol, *_ = np.linalg.lstsq(a_mat, beta.ravel(), rcond=None)
+
+    @functools.cache
+    def beta(h):
+        xx, xy = fd_x4(f, zz, h), fd_y4(f, zz, h)
+        # unnormalized: a positive scale leaves the wedge argument unchanged
+        if np.min(_dot(xx, xx)) < 1e-24 or np.min(_dot(xy, xy)) < 1e-24:
+            raise DegenerateMetric("frame vanishes at a grid point")
+        return _unwrap_grid(lagrangian_angle_raw(xx, xy))
+
+    def fields_of_h(h):
+        b = beta(h)
+        return ((b[2:, 1:-1] + b[:-2, 1:-1] + b[1:-1, 2:] + b[1:-1, :-2]
+                 - 4.0 * b[1:-1, 1:-1]) / hg ** 2,), 1.0
+
+    rep = run_check("harmonic-angle", grid_n, threshold,
+                    fd_step or 1e-4 * lattice.diameter(), fields_of_h)
+    # slope fit of the angle field read:  beta ~ 2 pi (x b0x + y b0y) + c
+    a_mat = np.stack([zz.real.ravel(), zz.imag.ravel(), np.ones(zz.size)], axis=1)
+    sol, *_ = np.linalg.lstsq(a_mat, beta(rep.extra["fd_step"]).ravel(), rcond=None)
     beta0_fit = complex(sol[0], sol[1]) / TWO_PI
-    return CheckReport("harmonic-angle", grid_n, res, threshold,
-                       {"fd_step": h_fd, "grid_step": hg,
-                        "beta0_fit": [beta0_fit.real, beta0_fit.imag]})
+    rep.extra.update(grid_step=hg, beta0_fit=[beta0_fit.real, beta0_fit.imag])
+    return rep
 
 
 def _central(fp, f0, fm, h):
@@ -225,9 +237,7 @@ def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
         xx, sxx = _central(f(zs + h), c, f(zs - h), h)
         xy, syy = _central(f(zs + 1j * h), c, f(zs - 1j * h), h)
 
-        e = _dot(xx, xx)
-        g = _dot(xy, xy)
-        fg = _dot(xx, xy)
+        e, g, fg = _dot(xx, xx), _dot(xy, xy), _dot(xx, xy)
         det = e * g - fg ** 2
         if np.min(det) < 1e-12 * np.max(det):
             raise DegenerateMetric("induced metric is singular on the grid")
@@ -244,10 +254,8 @@ def check_mean_curvature(f, lattice, grid_n: int, fd_step: float | None = None,
         target = 0.5 * (grad @ L_I.T)
         return (mean_curv - target,), 1.0
 
-    return _with_richardson(
-        "mean-curvature", grid_n, threshold,
-        fd_step or 3e-5 * lattice.diameter(), fields_of_h,
-        lambda fs: float(np.sqrt(np.max(_dot(fs[0], fs[0])))))
+    return run_check("mean-curvature", grid_n, threshold,
+                     fd_step or 3e-5 * lattice.diameter(), fields_of_h)
 
 
 class SpinorFields:
@@ -265,11 +273,8 @@ class SpinorFields:
     @classmethod
     def from_spec(cls, spec: TorusSpec) -> "SpinorFields":
         const = np.pi * np.conj(spec.beta0)
-
-        def beta_z(z):
-            return np.full(np.shape(z), const, dtype=complex)
-
-        return cls(beta_z, lambda z: spinor_u(spec, z), spec.lattice)
+        return cls(lambda z: np.full(np.shape(z), const, dtype=complex),
+                   lambda z: spinor_u(spec, z), spec.lattice)
 
     def connection_xy(self, lam: complex, z):
         """alpha(d/dx), alpha(d/dy) as (rotation, translation) pairs."""
@@ -287,14 +292,13 @@ class SpinorFields:
         return (rot_x, tr_x), (rot_y, tr_y)
 
 
-def _curvature_residual(connection, h: float,
-                        translation_scale: float = 1.0) -> float:
-    """Max entry of d_x A_y - d_y A_x + [A_x, A_y] by central differences.
+def curvature_fields(connection, h: float):
+    """Rotation and translation parts of d_x A_y - d_y A_x + [A_x, A_y] by
+    central differences.
 
     ``connection(dz)`` returns ((rot_x, tr_x), (rot_y, tr_y)), the connection
     on d/dx and d/dy at the sample points shifted by dz; the bracket is that
     of the motion-group algebra, acting on translations by the rotations.
-    The translation part is divided by ``translation_scale``.
     """
     (ax_r, ax_t), (ay_r, ay_t) = connection(0.0)
     ayp_r, ayp_t = connection(h)[1]
@@ -304,10 +308,8 @@ def _curvature_residual(connection, h: float,
     brack_r = ax_r @ ay_r - ay_r @ ax_r
     brack_t = (np.einsum("...ij,...j->...i", ax_r, ay_t)
                - np.einsum("...ij,...j->...i", ay_r, ax_t))
-    res_r = (ayp_r - aym_r) / (2 * h) - (axp_r - axm_r) / (2 * h) + brack_r
-    res_t = (ayp_t - aym_t) / (2 * h) - (axp_t - axm_t) / (2 * h) + brack_t
-    return float(max(np.max(np.abs(res_r)),
-                     np.max(np.abs(res_t)) / translation_scale))
+    return ((ayp_r - aym_r) / (2 * h) - (axp_r - axm_r) / (2 * h) + brack_r,
+            (ayp_t - aym_t) / (2 * h) - (axp_t - axm_t) / (2 * h) + brack_t)
 
 
 def check_flatness(source, lam: complex, grid_n: int,
@@ -321,16 +323,14 @@ def check_flatness(source, lam: complex, grid_n: int,
     grid (unless u vanishes there), which makes the residual the same for
     every homothety of the surface.
     """
-    fields = (SpinorFields.from_spec(source) if isinstance(source, TorusSpec)
-              else source)
-    lat = fields.lattice
-    h = fd_step or 1e-5 * lat.diameter()
-    zs = lat.grid(grid_n)
-    u_max = float(np.max(np.abs(fields.u(zs))))
-    res = _curvature_residual(lambda dz: fields.connection_xy(lam, zs + dz), h,
-                              u_max if u_max > 0.0 else 1.0)
-    return CheckReport("flatness", grid_n, res, threshold,
-                       {"lambda": [lam.real, lam.imag], "fd_step": h})
+    spinors = (SpinorFields.from_spec(source) if isinstance(source, TorusSpec)
+               else source)
+    zs = spinors.lattice.grid(grid_n)
+    u_max = float(np.max(np.abs(spinors.u(zs)))) or 1.0
+    return run_check(
+        "flatness", grid_n, threshold, fd_step or 1e-5 * spinors.lattice.diameter(),
+        lambda h: (curvature_fields(lambda dz: spinors.connection_xy(lam, zs + dz), h),
+                   u_max), {"lambda": [lam.real, lam.imag]})
 
 
 def run_suite(f, lattice, grid_n: int, spec: TorusSpec | None = None,
@@ -338,14 +338,9 @@ def run_suite(f, lattice, grid_n: int, spec: TorusSpec | None = None,
     """Run the full geometric suite; adds the flatness checks when a spec is
     supplied (they need spinor data, not just the immersion)."""
     th = {**THRESHOLDS, **(thresholds or {})}
-    # the conformal and Lagrangian checks read one frame per step, the
-    # Richardson h/2 one too; the cache goes before the angle check allocates
-    zs = lattice.grid(grid_n)
-    frame = functools.cache(lambda h: _frame(f, zs, h))
-    h = _default_step(lattice)
-    reports = [_conformal(frame, grid_n, h, th["conformal"]),
-               _lagrangian(frame, grid_n, h, th["lagrangian"])]
-    del frame, zs
+    # the frame cache goes before the angle check allocates
+    reports = _frame_checks(f, lattice, grid_n, None,
+                            {k: th[k] for k in ("conformal", "lagrangian")})
     reports += [
         check_harmonic_angle(f, lattice, grid_n, threshold=th["harmonic-angle"]),
         check_mean_curvature(f, lattice, grid_n, threshold=th["mean-curvature"]),

@@ -369,6 +369,7 @@ def cmd_lax(args) -> int:
     field, lat = _load(args.seed, "seed file", lambda data: (
         finitetype.KillingField.from_dict(data["field"]),
         Lattice.from_config(data["lattice"])))
+    finitetype.validate_seed(field)
     n = args.grid
     path = [i / n * lat.g1 for i in range(1, n + 1)]
     path += [lat.g1 + i / n * lat.g2 for i in range(1, n + 1)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import G0_BASIS, L_I, ROTATION_BASIS, coords, from_coords
-from .checks import _curvature_residual
+from .checks import curvature_fields, run_check
 from .errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from .lattices import Lattice, parse_integer
 from .loops import TwistedLoop, _parse_record
@@ -27,7 +27,7 @@ __all__ = [
     "KillingField", "r_op", "lax_project",
     "lax_integrate", "flow_field", "LaxFlowResult",
     "formal_killing", "polynomial_condition", "standard_torus_killing_seed",
-    "rhombic_killing_seed", "KillingSeed",
+    "rhombic_killing_seed", "KillingSeed", "validate_seed",
 ]
 
 
@@ -275,11 +275,12 @@ def _alpha_xy(xi: KillingField, lam: complex):
 
 
 def lax_flatness_residual(xi_at_z: KillingField, lam: complex) -> float:
-    """Curvature residual of the projected connection at one point, with the
+    """Flatness residual of the projected connection at one point, with the
     stencil fields (step 1e-4) produced by short flows (step 1e-5) from the
-    given one."""
-    return _curvature_residual(
-        lambda dz: _alpha_xy(flow_field(xi_at_z, 0.0, dz, 1e-5), lam), 1e-4)
+    given one, and the translation part taken as it is."""
+    return run_check("flatness", 1, np.inf, 1e-4, lambda h: (curvature_fields(
+        lambda dz: _alpha_xy(flow_field(xi_at_z, 0.0, dz, 1e-5), lam), h),
+        1.0)).residual
 
 
 @dataclass
@@ -435,7 +436,7 @@ def standard_torus_killing_seed(w1: float = 1.0, w2: float = 1.0) -> KillingSeed
     mu = -1j * abs(beta0) / beta0
     spec = _spec_rotate(base, mu)
     field = _seed_from_spec(spec, {}, 0)
-    _validate_seed(field)
+    validate_seed(field)
     return KillingSeed(field, spec, mu, {}, 0)
 
 
@@ -445,12 +446,16 @@ def rhombic_killing_seed() -> KillingSeed:
     spec = rhombic_torus().spec
     cs = {-1: 2.0 + 0j, 0: 2.0 + 0j}
     field = _seed_from_spec(spec, cs, 1)
-    _validate_seed(field)
+    validate_seed(field)
     return KillingSeed(field, spec, 1.0 + 0j, cs, 1)
 
 
-def _validate_seed(field: KillingField):
-    if field.twist_residual() > 1e-10 or field.reality_residual() > 1e-10:
-        raise AssertionError(
-            f"seed violates twist/reality: {field.twist_residual():.2e}, "
-            f"{field.reality_residual():.2e}")
+def validate_seed(field: KillingField):
+    """SingularInput unless the field is a twisted, real loop: its twist and
+    reality residuals within 1e-10 of max(1, its norm)."""
+    with np.errstate(over="ignore", invalid="ignore"):   # huge finite entries
+        twist, real = field.twist_residual(), field.reality_residual()
+        bound = 1e-10 * max(1.0, field.norm())
+    if twist > bound or real > bound:
+        raise SingularInput(f"seed is not a twisted, real loop: twist residual "
+                            f"{twist:.2e}, reality residual {real:.2e}")

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mean_curvature_reference import reference_residual
 
-from hamstat.checks import (SpinorFields, _dot, check_conformal,
+from hamstat import checks
+from hamstat.checks import (THRESHOLDS, SpinorFields, _dot, check_conformal,
                             check_flatness, check_harmonic_angle,
-                            check_lagrangian, check_mean_curvature, run_suite)
+                            check_lagrangian, check_mean_curvature, run_check,
+                            run_suite)
 from hamstat.errors import DegenerateMetric
 from hamstat.lattices import Lattice, enumerate_frequencies
 from hamstat.tori import rhombic_torus, standard_torus
@@ -226,6 +228,61 @@ def test_richardson_fallback_rescues_coarse_steps(tori):
                               threshold=1e-5)
     assert rescued.extra.get("richardson")
     assert rescued.residual < 0.02 * coarse.residual
+
+
+@pytest.mark.parametrize("name, order", [("conformal", 2),
+                                         ("harmonic-angle", 4)])
+def test_driver_weights_cancel_the_stencil_order(monkeypatch, name, order):
+    # a field a + c h^p with a = 0: the plain residual is c h^p, and the
+    # weights (2^p b - a) / (2^p - 1) leave rounding alone
+    norm = checks._PROTOCOL[name][0]
+    monkeypatch.setitem(checks._PROTOCOL, name, (norm, order, True))
+    c = np.random.default_rng(5).normal(size=(8, 8))
+    steps = []
+
+    def fields_of_h(h):
+        steps.append(h)
+        return (c * h ** order, c * h ** order), 1.0
+
+    plain = run_check(name, 8, np.inf, 0.1, fields_of_h)
+    refined = run_check(name, 8, 0.0, 0.1, fields_of_h)
+    assert steps == [0.1, 0.1, 0.05]
+    assert plain.residual > 1e-2 * 0.1 ** order
+    assert refined.extra["richardson"]
+    assert refined.residual < 1e-14 * plain.residual
+
+
+@pytest.mark.parametrize("name", ["harmonic-angle", "flatness"])
+def test_driver_without_fallback_reads_one_step(name):
+    calls = []
+
+    def fields_of_h(h):
+        calls.append(h)
+        return (np.ones((4, 4)), np.ones((4, 4))), 1.0
+
+    rep = run_check(name, 4, 0.0, 1e-3, fields_of_h)
+    assert calls == [1e-3] and not rep.passed and "richardson" not in rep.extra
+
+
+@pytest.mark.parametrize("thresholds", [None, {"conformal": 0, "lagrangian": 0}],
+                         ids=["default", "frame-fallbacks"])
+@pytest.mark.parametrize("grid_n", [32, 64])
+def test_suite_reports_equal_the_standalone_checks(tori, grid_n, thresholds):
+    # the suite's shared frame cache and the standalone checks give the same
+    # reports; thresholds of 0 run both frame fallbacks, at h/2 from the cache
+    th = {**THRESHOLDS, **(thresholds or {})}
+    for spec in tori:
+        f = lambda z: immerse(spec, z)
+        alone = [check(f, spec.lattice, grid_n, threshold=th[name])
+                 for check, name in ((check_conformal, "conformal"),
+                                     (check_lagrangian, "lagrangian"),
+                                     (check_harmonic_angle, "harmonic-angle"),
+                                     (check_mean_curvature, "mean-curvature"))]
+        alone += [check_flatness(spec, lam, max(8, grid_n // 8),
+                                 threshold=th["flatness"]) for lam in (1.0, 1j)]
+        suite = run_suite(f, spec.lattice, grid_n, spec=spec,
+                          thresholds=thresholds)
+        assert [r.to_dict() for r in suite] == [r.to_dict() for r in alone]
 
 
 def test_report_json_shape(tori):

@@ -13,7 +13,8 @@ from hamstat import finitetype, weierstrass
 from hamstat.algebra import L_J
 from hamstat.cli import (_BLOCK_ROWS, MAX_GRID, _face_block, _write_obj,
                          _write_ply, main, parse_complex)
-from hamstat.finitetype import lax_integrate, standard_torus_killing_seed
+from hamstat.finitetype import (lax_integrate, rhombic_killing_seed,
+                                standard_torus_killing_seed)
 from hamstat.lattices import Lattice
 from hamstat.tori import standard_torus
 from hamstat.weierstrass import spinor_u
@@ -557,6 +558,27 @@ def test_lax_seed_off_algebra_rotation(seed_file, capsys):
         payload = json.load(fh)
     rec = payload["field"]["coefficients"][0]
     rec["rotation"] = [[[v, 0.0] for v in row] for row in L_J.tolist()]
+    with open(seed_file, "w") as fh:
+        json.dump(payload, fh)
+    assert_input_error(["lax", seed_file], capsys)
+
+
+@pytest.mark.parametrize("make", [lambda: standard_torus_killing_seed(1.0, 1.0),
+                                  rhombic_killing_seed],
+                         ids=["standard", "rhombic"])
+def test_lax_refuses_a_seed_off_the_twisted_real_loops(seed_file, capsys, make):
+    # +0.3 on one entry of the k = -1 translation moves neither drift the
+    # exit code reads: every drift read 0.0 and the run exited 0, with a
+    # truncation spill near 1, while the twist and reality residuals read 0.3
+    seed = make()
+    lat = seed.spec.lattice
+    payload = {"field": seed.field.to_dict(),
+               "lattice": {"g1": [lat.g1.real, lat.g1.imag],
+                           "g2": [lat.g2.real, lat.g2.imag]}}
+    rc, out, err = _run_lax(seed_file, payload, [], capsys)
+    assert rc == 0 and not err and json.loads(out)["truncation_spill"] < 1e-13
+    rec = next(r for r in payload["field"]["coefficients"] if r["k"] == -1)
+    rec["translation"][0][0] += 0.3
     with open(seed_file, "w") as fh:
         json.dump(payload, fh)
     assert_input_error(["lax", seed_file], capsys)
