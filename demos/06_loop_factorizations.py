@@ -9,15 +9,16 @@ holomorphic data into surfaces; the second extracts potentials.
 import numpy as np
 
 from hamstat import TwistedLoop, birkhoff, iwasawa
-from hamstat.algebra import EPS, EPS_BAR, ID4, LI_EPS_BAR
+from hamstat.algebra import EPS, EPS_BAR, ID4, LI_EPS
 
 # a small twisted loop written down by hand: identity rotation plus three
-# translation coefficients on the odd grading slots
+# translation coefficients on the odd grading slots, each in the i^k
+# eigenspace of the twist (eps_bar and L_i eps at k = 1 mod 4, eps at 3)
 loop = TwistedLoop(
     np.array([-3, -1, 0, 1]),
     np.array([np.zeros((4, 4)), np.zeros((4, 4)), ID4, np.zeros((4, 4))],
              dtype=complex),
-    np.array([0.3 * EPS + 0.1j * LI_EPS_BAR, 1.0 * EPS, np.zeros(4),
+    np.array([0.3 * EPS_BAR + 0.1j * LI_EPS, 1.0 * EPS, np.zeros(4),
               0.5 * EPS_BAR]))
 print("input loop: exponents", loop.ks.tolist(),
       " twist residual", f"{loop.twist_residual():.1e}")

@@ -2,19 +2,17 @@
 the holomorphic-potential correspondence.
 
 Loops are stored as Fourier coefficients and manipulated pointwise on uniform
-circle samples; conversions go through the FFT.  The group is the semidirect
-product, so every factorization splits into a rotation-part problem and an
-explicit linear projection for the translation part.  A twisted rotation loop
-is fixed by its E+ block A(lam), a 2x2 loop: its lam^k coefficient is
-diag(C_k, i^-k C_k) in the frame (E+, L_j E+).  Both factorizations read the
-C_k on entry (`_plus_block`), solve on A (Iwasawa by a QR of its band) and
-rebuild 4x4 coefficients on exit (`_from_plus`).  Translations turn by
-diag(A(lam), A(-i lam)), whose E- half is a quarter turn of the m-th roots of
-unity away, so both need ``nsamples`` to be a multiple of 4.  So do
-`SpecLift`, `potential_extract` and `ReconstructedLift`: their loops are
-twisted, X(i lam) = tau X(lam), so they work on the first quarter of the
-circle and fill the rest with `_twist_fill`.  The reconstruction integrates
-the potential in closed form to one surface, the lam = 1 immersion.
+circle samples; conversions go through the FFT.  Every factorization splits
+into a rotation problem and a linear projection for the translation.  A
+twisted loop is fixed by its E+ halves A(lam) (rotation) and p(lam)
+(translation): both factorizations read them once, solve on them and make
+4x4 coefficients for the slots they keep only.  The E- halves A(-i lam) and
+p(i lam) are a quarter turn of the m-th roots away, so ``nsamples`` must be a
+multiple of 4.  So do `SpecLift`, `potential_extract` and `ReconstructedLift`:
+their loops are twisted, X(i lam) = tau X(lam), so they work on the first
+quarter of the circle and fill the rest with `_twist_fill`.  The
+reconstruction integrates the potential in closed form to one surface, the
+lam = 1 immersion.
 """
 
 from __future__ import annotations
@@ -78,17 +76,9 @@ class TwistedLoop:
 
     @classmethod
     def from_coeffs(cls, rot_hat, trans_hat) -> "TwistedLoop":
-        """Loop from coefficients in FFT slots (slot j <-> exponent j mod m),
-        keeping a slot where its rotation or its translation is above 1e-12
-        times that part's largest: a translation has the units of length,
-        so it is not measured against the rotation."""
-        ks = coeff_exponents(rot_hat.shape[0])
-        rot = np.max(np.abs(rot_hat), axis=(1, 2))
-        trans = np.max(np.abs(trans_hat), axis=1)
-        keep = (rot > 1e-12 * rot.max()) | (trans > 1e-12 * trans.max())
-        if not np.any(keep):
-            keep[0] = True
-        return cls(ks[keep], rot_hat[keep], trans_hat[keep])
+        """Loop from coefficients in FFT slots, trimmed by `_keep`."""
+        keep = _keep(np.abs(rot_hat).max(axis=(1, 2)), np.abs(trans_hat).max(axis=1))
+        return cls(coeff_exponents(len(keep))[keep], rot_hat[keep], trans_hat[keep])
 
     def value_at(self, lams):
         lams = np.asarray(lams, dtype=complex)
@@ -139,6 +129,14 @@ class TwistedLoop:
 _I_POW = np.array([1, 1j, -1, -1j])     # i^k at slot k % 4
 
 
+def _keep(rot, trans):
+    """Slots whose rotation or translation size is over 1e-12 of its part's
+    largest (a translation has the units of length), else the first slot."""
+    keep = (rot > 1e-12 * rot.max()) | (trans > 1e-12 * trans.max())
+    keep[0] |= not keep.any()
+    return keep
+
+
 def _on_circle(ks, coeffs, m: int):
     """Samples at the m-th roots of unity of the loop with coefficients
     ``coeffs`` of lam**ks, placed in their FFT slots; ValueError when m
@@ -151,15 +149,7 @@ def _on_circle(ks, coeffs, m: int):
 
 
 def _max_abs(*arrays) -> float:
-    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
-
-
-def _finite_norm(loop: TwistedLoop) -> float:
-    """``loop.norm()``, which is NaN or inf when a coefficient is."""
-    norm = loop.norm()
-    if not np.isfinite(norm):
-        raise SingularInput("loop coefficients must be finite")
-    return norm
+    return max(float(np.abs(a).max(initial=0.0)) for a in arrays)
 
 
 def _parse_record(rec: dict):
@@ -240,85 +230,93 @@ def _inv2(b):
     return inv
 
 
-# --- translation projections ---------------------------------------------
+# --- the E+ halves of a twisted loop -----------------------------------------
 
-def q_minus(trans_samples):
-    """Strictly negative Fourier part of circle samples, as samples."""
-    hat = loop_coeffs(trans_samples)
-    hat[:len(hat) // 2 + 1] = 0.0     # keep exponents -1 .. -(m/2 - 1)
-    return samples_from_coeffs(hat)
-
-
-def p_real_part(trans_samples):
-    """Projection of a twisted translation loop onto the real-form part,
-    along the holomorphic half: twice the real part of the strictly
-    negative-frequency half."""
-    neg = q_minus(trans_samples)
-    return neg + np.conj(neg)
-
-
-# --- the E+ block of a twisted rotation loop -------------------------------
-
-# Frame (E+, L_j E+) of C^4: E+ spans the +i eigenspace of L_i, and L_j E+
-# the -i one, since L_j anticommutes with L_i.  A matrix commuting with L_i
-# is block diagonal in it, and tau = Ad(L_j) swaps the two blocks, so a
-# twisted lam^k coefficient reads diag(C_k, i^-k C_k): the loop is
-# diag(A(lam), A(-i lam)) with A its E+ block.
-_E_PLUS = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
-_FRAME = np.concatenate([_E_PLUS, L_J @ _E_PLUS], axis=1)
-_TO_FRAME = np.kron(_FRAME.conj(), _FRAME)    # vec M -> vec F^H M F, unitary
+# Frame (E+, L_j E+) of C^4, E+ the +i eigenspace of L_i: a twisted lam^k
+# rotation coefficient reads diag(C_k, i^-k C_k) in it, C_k = 0 at odd k, and
+# a translation (p_k, i^k p_k), p_k = 0 at even k: 6 channels (vec C_k, p_k),
+# p in the basis e = sqrt(2) E+.  _READ takes 20 entries to them, and _MAP's
+# units and half units back, so each twisted entry is one rounded sum.
+_E = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]])
+_E_PLUS, _LE = _E / np.sqrt(2.0), L_J @ _E
+_READ = np.zeros((20, 6), dtype=complex)
+_READ[:16, :4], _READ[16:, 4:] = np.kron(_E_PLUS.conj(), _E_PLUS), _E.conj() / 2
+_MAP = np.zeros((2, 6, 20), dtype=complex)
+_MAP[:, :4, :16] = np.kron(_E, _E.conj()).T / 2, np.kron(_LE, _LE.conj()).T / 2
+_MAP[:, 4:, 16:] = _E.T, _LE.T
+_TURN = np.array([[np.conj(w)] * 4 + [w] * 2 for w in _I_POW])   # per k % 4
+_PARITY = np.array([[1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])    # even, odd k
 _ALPHA = np.array([1, -1j]) / np.sqrt(2.0)    # E+ coordinates of eps, normed
 # conj swaps the halves, F^H conj(F) = [[0, Q], [Q^T, 0]] with Q = [[0, -1],
-# [1, 0]]: on the circle the loop is real where A(lam) = Q conj(A(-i lam)) Q^T,
-# and Q X Q^T is X with its entries reversed and the adjugate's signs
+# [1, 0]]: the loop is real on the circle where A(lam) = Q conj(A(-i lam)) Q^T
+# (X's entries reversed, with the adjugate's signs) and p(lam) = Q conj(p(i lam))
 
 
-def _plus_block(loop: TwistedLoop, m: int, gate: float):
-    """(m, 2, 2) samples of a twisted loop's E+ block A, read off its
-    coefficients C_k, (m, 4) samples of its translation, ``off``: the
-    sum over k of the largest entry by which a coefficient leaves
-    diag(C_k, i^-k C_k) with C_k even, which bounds the loop's distance from
-    diag(A(lam), A(-i lam)) at every sample, and the C_k at ``loop.ks``.
-    Raises SingularInput when ``off`` exceeds ``gate``, and ValueError when
-    m is not a multiple of 4 (`_turn` needs it) or cannot resolve the loop.
-    """
+def _read_halves(loop: TwistedLoop, m: int, tol: float):
+    """A (m, 2, 2) and p (m, 2) sampled from the twisted loop of a loop's E+
+    halves, the halves (n, 6), the scale max(1, |loop|) and ``off``, the
+    loop's distance from that loop (the larger of the sums over k of the
+    largest entry by which rotations and translations leave it).  Raises
+    SingularInput on a coefficient that is not finite and, naming the part,
+    on a sum over tol * scale; ValueError unless 4 | m and m resolves it."""
     _quarter(m)
-    blocks = (loop.rot.reshape(-1, 16) @ _TO_FRAME).reshape(-1, 4, 4)
-    plus = blocks[:, :2, :2].copy()
-    blocks[:, 2:, 2:] -= _I_POW[-loop.ks % 4, None, None] * plus
-    blocks[loop.ks % 2 == 0, :2, :2] = 0.0
-    off = float(np.sum(np.max(np.abs(blocks), axis=(1, 2))))
-    if off > gate:
-        raise SingularInput(f"rotation loop is not twisted in the L_i "
-                            f"commutant: its coefficients are off by {off:.2e}")
-    return _plus_samples(loop.ks, plus, loop.trans, m) + (off, plus)
+    if not np.isfinite(norm := loop.norm()):
+        raise SingularInput("loop coefficients must be finite")
+    scale = max(1.0, norm)
+    entries = np.concatenate([loop.rot.reshape(-1, 16), loop.trans], axis=1)
+    halves = entries @ _READ * _PARITY[loop.ks % 2]
+    dist = np.abs(entries - _entries(loop.ks, halves))
+    off = [float(d.max(axis=1).sum()) for d in (dist[:, :16], dist[:, 16:])]
+    for part, d in zip(("rotation loop is not twisted in the L_i commutant",
+                        "translation loop is not twisted"), off):
+        if d > tol * scale:
+            raise SingularInput(f"{part}: its coefficients are off by {d:.2e}")
+    s = _on_circle(loop.ks, halves, m)
+    return s[:, :4].reshape(m, 2, 2), s[:, 4:], halves, scale, max(off)
 
 
-def _plus_samples(ks, plus, trans, m: int):
-    """(m, 2, 2) E+ block and (m, 4) translation samples of the loop whose
-    lam**ks coefficients have E+ blocks ``plus`` and translations ``trans``."""
-    both = _on_circle(ks, np.concatenate([plus.reshape(-1, 4), trans], axis=1), m)
-    return both[:, :4].reshape(m, 2, 2), both[:, 4:]
+def _entries(ks, halves):
+    """Entries (n, 20) of the twisted coefficients of E+ halves (n, 6) at ks:
+    e part plus L_j e part turned by i^-k (rotation) and i^k (translation)."""
+    return halves @ _MAP[0] + (halves * _TURN[ks % 4]) @ _MAP[1]
 
 
-def _from_plus(plus_hat):
-    """4x4 coefficients diag(C_j, i^-j C_j) in the frame of E+ coefficients
-    C_j in FFT slots j, whose count is a multiple of 4: the inverse of
-    `_plus_block`'s reading."""
-    blocks = np.zeros((len(plus_hat), 4, 4), dtype=complex)
-    blocks[:, :2, :2] = plus_hat
-    blocks[:, 2:, 2:] = _I_POW[-np.arange(len(plus_hat)) % 4, None, None] * plus_hat
-    return (blocks.reshape(-1, 16) @ _TO_FRAME.conj().T).reshape(-1, 4, 4)
+def _turn(a, p):
+    """E+ half A p of samples p turned by E+ block samples A."""
+    return a[..., 0] * p[..., :1] + a[..., 1] * p[..., 1:]
 
 
-def _turn(a, trans):
-    """Translation samples rotated by diag(A(lam), A(-i lam)) in the frame,
-    for E+ block samples A at m roots of unity, m a multiple of 4: the E-
-    samples are A rolled a quarter turn."""
-    m = len(a)
-    pair = np.stack([a, np.roll(a, m // 4, axis=0)], axis=1)     # (m, 2, 2, 2)
-    halves = (trans @ _FRAME.conj()).reshape(m, 2, 2)
-    return np.einsum("mhij,mhj->mhi", pair, halves).reshape(m, 4) @ _FRAME.T
+def _trimmed(slots):
+    """The loop of E+ halves (m, 6) in FFT slots, 4 | m, and its slot mask:
+    `_keep` on the largest of their `_entries`, max |x +- i^k y| over (x, y)
+    = (C_00, C_11) / 2, (C_01, C_10) / 2 and (p_0, p_1), as each entry is one
+    such sum times a unit.  Only kept slots are made."""
+    half = (slots * [0.5, 0.5, 0.5, 0.5, 1, 1]).reshape(-1, 4, 6)   # k % 4 rows
+    x, wy = half[..., [0, 1, 4]], half[..., [3, 2, 5]] * _I_POW[:, None]
+    size = np.maximum(np.abs(x + wy), np.abs(x - wy)).reshape(-1, 3)
+    keep = _keep(size[:, :2].max(axis=1), size[:, 2])
+    ks = coeff_exponents(len(slots))[keep]
+    entries = _entries(ks, slots[keep])
+    return TwistedLoop(ks, entries[:, :16].reshape(-1, 4, 4), entries[:, 16:]), keep
+
+
+# --- translation projections ---------------------------------------------
+
+def q_minus(hat):
+    """Exponents -1 .. -(m/2 - 1) of Fourier coefficients in FFT slots."""
+    half = len(hat) // 2 + 1
+    return np.concatenate([np.zeros_like(hat[:half]), hat[half:]])
+
+
+def p_real_part(p_hat):
+    """Projection of a twisted translation loop onto the real-form part along
+    the holomorphic half, 2 Re of the strictly negative half n, on E+
+    coefficients in FFT slots: conj(n)_j has E+ half i^j Q conj(n_-j)."""
+    m = len(p_hat)
+    out = q_minus(p_hat)
+    out[1:m // 2] = (_I_POW[np.arange(1, m // 2) % 4, None]
+                     * np.conj(p_hat[:m // 2:-1, ::-1]) * [-1, 1])
+    return out
 
 
 # --- Iwasawa factorization ------------------------------------------------
@@ -327,24 +325,23 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
             tol: float = 1e-8) -> tuple[TwistedLoop, TwistedLoop]:
     """Split a complexified twisted loop as (real twisted) . (positive).
 
-    The rotation part is its E+ block A, a loop in GL(2, C), whose Iwasawa
-    splitting A = U B (U unitary on the circle, B holomorphic in the disk)
-    is unique up to a constant unitary (Pressley-Segal, Loop Groups, ch. 8):
-    B^-1 from one QR of A's band (Sayed-Kailath, Numer. Linear Algebra Appl.
-    8, 2001), U = A B^-1 with its imaginary rounding dropped.  A constant
-    correction pins B(0) to the ray stabilizer.  The translation part is the
-    explicit projection ``X = F . P(F^{-1} T)``.
+    The loop is read once into its E+ halves A, a loop in GL(2, C), and p.
+    A = U B (U unitary on the circle, B holomorphic in the disk) is unique up
+    to a constant unitary (Pressley-Segal, Loop Groups, ch. 8): B^-1 from one
+    QR of A's band (Sayed-Kailath, Numer. Linear Algebra Appl. 8, 2001), U =
+    A B^-1 with its imaginary rounding dropped, and a constant pins B(0) to
+    the ray stabilizer.  The translation part is ``X = U . P(U^-1 p)``.  The
+    factors are made from E+ halves, so their twist residuals read 0: the
+    twist is measured at entry only, by the gates of `_read_halves`.
 
-    ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError); a
-    rotation outside the twisted L_i commutant, or one whose band has a pivot
-    at rounding, raises SingularInput, a factor spectrum's top sixteenth of
-    |exponent| over 1e-6 of its head LoopAliasing, and a product U B off the
-    loop by more than tol * max(1, |loop|), or a U off real by more than tol,
-    ConvergenceFailure.
+    ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError).
+    A loop off the twisted group or a band with a pivot at rounding raises
+    SingularInput, a factor spectrum's top sixteenth of |exponent| over 1e-6
+    of its head LoopAliasing, and a product U B off the loop by more than
+    tol * max(1, |loop|), or a U off real by more than tol, ConvergenceFailure.
     """
     m = nsamples or _pow2(max(64, 8 * loop.degree))
-    scale = max(1.0, _finite_norm(loop))
-    a, trans, off, plus = _plus_block(loop, m, max(tol, 1e-7) * scale)
+    a, p, halves, scale, off = _read_halves(loop, m, max(tol, 1e-7))
 
     # M maps X's exponents m/2 - 2, .., 0 to A X's even ones, both highest
     # first and on 2m slots (no wrap); M^H M is A^H A's Toeplitz section, so
@@ -354,7 +351,7 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     rows = np.arange(m // 2 - 2 + np.max(even, initial=0),
                      np.min(even, initial=0) - 1, -2)
     pad = np.zeros((2 * m, 2, 2), dtype=complex)
-    pad[loop.ks] = plus
+    pad[loop.ks] = halves[:, :4].reshape(-1, 2, 2)
     r = np.linalg.qr(_toeplitz(pad, rows, cols), mode="r")
     piv = np.diag(r)       # a pivot at rounding proves M numerically singular
     if np.min(np.abs(piv)) <= len(r) * np.finfo(float).eps * np.max(np.abs(piv)):
@@ -373,26 +370,30 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     b_hat = _mul2(k0.conj().T, b_hat)
     u = _mul2(a, _mul2(b_inv, k0))
     u = 0.5 * (u + np.conj(np.roll(u, m // 4, axis=0))[:, ::-1, ::-1] * _ADJ_SIGNS)
-    u_hat = loop_coeffs(u)
+    # U and v = U^-1 p (U^-1 = U^H) by one FFT; v's real part x makes U's
+    # translation U x, and the rest is B's
+    u_slots = loop_coeffs(np.concatenate(
+        [u.reshape(m, 4), _turn(np.conj(np.swapaxes(u, 1, 2)), p)], axis=1))
 
     edge = np.abs(coeff_exponents(m)) >= 15 * m // 32   # aliasing folds here
-    ratio = max(np.max(np.abs(h[edge])) / np.max(np.abs(h)) for h in (u_hat, b_hat))
+    ratio = max(np.abs(h[edge]).max() / np.abs(h).max() for h in (u_slots[:, :4], b_hat))
     if ratio > 1e-6:
         raise LoopAliasing(f"factor spectrum edge at {ratio:.1e} of its head at m = {m}")
 
-    v = _turn(np.conj(np.swapaxes(u, 1, 2)), trans)     # U^-1 = U^H
-    x = p_real_part(v)
-    ut, bt = loop_coeffs(_turn(u, x)), loop_coeffs(v - x)
-    b_hat[m // 2:] = u_hat[m // 2] = ut[m // 2] = bt[m // 2] = 0.0  # B < 0, +-m/2
-    u_loop = TwistedLoop.from_coeffs(_from_plus(u_hat), ut)
-    b_loop = TwistedLoop.from_coeffs(_from_plus(b_hat), bt)
+    x_hat = p_real_part(u_slots[:, 4:])
+    b_slots = np.concatenate([b_hat.reshape(m, 4), u_slots[:, 4:] - x_hat], axis=1)
+    u_slots[:, 4:] = loop_coeffs(_turn(u, samples_from_coeffs(x_hat)))
+    b_slots[m // 2:, :4] = u_slots[m // 2] = b_slots[m // 2] = 0.0   # B < 0, +-m/2
+    (u_loop, u_keep), (b_loop, b_keep) = _trimmed(u_slots), _trimmed(b_slots)
 
-    # the residual: the kept E+ coefficients against A at the samples, plus
-    # A's distance ``off``; U is unitary, so its reality needs no scale
-    ua, ut = _plus_samples(u_loop.ks, u_hat[u_loop.ks % m], u_loop.trans, m)
-    ba, bt = _plus_samples(b_loop.ks, b_hat[b_loop.ks % m], b_loop.trans, m)
-    resid = max(_max_abs(_mul2(ua, ba) - a, _turn(ua, bt) + ut - trans), off,
-                scale * u_loop.reality_residual())
+    # the residual: kept halves, sampled by one FFT, against A and p, and the
+    # loop's distance ``off`` from them; U is unitary: reality needs no scale
+    kept = samples_from_coeffs(np.concatenate(
+        [u_slots * u_keep[:, None], b_slots * b_keep[:, None]], axis=1))
+    ua, ba = kept[:, :4].reshape(m, 2, 2), kept[:, 6:10].reshape(m, 2, 2)
+    resid = max(_max_abs(_mul2(ua, ba) - a,
+                         _turn(ua, kept[:, 10:]) + kept[:, 4:6] - p),
+                off, scale * u_loop.reality_residual())
     if resid > tol * scale:
         raise ConvergenceFailure(f"factorization residual {resid:.3e} "
                                  f"exceeds tolerance {tol:.1e}")
@@ -409,45 +410,42 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
              nsamples: int | None = None) -> tuple[TwistedLoop, TwistedLoop]:
     """Split a twisted loop as (negative, = Id at infinity) . (positive).
 
-    The rotation part solves the block Toeplitz system for the negative
-    factor's coefficients; a condition number beyond the threshold signals
-    the complement of the big cell.  Translations use the +-frequency
-    projections of the conjugated translation loop.
+    The loop is read once into its E+ halves A and p.  G-'s coefficients
+    solve the block Toeplitz system of A^-1's, whose condition number beyond
+    the threshold signals the complement of the big cell; G-^-1 p splits
+    into the negative and nonnegative translation halves.
 
-    The rotation loop is fixed by its E+ block A (`_plus_block`), so only
-    the E+ system is solved, on the coefficients of A^-1: the E- system
-    has the same singular values, its rows and columns differing only by
-    the unit phases i^-k.  A carries only even powers of lambda, so block
-    (i, j) = shat[j - i] vanishes unless j - i is even, and the right-hand
-    side only has odd block rows.  The odd rows and odd unknowns (exponents
-    -2, -4, ...) form a closed system (48 x 40 at ``neg_degree`` 40); the
-    even class has the same matrix (for even ``neg_degree``) and a zero
-    right-hand side, so its unknowns are 0 and its condition number is the
-    half system's.
+    The E- system differs from the E+ one by unit phases i^-k only, so only
+    the E+ one is solved.  A is even in lambda, so block (i, j) = shat[j - i]
+    vanishes unless j - i is even, and the right-hand side has odd block rows
+    only: the odd rows and unknowns (exponents -2, -4, ...) form a closed
+    system, 48 x 40 at ``neg_degree`` 40, solved by one reduced QR: R has
+    its singular values, hence its condition number, and R x = Q^H rhs.  The
+    even class (even ``neg_degree``) has the same matrix and rhs 0: it is 0.
 
     ``nsamples`` must be a multiple of 4 and resolve the loop and
-    ``neg_degree`` (ValueError); rotations outside the twisted L_i commutant,
-    odd modes included, and non-finite coefficients raise SingularInput.
+    ``neg_degree`` (ValueError); a loop that is not finite or off the twisted
+    group, odd rotation modes included, raises SingularInput.
     """
     n = neg_degree or max(16, 2 * loop.degree)
     m = nsamples or _pow2(max(64, 8 * loop.degree, 4 * n))
     if m < 2 * n + 2:
         raise ValueError(f"sample count {m} too small for the negative "
                          f"degree {n}")
-    gate = 1e-7 * max(1.0, _finite_norm(loop))
-    a, trans, _, _ = _plus_block(loop, m, gate)
+    a, p, _, scale, _ = _read_halves(loop, m, 1e-7)
     plus = loop_coeffs(_inv2(a))
 
     # block row i holds exponent -1 - i, block column j exponent -1 - j;
     # only the odd rows and columns can be nonzero
     rows = np.arange(1, n + 8, 2)
     cols = np.arange(1, n, 2)
-    big = _toeplitz(plus, -1 - rows, -1 - cols)
-    rhs = -plus[(-1 - rows) % m].reshape(2 * len(rows), 2)
-    half, _, _, sv = np.linalg.lstsq(big, rhs, rcond=None)
+    q, r = np.linalg.qr(_toeplitz(plus, -1 - rows, -1 - cols))
+    sv = np.linalg.svd(r, compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _COND_MAX:
         raise OutsideBigCell(f"negative-factor system condition {cond:.3e}")
+    rhs = -plus[(-1 - rows) % m].reshape(2 * len(rows), 2)
+    half = np.linalg.solve(r, q.conj().T @ rhs)
 
     # Id plus the exponents k = -2, -4, ..., placed in their FFT slots
     gm_hat = np.zeros((m, 2, 2), dtype=complex)
@@ -455,19 +453,21 @@ def birkhoff(loop: TwistedLoop, neg_degree: int | None = None,
     gm_hat[m - 1 - cols] = half.reshape(len(cols), 2, 2)
     gm = samples_from_coeffs(gm_hat)
     gm_inv = _inv2(gm)
-    gp_rot = _from_plus(loop_coeffs(_mul2(gm_inv, a)))
+    # G+ = G-^-1 A and v = G-^-1 p by one FFT; v's negative half, turned by
+    # G-, is G-'s translation, the rest G+'s
+    gp_slots = loop_coeffs(np.concatenate(
+        [_mul2(gm_inv, a).reshape(m, 4), _turn(gm_inv, p)], axis=1))
 
     # positive factor must be holomorphic: measure the negative leakage
-    leak = _max_abs(gp_rot[coeff_exponents(m) < 0])
-    if leak > gate:
+    leak = _max_abs(gp_slots[m // 2:, :4])
+    if leak > 1e-7 * scale:
         raise OutsideBigCell(f"positive factor leaks negative modes ({leak:.2e})")
 
-    v = _turn(gm_inv, trans)
-    neg = q_minus(v)
-    g_minus = TwistedLoop.from_coeffs(_from_plus(gm_hat),
-                                      loop_coeffs(_turn(gm, neg)))
-    g_plus = TwistedLoop.from_coeffs(gp_rot, loop_coeffs(v - neg))
-    return g_minus, g_plus
+    neg = q_minus(gp_slots[:, 4:])
+    gp_slots[:, 4:] -= neg
+    gm_slots = np.concatenate([gm_hat.reshape(m, 4), loop_coeffs(
+        _turn(gm, samples_from_coeffs(neg)))], axis=1)
+    return _trimmed(gm_slots)[0], _trimmed(gp_slots)[0]
 
 
 # --- lifts and the potential correspondence -------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (exp_twisted_loop, gauss_legendre_01,
                       random_twisted_algebra_coeffs, random_twisted_group_loop)
 from hamstat import loops
-from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS_BAR,
+from hamstat.algebra import (EPS, EPS_BAR, ID4, L_I, L_J, LI_EPS, LI_EPS_BAR,
                              PI_MINUS, PI_PLUS, R_I, R_J, R_K)
 from hamstat.errors import (ConvergenceFailure, HamstatError, LoopAliasing,
                             NotInBigCell, OutsideBigCell,
@@ -20,10 +20,9 @@ from hamstat.loops import (HolomorphicPotentialData, ReconstructedLift,
                            birkhoff, dpw_reconstruct, iwasawa, p_real_part,
                            potential_extract, q_minus)
 from hamstat.lattices import Lattice, enumerate_frequencies
-from hamstat.loops import (_ADJ_SIGNS, _E_PLUS, _FRAME, _from_plus,
-                           _half_slots, _inv2, _mul2,
-                           _plus_block, _pow2, _slot_series,
-                           _taylor_interpolant, _turn)
+from hamstat.loops import (_ADJ_SIGNS, _E, _entries, _half_slots, _inv2, _mul2,
+                           _read_halves, _pow2, _slot_series,
+                           _taylor_interpolant, _trimmed, _turn)
 from hamstat.numerics import coeff_exponents, loop_coeffs, unit_lambdas
 from hamstat.tori import castro_urbano, rhombic_torus, standard_torus
 from hamstat.weierstrass import TorusSpec, family_samples, immerse
@@ -57,15 +56,37 @@ def _inverse_loop(loop):
     return TwistedLoop.from_samples(rinv, -np.einsum("mij,mj->mi", rinv, t))
 
 
-def q_plus(trans_samples):
-    """The nonnegative Fourier part of circle samples, as samples."""
-    return trans_samples - q_minus(trans_samples)
+def _q_minus_samples(samples):
+    """The strictly negative Fourier part of circle samples, as samples."""
+    return np.fft.ifft(q_minus(loop_coeffs(samples)), axis=0) * len(samples)
 
 
 def constant_potential(c, a, b):
     """Potential data with h = 2 c z and constant a, b."""
     return HolomorphicPotentialData(2.0 * complex(c), 1.0,
                                     np.array([[a], [b]], dtype=complex))
+
+
+# the unitary frame (E+, L_j E+) of C^4, E+ = e / sqrt(2)
+_FRAME = np.concatenate([_E, L_J @ _E], axis=1) / np.sqrt(2.0)
+_E_PLUS = _FRAME[:, :2]
+
+
+def _plus_half(trans):
+    """E+ half p of translation vectors (..., 4), t = e p + L_j e q."""
+    return trans @ _E.conj() / 2
+
+
+def _twisted_translation_samples(rng, m, deg=5):
+    """(m, 4) samples of a random twisted translation loop: tau t_k = i^k t_k,
+    so t_k spans eps_bar, L_i eps at k = 1 mod 4 and eps, L_i eps_bar at
+    k = 3 mod 4."""
+    hat = np.zeros((m, 4), dtype=complex)
+    for k in range(-deg, deg + 1, 2):
+        pair = (EPS_BAR, LI_EPS) if k % 4 == 1 else (EPS, LI_EPS_BAR)
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        hat[k % m] = c[0] * pair[0] + c[1] * pair[1]
+    return np.fft.ifft(hat, axis=0) * m
 
 
 def _tau(vec):
@@ -124,31 +145,27 @@ def test_twisted_loop_reality_and_json(rng):
 # --- translation projections -----------------------------------------------------
 
 def test_projection_coefficient_rules():
+    # p_real_part works on E+ coefficients; the 4-vector projection it stands
+    # for is 2 Re of the strictly negative half of the samples
     m = 32
     exps = coeff_exponents(m)
-    v = np.zeros((m, 4), dtype=complex)
-    vec = np.array([0.3, -0.1, 0.7, 0.2]) + 1j * np.array([0.1, 0.4, -0.2, 0.5])
-    # positive-only content projects to zero
-    plus = np.zeros_like(v)
-    plus[exps == 1] = vec
-    samples = np.fft.ifft(plus, axis=0) * m
-    assert np.max(np.abs(p_real_part(samples))) < 1e-12
-    # a lambda^-1 coefficient gains its mirrored conjugate
-    minus = np.zeros_like(v)
-    minus[exps == -1] = vec
-    samples = np.fft.ifft(minus, axis=0) * m
-    proj = loop_coeffs(p_real_part(samples))
-    assert np.max(np.abs(proj[exps == -1] - vec)) < 1e-12
-    assert np.max(np.abs(proj[exps == 1] - np.conj(vec))) < 1e-12
-    # idempotence and complementary split
     rng = np.random.default_rng(5)
-    v = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
-    hat = loop_coeffs(v)
-    hat[exps % 2 == 0] = 0.0
-    v = np.fft.ifft(hat, axis=0) * m
-    p = p_real_part(v)
-    assert np.max(np.abs(p_real_part(p) - p)) < 1e-12
-    assert np.max(np.abs(q_minus(v) + q_plus(v) - v)) < 1e-13
+    t = _twisted_translation_samples(rng, m)
+    neg = _q_minus_samples(t)
+    hat = loop_coeffs(_plus_half(t))
+    assert np.max(np.abs(p_real_part(hat)
+                         - loop_coeffs(_plus_half(neg + np.conj(neg))))) < 1e-13
+    # positive-only content projects to zero
+    assert np.max(np.abs(p_real_part(np.where((exps > 0)[:, None], hat, 0.0)))) == 0
+    # a lambda^-1 coefficient gains its mirrored conjugate
+    vec = loop_coeffs(t)[exps == -1][0]
+    proj = p_real_part(np.where((exps == -1)[:, None], hat, 0.0))
+    assert np.max(np.abs(proj[exps == -1] - _plus_half(vec))) < 1e-15
+    assert np.max(np.abs(proj[exps == 1] - _plus_half(np.conj(vec)))) < 1e-15
+    assert np.count_nonzero(np.abs(proj).sum(axis=1)) == 2
+    # idempotence
+    p = p_real_part(hat)
+    assert np.max(np.abs(p_real_part(p) - p)) == 0
 
 
 # --- Iwasawa factorization --------------------------------------------------------
@@ -186,17 +203,21 @@ def test_iwasawa_real_loop_fixed_point(rng):
 
 
 def test_iwasawa_translation_only():
+    # U's translation is the 4-vector projection 2 Re q_minus(t), written out
     loop = TwistedLoop(
         np.array([-3, -1, 0, 1]),
         np.array([np.zeros((4, 4)), np.zeros((4, 4)), ID4, np.zeros((4, 4))],
                  dtype=complex),
-        np.array([0.3 * EPS + 0.1j * LI_EPS_BAR, 1.0 * EPS, np.zeros(4),
+        np.array([0.3 * EPS_BAR + 0.1j * LI_EPS, 1.0 * EPS, np.zeros(4),
                   0.5 * EPS_BAR]))
+    assert loop.twist_residual() == 0.0
     u, b = iwasawa(loop, nsamples=64)
     t_samples = loop.sample(64)[1]
+    neg = _q_minus_samples(t_samples)
+    real = neg + np.conj(neg)
     assert np.max(np.abs(u.sample(64)[0] - ID4)) < 1e-12
-    assert np.max(np.abs(u.sample(64)[1] - p_real_part(t_samples))) < 1e-12
-    assert np.max(np.abs(b.sample(64)[1] - (t_samples - p_real_part(t_samples)))) < 1e-12
+    assert np.max(np.abs(u.sample(64)[1] - real)) < 1e-12
+    assert np.max(np.abs(b.sample(64)[1] - (t_samples - real))) < 1e-12
 
 
 def test_iwasawa_random_batch(rng):
@@ -233,8 +254,9 @@ def test_iwasawa_factors_a_loop_scaled_to_1e_12():
 def _plus_loop(plus_hat):
     """Twisted loop with no translation whose E+ block has the coefficients
     ``plus_hat`` in FFT slots (a multiple of 4 of them)."""
-    return TwistedLoop.from_coeffs(_from_plus(plus_hat),
-                                   np.zeros((len(plus_hat), 4), dtype=complex))
+    m = len(plus_hat)
+    return _trimmed(np.concatenate([plus_hat.reshape(m, 4),
+                                    np.zeros((m, 2))], axis=1))[0]
 
 
 def _plus_values(loop, m):
@@ -372,17 +394,18 @@ def _ref_birkhoff_negative(loop, n, m):
 
 
 def test_birkhoff_matches_full_toeplitz_reference(monkeypatch):
-    # criterion-6 products: degree-5 negative times positive, amplitude 0.15
+    # criterion-6 products: degree-5 negative times positive, amplitude 0.15;
+    # birkhoff reads its condition number off the singular values of R
     rng = np.random.default_rng(6)
-    lstsq = np.linalg.lstsq
+    svd = np.linalg.svd
     conds = []
 
-    def recording_lstsq(a, b, rcond=None):
-        out = lstsq(a, b, rcond=rcond)
-        conds.append(out[3][0] / out[3][-1])
+    def recording_svd(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        conds.append(out[0] / out[-1])
         return out
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     n, m = 40, 256
     for _ in range(20):
         gm = exp_twisted_loop(*random_twisted_algebra_coeffs(
@@ -401,7 +424,7 @@ def test_birkhoff_matches_full_toeplitz_reference(monkeypatch):
         assert abs(conds[-1] - ref_cond) <= 1e-10 * ref_cond
         # the even class (odd exponents -1, -3, ...) is exactly zero
         assert np.all(got[0::2] == 0)
-    assert len(conds) == 40
+    assert len(conds) == 20
 
 
 def test_birkhoff_rejects_untwisted_rotation():
@@ -442,6 +465,34 @@ def test_iwasawa_residual_counts_distance_from_li_commutant(rng):
 
 @pytest.mark.parametrize("factor", [iwasawa, birkhoff],
                          ids=["iwasawa", "birkhoff"])
+@pytest.mark.parametrize("k, vec", [(1, EPS), (0, EPS_BAR), (-1, LI_EPS)],
+                         ids=["eps-at-1", "even-k", "li-eps-at-minus-1"])
+def test_factorizations_reject_translation_off_its_tau_eigenspace(rng, factor,
+                                                                  k, vec):
+    # tau t_k = i^k t_k holds for eps_bar and L_i eps at k = 1 mod 4, for eps
+    # and L_i eps_bar at k = 3 mod 4, and for nothing at even k; both
+    # factorizations read the E+ half alone, so they must refuse the rest
+    loop = random_twisted_group_loop(3, rng)
+    assert k in loop.ks
+    trans = loop.trans.copy()
+    trans[loop.ks == k] += 0.1 * vec
+    with pytest.raises(SingularInput, match="translation loop is not twisted"):
+        factor(TwistedLoop(loop.ks, loop.rot, trans), nsamples=128)
+
+
+def test_iwasawa_residual_counts_translation_distance_from_eigenspace(rng):
+    # 2.5e-8 off in one translation entry passes the gate (1e-7) but not the
+    # residual (1e-8): U B is built from the E+ halves alone
+    loop = random_twisted_group_loop(4, rng)
+    scale = max(1.0, loop.norm())
+    trans = loop.trans.copy()
+    trans[loop.ks == 1] += 5e-8 * scale * EPS
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        iwasawa(TwistedLoop(loop.ks, loop.rot, trans))
+
+
+@pytest.mark.parametrize("factor", [iwasawa, birkhoff],
+                         ids=["iwasawa", "birkhoff"])
 def test_factorizations_reject_sample_count_not_multiple_of_4(rng, factor):
     # the E- block is read off the samples by a quarter turn of the roots
     loop = random_twisted_group_loop(3, rng)
@@ -465,29 +516,74 @@ def test_birkhoff_checks_sample_count_before_toeplitz_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Toeplitz system solved")
 
-    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for name in ("qr", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     with pytest.raises(ValueError, match="negative degree 40"):
         birkhoff(_identity_loop(), neg_degree=40, nsamples=64)
 
 
 def test_plus_block_round_trip(rng):
-    # per coefficient: the E+ block read off the 4x4 coefficients rebuilds
-    # them, and its samples turn translation samples as the 4x4 ones do
+    # per coefficient: the E+ halves read off the 4x4 coefficients rebuild
+    # them, and the E+ block samples turn twisted translation samples as the
+    # 4x4 ones do, written out
     loop = random_twisted_group_loop(6, rng)
-    a, trans, off, plus = _plus_block(loop, 128, 1e-7)
+    a, p, halves, _, off = _read_halves(loop, 128, 1e-7)
     assert off < 1e-14
-    assert np.max(np.abs(plus - _E_PLUS.conj().T @ loop.rot @ _E_PLUS)) < 1e-15
-    rot, want = loop.sample(128)
+    assert np.max(np.abs(halves[:, :4].reshape(-1, 2, 2)
+                         - _E_PLUS.conj().T @ loop.rot @ _E_PLUS)) < 1e-15
+    assert np.max(np.abs(halves[:, 4:] - _plus_half(loop.trans))) < 1e-15
+    rot, trans = loop.sample(128)
     assert np.max(np.abs(a - _E_PLUS.conj().T @ rot @ _E_PLUS)) < 1e-14
-    assert np.max(np.abs(trans - want)) < 1e-14
-    back = TwistedLoop.from_coeffs(_from_plus(loop_coeffs(a)),
-                                   loop_coeffs(trans))
+    assert np.max(np.abs(p - _plus_half(trans))) < 1e-14
+    back, keep = _trimmed(loop_coeffs(np.concatenate([a.reshape(128, 4), p],
+                                                     axis=1)))
     assert np.array_equal(back.ks, loop.ks)
+    assert np.array_equal(np.flatnonzero(keep), np.sort(loop.ks % 128))
     assert np.max(np.abs(back.rot - loop.rot)) < 1e-14
     assert np.max(np.abs(back.trans - loop.trans)) < 1e-14
-    vec = rng.normal(size=(128, 4)) + 1j * rng.normal(size=(128, 4))
-    assert np.max(np.abs(_turn(a, vec)
-                         - np.einsum("mij,mj->mi", rot, vec))) < 1e-13
+    vec = _twisted_translation_samples(rng, 128)
+    assert np.max(np.abs(_turn(a, _plus_half(vec))
+                         - _plus_half(np.einsum("mij,mj->mi", rot, vec)))) < 1e-13
+
+
+def test_map_builds_the_twisted_coefficient(rng):
+    # _entries takes E+ halves to F diag(C, i^-k C) F^H and e p + L_j e
+    # i^k p, written out in the unitary frame
+    for k in range(-4, 4):
+        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        p = rng.normal(size=2) + 1j * rng.normal(size=2)
+        blocks = np.zeros((4, 4), dtype=complex)
+        blocks[:2, :2], blocks[2:, 2:] = c, 1j ** -k * c
+        got = _entries(np.array([k]), np.concatenate([c.ravel(), p])[None])[0]
+        assert np.max(np.abs(got[:16].reshape(4, 4)
+                             - _FRAME @ blocks @ _FRAME.conj().T)) < 1e-15
+        half = np.sqrt(2.0) * p
+        assert np.max(np.abs(got[16:] - _FRAME @ np.r_[half, 1j ** k * half])) < 1e-15
+
+
+def test_trim_keeps_the_slots_from_coeffs_keeps(rng):
+    # E+ halves spread over 1e-16 .. 1, with slots set exactly at and just
+    # above the 1e-12 threshold: the trim on the halves keeps the slots that
+    # from_coeffs keeps of their 4x4 coefficients, and rebuilds them alike
+    m = 64
+    for _ in range(50):
+        slots = ((rng.normal(size=(m, 6)) + 1j * rng.normal(size=(m, 6)))
+                 * 10.0 ** rng.uniform(-16, -1, size=(m, 1)))
+        top, tie, above, t_tie, t_above = rng.choice(m, 5, replace=False)
+        slots[top] = [2.0, 0, 0, 0, 1.0, 0]         # largest entries 1 and 1
+        slots[tie] = [2e-12, 0, 0, 0, 0, 0]
+        slots[above] = [0, 0, 0, np.nextafter(2e-12, 1.0), 0, 0]
+        slots[t_tie] = [0, 0, 0, 0, 0, 1e-12]
+        slots[t_above] = [0, 0, 0, 0, 1j * np.nextafter(1e-12, 1.0), 0]
+        entries = _entries(coeff_exponents(m), slots)
+        want = TwistedLoop.from_coeffs(entries[:, :16].reshape(m, 4, 4),
+                                       entries[:, 16:])
+        got, keep = _trimmed(slots)
+        assert not keep[tie] and not keep[t_tie]
+        assert keep[above] and keep[t_above]
+        assert np.array_equal(got.ks, want.ks)
+        assert np.array_equal(got.rot, want.rot)
+        assert np.array_equal(got.trans, want.trans)
 
 
 def test_factorizations_take_no_4x4_samples(rng, monkeypatch):
@@ -527,21 +623,29 @@ def test_factorizations_do_not_call_lapack_inverse(rng, monkeypatch):
 
 
 def test_birkhoff_solves_one_half_system(monkeypatch):
-    # one least-squares solve, on the E+ half: 24 odd block rows and 20 odd
-    # block columns of 2x2 blocks at neg_degree 40
-    lstsq = np.linalg.lstsq
-    shapes = []
+    # one reduced QR of the E+ half: 24 odd block rows and 20 odd block
+    # columns of 2x2 blocks at neg_degree 40; the singular values of R and
+    # one solve with R follow
+    calls = []
 
-    def recording_lstsq(a, b, rcond=None):
-        shapes.append((a.shape, b.shape))
-        return lstsq(a, b, rcond=rcond)
+    def recording(name):
+        func = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        def record(*args, **kwargs):
+            calls.append((name, args[0].shape) + tuple(
+                a.shape for a in args[1:] if isinstance(a, np.ndarray)))
+            return func(*args, **kwargs)
+        return record
+
     rng = np.random.default_rng(7)
     gm = exp_twisted_loop(*random_twisted_algebra_coeffs(5, rng, sign=-1), 128)
     gp = exp_twisted_loop(*random_twisted_algebra_coeffs(5, rng, sign=+1), 128)
-    birkhoff(gm.compose(gp, 256), neg_degree=40, nsamples=256)
-    assert shapes == [((48, 40), (48, 2))]
+    product = gm.compose(gp, 256)
+    for name in ("qr", "svd", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    birkhoff(product, neg_degree=40, nsamples=256)
+    assert calls == [("qr", (48, 40)), ("svd", (40, 40)),
+                     ("solve", (40, 40), (40, 2))]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -617,7 +721,7 @@ def test_iwasawa_reproduces_loop_or_raises(degree, amp, seed):
 
 def _zero_rotation_loop():
     return TwistedLoop(np.array([0, 1]), np.zeros((2, 4, 4), dtype=complex),
-                       np.array([np.zeros(4), EPS]))
+                       np.array([np.zeros(4), EPS_BAR]))
 
 
 @pytest.mark.parametrize("make, error, match", [
@@ -734,12 +838,14 @@ def test_q_projection_rules():
     hat = np.zeros((m, 4), dtype=complex)
     hat[exps == 1] = vec
     hat[exps == -1] = 2 * vec
+    hat[exps == -m // 2] = 3 * vec          # the +-m/2 slot is no exponent's
+    qm = q_minus(hat)
+    assert np.array_equal(qm[exps == -1][0], 2 * vec)
+    assert np.count_nonzero(np.abs(qm).sum(axis=1)) == 1
+    # on samples: the negative and the nonnegative parts add up
     samples = np.fft.ifft(hat, axis=0) * m
-    qm = loop_coeffs(q_minus(samples))
-    qp = loop_coeffs(q_plus(samples))
-    assert np.max(np.abs(qm[exps == -1] - 2 * vec)) < 1e-13
-    assert np.max(np.abs(qm[exps == 1])) < 1e-13
-    assert np.max(np.abs(qp[exps == 1] - vec)) < 1e-13
+    rest = np.fft.ifft(hat - qm, axis=0) * m
+    assert np.max(np.abs(_q_minus_samples(samples) + rest - samples)) < 1e-13
 
 
 # --- lifts, potentials, reconstruction ------------------------------------------------
