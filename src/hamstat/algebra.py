@@ -5,9 +5,8 @@ The ambient space carries the metric, the symplectic form
 ``omega(u, v) = <L_i u, v>`` and the complex structure ``J = L_i``.  The
 symmetry group is the semidirect product of ``{G in SO(4): [G, L_i] = 0}``
 (isomorphic to U(2)) with translations.  An order-4 automorphism ``tau``
-(conjugation by ``(-L_j, 0)``, `tau_rotation` and `tau_vector` on the two
-parts) grades the complexified Lie algebra into four eigenspaces; that
-grading drives everything downstream.
+(conjugation by ``(-L_j, 0)``) grades the complexified Lie algebra into four
+eigenspaces; that grading drives everything downstream.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ __all__ = [
     "ID4", "L_I", "L_J", "R_I", "R_J", "R_K",
     "EPS", "EPS_BAR", "LI_EPS", "LI_EPS_BAR",
     "G0_BASIS", "ROTATION_BASIS",
-    "coords", "from_coords", "omega", "tau_rotation", "tau_vector",
+    "coords", "from_coords", "omega",
     "wedge_value", "lagrangian_angle_raw",
     "exp_g2", "exp_g0", "exp_rotation",
 ]
@@ -68,16 +67,6 @@ def omega(u, v):
     v = np.asarray(v)
     return (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
             + u[..., 2] * v[..., 3] - u[..., 3] * v[..., 2])
-
-
-def tau_rotation(m):
-    """tau on a rotation-part matrix: conjugation by -L_j."""
-    return -L_J @ np.asarray(m) @ L_J
-
-
-def tau_vector(v):
-    """tau on translation 4-vectors (..., 4)."""
-    return -(np.asarray(v) @ L_J.T)
 
 
 def wedge_value(e1, e3):

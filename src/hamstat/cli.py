@@ -241,23 +241,20 @@ def _vertex_text(verts: np.ndarray, prefix: str):
         yield _vertex_block(verts[start:start + _BLOCK_ROWS], lead)
 
 
-def _write_obj(path: str, verts: np.ndarray, n: int, header: str):
+def _write_mesh_file(path: str, verts: np.ndarray, n: int, header: str,
+                     fmt: str):
+    """The closed n x n quad mesh on ``verts`` as ``fmt`` ("obj" or "ply")
+    text, with ``header`` as its comment."""
+    head = (f"# {header}\n" if fmt == "obj" else
+            f"ply\nformat ascii 1.0\ncomment {header}\n"
+            f"element vertex {len(verts)}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            f"element face {n * n}\n"
+            "property list uchar int vertex_indices\nend_header\n")
     with open(path, "wb") as fh:
-        fh.write(f"# {header}\n".encode())
-        fh.writelines(_vertex_text(verts, "v "))
-        fh.write(_face_block(n, "obj"))
-
-
-def _write_ply(path: str, verts: np.ndarray, n: int, header: str):
-    with open(path, "wb") as fh:
-        fh.write((f"ply\nformat ascii 1.0\ncomment {header}\n"
-                  f"element vertex {len(verts)}\n"
-                  "property float x\nproperty float y\nproperty float z\n"
-                  f"element face {n * n}\n"
-                  "property list uchar int vertex_indices\nend_header\n"
-                  ).encode())
-        fh.writelines(_vertex_text(verts, ""))
-        fh.write(_face_block(n, "ply"))
+        fh.write(head.encode())
+        fh.writelines(_vertex_text(verts, "v " if fmt == "obj" else ""))
+        fh.write(_face_block(n, fmt))
 
 
 def _write_mesh(args, path: str, f, lattice, header: str) -> int:
@@ -265,8 +262,7 @@ def _write_mesh(args, path: str, f, lattice, header: str) -> int:
     formatted as ``args`` says, to ``path``; returns its vertex count."""
     verts = _project(np.asarray(f(lattice.grid(args.grid))).reshape(-1, 4),
                      args.project)      # the unbound R^4 points die here
-    writer = _write_ply if args.format == "ply" else _write_obj
-    writer(path, verts, args.grid, header)
+    _write_mesh_file(path, verts, args.grid, header, args.format)
     return len(verts)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from .algebra import G0_BASIS, L_I, ROTATION_BASIS, coords, from_coords
 from .checks import curvature_fields, run_check
 from .errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
-from .lattices import Lattice, parse_integer
-from .loops import TwistedLoop, _parse_record
+from .lattices import Lattice, parse_integer, parse_pair
+from .loops import TwistedLoop
 from .tori import rhombic_torus, standard_torus
 from .weierstrass import TorusSpec, _u_modes
 
@@ -80,15 +80,23 @@ class KillingField(TwistedLoop):
 
     @classmethod
     def from_dict(cls, data: dict) -> "KillingField":
-        """Zero-filled dense field from sparse, unordered records."""
+        """Zero-filled dense field from sparse, unordered records, summed per k."""
         d = parse_integer(data["degree"], "degree")
         if not 1 <= d <= _MAX_DEGREE:
             raise ValueError(f"degree {d} outside 1..{_MAX_DEGREE}")
         field = cls(d, np.zeros((2 * d + 1, 4, 4)), np.zeros((2 * d + 1, 4)))
-        for k, rot, trans in map(_parse_record, data["coefficients"]):
+        for rec in data["coefficients"]:
+            k = parse_integer(rec["k"], "exponent")
+            rot = [[parse_pair(v) for v in row] for row in rec["rotation"]]
+            trans = [parse_pair(v) for v in rec["translation"]]
+            # numpy would broadcast one row or one entry into place
+            if [len(row) for row in rot] != [4] * 4 or len(trans) != 4:
+                raise ValueError(f"coefficient {k} needs a 4 x 4 rotation and "
+                                 f"4 translation entries")
             if abs(k) > d:
                 raise ValueError(f"exponent {k} outside -{d}..{d}")
-            field.set_coeff(k, rot, trans)
+            field.rot[k + d] += rot
+            field.trans[k + d] += trans
         if not (np.isfinite(field.rot).all() and np.isfinite(field.trans).all()):
             raise ValueError("coefficients must be finite")
         return field
@@ -257,10 +265,9 @@ def _flow_coords(plan, x, z_from: complex, z_to: complex, step: float):
 
 def flow_field(xi0: KillingField, z_from: complex, z_to: complex,
                step: float) -> KillingField:
-    """Lax flow along the straight segment, with steps of at least ``step``."""
-    x = _field_coords(xi0)
-    x, _, _ = _flow_coords(_lax_taylor(len(x)), x, z_from, z_to, step)
-    return KillingField(xi0.d, from_coords(x[:, :4], ROTATION_BASIS), x[:, 4:])
+    """Lax flow along the straight segment, with steps of at least ``step``:
+    the flow is autonomous, so it is `lax_integrate` over z_to - z_from."""
+    return lax_integrate(xi0, [z_to - z_from], step).fields[-1]
 
 
 def _alpha_xy(xi: KillingField, lam: complex):
@@ -411,9 +418,8 @@ def _seed_from_spec(spec: TorusSpec, cs: dict, p: int) -> KillingField:
     li_vecs = (2j * np.conj(freqs) / np.conj(beta0))[:, None] * (vecs @ L_I.T)
     field = KillingField(d, np.zeros((2 * d + 1, 4, 4), dtype=complex),
                          np.zeros((2 * d + 1, 4), dtype=complex))
-    # even rotation string: top, the c_q line, and the conjugates by reality
+    # even rotation string: top, and the c_q line ending in its conjugate
     field.set_coeff(-d, a_top * L_I, np.zeros(4))
-    field.set_coeff(d, np.conj(a_top) * L_I, np.zeros(4))
     # per q: the rotation c_q line at 4q+2 and the translation strings u_q at
     # 4q-1 and v_q at 4q+1, evaluated at z = 0; mult holds each mode's
     # bottom-to-q chain multiplier
@@ -451,8 +457,9 @@ def rhombic_killing_seed() -> KillingSeed:
 
 
 def validate_seed(field: KillingField):
-    """SingularInput unless the field is a twisted, real loop: its twist and
-    reality residuals within 1e-10 of max(1, its norm)."""
+    """SingularInput unless the field is a twisted, real loop: its twist
+    residual (the distance on which the factorizations refuse a loop) and
+    its reality residual within 1e-10 of max(1, its norm)."""
     with np.errstate(over="ignore", invalid="ignore"):   # huge finite entries
         twist, real = field.twist_residual(), field.reality_residual()
         bound = 1e-10 * max(1.0, field.norm())

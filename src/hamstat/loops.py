@@ -1,18 +1,20 @@
 """Truncated twisted loops, their Iwasawa and Birkhoff factorizations, and
 the holomorphic-potential correspondence.
 
-Loops are stored as Fourier coefficients and manipulated pointwise on uniform
-circle samples; conversions go through the FFT.  Every factorization splits
-into a rotation problem and a linear projection for the translation.  A
-twisted loop is fixed by its E+ halves A(lam) (rotation) and p(lam)
-(translation): both factorizations read them once, solve on them and make
-4x4 coefficients for the slots they keep only.  The E- halves A(-i lam) and
-p(i lam) are a quarter turn of the m-th roots away, so ``nsamples`` must be a
-multiple of 4.  So do `SpecLift`, `potential_extract` and `ReconstructedLift`:
-their loops are twisted, X(i lam) = tau X(lam), so they work on the first
-quarter of the circle and fill the rest with `_twist_fill`.  The
-reconstruction integrates the potential in closed form to one surface, the
-lam = 1 immersion.
+Loops are stored as Fourier coefficients, one per exponent, and manipulated
+pointwise on uniform circle samples; conversions go through the FFT.  Every
+factorization splits into a rotation problem and a linear projection for the
+translation.  A twisted loop's coefficients commute with L_i and lie in the
+i^k eigenspaces of tau, so its E+ halves A(lam) (rotation) and p(lam)
+(translation) fix it, and `twist_residual` is a loop's distance from the
+twisted loop of its halves.  Both factorizations read the halves once, refuse
+on that distance, solve on them and make 4x4 coefficients for the slots they
+keep only.  The E- halves A(-i lam) and p(i lam) are a quarter turn of the
+m-th roots away, so ``nsamples`` must be a multiple of 4.  So do `SpecLift`,
+`potential_extract` and `ReconstructedLift`: their loops are twisted,
+X(i lam) = tau X(lam), so they work on the first quarter of the circle and
+fill the rest with `_twist_fill`.  The reconstruction integrates the
+potential in closed form to one surface, the lam = 1 immersion.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (EPS, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS,
-                      tau_rotation, tau_vector)
+from .algebra import EPS, L_I, L_J, LI_EPS_BAR, PI_MINUS, PI_PLUS
 from .errors import (ConvergenceFailure, LoopAliasing, NotInBigCell,
                      OutsideBigCell, PathIntegrationFailure, SingularInput)
-from .lattices import parse_integer, parse_pair
 from .numerics import (coeff_exponents, loop_coeffs, samples_from_coeffs,
                        unit_lambdas)
 from .weierstrass import TorusSpec, family_samples
@@ -46,7 +46,8 @@ __all__ = [
 class TwistedLoop:
     """Finite Fourier loop with values in the (complexified) motion group.
 
-    ``rot[j]`` and ``trans[j]`` are the coefficients of ``lam**ks[j]``.
+    ``rot[j]`` and ``trans[j]`` are the coefficients of ``lam**ks[j]``; an
+    exponent given twice raises ValueError.
     """
 
     ks: np.ndarray
@@ -59,6 +60,8 @@ class TwistedLoop:
         self.trans = np.asarray(self.trans, dtype=complex)
         order = np.argsort(self.ks)
         self.ks, self.rot, self.trans = self.ks[order], self.rot[order], self.trans[order]
+        if (twice := self.ks[1:][np.diff(self.ks) == 0]).size:
+            raise ValueError(f"exponent {twice[0]} is given twice")
 
     @property
     def degree(self) -> int:
@@ -95,10 +98,10 @@ class TwistedLoop:
             r1 @ r2, np.einsum("mij,mj->mi", r1, t2) + t1)
 
     def twist_residual(self) -> float:
-        """Max entry of tau(c_k) - i^k c_k over the coefficients."""
-        w = _I_POW[self.ks % 4]
-        return _max_abs(tau_rotation(self.rot) - w[:, None, None] * self.rot,
-                        tau_vector(self.trans) - w[:, None] * self.trans)
+        """Distance from the twisted loop of the E+ halves, on which `iwasawa`
+        and `birkhoff` refuse a loop: the larger of the `_halves` sums, 0 when
+        each coefficient commutes with L_i and lies in its tau-eigenspace."""
+        return max(_halves(self)[1])
 
     def reality_residual(self) -> float:
         """Max entry of conj(c_k) - c_{-k}, a missing c_{-k} being 0."""
@@ -139,30 +142,17 @@ def _keep(rot, trans):
 
 def _on_circle(ks, coeffs, m: int):
     """Samples at the m-th roots of unity of the loop with coefficients
-    ``coeffs`` of lam**ks, placed in their FFT slots; ValueError when m
-    cannot resolve the exponents."""
+    ``coeffs`` of distinct exponents ks, placed in their FFT slots;
+    ValueError when m cannot resolve the exponents."""
     if m < 2 * int(np.max(np.abs(ks), initial=0)) + 2:
         raise ValueError(f"sample count {m} too small for the loop degree")
     hat = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
-    np.add.at(hat, ks % m, coeffs)
+    hat[ks % m] = coeffs
     return samples_from_coeffs(hat)
 
 
 def _max_abs(*arrays) -> float:
     return max(float(np.abs(a).max(initial=0.0)) for a in arrays)
-
-
-def _parse_record(rec: dict):
-    """(k, rotation, translation) of one serialized coefficient record;
-    ValueError unless the rotation is 4 x 4 and the translation 4 long,
-    since numpy would broadcast one row or one entry into place."""
-    k = parse_integer(rec["k"], "exponent")
-    rot = [[parse_pair(v) for v in row] for row in rec["rotation"]]
-    trans = [parse_pair(v) for v in rec["translation"]]
-    if [len(row) for row in rot] != [4] * 4 or len(trans) != 4:
-        raise ValueError(f"coefficient {k} needs a 4 x 4 rotation and 4 "
-                         f"translation entries")
-    return k, rot, trans
 
 
 def _quarter(m: int) -> int:
@@ -252,21 +242,27 @@ _ALPHA = np.array([1, -1j]) / np.sqrt(2.0)    # E+ coordinates of eps, normed
 # (X's entries reversed, with the adjugate's signs) and p(lam) = Q conj(p(i lam))
 
 
+def _halves(loop: TwistedLoop):
+    """A loop's E+ halves (n, 6) and its distances from their twisted loop:
+    per part, rotation and translation, the sum over k of the largest entry
+    by which a coefficient leaves it."""
+    entries = np.concatenate([loop.rot.reshape(-1, 16), loop.trans], axis=1)
+    halves = entries @ _READ * _PARITY[loop.ks % 2]
+    dist = np.abs(entries - _entries(loop.ks, halves))
+    return halves, [float(d.max(axis=1).sum()) for d in np.split(dist, [16], 1)]
+
+
 def _read_halves(loop: TwistedLoop, m: int, tol: float):
     """A (m, 2, 2) and p (m, 2) sampled from the twisted loop of a loop's E+
-    halves, the halves (n, 6), the scale max(1, |loop|) and ``off``, the
-    loop's distance from that loop (the larger of the sums over k of the
-    largest entry by which rotations and translations leave it).  Raises
-    SingularInput on a coefficient that is not finite and, naming the part,
-    on a sum over tol * scale; ValueError unless 4 | m and m resolves it."""
+    halves, the halves (n, 6), the scale max(1, |loop|) and the loop's
+    `twist_residual`.  Raises SingularInput on a coefficient that is not
+    finite and, naming the part, on a `_halves` distance over tol * scale;
+    ValueError unless 4 | m and m resolves the loop."""
     _quarter(m)
     if not np.isfinite(norm := loop.norm()):
         raise SingularInput("loop coefficients must be finite")
     scale = max(1.0, norm)
-    entries = np.concatenate([loop.rot.reshape(-1, 16), loop.trans], axis=1)
-    halves = entries @ _READ * _PARITY[loop.ks % 2]
-    dist = np.abs(entries - _entries(loop.ks, halves))
-    off = [float(d.max(axis=1).sum()) for d in (dist[:, :16], dist[:, 16:])]
+    halves, off = _halves(loop)
     for part, d in zip(("rotation loop is not twisted in the L_i commutant",
                         "translation loop is not twisted"), off):
         if d > tol * scale:
@@ -331,8 +327,8 @@ def iwasawa(loop: TwistedLoop, nsamples: int | None = None,
     QR of A's band (Sayed-Kailath, Numer. Linear Algebra Appl. 8, 2001), U =
     A B^-1 with its imaginary rounding dropped, and a constant pins B(0) to
     the ray stabilizer.  The translation part is ``X = U . P(U^-1 p)``.  The
-    factors are made from E+ halves, so their twist residuals read 0: the
-    twist is measured at entry only, by the gates of `_read_halves`.
+    factors are made from E+ halves, so their twist residuals read 0 to
+    rounding: the twist is measured at entry only, by `_read_halves`.
 
     ``nsamples`` must be a multiple of 4 and resolve the loop (ValueError).
     A loop off the twisted group or a band with a pivot at rounding raises

@@ -3,8 +3,7 @@ import pytest
 
 from hamstat.algebra import (EPS, EPS_BAR, G0_BASIS, ID4, L_I, L_J, LI_EPS,
                              LI_EPS_BAR, R_I, R_J, R_K, ROTATION_BASIS, coords,
-                             exp_g0, from_coords, lagrangian_angle_raw, omega,
-                             tau_rotation, tau_vector)
+                             exp_g0, from_coords, lagrangian_angle_raw, omega)
 from hamstat.finitetype import _BRACKET
 from hamstat.loops import TwistedLoop
 
@@ -14,6 +13,17 @@ PHASE_BASIS = np.stack([ID4, L_I])                  # p1 + p2 L_i
 QUAT_BASIS = np.stack([ID4, -R_I, -R_J, -R_K])      # q0 + q1 i + q2 j + q3 k
 LEFT = {"1": ID4, "i": L_I, "j": L_J, "k": L_K}
 RIGHT = {"1": ID4, "i": R_I, "j": R_J, "k": R_K}
+
+
+def tau_rotation(m):
+    """tau on a rotation-part matrix: conjugation by -L_j."""
+    return -L_J @ np.asarray(m) @ L_J
+
+
+def tau_vector(v):
+    """tau on translation 4-vectors (..., 4)."""
+    return -(np.asarray(v) @ L_J.T)
+
 
 # quaternion multiplication table on unit symbols
 QUAT = {

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import spec_vanishing_at
 from hamstat import finitetype, weierstrass
 from hamstat.algebra import L_J
-from hamstat.cli import (_BLOCK_ROWS, MAX_GRID, _face_block, _write_obj,
-                         _write_ply, main, parse_complex)
+from hamstat.cli import (_BLOCK_ROWS, MAX_GRID, _face_block, _write_mesh_file,
+                         main, parse_complex)
 from hamstat.finitetype import (lax_integrate, rhombic_killing_seed,
                                 standard_torus_killing_seed)
 from hamstat.lattices import Lattice
@@ -584,6 +584,38 @@ def test_lax_refuses_a_seed_off_the_twisted_real_loops(seed_file, capsys, make):
     assert_input_error(["lax", seed_file], capsys)
 
 
+def test_lax_refuses_a_seed_off_the_li_commutant_as_untwisted(seed_file,
+                                                             capsys):
+    # 0.1 L_j at k = 0 is real and in the tau-eigenspace but does not commute
+    # with L_i: the seed check read twist residual 0, and the flow refused
+    # the seed later, as off u(2)
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    rec = next(r for r in payload["field"]["coefficients"] if r["k"] == 0)
+    rec["rotation"] = [[[a + 0.1 * v, b] for (a, b), v in zip(row, lj)]
+                       for row, lj in zip(rec["rotation"], L_J.tolist())]
+    rc, out, err = _run_lax(seed_file, payload, [], capsys)
+    assert rc == 2 and not out
+    assert err.startswith("error: seed is not a twisted, real loop: twist "
+                          "residual 1.00e-01,") and len(err.splitlines()) == 1
+
+
+def test_lax_seed_sums_the_records_of_one_exponent(seed_file, capsys):
+    # the k = -1 record given as two halves: the last record alone was kept
+    with open(seed_file) as fh:
+        payload = json.load(fh)
+    want = _run_lax(seed_file, payload, [], capsys)
+    field = finitetype.KillingField.from_dict(payload["field"])
+    rec = next(r for r in payload["field"]["coefficients"] if r["k"] == -1)
+    rec["translation"] = [[a / 2, b / 2] for a, b in rec["translation"]]
+    payload["field"]["coefficients"].append(json.loads(json.dumps(rec)))
+    split = finitetype.KillingField.from_dict(payload["field"])
+    assert np.array_equal(split.rot, field.rot)
+    assert np.array_equal(split.trans, field.trans)
+    assert _run_lax(seed_file, payload, [], capsys) == want
+    assert want[0] == 0
+
+
 @pytest.mark.parametrize("lams", ["1,0.6+0.8x", "1,", "1,0.6+0.8i+", "nan",
                                   "1,nan"])
 def test_family_malformed_lambda(spec_file, capsys, lams):
@@ -978,22 +1010,19 @@ def test_mesh_writers_match_per_line_reference(tmp_path, n):
              * 10.0 ** rng.uniform(-8, 8, size=(n * n, 3)))
     verts[0] = [0.0, -0.0, 1e-8]
     verts[-1] = [1e8, -1e8, 0.1]
-    writers = {"obj": (_write_obj, _reference_obj),
-               "ply": (_write_ply, _reference_ply)}
+    refs = {"obj": _reference_obj, "ply": _reference_ply}
     for order in (("ply", "obj"), ("obj", "ply")):
         _face_block.cache_clear()            # each order starts cold
         for fmt in order:
-            ours, ref = writers[fmt]
-            ours(tmp_path / f"ours.{fmt}", verts, n, f"test {n}")
-            ref(tmp_path / f"ref.{fmt}", verts, n, f"test {n}")
+            _write_mesh_file(tmp_path / f"ours.{fmt}", verts, n, f"test {n}", fmt)
+            refs[fmt](tmp_path / f"ref.{fmt}", verts, n, f"test {n}")
             assert ((tmp_path / f"ours.{fmt}").read_bytes()
                     == (tmp_path / f"ref.{fmt}").read_bytes()), (order, fmt)
 
 
 def _assert_writers_match_reference(tmp_path, verts, n=3):
-    for fmt, ours, ref in (("obj", _write_obj, _reference_obj),
-                           ("ply", _write_ply, _reference_ply)):
-        ours(tmp_path / f"ours.{fmt}", verts, n, "case")
+    for fmt, ref in (("obj", _reference_obj), ("ply", _reference_ply)):
+        _write_mesh_file(tmp_path / f"ours.{fmt}", verts, n, "case", fmt)
         ref(tmp_path / f"ref.{fmt}", verts, n, "case")
         assert ((tmp_path / f"ours.{fmt}").read_bytes()
                 == (tmp_path / f"ref.{fmt}").read_bytes()), fmt

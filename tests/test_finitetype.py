@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_laplacian4
-from hamstat.algebra import (EPS, G0_BASIS, L_I, R_I, R_J, R_K,
-                             ROTATION_BASIS, coords, from_coords, tau_rotation,
-                             tau_vector)
+from hamstat.algebra import (EPS, G0_BASIS, L_I, L_J, R_I, R_J, R_K,
+                             ROTATION_BASIS, coords, from_coords)
 from hamstat.errors import ConvergenceFailure, SingularInput, StepSizeUnderflow
 from hamstat.finitetype import (_BRACKET_RE, _MULT_1, _MULT_I, _REACH, _ROOTS,
                                 KillingField, _field_coords, _flow_coords,
@@ -183,19 +182,28 @@ def test_killing_field_residuals_match_dense_formulas(rng):
     trans = rng.normal(size=(2 * d + 1, 4)) + 1j * rng.normal(size=(2 * d + 1, 4))
     f = KillingField(d, rot, trans)
 
-    # the dense-layout formulas: twist over -d..d, reality over 0..d
-    twist = 0.0
+    # the dense-layout formulas, reality over 0..d, and twist over -d..d:
+    # the distance from the twisted loop of the E+ halves, whose lam^k
+    # rotation is diag(C, i^-k C) in the frame (E+, L_j E+), C = 0 at odd k,
+    # and translation is E+ q + i^k L_j E+ q, q = 0 at even k
+    e_plus = np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]]) / np.sqrt(2.0)
+    frame = np.concatenate([e_plus, L_J @ e_plus], axis=1)
+    rot_off = trans_off = 0.0
     for k in range(-d, d + 1):
         r, t = rot[k + d], trans[k + d]
-        w = 1j ** (k % 4)
-        twist = max(twist, float(np.max(np.abs(tau_rotation(r) - w * r))),
-                    float(np.max(np.abs(tau_vector(t) - w * t))))
+        c = e_plus.conj().T @ r @ e_plus * (k % 2 == 0)
+        q = e_plus.conj().T @ t * (k % 2 == 1)
+        blocks = np.zeros((4, 4), dtype=complex)
+        blocks[:2, :2], blocks[2:, 2:] = c, 1j ** -k * c
+        rot_off += np.max(np.abs(r - frame @ blocks @ frame.conj().T))
+        trans_off += np.max(np.abs(t - frame @ np.r_[q, 1j ** k * q]))
+    twist = max(rot_off, trans_off)
     reality = 0.0
     for k in range(0, d + 1):
         reality = max(reality,
                       float(np.max(np.abs(np.conj(rot[k + d]) - rot[-k + d]))),
                       float(np.max(np.abs(np.conj(trans[k + d]) - trans[-k + d]))))
-    assert f.twist_residual() == twist > 0
+    assert f.twist_residual() == pytest.approx(twist, rel=1e-14) and twist > 0
     assert f.reality_residual() == reality > 0
 
 

@@ -210,7 +210,10 @@ def test_iwasawa_translation_only():
                  dtype=complex),
         np.array([0.3 * EPS_BAR + 0.1j * LI_EPS, 1.0 * EPS, np.zeros(4),
                   0.5 * EPS_BAR]))
-    assert loop.twist_residual() == 0.0
+    # twisted exactly: the halves are read and rebuilt to at most one eps of
+    # the largest entry per coefficient
+    big = max(np.abs(loop.rot).max(), np.abs(loop.trans).max())
+    assert loop.twist_residual() <= len(loop.ks) * np.finfo(float).eps * big
     u, b = iwasawa(loop, nsamples=64)
     t_samples = loop.sample(64)[1]
     neg = _q_minus_samples(t_samples)
@@ -437,19 +440,28 @@ def test_birkhoff_rejects_untwisted_rotation():
             factor(loop, nsamples=128)
 
 
-@pytest.mark.parametrize("generator, twist", [(L_J, 0.0), (L_I, 0.2)],
-                         ids=["L_j", "L_i"])
-def test_birkhoff_rejects_rotation_outside_twisted_li_commutant(generator,
-                                                                twist):
-    # Id + 0.1 L_j is twisted but does not commute with L_i; Id + 0.1 L_i
-    # commutes with L_i but is not twisted at exponent 0.  Both factorizations
-    # read only the E+ block, so both must refuse them
+@pytest.mark.parametrize("generator", [L_J, L_I], ids=["L_j", "L_i"])
+def test_birkhoff_rejects_rotation_outside_twisted_li_commutant(generator):
+    # Id + 0.1 L_j is in the tau-eigenspace but does not commute with L_i;
+    # Id + 0.1 L_i commutes with L_i but is not in the tau-eigenspace at
+    # exponent 0.  Both factorizations read only the E+ block, so both must
+    # refuse them, on the distance the loop reports (the tau-only formula
+    # read 0.0 and 0.2)
     loop = TwistedLoop(np.array([0]), np.array([ID4 + 0.1 * generator]),
                        np.zeros((1, 4), dtype=complex))
-    assert loop.twist_residual() == pytest.approx(twist, abs=1e-15)
+    assert loop.twist_residual() == pytest.approx(0.1, abs=1e-15)
     for factor in (birkhoff, iwasawa):
-        with pytest.raises(SingularInput, match="twisted"):
+        with pytest.raises(SingularInput, match=r"L_i commutant: its "
+                           r"coefficients are off by 1\.00e-01"):
             factor(loop, nsamples=128)
+
+
+def test_loop_refuses_a_repeated_exponent():
+    # the samples summed the two coefficients while the Iwasawa band kept the
+    # last: iwasawa returned U = 2 Id, not unitary, with no error
+    with pytest.raises(ValueError, match="exponent 0 is given twice"):
+        TwistedLoop(np.array([0, 0]), np.array([ID4 / 2, ID4 / 2]),
+                    np.zeros((2, 4)))
 
 
 def test_iwasawa_residual_counts_distance_from_li_commutant(rng):
